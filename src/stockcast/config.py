@@ -67,6 +67,11 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
+        for key in ("hidden_units", "batch_size", "epochs", "lookback"):
+            if getattr(self, key) < 1:
+                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+        if not self.learning_rate > 0:
+            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
         unknown = [fs for fs in self.feature_sets if fs not in FEATURE_SETS]
         if unknown:
             raise ConfigError(

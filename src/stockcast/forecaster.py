@@ -8,6 +8,18 @@ deterministic given the config seed: weight init draws from one seeded
 stream, epoch shuffles from a second, so init_weights(config) always
 matches what train(config) started from.
 
+All parameters live in one flat vector, ``LstmWeights.theta``, laid out
+in PARAM_ORDER; ``weights[name]`` is a view into it. Because the gates
+are ordered i, f, o, g, the four W_* form one (4, F, H) block, the U_*
+one (4, H, H) block and the b_* one (4H,) block. The kernel computes all
+gates together (the fused layout of Appleyard et al. 2016): one input
+projection X @ W + b for every timestep at once, then one h @ U product
+per step, with the logistic gates taken in place as 0.5*(1 + tanh(x/2)),
+which cannot overflow. Backward runs one dA @ U.T per step and gets dW,
+dU and db from one product or sum each after the loop. Gradients come
+back in the same flat layout, so clipping is one dot product and Adam
+one update over the whole vector.
+
 Gradients are exact analytic BPTT, including the ReLU subgradient
 (defined as 0 at exactly 0); the test suite checks them against central
 finite differences.
@@ -16,6 +28,7 @@ finite differences.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -23,10 +36,9 @@ import numpy as np
 
 from .errors import LengthMismatch, NonFiniteActivation, TrainingDiverged
 
-GATES = ("i", "f", "o", "g")
-
-#: Checkpoint / gradient / Adam traversal order. Changing it breaks
-#: checkpoint compatibility; bump CHECKPOINT_FORMAT if you must.
+#: Checkpoint / gradient / Adam traversal order, and the layout of
+#: LstmWeights.theta. Changing it breaks checkpoint compatibility; bump
+#: CHECKPOINT_FORMAT if you must.
 PARAM_ORDER = (
     "W_i", "W_f", "W_o", "W_g",
     "U_i", "U_f", "U_o", "U_g",
@@ -63,19 +75,73 @@ class LstmConfig:
             raise ValueError("seed must be non-negative")
 
 
+def _param_shape(name, n_features, hidden):
+    if name == "b_out":
+        return ()
+    if name.startswith("W_"):
+        return (n_features, hidden)
+    if name.startswith("U_"):
+        return (hidden, hidden)
+    return (hidden,)  # gate biases and w_out
+
+
+def _theta_size(n_features, hidden):
+    return sum(math.prod(_param_shape(name, n_features, hidden)) for name in PARAM_ORDER)
+
+
+class _ParamViews(dict):
+    """name -> view into theta; assigning to a name writes into theta."""
+
+    def __setitem__(self, name, value):
+        self[name][...] = value
+
+
 class LstmWeights:
-    """Parameter container keyed by PARAM_ORDER names.
+    """All parameters in one flat float64 vector, ``theta``, in PARAM_ORDER.
 
     W_* map inputs to the hidden layer, U_* are the recurrent maps, b_*
-    the gate biases; w_out/b_out form the dense head.
+    the gate biases; w_out/b_out form the dense head. ``params[name]`` is
+    a contiguous view into theta, and ``W`` (4, F, H), ``U`` (4, H, H)
+    and ``b`` (4H,) view the three gate blocks. Gradients use the same
+    class and layout.
     """
 
     def __init__(self, params):
         missing = [name for name in PARAM_ORDER if name not in params]
         if missing:
             raise ValueError(f"missing parameters: {missing}")
-        self.params = {name: np.asarray(params[name], dtype=np.float64)
-                       for name in PARAM_ORDER}
+        n_features, hidden = np.shape(params["W_i"])
+        self._bind(np.empty(_theta_size(n_features, hidden)), n_features, hidden)
+        for name in PARAM_ORDER:
+            value = np.asarray(params[name], dtype=np.float64)
+            if value.shape != self.params[name].shape:
+                raise ValueError(f"{name} has shape {value.shape}, "
+                                 f"expected {self.params[name].shape}")
+            self.params[name] = value
+
+    @classmethod
+    def from_theta(cls, theta, n_features, hidden):
+        """Wrap an existing flat vector (no copy)."""
+        weights = cls.__new__(cls)
+        weights._bind(theta, n_features, hidden)
+        return weights
+
+    def _bind(self, theta, n_features, hidden):
+        self.theta = theta
+        self.n_features = n_features
+        self.hidden_units = hidden
+        views = {}
+        start = 0
+        for name in PARAM_ORDER:
+            shape = _param_shape(name, n_features, hidden)
+            size = math.prod(shape)
+            views[name] = theta[start:start + size].reshape(shape)
+            start += size
+        self.params = _ParamViews(views)
+        F, H = n_features, hidden
+        self.W = theta[:4 * F * H].reshape(4, F, H)
+        self.U = theta[4 * F * H:4 * H * (F + H)].reshape(4, H, H)
+        self.b = theta[4 * H * (F + H):4 * H * (F + H + 1)]
 
     def __getitem__(self, name):
         return self.params[name]
@@ -83,16 +149,8 @@ class LstmWeights:
     def items(self):
         return [(name, self.params[name]) for name in PARAM_ORDER]
 
-    @property
-    def n_features(self):
-        return self.params["W_i"].shape[0]
-
-    @property
-    def hidden_units(self):
-        return self.params["W_i"].shape[1]
-
     def copy(self):
-        return LstmWeights({name: arr.copy() for name, arr in self.params.items()})
+        return LstmWeights.from_theta(self.theta.copy(), self.n_features, self.hidden_units)
 
 
 def init_weights(config, n_features):
@@ -104,70 +162,60 @@ def init_weights(config, n_features):
     h = config.hidden_units
     k = 1.0 / np.sqrt(h)
     rng = np.random.default_rng([config.seed, 0])
-    params = {}
-    for name in PARAM_ORDER:
+    weights = LstmWeights.from_theta(np.empty(_theta_size(n_features, h)), n_features, h)
+    for name, view in weights.items():
         if name == "b_f":
-            params[name] = np.ones(h, dtype=np.float64)
-            continue
-        if name == "w_out":
-            shape = (h,)
-        elif name == "b_out":
-            shape = ()
-        elif name.startswith("W_"):
-            shape = (n_features, h)
-        elif name.startswith("U_"):
-            shape = (h, h)
-        else:  # gate biases
-            shape = (h,)
-        params[name] = rng.uniform(-k, k, size=shape)
-    return LstmWeights(params)
-
-
-def _sigmoid(x):
-    # Piecewise form avoids overflow in exp for large |x|.
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+            view[...] = 1.0
+        else:
+            view[...] = rng.uniform(-k, k, size=view.shape)
+    return weights
 
 
 def _forward_batch(weights, X):
     """Unrolled forward pass over a (batch, lookback, features) array.
 
-    Returns predictions (batch,) and the activation cache BPTT needs.
+    Returns predictions (batch,) and the activation cache BPTT needs:
+    time-major inputs ``X`` (T, B, F), gate activations ``A`` (T, B, 4H)
+    in i, f, o, g order, hidden and cell states ``h``/``c`` (T+1, B, H)
+    with the zero initial state first, ``tanh_c`` (T, B, H), and the head
+    pre-activation ``z``.
 
     Raises:
         NonFiniteActivation: a prediction came out inf/nan.
     """
     X = np.asarray(X, dtype=np.float64)
-    B, T, _ = X.shape
+    B, T, F = X.shape
     H = weights.hidden_units
-    p = weights.params
-    h = np.zeros((B, H))
-    c = np.zeros((B, H))
-    steps = []
+    W = weights.W.transpose(1, 0, 2).reshape(F, 4 * H)
+    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
+    X = np.ascontiguousarray(X.transpose(1, 0, 2))
+    A = (X.reshape(T * B, F) @ W).reshape(T, B, 4 * H)
+    A += weights.b
+    h = np.zeros((T + 1, B, H))
+    c = np.zeros((T + 1, B, H))
+    tanh_c = np.empty((T, B, H))
+    # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
+    # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift.
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)
+    shift = np.repeat([0.5, 0.5, 0.5, 0.0], H)
     for t in range(T):
-        x = X[:, t, :]
-        gate_i = _sigmoid(x @ p["W_i"] + h @ p["U_i"] + p["b_i"])
-        gate_f = _sigmoid(x @ p["W_f"] + h @ p["U_f"] + p["b_f"])
-        gate_o = _sigmoid(x @ p["W_o"] + h @ p["U_o"] + p["b_o"])
-        gate_g = np.tanh(x @ p["W_g"] + h @ p["U_g"] + p["b_g"])
-        c_new = gate_f * c + gate_i * gate_g
-        tanh_c = np.tanh(c_new)
-        h_new = gate_o * tanh_c
-        steps.append({
-            "x": x, "h_prev": h, "c_prev": c,
-            "i": gate_i, "f": gate_f, "o": gate_o, "g": gate_g,
-            "tanh_c": tanh_c,
-        })
-        h, c = h_new, c_new
-    z = h @ p["w_out"] + p["b_out"]
+        a = A[t]
+        if t:  # h_0 = 0, so step 0 has no recurrent term
+            a += h[t] @ U
+        a *= scale
+        np.tanh(a, out=a)
+        a *= scale
+        a += shift
+        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
+        np.multiply(f, c[t], out=c[t + 1])
+        c[t + 1] += i * g
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t + 1])
+    z = h[T] @ weights["w_out"] + weights["b_out"]
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction; training diverged?")
-    return pred, {"steps": steps, "h_last": h, "z": z, "X": X}
+    return pred, {"X": X, "A": A, "h": h, "c": c, "tanh_c": tanh_c, "z": z}
 
 
 def lstm_forward(weights, X):
@@ -189,48 +237,45 @@ def mse_loss(predictions, targets):
     return float(np.mean((predictions - targets) ** 2))
 
 
-def _zero_grads(weights):
-    return {name: np.zeros_like(arr) for name, arr in weights.items()}
-
-
 def _backward_batch(weights, cache, targets):
-    """Exact gradients of batch-mean MSE w.r.t. every parameter."""
-    p = weights.params
+    """Exact gradients of batch-mean MSE w.r.t. every parameter.
+
+    Returns an LstmWeights over a fresh gradient vector. The gate
+    gradients are written over ``cache["A"]``, so a cache serves one
+    backward call.
+    """
     targets = np.asarray(targets, dtype=np.float64)
-    z = cache["z"]
+    X, A, h, c, tanh_c, z = (cache[key] for key in ("X", "A", "h", "c", "tanh_c", "z"))
+    T, B, F = X.shape
+    H = weights.hidden_units
+    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
     pred = np.maximum(z, 0.0)
-    B = z.shape[0]
-    grads = _zero_grads(weights)
+    grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
-    grads["w_out"] = cache["h_last"].T @ dz
-    grads["b_out"] = np.asarray(dz.sum())
-    dh = np.outer(dz, p["w_out"])
+    grads["w_out"][...] = h[T].T @ dz
+    grads["b_out"][...] = dz.sum()
+    dh = np.outer(dz, weights["w_out"])
     dc = np.zeros_like(dh)
 
-    for step in reversed(cache["steps"]):
-        i, f, o, g = step["i"], step["f"], step["o"], step["g"]
-        tanh_c = step["tanh_c"]
-        do = dh * tanh_c
-        dc = dc + dh * o * (1.0 - tanh_c ** 2)
-        di = dc * g
-        df = dc * step["c_prev"]
-        dg = dc * i
-        da = {
-            "i": di * i * (1.0 - i),
-            "f": df * f * (1.0 - f),
-            "o": do * o * (1.0 - o),
-            "g": dg * (1.0 - g ** 2),
-        }
-        x, h_prev = step["x"], step["h_prev"]
-        dh = np.zeros_like(dh)
-        for gate in GATES:
-            grads[f"W_{gate}"] += x.T @ da[gate]
-            grads[f"U_{gate}"] += h_prev.T @ da[gate]
-            grads[f"b_{gate}"] += da[gate].sum(axis=0)
-            dh += da[gate] @ p[f"U_{gate}"].T
+    for t in reversed(range(T)):
+        a = A[t]
+        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
+        dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
+        da_i = dc * g * i * (1.0 - i)
+        da_f = dc * c[t] * f * (1.0 - f)
+        da_o = dh * tanh_c[t] * o * (1.0 - o)
+        da_g = dc * i * (1.0 - g ** 2)
         dc = dc * f
+        i[...], f[...], o[...], g[...] = da_i, da_f, da_o, da_g
+        if t:  # dh_0 would feed the zero initial state
+            dh = a @ U.T
+
+    dA = A.reshape(T * B, 4 * H)
+    grads.W[...] = (X.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)
+    grads.U[...] = (h[:T].reshape(T * B, H).T @ dA).reshape(H, 4, H).transpose(1, 0, 2)
+    grads.b[...] = dA.sum(axis=0)
     return grads
 
 
@@ -241,20 +286,19 @@ def backward(weights, cache, target):
 
 def clip_gradients(grads, max_norm):
     """Scale all gradients so their global L2 norm is at most max_norm."""
-    total = np.sqrt(sum(float(np.sum(g ** 2)) for g in grads.values()))
+    g = grads.theta
+    total = np.sqrt(g @ g)
     if total > max_norm and total > 0:
-        scale = max_norm / total
-        for g in grads.values():
-            g *= scale
+        g *= max_norm / total
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators plus the shared timestep."""
+    """First/second moment vectors (theta's layout) plus the shared timestep."""
 
-    m: dict
-    v: dict
+    m: np.ndarray
+    v: np.ndarray
     t: int = 0
     beta1: float = ADAM_BETA1
     beta2: float = ADAM_BETA2
@@ -262,23 +306,21 @@ class AdamState:
 
     @classmethod
     def for_weights(cls, weights):
-        return cls(
-            m={name: np.zeros_like(arr) for name, arr in weights.items()},
-            v={name: np.zeros_like(arr) for name, arr in weights.items()},
-        )
+        return cls(m=np.zeros_like(weights.theta), v=np.zeros_like(weights.theta))
 
 
 def adam_step(weights, grads, state, lr):
     """One bias-corrected Adam update, in place; returns (weights, state)."""
     state.t += 1
     b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
-    for name, param in weights.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g ** 2
-        m_hat = state.m[name] / (1.0 - b1 ** t)
-        v_hat = state.v[name] / (1.0 - b2 ** t)
-        param -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    g = grads.theta
+    state.m *= b1
+    state.m += (1.0 - b1) * g
+    state.v *= b2
+    state.v += (1.0 - b2) * g ** 2
+    m_hat = state.m / (1.0 - b1 ** t)
+    v_hat = state.v / (1.0 - b2 ** t)
+    weights.theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
     return weights, state
 
 
@@ -310,6 +352,7 @@ def train(dataset, config):
                 pred, cache = _forward_batch(weights, X[idx])
                 sq_sum += float(np.sum((pred - y[idx]) ** 2))
                 grads = _backward_batch(weights, cache, y[idx])
+                del cache  # spent; free it before the next batch's forward
                 clip_gradients(grads, config.grad_clip)
                 adam_step(weights, grads, state, config.learning_rate)
         except NonFiniteActivation as exc:
@@ -370,7 +413,6 @@ __all__ = [
     "LstmWeights",
     "AdamState",
     "PARAM_ORDER",
-    "GATES",
     "init_weights",
     "lstm_forward",
     "mse_loss",

@@ -1,7 +1,11 @@
 """Config parsing and the four CLI commands on tiny datasets."""
 
 import json
+import os
+import subprocess
+import sys
 from datetime import date, timedelta
+from pathlib import Path
 
 import pytest
 
@@ -201,6 +205,22 @@ class TestTrainEvalCommand:
         first = (tmp_path / "out" / "report.json").read_bytes()
         cli.main(["train-eval", "--config", str(path)])
         assert (tmp_path / "out" / "report.json").read_bytes() == first
+
+    @pytest.mark.parametrize("key", ["hidden_units", "batch_size", "epochs",
+                                     "lookback", "learning_rate"])
+    def test_invalid_model_key_exit_2(self, tmp_path, key):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, **{key: 0})
+        src = str(Path(cli.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stockcast.cli", "train-eval", "--config", str(path)],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 2
+        assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
 
     def test_diverged_training_exit_3(self, tmp_path, monkeypatch, capsys):
         write_tiny_dataset(tmp_path)

@@ -1,6 +1,8 @@
 """LSTM forecaster: cell equations, gradients, Adam, training loop."""
 
 import math
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -169,7 +171,7 @@ class TestForward:
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 2)
         X = np.array([[0.3, -0.7]])
         pred, cache = lstm_forward(w, X)
-        assert len(cache["steps"]) == 1
+        assert cache["A"].shape[0] == 1
         assert pred == pytest.approx(cell_oracle(w, X), rel=1e-12)
 
     def test_matches_cell_oracle_seed42(self):
@@ -190,15 +192,60 @@ class TestForward:
     def test_gates_bounded(self):
         w = init_weights(LstmConfig(hidden_units=5, seed=3), 2)
         _, cache = lstm_forward(w, np.random.default_rng(0).normal(size=(4, 2)))
-        for step in cache["steps"]:
-            for gate in "ifo":
-                assert np.all((step[gate] > 0) & (step[gate] < 1))
-            assert np.all(np.abs(step["tanh_c"]) <= 1.0)
+        H = w.hidden_units
+        for gates, tanh_c in zip(cache["A"], cache["tanh_c"]):
+            for k in range(3):  # i, f, o
+                values = gates[:, k * H:(k + 1) * H]
+                assert np.all((values > 0) & (values < 1))
+            assert np.all(np.abs(tanh_c) <= 1.0)
 
     def test_non_finite_raises(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=0), 2)
         with pytest.raises(NonFiniteActivation):
             lstm_forward(w, np.full((3, 2), np.nan))
+
+    def test_extreme_preactivations_no_overflow(self):
+        # gate pre-activations of exactly +-1000: the logistic must saturate
+        # to finite values in [0, 1] without an exp overflow warning
+        H = 3
+        w = zero_weights(H, 2)
+        w.params["b_i"] = 1000.0
+        w.params["b_f"] = -1000.0
+        w.params["b_o"] = 1000.0
+        w.params["b_g"] = -1000.0
+        w.params["w_out"] = -1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pred, cache = lstm_forward(w, np.zeros((4, 2)))
+        gates = cache["A"][:, :, :3 * H]
+        assert np.all(np.isfinite(gates))
+        assert np.all((gates >= 0) & (gates <= 1))
+        assert np.all(cache["A"][:, :, :H] == 1.0)  # i saturates at 1
+        assert np.all(cache["A"][:, :, H:2 * H] == 0.0)  # f saturates at 0
+        assert pred == pytest.approx(H * math.tanh(1.0), rel=1e-12)  # c = g = -1
+
+
+class TestFlatLayout:
+    def test_views_alias_theta(self):
+        w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
+        rng = np.random.default_rng(3)
+        X = live_sample(w, rng, 5, 3)
+        theta_before = w.theta.copy()
+        pred_before, _ = lstm_forward(w, X)
+        w["U_f"][...] += 0.5
+        changed = np.flatnonzero(w.theta != theta_before)
+        start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
+        assert np.array_equal(changed, np.arange(start, start + 4 * 4))
+        pred_after, _ = lstm_forward(w, X)
+        assert pred_after != pred_before
+
+    def test_gate_blocks_follow_param_order(self):
+        w = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
+        for k, gate in enumerate("ifog"):
+            assert np.array_equal(w.W[k], w[f"W_{gate}"])
+            assert np.array_equal(w.U[k], w[f"U_{gate}"])
+            assert np.array_equal(w.b[k * 3:(k + 1) * 3], w[f"b_{gate}"])
+        assert w.theta.size == sum(arr.size for _, arr in w.items())
 
 
 class TestMseLoss:
@@ -267,7 +314,7 @@ class TestAdam:
     def test_zero_gradient_no_move(self):
         w = init_weights(LstmConfig(hidden_units=3, seed=0), 2)
         before = {name: arr.copy() for name, arr in w.items()}
-        grads = {name: np.zeros_like(arr) for name, arr in w.items()}
+        grads = LstmWeights({name: np.zeros_like(arr) for name, arr in w.items()})
         state = AdamState.for_weights(w)
         adam_step(w, grads, state, lr=0.1)
         assert state.t == 1
@@ -279,7 +326,7 @@ class TestAdam:
         w = init_weights(LstmConfig(hidden_units=3, seed=1), 2)
         before = {name: arr.copy() for name, arr in w.items()}
         rng = np.random.default_rng(5)
-        grads = {name: rng.normal(size=arr.shape) for name, arr in w.items()}
+        grads = LstmWeights({name: rng.normal(size=arr.shape) for name, arr in w.items()})
         state = AdamState.for_weights(w)
         lr = 0.01
         adam_step(w, grads, state, lr)
@@ -312,12 +359,15 @@ class TestAdam:
         assert not np.allclose(w_two["W_i"], w_one["W_i"], atol=1e-12)
 
     def test_clip_gradients_scales_to_norm(self):
-        grads = {"a": np.array([3.0, 4.0]), "b": np.array(12.0)}
+        grads = zero_weights(1, 1)
+        grads.params["W_i"] = 3.0
+        grads.params["U_i"] = 4.0
+        grads.params["b_out"] = 12.0
         clip_gradients(grads, 6.5)
-        total = math.sqrt(float(sum(np.sum(g ** 2) for g in grads.values())))
+        total = math.sqrt(float(sum(np.sum(g ** 2) for _, g in grads.items())))
         assert total == pytest.approx(6.5, rel=1e-12)
         # direction preserved
-        assert grads["a"][1] / grads["a"][0] == pytest.approx(4 / 3, rel=1e-12)
+        assert grads["U_i"][0, 0] / grads["W_i"][0, 0] == pytest.approx(4 / 3, rel=1e-12)
 
 
 def constant_target_dataset():
@@ -404,6 +454,22 @@ class TestCheckpoint:
         assert loaded_cfg == cfg
         for name, arr in w.items():
             assert np.array_equal(arr, loaded.params[name])
+
+    def test_v1_file_loads_predicts_and_rewrites_identically(self, tmp_path):
+        # written by the per-gate kernel that predates the flat layout;
+        # PREDICTIONS are what that kernel predicted from it
+        committed = Path(__file__).parent / "data" / "checkpoint_v1_h3_f2.json"
+        weights, cfg = load_checkpoint(committed)
+        assert (weights.n_features, weights.hidden_units) == (2, 3)
+        X = np.random.default_rng(7).uniform(0, 1, size=(5, 4, 2))
+        pred = predict(weights, WindowedDataset(X=X, y=np.zeros(5), dates=tuple(range(5))))
+        assert pred == pytest.approx(self.V1_PREDICTIONS, rel=1e-12)
+        rewritten = tmp_path / "model.json"
+        save_checkpoint(rewritten, weights, cfg)
+        assert rewritten.read_bytes() == committed.read_bytes()
+
+    V1_PREDICTIONS = [0.3798698132025385, 0.3493928875379534, 0.3374546653777686,
+                      0.3512604468614238, 0.3096045966334155]
 
     def test_format_guard(self, tmp_path):
         path = tmp_path / "bad.json"
