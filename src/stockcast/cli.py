@@ -100,7 +100,7 @@ def cmd_featurize(args):
 
 def cmd_train_eval(args):
     config = _load_config(args)
-    _, results = pipeline.run_train_eval(config, config.out_dir)
+    results = pipeline.run_train_eval(config, config.out_dir)
     for result in results:
         for report in result.reports:
             if report.scale != "normalized":

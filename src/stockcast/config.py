@@ -34,7 +34,6 @@ class ExperimentConfig:
     provider: str = "lexicon"
     lexicon: str | None = None
     replay_scores: str | None = None
-    prompt_template: str | None = None
     stopwords: str | None = None
     min_likes: int | None = None
     keep_cashtags: bool = True
@@ -67,11 +66,16 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
-        for key in ("hidden_units", "batch_size", "epochs", "lookback"):
+        for key in ("hidden_units", "batch_size", "epochs", "lookback",
+                    "rsi_period", "sma_period"):
             if getattr(self, key) < 1:
                 raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
-        if not self.learning_rate > 0:
-            raise ConfigError(f"learning_rate must be positive, got {self.learning_rate}")
+        for key in ("learning_rate", "initial_capital"):
+            if not getattr(self, key) > 0:
+                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+        for key in ("alpha", "beta", "gamma", "delta", "profit_threshold", "dip_threshold"):
+            if not getattr(self, key) >= 0:
+                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         unknown = [fs for fs in self.feature_sets if fs not in FEATURE_SETS]
         if unknown:
             raise ConfigError(
@@ -104,8 +108,7 @@ class ExperimentConfig:
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
                 "1": True, "0": False}
 
-_PATH_KEYS = ("prices", "tweets", "news", "lexicon", "replay_scores",
-              "prompt_template", "stopwords")
+_PATH_KEYS = ("prices", "tweets", "news", "lexicon", "replay_scores", "stopwords")
 
 
 def _parse_value(key, raw, base_dir):

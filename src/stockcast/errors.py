@@ -51,12 +51,6 @@ class MissingField(StockcastError):
         super().__init__(f"missing field {name!r} at line {line}")
 
 
-class NoPriorValue(StockcastError):
-    def __init__(self, date):
-        self.date = date
-        super().__init__(f"no prior value to fill from at {date}")
-
-
 # --- sentiment ------------------------------------------------------------
 
 class UnknownPostId(StockcastError):

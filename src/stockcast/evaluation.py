@@ -8,8 +8,6 @@ import numpy as np
 
 from .errors import ConstantTarget, LengthMismatch, MixedFeatureSets
 
-SCALES = ("normalized", "denormalized")
-
 
 @dataclass(frozen=True)
 class RunMetrics:
@@ -87,4 +85,4 @@ def replicate_average(runs):
     )
 
 
-__all__ = ["RunMetrics", "AggregateReport", "r_squared", "mae", "replicate_average", "SCALES"]
+__all__ = ["RunMetrics", "AggregateReport", "r_squared", "mae", "replicate_average"]

@@ -182,9 +182,6 @@ class FeatureMatrix:
     columns: tuple
     values: np.ndarray  # (n_dates, n_columns) float64
 
-    def column(self, name):
-        return self.values[:, self.columns.index(name)]
-
 
 def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=None):
     """Stack the blocks of one feature set into a raw FeatureMatrix.

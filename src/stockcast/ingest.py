@@ -21,7 +21,6 @@ from .errors import (
     MissingColumn,
     MissingField,
     NonMonotonicDate,
-    NoPriorValue,
     UnparsableLine,
     UnparsableRow,
 )
@@ -87,16 +86,6 @@ class TradingCalendar:
 
     def __iter__(self):
         return iter(self.dates)
-
-    def __contains__(self, d):
-        i = bisect.bisect_left(self.dates, d)
-        return i < len(self.dates) and self.dates[i] == d
-
-    def first(self):
-        return self.dates[0]
-
-    def last(self):
-        return self.dates[-1]
 
     def assign(self, d):
         """Next trading date on or after ``d``, or None past the calendar end.
@@ -261,43 +250,6 @@ def assign_posts(posts, calendar):
     return assigned
 
 
-def forward_fill(calendar, series, initial=None):
-    """Fill a partial date->value map onto every calendar date.
-
-    Each missing date takes the most recent prior observed value.
-
-    Raises:
-        NoPriorValue: the first calendar date has no value and no
-            ``initial`` fallback was given.
-    """
-    filled = {}
-    last = initial
-    for d in calendar:
-        if d in series:
-            last = series[d]
-        elif last is None:
-            raise NoPriorValue(d)
-        filled[d] = last
-    return filled
-
-
-def write_price_csv(path, bars):
-    """Write bars back out in the documented CSV schema (round-trip safe)."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(PRICE_HEADER)
-        for bar in bars:
-            writer.writerow([
-                bar.date.isoformat(),
-                repr(bar.open),
-                repr(bar.high),
-                repr(bar.low),
-                repr(bar.close),
-                repr(bar.adj_close),
-                repr(bar.volume),
-            ])
-
-
 __all__ = [
     "PriceBar",
     "RawPost",
@@ -307,6 +259,4 @@ __all__ = [
     "load_posts_jsonl",
     "calendar_from_bars",
     "assign_posts",
-    "forward_fill",
-    "write_price_csv",
 ]

@@ -35,8 +35,6 @@ BUY_AT_CLOSE = "buy_at_close"
 DEFERRED_EXIT = "deferred_exit"
 NONE = "none"
 
-ACTIONS = (LONG_OPEN_CLOSE, SHORT_OPEN_CLOSE, BUY_AT_CLOSE, DEFERRED_EXIT, NONE)
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -206,7 +204,6 @@ __all__ = [
     "return_signal",
     "trade_decision",
     "run_simulation",
-    "ACTIONS",
     "LONG_OPEN_CLOSE",
     "SHORT_OPEN_CLOSE",
     "BUY_AT_CLOSE",

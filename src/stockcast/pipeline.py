@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, forecaster, market_sim, sentiment, textprep
-from .errors import ConfigError
+from .errors import ConfigError, StockcastError
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
 from .ingest import assign_posts, calendar_from_bars, load_posts_jsonl, load_price_csv
 
@@ -107,6 +107,7 @@ class FeatureSetResult:
     reports: list                   # AggregateReport, both scales
     mean_pred_norm: np.ndarray      # replicate-mean normalized predictions
     mean_pred_price: np.ndarray     # same, on the price scale
+    true_price: np.ndarray          # test targets on the price scale
     loss_histories: list
 
 
@@ -162,16 +163,13 @@ def run_feature_set(config, dataset, feature_set):
         reports=reports,
         mean_pred_norm=mean_pred_norm,
         mean_pred_price=to_price(mean_pred_norm),
+        true_price=y_true_price,
         loss_histories=losses,
     )
 
 
-def simulate_feature_set(config, dataset, result):
-    """Trade the replicate-mean predictions over the test period."""
-    test_dates = result.split.test.dates
-    bars_by_date = {bar.date: bar for bar in dataset.bars}
-    bars = [bars_by_date[d] for d in test_dates]
-    predictions = list(zip(test_dates, result.mean_pred_price.tolist()))
+def simulate_feature_set(config, bars, predictions):
+    """Trade one set's (date, predicted close) pairs over the same-dated bars."""
     sim_config = market_sim.SimConfig(
         initial_capital=config.initial_capital,
         profit_threshold=config.profit_threshold,
@@ -237,24 +235,69 @@ def write_metrics_csv(path, config, results, scale="normalized"):
                 ])
 
 
+PREDICTIONS_COLUMNS = ["date", "close_norm", "pred_norm", "close", "pred"]
+
+
 def write_predictions_csv(path, config, result):
     """Plot-ready series: per test date, truth and replicate-mean forecast."""
-    split = result.split
-    close_min, close_max = split.norm.column_state("close")
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config.config_hash}\n")
         writer = csv.writer(fh)
-        writer.writerow(["date", "close_norm", "pred_norm", "close", "pred"])
-        for i, d in enumerate(split.test.dates):
-            truth_norm = float(split.test.y[i])
-            pred_norm = float(result.mean_pred_norm[i])
-            writer.writerow([
-                d.isoformat(),
-                repr(truth_norm),
-                repr(pred_norm),
-                repr(truth_norm * (close_max - close_min) + close_min),
-                repr(float(result.mean_pred_price[i])),
-            ])
+        writer.writerow(PREDICTIONS_COLUMNS)
+        for d, *values in zip(
+            result.split.test.dates,
+            result.split.test.y.tolist(),
+            result.mean_pred_norm.tolist(),
+            result.true_price.tolist(),
+            result.mean_pred_price.tolist(),
+        ):
+            writer.writerow([d.isoformat(), *map(repr, values)])
+
+
+def load_predictions_csv(path, config, dates):
+    """The (date, pred) pairs of a predictions file written for this config.
+
+    Raises:
+        StockcastError: the file is missing, carries another config_hash,
+            or its rows are not exactly ``dates`` in order with a finite
+            ``pred`` each.
+    """
+    path = Path(path)
+    if not path.is_file():
+        raise StockcastError(
+            f"{path} not found: run train-eval with the same config and flags "
+            f"into the same --out-dir first"
+        )
+    with open(path, newline="", encoding="utf-8") as fh:
+        first = fh.readline().rstrip("\r\n")
+        if first != f"# config_hash={config.config_hash}":
+            raise StockcastError(
+                f"{path}: first line {first!r} does not carry this config's "
+                f"config_hash={config.config_hash}; rerun train-eval with the same "
+                f"config and flags"
+            )
+        reader = csv.reader(fh)
+        if next(reader, None) != PREDICTIONS_COLUMNS:
+            raise StockcastError(f"{path}:2: header is not {','.join(PREDICTIONS_COLUMNS)}")
+        pairs = []
+        for lineno, row in enumerate(reader, start=3):
+            i = len(pairs)
+            if i == len(dates) or len(row) != len(PREDICTIONS_COLUMNS) \
+                    or row[0] != dates[i].isoformat():
+                expected = dates[i].isoformat() if i < len(dates) else "end of file"
+                raise StockcastError(f"{path}:{lineno}: expected {expected}, got {row!r}")
+            try:
+                pred = float(row[-1])
+            except ValueError:
+                pred = float("nan")
+            if not np.isfinite(pred):
+                raise StockcastError(f"{path}:{lineno}: bad pred value {row[-1]!r}")
+            pairs.append((dates[i], pred))
+    if len(pairs) < len(dates):
+        raise StockcastError(
+            f"{path}:{len(pairs) + 3}: file ends before trading date {dates[len(pairs)]}"
+        )
+    return pairs
 
 
 def write_ledger_csv(path, config, sim_result):
@@ -314,18 +357,25 @@ def run_train_eval(config, out_dir):
         write_predictions_csv(
             out_dir / f"predictions_{safe_name(result.feature_set)}.csv", config, result
         )
-    return dataset, results
+    return results
 
 
 def run_simulate(config, out_dir):
-    """The simulate command body; trains in-run, then trades."""
+    """The simulate command body: trades the forecasts train-eval wrote.
+
+    Every set's predictions file is checked before any ledger is written,
+    so a refused run leaves no partial output.
+    """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    dataset = load_dataset(config)
+    bars = [bar for bar in load_price_csv(config.prices) if bar.date > config.split_date]
+    dates = [bar.date for bar in bars]
+    predictions = [
+        (fs, load_predictions_csv(out_dir / f"predictions_{safe_name(fs)}.csv", config, dates))
+        for fs in config.feature_sets
+    ]
     sim_results = []
-    for feature_set in config.feature_sets:
-        result = run_feature_set(config, dataset, feature_set)
-        sim = simulate_feature_set(config, dataset, result)
+    for feature_set, pairs in predictions:
+        sim = simulate_feature_set(config, bars, pairs)
         write_ledger_csv(
             out_dir / f"ledger_{safe_name(feature_set)}.csv", config, sim
         )
@@ -347,6 +397,8 @@ __all__ = [
     "write_report_json",
     "write_metrics_csv",
     "write_predictions_csv",
+    "load_predictions_csv",
+    "PREDICTIONS_COLUMNS",
     "write_ledger_csv",
     "write_simulation_json",
     "safe_name",

@@ -68,10 +68,6 @@ class WeightParams:
 class ScoredPost:
     post: object  # RawPost
     score: SentimentScore
-    interaction: float
-    influence: float
-    signed: float
-    total_interaction: float
     weighted: float
 
 
@@ -118,16 +114,8 @@ def weighted_sentiment(post, score, w):
 
 
 def score_post(post, score, w):
-    """Bundle a post with its score and all engagement quantities."""
-    return ScoredPost(
-        post=post,
-        score=score,
-        interaction=tweet_interaction(post, w),
-        influence=user_influence(post, w),
-        signed=signed_sentiment(score),
-        total_interaction=total_interaction(post),
-        weighted=weighted_sentiment(post, score, w),
-    )
+    """Bundle a post with its score and engagement-weighted sentiment."""
+    return ScoredPost(post=post, score=score, weighted=weighted_sentiment(post, score, w))
 
 
 # --- providers ---------------------------------------------------------------
@@ -142,7 +130,6 @@ class LexiconProvider:
     """
 
     name = "lexicon"
-    deterministic = True
 
     def __init__(self, lexicon=None):
         self.lexicon = dict(lexicon) if lexicon is not None else load_lexicon()
@@ -163,7 +150,6 @@ class ReplayProvider:
     """Serve precomputed scores (e.g. from an external model) by post id."""
 
     name = "replay"
-    deterministic = True
 
     def __init__(self, table):
         self.table = dict(table)
@@ -216,13 +202,6 @@ def load_replay_scores(path):
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise UnparsableLine(lineno, str(exc)) from exc
     return table
-
-
-def replay_score(post_id, score_table):
-    """Look up one stored score; unknown ids are an error."""
-    if post_id not in score_table:
-        raise UnknownPostId(post_id)
-    return score_table[post_id]
 
 
 # --- external service adapter -------------------------------------------------
@@ -330,7 +309,6 @@ __all__ = [
     "weighted_sentiment",
     "score_post",
     "aggregate_daily",
-    "replay_score",
     "load_lexicon",
     "load_replay_scores",
     "load_prompt_template",

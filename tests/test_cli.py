@@ -13,6 +13,15 @@ from stockcast import cli
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
 from stockcast.errors import ConfigError, TrainingDiverged
 
+from conftest import REPO
+
+
+def subprocess_env():
+    """The environment with this checkout's src/ first on PYTHONPATH."""
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
 
 def write_tiny_dataset(tmp_path, n_bars=60):
     """Small but trainable dataset: varying closes, a few posts."""
@@ -206,17 +215,21 @@ class TestTrainEvalCommand:
         cli.main(["train-eval", "--config", str(path)])
         assert (tmp_path / "out" / "report.json").read_bytes() == first
 
-    @pytest.mark.parametrize("key", ["hidden_units", "batch_size", "epochs",
-                                     "lookback", "learning_rate"])
-    def test_invalid_model_key_exit_2(self, tmp_path, key):
+    INVALID_VALUES = [
+        ("hidden_units", 0), ("batch_size", 0), ("epochs", 0), ("lookback", 0),
+        ("learning_rate", 0), ("rsi_period", 0), ("sma_period", 0),
+        ("alpha", -1), ("beta", -1), ("gamma", -1), ("delta", -1),
+        ("initial_capital", 0), ("profit_threshold", -1), ("dip_threshold", -1),
+    ]
+
+    @pytest.mark.parametrize("key,value", INVALID_VALUES,
+                             ids=[key for key, _ in INVALID_VALUES])
+    def test_invalid_model_key_exit_2(self, tmp_path, key, value):
         write_tiny_dataset(tmp_path)
-        path = write_config(tmp_path, **{key: 0})
-        src = str(Path(cli.__file__).resolve().parent.parent)
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        path = write_config(tmp_path, **{key: value})
         proc = subprocess.run(
             [sys.executable, "-m", "stockcast.cli", "train-eval", "--config", str(path)],
-            capture_output=True, text=True, env=env, check=False)
+            capture_output=True, text=True, env=subprocess_env(), check=False)
         assert proc.returncode == 2
         assert key in proc.stderr
         assert "Traceback" not in proc.stderr
@@ -239,6 +252,7 @@ class TestSimulateCommand:
     def test_summary_rows_and_ledger(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA")
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
         code = cli.main(["simulate", "--config", str(path)])
         assert code == 0
         summary = json.loads(
@@ -260,3 +274,57 @@ class TestSimulateCommand:
         for f in out.iterdir():
             text = f.read_text()
             assert config.config_hash in text, f.name
+
+    def test_no_predictions_exit_2(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        code = cli.main(["simulate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "predictions_prices.csv" in err and "train-eval" in err
+        assert "Traceback" not in err
+        assert not list(tmp_path.glob("**/ledger_*.csv"))
+
+    def test_other_seed_refused(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        assert cli.main(["train-eval", "--config", str(path), "--seed", "1"]) == 0
+        code = cli.main(["simulate", "--config", str(path), "--seed", "2"])
+        assert code == 2
+        assert "config_hash" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ledger_prices.csv").exists()
+
+    def test_truncated_predictions_refused(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        pred_path = tmp_path / "out" / "predictions_prices.csv"
+        lines = pred_path.read_text().splitlines(keepends=True)
+        pred_path.write_text("".join(lines[:-1]))
+        code = cli.main(["simulate", "--config", str(path)])
+        assert code == 2
+        assert str(pred_path) in capsys.readouterr().err
+
+    def test_trains_nothing(self, tmp_path, monkeypatch):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+
+        def refuse(dataset, config):
+            raise AssertionError("simulate must not train")
+
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse)
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+
+
+def test_tracer_patches_every_name(tmp_path):
+    """The benchmark's tracer wraps pipeline names by attribute; a rename fails here."""
+    write_tiny_dataset(tmp_path)
+    path = write_config(tmp_path)
+    (tmp_path / "spans").mkdir()
+    for command in ("train-eval", "simulate"):
+        proc = subprocess.run(
+            [sys.executable, str(REPO / "bench" / "tracer.py"),
+             str(tmp_path / "spans" / command), "t", "--", command, "--config", str(path)],
+            capture_output=True, text=True, env=subprocess_env(), check=False)
+        assert proc.returncode == 0, proc.stderr

@@ -205,7 +205,7 @@ class TestAssemble:
         dates, bars, _ = build_inputs()
         matrix = assemble("Prices", bars)
         assert matrix.columns == ("open", "high", "low", "close", "adj_close", "volume")
-        assert matrix.column("open").tolist() == [b.open for b in bars]
+        assert matrix.values[:, 0].tolist() == [b.open for b in bars]
 
     def test_weighted_block_excludes_confidence(self):
         dates, bars, _ = build_inputs()

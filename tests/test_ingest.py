@@ -1,17 +1,15 @@
-"""Loader, calendar and forward-fill contracts."""
+"""Loader and calendar contracts."""
 
 import json
 from datetime import date
 
 import pytest
-from hypothesis import given, strategies as st
 
 from stockcast.errors import (
     DuplicateDate,
     MissingColumn,
     MissingField,
     NonMonotonicDate,
-    NoPriorValue,
     UnparsableLine,
     UnparsableRow,
 )
@@ -19,10 +17,8 @@ from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
     calendar_from_bars,
-    forward_fill,
     load_posts_jsonl,
     load_price_csv,
-    write_price_csv,
 )
 
 from conftest import make_post
@@ -81,12 +77,6 @@ class TestLoadPriceCsv:
     def test_negative_volume_rejected(self, tmp_path):
         with pytest.raises(UnparsableRow):
             load_price_csv(write_csv(tmp_path, ["2023-01-03,100,105,99,104,104,-1"]))
-
-    def test_round_trip(self, tmp_path, fixtures_dir):
-        bars = load_price_csv(fixtures_dir / "prices.csv")
-        out = tmp_path / "rt.csv"
-        write_price_csv(out, bars)
-        assert load_price_csv(out) == bars
 
 
 class TestLoadPostsJsonl:
@@ -161,41 +151,8 @@ class TestCalendar:
             TradingCalendar([date(2023, 1, 9), date(2023, 1, 6)])
 
 
-class TestForwardFill:
-    D = [date(2023, 1, d) for d in (3, 4, 5)]
-
-    def test_gap_filled_from_prior(self):
-        cal = TradingCalendar(self.D)
-        filled = forward_fill(cal, {self.D[0]: 5.0, self.D[2]: 7.0})
-        assert filled == {self.D[0]: 5.0, self.D[1]: 5.0, self.D[2]: 7.0}
-
-    def test_full_series_unchanged(self):
-        cal = TradingCalendar(self.D)
-        series = {d: float(i) for i, d in enumerate(self.D)}
-        assert forward_fill(cal, series) == series
-
-    def test_no_prior_value(self):
-        cal = TradingCalendar(self.D[:2])
-        with pytest.raises(NoPriorValue) as exc:
-            forward_fill(cal, {self.D[1]: 3.0})
-        assert exc.value.date == self.D[0]
-
-    def test_initial_value_fallback(self):
-        cal = TradingCalendar(self.D[:2])
-        filled = forward_fill(cal, {self.D[1]: 3.0}, initial=1.0)
-        assert filled == {self.D[0]: 1.0, self.D[1]: 3.0}
-
-    @given(st.dictionaries(st.integers(0, 19), st.floats(-1e6, 1e6), min_size=1))
-    def test_idempotent(self, sparse):
-        days = [date(2020, 1, 1 + i) for i in range(20)]
-        cal = TradingCalendar(days)
-        series = {days[i]: v for i, v in sparse.items()}
-        once = forward_fill(cal, series, initial=0.0)
-        assert forward_fill(cal, once) == once
-
-
 def test_calendar_matches_price_file(fixtures_dir):
     bars = load_price_csv(fixtures_dir / "prices.csv")
     cal = calendar_from_bars(bars)
     assert list(cal) == [b.date for b in bars]
-    assert cal.first() == bars[0].date and cal.last() == bars[-1].date
+    assert cal.dates[0] == bars[0].date and cal.dates[-1] == bars[-1].date

@@ -6,8 +6,11 @@ from stockcast.config import apply_overrides, parse_config
 from stockcast.pipeline import (
     build_matrix,
     load_dataset,
+    load_predictions_csv,
     make_provider,
     run_feature_set,
+    run_train_eval,
+    safe_name,
     simulate_feature_set,
 )
 
@@ -46,7 +49,9 @@ def test_run_feature_set_shapes(config, dataset):
     scales = {report.scale for report in result.reports}
     assert scales == {"normalized", "denormalized"}
 
-    sim = simulate_feature_set(config, dataset, result)
+    test_dates = result.split.test.dates
+    sim = simulate_feature_set(config, dataset.bars[-n_test:],
+                               list(zip(test_dates, result.mean_pred_price.tolist())))
     assert sim.ledger[0].date == result.split.test.dates[0]
     assert sim.ledger[-1].date == result.split.test.dates[-1]
 
@@ -75,3 +80,15 @@ def test_r2_on_both_scales_agree(config, dataset):
     lo, hi = result.split.norm.column_state("close")
     assert by_scale["denormalized"].mae_mean == pytest.approx(
         by_scale["normalized"].mae_mean * (hi - lo), rel=1e-9)
+
+
+def test_csv_ledger_equals_in_memory_ledger(config, dataset, tmp_path):
+    (result,) = run_train_eval(config, tmp_path)
+    dates = list(result.split.test.dates)
+    bars = dataset.bars[-len(dates):]
+    from_memory = simulate_feature_set(
+        config, bars, list(zip(dates, result.mean_pred_price.tolist())))
+    pairs = load_predictions_csv(
+        tmp_path / f"predictions_{safe_name(result.feature_set)}.csv", config, dates)
+    from_csv = simulate_feature_set(config, bars, pairs)
+    assert from_csv == from_memory

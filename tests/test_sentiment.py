@@ -20,7 +20,6 @@ from stockcast.sentiment import (
     load_prompt_template,
     load_replay_scores,
     parse_external_response,
-    replay_score,
     score_post,
     signed_sentiment,
     total_interaction,
@@ -175,11 +174,11 @@ class TestLexiconProvider:
 class TestReplayProvider:
     def test_lookup(self):
         table = {"a": SentimentScore(-1, 0.9)}
-        assert replay_score("a", table) == SentimentScore(-1, 0.9)
+        assert ReplayProvider(table).score("", post_id="a") == SentimentScore(-1, 0.9)
 
     def test_unknown_id(self):
         with pytest.raises(UnknownPostId):
-            replay_score("missing", {})
+            ReplayProvider({}).score("", post_id="missing")
 
     def test_jsonl_fixture_table(self, tmp_path):
         records = [
