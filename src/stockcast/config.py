@@ -3,7 +3,8 @@
 `#` starts a comment; blank lines are ignored. Relative paths are
 resolved against the config file's directory, so bundled configs work
 from any working directory. The canonical serialization (sorted
-`key=value` lines) is hashed into every output file for traceability.
+`key=value` lines), together with the SHA-256 of every input file the
+config names, is hashed into every output file for traceability.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass, fields, replace
 from datetime import date
+from functools import cached_property
 from pathlib import Path
 
 from .errors import ConfigError
@@ -53,7 +55,7 @@ class ExperimentConfig:
     base_seed: int = 42
     initial_capital: float = 1_000_000.0
     profit_threshold: float = 0.02
-    dip_threshold: float = 0.02
+    dip_threshold: float | None = 0.02
     feature_sets: tuple = tuple(FEATURE_SETS)
     out_dir: str = "out"
 
@@ -74,6 +76,8 @@ class ExperimentConfig:
             if not getattr(self, key) > 0:
                 raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
         for key in ("alpha", "beta", "gamma", "delta", "profit_threshold", "dip_threshold"):
+            if key == "dip_threshold" and self.dip_threshold is None:
+                continue  # dip rule off
             if not getattr(self, key) >= 0:
                 raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
         unknown = [fs for fs in self.feature_sets if fs not in FEATURE_SETS]
@@ -100,9 +104,27 @@ class ExperimentConfig:
             lines.append(f"{f.name}={value}")
         return "\n".join(sorted(lines))
 
-    @property
+    @cached_property
     def config_hash(self):
-        return hashlib.sha256(self.canonical().encode("utf-8")).hexdigest()[:16]
+        """canonical() plus the SHA-256 of each input file that is set.
+
+        Hashing contents, not just paths, makes a changed input file change
+        the hash, so simulate refuses forecasts made from other data. The
+        files are read once per config object, on first use, never while
+        parsing.
+        """
+        lines = [self.canonical()]
+        lines += [f"{key}.sha256={_file_sha256(getattr(self, key))}"
+                  for key in _PATH_KEYS if getattr(self, key)]
+        return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+def _file_sha256(path):
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for chunk in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
@@ -127,6 +149,8 @@ def _parse_value(key, raw, base_dir):
     if key in ("rsi_period", "sma_period", "lookback", "hidden_units",
                "batch_size", "epochs", "replicates", "base_seed"):
         return int(raw)
+    if key == "dip_threshold" and raw.lower() == "none":
+        return None
     if key in ("alpha", "beta", "gamma", "delta", "learning_rate",
                "initial_capital", "profit_threshold", "dip_threshold"):
         return float(raw)

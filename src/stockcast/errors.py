@@ -5,9 +5,20 @@ StockcastError, so callers (and the CLI) can distinguish validation
 failures from genuine bugs.
 """
 
+import copyreg
+
 
 class StockcastError(Exception):
-    """Base class for all pipeline errors."""
+    """Base class for all pipeline errors.
+
+    Errors cross process boundaries (a training worker raises, the CLI
+    reports), so they pickle as message plus attributes: unpickling must
+    not call a subclass ``__init__`` again, whose parameters are not the
+    formatted message held in ``args``.
+    """
+
+    def __reduce__(self):
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 # --- ingest ---------------------------------------------------------------

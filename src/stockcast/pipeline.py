@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import csv
 import json
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -111,10 +113,12 @@ class FeatureSetResult:
     loss_histories: list
 
 
-def run_feature_set(config, dataset, feature_set):
-    """Train `replicates` seeded models on one feature set and evaluate."""
-    matrix = build_matrix(config, dataset, feature_set)
-    split = features.make_windows(matrix, config.lookback, config.split_date)
+def run_feature_set(config, feature_set, split, fits):
+    """Evaluate one feature set from its replicates' test-window forecasts.
+
+    ``fits`` holds one (pred_norm, loss_history) per replicate, replicate
+    i having trained with seed base_seed + i.
+    """
     close_min, close_max = split.norm.column_state("close")
 
     def to_price(values):
@@ -124,29 +128,16 @@ def run_feature_set(config, dataset, feature_set):
     y_true_price = to_price(y_true_norm)
 
     run_metrics = []
-    preds = []
-    losses = []
-    for i in range(config.replicates):
-        model_config = forecaster.LstmConfig(
-            hidden_units=config.hidden_units,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            lookback=config.lookback,
-            seed=config.base_seed + i,
-        )
-        weights, loss_history = forecaster.train(split.train, model_config)
-        pred_norm = forecaster.predict(weights, split.test)
-        preds.append(pred_norm)
-        losses.append(loss_history)
+    for i, (pred_norm, _) in enumerate(fits):
+        seed = config.base_seed + i
         run_metrics.append(RunMetrics(
-            feature_set, model_config.seed,
+            feature_set, seed,
             r_squared(y_true_norm, pred_norm), mae(y_true_norm, pred_norm),
             "normalized",
         ))
         pred_price = to_price(pred_norm)
         run_metrics.append(RunMetrics(
-            feature_set, model_config.seed,
+            feature_set, seed,
             r_squared(y_true_price, pred_price), mae(y_true_price, pred_price),
             "denormalized",
         ))
@@ -155,7 +146,7 @@ def run_feature_set(config, dataset, feature_set):
         replicate_average([m for m in run_metrics if m.scale == scale])
         for scale in ("normalized", "denormalized")
     ]
-    mean_pred_norm = np.mean(np.stack(preds), axis=0)
+    mean_pred_norm = np.mean(np.stack([pred for pred, _ in fits]), axis=0)
     return FeatureSetResult(
         feature_set=feature_set,
         split=split,
@@ -164,8 +155,61 @@ def run_feature_set(config, dataset, feature_set):
         mean_pred_norm=mean_pred_norm,
         mean_pred_price=to_price(mean_pred_norm),
         true_price=y_true_price,
-        loss_histories=losses,
+        loss_histories=[losses for _, losses in fits],
     )
+
+
+def _fit_replicate(job):
+    """Train one (set, replicate) model; its test forecast and loss history.
+
+    ``job`` is one (train, test, LstmConfig) tuple, so a pool can map it.
+    """
+    train, test, model_config = job
+    weights, loss_history = forecaster.train(train, model_config)
+    return forecaster.predict(weights, test), loss_history
+
+
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_in_children():
+    """Processes started inside see 1 BLAS thread; this one's values return after.
+
+    BLAS libraries read these once, when loaded, so the running process
+    keeps its own thread count throughout.
+    """
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _fit_all(jobs):
+    """_fit_replicate over ``jobs``; results, or the first error, in job order.
+
+    Jobs are independent, so with several jobs and several usable cores
+    they run in spawn workers, one per core up to the job count. Each
+    worker gets 1 BLAS thread: workers that inherited this process's BLAS
+    threads would oversubscribe the cores, which at 256 hidden units made
+    them slower than training serially. One job, or one core, runs here
+    with this process's BLAS threads. Results do not depend on the path
+    taken, only on the BLAS thread count a model trains with.
+    """
+    workers = min(len(jobs), len(os.sched_getaffinity(0)))
+    if workers <= 1:
+        return [_fit_replicate(job) for job in jobs]
+    import multiprocessing  # only here: process start-up stays free of it
+
+    with _one_blas_thread_in_children(), \
+            multiprocessing.get_context("spawn").Pool(workers) as pool:
+        return list(pool.imap(_fit_replicate, jobs, chunksize=1))
 
 
 def simulate_feature_set(config, bars, predictions):
@@ -346,11 +390,36 @@ def safe_name(feature_set):
 
 
 def run_train_eval(config, out_dir):
-    """The train-eval command body; returns the per-set results."""
+    """The train-eval command body; returns the per-set results.
+
+    Every set's windows are built before any model trains, so bad input
+    fails before training starts; reports are written once all have.
+    """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(config)
-    results = [run_feature_set(config, dataset, fs) for fs in config.feature_sets]
+    splits = [
+        features.make_windows(build_matrix(config, dataset, fs), config.lookback,
+                              config.split_date)
+        for fs in config.feature_sets
+    ]
+    jobs = [
+        (split.train, split.test, forecaster.LstmConfig(
+            hidden_units=config.hidden_units,
+            learning_rate=config.learning_rate,
+            batch_size=config.batch_size,
+            epochs=config.epochs,
+            lookback=config.lookback,
+            seed=config.base_seed + i,
+        ))
+        for split in splits for i in range(config.replicates)
+    ]
+    fits = _fit_all(jobs)
+    n = config.replicates
+    results = [
+        run_feature_set(config, fs, split, fits[k * n:(k + 1) * n])
+        for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
+    ]
     write_report_json(out_dir / "report.json", config, results)
     write_metrics_csv(out_dir / "metrics_table.csv", config, results)
     for result in results:

@@ -7,11 +7,13 @@ import sys
 from datetime import date, timedelta
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from stockcast import cli
+from stockcast import cli, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
-from stockcast.errors import ConfigError, TrainingDiverged
+from stockcast.errors import ConfigError, NonFiniteActivation, TrainingDiverged
+from stockcast.forecaster import LstmConfig
 
 from conftest import REPO
 
@@ -124,6 +126,20 @@ class TestConfig:
             == config.config_hash
         assert apply_overrides(config, {"base_seed": 99}).config_hash \
             != config.config_hash
+
+    def test_dip_threshold_none_or_bogus(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        assert parse_config(write_config(tmp_path, dip_threshold="none")).dip_threshold is None
+        with pytest.raises(ConfigError, match="dip_threshold"):
+            parse_config(write_config(tmp_path, dip_threshold="bogus"))
+
+    def test_hash_covers_input_contents(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        before = parse_config(path).config_hash
+        with open(tmp_path / "news.jsonl", "a") as fh:
+            fh.write("\n")
+        assert parse_config(path).config_hash != before
 
     def test_comments_ignored(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -248,6 +264,64 @@ class TestTrainEvalCommand:
         assert "diverged" in capsys.readouterr().err
 
 
+def force_cores(monkeypatch, n):
+    """Make the train-eval pool size see ``n`` usable cores."""
+    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity",
+                        lambda pid: set(range(n)))
+
+
+class TestWorkerPool:
+    def test_pool_outputs_match_in_process(self, tmp_path, monkeypatch):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA", replicates=2)
+        outputs = {}
+        monkeypatch.setenv("OMP_NUM_THREADS", "2")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        for cores in (2, 1):
+            force_cores(monkeypatch, cores)
+            out_dir = tmp_path / f"out{cores}"
+            assert cli.main(["train-eval", "--config", str(path),
+                             "--out-dir", str(out_dir)]) == 0
+            outputs[cores] = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+        assert len(outputs[2]) == 4  # report, metrics table, two prediction files
+        assert outputs[2] == outputs[1]
+        # workers get 1 BLAS thread through the environment; this process's comes back
+        assert os.environ["OMP_NUM_THREADS"] == "2"
+        assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+    def test_divergence_in_workers_exit_3(self, tmp_path, monkeypatch, capfd):
+        # seed 5 diverges at epoch 0 on both sets, so both jobs fail
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA",
+                            learning_rate="1e300", base_seed=5)
+        force_cores(monkeypatch, 2)
+        code = cli.main(["train-eval", "--config", str(path)])
+        err = capfd.readouterr().err
+        assert code == 3
+        assert err.count("error: training diverged at epoch 0") == 1
+        assert "error:" not in err.replace("error: training diverged at epoch 0", "")
+        assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
+
+    def test_first_error_in_job_order(self, tmp_path, monkeypatch):
+        # Job 0 trains for a while and then fails in predict; job 1 diverges
+        # at once. The error reported is job 0's, though job 1 fails first.
+        write_tiny_dataset(tmp_path)
+        config = parse_config(write_config(tmp_path))
+        split = pipeline.features.make_windows(
+            pipeline.build_matrix(config, pipeline.load_dataset(config), "Prices"),
+            config.lookback, config.split_date)
+        bad_test = pipeline.features.WindowedDataset(
+            X=np.full_like(split.test.X, np.nan), y=split.test.y, dates=split.test.dates)
+        slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, lookback=5, seed=3)
+        diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16,
+                               lookback=5, seed=5)
+        force_cores(monkeypatch, 2)
+        with pytest.raises(NonFiniteActivation):
+            pipeline._fit_all([(split.train, bad_test, slow),
+                               (split.train, split.test, diverging)])
+
+
 class TestSimulateCommand:
     def test_summary_rows_and_ledger(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)
@@ -304,6 +378,38 @@ class TestSimulateCommand:
         code = cli.main(["simulate", "--config", str(path)])
         assert code == 2
         assert str(pred_path) in capsys.readouterr().err
+
+    def test_changed_prices_refused(self, tmp_path, capsys):
+        # same dates, doubled bars after split_date: forecasts made from the
+        # old file must not be traded against the new one
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        prices = tmp_path / "prices.csv"
+        lines = prices.read_text().splitlines()
+        doubled = [lines[0]]
+        for line in lines[1:]:
+            day, *values = line.split(",")
+            if day > "2022-03-04":
+                values = [f"{2 * float(v):.2f}" for v in values[:5]] + values[5:]
+            doubled.append(",".join([day, *values]))
+        prices.write_text("\n".join(doubled) + "\n")
+        code = cli.main(["simulate", "--config", str(path)])
+        assert code == 2
+        assert "config_hash" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "ledger_prices.csv").exists()
+
+    def test_dip_threshold_none(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, dip_threshold="none")
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        assert cli.main(["simulate", "--config", str(path)]) == 0
+        out = tmp_path / "out"
+        summary = json.loads((out / "simulation_summary.json").read_text())
+        assert summary["protocol"]["dip_threshold"] is None
+        ledger = (out / "ledger_prices.csv").read_text().splitlines()[2:]
+        assert ledger
+        assert not {row.split(",")[2] for row in ledger} & {"buy_at_close", "deferred_exit"}
 
     def test_trains_nothing(self, tmp_path, monkeypatch):
         write_tiny_dataset(tmp_path)

@@ -8,7 +8,6 @@ from stockcast.pipeline import (
     load_dataset,
     load_predictions_csv,
     make_provider,
-    run_feature_set,
     run_train_eval,
     safe_name,
     simulate_feature_set,
@@ -27,6 +26,14 @@ def dataset(config):
     return load_dataset(config)
 
 
+@pytest.fixture(scope="module")
+def trained(config, tmp_path_factory):
+    """(out_dir, result) of one train-eval run over the config's one set."""
+    out_dir = tmp_path_factory.mktemp("train_eval")
+    (result,) = run_train_eval(config, out_dir)
+    return out_dir, result
+
+
 def test_matrix_dates_match_calendar(config, dataset):
     matrix = build_matrix(config, dataset, "Prices-Tweets-News-RSI-SMA")
     assert list(matrix.dates) == list(dataset.calendar)
@@ -39,8 +46,8 @@ def test_daily_sentiment_covers_every_session(config, dataset):
     assert sum(d.count for d in dataset.tweet_daily) <= len(dataset.tweets)
 
 
-def test_run_feature_set_shapes(config, dataset):
-    result = run_feature_set(config, dataset, config.feature_sets[0])
+def test_run_feature_set_shapes(config, dataset, trained):
+    _, result = trained
     n_test = len(result.split.test)
     assert result.mean_pred_norm.shape == (n_test,)
     assert result.mean_pred_price.shape == (n_test,)
@@ -71,9 +78,9 @@ def test_replay_provider_covers_fixture_posts(fixture_config_path):
     assert provider.name == "replay"
 
 
-def test_r2_on_both_scales_agree(config, dataset):
+def test_r2_on_both_scales_agree(trained):
     # affine rescaling leaves R2 unchanged; MAE scales by the close span
-    result = run_feature_set(config, dataset, config.feature_sets[0])
+    _, result = trained
     by_scale = {report.scale: report for report in result.reports}
     assert by_scale["normalized"].r2_mean == pytest.approx(
         by_scale["denormalized"].r2_mean, rel=1e-9)
@@ -82,13 +89,13 @@ def test_r2_on_both_scales_agree(config, dataset):
         by_scale["normalized"].mae_mean * (hi - lo), rel=1e-9)
 
 
-def test_csv_ledger_equals_in_memory_ledger(config, dataset, tmp_path):
-    (result,) = run_train_eval(config, tmp_path)
+def test_csv_ledger_equals_in_memory_ledger(config, dataset, trained):
+    out_dir, result = trained
     dates = list(result.split.test.dates)
     bars = dataset.bars[-len(dates):]
     from_memory = simulate_feature_set(
         config, bars, list(zip(dates, result.mean_pred_price.tolist())))
     pairs = load_predictions_csv(
-        tmp_path / f"predictions_{safe_name(result.feature_set)}.csv", config, dates)
+        out_dir / f"predictions_{safe_name(result.feature_set)}.csv", config, dates)
     from_csv = simulate_feature_set(config, bars, pairs)
     assert from_csv == from_memory
