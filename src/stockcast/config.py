@@ -10,6 +10,7 @@ config names, is hashed into every output file for traceability.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass, fields, replace
 from datetime import date
 from functools import cached_property
@@ -68,6 +69,10 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
+        for key in _FLOAT_KEYS:
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite, got {value}")
         for key in ("hidden_units", "batch_size", "epochs", "lookback",
                     "rsi_period", "sma_period"):
             if getattr(self, key) < 1:
@@ -132,6 +137,9 @@ _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
 
 _PATH_KEYS = ("prices", "tweets", "news", "lexicon", "replay_scores", "stopwords")
 
+_FLOAT_KEYS = ("alpha", "beta", "gamma", "delta", "learning_rate",
+               "initial_capital", "profit_threshold", "dip_threshold")
+
 
 def _parse_value(key, raw, base_dir):
     if key in _PATH_KEYS:
@@ -151,8 +159,7 @@ def _parse_value(key, raw, base_dir):
         return int(raw)
     if key == "dip_threshold" and raw.lower() == "none":
         return None
-    if key in ("alpha", "beta", "gamma", "delta", "learning_rate",
-               "initial_capital", "profit_threshold", "dip_threshold"):
+    if key in _FLOAT_KEYS:
         return float(raw)
     if key == "split_date":
         return date.fromisoformat(raw)

@@ -70,12 +70,6 @@ class UnknownPostId(StockcastError):
         super().__init__(f"no replay score for post id {post_id!r}")
 
 
-class MalformedResponse(StockcastError):
-    def __init__(self, index, reason=""):
-        self.index = index
-        super().__init__(f"malformed response item {index}: {reason}")
-
-
 # --- features -------------------------------------------------------------
 
 class SeriesTooShort(StockcastError):

@@ -165,12 +165,6 @@ def minmax_transform(state, values):
     return np.where(span == 0, 0.0, out)
 
 
-def minmax_invert(state, values):
-    """Undo minmax_transform; constant columns invert to their min."""
-    values = np.asarray(values, dtype=np.float64)
-    return values * (state.maxs - state.mins) + state.mins
-
-
 # --- assembly -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -333,7 +327,6 @@ __all__ = [
     "NormalizationState",
     "minmax_fit",
     "minmax_transform",
-    "minmax_invert",
     "FeatureMatrix",
     "assemble",
     "write_matrix_csv",

@@ -27,18 +27,14 @@ finite differences.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import LengthMismatch, NonFiniteActivation, TrainingDiverged
+from .errors import NonFiniteActivation, TrainingDiverged
 
-#: Checkpoint / gradient / Adam traversal order, and the layout of
-#: LstmWeights.theta. Changing it breaks checkpoint compatibility; bump
-#: CHECKPOINT_FORMAT if you must.
+#: Gradient / Adam traversal order, and the layout of LstmWeights.theta.
 PARAM_ORDER = (
     "W_i", "W_f", "W_o", "W_g",
     "U_i", "U_f", "U_o", "U_g",
@@ -46,11 +42,12 @@ PARAM_ORDER = (
     "w_out", "b_out",
 )
 
-CHECKPOINT_FORMAT = "stockcast-lstm-v1"
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+
+#: Global L2 norm that train clips each batch's gradients to.
+GRAD_CLIP = 5.0
 
 
 @dataclass(frozen=True)
@@ -62,13 +59,11 @@ class LstmConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 100
-    lookback: int = 30
     seed: int = 0
-    grad_clip: float = 5.0
 
     def __post_init__(self):
-        if min(self.hidden_units, self.batch_size, self.epochs, self.lookback) < 1:
-            raise ValueError("hidden_units, batch_size, epochs, lookback must be >= 1")
+        if min(self.hidden_units, self.batch_size, self.epochs) < 1:
+            raise ValueError("hidden_units, batch_size, epochs must be >= 1")
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be positive")
         if self.seed < 0:
@@ -149,9 +144,6 @@ class LstmWeights:
     def items(self):
         return [(name, self.params[name]) for name in PARAM_ORDER]
 
-    def copy(self):
-        return LstmWeights.from_theta(self.theta.copy(), self.n_features, self.hidden_units)
-
 
 def init_weights(config, n_features):
     """Seed-determined uniform init in [-k, k], k = 1/sqrt(hidden).
@@ -171,7 +163,7 @@ def init_weights(config, n_features):
     return weights
 
 
-def _forward_batch(weights, X):
+def forward(weights, X):
     """Unrolled forward pass over a (batch, lookback, features) array.
 
     Returns predictions (batch,) and the activation cache BPTT needs:
@@ -218,26 +210,7 @@ def _forward_batch(weights, X):
     return pred, {"X": X, "A": A, "h": h, "c": c, "tanh_c": tanh_c, "z": z}
 
 
-def lstm_forward(weights, X):
-    """Forward one (lookback, features) sample -> (prediction, cache)."""
-    pred, cache = _forward_batch(weights, np.asarray(X, dtype=np.float64)[None, :, :])
-    return float(pred[0]), cache
-
-
-def mse_loss(predictions, targets):
-    """Mean squared error between two equal-length vectors."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    targets = np.asarray(targets, dtype=np.float64)
-    if predictions.shape != targets.shape:
-        raise LengthMismatch(
-            f"predictions {predictions.shape} vs targets {targets.shape}"
-        )
-    if predictions.size == 0:
-        raise LengthMismatch("need at least one prediction")
-    return float(np.mean((predictions - targets) ** 2))
-
-
-def _backward_batch(weights, cache, targets):
+def backward(weights, cache, targets):
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
     Returns an LstmWeights over a fresh gradient vector. The gate
@@ -277,11 +250,6 @@ def _backward_batch(weights, cache, targets):
     grads.U[...] = (h[:T].reshape(T * B, H).T @ dA).reshape(H, 4, H).transpose(1, 0, 2)
     grads.b[...] = dA.sum(axis=0)
     return grads
-
-
-def backward(weights, cache, target):
-    """Gradients of single-sample squared error; cache from lstm_forward."""
-    return _backward_batch(weights, cache, np.asarray([target], dtype=np.float64))
 
 
 def clip_gradients(grads, max_norm):
@@ -332,7 +300,7 @@ def train(dataset, config):
     accumulated over the batches as they were seen.
 
     Raises:
-        TrainingDiverged: activations went non-finite.
+        TrainingDiverged: activations or a batch's loss went non-finite.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
@@ -349,11 +317,16 @@ def train(dataset, config):
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                pred, cache = _forward_batch(weights, X[idx])
-                sq_sum += float(np.sum((pred - y[idx]) ** 2))
-                grads = _backward_batch(weights, cache, y[idx])
+                pred, cache = forward(weights, X[idx])
+                with np.errstate(over="ignore"):
+                    batch_sq = float(np.sum((pred - y[idx]) ** 2))
+                if not math.isfinite(batch_sq):
+                    # stop here: backward, clip and Adam would spread the overflow
+                    raise TrainingDiverged(epoch)
+                sq_sum += batch_sq
+                grads = backward(weights, cache, y[idx])
                 del cache  # spent; free it before the next batch's forward
-                clip_gradients(grads, config.grad_clip)
+                clip_gradients(grads, GRAD_CLIP)
                 adam_step(weights, grads, state, config.learning_rate)
         except NonFiniteActivation as exc:
             raise TrainingDiverged(epoch) from exc
@@ -371,41 +344,9 @@ def predict(weights, dataset, chunk_size=512):
         return np.empty(0, dtype=np.float64)
     preds = []
     for start in range(0, X.shape[0], chunk_size):
-        pred, _ = _forward_batch(weights, X[start:start + chunk_size])
+        pred, _ = forward(weights, X[start:start + chunk_size])
         preds.append(pred)
     return np.concatenate(preds)
-
-
-# --- checkpoints ---------------------------------------------------------------
-
-def save_checkpoint(path, weights, config):
-    """Write weights + config echo as JSON; parameters in PARAM_ORDER."""
-    payload = {
-        "format": CHECKPOINT_FORMAT,
-        "config": {
-            "hidden_units": config.hidden_units,
-            "learning_rate": config.learning_rate,
-            "batch_size": config.batch_size,
-            "epochs": config.epochs,
-            "lookback": config.lookback,
-            "seed": config.seed,
-            "grad_clip": config.grad_clip,
-        },
-        "n_features": weights.n_features,
-        "params": {name: arr.tolist() for name, arr in weights.items()},
-    }
-    Path(path).write_text(json.dumps(payload, indent=1), encoding="utf-8")
-
-
-def load_checkpoint(path):
-    """Read a checkpoint back; returns (weights, config). Exact round-trip."""
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    if payload.get("format") != CHECKPOINT_FORMAT:
-        raise ValueError(f"unsupported checkpoint format {payload.get('format')!r}")
-    config = LstmConfig(**payload["config"])
-    weights = LstmWeights({name: np.array(value, dtype=np.float64)
-                           for name, value in payload["params"].items()})
-    return weights, config
 
 
 __all__ = [
@@ -414,13 +355,10 @@ __all__ = [
     "AdamState",
     "PARAM_ORDER",
     "init_weights",
-    "lstm_forward",
-    "mse_loss",
+    "forward",
     "backward",
     "clip_gradients",
     "adam_step",
     "train",
     "predict",
-    "save_checkpoint",
-    "load_checkpoint",
 ]

@@ -21,6 +21,7 @@ from .errors import (
     MissingColumn,
     MissingField,
     NonMonotonicDate,
+    StockcastError,
     UnparsableLine,
     UnparsableRow,
 )
@@ -109,6 +110,7 @@ def load_price_csv(path):
         MissingColumn: header does not match the documented schema.
         UnparsableRow: a row fails to parse or violates bar invariants.
         DuplicateDate / NonMonotonicDate: date ordering problems.
+        StockcastError: the file has no rows after its header.
     """
     path = Path(path)
     bars = []
@@ -147,6 +149,8 @@ def load_price_csv(path):
                     raise NonMonotonicDate(bar.date)
             last_date = bar.date
             bars.append(bar)
+    if not bars:
+        raise StockcastError(f"{path}: no price rows after the header")
     return bars
 
 

@@ -389,27 +389,40 @@ def safe_name(feature_set):
     return feature_set.lower().replace("-", "_")
 
 
+def _check_scorable(config, y_test):
+    """Refuse test targets r_squared cannot score: fewer than 2, or constant."""
+    n = y_test.size
+    if n < 2 or np.all(y_test == y_test[0]):
+        raise ConfigError(
+            f"split_date {config.split_date} leaves {n} test windows"
+            f"{', all with the same close' if n >= 2 else ''}: R2 needs at least 2 "
+            f"whose closes differ"
+        )
+
+
 def run_train_eval(config, out_dir):
     """The train-eval command body; returns the per-set results.
 
-    Every set's windows are built before any model trains, so bad input
-    fails before training starts; reports are written once all have.
+    Every set's windows are built and checked before any model trains or
+    out_dir is made, so bad input fails before training starts; reports
+    are written once all have.
     """
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     dataset = load_dataset(config)
     splits = [
         features.make_windows(build_matrix(config, dataset, fs), config.lookback,
                               config.split_date)
         for fs in config.feature_sets
     ]
+    for split in splits:
+        _check_scorable(config, split.test.y)
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     jobs = [
         (split.train, split.test, forecaster.LstmConfig(
             hidden_units=config.hidden_units,
             learning_rate=config.learning_rate,
             batch_size=config.batch_size,
             epochs=config.epochs,
-            lookback=config.lookback,
             seed=config.base_seed + i,
         ))
         for split in splits for i in range(config.replicates)

@@ -14,9 +14,7 @@ Posts with zero engagement (news items in particular) get weighted
 sentiment 0 rather than a divide-by-zero.
 
 Two offline providers ship with the package: a lexicon scorer and a
-replay provider that serves precomputed scores from file. A request
-builder/response parser pair adapts an external scoring service without
-ever calling one in-process.
+replay provider that serves precomputed scores from file.
 """
 
 from __future__ import annotations
@@ -25,7 +23,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import MalformedResponse, UnknownPostId, UnparsableLine
+from .errors import UnknownPostId, UnparsableLine
 
 #: Default engagement weights: 0.3 for each interaction metric, 0.1 for
 #: follower influence.
@@ -35,7 +33,6 @@ DEFAULT_GAMMA = 0.3
 DEFAULT_DELTA = 0.1
 
 _LABELS = {-1, 0, 1}
-_LABEL_NAMES = {"positive": 1, "negative": -1, "neutral": 0}
 
 
 @dataclass(frozen=True)
@@ -204,66 +201,6 @@ def load_replay_scores(path):
     return table
 
 
-# --- external service adapter -------------------------------------------------
-
-CONTENT_PLACEHOLDER = "{{CONTENT}}"
-
-
-def load_prompt_template(path=None):
-    """Default prompt template for the external scoring service."""
-    if path is None:
-        return resources.files("stockcast.resources").joinpath(
-            "prompt_template.txt"
-        ).read_text("utf-8")
-    with open(path, encoding="utf-8") as fh:
-        return fh.read()
-
-
-def external_adapter_request(texts, prompt_template=None):
-    """Build the request payload for an external sentiment service.
-
-    The template must contain a ``{{CONTENT}}`` placeholder; the texts
-    are numbered into it one per line.
-    """
-    if prompt_template is None:
-        prompt_template = load_prompt_template()
-    if CONTENT_PLACEHOLDER not in prompt_template:
-        raise ValueError(f"prompt template lacks the {CONTENT_PLACEHOLDER} placeholder")
-    content = "\n".join(f"{i + 1}. {text}" for i, text in enumerate(texts))
-    return {
-        "prompt": prompt_template.replace(CONTENT_PLACEHOLDER, content),
-        "n_items": len(texts),
-    }
-
-
-def parse_external_response(rows):
-    """Map service response rows to scores.
-
-    Each row needs ``label`` in {positive, negative, neutral} and
-    ``score`` in [0, 1].
-
-    Raises:
-        MalformedResponse: with the offending item index.
-    """
-    scores = []
-    for i, row in enumerate(rows):
-        if not isinstance(row, dict) or "label" not in row:
-            raise MalformedResponse(i, "missing label")
-        label_name = str(row["label"]).strip().lower()
-        if label_name not in _LABEL_NAMES:
-            raise MalformedResponse(i, f"unknown label {row['label']!r}")
-        if "score" not in row:
-            raise MalformedResponse(i, "missing score")
-        try:
-            conf = float(row["score"])
-        except (TypeError, ValueError):
-            raise MalformedResponse(i, f"non-numeric score {row['score']!r}")
-        if not 0.0 <= conf <= 1.0:
-            raise MalformedResponse(i, f"score {conf} outside [0, 1]")
-        scores.append(SentimentScore(_LABEL_NAMES[label_name], conf))
-    return scores
-
-
 # --- daily aggregation ---------------------------------------------------------
 
 def aggregate_daily(scored_by_date, calendar):
@@ -311,8 +248,4 @@ __all__ = [
     "aggregate_daily",
     "load_lexicon",
     "load_replay_scores",
-    "load_prompt_template",
-    "external_adapter_request",
-    "parse_external_response",
-    "CONTENT_PLACEHOLDER",
 ]

@@ -95,14 +95,13 @@ def test_criterion_3_gradient_check():
         lookback = int(rng.integers(1, 6))
         feats = int(rng.integers(1, 5))
         seed = int(rng.integers(0, 10_000))
-        weights = fc.init_weights(fc.LstmConfig(hidden_units=hidden, seed=seed,
-                                                lookback=lookback), feats)
+        weights = fc.init_weights(fc.LstmConfig(hidden_units=hidden, seed=seed), feats)
         X = rng.uniform(-1, 1, size=(3, lookback, feats))
         y = rng.uniform(0, 1, size=3)
-        pred, cache = fc._forward_batch(weights, X)
+        pred, cache = fc.forward(weights, X)
         if np.all(pred == 0.0):
             continue  # dead head: both sides identically zero, not informative
-        analytic = fc._backward_batch(weights, cache, y)
+        analytic = fc.backward(weights, cache, y)
         fd = finite_difference_grads(weights, X, y, h=1e-5)
         worst = max(worst, max_relative_error(analytic, fd))
         checked += 1
@@ -121,7 +120,7 @@ def test_criterion_4_synthetic_convergence():
     matrix = FeatureMatrix("Prices", dates, ("close",), closes.reshape(-1, 1))
     split = make_windows(matrix, 30, dates[399])
     config = fc.LstmConfig(hidden_units=32, learning_rate=0.001, batch_size=128,
-                           epochs=200, lookback=30, seed=0)
+                           epochs=200, seed=0)
     weights, history = fc.train(split.train, config)
     pred = fc.predict(weights, split.test)
     r2 = r_squared(split.test.y, pred)

@@ -202,6 +202,19 @@ class TestFeaturizeCommand:
         assert "Bogus" in err and "Prices-RSI-SMA" in err
 
 
+@pytest.mark.parametrize("command", ["ingest", "featurize"])
+def test_header_only_price_file_exit_2(tmp_path, capsys, command):
+    write_tiny_dataset(tmp_path)
+    prices = tmp_path / "prices.csv"
+    prices.write_text(prices.read_text().splitlines()[0] + "\n")
+    code = cli.main([command, "--config", str(write_config(tmp_path)),
+                     "--feature-set", "Prices"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert str(prices) in err
+    assert "Traceback" not in err
+
+
 class TestTrainEvalCommand:
     def test_single_replicate_report(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)
@@ -236,10 +249,13 @@ class TestTrainEvalCommand:
         ("learning_rate", 0), ("rsi_period", 0), ("sma_period", 0),
         ("alpha", -1), ("beta", -1), ("gamma", -1), ("delta", -1),
         ("initial_capital", 0), ("profit_threshold", -1), ("dip_threshold", -1),
+        ("learning_rate", "inf"), ("initial_capital", "inf"), ("alpha", "inf"),
+        ("profit_threshold", "inf"),
     ]
 
     @pytest.mark.parametrize("key,value", INVALID_VALUES,
-                             ids=[key for key, _ in INVALID_VALUES])
+                             ids=[f"{key}-inf" if value == "inf" else key
+                                  for key, value in INVALID_VALUES])
     def test_invalid_model_key_exit_2(self, tmp_path, key, value):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, **{key: value})
@@ -262,6 +278,46 @@ class TestTrainEvalCommand:
         code = cli.main(["train-eval", "--config", str(path)])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("last_days", [1, 2], ids=["no-test-window", "one-test-window"])
+    def test_unscorable_split_refused_before_training(self, tmp_path, monkeypatch, capsys,
+                                                      last_days):
+        # split_date on the last bar leaves no test window, on the one before
+        # it a single window; R2 cannot score either
+        days = write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, split_date=days[-last_days].isoformat())
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        code = cli.main(["train-eval", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "split_date" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_constant_test_closes_refused_before_training(self, tmp_path, monkeypatch,
+                                                          capsys):
+        write_tiny_dataset(tmp_path)
+        prices = tmp_path / "prices.csv"
+        header, *rows = prices.read_text().splitlines()
+        rows = [row if row[:10] <= "2022-03-04"
+                else row[:10] + ",100.00,101.00,99.00,100.00,100.00,1000" for row in rows]
+        prices.write_text("\n".join([header, *rows]) + "\n")
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        code = cli.main(["train-eval", "--config", str(write_config(tmp_path))])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "split_date" in err and "same close" in err
+
+    def test_missing_price_file_leaves_no_out_dir(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        code = cli.main(["train-eval", "--config",
+                         str(write_config(tmp_path, prices="absent.csv"))])
+        assert code == 2
+        assert "absent.csv" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+
+def refuse_training(dataset, config):
+    raise AssertionError("no model may train on refused input")
 
 
 def force_cores(monkeypatch, n):
@@ -301,6 +357,7 @@ class TestWorkerPool:
         assert err.count("error: training diverged at epoch 0") == 1
         assert "error:" not in err.replace("error: training diverged at epoch 0", "")
         assert "Traceback" not in err
+        assert "RuntimeWarning" not in err
         assert not (tmp_path / "out" / "report.json").exists()
 
     def test_first_error_in_job_order(self, tmp_path, monkeypatch):
@@ -313,9 +370,8 @@ class TestWorkerPool:
             config.lookback, config.split_date)
         bad_test = pipeline.features.WindowedDataset(
             X=np.full_like(split.test.X, np.nan), y=split.test.y, dates=split.test.dates)
-        slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, lookback=5, seed=3)
-        diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16,
-                               lookback=5, seed=5)
+        slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, seed=3)
+        diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
         force_cores(monkeypatch, 2)
         with pytest.raises(NonFiniteActivation):
             pipeline._fit_all([(split.train, bad_test, slow),

@@ -17,7 +17,6 @@ SAMPLES = {
     "UnparsableLine": (3, "Expecting value"),
     "MissingField": ("id", 4),
     "UnknownPostId": ("t99",),
-    "MalformedResponse": (2, "score out of range"),
     "SeriesTooShort": ("need 15 closes",),
     "EmptyColumn": ("close",),
     "MisalignedInputs": ("2022-01-05",),

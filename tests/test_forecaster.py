@@ -1,5 +1,6 @@
 """LSTM forecaster: cell equations, gradients, Adam, training loop."""
 
+import json
 import math
 import warnings
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from stockcast.errors import LengthMismatch, NonFiniteActivation, TrainingDiverged
+from stockcast.errors import NonFiniteActivation, TrainingDiverged
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
     AdamState,
@@ -17,15 +18,11 @@ from stockcast.forecaster import (
     adam_step,
     backward,
     clip_gradients,
+    forward,
     init_weights,
-    load_checkpoint,
-    lstm_forward,
-    mse_loss,
     predict,
-    save_checkpoint,
     train,
 )
-from stockcast.forecaster import _backward_batch, _forward_batch
 
 
 def cell_oracle(weights, X):
@@ -71,7 +68,7 @@ def cell_oracle(weights, X):
 def finite_difference_grads(weights, X, targets, h=1e-5):
     """Central differences of the batch-mean squared error."""
     def loss():
-        pred, _ = _forward_batch(weights, X)
+        pred, _ = forward(weights, X)
         return float(np.mean((pred - targets) ** 2))
 
     fd = {}
@@ -120,8 +117,8 @@ def live_sample(weights, rng, lookback, n_features):
     """Draw inputs until the ReLU head is active, so checks are informative."""
     for _ in range(50):
         X = rng.uniform(-1, 1, size=(lookback, n_features))
-        pred, _ = lstm_forward(weights, X)
-        if pred > 0:
+        pred, _ = forward(weights, X[None])
+        if pred[0] > 0:
             return X
     raise AssertionError("no live sample found; pick another seed")
 
@@ -164,34 +161,34 @@ class TestInit:
 class TestForward:
     def test_all_zero(self):
         w = zero_weights(4, 2)
-        pred, _ = lstm_forward(w, np.zeros((3, 2)))
-        assert pred == 0.0
+        pred, _ = forward(w, np.zeros((1, 3, 2)))
+        assert pred[0] == 0.0
 
     def test_lookback_one_single_step(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 2)
         X = np.array([[0.3, -0.7]])
-        pred, cache = lstm_forward(w, X)
+        pred, cache = forward(w, X[None])
         assert cache["A"].shape[0] == 1
-        assert pred == pytest.approx(cell_oracle(w, X), rel=1e-12)
+        assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12)
 
     def test_matches_cell_oracle_seed42(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=42), 2)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 2))
-        pred, _ = lstm_forward(w, X)
-        assert pred == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
+        pred, _ = forward(w, X[None])
+        assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_matches_cell_oracle_more_shapes(self):
         rng = np.random.default_rng(9)
         for hidden, lookback, feats in [(1, 1, 1), (3, 5, 4), (6, 2, 3)]:
             w = init_weights(LstmConfig(hidden_units=hidden, seed=7), feats)
             X = rng.normal(size=(lookback, feats))
-            pred, _ = lstm_forward(w, X)
-            assert pred == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
+            pred, _ = forward(w, X[None])
+            assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_gates_bounded(self):
         w = init_weights(LstmConfig(hidden_units=5, seed=3), 2)
-        _, cache = lstm_forward(w, np.random.default_rng(0).normal(size=(4, 2)))
+        _, cache = forward(w, np.random.default_rng(0).normal(size=(4, 2))[None])
         H = w.hidden_units
         for gates, tanh_c in zip(cache["A"], cache["tanh_c"]):
             for k in range(3):  # i, f, o
@@ -202,7 +199,7 @@ class TestForward:
     def test_non_finite_raises(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=0), 2)
         with pytest.raises(NonFiniteActivation):
-            lstm_forward(w, np.full((3, 2), np.nan))
+            forward(w, np.full((1, 3, 2), np.nan))
 
     def test_extreme_preactivations_no_overflow(self):
         # gate pre-activations of exactly +-1000: the logistic must saturate
@@ -216,13 +213,13 @@ class TestForward:
         w.params["w_out"] = -1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pred, cache = lstm_forward(w, np.zeros((4, 2)))
+            pred, cache = forward(w, np.zeros((1, 4, 2)))
         gates = cache["A"][:, :, :3 * H]
         assert np.all(np.isfinite(gates))
         assert np.all((gates >= 0) & (gates <= 1))
         assert np.all(cache["A"][:, :, :H] == 1.0)  # i saturates at 1
         assert np.all(cache["A"][:, :, H:2 * H] == 0.0)  # f saturates at 0
-        assert pred == pytest.approx(H * math.tanh(1.0), rel=1e-12)  # c = g = -1
+        assert pred[0] == pytest.approx(H * math.tanh(1.0), rel=1e-12)  # c = g = -1
 
 
 class TestFlatLayout:
@@ -231,12 +228,12 @@ class TestFlatLayout:
         rng = np.random.default_rng(3)
         X = live_sample(w, rng, 5, 3)
         theta_before = w.theta.copy()
-        pred_before, _ = lstm_forward(w, X)
+        pred_before, _ = forward(w, X[None])
         w["U_f"][...] += 0.5
         changed = np.flatnonzero(w.theta != theta_before)
         start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
         assert np.array_equal(changed, np.arange(start, start + 4 * 4))
-        pred_after, _ = lstm_forward(w, X)
+        pred_after, _ = forward(w, X[None])
         assert pred_after != pred_before
 
     def test_gate_blocks_follow_param_order(self):
@@ -248,29 +245,14 @@ class TestFlatLayout:
         assert w.theta.size == sum(arr.size for _, arr in w.items())
 
 
-class TestMseLoss:
-    def test_identical(self):
-        assert mse_loss([1.0, 2.0], [1.0, 2.0]) == 0.0
-
-    def test_unit_offset(self):
-        assert mse_loss([0.0, 0.0], [1.0, 1.0]) == 1.0
-
-    def test_singleton(self):
-        assert mse_loss([2.0], [3.0]) == 1.0
-
-    def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
-            mse_loss([1.0], [1.0, 2.0])
-
-
 class TestBackward:
     def test_gradient_check_single_sample(self):
         rng = np.random.default_rng(11)
         w = init_weights(LstmConfig(hidden_units=6, seed=3), 3)
         X = live_sample(w, rng, 4, 3)
         y = 0.2
-        _, cache = lstm_forward(w, X)
-        analytic = backward(w, cache, y)
+        _, cache = forward(w, X[None])
+        analytic = backward(w, cache, np.array([y]))
         fd = finite_difference_grads(w, X[None, :, :], np.array([y]))
         assert max_relative_error(analytic, fd) < 1e-4
 
@@ -279,8 +261,8 @@ class TestBackward:
         w = init_weights(LstmConfig(hidden_units=5, seed=8), 2)
         X = rng.uniform(-1, 1, size=(6, 4, 2))
         y = rng.uniform(0, 1, size=6)
-        _, cache = _forward_batch(w, X)
-        analytic = _backward_batch(w, cache, y)
+        _, cache = forward(w, X)
+        analytic = backward(w, cache, y)
         fd = finite_difference_grads(w, X, y)
         assert max_relative_error(analytic, fd) < 1e-4
 
@@ -288,8 +270,8 @@ class TestBackward:
         rng = np.random.default_rng(4)
         w = init_weights(LstmConfig(hidden_units=4, seed=9), 3)
         X = np.zeros((5, 3))
-        _, cache = lstm_forward(w, X)
-        grads = backward(w, cache, 0.5)
+        _, cache = forward(w, X[None])
+        grads = backward(w, cache, np.array([0.5]))
         for gate in "ifog":
             assert np.all(grads[f"W_{gate}"] == 0.0)
 
@@ -297,9 +279,9 @@ class TestBackward:
         w = zero_weights(4, 2)
         w.params["b_out"] = np.asarray(-1.0)  # pre-activation < 0 always
         X = np.random.default_rng(0).normal(size=(3, 2))
-        pred, cache = lstm_forward(w, X)
-        assert pred == 0.0
-        grads = backward(w, cache, 1.0)
+        pred, cache = forward(w, X[None])
+        assert pred[0] == 0.0
+        grads = backward(w, cache, np.array([1.0]))
         for name in PARAM_ORDER:
             assert np.all(np.asarray(grads[name]) == 0.0)
 
@@ -343,8 +325,8 @@ class TestAdam:
         y = rng.uniform(0, 1, size=4)
 
         def grads_at(w):
-            _, cache = _forward_batch(w, X)
-            return _backward_batch(w, cache, y)
+            _, cache = forward(w, X)
+            return backward(w, cache, y)
 
         w_two = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
         s_two = AdamState.for_weights(w_two)
@@ -379,7 +361,7 @@ def constant_target_dataset():
 
 class TestTrain:
     CFG = LstmConfig(hidden_units=16, learning_rate=0.001, batch_size=8,
-                     epochs=150, lookback=5, seed=7)
+                     epochs=150, seed=7)
 
     def test_constant_target_converges(self):
         _, history = train(constant_target_dataset(), self.CFG)
@@ -395,7 +377,7 @@ class TestTrain:
 
     def test_same_seed_bit_identical(self):
         ds = constant_target_dataset()
-        cfg = LstmConfig(hidden_units=8, batch_size=16, epochs=12, lookback=5, seed=3)
+        cfg = LstmConfig(hidden_units=8, batch_size=16, epochs=12, seed=3)
         w1, h1 = train(ds, cfg)
         w2, h2 = train(ds, cfg)
         assert h1 == h2
@@ -412,8 +394,18 @@ class TestTrain:
         bad = WindowedDataset(X=ds.X.copy(), y=ds.y, dates=ds.dates)
         bad.X[3, 2, 1] = np.nan
         with pytest.raises(TrainingDiverged) as exc:
-            train(bad, LstmConfig(hidden_units=4, batch_size=8, epochs=2,
-                                  lookback=5, seed=0))
+            train(bad, LstmConfig(hidden_units=4, batch_size=8, epochs=2, seed=0))
+        assert exc.value.epoch == 0
+
+    def test_overflowing_loss_stops_before_backward(self):
+        # the first Adam step at lr 1e300 moves the weights by ~1e300, so the
+        # next batch's squared error overflows; train stops at that batch
+        # instead of running the overflow through backward, clip and Adam
+        cfg = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=8, epochs=2, seed=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(TrainingDiverged) as exc:
+                train(constant_target_dataset(), cfg)
         assert exc.value.epoch == 0
 
 
@@ -433,46 +425,27 @@ class TestPredict:
         w = init_weights(LstmConfig(hidden_units=4, seed=1), 3)
         ds = self.make_dataset(1)
         pred = predict(w, ds)
-        direct, _ = lstm_forward(w, ds.X[0])
-        assert pred[0] == direct
+        direct, _ = forward(w, ds.X[:1])
+        assert pred[0] == direct[0]
 
     def test_batch_equals_per_sample_loop(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
         ds = self.make_dataset(9)
         batched = predict(w, ds, chunk_size=4)
-        looped = np.array([lstm_forward(w, x)[0] for x in ds.X])
+        looped = np.array([forward(w, x[None])[0][0] for x in ds.X])
         assert batched == pytest.approx(looped, rel=0, abs=1e-12)
 
 
 class TestCheckpoint:
-    def test_round_trip_exact(self, tmp_path):
-        cfg = LstmConfig(hidden_units=6, seed=13, epochs=2, lookback=4)
-        w = init_weights(cfg, 3)
-        path = tmp_path / "model.json"
-        save_checkpoint(path, w, cfg)
-        loaded, loaded_cfg = load_checkpoint(path)
-        assert loaded_cfg == cfg
-        for name, arr in w.items():
-            assert np.array_equal(arr, loaded.params[name])
-
-    def test_v1_file_loads_predicts_and_rewrites_identically(self, tmp_path):
-        # written by the per-gate kernel that predates the flat layout;
-        # PREDICTIONS are what that kernel predicted from it
+    def test_v1_file_predicts_frozen_values(self):
+        # params written by the per-gate kernel that predates the flat layout;
+        # V1_PREDICTIONS are what that kernel predicted from them
         committed = Path(__file__).parent / "data" / "checkpoint_v1_h3_f2.json"
-        weights, cfg = load_checkpoint(committed)
+        weights = LstmWeights(json.loads(committed.read_text(encoding="utf-8"))["params"])
         assert (weights.n_features, weights.hidden_units) == (2, 3)
         X = np.random.default_rng(7).uniform(0, 1, size=(5, 4, 2))
         pred = predict(weights, WindowedDataset(X=X, y=np.zeros(5), dates=tuple(range(5))))
         assert pred == pytest.approx(self.V1_PREDICTIONS, rel=1e-12)
-        rewritten = tmp_path / "model.json"
-        save_checkpoint(rewritten, weights, cfg)
-        assert rewritten.read_bytes() == committed.read_bytes()
 
     V1_PREDICTIONS = [0.3798698132025385, 0.3493928875379534, 0.3374546653777686,
                       0.3512604468614238, 0.3096045966334155]
-
-    def test_format_guard(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text('{"format": "other"}')
-        with pytest.raises(ValueError):
-            load_checkpoint(path)

@@ -6,20 +6,16 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast.errors import MalformedResponse, UnknownPostId
+from stockcast.errors import UnknownPostId
 from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
-    CONTENT_PLACEHOLDER,
     DailySentiment,
     LexiconProvider,
     ReplayProvider,
     SentimentScore,
     WeightParams,
     aggregate_daily,
-    external_adapter_request,
-    load_prompt_template,
     load_replay_scores,
-    parse_external_response,
     score_post,
     signed_sentiment,
     total_interaction,
@@ -195,47 +191,6 @@ class TestReplayProvider:
         assert provider.score("ignored text", post_id="b") == SentimentScore(0, 0.5)
         with pytest.raises(UnknownPostId):
             provider.score("x", post_id="zzz")
-
-
-class TestExternalAdapter:
-    def test_default_template_has_placeholder(self):
-        template = load_prompt_template()
-        assert CONTENT_PLACEHOLDER in template
-        assert "financial analyst" in template
-
-    def test_request_embeds_texts(self):
-        payload = external_adapter_request(["alpha beta", "gamma"],
-                                           "prefix {{CONTENT}} suffix")
-        assert payload["n_items"] == 2
-        assert "1. alpha beta" in payload["prompt"]
-        assert "2. gamma" in payload["prompt"]
-        assert payload["prompt"].startswith("prefix")
-
-    def test_template_without_placeholder_rejected(self):
-        with pytest.raises(ValueError):
-            external_adapter_request(["x"], "no placeholder here")
-
-    def test_response_mapping(self):
-        rows = [
-            {"label": "negative", "score": 0.8},
-            {"label": "neutral", "score": 0.5},
-            {"label": "Positive", "score": 1.0},
-        ]
-        assert parse_external_response(rows) == [
-            SentimentScore(-1, 0.8),
-            SentimentScore(0, 0.5),
-            SentimentScore(1, 1.0),
-        ]
-
-    def test_missing_score_flagged_with_index(self):
-        rows = [{"label": "positive", "score": 0.9}, {"label": "negative"}]
-        with pytest.raises(MalformedResponse) as exc:
-            parse_external_response(rows)
-        assert exc.value.index == 1
-
-    def test_out_of_range_score(self):
-        with pytest.raises(MalformedResponse):
-            parse_external_response([{"label": "positive", "score": 1.2}])
 
 
 class TestAggregateDaily:
