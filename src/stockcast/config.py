@@ -69,6 +69,8 @@ class ExperimentConfig:
             raise ConfigError("replicates must be >= 1")
         if self.base_seed < 0:
             raise ConfigError("base_seed must be non-negative")
+        if self.min_likes is not None and self.min_likes < 0:
+            raise ConfigError(f"min_likes must be >= 0 or none, got {self.min_likes}")
         for key in _FLOAT_KEYS:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
@@ -96,10 +98,12 @@ class ExperimentConfig:
 
         out_dir is excluded: it says where results land, not what the
         experiment is, so reruns into different directories hash alike.
+        So are the input paths: config_hash hashes each input by key and
+        content, so the same data hashes alike in every checkout.
         """
         lines = []
         for f in fields(self):
-            if f.name == "out_dir":
+            if f.name == "out_dir" or f.name in _PATH_KEYS:
                 continue
             value = getattr(self, f.name)
             if isinstance(value, tuple):
@@ -174,7 +178,7 @@ def parse_config(path, overrides=None):
     """Parse a config file, apply CLI overrides, return ExperimentConfig.
 
     Raises:
-        ConfigError: unreadable file, unknown key, or bad value.
+        ConfigError: unreadable file, unknown or repeated key, or bad value.
     """
     path = Path(path)
     if not path.is_file():
@@ -182,6 +186,7 @@ def parse_config(path, overrides=None):
     base_dir = path.parent.resolve()
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
+    seen = {}
     for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -191,6 +196,10 @@ def parse_config(path, overrides=None):
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+        if key in seen:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, "
+                              f"first on line {seen[key]}")
+        seen[key] = lineno
         try:
             values[key] = _parse_value(key, raw, base_dir)
         except (ValueError, TypeError) as exc:

@@ -20,6 +20,14 @@ dU and db from one product or sum each after the loop. Gradients come
 back in the same flat layout, so clipping is one dot product and Adam
 one update over the whole vector.
 
+Activations and per-step temporaries live in an LstmWorkspace: flat
+buffers that ``train`` allocates once for its batch size and ``predict``
+once for its chunk size, and that every batch writes into with ``out=``.
+The cache ``forward`` returns aliases its workspace, so it is valid until
+that workspace's next ``forward``. Each in-place step keeps the operand
+order of the expression it replaces, so the numbers are bit-identical to
+allocating fresh arrays.
+
 Gradients are exact analytic BPTT, including the ReLU subgradient
 (defined as 0 at exactly 0); the test suite checks them against central
 finite differences.
@@ -163,14 +171,55 @@ def init_weights(config, n_features):
     return weights
 
 
-def forward(weights, X):
+class LstmWorkspace:
+    """Preallocated float64 buffers that forward and backward write into.
+
+    Sized for batches of up to ``rows`` samples of one (lookback,
+    n_features, hidden) shape. A batch of B rows takes the first T*B*k
+    floats of each flat buffer as a contiguous (T, B, k) array, so a short
+    last batch is as contiguous as a full one. ``train`` and ``predict``
+    each allocate one workspace and run every batch through it.
+    """
+
+    def __init__(self, rows, lookback, n_features, hidden):
+        T, F, H = lookback, n_features, hidden
+        self.rows, self.dims = rows, (T, F, H)
+        self._X = np.empty(T * rows * F)
+        self._A = np.empty(T * rows * 4 * H)
+        self._h = np.empty((T + 1) * rows * H)
+        self._c = np.empty((T + 1) * rows * H)
+        self._tanh_c = np.empty(T * rows * H)
+        self._scratch = np.empty(5 * rows * H)
+
+    def cache(self, B, T, F, H):
+        """Views for one batch: X, A, h, c and tanh_c, as forward documents."""
+        if (T, F, H) != self.dims or B > self.rows:
+            raise ValueError(f"workspace holds {self.rows} rows of (T, F, H) = {self.dims}; "
+                             f"got {B} rows of {(T, F, H)}")
+        return {"X": _prefix(self._X, T, B, F), "A": _prefix(self._A, T, B, 4 * H),
+                "h": _prefix(self._h, T + 1, B, H), "c": _prefix(self._c, T + 1, B, H),
+                "tanh_c": _prefix(self._tanh_c, T, B, H)}
+
+    def scratch(self, B):
+        """Five (B, H) temporaries: forward's h @ U product takes the first four
+        as one (B, 4H) block, backward's dh, dc and three terms all five."""
+        return _prefix(self._scratch, 5, B, self.dims[2])
+
+
+def _prefix(buf, *shape):
+    """The first prod(shape) floats of a flat buffer, as a contiguous array."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def forward(weights, X, workspace=None):
     """Unrolled forward pass over a (batch, lookback, features) array.
 
     Returns predictions (batch,) and the activation cache BPTT needs:
     time-major inputs ``X`` (T, B, F), gate activations ``A`` (T, B, 4H)
     in i, f, o, g order, hidden and cell states ``h``/``c`` (T+1, B, H)
     with the zero initial state first, ``tanh_c`` (T, B, H), and the head
-    pre-activation ``z``.
+    pre-activation ``z``. The cache arrays live in ``workspace`` (a fresh
+    one when None) and stay valid until that workspace's next forward.
 
     Raises:
         NonFiniteActivation: a prediction came out inf/nan.
@@ -178,44 +227,54 @@ def forward(weights, X):
     X = np.asarray(X, dtype=np.float64)
     B, T, F = X.shape
     H = weights.hidden_units
+    if workspace is None:
+        workspace = LstmWorkspace(B, T, F, H)
+    cache = workspace.cache(B, T, F, H)
+    Xt, A, h, c, tanh_c = (cache[key] for key in ("X", "A", "h", "c", "tanh_c"))
+    scratch = workspace.scratch(B)
+    hU, ig = scratch[:4].reshape(B, 4 * H), scratch[4]
     W = weights.W.transpose(1, 0, 2).reshape(F, 4 * H)
     U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
-    X = np.ascontiguousarray(X.transpose(1, 0, 2))
-    A = (X.reshape(T * B, F) @ W).reshape(T, B, 4 * H)
-    A += weights.b
-    h = np.zeros((T + 1, B, H))
-    c = np.zeros((T + 1, B, H))
-    tanh_c = np.empty((T, B, H))
+    np.copyto(Xt, X.transpose(1, 0, 2))
+    np.matmul(Xt.reshape(T * B, F), W, out=A.reshape(T * B, 4 * H))
+    h[0] = 0.0
+    c[0] = 0.0
     # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
     # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift.
     scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)
     shift = np.repeat([0.5, 0.5, 0.5, 0.0], H)
     for t in range(T):
         a = A[t]
+        a += weights.b  # (XW + b) + hU, the bias added while the step is hot
         if t:  # h_0 = 0, so step 0 has no recurrent term
-            a += h[t] @ U
+            np.matmul(h[t], U, out=hU)
+            a += hU
         a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
         i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
         np.multiply(f, c[t], out=c[t + 1])
-        c[t + 1] += i * g
+        np.multiply(i, g, out=ig)
+        c[t + 1] += ig
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(o, tanh_c[t], out=h[t + 1])
     z = h[T] @ weights["w_out"] + weights["b_out"]
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise NonFiniteActivation("non-finite prediction; training diverged?")
-    return pred, {"X": X, "A": A, "h": h, "c": c, "tanh_c": tanh_c, "z": z}
+    cache["z"] = z
+    return pred, cache
 
 
-def backward(weights, cache, targets):
+def backward(weights, cache, targets, workspace=None):
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
     Returns an LstmWeights over a fresh gradient vector. The gate
     gradients are written over ``cache["A"]``, so a cache serves one
-    backward call.
+    backward call. The per-step temporaries come from ``workspace``'s
+    scratch (fresh arrays when None); every step runs in place with each
+    product's operands in the order of the textbook expression.
     """
     targets = np.asarray(targets, dtype=np.float64)
     X, A, h, c, tanh_c, z = (cache[key] for key in ("X", "A", "h", "c", "tanh_c", "z"))
@@ -224,26 +283,46 @@ def backward(weights, cache, targets):
     U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
     pred = np.maximum(z, 0.0)
     grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
+    dh, dc, t1, t2, t3 = np.empty((5, B, H)) if workspace is None else workspace.scratch(B)
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     grads["w_out"][...] = h[T].T @ dz
     grads["b_out"][...] = dz.sum()
-    dh = np.outer(dz, weights["w_out"])
-    dc = np.zeros_like(dh)
+    np.outer(dz, weights["w_out"], out=dh)
+    dc[...] = 0.0
 
     for t in reversed(range(T)):
         a = A[t]
         i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
-        dc = dc + dh * o * (1.0 - tanh_c[t] ** 2)
-        da_i = dc * g * i * (1.0 - i)
-        da_f = dc * c[t] * f * (1.0 - f)
-        da_o = dh * tanh_c[t] * o * (1.0 - o)
-        da_g = dc * i * (1.0 - g ** 2)
-        dc = dc * f
-        i[...], f[...], o[...], g[...] = da_i, da_f, da_o, da_g
+        # dc += dh * o * (1 - tanh_c**2)
+        np.multiply(dh, o, out=t1)
+        np.square(tanh_c[t], out=t2)
+        np.subtract(1.0, t2, out=t2)
+        t1 *= t2
+        dc += t1
+        # o <- dh * tanh_c * o * (1 - o)
+        np.multiply(dh, tanh_c[t], out=t1)
+        t1 *= o
+        np.subtract(1.0, o, out=t2)
+        np.multiply(t1, t2, out=o)
+        # g <- dc * i * (1 - g**2), then i <- dc * g * i * (1 - i) with the old g
+        np.multiply(dc, g, out=t1)
+        t1 *= i
+        np.multiply(dc, i, out=t2)
+        np.square(g, out=t3)
+        np.subtract(1.0, t3, out=t3)
+        np.multiply(t2, t3, out=g)
+        np.subtract(1.0, i, out=t2)
+        np.multiply(t1, t2, out=i)
+        # f <- dc * c_prev * f * (1 - f), and dc <- dc * f
+        np.multiply(dc, c[t], out=t1)
+        t1 *= f
+        np.subtract(1.0, f, out=t2)
+        dc *= f
+        np.multiply(t1, t2, out=f)
         if t:  # dh_0 would feed the zero initial state
-            dh = a @ U.T
+            np.matmul(a, U.T, out=dh)
 
     dA = A.reshape(T * B, 4 * H)
     grads.W[...] = (X.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)
@@ -308,6 +387,8 @@ def train(dataset, config):
     if n < 1:
         raise ValueError("need at least one training sample")
     weights = init_weights(config, X.shape[2])
+    workspace = LstmWorkspace(min(config.batch_size, n), X.shape[1], X.shape[2],
+                              config.hidden_units)
     state = AdamState.for_weights(weights)
     shuffle_rng = np.random.default_rng([config.seed, 1])
     loss_history = []
@@ -317,15 +398,14 @@ def train(dataset, config):
         try:
             for start in range(0, n, config.batch_size):
                 idx = order[start:start + config.batch_size]
-                pred, cache = forward(weights, X[idx])
+                pred, cache = forward(weights, X[idx], workspace)
                 with np.errstate(over="ignore"):
                     batch_sq = float(np.sum((pred - y[idx]) ** 2))
                 if not math.isfinite(batch_sq):
                     # stop here: backward, clip and Adam would spread the overflow
                     raise TrainingDiverged(epoch)
                 sq_sum += batch_sq
-                grads = backward(weights, cache, y[idx])
-                del cache  # spent; free it before the next batch's forward
+                grads = backward(weights, cache, y[idx], workspace)
                 clip_gradients(grads, GRAD_CLIP)
                 adam_step(weights, grads, state, config.learning_rate)
         except NonFiniteActivation as exc:
@@ -337,21 +417,36 @@ def train(dataset, config):
     return weights, loss_history
 
 
-def predict(weights, dataset, chunk_size=512):
-    """One prediction per sample, order preserved; empty in, empty out."""
+def predict(weights, dataset, chunk_size=128):
+    """One prediction per sample, order preserved; empty in, empty out.
+
+    The samples run through one workspace in chunks of chunk_size rows. A
+    1-row tail joins the chunk before it: a 1-row product goes through
+    gemv, whose sums differ from gemm's in the last bit. BLAS kernels
+    handle rows in groups (OpenBLAS's dgemv in fours), so with chunk_size a
+    multiple of 8 every prediction is bit-identical to one forward over
+    all n samples.
+    """
     X = np.asarray(dataset.X, dtype=np.float64)
-    if X.shape[0] == 0:
+    n, T, F = X.shape
+    if n == 0:
         return np.empty(0, dtype=np.float64)
-    preds = []
-    for start in range(0, X.shape[0], chunk_size):
-        pred, _ = forward(weights, X[start:start + chunk_size])
-        preds.append(pred)
-    return np.concatenate(preds)
+    starts = list(range(0, n, chunk_size))
+    if n > 1 and n - starts[-1] == 1:
+        starts.pop()
+    bounds = starts + [n]
+    workspace = LstmWorkspace(max(np.diff(bounds)), T, F, weights.hidden_units)
+    preds = np.empty(n)
+    for start, stop in zip(bounds, bounds[1:]):
+        pred, _ = forward(weights, X[start:stop], workspace)
+        preds[start:stop] = pred
+    return preds
 
 
 __all__ = [
     "LstmConfig",
     "LstmWeights",
+    "LstmWorkspace",
     "AdamState",
     "PARAM_ORDER",
     "init_weights",

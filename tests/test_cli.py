@@ -141,6 +141,21 @@ class TestConfig:
             fh.write("\n")
         assert parse_config(path).config_hash != before
 
+    def test_hash_independent_of_checkout(self, tmp_path):
+        # the same config and inputs in two directories hash alike; the
+        # inputs' bytes still count
+        paths = []
+        for name in ("a", "b"):
+            (tmp_path / name).mkdir()
+            write_tiny_dataset(tmp_path / name)
+            paths.append(write_config(tmp_path / name, out_dir="out"))
+        first, second = (parse_config(path) for path in paths)
+        assert first.prices != second.prices
+        assert first.config_hash == second.config_hash
+        with open(tmp_path / "b" / "prices.csv", "a") as fh:
+            fh.write("\n")
+        assert parse_config(paths[1]).config_hash != first.config_hash
+
     def test_comments_ignored(self, tmp_path):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path)
@@ -250,7 +265,7 @@ class TestTrainEvalCommand:
         ("alpha", -1), ("beta", -1), ("gamma", -1), ("delta", -1),
         ("initial_capital", 0), ("profit_threshold", -1), ("dip_threshold", -1),
         ("learning_rate", "inf"), ("initial_capital", "inf"), ("alpha", "inf"),
-        ("profit_threshold", "inf"),
+        ("profit_threshold", "inf"), ("min_likes", -1),
     ]
 
     @pytest.mark.parametrize("key,value", INVALID_VALUES,
@@ -264,6 +279,22 @@ class TestTrainEvalCommand:
             capture_output=True, text=True, env=subprocess_env(), check=False)
         assert proc.returncode == 2
         assert key in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not (tmp_path / "out").exists()
+
+    def test_key_given_twice_exit_2(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        lines = path.read_text().splitlines()
+        epochs_line = next(n for n, line in enumerate(lines, 1) if line.startswith("epochs"))
+        path.write_text("\n".join(lines + ["epochs = 3"]) + "\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "stockcast.cli", "train-eval", "--config", str(path)],
+            capture_output=True, text=True, env=subprocess_env(), check=False)
+        assert proc.returncode == 2
+        assert "'epochs'" in proc.stderr
+        assert f"{path}:{len(lines) + 1}:" in proc.stderr
+        assert f"line {epochs_line}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not (tmp_path / "out").exists()
 

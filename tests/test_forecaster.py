@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -11,9 +12,11 @@ import pytest
 from stockcast.errors import NonFiniteActivation, TrainingDiverged
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
+    GRAD_CLIP,
     AdamState,
     LstmConfig,
     LstmWeights,
+    LstmWorkspace,
     PARAM_ORDER,
     adam_step,
     backward,
@@ -434,6 +437,108 @@ class TestPredict:
         batched = predict(w, ds, chunk_size=4)
         looped = np.array([forward(w, x[None])[0][0] for x in ds.X])
         assert batched == pytest.approx(looped, rel=0, abs=1e-12)
+
+
+def live_weights(hidden, n_features, seed):
+    """Seeded init with the head bias raised, so every prediction is live."""
+    w = init_weights(LstmConfig(hidden_units=hidden, seed=seed), n_features)
+    w.params["b_out"] = 1.0
+    return w
+
+
+class TestWorkspace:
+    """One workspace reused across batches gives what fresh caches give."""
+
+    def test_full_short_full_batches_match_fresh_caches(self):
+        # rows a short batch leaves behind sit inside the next full batch's
+        # h[0]/c[0] and backward's dc, so stale state would show here
+        rng = np.random.default_rng(21)
+        T, F, H = 5, 3, 6
+        w = live_weights(H, F, seed=2)
+        workspace = LstmWorkspace(8, T, F, H)
+        for B in (8, 5, 8):
+            X = rng.uniform(-1, 1, size=(B, T, F))
+            y = rng.uniform(0, 1, size=B)
+            pred, cache = forward(w, X, workspace)
+            fresh_pred, fresh_cache = forward(w, X)
+            assert np.array_equal(pred, fresh_pred)
+            assert cache.keys() == fresh_cache.keys()
+            for key in cache:
+                assert np.array_equal(cache[key], fresh_cache[key]), key
+            grads = backward(w, cache, y, workspace)
+            fresh_grads = backward(w, fresh_cache, y)
+            assert np.array_equal(grads.theta, fresh_grads.theta)
+
+    def test_short_batch_views_are_contiguous(self):
+        workspace = LstmWorkspace(8, 4, 3, 5)
+        for array in workspace.cache(3, 4, 3, 5).values():
+            assert array.flags.c_contiguous
+        assert workspace.scratch(3).flags.c_contiguous
+
+    def test_wrong_shape_rejected(self):
+        w = init_weights(LstmConfig(hidden_units=4, seed=0), 3)
+        with pytest.raises(ValueError, match="workspace"):
+            forward(w, np.zeros((9, 5, 3)), LstmWorkspace(8, 5, 3, 4))
+        with pytest.raises(ValueError, match="workspace"):
+            forward(w, np.zeros((2, 6, 3)), LstmWorkspace(8, 5, 3, 4))
+
+    def test_train_matches_loop_with_fresh_caches(self):
+        # 21 samples in batches of 8: the last batch of every epoch is short;
+        # seed 0 starts live on all 21 samples
+        rng = np.random.default_rng(22)
+        X = rng.uniform(0, 1, size=(21, 6, 3))
+        y = rng.uniform(0.2, 0.8, size=21)
+        cfg = LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=0)
+        weights = init_weights(cfg, 3)
+        start = weights.theta.copy()
+        state = AdamState.for_weights(weights)
+        shuffle_rng = np.random.default_rng([cfg.seed, 1])
+        history = []
+        for _ in range(cfg.epochs):
+            order = shuffle_rng.permutation(21)
+            sq_sum = 0.0
+            for first in range(0, 21, cfg.batch_size):
+                idx = order[first:first + cfg.batch_size]
+                pred, cache = forward(weights, X[idx])
+                sq_sum += float(np.sum((pred - y[idx]) ** 2))
+                grads = backward(weights, cache, y[idx])
+                clip_gradients(grads, GRAD_CLIP)
+                adam_step(weights, grads, state, cfg.learning_rate)
+            history.append(sq_sum / 21)
+
+        trained, trained_history = train(WindowedDataset(X=X, y=y, dates=tuple(range(21))), cfg)
+        assert not np.array_equal(weights.theta, start)
+        assert np.array_equal(trained.theta, weights.theta)
+        assert trained_history == history
+
+    def test_predict_chunks_match_one_forward(self):
+        # 300 = 128 + 128 + 44; 129 = 128 + a 1-row tail, which must not run
+        # alone: its gemv sums reach a prediction only now and then (3 of
+        # these 12 draws on OpenBLAS 0.3.31), hence the repeats
+        rng = np.random.default_rng(23)
+        w = live_weights(32, 5, seed=3)
+        for n in [300] + [129] * 12:
+            X = rng.uniform(0, 1, size=(n, 30, 5))
+            whole, _ = forward(w, X)
+            assert np.all(whole > 0)
+            pred = predict(w, WindowedDataset(X=X, y=np.zeros(n), dates=tuple(range(n))))
+            assert np.array_equal(pred, whole), n
+
+    def test_predict_peak_memory_is_one_chunk(self):
+        # numpy reports its buffers to tracemalloc; 300 windows must not
+        # hold more than one 128-row cache at a time
+        T, F, H, n = 30, 14, 64, 300
+        w = live_weights(H, F, seed=4)
+        ds = WindowedDataset(X=np.random.default_rng(24).uniform(0, 1, size=(n, T, F)),
+                             y=np.zeros(n), dates=tuple(range(n)))
+        one_cache = T * 128 * (F + 7 * H) * 8
+        tracemalloc.start()
+        try:
+            predict(w, ds)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.25 * one_cache, (peak, one_cache)
 
 
 class TestCheckpoint:
