@@ -23,6 +23,11 @@ class StockcastError(Exception):
 
 # --- ingest ---------------------------------------------------------------
 
+def _located(path, line, message):
+    """Prefix ``<path>:<line>: `` when the error came from a known file."""
+    return message if path is None else f"{path}:{line}: {message}"
+
+
 class MissingColumn(StockcastError):
     def __init__(self, column, path=None):
         self.column = column
@@ -32,9 +37,10 @@ class MissingColumn(StockcastError):
 
 
 class UnparsableRow(StockcastError):
-    def __init__(self, line, reason=""):
+    def __init__(self, line, reason="", path=None):
         self.line = line
-        super().__init__(f"unparsable row at line {line}: {reason}")
+        self.path = path
+        super().__init__(_located(path, line, f"unparsable row at line {line}: {reason}"))
 
 
 class DuplicateDate(StockcastError):
@@ -50,16 +56,18 @@ class NonMonotonicDate(StockcastError):
 
 
 class UnparsableLine(StockcastError):
-    def __init__(self, line, reason=""):
+    def __init__(self, line, reason="", path=None):
         self.line = line
-        super().__init__(f"unparsable line {line}: {reason}")
+        self.path = path
+        super().__init__(_located(path, line, f"unparsable line {line}: {reason}"))
 
 
 class MissingField(StockcastError):
-    def __init__(self, name, line):
+    def __init__(self, name, line, path=None):
         self.name = name
         self.line = line
-        super().__init__(f"missing field {name!r} at line {line}")
+        self.path = path
+        super().__init__(_located(path, line, f"missing field {name!r} at line {line}"))
 
 
 # --- sentiment ------------------------------------------------------------

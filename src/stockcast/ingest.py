@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import (
     DuplicateDate,
@@ -29,6 +30,10 @@ from .errors import (
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
 POST_KINDS = ("tweet", "news")
+
+# Tweet engagement counts, in RawPost field order; news carries none.
+_COUNT_FIELDS = ("retweets", "likes", "comments", "followers")
+_NO_COUNTS = (0, 0, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -54,12 +59,12 @@ class PriceBar:
             raise ValueError(f"negative volume on {self.date}")
 
 
-@dataclass(frozen=True)
-class RawPost:
+class RawPost(NamedTuple):
     """One tweet or news item with engagement counts.
 
     News items carry no engagement, so all four counts are zero for
-    kind="news".
+    kind="news". A named tuple rather than a frozen dataclass: a post is
+    built once per input line and the tuple is the cheaper record.
     """
 
     id: str
@@ -128,6 +133,9 @@ def load_price_csv(path):
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
+            if len(row) != len(header):
+                raise UnparsableRow(
+                    lineno, f"{len(row)} fields where the header has {len(header)}", path)
             try:
                 d = date.fromisoformat(row[idx["Date"]].strip())
                 bar = PriceBar(
@@ -141,7 +149,7 @@ def load_price_csv(path):
                 )
                 bar.validate()
             except (ValueError, IndexError) as exc:
-                raise UnparsableRow(lineno, str(exc)) from exc
+                raise UnparsableRow(lineno, str(exc), path) from exc
             if last_date is not None:
                 if bar.date == last_date:
                     raise DuplicateDate(bar.date)
@@ -159,7 +167,7 @@ def calendar_from_bars(bars):
 
 
 def _parse_timestamp(raw):
-    ts = datetime.fromisoformat(str(raw).replace("Z", "+00:00"))
+    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
     if ts.tzinfo is None:
         ts = ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
@@ -168,9 +176,11 @@ def _parse_timestamp(raw):
 def load_posts_jsonl(path, kind, min_likes=None):
     """Load tweets or news from a JSON-lines file.
 
-    Each line is one object with fields ``id``, ``ts``, ``text`` and, for
-    tweets, ``retweets``/``likes``/``comments``/``followers``. Engagement
-    fields default to 0 when absent and are forced to 0 for news. Posts
+    Each line is one object with fields ``id`` (a string or an integer),
+    ``ts`` (an ISO-8601 string), ``text`` (a string) and, for tweets,
+    ``retweets``/``likes``/``comments``/``followers`` (JSON integers, not
+    booleans, at least 0). Engagement fields default to 0 when absent and
+    are forced to 0 for news, whose lines are not checked for them. Posts
     with a duplicate id are dropped, keeping the first occurrence.
 
     Args:
@@ -180,12 +190,16 @@ def load_posts_jsonl(path, kind, min_likes=None):
             minimum-likes rule (posts with likes >= min_likes are kept).
 
     Raises:
-        UnparsableLine: a line is not a JSON object.
+        UnparsableLine: a line is not a JSON object, or a field has the
+            wrong type or value.
         MissingField: a required field is absent.
+
+    Both errors name the file and line as ``<path>:<line>: ``.
     """
     if kind not in POST_KINDS:
         raise ValueError(f"kind must be one of {POST_KINDS}, got {kind!r}")
     path = Path(path)
+    news = kind == "news"
     posts = []
     seen_ids = set()
     with open(path, encoding="utf-8") as fh:
@@ -196,43 +210,49 @@ def load_posts_jsonl(path, kind, min_likes=None):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise UnparsableLine(lineno, str(exc)) from exc
+                raise UnparsableLine(lineno, str(exc), path) from exc
             if not isinstance(record, dict):
-                raise UnparsableLine(lineno, "expected a JSON object")
+                raise UnparsableLine(lineno, "expected a JSON object", path)
             for field in ("id", "ts", "text"):
                 if field not in record:
-                    raise MissingField(field, lineno)
+                    raise MissingField(field, lineno, path)
+            post_id = record["id"]
+            if type(post_id) is not str:
+                if type(post_id) is not int:
+                    raise UnparsableLine(
+                        lineno, f"field 'id' must be a string or an integer, "
+                        f"got {json.dumps(post_id)}", path)
+                post_id = str(post_id)
+            text = record["text"]
+            if type(text) is not str:
+                raise UnparsableLine(
+                    lineno, f"field 'text' must be a string, got {json.dumps(text)}", path)
+            ts = record["ts"]
+            if type(ts) is not str:
+                raise UnparsableLine(
+                    lineno, f"field 'ts' must be a string, got {json.dumps(ts)}", path)
             try:
-                ts = _parse_timestamp(record["ts"])
+                ts = _parse_timestamp(ts)
             except ValueError as exc:
-                raise UnparsableLine(lineno, f"bad timestamp: {exc}") from exc
-
-            def count(name):
-                if kind == "news":
-                    return 0
-                value = record.get(name, 0)
-                try:
-                    value = int(value)
-                except (TypeError, ValueError) as exc:
-                    raise UnparsableLine(lineno, f"bad count {name!r}") from exc
-                if value < 0:
-                    raise UnparsableLine(lineno, f"negative count {name!r}")
-                return value
-
-            post = RawPost(
-                id=str(record["id"]),
-                timestamp=ts,
-                text=str(record["text"]),
-                retweets=count("retweets"),
-                likes=count("likes"),
-                comments=count("comments"),
-                followers=count("followers"),
-                kind=kind,
-            )
-            if post.id in seen_ids:
+                raise UnparsableLine(lineno, f"bad timestamp: {exc}", path) from exc
+            if news:
+                counts = _NO_COUNTS
+            else:
+                counts = []
+                for name in _COUNT_FIELDS:
+                    value = record.get(name, 0)
+                    # type(), not isinstance(): a JSON true is a bool, an int subclass
+                    if type(value) is not int:
+                        raise UnparsableLine(
+                            lineno, f"bad count {name!r}: expected an integer, "
+                            f"got {json.dumps(value)}", path)
+                    if value < 0:
+                        raise UnparsableLine(lineno, f"negative count {name!r}", path)
+                    counts.append(value)
+            if post_id in seen_ids:
                 continue
-            seen_ids.add(post.id)
-            posts.append(post)
+            seen_ids.add(post_id)
+            posts.append(RawPost(post_id, ts, text, *counts, kind))
     if min_likes is not None:
         posts = [p for p in posts if p.likes >= min_likes]
     return posts

@@ -22,6 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from importlib import resources
+from typing import NamedTuple
 
 from .errors import UnknownPostId, UnparsableLine
 
@@ -61,8 +62,7 @@ class WeightParams:
             raise ValueError("weights must be non-negative")
 
 
-@dataclass(frozen=True)
-class ScoredPost:
+class ScoredPost(NamedTuple):
     post: object  # RawPost
     score: SentimentScore
     weighted: float
@@ -112,7 +112,7 @@ def weighted_sentiment(post, score, w):
 
 def score_post(post, score, w):
     """Bundle a post with its score and engagement-weighted sentiment."""
-    return ScoredPost(post=post, score=score, weighted=weighted_sentiment(post, score, w))
+    return ScoredPost(post, score, weighted_sentiment(post, score, w))
 
 
 # --- providers ---------------------------------------------------------------
@@ -135,11 +135,16 @@ class LexiconProvider:
         tokens = text.split()
         if not tokens:
             return SentimentScore(0, 0.0)
-        pos = sum(1 for t in tokens if self.lexicon.get(t) == 1)
-        neg = sum(1 for t in tokens if self.lexicon.get(t) == -1)
-        diff = pos - neg
+        # One pass: positives minus negatives, counting exactly the values
+        # equal to +1 and -1.
+        diff = 0
+        for value in map(self.lexicon.get, tokens):
+            if value == 1:
+                diff += 1
+            elif value == -1:
+                diff -= 1
         label = (diff > 0) - (diff < 0)
-        conf = min(abs(diff) / max(len(tokens), 1), 1.0)
+        conf = min(abs(diff) / len(tokens), 1.0)
         return SentimentScore(label, conf)
 
 
@@ -177,9 +182,10 @@ def load_lexicon(path=None):
             word, value = line.split("\t")
             lexicon[word.strip().lower()] = int(value)
         except ValueError as exc:
-            raise UnparsableLine(lineno, f"bad lexicon entry: {line!r}") from exc
+            raise UnparsableLine(lineno, f"bad lexicon entry: {line!r}", path) from exc
         if lexicon[word.strip().lower()] not in (-1, 1):
-            raise UnparsableLine(lineno, f"lexicon polarity must be +1 or -1: {line!r}")
+            raise UnparsableLine(lineno, f"lexicon polarity must be +1 or -1: {line!r}",
+                                 path)
     return lexicon
 
 
@@ -197,7 +203,7 @@ def load_replay_scores(path):
                     int(record["label"]), float(record["confidence"])
                 )
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise UnparsableLine(lineno, str(exc)) from exc
+                raise UnparsableLine(lineno, str(exc), path) from exc
     return table
 
 

@@ -15,6 +15,26 @@ Fixed pipeline order:
 
 Output is lowercase words separated by single spaces; an empty string is
 a valid result.
+
+A pass is skipped where skipping it cannot change the result:
+
+- The URL, cashtag, hashtag and mention passes run only when the text
+  holds ``http`` or ``www.``, ``$``, ``#`` or ``@``; each pattern starts
+  with one of these, so without it the pass matches nothing.
+- The reserved-word and emoji passes run only on non-ASCII text. The
+  emoji class holds no ASCII character. On ASCII text the reserved-word
+  pass removes an rt, fav or via (any letter case) standing between
+  whitespace; such a token stays whole through steps 4-5, and step 6
+  drops it anyway. On other text the pass must run: under
+  ``re.IGNORECASE`` it also matches "vıa" (dotless i), which step 5 would
+  otherwise shorten to "va".
+- On ASCII text steps 4 and 5 are one ``str.translate`` through a table
+  built from the same two steps applied to each ASCII character; other
+  text is lowercased first, because lowercasing "İ" or the Kelvin sign
+  yields ASCII letters.
+- Step 7 is ``str.split()``: after step 5 only a-z and whitespace
+  remain, and ``str.split`` splits on exactly the characters the
+  pattern's whitespace class matches (``str.isspace``).
 """
 
 from __future__ import annotations
@@ -50,7 +70,14 @@ _EMOJI_RE = re.compile(
 )
 
 _NON_ALPHA_RE = re.compile(r"[^a-z\s]+")
-_WS_RE = re.compile(r"\s+")
+
+# Steps 4-5 for one ASCII character at a time: lowercase, then keep only
+# a-z and whitespace. Both steps map ASCII characters independently. A
+# deleted character maps to None, not "": only then does str.translate
+# take its fast path for ASCII text (twice as fast, measured).
+_ASCII_LOWER_ALPHA = str.maketrans(
+    {chr(c): _NON_ALPHA_RE.sub("", chr(c).lower()) or None for c in range(128)}
+)
 
 
 def load_stopwords(path=None):
@@ -83,23 +110,31 @@ def clean_text(raw, stopwords, keep_cashtags=True):
     Returns:
         Cleaned string; possibly empty.
     """
-    text = _URL_RE.sub(" ", raw)
-    if keep_cashtags:
-        text = _CASHTAG_RE.sub(r"\1", text)
-    else:
-        text = _CASHTAG_STRIP_RE.sub(" ", text)
-    text = _HASHTAG_RE.sub(" ", text)
-    text = _MENTION_RE.sub(" ", text)
-    text = _RESERVED_RE.sub(" ", text)
-    text = _EMOJI_RE.sub("", text)
-    text = text.lower()
+    # Each guard is a character the pattern needs (see the module docstring).
+    text = raw
+    if "http" in text or "www." in text:
+        text = _URL_RE.sub(" ", text)
+    if "$" in text:
+        if keep_cashtags:
+            text = _CASHTAG_RE.sub(r"\1", text)
+        else:
+            text = _CASHTAG_STRIP_RE.sub(" ", text)
+    if "#" in text:
+        text = _HASHTAG_RE.sub(" ", text)
+    if "@" in text:
+        text = _MENTION_RE.sub(" ", text)
     # Deleting (not spacing) keeps "don't" a single token; whitespace is
     # preserved as the token separator.
-    text = _NON_ALPHA_RE.sub("", text)
+    if text.isascii():
+        text = text.translate(_ASCII_LOWER_ALPHA)
+    else:
+        text = _RESERVED_RE.sub(" ", text)
+        text = _EMOJI_RE.sub("", text)
+        text = _NON_ALPHA_RE.sub("", text.lower())
     tokens = [
         tok
-        for tok in _WS_RE.split(text)
-        if tok and tok not in stopwords and tok not in RESERVED_WORDS
+        for tok in text.split()
+        if tok not in stopwords and tok not in RESERVED_WORDS
     ]
     return " ".join(tokens)
 

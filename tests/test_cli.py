@@ -230,6 +230,40 @@ def test_header_only_price_file_exit_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("field, value", [
+    ("text", None), ("text", 5), ("id", None), ("id", 1.5), ("id", True),
+    ("ts", 20220103), ("likes", 1000.9), ("likes", True), ("likes", "250"),
+    ("followers", None),
+], ids=["text-null", "text-number", "id-null", "id-float", "id-bool", "ts-number",
+        "likes-float", "likes-bool", "likes-string", "followers-null"])
+def test_mistyped_post_field_exit_2(tmp_path, capsys, field, value):
+    write_tiny_dataset(tmp_path)
+    tweets = tmp_path / "tweets.jsonl"
+    lines = tweets.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), field: value})
+    tweets.write_text("\n".join(lines) + "\n")
+    code = cli.main(["ingest", "--config", str(write_config(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{tweets}:2: " in err and repr(field) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]],
+                         ids=["extra-field", "missing-field"])
+def test_price_row_width_exit_2(tmp_path, capsys, edit):
+    write_tiny_dataset(tmp_path)
+    prices = tmp_path / "prices.csv"
+    lines = prices.read_text().splitlines()
+    lines[3] = edit(lines[3])
+    prices.write_text("\n".join(lines) + "\n")
+    code = cli.main(["ingest", "--config", str(write_config(tmp_path))])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert f"{prices}:4: unparsable row at line 4: " in err
+    assert "Traceback" not in err
+
+
 class TestTrainEvalCommand:
     def test_single_replicate_report(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

@@ -11,11 +11,11 @@ from stockcast import errors
 SAMPLES = {
     "StockcastError": ("plain message",),
     "MissingColumn": ("Close", "prices.csv"),
-    "UnparsableRow": (7, "could not convert string to float: 'x'"),
+    "UnparsableRow": (7, "could not convert string to float: 'x'", "prices.csv"),
     "DuplicateDate": ("2022-01-03",),
     "NonMonotonicDate": ("2022-01-04",),
-    "UnparsableLine": (3, "Expecting value"),
-    "MissingField": ("id", 4),
+    "UnparsableLine": (3, "Expecting value", "tweets.jsonl"),
+    "MissingField": ("id", 4, "news.jsonl"),
     "UnknownPostId": ("t99",),
     "SeriesTooShort": ("need 15 closes",),
     "EmptyColumn": ("close",),

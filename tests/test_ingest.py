@@ -74,6 +74,17 @@ class TestLoadPriceCsv:
         with pytest.raises(NonMonotonicDate):
             load_price_csv(write_csv(tmp_path, rows))
 
+    @pytest.mark.parametrize("row, reason", [
+        ("2023-01-03,100,105,99,104,104,5000,7", "8 fields where the header has 7"),
+        ("2023-01-03,x,105,99,104,104,5000", "could not convert string to float: 'x'"),
+    ], ids=["extra-field", "bad-number"])
+    def test_row_error_names_file_and_line(self, tmp_path, row, reason):
+        path = write_csv(tmp_path, ["2023-01-02,100,105,99,104,104,5000", row])
+        with pytest.raises(UnparsableRow) as exc:
+            load_price_csv(path)
+        assert exc.value.line == 3
+        assert str(exc.value) == f"{path}:3: unparsable row at line 3: {reason}"
+
     def test_negative_volume_rejected(self, tmp_path):
         with pytest.raises(UnparsableRow):
             load_price_csv(write_csv(tmp_path, ["2023-01-03,100,105,99,104,104,-1"]))
@@ -123,6 +134,37 @@ class TestLoadPostsJsonl:
         with pytest.raises(MissingField) as exc:
             load_posts_jsonl(path, "tweet")
         assert exc.value.name == "ts"
+
+    def test_integer_id_read_as_string(self, tmp_path):
+        path = self.write_jsonl(tmp_path, [{"id": 17, "ts": "2023-01-03T12:00:00Z",
+                                            "text": "x"}])
+        (post,) = load_posts_jsonl(path, "tweet")
+        assert post.id == "17"
+
+    def test_news_counts_ignored(self, tmp_path):
+        path = self.write_jsonl(tmp_path, [{"id": "n1", "ts": "2023-01-03T12:00:00Z",
+                                            "text": "x", "likes": 2.5}])
+        (post,) = load_posts_jsonl(path, "news")
+        assert post.likes == 0
+
+    GOOD = {"id": "a", "ts": "2023-01-03T00:00:00Z", "text": "x"}
+
+    @pytest.mark.parametrize("line, error, message", [
+        ("not json", UnparsableLine, "unparsable line 2: Expecting value"),
+        ("[1]", UnparsableLine, "unparsable line 2: expected a JSON object"),
+        ('{"id": "b", "text": "x"}', MissingField, "missing field 'ts' at line 2"),
+        ('{"id": "b", "ts": "x", "text": "x"}', UnparsableLine,
+         "unparsable line 2: bad timestamp: "),
+        ('{"id": "b", "ts": "2023-01-03", "text": "x", "likes": -1}', UnparsableLine,
+         "unparsable line 2: negative count 'likes'"),
+    ], ids=["json", "not-object", "missing", "timestamp", "negative"])
+    def test_errors_name_file_and_line(self, tmp_path, line, error, message):
+        path = tmp_path / "posts.jsonl"
+        path.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
+        with pytest.raises(error) as exc:
+            load_posts_jsonl(path, "tweet")
+        assert exc.value.line == 2
+        assert str(exc.value).startswith(f"{path}:2: {message}")
 
     def test_duplicate_ids_keep_first(self, tmp_path):
         records = [

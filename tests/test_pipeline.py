@@ -1,5 +1,8 @@
 """Orchestration-level checks on the bundled fixture dataset."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from stockcast.config import apply_overrides, parse_config
@@ -44,6 +47,18 @@ def test_daily_sentiment_covers_every_session(config, dataset):
     assert [d.date for d in dataset.tweet_daily] == list(dataset.calendar)
     assert [d.date for d in dataset.news_daily] == list(dataset.calendar)
     assert sum(d.count for d in dataset.tweet_daily) <= len(dataset.tweets)
+
+
+def test_daily_sentiment_matches_frozen_values(dataset):
+    """Daily tweet and news sentiment equal, float for float, the values the
+    loader, cleaner and scorer gave before the post path was rewritten for
+    speed (tests/data/fixture_daily_sentiment.json)."""
+    frozen = json.loads((Path(__file__).parent / "data" / "fixture_daily_sentiment.json")
+                        .read_text(encoding="utf-8"))
+    for key in ("tweet_daily", "news_daily"):
+        rows = [[d.date.isoformat(), d.mean_label, d.mean_conf, d.mean_ws, d.count]
+                for d in getattr(dataset, key)]
+        assert rows == frozen[key], key
 
 
 def test_run_feature_set_shapes(config, dataset, trained):

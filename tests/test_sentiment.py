@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast.errors import UnknownPostId
+from stockcast.errors import UnknownPostId, UnparsableLine
 from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
     DailySentiment,
@@ -167,6 +167,33 @@ class TestLexiconProvider:
         assert provider.score("loss crash selloff").label == -1
 
 
+def reference_lexicon_score(lexicon, text):
+    """The two-generator count the one-pass scorer replaced."""
+    tokens = text.split()
+    if not tokens:
+        return SentimentScore(0, 0.0)
+    pos = sum(1 for t in tokens if lexicon.get(t) == 1)
+    neg = sum(1 for t in tokens if lexicon.get(t) == -1)
+    diff = pos - neg
+    label = (diff > 0) - (diff < 0)
+    conf = min(abs(diff) / max(len(tokens), 1), 1.0)
+    return SentimentScore(label, conf)
+
+
+# A hand-built lexicon is not checked the way a loaded one is: only values
+# equal to +1 or -1 may count.
+ODD_LEXICON = {"good": 1, "bad": -1, "great": 2, "awful": -2, "meh": 0,
+               "fine": 1.0, "poor": -1.0, "half": 0.5, "yes": True, "none": None}
+
+
+@settings(max_examples=200)
+@given(st.lists(st.sampled_from([*ODD_LEXICON, "other", "x"]), max_size=12),
+       st.sampled_from([" ", "  ", "\t", "\xa0"]))
+def test_lexicon_score_matches_two_pass_count(words, sep):
+    text = sep.join(words)
+    assert LexiconProvider(ODD_LEXICON).score(text) == reference_lexicon_score(ODD_LEXICON, text)
+
+
 class TestReplayProvider:
     def test_lookup(self):
         table = {"a": SentimentScore(-1, 0.9)}
@@ -191,6 +218,13 @@ class TestReplayProvider:
         assert provider.score("ignored text", post_id="b") == SentimentScore(0, 0.5)
         with pytest.raises(UnknownPostId):
             provider.score("x", post_id="zzz")
+
+    def test_bad_line_names_file_and_line(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": "a", "label": 1, "confidence": 0.7}\n{"id": "b"}\n')
+        with pytest.raises(UnparsableLine) as exc:
+            load_replay_scores(path)
+        assert str(exc.value).startswith(f"{path}:2: unparsable line 2: ")
 
 
 class TestAggregateDaily:
