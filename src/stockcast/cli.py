@@ -12,12 +12,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import apply_overrides, parse_config
-from .errors import (
-    MisalignedSeries,
-    NonFiniteActivation,
-    StockcastError,
-    TrainingDiverged,
-)
+from .errors import RunFailed, StockcastError
 from .features import FEATURE_SETS, write_matrix_csv
 
 EXIT_OK = 0
@@ -132,7 +127,7 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (TrainingDiverged, NonFiniteActivation, MisalignedSeries) as exc:
+    except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     except StockcastError as exc:
@@ -140,6 +135,9 @@ def main(argv=None):
         return EXIT_INPUT
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

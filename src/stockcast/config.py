@@ -16,7 +16,7 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .errors import ConfigError
+from .errors import StockcastError, open_text
 from .features import FEATURE_SETS
 
 PROVIDERS = ("lexicon", "replay")
@@ -62,34 +62,34 @@ class ExperimentConfig:
 
     def __post_init__(self):
         if self.provider not in PROVIDERS:
-            raise ConfigError(f"provider must be one of {PROVIDERS}, got {self.provider!r}")
+            raise StockcastError(f"provider must be one of {PROVIDERS}, got {self.provider!r}")
         if self.provider == "replay" and not self.replay_scores:
-            raise ConfigError("provider=replay needs a replay_scores path")
+            raise StockcastError("provider=replay needs a replay_scores path")
         if self.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
+            raise StockcastError("replicates must be >= 1")
         if self.base_seed < 0:
-            raise ConfigError("base_seed must be non-negative")
+            raise StockcastError("base_seed must be non-negative")
         if self.min_likes is not None and self.min_likes < 0:
-            raise ConfigError(f"min_likes must be >= 0 or none, got {self.min_likes}")
+            raise StockcastError(f"min_likes must be >= 0 or none, got {self.min_likes}")
         for key in _FLOAT_KEYS:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
-                raise ConfigError(f"{key} must be finite, got {value}")
+                raise StockcastError(f"{key} must be finite, got {value}")
         for key in ("hidden_units", "batch_size", "epochs", "lookback",
                     "rsi_period", "sma_period"):
             if getattr(self, key) < 1:
-                raise ConfigError(f"{key} must be >= 1, got {getattr(self, key)}")
+                raise StockcastError(f"{key} must be >= 1, got {getattr(self, key)}")
         for key in ("learning_rate", "initial_capital"):
             if not getattr(self, key) > 0:
-                raise ConfigError(f"{key} must be positive, got {getattr(self, key)}")
+                raise StockcastError(f"{key} must be positive, got {getattr(self, key)}")
         for key in ("alpha", "beta", "gamma", "delta", "profit_threshold", "dip_threshold"):
             if key == "dip_threshold" and self.dip_threshold is None:
                 continue  # dip rule off
             if not getattr(self, key) >= 0:
-                raise ConfigError(f"{key} must be >= 0, got {getattr(self, key)}")
+                raise StockcastError(f"{key} must be >= 0, got {getattr(self, key)}")
         unknown = [fs for fs in self.feature_sets if fs not in FEATURE_SETS]
         if unknown:
-            raise ConfigError(
+            raise StockcastError(
                 f"unknown feature sets {unknown}; valid: {', '.join(FEATURE_SETS)}"
             )
 
@@ -147,6 +147,8 @@ _FLOAT_KEYS = ("alpha", "beta", "gamma", "delta", "learning_rate",
 
 def _parse_value(key, raw, base_dir):
     if key in _PATH_KEYS:
+        if not raw:
+            raise ValueError("empty path")
         p = Path(raw)
         if not p.is_absolute():
             p = (base_dir / p).resolve()
@@ -157,7 +159,7 @@ def _parse_value(key, raw, base_dir):
         try:
             return _BOOL_VALUES[raw.lower()]
         except KeyError:
-            raise ConfigError(f"{key} must be true/false, got {raw!r}")
+            raise StockcastError(f"{key} must be true/false, got {raw!r}")
     if key in ("rsi_period", "sma_period", "lookback", "hidden_units",
                "batch_size", "epochs", "replicates", "base_seed"):
         return int(raw)
@@ -174,54 +176,44 @@ def _parse_value(key, raw, base_dir):
     return raw
 
 
-def parse_config(path, overrides=None):
-    """Parse a config file, apply CLI overrides, return ExperimentConfig.
+def parse_config(path):
+    """Parse a config file into an ExperimentConfig.
 
     Raises:
-        ConfigError: unreadable file, unknown or repeated key, or bad value.
+        StockcastError: unreadable file, unknown or repeated key, or bad value.
     """
     path = Path(path)
     if not path.is_file():
-        raise ConfigError(f"config file not found: {path}")
+        raise StockcastError(f"config file not found: {path}")
     base_dir = path.parent.resolve()
     known = {f.name for f in fields(ExperimentConfig)}
     values = {}
     seen = {}
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    with open_text(path) as fh:
+        text = fh.read()
+    for lineno, line in enumerate(text.splitlines(), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise StockcastError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
+            raise StockcastError(f"{path}:{lineno}: unknown key {key!r}")
         if key in seen:
-            raise ConfigError(f"{path}:{lineno}: key {key!r} given twice, "
-                              f"first on line {seen[key]}")
+            raise StockcastError(f"{path}:{lineno}: key {key!r} given twice, "
+                                 f"first on line {seen[key]}")
         seen[key] = lineno
         try:
             values[key] = _parse_value(key, raw, base_dir)
         except (ValueError, TypeError) as exc:
-            raise ConfigError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
-    try:
-        config = ExperimentConfig(**values)
-    except TypeError as exc:
-        raise ConfigError(str(exc)) from exc
-    if overrides:
-        config = apply_overrides(config, overrides)
-    return config
+            raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    return ExperimentConfig(**values)
 
 
 def apply_overrides(config, overrides):
     """Apply CLI-style overrides (already typed) onto a parsed config."""
-    clean = {key: value for key, value in overrides.items() if value is not None}
-    if not clean:
-        return config
-    try:
-        return replace(config, **clean)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(str(exc)) from exc
+    return replace(config, **overrides) if overrides else config
 
 
 __all__ = [

@@ -1,144 +1,45 @@
-"""Exception types shared across the pipeline.
+"""The two errors the program raises on purpose, one per non-zero exit code.
 
-Every error raised on bad input or a broken contract is a subclass of
-StockcastError, so callers (and the CLI) can distinguish validation
-failures from genuine bugs.
+- ``StockcastError``: exit 2. An input file, config value or flag is
+  invalid, or a caller broke a function's contract.
+- ``RunFailed``: exit 3. The inputs were valid but the run could not
+  finish: training diverged, or predictions and bars fell out of step.
+
+The CLI's only decision about an error is which of the two exit codes it
+gets, so these are the only classes. What went wrong, and where, is in the
+message, written at the raise site; a load error starts ``<path>:<line>: ``.
+Both classes take only the message, so the default ``Exception`` pickling
+carries them out of a training worker process unchanged.
 """
 
-import copyreg
+from contextlib import contextmanager
+from pathlib import Path
 
 
 class StockcastError(Exception):
-    """Base class for all pipeline errors.
+    """Invalid input or a broken contract: exit 2."""
 
-    Errors cross process boundaries (a training worker raises, the CLI
-    reports), so they pickle as message plus attributes: unpickling must
-    not call a subclass ``__init__`` again, whose parameters are not the
-    formatted message held in ``args``.
+
+class RunFailed(StockcastError):
+    """Valid input, but the run could not finish: exit 3."""
+
+
+@contextmanager
+def open_text(path, newline=None):
+    """``path`` opened for reading as UTF-8 text.
+
+    A byte sequence that is not UTF-8 raises a StockcastError at
+    ``<path>:<line>: ``. Text is decoded in chunks, so the line is found by
+    decoding the whole file once more, on that error only.
     """
-
-    def __reduce__(self):
-        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
-
-
-# --- ingest ---------------------------------------------------------------
-
-def _located(path, line, message):
-    """Prefix ``<path>:<line>: `` when the error came from a known file."""
-    return message if path is None else f"{path}:{line}: {message}"
-
-
-class MissingColumn(StockcastError):
-    def __init__(self, column, path=None):
-        self.column = column
-        self.path = path
-        super().__init__(f"missing required column {column!r}"
-                         + (f" in {path}" if path else ""))
-
-
-class UnparsableRow(StockcastError):
-    def __init__(self, line, reason="", path=None):
-        self.line = line
-        self.path = path
-        super().__init__(_located(path, line, f"unparsable row at line {line}: {reason}"))
-
-
-class DuplicateDate(StockcastError):
-    def __init__(self, date):
-        self.date = date
-        super().__init__(f"duplicate date {date}")
-
-
-class NonMonotonicDate(StockcastError):
-    def __init__(self, date):
-        self.date = date
-        super().__init__(f"dates not strictly increasing at {date}")
-
-
-class UnparsableLine(StockcastError):
-    def __init__(self, line, reason="", path=None):
-        self.line = line
-        self.path = path
-        super().__init__(_located(path, line, f"unparsable line {line}: {reason}"))
-
-
-class MissingField(StockcastError):
-    def __init__(self, name, line, path=None):
-        self.name = name
-        self.line = line
-        self.path = path
-        super().__init__(_located(path, line, f"missing field {name!r} at line {line}"))
-
-
-# --- sentiment ------------------------------------------------------------
-
-class UnknownPostId(StockcastError):
-    def __init__(self, post_id):
-        self.post_id = post_id
-        super().__init__(f"no replay score for post id {post_id!r}")
-
-
-# --- features -------------------------------------------------------------
-
-class SeriesTooShort(StockcastError):
-    pass
-
-
-class EmptyColumn(StockcastError):
-    def __init__(self, column):
-        self.column = column
-        super().__init__(f"cannot fit normalization on empty column {column!r}")
-
-
-class MisalignedInputs(StockcastError):
-    def __init__(self, date):
-        self.date = date
-        super().__init__(f"inputs not aligned to the trading calendar at {date}")
-
-
-class InsufficientHistory(StockcastError):
-    pass
-
-
-# --- forecaster -----------------------------------------------------------
-
-class NonFiniteActivation(StockcastError):
-    pass
-
-
-class LengthMismatch(StockcastError):
-    pass
-
-
-class TrainingDiverged(StockcastError):
-    def __init__(self, epoch):
-        self.epoch = epoch
-        super().__init__(f"training diverged at epoch {epoch}")
-
-
-# --- evaluation -----------------------------------------------------------
-
-class ConstantTarget(StockcastError):
-    pass
-
-
-class MixedFeatureSets(StockcastError):
-    pass
-
-
-# --- market_sim -----------------------------------------------------------
-
-class NonPositiveOpen(StockcastError):
-    pass
-
-
-class MisalignedSeries(StockcastError):
-    def __init__(self, date):
-        self.date = date
-        super().__init__(f"prediction and bar series misaligned at {date}")
-
-
-# --- cli ------------------------------------------------------------------
-
-class ConfigError(StockcastError):
-    pass
+    with open(path, encoding="utf-8", newline=newline) as fh:
+        try:
+            yield fh
+        except UnicodeDecodeError:
+            data = Path(path).read_bytes()
+            try:
+                data.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = data.count(b"\n", 0, exc.start) + 1
+                raise StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+            raise

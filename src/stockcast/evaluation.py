@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantTarget, LengthMismatch, MixedFeatureSets
+from .errors import StockcastError
 
 
 @dataclass(frozen=True)
@@ -33,9 +33,9 @@ def _pair(y_true, y_pred, min_len):
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
-        raise LengthMismatch(f"{y_true.shape} vs {y_pred.shape}")
+        raise StockcastError(f"{y_true.shape} vs {y_pred.shape}")
     if y_true.size < min_len:
-        raise LengthMismatch(f"need at least {min_len} points, got {y_true.size}")
+        raise StockcastError(f"need at least {min_len} points, got {y_true.size}")
     return y_true, y_pred
 
 
@@ -45,7 +45,7 @@ def r_squared(y_true, y_pred):
     y_true, y_pred = _pair(y_true, y_pred, 2)
     ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
     if ss_tot == 0:
-        raise ConstantTarget("target series is constant")
+        raise StockcastError("target series is constant")
     ss_res = float(np.sum((y_true - y_pred) ** 2))
     return 1.0 - ss_res / ss_tot
 
@@ -60,7 +60,7 @@ def replicate_average(runs):
     """Average RunMetrics over replicates of one (feature set, scale).
 
     Raises:
-        MixedFeatureSets: runs disagree on feature_set or scale.
+        StockcastError: runs disagree on feature_set or scale.
     """
     if not runs:
         raise ValueError("need at least one run")
@@ -68,7 +68,7 @@ def replicate_average(runs):
     scale = runs[0].scale
     for run in runs:
         if run.feature_set != feature_set or run.scale != scale:
-            raise MixedFeatureSets(
+            raise StockcastError(
                 f"cannot average {run.feature_set}/{run.scale} "
                 f"with {feature_set}/{scale}"
             )

@@ -19,12 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    EmptyColumn,
-    InsufficientHistory,
-    MisalignedInputs,
-    SeriesTooShort,
-)
+from .errors import StockcastError
 
 PRICE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
 TWEET_COLUMNS = ["tweet_mean_label", "tweet_mean_conf", "tweet_count"]
@@ -80,7 +75,7 @@ def sma(closes, period):
         raise ValueError("period must be >= 1")
     n = len(closes)
     if n < period:
-        raise SeriesTooShort(f"need at least {period} closes, got {n}")
+        raise StockcastError(f"need at least {period} closes, got {n}")
     out = [0.0] * n
     for t in range(period - 1, n):
         out[t] = sum(closes[t - period + 1:t + 1]) / period
@@ -101,7 +96,7 @@ def rsi(closes, period):
         raise ValueError("period must be >= 1")
     n = len(closes)
     if n < period + 1:
-        raise SeriesTooShort(f"need at least {period + 1} closes, got {n}")
+        raise StockcastError(f"need at least {period + 1} closes, got {n}")
     gains = [0.0] * n
     losses = [0.0] * n
     for t in range(1, n):
@@ -148,7 +143,8 @@ def minmax_fit(values, columns):
     """Fit per-column (min, max) on a (rows, cols) array."""
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
-        raise EmptyColumn(columns[0] if columns else "<none>")
+        raise StockcastError("cannot fit normalization on empty column "
+                             f"{columns[0] if columns else '<none>'!r}")
     return NormalizationState(
         columns=tuple(columns),
         mins=values.min(axis=0),
@@ -185,7 +181,7 @@ def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=No
     span so no test information leaks into the scaler.
 
     Raises:
-        MisalignedInputs: a sentiment row or indicator series does not
+        StockcastError: a sentiment row or indicator series does not
             line up with the bar dates.
     """
     columns = feature_set_columns(feature_set)
@@ -222,7 +218,8 @@ def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=No
                 raise ValueError(f"{feature_set} needs indicators")
             for key in INDICATOR_COLUMNS:
                 if len(indicators[key]) != n:
-                    raise MisalignedInputs(dates[min(len(indicators[key]), n - 1)])
+                    raise StockcastError("inputs not aligned to the trading calendar at "
+                                         f"{dates[min(len(indicators[key]), n - 1)]}")
             parts.append(np.column_stack([
                 np.asarray(indicators[key], dtype=np.float64) for key in INDICATOR_COLUMNS
             ]))
@@ -239,10 +236,11 @@ def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=No
 def _check_aligned(bar_dates, other_dates):
     if len(bar_dates) != len(other_dates):
         shorter = min(len(bar_dates), len(other_dates))
-        raise MisalignedInputs(bar_dates[min(shorter, len(bar_dates) - 1)])
+        raise StockcastError("inputs not aligned to the trading calendar at "
+                             f"{bar_dates[min(shorter, len(bar_dates) - 1)]}")
     for bd, od in zip(bar_dates, other_dates):
         if bd != od:
-            raise MisalignedInputs(bd)
+            raise StockcastError(f"inputs not aligned to the trading calendar at {bd}")
 
 
 def write_matrix_csv(path, matrix, header_comment=None):
@@ -287,7 +285,7 @@ def make_windows(matrix, lookback, split_date):
     leaks nothing (those rows predate the targets).
 
     Raises:
-        InsufficientHistory: lookback >= number of training rows.
+        StockcastError: lookback >= number of training rows.
     """
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
@@ -295,9 +293,7 @@ def make_windows(matrix, lookback, split_date):
     n = len(dates)
     n_train_rows = sum(1 for d in dates if d <= split_date)
     if lookback >= n_train_rows:
-        raise InsufficientHistory(
-            f"lookback {lookback} >= training rows {n_train_rows}"
-        )
+        raise StockcastError(f"lookback {lookback} >= training rows {n_train_rows}")
     norm = minmax_fit(matrix.values[:n_train_rows], matrix.columns)
     scaled = minmax_transform(norm, matrix.values)
     close_idx = matrix.columns.index("close")

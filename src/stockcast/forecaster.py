@@ -40,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteActivation, TrainingDiverged
+from .errors import RunFailed
 
 #: Gradient / Adam traversal order, and the layout of LstmWeights.theta.
 PARAM_ORDER = (
@@ -222,7 +222,7 @@ def forward(weights, X, workspace=None):
     one when None) and stay valid until that workspace's next forward.
 
     Raises:
-        NonFiniteActivation: a prediction came out inf/nan.
+        RunFailed: a prediction came out inf/nan.
     """
     X = np.asarray(X, dtype=np.float64)
     B, T, F = X.shape
@@ -262,7 +262,7 @@ def forward(weights, X, workspace=None):
     z = h[T] @ weights["w_out"] + weights["b_out"]
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
-        raise NonFiniteActivation("non-finite prediction; training diverged?")
+        raise RunFailed("non-finite prediction; training diverged?")
     cache["z"] = z
     return pred, cache
 
@@ -379,7 +379,8 @@ def train(dataset, config):
     accumulated over the batches as they were seen.
 
     Raises:
-        TrainingDiverged: activations or a batch's loss went non-finite.
+        RunFailed: ``training diverged at epoch N`` when activations or a
+            batch's loss went non-finite.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
@@ -403,16 +404,16 @@ def train(dataset, config):
                     batch_sq = float(np.sum((pred - y[idx]) ** 2))
                 if not math.isfinite(batch_sq):
                     # stop here: backward, clip and Adam would spread the overflow
-                    raise TrainingDiverged(epoch)
+                    raise RunFailed("non-finite batch loss")
                 sq_sum += batch_sq
                 grads = backward(weights, cache, y[idx], workspace)
                 clip_gradients(grads, GRAD_CLIP)
                 adam_step(weights, grads, state, config.learning_rate)
-        except NonFiniteActivation as exc:
-            raise TrainingDiverged(epoch) from exc
-        epoch_loss = sq_sum / n
-        if not np.isfinite(epoch_loss):
-            raise TrainingDiverged(epoch)
+            epoch_loss = sq_sum / n
+            if not np.isfinite(epoch_loss):
+                raise RunFailed("non-finite epoch loss")
+        except RunFailed as exc:
+            raise RunFailed(f"training diverged at epoch {epoch}") from exc
         loss_history.append(epoch_loss)
     return weights, loss_history
 

@@ -12,20 +12,13 @@ from __future__ import annotations
 import bisect
 import csv
 import json
+import math
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import (
-    DuplicateDate,
-    MissingColumn,
-    MissingField,
-    NonMonotonicDate,
-    StockcastError,
-    UnparsableLine,
-    UnparsableRow,
-)
+from .errors import StockcastError, open_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -49,6 +42,9 @@ class PriceBar:
     volume: float
 
     def validate(self):
+        if not all(map(math.isfinite, (self.open, self.high, self.low, self.close,
+                                       self.adj_close, self.volume))):
+            raise ValueError(f"non-finite price or volume on {self.date}")
         if not (self.low <= self.open <= self.high):
             raise ValueError(f"open {self.open} outside [low, high] on {self.date}")
         if not (self.low <= self.close <= self.high):
@@ -84,7 +80,7 @@ class TradingCalendar:
         dates = list(dates)
         for prev, cur in zip(dates, dates[1:]):
             if cur <= prev:
-                raise NonMonotonicDate(cur)
+                raise StockcastError(f"dates not strictly increasing at {cur}")
         self.dates = dates
 
     def __len__(self):
@@ -109,33 +105,31 @@ def load_price_csv(path):
     """Load and validate a Yahoo-style daily price CSV.
 
     Rows must be strictly increasing by date, with per-bar OHLC sanity
-    enforced (low <= open/close <= high, positive prices, volume >= 0).
+    enforced (finite values, low <= open/close <= high, positive prices,
+    volume >= 0).
 
     Raises:
-        MissingColumn: header does not match the documented schema.
-        UnparsableRow: a row fails to parse or violates bar invariants.
-        DuplicateDate / NonMonotonicDate: date ordering problems.
-        StockcastError: the file has no rows after its header.
+        StockcastError: a header column is missing, the file has no rows
+            after its header, or a row fails to parse, breaks a bar
+            invariant or repeats or goes back in date. Row errors start
+            ``<path>:<line>: ``.
     """
     path = Path(path)
     bars = []
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise MissingColumn(PRICE_HEADER[0], path)
+        header = next(reader, [])
         for col in PRICE_HEADER:
             if col not in header:
-                raise MissingColumn(col, path)
+                raise StockcastError(f"missing required column {col!r} in {path}")
         idx = {col: header.index(col) for col in PRICE_HEADER}
         last_date = None
         for lineno, row in enumerate(reader, start=2):
             if not row or all(not cell.strip() for cell in row):
                 continue
             if len(row) != len(header):
-                raise UnparsableRow(
-                    lineno, f"{len(row)} fields where the header has {len(header)}", path)
+                raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
+                                     f"{len(row)} fields where the header has {len(header)}")
             try:
                 d = date.fromisoformat(row[idx["Date"]].strip())
                 bar = PriceBar(
@@ -149,12 +143,14 @@ def load_price_csv(path):
                 )
                 bar.validate()
             except (ValueError, IndexError) as exc:
-                raise UnparsableRow(lineno, str(exc), path) from exc
+                raise StockcastError(
+                    f"{path}:{lineno}: unparsable row at line {lineno}: {exc}") from exc
             if last_date is not None:
                 if bar.date == last_date:
-                    raise DuplicateDate(bar.date)
+                    raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
                 if bar.date < last_date:
-                    raise NonMonotonicDate(bar.date)
+                    raise StockcastError(
+                        f"{path}:{lineno}: dates not strictly increasing at {bar.date}")
             last_date = bar.date
             bars.append(bar)
     if not bars:
@@ -190,11 +186,9 @@ def load_posts_jsonl(path, kind, min_likes=None):
             minimum-likes rule (posts with likes >= min_likes are kept).
 
     Raises:
-        UnparsableLine: a line is not a JSON object, or a field has the
-            wrong type or value.
-        MissingField: a required field is absent.
-
-    Both errors name the file and line as ``<path>:<line>: ``.
+        StockcastError: a line is not a JSON object, or a field is absent
+            or has the wrong type or value. The message starts
+            ``<path>:<line>: ``.
     """
     if kind not in POST_KINDS:
         raise ValueError(f"kind must be one of {POST_KINDS}, got {kind!r}")
@@ -202,7 +196,7 @@ def load_posts_jsonl(path, kind, min_likes=None):
     news = kind == "news"
     posts = []
     seen_ids = set()
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -210,31 +204,34 @@ def load_posts_jsonl(path, kind, min_likes=None):
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise UnparsableLine(lineno, str(exc), path) from exc
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
             if not isinstance(record, dict):
-                raise UnparsableLine(lineno, "expected a JSON object", path)
+                raise StockcastError(
+                    f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
             for field in ("id", "ts", "text"):
                 if field not in record:
-                    raise MissingField(field, lineno, path)
+                    raise StockcastError(
+                        f"{path}:{lineno}: missing field {field!r} at line {lineno}")
             post_id = record["id"]
             if type(post_id) is not str:
                 if type(post_id) is not int:
-                    raise UnparsableLine(
-                        lineno, f"field 'id' must be a string or an integer, "
-                        f"got {json.dumps(post_id)}", path)
+                    raise StockcastError(
+                        f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
+                        f"a string or an integer, got {json.dumps(post_id)}")
                 post_id = str(post_id)
             text = record["text"]
             if type(text) is not str:
-                raise UnparsableLine(
-                    lineno, f"field 'text' must be a string, got {json.dumps(text)}", path)
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                     f"field 'text' must be a string, got {json.dumps(text)}")
             ts = record["ts"]
             if type(ts) is not str:
-                raise UnparsableLine(
-                    lineno, f"field 'ts' must be a string, got {json.dumps(ts)}", path)
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                     f"field 'ts' must be a string, got {json.dumps(ts)}")
             try:
                 ts = _parse_timestamp(ts)
             except ValueError as exc:
-                raise UnparsableLine(lineno, f"bad timestamp: {exc}", path) from exc
+                raise StockcastError(
+                    f"{path}:{lineno}: unparsable line {lineno}: bad timestamp: {exc}") from exc
             if news:
                 counts = _NO_COUNTS
             else:
@@ -243,11 +240,12 @@ def load_posts_jsonl(path, kind, min_likes=None):
                     value = record.get(name, 0)
                     # type(), not isinstance(): a JSON true is a bool, an int subclass
                     if type(value) is not int:
-                        raise UnparsableLine(
-                            lineno, f"bad count {name!r}: expected an integer, "
-                            f"got {json.dumps(value)}", path)
+                        raise StockcastError(
+                            f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
+                            f"expected an integer, got {json.dumps(value)}")
                     if value < 0:
-                        raise UnparsableLine(lineno, f"negative count {name!r}", path)
+                        raise StockcastError(
+                            f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")
                     counts.append(value)
             if post_id in seen_ids:
                 continue

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import MisalignedSeries, NonPositiveOpen
+from .errors import RunFailed, StockcastError
 
 LONG_OPEN_CLOSE = "long_open_close"
 SHORT_OPEN_CLOSE = "short_open_close"
@@ -83,7 +83,7 @@ class SimulationResult:
 def return_signal(pred_close, true_open):
     """(predicted close - true open) / true open."""
     if true_open <= 0:
-        raise NonPositiveOpen(f"open price must be positive, got {true_open}")
+        raise StockcastError(f"open price must be positive, got {true_open}")
     return (pred_close - true_open) / true_open
 
 
@@ -140,19 +140,18 @@ def run_simulation(predictions, bars, cfg=None):
         days appear as action "none").
 
     Raises:
-        MisalignedSeries: date mismatch between predictions and bars.
+        RunFailed: date mismatch between predictions and bars.
     """
     cfg = cfg or SimConfig()
     predictions = list(predictions)
     bars = list(bars)
     if len(predictions) != len(bars):
-        raise MisalignedSeries(
-            predictions[len(bars)][0] if len(predictions) > len(bars)
-            else bars[len(predictions)].date
-        )
+        unmatched = (predictions[len(bars)][0] if len(predictions) > len(bars)
+                     else bars[len(predictions)].date)
+        raise RunFailed(f"prediction and bar series misaligned at {unmatched}")
     for (pd, _), bar in zip(predictions, bars):
         if pd != bar.date:
-            raise MisalignedSeries(pd)
+            raise RunFailed(f"prediction and bar series misaligned at {pd}")
 
     capital = cfg.initial_capital
     position = None

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, forecaster, market_sim, sentiment, textprep
-from .errors import ConfigError, StockcastError
+from .errors import StockcastError, open_text
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
 from .ingest import assign_posts, calendar_from_bars, load_posts_jsonl, load_price_csv
 
@@ -41,7 +41,7 @@ def make_provider(config):
         return sentiment.LexiconProvider(lexicon)
     if config.provider == "replay":
         return sentiment.ReplayProvider.from_jsonl(config.replay_scores)
-    raise ConfigError(f"unknown provider {config.provider!r}")
+    raise StockcastError(f"unknown provider {config.provider!r}")
 
 
 def load_dataset(config):
@@ -312,7 +312,7 @@ def load_predictions_csv(path, config, dates):
             f"{path} not found: run train-eval with the same config and flags "
             f"into the same --out-dir first"
         )
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open_text(path, newline="") as fh:
         first = fh.readline().rstrip("\r\n")
         if first != f"# config_hash={config.config_hash}":
             raise StockcastError(
@@ -393,7 +393,7 @@ def _check_scorable(config, y_test):
     """Refuse test targets r_squared cannot score: fewer than 2, or constant."""
     n = y_test.size
     if n < 2 or np.all(y_test == y_test[0]):
-        raise ConfigError(
+        raise StockcastError(
             f"split_date {config.split_date} leaves {n} test windows"
             f"{', all with the same close' if n >= 2 else ''}: R2 needs at least 2 "
             f"whose closes differ"

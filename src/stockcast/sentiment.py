@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
 
-from .errors import UnknownPostId, UnparsableLine
+from .errors import StockcastError, open_text
 
 #: Default engagement weights: 0.3 for each interaction metric, 0.1 for
 #: follower influence.
@@ -162,17 +162,16 @@ class ReplayProvider:
 
     def score(self, text, post_id=None):
         if post_id is None or post_id not in self.table:
-            raise UnknownPostId(post_id)
+            raise StockcastError(f"no replay score for post id {post_id!r}")
         return self.table[post_id]
 
 
 def load_lexicon(path=None):
     """Load a word -> {-1, +1} map from a TSV of `word<TAB>{+1|-1}` lines."""
     if path is None:
-        text = resources.files("stockcast.resources").joinpath("lexicon.tsv").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = resources.files("stockcast.resources").joinpath("lexicon.tsv")
+    with open_text(path) as fh:
+        text = fh.read()
     lexicon = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.strip()
@@ -182,28 +181,44 @@ def load_lexicon(path=None):
             word, value = line.split("\t")
             lexicon[word.strip().lower()] = int(value)
         except ValueError as exc:
-            raise UnparsableLine(lineno, f"bad lexicon entry: {line!r}", path) from exc
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: bad lexicon entry: {line!r}") from exc
         if lexicon[word.strip().lower()] not in (-1, 1):
-            raise UnparsableLine(lineno, f"lexicon polarity must be +1 or -1: {line!r}",
-                                 path)
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                 f"lexicon polarity must be +1 or -1: {line!r}")
     return lexicon
 
 
 def load_replay_scores(path):
-    """Load an id -> SentimentScore table from `{id, label, confidence}` JSONL."""
+    """Load an id -> SentimentScore table from `{id, label, confidence}` JSONL.
+
+    The post loader's typing applies: ``id`` is a string or an integer,
+    ``label`` a JSON integer in {-1, 0, 1} and ``confidence`` a JSON number
+    in [0, 1], none of them a boolean. Any other line raises a
+    StockcastError at ``<path>:<line>: ``.
+    """
     table = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
                 record = json.loads(line)
-                table[str(record["id"])] = SentimentScore(
-                    int(record["label"]), float(record["confidence"])
-                )
+                post_id, label, conf = record["id"], record["label"], record["confidence"]
+                # type(), not isinstance(): a JSON true is a bool, an int subclass
+                if type(post_id) not in (str, int):
+                    raise ValueError(f"field 'id' must be a string or an integer, "
+                                     f"got {json.dumps(post_id)}")
+                if type(label) is not int:
+                    raise ValueError(f"field 'label' must be an integer, got {json.dumps(label)}")
+                if type(conf) not in (int, float):
+                    raise ValueError(f"field 'confidence' must be a number, "
+                                     f"got {json.dumps(conf)}")
+                table[str(post_id)] = SentimentScore(label, float(conf))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-                raise UnparsableLine(lineno, str(exc), path) from exc
+                raise StockcastError(
+                    f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
     return table
 
 

@@ -42,6 +42,8 @@ from __future__ import annotations
 import re
 from importlib import resources
 
+from .errors import open_text
+
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
 _HASHTAG_RE = re.compile(r"#\S+")
 _MENTION_RE = re.compile(r"@\S+")
@@ -86,10 +88,9 @@ def load_stopwords(path=None):
     Without a path, the bundled English list is used.
     """
     if path is None:
-        text = resources.files("stockcast.resources").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        path = resources.files("stockcast.resources").joinpath("stopwords.txt")
+    with open_text(path) as fh:
+        text = fh.read()
     words = set()
     for line in text.splitlines():
         word = line.split("#", 1)[0].strip().lower()

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -9,10 +10,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from stockcast import cli, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
-from stockcast.errors import ConfigError, NonFiniteActivation, TrainingDiverged
+from stockcast.errors import RunFailed, StockcastError
 from stockcast.forecaster import LstmConfig
 
 from conftest import REPO
@@ -109,15 +111,15 @@ class TestConfig:
     def test_unknown_key_rejected(self, tmp_path):
         path = tmp_path / "bad.conf"
         path.write_text("nonsense = 1\n")
-        with pytest.raises(ConfigError):
+        with pytest.raises(StockcastError,
+                           match=f"^{re.escape(str(path))}:1: unknown key 'nonsense'$"):
             parse_config(path)
 
     def test_unknown_feature_set_rejected(self, tmp_path):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, feature_sets="Prices,NotASet")
-        with pytest.raises(ConfigError) as exc:
+        with pytest.raises(StockcastError, match=r"^unknown feature sets \['NotASet'\]; valid: "):
             parse_config(path)
-        assert "NotASet" in str(exc.value)
 
     def test_hash_ignores_out_dir_only(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -130,8 +132,16 @@ class TestConfig:
     def test_dip_threshold_none_or_bogus(self, tmp_path):
         write_tiny_dataset(tmp_path)
         assert parse_config(write_config(tmp_path, dip_threshold="none")).dip_threshold is None
-        with pytest.raises(ConfigError, match="dip_threshold"):
+        with pytest.raises(StockcastError, match="bad value for 'dip_threshold'"):
             parse_config(write_config(tmp_path, dip_threshold="bogus"))
+
+    def test_empty_path_rejected(self, tmp_path):
+        # an empty path would resolve to the config's own directory
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, prices="")
+        with pytest.raises(StockcastError,
+                           match=f"^{re.escape(str(path))}:2: bad value for 'prices': empty path$"):
+            parse_config(path)
 
     def test_hash_covers_input_contents(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -264,6 +274,59 @@ def test_price_row_width_exit_2(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("column, value", [
+    (1, "inf"), (2, "inf"), (3, "-inf"), (4, "nan"), (5, "1e999"), (6, "inf"), (6, "nan"),
+], ids=["open-inf", "high-inf", "low-neg-inf", "close-nan", "adj-close-overflow",
+        "volume-inf", "volume-nan"])
+def test_non_finite_price_exit_2(tmp_path, capsys, column, value):
+    days = write_tiny_dataset(tmp_path)
+    prices = tmp_path / "prices.csv"
+    lines = prices.read_text().splitlines()
+    fields = lines[3].split(",")
+    fields[column] = value
+    lines[3] = ",".join(fields)
+    prices.write_text("\n".join(lines) + "\n")
+    code = cli.main(["ingest", "--config", str(write_config(tmp_path))])
+    assert code == 2
+    assert capsys.readouterr().err == (f"error: {prices}:4: unparsable row at line 4: "
+                                       f"non-finite price or volume on {days[2]}\n")
+
+
+#: Input files the program reads, as the config key that names each; a
+#: file name for those the tiny config leaves unset.
+INPUT_FILES = {"config": None, "prices": None, "tweets": None, "news": None,
+               "lexicon": "lexicon.tsv", "replay_scores": "scores.jsonl",
+               "stopwords": "stopwords.txt"}
+
+
+@pytest.mark.parametrize("case", ["missing", "directory", "not-utf8"])
+@pytest.mark.parametrize("key", list(INPUT_FILES))
+def test_unreadable_input_exit_2(tmp_path, capsys, key, case):
+    write_tiny_dataset(tmp_path)
+    extra = {key: INPUT_FILES[key]} if INPUT_FILES[key] else {}
+    if key == "replay_scores":
+        extra["provider"] = "replay"
+    config = write_config(tmp_path, **extra)
+    path = config if key == "config" else Path(getattr(parse_config(config), key))
+    if path.exists():
+        path.unlink()
+    if case == "directory":
+        path.mkdir()
+    elif case == "not-utf8":
+        path.write_bytes(path.name.encode() + b"\n\xff\n")
+    code = cli.main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    expected = {
+        "missing": f"error: missing file: {path}\n",
+        "directory": f"error: {path}: Is a directory\n",
+        "not-utf8": f"error: {path}:2: not UTF-8 text: invalid start byte\n",
+    }[case]
+    if key == "config" and case != "not-utf8":
+        expected = f"error: config file not found: {path}\n"
+    assert code == 2
+    assert err == expected
+
+
 class TestTrainEvalCommand:
     def test_single_replicate_report(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)
@@ -337,7 +400,7 @@ class TestTrainEvalCommand:
         path = write_config(tmp_path)
 
         def explode(dataset, config):
-            raise TrainingDiverged(0)
+            raise RunFailed("training diverged at epoch 0")
 
         monkeypatch.setattr("stockcast.pipeline.forecaster.train", explode)
         code = cli.main(["train-eval", "--config", str(path)])
@@ -438,7 +501,7 @@ class TestWorkerPool:
         slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, seed=3)
         diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
         force_cores(monkeypatch, 2)
-        with pytest.raises(NonFiniteActivation):
+        with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
             pipeline._fit_all([(split.train, bad_test, slow),
                                (split.train, split.test, diverging)])
 
@@ -555,3 +618,106 @@ def test_tracer_patches_every_name(tmp_path):
              str(tmp_path / "spans" / command), "t", "--", command, "--config", str(path)],
             capture_output=True, text=True, env=subprocess_env(), check=False)
         assert proc.returncode == 0, proc.stderr
+
+
+# --- every malformed input fails cleanly ------------------------------------
+
+NON_FINITE = ["inf", "-inf", "nan", "1e999"]
+JSON_VALUES = [None, True, 1, 1.5, "s", [], {}]
+
+
+def mutate_line(name, line, mutation, draw):
+    """``line`` of the file ``name`` with one field dropped, added or replaced."""
+    if name.endswith(".conf"):
+        key, value = line.split(" = ", 1)
+        if mutation == "drop-field":
+            return f"{key} ="
+        if mutation == "add-field":
+            return f"{line} = 1"
+        return f"{key} = " + draw(st.sampled_from(
+            NON_FINITE if mutation == "non-finite" else ["true", "abc", "[]", '""']))
+    if name.endswith(".csv"):
+        fields = line.split(",")
+        i = draw(st.integers(0, len(fields) - 1))
+        if mutation == "drop-field":
+            del fields[i]
+        elif mutation == "add-field":
+            fields.insert(i, "7")
+        else:
+            fields[i] = draw(st.sampled_from(
+                NON_FINITE if mutation == "non-finite" else ["abc", "true", ""]))
+        return ",".join(fields)
+    record = json.loads(line)
+    key = draw(st.sampled_from(sorted(record)))
+    if mutation == "drop-field":
+        del record[key]
+    elif mutation == "add-field":
+        record["extra"] = 1
+    elif mutation == "non-finite":
+        record[key] = float(draw(st.sampled_from(NON_FINITE)))
+    else:
+        record[key] = draw(st.sampled_from([v for v in JSON_VALUES if v != record[key]]))
+    return json.dumps(record)
+
+
+def mutate(name, data, mutation, draw):
+    """``data``, the bytes of the file ``name``, with one mutation applied."""
+    if mutation == "bom":
+        return b"\xef\xbb\xbf" + data
+    if mutation == "crlf":
+        return data.replace(b"\n", b"\r\n")
+    lines = data.splitlines()
+    if mutation == "truncate":
+        lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1]) - 1))]
+        return b"\n".join(lines)
+    i = draw(st.integers(0, len(lines) - 1))
+    if mutation == "non-utf8":
+        at = draw(st.integers(0, len(lines[i])))
+        lines[i] = lines[i][:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) \
+            + lines[i][at:]
+    else:
+        lines[i] = mutate_line(name, lines[i].decode(), mutation, draw).encode()
+    return b"\n".join(lines) + b"\n"
+
+
+MUTATIONS = ["drop-field", "add-field", "non-finite", "swap-type", "bom", "crlf", "truncate",
+             "non-utf8"]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(name=st.sampled_from(["prices.csv", "tweets.jsonl", "exp.conf"]),
+       mutation=st.sampled_from(MUTATIONS), data=st.data())
+def test_mutated_input_fails_cleanly(tmp_path, capsys, name, mutation, data):
+    """One mutated line or byte in one input: exit 0, 2 or 3, never a traceback.
+
+    An exit 2 prints one ``error:`` line naming the mutated file, or, for a
+    config mutation, its key or the file the key now names.
+    """
+    if not (tmp_path / "exp.conf").exists():
+        write_tiny_dataset(tmp_path, n_bars=20)
+        write_config(tmp_path, out_dir="out")
+    path = tmp_path / name
+    original = path.read_bytes()
+    mutated = mutate(name, original, mutation, data.draw)
+    path.write_bytes(mutated)
+    try:
+        code = cli.main(["ingest", "--config", str(tmp_path / "exp.conf")])
+    finally:
+        path.write_bytes(original)
+    err = capsys.readouterr().err
+    assert code in (0, 2, 3)
+    if code != 2:
+        return
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+    named = [str(path)]
+    if name.endswith(".conf"):
+        for old, line in zip(original.splitlines(), mutated.splitlines()):
+            if old != line:
+                key, _, value = (part.strip() for part in
+                                 line.decode("utf-8", "replace").partition("="))
+                named += [key, key.replace("_", " ")]
+                if value:
+                    named.append(str((tmp_path / value).resolve()))
+    assert any(n and n in err for n in named), err

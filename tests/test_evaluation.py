@@ -3,7 +3,7 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from stockcast.errors import ConstantTarget, LengthMismatch, MixedFeatureSets
+from stockcast.errors import StockcastError
 from stockcast.evaluation import RunMetrics, mae, r_squared, replicate_average
 
 
@@ -18,13 +18,13 @@ class TestRSquared:
         assert r_squared([1, 2, 3], [1, 2, 4]) == pytest.approx(0.5, abs=1e-12)
 
     def test_constant_target(self):
-        with pytest.raises(ConstantTarget):
+        with pytest.raises(StockcastError, match="^target series is constant$"):
             r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(StockcastError, match=r"^\(2,\) vs \(1,\)$"):
             r_squared([1.0, 2.0], [1.0])
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(StockcastError, match="^need at least 2 points, got 1$"):
             r_squared([1.0], [1.0])
 
     @given(st.permutations(list(range(6))))
@@ -74,12 +74,14 @@ class TestReplicateAverage:
 
     def test_mixed_sets_rejected(self):
         runs = self.runs([0.9]) + self.runs([0.8], feature_set="Prices-News")
-        with pytest.raises(MixedFeatureSets):
+        with pytest.raises(StockcastError,
+                           match="^cannot average Prices-News/normalized with Prices/normalized$"):
             replicate_average(runs)
 
     def test_mixed_scales_rejected(self):
         runs = self.runs([0.9]) + self.runs([0.8], scale="denormalized")
-        with pytest.raises(MixedFeatureSets):
+        with pytest.raises(StockcastError,
+                           match="^cannot average Prices/denormalized with Prices/normalized$"):
             replicate_average(runs)
 
     @given(st.permutations(list(range(5))))

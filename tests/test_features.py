@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast.errors import (
-    EmptyColumn,
-    InsufficientHistory,
-    MisalignedInputs,
-    SeriesTooShort,
-)
+from stockcast.errors import StockcastError
 from stockcast.features import (
     FEATURE_SETS,
     FeatureMatrix,
@@ -76,7 +71,7 @@ class TestSma:
         assert sma(series, 1) == series
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(StockcastError, match="^need at least 3 closes, got 2$"):
             sma([1.0, 2.0], 3)
 
     @settings(max_examples=100)
@@ -116,7 +111,7 @@ class TestRsi:
         assert out[:3] == [50.0, 50.0, 50.0]
 
     def test_too_short(self):
-        with pytest.raises(SeriesTooShort):
+        with pytest.raises(StockcastError, match="^need at least 4 closes, got 3$"):
             rsi([1.0, 2.0, 3.0], 3)
 
     @settings(max_examples=100)
@@ -142,7 +137,8 @@ class TestMinmax:
         assert out.ravel().tolist() == [0.0, 0.0]
 
     def test_empty_column(self):
-        with pytest.raises(EmptyColumn):
+        with pytest.raises(StockcastError,
+                           match="^cannot fit normalization on empty column 'x'$"):
             minmax_fit(np.empty((0, 1)), ["x"])
 
     @settings(max_examples=100)
@@ -209,7 +205,8 @@ class TestAssemble:
     def test_misaligned_sentiment_rejected(self):
         dates, bars, _ = build_inputs()
         shifted = daily_rows([d + timedelta(days=1) for d in dates])
-        with pytest.raises(MisalignedInputs):
+        with pytest.raises(StockcastError,
+                           match="^inputs not aligned to the trading calendar at 2023-01-02$"):
             assemble("Prices-Tweets", bars, shifted)
 
     def test_missing_block_input_rejected(self):
@@ -247,7 +244,7 @@ class TestMakeWindows:
 
     def test_insufficient_history(self):
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(10)]
-        with pytest.raises(InsufficientHistory):
+        with pytest.raises(StockcastError, match="^lookback 7 >= training rows 7$"):
             make_windows(matrix_of(range(10), dates), 7, dates[6])
 
     def test_causality(self):

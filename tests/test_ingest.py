@@ -1,18 +1,12 @@
 """Loader and calendar contracts."""
 
 import json
+import re
 from datetime import date
 
 import pytest
 
-from stockcast.errors import (
-    DuplicateDate,
-    MissingColumn,
-    MissingField,
-    NonMonotonicDate,
-    UnparsableLine,
-    UnparsableRow,
-)
+from stockcast.errors import StockcastError
 from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
@@ -42,9 +36,9 @@ class TestLoadPriceCsv:
 
     def test_high_below_open_rejected(self, tmp_path):
         path = write_csv(tmp_path, ["2023-01-03,100,98,95,97,97,5000"])
-        with pytest.raises(UnparsableRow) as exc:
+        with pytest.raises(StockcastError, match=re.escape(
+                f"{path}:2: unparsable row at line 2: open 100.0 outside [low, high]")):
             load_price_csv(path)
-        assert exc.value.line == 2
 
     def test_five_row_fixture_sorted(self, tmp_path):
         rows = [
@@ -57,13 +51,13 @@ class TestLoadPriceCsv:
     def test_missing_column(self, tmp_path):
         path = write_csv(tmp_path, ["2023-01-03,100,105,99,104,5000"],
                          header="Date,Open,High,Low,Close,Volume")
-        with pytest.raises(MissingColumn) as exc:
+        with pytest.raises(StockcastError, match=re.escape(
+                f"missing required column 'Adj Close' in {path}")):
             load_price_csv(path)
-        assert exc.value.column == "Adj Close"
 
     def test_duplicate_date(self, tmp_path):
         rows = ["2023-01-03,100,105,99,104,104,5000"] * 2
-        with pytest.raises(DuplicateDate):
+        with pytest.raises(StockcastError, match="duplicate date 2023-01-03$"):
             load_price_csv(write_csv(tmp_path, rows))
 
     def test_non_monotonic_date(self, tmp_path):
@@ -71,23 +65,33 @@ class TestLoadPriceCsv:
             "2023-01-04,100,105,99,104,104,5000",
             "2023-01-03,100,105,99,104,104,5000",
         ]
-        with pytest.raises(NonMonotonicDate):
+        with pytest.raises(StockcastError, match="dates not strictly increasing at 2023-01-03$"):
             load_price_csv(write_csv(tmp_path, rows))
 
-    @pytest.mark.parametrize("row, reason", [
-        ("2023-01-03,100,105,99,104,104,5000,7", "8 fields where the header has 7"),
-        ("2023-01-03,x,105,99,104,104,5000", "could not convert string to float: 'x'"),
-    ], ids=["extra-field", "bad-number"])
-    def test_row_error_names_file_and_line(self, tmp_path, row, reason):
+    @pytest.mark.parametrize("row, message", [
+        ("2023-01-03,100,105,99,104,104,5000,7",
+         "unparsable row at line 3: 8 fields where the header has 7"),
+        ("2023-01-03,x,105,99,104,104,5000",
+         "unparsable row at line 3: could not convert string to float: 'x'"),
+        ("2023-01-02,100,105,99,104,104,5000", "duplicate date 2023-01-02"),
+        ("2023-01-01,100,105,99,104,104,5000", "dates not strictly increasing at 2023-01-01"),
+        ("2023-01-03,100,inf,99,104,104,5000",
+         "unparsable row at line 3: non-finite price or volume on 2023-01-03"),
+        ("2023-01-03,100,105,99,104,104,nan",
+         "unparsable row at line 3: non-finite price or volume on 2023-01-03"),
+    ], ids=["extra-field", "bad-number", "duplicate-date", "date-backwards", "inf-high",
+            "nan-volume"])
+    def test_row_error_names_file_and_line(self, tmp_path, row, message):
         path = write_csv(tmp_path, ["2023-01-02,100,105,99,104,104,5000", row])
-        with pytest.raises(UnparsableRow) as exc:
+        with pytest.raises(StockcastError) as exc:
             load_price_csv(path)
-        assert exc.value.line == 3
-        assert str(exc.value) == f"{path}:3: unparsable row at line 3: {reason}"
+        assert str(exc.value) == f"{path}:3: {message}"
 
     def test_negative_volume_rejected(self, tmp_path):
-        with pytest.raises(UnparsableRow):
-            load_price_csv(write_csv(tmp_path, ["2023-01-03,100,105,99,104,104,-1"]))
+        path = write_csv(tmp_path, ["2023-01-03,100,105,99,104,104,-1"])
+        with pytest.raises(StockcastError, match=re.escape(
+                f"{path}:2: unparsable row at line 2: negative volume on 2023-01-03")):
+            load_price_csv(path)
 
 
 class TestLoadPostsJsonl:
@@ -125,15 +129,14 @@ class TestLoadPostsJsonl:
     def test_unparsable_line_numbered(self, tmp_path):
         path = tmp_path / "posts.jsonl"
         path.write_text('{"id": "a", "ts": "2023-01-03T00:00:00Z", "text": "x"}\nnot json\n')
-        with pytest.raises(UnparsableLine) as exc:
+        with pytest.raises(StockcastError, match=re.escape(f"{path}:2: unparsable line 2: ")):
             load_posts_jsonl(path, "tweet")
-        assert exc.value.line == 2
 
     def test_missing_field(self, tmp_path):
         path = self.write_jsonl(tmp_path, [{"id": "a", "text": "x"}])
-        with pytest.raises(MissingField) as exc:
+        with pytest.raises(StockcastError,
+                           match=re.escape(f"{path}:1: missing field 'ts' at line 1")):
             load_posts_jsonl(path, "tweet")
-        assert exc.value.name == "ts"
 
     def test_integer_id_read_as_string(self, tmp_path):
         path = self.write_jsonl(tmp_path, [{"id": 17, "ts": "2023-01-03T12:00:00Z",
@@ -149,21 +152,19 @@ class TestLoadPostsJsonl:
 
     GOOD = {"id": "a", "ts": "2023-01-03T00:00:00Z", "text": "x"}
 
-    @pytest.mark.parametrize("line, error, message", [
-        ("not json", UnparsableLine, "unparsable line 2: Expecting value"),
-        ("[1]", UnparsableLine, "unparsable line 2: expected a JSON object"),
-        ('{"id": "b", "text": "x"}', MissingField, "missing field 'ts' at line 2"),
-        ('{"id": "b", "ts": "x", "text": "x"}', UnparsableLine,
-         "unparsable line 2: bad timestamp: "),
-        ('{"id": "b", "ts": "2023-01-03", "text": "x", "likes": -1}', UnparsableLine,
+    @pytest.mark.parametrize("line, message", [
+        ("not json", "unparsable line 2: Expecting value"),
+        ("[1]", "unparsable line 2: expected a JSON object"),
+        ('{"id": "b", "text": "x"}', "missing field 'ts' at line 2"),
+        ('{"id": "b", "ts": "x", "text": "x"}', "unparsable line 2: bad timestamp: "),
+        ('{"id": "b", "ts": "2023-01-03", "text": "x", "likes": -1}',
          "unparsable line 2: negative count 'likes'"),
     ], ids=["json", "not-object", "missing", "timestamp", "negative"])
-    def test_errors_name_file_and_line(self, tmp_path, line, error, message):
+    def test_errors_name_file_and_line(self, tmp_path, line, message):
         path = tmp_path / "posts.jsonl"
         path.write_text(json.dumps(self.GOOD) + "\n" + line + "\n")
-        with pytest.raises(error) as exc:
+        with pytest.raises(StockcastError) as exc:
             load_posts_jsonl(path, "tweet")
-        assert exc.value.line == 2
         assert str(exc.value).startswith(f"{path}:2: {message}")
 
     def test_duplicate_ids_keep_first(self, tmp_path):
@@ -189,7 +190,7 @@ class TestCalendar:
         assert [p.id for p in assigned[date(2023, 1, 6)]] == ["a"]
 
     def test_non_monotonic_rejected(self):
-        with pytest.raises(NonMonotonicDate):
+        with pytest.raises(StockcastError, match="^dates not strictly increasing at 2023-01-06$"):
             TradingCalendar([date(2023, 1, 9), date(2023, 1, 6)])
 
 

@@ -4,7 +4,7 @@ from datetime import date, timedelta
 
 import pytest
 
-from stockcast.errors import MisalignedSeries, NonPositiveOpen
+from stockcast.errors import RunFailed, StockcastError
 from stockcast.market_sim import (
     BUY_AT_CLOSE,
     DEFERRED_EXIT,
@@ -35,7 +35,7 @@ class TestReturnSignal:
         assert return_signal(98.0, 100.0) == pytest.approx(-0.02, abs=1e-15)
 
     def test_non_positive_open(self):
-        with pytest.raises(NonPositiveOpen):
+        with pytest.raises(StockcastError, match=r"^open price must be positive, got 0\.0$"):
             return_signal(100.0, 0.0)
 
 
@@ -212,12 +212,12 @@ class TestInvariants:
 
     def test_misaligned_dates(self):
         bars = [make_bar(D[0], open_=100, close=101)]
-        with pytest.raises(MisalignedSeries):
+        with pytest.raises(RunFailed, match=f"^prediction and bar series misaligned at {D[1]}$"):
             run_simulation([(D[1], 100.0)], bars, CFG)
 
     def test_length_mismatch(self):
         bars = [make_bar(D[0], open_=100, close=101)]
-        with pytest.raises(MisalignedSeries):
+        with pytest.raises(RunFailed, match=f"^prediction and bar series misaligned at {D[1]}$"):
             run_simulation([(D[0], 100.0), (D[1], 101.0)], bars, CFG)
 
     def test_no_carry_opened_on_final_day(self):

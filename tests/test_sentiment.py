@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast.errors import UnknownPostId, UnparsableLine
+from stockcast.errors import StockcastError
 from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
     DailySentiment,
@@ -200,7 +200,7 @@ class TestReplayProvider:
         assert ReplayProvider(table).score("", post_id="a") == SentimentScore(-1, 0.9)
 
     def test_unknown_id(self):
-        with pytest.raises(UnknownPostId):
+        with pytest.raises(StockcastError, match="^no replay score for post id 'missing'$"):
             ReplayProvider({}).score("", post_id="missing")
 
     def test_jsonl_fixture_table(self, tmp_path):
@@ -216,15 +216,44 @@ class TestReplayProvider:
         assert table["c"] == SentimentScore(-1, 0.95)
         provider = ReplayProvider(table)
         assert provider.score("ignored text", post_id="b") == SentimentScore(0, 0.5)
-        with pytest.raises(UnknownPostId):
+        with pytest.raises(StockcastError, match="^no replay score for post id 'zzz'$"):
             provider.score("x", post_id="zzz")
 
     def test_bad_line_names_file_and_line(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"id": "a", "label": 1, "confidence": 0.7}\n{"id": "b"}\n')
-        with pytest.raises(UnparsableLine) as exc:
+        with pytest.raises(StockcastError) as exc:
             load_replay_scores(path)
         assert str(exc.value).startswith(f"{path}:2: unparsable line 2: ")
+
+    @pytest.mark.parametrize("field, value, reason", [
+        ("id", None, "field 'id' must be a string or an integer, got null"),
+        ("id", True, "field 'id' must be a string or an integer, got true"),
+        ("id", 1.5, "field 'id' must be a string or an integer, got 1.5"),
+        ("label", True, "field 'label' must be an integer, got true"),
+        ("label", "1", 'field \'label\' must be an integer, got "1"'),
+        ("label", 1.0, "field 'label' must be an integer, got 1.0"),
+        ("label", 2, "label must be -1, 0 or 1, got 2"),
+        ("confidence", "0.7", 'field \'confidence\' must be a number, got "0.7"'),
+        ("confidence", True, "field 'confidence' must be a number, got true"),
+        ("confidence", None, "field 'confidence' must be a number, got null"),
+        ("confidence", 1.5, "confidence must be in [0, 1], got 1.5"),
+        ("confidence", float("nan"), "confidence must be in [0, 1], got nan"),
+    ], ids=["id-null", "id-bool", "id-float", "label-bool", "label-string", "label-float",
+            "label-range", "confidence-string", "confidence-bool", "confidence-null",
+            "confidence-range", "confidence-nan"])
+    def test_mistyped_field_names_file_and_line(self, tmp_path, field, value, reason):
+        path = tmp_path / "scores.jsonl"
+        good = {"id": "a", "label": 1, "confidence": 0.7}
+        path.write_text(json.dumps(good) + "\n" + json.dumps({**good, field: value}) + "\n")
+        with pytest.raises(StockcastError) as exc:
+            load_replay_scores(path)
+        assert str(exc.value) == f"{path}:2: unparsable line 2: {reason}"
+
+    def test_integer_id_and_confidence_accepted(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": 17, "label": -1, "confidence": 1}\n')
+        assert load_replay_scores(path) == {"17": SentimentScore(-1, 1.0)}
 
 
 class TestAggregateDaily:
