@@ -72,8 +72,8 @@ def cmd_ingest(args):
     bars = dataset.bars
     print(f"stock: {config.stock}")
     print(f"bars: {len(bars)} ({bars[0].date} .. {bars[-1].date})")
-    print(f"tweets: {len(dataset.tweets)}")
-    print(f"news: {len(dataset.news)}")
+    print(f"tweets: {dataset.tweet_count}")
+    print(f"news: {dataset.news_count}")
     print(f"provider: {config.provider}")
     print(f"config_hash: {config.config_hash}")
     return EXIT_OK

@@ -1,8 +1,9 @@
 """Experiment configuration: flat `key = value` files, one pair per line.
 
-`#` starts a comment; blank lines are ignored. Relative paths are
-resolved against the config file's directory, so bundled configs work
-from any working directory. The canonical serialization (sorted
+`#` starts a comment; blank lines are ignored. Relative paths, and the
+default `prices.csv`, `tweets.jsonl` and `news.jsonl` of a path key left
+out, are resolved against the config file's directory, so bundled configs
+work from any working directory. The canonical serialization (sorted
 `key=value` lines), together with the SHA-256 of every input file the
 config names, is hashed into every output file for traceability.
 """
@@ -159,7 +160,7 @@ def _parse_value(key, raw, base_dir):
         try:
             return _BOOL_VALUES[raw.lower()]
         except KeyError:
-            raise StockcastError(f"{key} must be true/false, got {raw!r}")
+            raise ValueError(f"must be true/false, got {raw!r}") from None
     if key in ("rsi_period", "sma_period", "lookback", "hidden_units",
                "batch_size", "epochs", "replicates", "base_seed"):
         return int(raw)
@@ -172,7 +173,10 @@ def _parse_value(key, raw, base_dir):
     if key == "feature_sets":
         if raw.strip().lower() == "all":
             return tuple(FEATURE_SETS)
-        return tuple(part.strip() for part in raw.split(",") if part.strip())
+        names = tuple(part.strip() for part in raw.split(",") if part.strip())
+        if not names:
+            raise ValueError("names no feature set; give a comma list of set names or all")
+        return names
     return raw
 
 
@@ -208,6 +212,9 @@ def parse_config(path):
             values[key] = _parse_value(key, raw, base_dir)
         except (ValueError, TypeError) as exc:
             raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+    for f in fields(ExperimentConfig):
+        if f.name in _PATH_KEYS and f.name not in values and f.default is not None:
+            values[f.name] = _parse_value(f.name, f.default, base_dir)
     return ExperimentConfig(**values)
 
 

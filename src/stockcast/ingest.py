@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -169,7 +170,37 @@ def _parse_timestamp(raw):
     return ts.astimezone(timezone.utc)
 
 
-def load_posts_jsonl(path, kind, min_likes=None):
+def line_ranges(path, size):
+    """Split a post file into byte ranges of about ``size`` bytes that end on line ends.
+
+    Returns one ``(start, end, first_line)`` per range, in file order, for
+    ``load_posts_jsonl``'s ``byte_range``. ``first_line`` numbers the
+    range's first line as text-mode reading does, which ends a line at an
+    LF, a CR LF or a lone CR. A range ends just after an LF, so it never
+    splits a CR LF or a UTF-8 sequence.
+
+    A file holding a byte that is not UTF-8 comes back as the one range
+    None, the whole file. Text-mode reading decodes 8 KiB at a time, so a
+    bad byte is reported before a bad line just ahead of it in the same
+    block; only a read of the whole file reports the same error first.
+    """
+    ranges = []
+    start, first_line = 0, 1
+    with open(path, "rb") as fh:
+        while block := fh.read(size):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError:
+                return [None]
+            ranges.append((start, start + len(block), first_line))
+            first_line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            start += len(block)
+    return ranges
+
+
+def load_posts_jsonl(path, kind, min_likes=None, byte_range=None):
     """Load tweets or news from a JSON-lines file.
 
     Each line is one object with fields ``id`` (a string or an integer),
@@ -184,84 +215,102 @@ def load_posts_jsonl(path, kind, min_likes=None):
         kind: "tweet" or "news"; applied to every loaded post.
         min_likes: optional filter re-applying the collection-time
             minimum-likes rule (posts with likes >= min_likes are kept).
+        byte_range: one ``line_ranges`` entry, to load only that part of
+            the file, its lines numbered as in the whole file; duplicate
+            ids are then dropped only within the range. None loads the
+            whole file.
 
     Raises:
         StockcastError: a line is not a JSON object, or a field is absent
-            or has the wrong type or value. The message starts
-            ``<path>:<line>: ``.
+            or has the wrong type or value, or the file is not UTF-8. The
+            message starts ``<path>:<line>: ``.
     """
     if kind not in POST_KINDS:
         raise ValueError(f"kind must be one of {POST_KINDS}, got {kind!r}")
     path = Path(path)
+    if byte_range is None:
+        with open_text(path) as fh:
+            posts = _read_posts(path, kind, fh, 1)
+    else:
+        start, end, first_line = byte_range
+        with open(path, "rb") as fh:
+            fh.seek(start)
+            text = fh.read(end - start).decode("utf-8")
+        posts = _read_posts(path, kind, io.StringIO(text, newline=None), first_line)
+    if min_likes is not None:
+        posts = [p for p in posts if p.likes >= min_likes]
+    return posts
+
+
+def _read_posts(path, kind, lines, first_line):
+    """The posts of ``lines``, numbered from ``first_line``; see load_posts_jsonl."""
     news = kind == "news"
     posts = []
     seen_ids = set()
-    with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
-            if not isinstance(record, dict):
+    for lineno, line in enumerate(lines, start=first_line):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
+        for field in ("id", "ts", "text"):
+            if field not in record:
                 raise StockcastError(
-                    f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
-            for field in ("id", "ts", "text"):
-                if field not in record:
-                    raise StockcastError(
-                        f"{path}:{lineno}: missing field {field!r} at line {lineno}")
-            post_id = record["id"]
-            if type(post_id) is not str:
-                if type(post_id) is not int:
-                    raise StockcastError(
-                        f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
-                        f"a string or an integer, got {json.dumps(post_id)}")
-                post_id = str(post_id)
-            text = record["text"]
-            if type(text) is not str:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                     f"field 'text' must be a string, got {json.dumps(text)}")
-            ts = record["ts"]
-            if type(ts) is not str:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                     f"field 'ts' must be a string, got {json.dumps(ts)}")
-            try:
-                ts = _parse_timestamp(ts)
-            except ValueError as exc:
+                    f"{path}:{lineno}: missing field {field!r} at line {lineno}")
+        post_id = record["id"]
+        if type(post_id) is not str:
+            if type(post_id) is not int:
                 raise StockcastError(
-                    f"{path}:{lineno}: unparsable line {lineno}: bad timestamp: {exc}") from exc
-            if news:
-                counts = _NO_COUNTS
-            else:
-                counts = []
-                for name in _COUNT_FIELDS:
-                    value = record.get(name, 0)
-                    # type(), not isinstance(): a JSON true is a bool, an int subclass
-                    if type(value) is not int:
-                        raise StockcastError(
-                            f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
-                            f"expected an integer, got {json.dumps(value)}")
-                    if value < 0:
-                        raise StockcastError(
-                            f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")
-                    counts.append(value)
-            if post_id in seen_ids:
-                continue
-            seen_ids.add(post_id)
-            posts.append(RawPost(post_id, ts, text, *counts, kind))
-    if min_likes is not None:
-        posts = [p for p in posts if p.likes >= min_likes]
+                    f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
+                    f"a string or an integer, got {json.dumps(post_id)}")
+            post_id = str(post_id)
+        text = record["text"]
+        if type(text) is not str:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                 f"field 'text' must be a string, got {json.dumps(text)}")
+        ts = record["ts"]
+        if type(ts) is not str:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                 f"field 'ts' must be a string, got {json.dumps(ts)}")
+        try:
+            ts = _parse_timestamp(ts)
+        except ValueError as exc:
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: bad timestamp: {exc}") from exc
+        if news:
+            counts = _NO_COUNTS
+        else:
+            counts = []
+            for name in _COUNT_FIELDS:
+                value = record.get(name, 0)
+                # type(), not isinstance(): a JSON true is a bool, an int subclass
+                if type(value) is not int:
+                    raise StockcastError(
+                        f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
+                        f"expected an integer, got {json.dumps(value)}")
+                if value < 0:
+                    raise StockcastError(
+                        f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")
+                counts.append(value)
+        if post_id in seen_ids:
+            continue
+        seen_ids.add(post_id)
+        posts.append(RawPost(post_id, ts, text, *counts, kind))
     return posts
 
 
 def assign_posts(posts, calendar):
     """Map posts onto trading dates.
 
-    Returns a dict trading-date -> list of posts, ordered as loaded.
-    Posts dated after the last trading day are dropped (there is no
-    session left for their information to act on).
+    Returns a dict trading-date -> list of posts, ordered as loaded, with
+    one key per calendar date in calendar order. Posts dated after the
+    last trading day are dropped (there is no session left for their
+    information to act on).
     """
     assigned = {d: [] for d in calendar}
     for post in posts:
@@ -278,6 +327,7 @@ __all__ = [
     "TradingCalendar",
     "PRICE_HEADER",
     "load_price_csv",
+    "line_ranges",
     "load_posts_jsonl",
     "calendar_from_bars",
     "assign_posts",

@@ -11,8 +11,10 @@ from __future__ import annotations
 import csv
 import json
 import os
+from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -20,17 +22,27 @@ import numpy as np
 from . import features, forecaster, market_sim, sentiment, textprep
 from .errors import StockcastError, open_text
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
-from .ingest import assign_posts, calendar_from_bars, load_posts_jsonl, load_price_csv
+from .ingest import (
+    assign_posts,
+    calendar_from_bars,
+    line_ranges,
+    load_posts_jsonl,
+    load_price_csv,
+)
 
 
 @dataclass
 class Dataset:
-    """Validated inputs plus daily sentiment, aligned to the calendar."""
+    """Validated inputs plus daily sentiment, aligned to the calendar.
+
+    ``tweet_count`` and ``news_count`` are the posts kept: the first post
+    of each id and, for tweets, only those with at least ``min_likes``.
+    """
 
     bars: list
     calendar: object
-    tweets: list
-    news: list
+    tweet_count: int
+    news_count: int
     tweet_daily: list
     news_daily: list
 
@@ -44,43 +56,133 @@ def make_provider(config):
     raise StockcastError(f"unknown provider {config.provider!r}")
 
 
+#: Post files are cut into byte ranges of about this size, one task each.
+_RANGE_BYTES = 1 << 20
+#: Post bytes per worker: smaller inputs load faster than workers start.
+_BYTES_PER_WORKER = 4 << 20
+
+
 def load_dataset(config):
-    """Load + validate prices and posts, score posts, aggregate daily."""
+    """Load + validate prices and posts, score posts, aggregate daily.
+
+    Each post file is cut into ranges of about _RANGE_BYTES that end on
+    line ends, and _score_range loads, checks and scores each one: in
+    spawn workers, one per _BYTES_PER_WORKER of posts up to the usable
+    cores, or here when that makes fewer than 2. The first error reported
+    is the one a single pass over the inputs meets first: prices, the
+    tweets file in line order, the news file, the lexicon or replay table,
+    stopwords, then a post without a replay score in (day, load) order.
+    """
     bars = load_price_csv(config.prices)
     calendar = calendar_from_bars(bars)
-    tweets = load_posts_jsonl(config.tweets, "tweet", min_likes=config.min_likes)
-    news = load_posts_jsonl(config.news, "news")
-
-    provider = make_provider(config)
-    stopwords = textprep.load_stopwords(config.stopwords)
+    try:
+        provider = make_provider(config)
+        stopwords = textprep.load_stopwords(config.stopwords)
+    except (StockcastError, OSError):
+        load_posts_jsonl(config.tweets, "tweet")  # the post files' errors come first
+        load_posts_jsonl(config.news, "news")
+        raise
     weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
+    shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
+    with _worker_pool(_post_workers(config), shared) as run:
+        tweets = _gather(run(_score_range, _post_tasks(config.tweets, "tweet", config.min_likes)),
+                         config.min_likes)
+        news = _gather(run(_score_range, _post_tasks(config.news, "news", None)), None)
+    for _, _, missing in (tweets, news):
+        if missing is not None:
+            raise StockcastError(missing)
 
-    def score_assigned(posts):
-        scored = {}
-        for day, day_posts in assign_posts(posts, calendar).items():
-            scored[day] = [
-                sentiment.score_post(
-                    post,
-                    provider.score(
-                        textprep.clean_text(post.text, stopwords, config.keep_cashtags),
-                        post_id=post.id,
-                    ),
-                    weights,
-                )
-                for post in day_posts
-            ]
-        return scored
+    def daily(by_day):
+        return sentiment.aggregate_daily(
+            {calendar.dates[day]: scores for day, scores in by_day.items()}, calendar)
 
-    tweet_daily = sentiment.aggregate_daily(score_assigned(tweets), calendar)
-    news_daily = sentiment.aggregate_daily(score_assigned(news), calendar)
     return Dataset(
         bars=bars,
         calendar=calendar,
-        tweets=tweets,
-        news=news,
-        tweet_daily=tweet_daily,
-        news_daily=news_daily,
+        tweet_count=tweets[0],
+        news_count=news[0],
+        tweet_daily=daily(tweets[1]),
+        news_daily=daily(news[1]),
     )
+
+
+def _post_workers(config):
+    """Workers for the post files: one per _BYTES_PER_WORKER, up to the usable cores."""
+    size = 0
+    for path in (config.tweets, config.news):
+        try:
+            size += os.path.getsize(path)
+        except OSError:
+            pass  # the loader reports it, in file order
+    return min(_usable_cores(), size // _BYTES_PER_WORKER)
+
+
+def _post_tasks(path, kind, min_likes):
+    return [(path, kind, min_likes, byte_range)
+            for byte_range in line_ranges(path, _RANGE_BYTES)]
+
+
+_UNSCORED = (None, None, None, None)
+
+
+def _score_range(shared, task):
+    """Load, check and score one byte range of a post file.
+
+    Returns one (id, likes, day, label, confidence, weighted) tuple per
+    post of the range, in load order, with day the calendar index. A post
+    no daily average can include is not scored and gets day None: one
+    dated past the calendar end, or with fewer than min_likes. A post the
+    provider cannot score gets label None and the provider's message in
+    place of the confidence; that is an error only if the post is kept.
+    Only primitives go back: returning post objects cost more to pickle
+    than scoring them in the worker saved.
+    """
+    provider, stopwords, keep_cashtags, weights, calendar = shared
+    path, kind, min_likes, byte_range = task
+    posts = load_posts_jsonl(path, kind, byte_range=byte_range)
+    countable = posts if min_likes is None else [p for p in posts if p.likes >= min_likes]
+    scored = {}
+    for day, day_posts in enumerate(assign_posts(countable, calendar).values()):
+        for post in day_posts:
+            text = textprep.clean_text(post.text, stopwords, keep_cashtags)
+            try:
+                score = provider.score(text, post_id=post.id)
+            except StockcastError as exc:  # a replay table without this id
+                scored[post.id] = (day, None, str(exc), None)
+                continue
+            weighted = sentiment.score_post(post, score, weights).weighted
+            scored[post.id] = (day, score.label, score.confidence, weighted)
+    return [(post.id, post.likes, *scored.get(post.id, _UNSCORED)) for post in posts]
+
+
+def _gather(results, min_likes):
+    """Merge one file's _score_range results, in file order.
+
+    Keeps the first post of each id, then drops those with fewer than
+    min_likes, as load_posts_jsonl does over a whole file. Returns the
+    number kept; a dict day -> [(label, confidence, weighted)] in load
+    order; and the message of the first kept post without a score in
+    (day, load) order, or None.
+    """
+    seen = set()
+    kept = 0
+    by_day = defaultdict(list)
+    missing = None
+    for rows in results:
+        for post_id, likes, day, label, confidence, weighted in rows:
+            if post_id in seen:
+                continue
+            seen.add(post_id)
+            if min_likes is not None and likes < min_likes:
+                continue
+            kept += 1
+            if day is None:
+                continue
+            if label is not None:
+                by_day[day].append((label, confidence, weighted))
+            elif missing is None or day < missing[0]:
+                missing = (day, confidence)
+    return kept, by_day, None if missing is None else missing[1]
 
 
 def build_matrix(config, dataset, feature_set):
@@ -159,10 +261,11 @@ def run_feature_set(config, feature_set, split, fits):
     )
 
 
-def _fit_replicate(job):
+def _fit_replicate(_, job):
     """Train one (set, replicate) model; its test forecast and loss history.
 
-    ``job`` is one (train, test, LstmConfig) tuple, so a pool can map it.
+    ``job`` is one (train, test, LstmConfig) tuple; a _worker_pool task
+    that shares nothing.
     """
     train, test, model_config = job
     weights, loss_history = forecaster.train(train, model_config)
@@ -191,25 +294,55 @@ def _one_blas_thread_in_children():
                 os.environ[name] = value
 
 
+def _usable_cores():
+    return len(os.sched_getaffinity(0))
+
+
+_shared = None  # in a worker: what _worker_pool shares with every task
+
+
+def _set_shared(value):
+    global _shared
+    _shared = value
+
+
+def _with_shared(fn, task):
+    return fn(_shared, task)
+
+
+@contextmanager
+def _worker_pool(workers, shared=None):
+    """``run(fn, tasks)``: an iterator of ``fn(shared, task)``, in task order.
+
+    With 2 or more workers the tasks run in that many spawn workers, which
+    receive ``shared`` once each, through the pool initializer, and 1 BLAS
+    thread each: workers that inherited this process's BLAS threads would
+    oversubscribe the cores, which at 256 hidden units made them slower
+    than training serially. With fewer, the tasks run here, one after
+    another. A task's error is raised when the iterator reaches it, so the
+    first error reported is the first in task order either way.
+    """
+    if workers < 2:
+        yield lambda fn, tasks: (fn(shared, task) for task in tasks)
+        return
+    import multiprocessing  # only here: process start-up stays free of it
+
+    with _one_blas_thread_in_children(), multiprocessing.get_context("spawn").Pool(
+            workers, _set_shared, (shared,)) as pool:
+        yield lambda fn, tasks: pool.imap(partial(_with_shared, fn), tasks, chunksize=1)
+
+
 def _fit_all(jobs):
     """_fit_replicate over ``jobs``; results, or the first error, in job order.
 
     Jobs are independent, so with several jobs and several usable cores
-    they run in spawn workers, one per core up to the job count. Each
-    worker gets 1 BLAS thread: workers that inherited this process's BLAS
-    threads would oversubscribe the cores, which at 256 hidden units made
-    them slower than training serially. One job, or one core, runs here
-    with this process's BLAS threads. Results do not depend on the path
-    taken, only on the BLAS thread count a model trains with.
+    they run in spawn workers, one per core up to the job count. One job,
+    or one core, runs here with this process's BLAS threads. Results do not
+    depend on the path taken, only on the BLAS thread count a model trains
+    with.
     """
-    workers = min(len(jobs), len(os.sched_getaffinity(0)))
-    if workers <= 1:
-        return [_fit_replicate(job) for job in jobs]
-    import multiprocessing  # only here: process start-up stays free of it
-
-    with _one_blas_thread_in_children(), \
-            multiprocessing.get_context("spawn").Pool(workers) as pool:
-        return list(pool.imap(_fit_replicate, jobs, chunksize=1))
+    with _worker_pool(min(len(jobs), _usable_cores())) as run:
+        return list(run(_fit_replicate, jobs))
 
 
 def simulate_feature_set(config, bars, predictions):

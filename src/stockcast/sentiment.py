@@ -20,6 +20,7 @@ replay provider that serves precomputed scores from file.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 from typing import NamedTuple
@@ -36,18 +37,22 @@ DEFAULT_DELTA = 0.1
 _LABELS = {-1, 0, 1}
 
 
-@dataclass(frozen=True)
-class SentimentScore:
-    """Polarity label in {-1, 0, 1} with classifier confidence in [0, 1]."""
+class SentimentScore(namedtuple("SentimentScore", "label confidence")):
+    """Polarity label in {-1, 0, 1} with classifier confidence in [0, 1].
 
-    label: int
-    confidence: float
+    Calling the class checks both ranges. ``SentimentScore._make((label,
+    confidence))`` skips the check, for a scorer whose values are in range
+    by construction; a scorer builds one per post.
+    """
 
-    def __post_init__(self):
-        if self.label not in _LABELS:
-            raise ValueError(f"label must be -1, 0 or 1, got {self.label}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+    __slots__ = ()
+
+    def __new__(cls, label, confidence):
+        if label not in _LABELS:
+            raise ValueError(f"label must be -1, 0 or 1, got {label}")
+        if not 0.0 <= confidence <= 1.0:
+            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+        return super().__new__(cls, label, confidence)
 
 
 @dataclass(frozen=True)
@@ -60,6 +65,9 @@ class WeightParams:
     def __post_init__(self):
         if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
             raise ValueError("weights must be non-negative")
+
+
+_NEUTRAL = SentimentScore(0, 0.0)
 
 
 class ScoredPost(NamedTuple):
@@ -134,7 +142,7 @@ class LexiconProvider:
     def score(self, text, post_id=None):
         tokens = text.split()
         if not tokens:
-            return SentimentScore(0, 0.0)
+            return _NEUTRAL
         # One pass: positives minus negatives, counting exactly the values
         # equal to +1 and -1.
         diff = 0
@@ -145,7 +153,7 @@ class LexiconProvider:
                 diff -= 1
         label = (diff > 0) - (diff < 0)
         conf = min(abs(diff) / len(tokens), 1.0)
-        return SentimentScore(label, conf)
+        return SentimentScore._make((label, conf))  # in range by construction
 
 
 class ReplayProvider:
@@ -228,8 +236,8 @@ def aggregate_daily(scored_by_date, calendar):
     """Collapse per-post scores into one row per trading date.
 
     Args:
-        scored_by_date: dict trading-date -> list of ScoredPost (from
-            ingest.assign_posts + scoring).
+        scored_by_date: dict trading-date -> list of (label, confidence,
+            weighted) per post assigned to that date, in load order.
         calendar: the trading calendar to emit over.
 
     Returns:
@@ -243,9 +251,10 @@ def aggregate_daily(scored_by_date, calendar):
         posts = scored_by_date.get(d, [])
         if posts:
             n = len(posts)
-            mean_label = sum(p.score.label for p in posts) / n
-            mean_conf = sum(p.score.confidence for p in posts) / n
-            mean_ws = sum(p.weighted for p in posts) / n
+            labels, confs, weighted = zip(*posts)
+            mean_label = sum(labels) / n
+            mean_conf = sum(confs) / n
+            mean_ws = sum(weighted) / n
             prev = (mean_label, mean_conf, mean_ws)
             rows.append(DailySentiment(d, mean_label, mean_conf, mean_ws, n))
         else:

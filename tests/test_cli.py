@@ -143,6 +143,42 @@ class TestConfig:
                            match=f"^{re.escape(str(path))}:2: bad value for 'prices': empty path$"):
             parse_config(path)
 
+    def test_empty_feature_sets_refused_before_loading(self, tmp_path, capsys):
+        # prices names no file: the config error must come before any data loads
+        path = write_config(tmp_path, prices="absent.csv", feature_sets="")
+        line = path.read_text().splitlines().index("feature_sets = ") + 1
+        assert cli.main(["train-eval", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:{line}: bad value for 'feature_sets': "), err
+        assert not (tmp_path / "out").exists()
+
+    def test_bad_keep_cashtags_names_line(self, tmp_path):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, keep_cashtags="x")
+        line = path.read_text().splitlines().index("keep_cashtags = x") + 1
+        with pytest.raises(StockcastError, match=re.escape(
+                f"{path}:{line}: bad value for 'keep_cashtags': must be true/false, got 'x'")):
+            parse_config(path)
+
+    def test_default_paths_resolve_against_config_dir(self, tmp_path, monkeypatch, capsys):
+        # prices, tweets and news left out name prices.csv, tweets.jsonl and
+        # news.jsonl next to the config, not in the working directory
+        data = tmp_path / "data"
+        data.mkdir()
+        write_tiny_dataset(data)
+        path = write_config(data)
+        path.write_text("".join(line for line in path.read_text().splitlines(True)
+                                if line.split(" = ")[0] not in ("prices", "tweets", "news")))
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        monkeypatch.chdir(elsewhere)
+        assert cli.main(["ingest", "--config", str(path)]) == 0
+        out = capsys.readouterr().out
+        assert "bars: 60 " in out and "tweets: 8" in out and "news: 4" in out
+        config = parse_config(path)
+        assert (config.prices, config.tweets, config.news) == tuple(
+            str(data / name) for name in ("prices.csv", "tweets.jsonl", "news.jsonl"))
+
     def test_hash_covers_input_contents(self, tmp_path):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path)
@@ -618,6 +654,15 @@ def test_tracer_patches_every_name(tmp_path):
              str(tmp_path / "spans" / command), "t", "--", command, "--config", str(path)],
             capture_output=True, text=True, env=subprocess_env(), check=False)
         assert proc.returncode == 0, proc.stderr
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    """Both worker pools import multiprocessing only when they start, so
+    process start-up (the benchmark's setup_s) never pays for it."""
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, stockcast.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True, text=True, env=subprocess_env(), check=True)
+    assert proc.stdout == "False\n"
 
 
 # --- every malformed input fails cleanly ------------------------------------

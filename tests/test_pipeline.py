@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from stockcast import cli, pipeline
 from stockcast.config import apply_overrides, parse_config
+from stockcast.ingest import line_ranges
 from stockcast.pipeline import (
     build_matrix,
     load_dataset,
@@ -15,6 +17,8 @@ from stockcast.pipeline import (
     safe_name,
     simulate_feature_set,
 )
+
+from conftest import FIXTURES
 
 
 @pytest.fixture(scope="module")
@@ -46,7 +50,7 @@ def test_matrix_dates_match_calendar(config, dataset):
 def test_daily_sentiment_covers_every_session(config, dataset):
     assert [d.date for d in dataset.tweet_daily] == list(dataset.calendar)
     assert [d.date for d in dataset.news_daily] == list(dataset.calendar)
-    assert sum(d.count for d in dataset.tweet_daily) <= len(dataset.tweets)
+    assert sum(d.count for d in dataset.tweet_daily) <= dataset.tweet_count
 
 
 def test_daily_sentiment_matches_frozen_values(dataset):
@@ -114,3 +118,140 @@ def test_csv_ledger_equals_in_memory_ledger(config, dataset, trained):
         out_dir / f"predictions_{safe_name(result.feature_set)}.csv", config, dates)
     from_csv = simulate_feature_set(config, bars, pairs)
     assert from_csv == from_memory
+
+
+# --- post files loaded in byte ranges, in workers or here -------------------
+
+GOOD = {"id": "g", "ts": "2022-06-01T12:00:00Z", "text": "strong profit rally",
+        "likes": 500, "retweets": 5, "comments": 1, "followers": 100}
+
+
+def post_line(**fields):
+    return json.dumps({**GOOD, **fields})
+
+
+def force_pool(monkeypatch, range_bytes=256):
+    """Make load_dataset cut posts into ``range_bytes`` ranges and score
+    them in 2 spawn workers, however small the files."""
+    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr("stockcast.pipeline._BYTES_PER_WORKER", 1)
+    monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", range_bytes)
+
+
+def write_posts_config(tmp_path, tweets, **extra):
+    """A config over the fixture prices and news with ``tweets`` as the
+    tweets file, written as given (str lines are joined with \\n)."""
+    path = tmp_path / "tweets.jsonl"
+    path.write_bytes(tweets if isinstance(tweets, bytes) else ("\n".join(tweets) + "\n").encode())
+    values = {"prices": FIXTURES / "prices.csv", "tweets": path,
+              "news": FIXTURES / "news.jsonl", "min_likes": 100, **extra}
+    config = tmp_path / "posts.conf"
+    config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
+    return config
+
+
+def ingest_err(config, capsys):
+    assert cli.main(["ingest", "--config", str(config)]) == 2
+    return capsys.readouterr().err
+
+
+def summary(dataset):
+    return (dataset.tweet_count, dataset.news_count, dataset.tweet_daily, dataset.news_daily)
+
+
+@pytest.mark.parametrize("provider", ["lexicon", "replay"])
+def test_pool_matches_in_process(fixture_config_path, monkeypatch, provider):
+    base = parse_config(fixture_config_path)
+    config = apply_overrides(base, {"provider": provider,
+                                    "replay_scores": str(FIXTURES / "replay_scores.jsonl")})
+    here = load_dataset(config)
+    force_pool(monkeypatch, range_bytes=4096)
+    assert pipeline._post_workers(config) == 2
+    assert len(line_ranges(config.tweets, pipeline._RANGE_BYTES)) > 20
+    assert summary(load_dataset(config)) == summary(here)
+    assert here.tweet_count > 0 and here.news_count > 0
+
+
+def test_later_range_error_keeps_serial_line_number(tmp_path, monkeypatch, capsys):
+    # 20 CRLF lines, 10 ended by a lone CR, 1 ended by LF: the bad line is
+    # line 32 of a text-mode read, many ranges into the file
+    lines = (post_line(id=f"a{i}") + "\r\n" for i in range(20))
+    lines = "".join(lines) + "".join(post_line(id=f"b{i}") + "\r" for i in range(10))
+    data = (lines + post_line(id="c") + "\n" + '{"id": "x", "ts": 5}\n').encode()
+    config = write_posts_config(tmp_path, data)
+    path = tmp_path / "tweets.jsonl"
+    expected = f"error: {path}:32: missing field 'text' at line 32\n"
+    assert ingest_err(config, capsys) == expected
+    force_pool(monkeypatch)
+    assert len(line_ranges(path, pipeline._RANGE_BYTES)) > 10
+    assert ingest_err(config, capsys) == expected
+
+
+@pytest.mark.parametrize("gap, reported", [(300, "json"), (2, "utf8")])
+def test_bad_json_then_bad_byte(tmp_path, monkeypatch, capsys, gap, reported):
+    # A text-mode read decodes 8 KiB at a time: a bad byte in the same block
+    # as an earlier bad line is met first; one many blocks on is not.
+    lines = [post_line(id="a"), "not json"] + [post_line(id=f"g{i}") for i in range(gap)]
+    data = ("\n".join(lines) + "\n").encode() + b'{"id": "\xff"}\n'
+    config = write_posts_config(tmp_path, data)
+    path = tmp_path / "tweets.jsonl"
+    expected = {
+        "json": f"error: {path}:2: unparsable line 2: Expecting value: line 1 column 1 (char 0)\n",
+        "utf8": f"error: {path}:{gap + 3}: not UTF-8 text: invalid start byte\n",
+    }[reported]
+    assert ingest_err(config, capsys) == expected
+    force_pool(monkeypatch)
+    assert ingest_err(config, capsys) == expected
+
+
+def test_tweets_error_before_lexicon_error(tmp_path, monkeypatch, capsys):
+    lexicon = tmp_path / "lexicon.tsv"
+    lexicon.write_text("good\t2\n")
+    config = write_posts_config(tmp_path, [post_line(id="a"), post_line(id="b", likes=-1)],
+                                lexicon=lexicon)
+    force_pool(monkeypatch)
+    assert ingest_err(config, capsys) == (
+        f"error: {tmp_path / 'tweets.jsonl'}:2: unparsable line 2: negative count 'likes'\n")
+    config.write_text(config.read_text().replace(str(tmp_path / "tweets.jsonl"),
+                                                 str(FIXTURES / "tweets.jsonl")))
+    assert ingest_err(config, capsys).startswith(f"error: {lexicon}:1: ")
+
+
+def test_duplicate_of_post_under_min_likes_stays_dropped(tmp_path, monkeypatch):
+    # "dup" first has 10 likes, under min_likes: the first post of an id
+    # decides, so its later copy, in another range, is dropped as well
+    pad = [post_line(id=f"p{i}") for i in range(20)]
+    lines = [post_line(id="dup", likes=10)] + pad + [
+        post_line(id="dup", likes=900, ts="2022-06-02T12:00:00Z")]
+    config = parse_config(write_posts_config(tmp_path, lines))
+    here = load_dataset(config)
+    force_pool(monkeypatch)
+    assert len(line_ranges(config.tweets, pipeline._RANGE_BYTES)) > 10
+    pooled = load_dataset(config)
+    assert summary(pooled) == summary(here)
+    assert pooled.tweet_count == 20
+    counts = {d.date.isoformat(): d.count for d in pooled.tweet_daily}
+    assert counts["2022-06-01"] == 20 and counts["2022-06-02"] == 0
+
+
+def test_missing_replay_score_only_where_it_counts(tmp_path, monkeypatch, capsys):
+    # Only "a" has a replay score. "late" is dated past the last bar
+    # (2023-03-31) and "low" is under min_likes: neither is scored, so
+    # neither raises. Of "miss-b" and "miss-a", both kept, "miss-a" has the
+    # earlier day and is reported, though it comes later in the file.
+    scores = tmp_path / "scores.jsonl"
+    scores.write_text(json.dumps({"id": "a", "label": 1, "confidence": 0.5}) + "\n")
+    news = tmp_path / "news.jsonl"
+    news.write_text("")
+    lines = [post_line(id="a", text=f"copy {i}") for i in range(10)] + [
+        post_line(id="late", ts="2023-04-03T12:00:00Z"), post_line(id="low", likes=1)]
+    config = write_posts_config(tmp_path, lines, news=news, provider="replay",
+                                replay_scores=scores)
+    force_pool(monkeypatch)
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert "tweets: 2\n" in capsys.readouterr().out  # "a" and "late"
+    lines += [post_line(id="miss-b", ts="2022-09-01T12:00:00Z"),
+              post_line(id="miss-a", ts="2022-08-01T12:00:00Z")]
+    config = write_posts_config(tmp_path, lines, news=news, provider="replay",
+                                replay_scores=scores)
+    assert ingest_err(config, capsys) == "error: no replay score for post id 'miss-a'\n"

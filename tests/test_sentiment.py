@@ -260,8 +260,9 @@ class TestAggregateDaily:
     D = [date(2023, 1, d) for d in (3, 4, 5)]
 
     def scored(self, day, label, conf, **counts):
+        """One post's (label, confidence, weighted), as aggregate_daily takes it."""
         post = make_post(f"p{label}{conf}", day, **counts)
-        return score_post(post, SentimentScore(label, conf), W)
+        return (label, conf, score_post(post, SentimentScore(label, conf), W).weighted)
 
     def test_means_over_one_day(self):
         cal = TradingCalendar(self.D[:1])
