@@ -87,8 +87,7 @@ def cmd_featurize(args):
     for feature_set in config.feature_sets:
         matrix = pipeline.build_matrix(config, dataset, feature_set)
         path = out_dir / f"features_{pipeline.safe_name(feature_set)}.csv"
-        write_matrix_csv(path, matrix,
-                         header_comment=f"config_hash={config.config_hash}")
+        write_matrix_csv(path, matrix, f"config_hash={config.config_hash}")
         print(f"wrote {path} ({len(matrix.dates)} rows x {len(matrix.columns)} features)")
     return EXIT_OK
 

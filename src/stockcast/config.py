@@ -1,11 +1,12 @@
 """Experiment configuration: flat `key = value` files, one pair per line.
 
-`#` starts a comment; blank lines are ignored. Relative paths, and the
-default `prices.csv`, `tweets.jsonl` and `news.jsonl` of a path key left
-out, are resolved against the config file's directory, so bundled configs
-work from any working directory. The canonical serialization (sorted
-`key=value` lines), together with the SHA-256 of every input file the
-config names, is hashed into every output file for traceability.
+`#` starts a comment; blank lines are ignored. Relative input paths, and
+the default `prices.csv`, `tweets.jsonl` and `news.jsonl` of a path key
+left out, are resolved against the config file's directory, so bundled
+configs work from any working directory; `out_dir` is kept as written, so
+it resolves against the working directory. The canonical serialization
+(sorted `key=value` lines), together with the SHA-256 of every input file
+the config names, is hashed into every output file for traceability.
 """
 
 from __future__ import annotations
@@ -88,11 +89,7 @@ class ExperimentConfig:
                 continue  # dip rule off
             if not getattr(self, key) >= 0:
                 raise StockcastError(f"{key} must be >= 0, got {getattr(self, key)}")
-        unknown = [fs for fs in self.feature_sets if fs not in FEATURE_SETS]
-        if unknown:
-            raise StockcastError(
-                f"unknown feature sets {unknown}; valid: {', '.join(FEATURE_SETS)}"
-            )
+        _check_feature_sets(self.feature_sets)
 
     def canonical(self):
         """Sorted key=value lines; the hashing base.
@@ -127,6 +124,16 @@ class ExperimentConfig:
         lines += [f"{key}.sha256={_file_sha256(getattr(self, key))}"
                   for key in _PATH_KEYS if getattr(self, key)]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+def _check_feature_sets(names):
+    """Refuse a name that is no feature set, and one named twice (it would train twice)."""
+    unknown = [fs for fs in names if fs not in FEATURE_SETS]
+    if unknown:
+        raise StockcastError(f"unknown feature sets {unknown}; valid: {', '.join(FEATURE_SETS)}")
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise StockcastError(f"{name!r} named twice")
 
 
 def _file_sha256(path):
@@ -176,6 +183,7 @@ def _parse_value(key, raw, base_dir):
         names = tuple(part.strip() for part in raw.split(",") if part.strip())
         if not names:
             raise ValueError("names no feature set; give a comma list of set names or all")
+        _check_feature_sets(names)
         return names
     return raw
 
@@ -210,7 +218,7 @@ def parse_config(path):
         seen[key] = lineno
         try:
             values[key] = _parse_value(key, raw, base_dir)
-        except (ValueError, TypeError) as exc:
+        except (ValueError, TypeError, StockcastError) as exc:
             raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
     for f in fields(ExperimentConfig):
         if f.name in _PATH_KEYS and f.name not in values and f.default is not None:

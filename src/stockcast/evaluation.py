@@ -12,7 +12,6 @@ from .errors import StockcastError
 @dataclass(frozen=True)
 class RunMetrics:
     feature_set: str
-    seed: int
     r2: float
     mae: float
     scale: str

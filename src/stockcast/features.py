@@ -243,11 +243,11 @@ def _check_aligned(bar_dates, other_dates):
             raise StockcastError(f"inputs not aligned to the trading calendar at {bd}")
 
 
-def write_matrix_csv(path, matrix, header_comment=None):
-    """Export a FeatureMatrix as CSV: date column first, then features."""
+def write_matrix_csv(path, matrix, header_comment):
+    """Export a FeatureMatrix as CSV: a ``# header_comment`` line, then a
+    date column first and the features after it."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
+        fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["date", *matrix.columns])
         for d, row in zip(matrix.dates, matrix.values):
@@ -273,7 +273,6 @@ class SplitWindows:
     train: WindowedDataset
     test: WindowedDataset
     norm: NormalizationState
-    columns: tuple
 
 
 def make_windows(matrix, lookback, split_date):
@@ -307,7 +306,7 @@ def make_windows(matrix, lookback, split_date):
 
     train = build(lookback, n_train_rows)
     test = build(n_train_rows, n)
-    return SplitWindows(train=train, test=test, norm=norm, columns=matrix.columns)
+    return SplitWindows(train=train, test=test, norm=norm)
 
 
 __all__ = [

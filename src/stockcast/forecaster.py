@@ -57,6 +57,9 @@ ADAM_EPS = 1e-8
 #: Global L2 norm that train clips each batch's gradients to.
 GRAD_CLIP = 5.0
 
+#: Rows per predict chunk: a multiple of 8, see predict.
+PREDICT_CHUNK = 128
+
 
 @dataclass(frozen=True)
 class LstmConfig:
@@ -92,65 +95,40 @@ def _theta_size(n_features, hidden):
     return sum(math.prod(_param_shape(name, n_features, hidden)) for name in PARAM_ORDER)
 
 
-class _ParamViews(dict):
-    """name -> view into theta; assigning to a name writes into theta."""
-
-    def __setitem__(self, name, value):
-        self[name][...] = value
-
-
 class LstmWeights:
     """All parameters in one flat float64 vector, ``theta``, in PARAM_ORDER.
 
     W_* map inputs to the hidden layer, U_* are the recurrent maps, b_*
-    the gate biases; w_out/b_out form the dense head. ``params[name]`` is
+    the gate biases; w_out/b_out form the dense head. ``weights[name]`` is
     a contiguous view into theta, and ``W`` (4, F, H), ``U`` (4, H, H)
     and ``b`` (4H,) view the three gate blocks. Gradients use the same
     class and layout.
     """
 
-    def __init__(self, params):
-        missing = [name for name in PARAM_ORDER if name not in params]
-        if missing:
-            raise ValueError(f"missing parameters: {missing}")
-        n_features, hidden = np.shape(params["W_i"])
-        self._bind(np.empty(_theta_size(n_features, hidden)), n_features, hidden)
-        for name in PARAM_ORDER:
-            value = np.asarray(params[name], dtype=np.float64)
-            if value.shape != self.params[name].shape:
-                raise ValueError(f"{name} has shape {value.shape}, "
-                                 f"expected {self.params[name].shape}")
-            self.params[name] = value
-
     @classmethod
     def from_theta(cls, theta, n_features, hidden):
         """Wrap an existing flat vector (no copy)."""
-        weights = cls.__new__(cls)
-        weights._bind(theta, n_features, hidden)
-        return weights
-
-    def _bind(self, theta, n_features, hidden):
-        self.theta = theta
-        self.n_features = n_features
-        self.hidden_units = hidden
-        views = {}
+        weights = cls()
+        weights.theta = theta
+        weights.hidden_units = hidden
+        weights._views = {}
         start = 0
         for name in PARAM_ORDER:
             shape = _param_shape(name, n_features, hidden)
             size = math.prod(shape)
-            views[name] = theta[start:start + size].reshape(shape)
+            weights._views[name] = theta[start:start + size].reshape(shape)
             start += size
-        self.params = _ParamViews(views)
         F, H = n_features, hidden
-        self.W = theta[:4 * F * H].reshape(4, F, H)
-        self.U = theta[4 * F * H:4 * H * (F + H)].reshape(4, H, H)
-        self.b = theta[4 * H * (F + H):4 * H * (F + H + 1)]
+        weights.W = theta[:4 * F * H].reshape(4, F, H)
+        weights.U = theta[4 * F * H:4 * H * (F + H)].reshape(4, H, H)
+        weights.b = theta[4 * H * (F + H):4 * H * (F + H + 1)]
+        return weights
 
     def __getitem__(self, name):
-        return self.params[name]
+        return self._views[name]
 
     def items(self):
-        return [(name, self.params[name]) for name in PARAM_ORDER]
+        return self._views.items()
 
 
 def init_weights(config, n_features):
@@ -347,9 +325,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = ADAM_BETA1
-    beta2: float = ADAM_BETA2
-    eps: float = ADAM_EPS
 
     @classmethod
     def for_weights(cls, weights):
@@ -357,9 +332,10 @@ class AdamState:
 
 
 def adam_step(weights, grads, state, lr):
-    """One bias-corrected Adam update, in place; returns (weights, state)."""
+    """One bias-corrected Adam update with the ADAM_* constants, in place;
+    returns (weights, state)."""
     state.t += 1
-    b1, b2, eps, t = state.beta1, state.beta2, state.eps, state.t
+    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     g = grads.theta
     state.m *= b1
     state.m += (1.0 - b1) * g
@@ -418,21 +394,21 @@ def train(dataset, config):
     return weights, loss_history
 
 
-def predict(weights, dataset, chunk_size=128):
+def predict(weights, dataset):
     """One prediction per sample, order preserved; empty in, empty out.
 
-    The samples run through one workspace in chunks of chunk_size rows. A
-    1-row tail joins the chunk before it: a 1-row product goes through
+    The samples run through one workspace in chunks of PREDICT_CHUNK rows.
+    A 1-row tail joins the chunk before it: a 1-row product goes through
     gemv, whose sums differ from gemm's in the last bit. BLAS kernels
-    handle rows in groups (OpenBLAS's dgemv in fours), so with chunk_size a
-    multiple of 8 every prediction is bit-identical to one forward over
-    all n samples.
+    handle rows in groups (OpenBLAS's dgemv in fours), so with
+    PREDICT_CHUNK a multiple of 8 every prediction is bit-identical to one
+    forward over all n samples.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     n, T, F = X.shape
     if n == 0:
         return np.empty(0, dtype=np.float64)
-    starts = list(range(0, n, chunk_size))
+    starts = list(range(0, n, PREDICT_CHUNK))
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
     bounds = starts + [n]

@@ -60,8 +60,8 @@ class RawPost(NamedTuple):
     """One tweet or news item with engagement counts.
 
     News items carry no engagement, so all four counts are zero for
-    kind="news". A named tuple rather than a frozen dataclass: a post is
-    built once per input line and the tuple is the cheaper record.
+    news. A named tuple rather than a frozen dataclass: a post is built
+    once per input line and the tuple is the cheaper record.
     """
 
     id: str
@@ -71,7 +71,6 @@ class RawPost(NamedTuple):
     likes: int = 0
     comments: int = 0
     followers: int = 0
-    kind: str = "tweet"
 
 
 class TradingCalendar:
@@ -83,9 +82,6 @@ class TradingCalendar:
             if cur <= prev:
                 raise StockcastError(f"dates not strictly increasing at {cur}")
         self.dates = dates
-
-    def __len__(self):
-        return len(self.dates)
 
     def __iter__(self):
         return iter(self.dates)
@@ -200,7 +196,7 @@ def line_ranges(path, size):
     return ranges
 
 
-def load_posts_jsonl(path, kind, min_likes=None, byte_range=None):
+def load_posts_jsonl(path, kind, byte_range=None):
     """Load tweets or news from a JSON-lines file.
 
     Each line is one object with fields ``id`` (a string or an integer),
@@ -208,13 +204,12 @@ def load_posts_jsonl(path, kind, min_likes=None, byte_range=None):
     ``retweets``/``likes``/``comments``/``followers`` (JSON integers, not
     booleans, at least 0). Engagement fields default to 0 when absent and
     are forced to 0 for news, whose lines are not checked for them. Posts
-    with a duplicate id are dropped, keeping the first occurrence.
+    with a duplicate id are dropped, keeping the first occurrence; the
+    pipeline applies ``min_likes`` after that.
 
     Args:
         path: JSONL file path.
-        kind: "tweet" or "news"; applied to every loaded post.
-        min_likes: optional filter re-applying the collection-time
-            minimum-likes rule (posts with likes >= min_likes are kept).
+        kind: "tweet" or "news"; news lines are not checked for counts.
         byte_range: one ``line_ranges`` entry, to load only that part of
             the file, its lines numbered as in the whole file; duplicate
             ids are then dropped only within the range. None loads the
@@ -230,16 +225,12 @@ def load_posts_jsonl(path, kind, min_likes=None, byte_range=None):
     path = Path(path)
     if byte_range is None:
         with open_text(path) as fh:
-            posts = _read_posts(path, kind, fh, 1)
-    else:
-        start, end, first_line = byte_range
-        with open(path, "rb") as fh:
-            fh.seek(start)
-            text = fh.read(end - start).decode("utf-8")
-        posts = _read_posts(path, kind, io.StringIO(text, newline=None), first_line)
-    if min_likes is not None:
-        posts = [p for p in posts if p.likes >= min_likes]
-    return posts
+            return _read_posts(path, kind, fh, 1)
+    start, end, first_line = byte_range
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(end - start).decode("utf-8")
+    return _read_posts(path, kind, io.StringIO(text, newline=None), first_line)
 
 
 def _read_posts(path, kind, lines, first_line):
@@ -300,7 +291,7 @@ def _read_posts(path, kind, lines, first_line):
         if post_id in seen_ids:
             continue
         seen_ids.add(post_id)
-        posts.append(RawPost(post_id, ts, text, *counts, kind))
+        posts.append(RawPost(post_id, ts, text, *counts))
     return posts
 
 

@@ -60,7 +60,6 @@ class SimConfig:
 class Position:
     shares: float
     entry_price: float
-    entry_date: object
 
 
 @dataclass(frozen=True)
@@ -180,8 +179,7 @@ def run_simulation(predictions, bars, cfg=None):
             elif action == BUY_AT_CLOSE:
                 if index == last_index:
                     continue  # would liquidate at the same print; skip
-                position = Position(shares=capital / bar.close,
-                                    entry_price=bar.close, entry_date=day)
+                position = Position(shares=capital / bar.close, entry_price=bar.close)
                 ledger.append(LedgerEntry(day, r, action, bar.close, None, capital))
             else:
                 ledger.append(LedgerEntry(day, r, NONE, None, None, capital))

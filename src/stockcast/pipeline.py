@@ -40,7 +40,6 @@ class Dataset:
     """
 
     bars: list
-    calendar: object
     tweet_count: int
     news_count: int
     tweet_daily: list
@@ -49,10 +48,9 @@ class Dataset:
 
 def make_provider(config):
     if config.provider == "lexicon":
-        lexicon = sentiment.load_lexicon(config.lexicon)
-        return sentiment.LexiconProvider(lexicon)
+        return sentiment.LexiconProvider(sentiment.load_lexicon(config.lexicon))
     if config.provider == "replay":
-        return sentiment.ReplayProvider.from_jsonl(config.replay_scores)
+        return sentiment.ReplayProvider(sentiment.load_replay_scores(config.replay_scores))
     raise StockcastError(f"unknown provider {config.provider!r}")
 
 
@@ -90,7 +88,7 @@ def load_dataset(config):
         news = _gather(run(_score_range, _post_tasks(config.news, "news", None)), None)
     for _, _, missing in (tweets, news):
         if missing is not None:
-            raise StockcastError(missing)
+            raise missing
 
     def daily(by_day):
         return sentiment.aggregate_daily(
@@ -98,7 +96,6 @@ def load_dataset(config):
 
     return Dataset(
         bars=bars,
-        calendar=calendar,
         tweet_count=tweets[0],
         news_count=news[0],
         tweet_daily=daily(tweets[1]),
@@ -122,20 +119,17 @@ def _post_tasks(path, kind, min_likes):
             for byte_range in line_ranges(path, _RANGE_BYTES)]
 
 
-_UNSCORED = (None, None, None, None)
-
-
 def _score_range(shared, task):
     """Load, check and score one byte range of a post file.
 
-    Returns one (id, likes, day, label, confidence, weighted) tuple per
-    post of the range, in load order, with day the calendar index. A post
-    no daily average can include is not scored and gets day None: one
-    dated past the calendar end, or with fewer than min_likes. A post the
-    provider cannot score gets label None and the provider's message in
-    place of the confidence; that is an error only if the post is kept.
-    Only primitives go back: returning post objects cost more to pickle
-    than scoring them in the worker saved.
+    Returns one (id, likes, day, score) tuple per post of the range, in
+    load order, with day the calendar index and score the post's
+    score_post triple. A post no daily average can include is not scored
+    and gets day and score None: one dated past the calendar end, or with
+    fewer than min_likes. A post the provider cannot score gets the
+    provider's StockcastError as its score; that is an error only if the
+    post is kept. Only primitives go back: returning post objects cost
+    more to pickle than scoring them in the worker saved.
     """
     provider, stopwords, keep_cashtags, weights, calendar = shared
     path, kind, min_likes, byte_range = task
@@ -148,20 +142,19 @@ def _score_range(shared, task):
             try:
                 score = provider.score(text, post_id=post.id)
             except StockcastError as exc:  # a replay table without this id
-                scored[post.id] = (day, None, str(exc), None)
+                scored[post.id] = (day, exc)
                 continue
-            weighted = sentiment.score_post(post, score, weights).weighted
-            scored[post.id] = (day, score.label, score.confidence, weighted)
-    return [(post.id, post.likes, *scored.get(post.id, _UNSCORED)) for post in posts]
+            scored[post.id] = (day, sentiment.score_post(post, score, weights))
+    return [(post.id, post.likes, *scored.get(post.id, (None, None))) for post in posts]
 
 
 def _gather(results, min_likes):
     """Merge one file's _score_range results, in file order.
 
     Keeps the first post of each id, then drops those with fewer than
-    min_likes, as load_posts_jsonl does over a whole file. Returns the
+    min_likes, as the one-pass loader did over a whole file. Returns the
     number kept; a dict day -> [(label, confidence, weighted)] in load
-    order; and the message of the first kept post without a score in
+    order; and the error of the first kept post without a score in
     (day, load) order, or None.
     """
     seen = set()
@@ -169,7 +162,7 @@ def _gather(results, min_likes):
     by_day = defaultdict(list)
     missing = None
     for rows in results:
-        for post_id, likes, day, label, confidence, weighted in rows:
+        for post_id, likes, day, score in rows:
             if post_id in seen:
                 continue
             seen.add(post_id)
@@ -178,10 +171,10 @@ def _gather(results, min_likes):
             kept += 1
             if day is None:
                 continue
-            if label is not None:
-                by_day[day].append((label, confidence, weighted))
+            if not isinstance(score, StockcastError):
+                by_day[day].append(score)
             elif missing is None or day < missing[0]:
-                missing = (day, confidence)
+                missing = (day, score)
     return kept, by_day, None if missing is None else missing[1]
 
 
@@ -207,19 +200,17 @@ def build_matrix(config, dataset, feature_set):
 class FeatureSetResult:
     feature_set: str
     split: object                   # features.SplitWindows
-    run_metrics: list               # RunMetrics, both scales
     reports: list                   # AggregateReport, both scales
     mean_pred_norm: np.ndarray      # replicate-mean normalized predictions
     mean_pred_price: np.ndarray     # same, on the price scale
     true_price: np.ndarray          # test targets on the price scale
-    loss_histories: list
 
 
-def run_feature_set(config, feature_set, split, fits):
+def run_feature_set(feature_set, split, preds):
     """Evaluate one feature set from its replicates' test-window forecasts.
 
-    ``fits`` holds one (pred_norm, loss_history) per replicate, replicate
-    i having trained with seed base_seed + i.
+    ``preds`` holds one normalized forecast per replicate, in replicate
+    order, which the reports' per-run lists keep.
     """
     close_min, close_max = split.norm.column_state("close")
 
@@ -230,16 +221,15 @@ def run_feature_set(config, feature_set, split, fits):
     y_true_price = to_price(y_true_norm)
 
     run_metrics = []
-    for i, (pred_norm, _) in enumerate(fits):
-        seed = config.base_seed + i
+    for pred_norm in preds:
         run_metrics.append(RunMetrics(
-            feature_set, seed,
+            feature_set,
             r_squared(y_true_norm, pred_norm), mae(y_true_norm, pred_norm),
             "normalized",
         ))
         pred_price = to_price(pred_norm)
         run_metrics.append(RunMetrics(
-            feature_set, seed,
+            feature_set,
             r_squared(y_true_price, pred_price), mae(y_true_price, pred_price),
             "denormalized",
         ))
@@ -248,28 +238,26 @@ def run_feature_set(config, feature_set, split, fits):
         replicate_average([m for m in run_metrics if m.scale == scale])
         for scale in ("normalized", "denormalized")
     ]
-    mean_pred_norm = np.mean(np.stack([pred for pred, _ in fits]), axis=0)
+    mean_pred_norm = np.mean(np.stack(preds), axis=0)
     return FeatureSetResult(
         feature_set=feature_set,
         split=split,
-        run_metrics=run_metrics,
         reports=reports,
         mean_pred_norm=mean_pred_norm,
         mean_pred_price=to_price(mean_pred_norm),
         true_price=y_true_price,
-        loss_histories=[losses for _, losses in fits],
     )
 
 
 def _fit_replicate(_, job):
-    """Train one (set, replicate) model; its test forecast and loss history.
+    """Train one (set, replicate) model; its test forecast.
 
     ``job`` is one (train, test, LstmConfig) tuple; a _worker_pool task
     that shares nothing.
     """
     train, test, model_config = job
-    weights, loss_history = forecaster.train(train, model_config)
-    return forecaster.predict(weights, test), loss_history
+    weights, _ = forecaster.train(train, model_config)
+    return forecaster.predict(weights, test)
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -396,15 +384,15 @@ def write_report_json(path, config, results):
     _write_json(path, payload)
 
 
-def write_metrics_csv(path, config, results, scale="normalized"):
-    """Flat table, one row per feature set (the Tables 4-5 shape)."""
+def write_metrics_csv(path, config, results):
+    """Flat table, one row per feature set (the Tables 4-5 shape), normalized scale."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# config_hash={config.config_hash}\n")
         writer = csv.writer(fh)
         writer.writerow(["feature_set", "stock", "sentiment_provider", "r2", "mae"])
         for result in results:
             for report in result.reports:
-                if report.scale != scale:
+                if report.scale != "normalized":
                     continue
                 writer.writerow([
                     report.feature_set, config.stock, config.provider,
@@ -560,10 +548,10 @@ def run_train_eval(config, out_dir):
         ))
         for split in splits for i in range(config.replicates)
     ]
-    fits = _fit_all(jobs)
+    preds = _fit_all(jobs)
     n = config.replicates
     results = [
-        run_feature_set(config, fs, split, fits[k * n:(k + 1) * n])
+        run_feature_set(fs, split, preds[k * n:(k + 1) * n])
         for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
     ]
     write_report_json(out_dir / "report.json", config, results)

@@ -23,7 +23,6 @@ import json
 from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
-from typing import NamedTuple
 
 from .errors import StockcastError, open_text
 
@@ -70,12 +69,6 @@ class WeightParams:
 _NEUTRAL = SentimentScore(0, 0.0)
 
 
-class ScoredPost(NamedTuple):
-    post: object  # RawPost
-    score: SentimentScore
-    weighted: float
-
-
 @dataclass(frozen=True)
 class DailySentiment:
     date: object
@@ -119,8 +112,8 @@ def weighted_sentiment(post, score, w):
 
 
 def score_post(post, score, w):
-    """Bundle a post with its score and engagement-weighted sentiment."""
-    return ScoredPost(post, score, weighted_sentiment(post, score, w))
+    """(label, confidence, weighted): one post's score, as aggregate_daily averages it."""
+    return score.label, score.confidence, weighted_sentiment(post, score, w)
 
 
 # --- providers ---------------------------------------------------------------
@@ -134,10 +127,8 @@ class LexiconProvider:
     scorer.
     """
 
-    name = "lexicon"
-
-    def __init__(self, lexicon=None):
-        self.lexicon = dict(lexicon) if lexicon is not None else load_lexicon()
+    def __init__(self, lexicon):
+        self.lexicon = lexicon
 
     def score(self, text, post_id=None):
         tokens = text.split()
@@ -159,14 +150,8 @@ class LexiconProvider:
 class ReplayProvider:
     """Serve precomputed scores (e.g. from an external model) by post id."""
 
-    name = "replay"
-
     def __init__(self, table):
-        self.table = dict(table)
-
-    @classmethod
-    def from_jsonl(cls, path):
-        return cls(load_replay_scores(path))
+        self.table = table
 
     def score(self, text, post_id=None):
         if post_id is None or post_id not in self.table:
@@ -202,10 +187,12 @@ def load_replay_scores(path):
 
     The post loader's typing applies: ``id`` is a string or an integer,
     ``label`` a JSON integer in {-1, 0, 1} and ``confidence`` a JSON number
-    in [0, 1], none of them a boolean. Any other line raises a
-    StockcastError at ``<path>:<line>: ``.
+    in [0, 1], none of them a boolean. Any other line, or an id given
+    twice (``7`` and ``"7"`` alike), raises a StockcastError at
+    ``<path>:<line>: ``.
     """
     table = {}
+    first_line = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -223,7 +210,12 @@ def load_replay_scores(path):
                 if type(conf) not in (int, float):
                     raise ValueError(f"field 'confidence' must be a number, "
                                      f"got {json.dumps(conf)}")
-                table[str(post_id)] = SentimentScore(label, float(conf))
+                post_id, score = str(post_id), SentimentScore(label, float(conf))
+                if post_id in first_line:
+                    raise ValueError(f"duplicate id {post_id!r}, "
+                                     f"first on line {first_line[post_id]}")
+                first_line[post_id] = lineno
+                table[post_id] = score
             except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
@@ -265,7 +257,6 @@ def aggregate_daily(scored_by_date, calendar):
 __all__ = [
     "SentimentScore",
     "WeightParams",
-    "ScoredPost",
     "DailySentiment",
     "LexiconProvider",
     "ReplayProvider",

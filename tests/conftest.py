@@ -32,7 +32,7 @@ def make_bar(d, open_=100.0, high=None, low=None, close=104.0, adj=None, volume=
 
 
 def make_post(post_id="p1", day=date(2023, 1, 3), text="text",
-              retweets=0, likes=0, comments=0, followers=0, kind="tweet"):
+              retweets=0, likes=0, comments=0, followers=0):
     return RawPost(
         id=post_id,
         timestamp=datetime(day.year, day.month, day.day, 12, 0, tzinfo=timezone.utc),
@@ -41,5 +41,4 @@ def make_post(post_id="p1", day=date(2023, 1, 3), text="text",
         likes=likes,
         comments=comments,
         followers=followers,
-        kind=kind,
     )

@@ -118,8 +118,21 @@ class TestConfig:
     def test_unknown_feature_set_rejected(self, tmp_path):
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, feature_sets="Prices,NotASet")
-        with pytest.raises(StockcastError, match=r"^unknown feature sets \['NotASet'\]; valid: "):
+        line = path.read_text().splitlines().index("feature_sets = Prices,NotASet") + 1
+        with pytest.raises(StockcastError, match=f"^{re.escape(str(path))}:{line}: bad value for "
+                           r"'feature_sets': unknown feature sets \['NotASet'\]; valid: "):
             parse_config(path)
+
+    def test_feature_set_named_twice_refused_before_loading(self, tmp_path, capsys):
+        # prices names no file: the config error must come before any data loads
+        path = write_config(tmp_path, prices="absent.csv", feature_sets="Prices, Prices")
+        line = path.read_text().splitlines().index("feature_sets = Prices, Prices") + 1
+        assert cli.main(["train-eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}:{line}: bad value for 'feature_sets': 'Prices' named twice\n")
+        assert not (tmp_path / "out").exists()
+        with pytest.raises(StockcastError, match="^'Prices' named twice$"):
+            ExperimentConfig(feature_sets=("Prices", "Prices"))  # a config built in code
 
     def test_hash_ignores_out_dir_only(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -762,7 +775,7 @@ def test_mutated_input_fails_cleanly(tmp_path, capsys, name, mutation, data):
             if old != line:
                 key, _, value = (part.strip() for part in
                                  line.decode("utf-8", "replace").partition("="))
-                named += [key, key.replace("_", " ")]
+                named.append(key)
                 if value:
                     named.append(str((tmp_path / value).resolve()))
     assert any(n and n in err for n in named), err

@@ -54,8 +54,8 @@ def diverging_training(tmp_path):
 
 
 def mixed_runs(tmp_path):
-    replicate_average([RunMetrics("Prices", 0, 0.5, 0.1, "normalized"),
-                       RunMetrics("Prices-News", 1, 0.5, 0.1, "normalized")])
+    replicate_average([RunMetrics("Prices", 0.5, 0.1, "normalized"),
+                       RunMetrics("Prices-News", 0.5, 0.1, "normalized")])
 
 
 #: One raise site per kind of error: the class it must raise, and a call

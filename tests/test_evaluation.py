@@ -55,8 +55,7 @@ class TestMae:
 
 class TestReplicateAverage:
     def runs(self, r2s, feature_set="Prices", scale="normalized"):
-        return [RunMetrics(feature_set, seed=i, r2=v, mae=v / 10, scale=scale)
-                for i, v in enumerate(r2s)]
+        return [RunMetrics(feature_set, r2=v, mae=v / 10, scale=scale) for v in r2s]
 
     def test_mean(self):
         report = replicate_average(self.runs([0.9, 0.8]))

@@ -12,6 +12,7 @@ import pytest
 from stockcast.errors import RunFailed
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
+    ADAM_EPS,
     GRAD_CLIP,
     AdamState,
     LstmConfig,
@@ -101,19 +102,8 @@ def max_relative_error(analytic, fd):
 
 
 def zero_weights(hidden, n_features):
-    params = {}
-    for name in PARAM_ORDER:
-        if name == "w_out":
-            params[name] = np.zeros(hidden)
-        elif name == "b_out":
-            params[name] = np.zeros(())
-        elif name.startswith("W_"):
-            params[name] = np.zeros((n_features, hidden))
-        elif name.startswith("U_"):
-            params[name] = np.zeros((hidden, hidden))
-        else:
-            params[name] = np.zeros(hidden)
-    return LstmWeights(params)
+    size = 4 * hidden * (n_features + hidden + 1) + hidden + 1
+    return LstmWeights.from_theta(np.zeros(size), n_features, hidden)
 
 
 def live_sample(weights, rng, lookback, n_features):
@@ -132,12 +122,25 @@ class TestInit:
         w1 = init_weights(cfg, 3)
         w2 = init_weights(cfg, 3)
         for name, arr in w1.items():
-            assert np.array_equal(arr, w2.params[name])
+            assert np.array_equal(arr, w2[name])
 
     def test_different_seed_differs(self):
         w1 = init_weights(LstmConfig(hidden_units=8, seed=5), 3)
         w2 = init_weights(LstmConfig(hidden_units=8, seed=6), 3)
         assert not np.array_equal(w1["W_i"], w2["W_i"])
+
+    def test_frozen_values(self):
+        # pins the seeded stream and the order the blocks are drawn in: the
+        # first W_i and last head values, the sum, and a position-weighted
+        # sum, which any two blocks drawn in swapped order change
+        theta = init_weights(LstmConfig(hidden_units=3, seed=5), 2).theta
+        assert theta.size == 76
+        assert theta[:3].tolist() == [0.3521870402560363, 0.3555793956976613,
+                                      0.017696433586325444]
+        assert theta[-3:].tolist() == [-0.12648715121241894, 0.34402441867765277,
+                                       -0.13801515386773477]
+        assert theta.sum() == pytest.approx(2.972153980652408, rel=1e-12)
+        assert np.arange(theta.size) @ theta == pytest.approx(203.57184664527065, rel=1e-12)
 
     def test_forget_bias_is_one(self):
         w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
@@ -209,11 +212,11 @@ class TestForward:
         # to finite values in [0, 1] without an exp overflow warning
         H = 3
         w = zero_weights(H, 2)
-        w.params["b_i"] = 1000.0
-        w.params["b_f"] = -1000.0
-        w.params["b_o"] = 1000.0
-        w.params["b_g"] = -1000.0
-        w.params["w_out"] = -1.0
+        w["b_i"][...] = 1000.0
+        w["b_f"][...] = -1000.0
+        w["b_o"][...] = 1000.0
+        w["b_g"][...] = -1000.0
+        w["w_out"][...] = -1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred, cache = forward(w, np.zeros((1, 4, 2)))
@@ -280,7 +283,7 @@ class TestBackward:
 
     def test_dead_relu_all_grads_zero(self):
         w = zero_weights(4, 2)
-        w.params["b_out"] = np.asarray(-1.0)  # pre-activation < 0 always
+        w["b_out"][...] = -1.0  # pre-activation < 0 always
         X = np.random.default_rng(0).normal(size=(3, 2))
         pred, cache = forward(w, X[None])
         assert pred[0] == 0.0
@@ -293,13 +296,13 @@ class TestAdam:
     def make(self, values):
         w = zero_weights(2, 1)
         for name in PARAM_ORDER:
-            w.params[name] = w.params[name] + values
+            w[name][...] += values
         return w
 
     def test_zero_gradient_no_move(self):
         w = init_weights(LstmConfig(hidden_units=3, seed=0), 2)
         before = {name: arr.copy() for name, arr in w.items()}
-        grads = LstmWeights({name: np.zeros_like(arr) for name, arr in w.items()})
+        grads = LstmWeights.from_theta(np.zeros_like(w.theta), 2, 3)
         state = AdamState.for_weights(w)
         adam_step(w, grads, state, lr=0.1)
         assert state.t == 1
@@ -311,13 +314,13 @@ class TestAdam:
         w = init_weights(LstmConfig(hidden_units=3, seed=1), 2)
         before = {name: arr.copy() for name, arr in w.items()}
         rng = np.random.default_rng(5)
-        grads = LstmWeights({name: rng.normal(size=arr.shape) for name, arr in w.items()})
+        grads = LstmWeights.from_theta(rng.normal(size=w.theta.size), 2, 3)
         state = AdamState.for_weights(w)
         lr = 0.01
         adam_step(w, grads, state, lr)
         for name, arr in w.items():
             g = grads[name]
-            expected = before[name] - lr * g / (np.sqrt(g ** 2) + state.eps)
+            expected = before[name] - lr * g / (np.sqrt(g ** 2) + ADAM_EPS)
             assert arr == pytest.approx(expected, rel=1e-9)
 
     def test_two_steps_differ_from_one_double_lr_step(self):
@@ -345,9 +348,9 @@ class TestAdam:
 
     def test_clip_gradients_scales_to_norm(self):
         grads = zero_weights(1, 1)
-        grads.params["W_i"] = 3.0
-        grads.params["U_i"] = 4.0
-        grads.params["b_out"] = 12.0
+        grads["W_i"][...] = 3.0
+        grads["U_i"][...] = 4.0
+        grads["b_out"][...] = 12.0
         clip_gradients(grads, 6.5)
         total = math.sqrt(float(sum(np.sum(g ** 2) for _, g in grads.items())))
         assert total == pytest.approx(6.5, rel=1e-12)
@@ -385,7 +388,7 @@ class TestTrain:
         w2, h2 = train(ds, cfg)
         assert h1 == h2
         for name, arr in w1.items():
-            assert np.array_equal(arr, w2.params[name])
+            assert np.array_equal(arr, w2[name])
 
     def test_defaults_accepted(self):
         cfg = LstmConfig()
@@ -429,10 +432,11 @@ class TestPredict:
         direct, _ = forward(w, ds.X[:1])
         assert pred[0] == direct[0]
 
-    def test_batch_equals_per_sample_loop(self):
+    def test_batch_equals_per_sample_loop(self, monkeypatch):
+        monkeypatch.setattr("stockcast.forecaster.PREDICT_CHUNK", 4)
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
         ds = self.make_dataset(9)
-        batched = predict(w, ds, chunk_size=4)
+        batched = predict(w, ds)
         looped = np.array([forward(w, x[None])[0][0] for x in ds.X])
         assert batched == pytest.approx(looped, rel=0, abs=1e-12)
 
@@ -440,7 +444,7 @@ class TestPredict:
 def live_weights(hidden, n_features, seed):
     """Seeded init with the head bias raised, so every prediction is live."""
     w = init_weights(LstmConfig(hidden_units=hidden, seed=seed), n_features)
-    w.params["b_out"] = 1.0
+    w["b_out"][...] = 1.0
     return w
 
 
@@ -544,8 +548,11 @@ class TestCheckpoint:
         # params written by the per-gate kernel that predates the flat layout;
         # V1_PREDICTIONS are what that kernel predicted from them
         committed = Path(__file__).parent / "data" / "checkpoint_v1_h3_f2.json"
-        weights = LstmWeights(json.loads(committed.read_text(encoding="utf-8"))["params"])
-        assert (weights.n_features, weights.hidden_units) == (2, 3)
+        params = json.loads(committed.read_text(encoding="utf-8"))["params"]
+        n_features, hidden = np.shape(params["W_i"])
+        assert (n_features, hidden) == (2, 3)
+        theta = np.concatenate([np.ravel(params[name]) for name in PARAM_ORDER])
+        weights = LstmWeights.from_theta(theta, n_features, hidden)
         X = np.random.default_rng(7).uniform(0, 1, size=(5, 4, 2))
         pred = predict(weights, WindowedDataset(X=X, y=np.zeros(5), dates=tuple(range(5))))
         assert pred == pytest.approx(self.V1_PREDICTIONS, rel=1e-12)

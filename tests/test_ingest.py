@@ -107,7 +107,6 @@ class TestLoadPostsJsonl:
         }])
         (post,) = load_posts_jsonl(path, "tweet")
         assert (post.retweets, post.likes, post.comments, post.followers) == (10, 250, 5, 8000)
-        assert post.kind == "tweet"
 
     def test_news_defaults_to_zero_counts(self, tmp_path):
         path = self.write_jsonl(tmp_path, [
@@ -115,16 +114,6 @@ class TestLoadPostsJsonl:
         ])
         (post,) = load_posts_jsonl(path, "news")
         assert (post.retweets, post.likes, post.comments, post.followers) == (0, 0, 0, 0)
-        assert post.kind == "news"
-
-    def test_min_likes_filter(self, tmp_path):
-        records = [
-            {"id": f"t{i}", "ts": "2023-01-03T12:00:00Z", "text": "x", "likes": likes}
-            for i, likes in enumerate((50, 100, 150))
-        ]
-        posts = load_posts_jsonl(self.write_jsonl(tmp_path, records), "tweet",
-                                 min_likes=100)
-        assert [p.likes for p in posts] == [100, 150]
 
     def test_unparsable_line_numbered(self, tmp_path):
         path = tmp_path / "posts.jsonl"

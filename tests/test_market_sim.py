@@ -58,19 +58,19 @@ class TestTradeDecision:
 
     def test_holding_blocks_base_trade(self):
         bar = make_bar(D[0], open_=100, close=101)
-        position = Position(shares=10.0, entry_price=100.0, entry_date=D[0])
+        position = Position(shares=10.0, entry_price=100.0)
         assert trade_decision(0.05, bar, 105.0, CFG, position) == (NONE,)
 
     def test_exit_at_open_frees_cash(self):
         bar = make_bar(D[0], open_=103, close=104)
-        position = Position(shares=10.0, entry_price=100.0, entry_date=D[0])
+        position = Position(shares=10.0, entry_price=100.0)
         actions = trade_decision(0.02, bar, 105.06, CFG, position)
         assert actions[0] == DEFERRED_EXIT
         assert LONG_OPEN_CLOSE in actions
 
     def test_exit_at_close_ends_day(self):
         bar = make_bar(D[0], open_=101, close=103, high=103.5)
-        position = Position(shares=10.0, entry_price=100.0, entry_date=D[0])
+        position = Position(shares=10.0, entry_price=100.0)
         assert trade_decision(0.05, bar, 106.0, CFG, position) == (DEFERRED_EXIT,)
 
 

@@ -17,6 +17,7 @@ from stockcast.pipeline import (
     safe_name,
     simulate_feature_set,
 )
+from stockcast.sentiment import ReplayProvider
 
 from conftest import FIXTURES
 
@@ -43,13 +44,14 @@ def trained(config, tmp_path_factory):
 
 def test_matrix_dates_match_calendar(config, dataset):
     matrix = build_matrix(config, dataset, "Prices-Tweets-News-RSI-SMA")
-    assert list(matrix.dates) == list(dataset.calendar)
+    assert list(matrix.dates) == [bar.date for bar in dataset.bars]
     assert matrix.values.shape == (len(dataset.bars), 14)
 
 
 def test_daily_sentiment_covers_every_session(config, dataset):
-    assert [d.date for d in dataset.tweet_daily] == list(dataset.calendar)
-    assert [d.date for d in dataset.news_daily] == list(dataset.calendar)
+    sessions = [bar.date for bar in dataset.bars]
+    assert [d.date for d in dataset.tweet_daily] == sessions
+    assert [d.date for d in dataset.news_daily] == sessions
     assert sum(d.count for d in dataset.tweet_daily) <= dataset.tweet_count
 
 
@@ -70,8 +72,6 @@ def test_run_feature_set_shapes(config, dataset, trained):
     n_test = len(result.split.test)
     assert result.mean_pred_norm.shape == (n_test,)
     assert result.mean_pred_price.shape == (n_test,)
-    assert len(result.loss_histories) == config.replicates
-    assert all(len(h) == config.epochs for h in result.loss_histories)
     scales = {report.scale for report in result.reports}
     assert scales == {"normalized", "denormalized"}
 
@@ -94,7 +94,7 @@ def test_replay_provider_covers_fixture_posts(fixture_config_path):
     dataset = load_dataset(config)
     assert sum(d.count for d in dataset.tweet_daily) > 0
     provider = make_provider(config)
-    assert provider.name == "replay"
+    assert isinstance(provider, ReplayProvider)
 
 
 def test_r2_on_both_scales_agree(trained):
@@ -215,6 +215,15 @@ def test_tweets_error_before_lexicon_error(tmp_path, monkeypatch, capsys):
     config.write_text(config.read_text().replace(str(tmp_path / "tweets.jsonl"),
                                                  str(FIXTURES / "tweets.jsonl")))
     assert ingest_err(config, capsys).startswith(f"error: {lexicon}:1: ")
+
+
+def test_min_likes_filter(tmp_path):
+    # posts with likes >= min_likes (100) are kept and counted
+    lines = [post_line(id=f"t{likes}", likes=likes) for likes in (50, 100, 150)]
+    dataset = load_dataset(parse_config(write_posts_config(tmp_path, lines)))
+    assert dataset.tweet_count == 2
+    counts = {d.date.isoformat(): d.count for d in dataset.tweet_daily}
+    assert counts["2022-06-01"] == 2
 
 
 def test_duplicate_of_post_under_min_likes_stays_dropped(tmp_path, monkeypatch):

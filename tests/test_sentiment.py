@@ -15,6 +15,7 @@ from stockcast.sentiment import (
     SentimentScore,
     WeightParams,
     aggregate_daily,
+    load_lexicon,
     load_replay_scores,
     score_post,
     signed_sentiment,
@@ -74,7 +75,7 @@ class TestFormulas:
         assert weighted_sentiment(post, SentimentScore(0, 0.9), W) == 0.0
 
     def test_weighted_zero_engagement(self):
-        post = make_post(followers=1000, kind="news")
+        post = make_post(followers=1000)
         assert weighted_sentiment(post, SentimentScore(1, 0.9), W) == 0.0
 
     def test_score_validation(self):
@@ -162,7 +163,7 @@ class TestLexiconProvider:
         assert LexiconProvider(self.LEX).score("good bad") == SentimentScore(0, 0.0)
 
     def test_bundled_lexicon(self):
-        provider = LexiconProvider()
+        provider = LexiconProvider(load_lexicon())
         assert provider.score("profit surge rally").label == 1
         assert provider.score("loss crash selloff").label == -1
 
@@ -250,6 +251,17 @@ class TestReplayProvider:
             load_replay_scores(path)
         assert str(exc.value) == f"{path}:2: unparsable line 2: {reason}"
 
+    def test_duplicate_id_names_both_lines(self, tmp_path):
+        # 7 and "7" are one id: keeping either copy silently would pick a score
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": 7, "label": 1, "confidence": 0.7}\n'
+                        '{"id": "8", "label": 0, "confidence": 0.1}\n'
+                        '{"id": "7", "label": -1, "confidence": 0.2}\n')
+        with pytest.raises(StockcastError) as exc:
+            load_replay_scores(path)
+        assert str(exc.value) == (
+            f"{path}:3: unparsable line 3: duplicate id '7', first on line 1")
+
     def test_integer_id_and_confidence_accepted(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text('{"id": 17, "label": -1, "confidence": 1}\n')
@@ -262,7 +274,7 @@ class TestAggregateDaily:
     def scored(self, day, label, conf, **counts):
         """One post's (label, confidence, weighted), as aggregate_daily takes it."""
         post = make_post(f"p{label}{conf}", day, **counts)
-        return (label, conf, score_post(post, SentimentScore(label, conf), W).weighted)
+        return score_post(post, SentimentScore(label, conf), W)
 
     def test_means_over_one_day(self):
         cal = TradingCalendar(self.D[:1])
