@@ -13,7 +13,7 @@ from pathlib import Path
 from . import pipeline
 from .config import apply_overrides, parse_config
 from .errors import RunFailed, StockcastError
-from .features import FEATURE_SETS, write_matrix_csv
+from .features import write_matrix_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -56,11 +56,6 @@ def _load_config(args):
     if args.out_dir is not None:
         overrides["out_dir"] = args.out_dir
     if args.feature_set is not None:
-        if args.feature_set not in FEATURE_SETS:
-            raise StockcastError(
-                f"unknown feature set {args.feature_set!r}; "
-                f"valid names: {', '.join(FEATURE_SETS)}"
-            )
         overrides["feature_sets"] = (args.feature_set,)
     config = parse_config(args.config)
     return apply_overrides(config, overrides)
@@ -135,7 +130,7 @@ def main(argv=None):
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (IsADirectoryError, NotADirectoryError, PermissionError) as exc:
+    except OSError as exc:
         print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 

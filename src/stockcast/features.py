@@ -167,7 +167,6 @@ def minmax_transform(state, values):
 class FeatureMatrix:
     """Date-indexed raw feature values for one feature set."""
 
-    feature_set: str
     dates: tuple
     columns: tuple
     values: np.ndarray  # (n_dates, n_columns) float64
@@ -226,7 +225,6 @@ def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=No
     values = np.hstack(parts)
     assert values.shape == (n, len(columns))
     return FeatureMatrix(
-        feature_set=feature_set,
         dates=tuple(dates),
         columns=tuple(columns),
         values=values,

@@ -8,14 +8,14 @@ deterministic given the config seed: weight init draws from one seeded
 stream, epoch shuffles from a second, so init_weights(config) always
 matches what train(config) started from.
 
-All parameters live in one flat vector, ``LstmWeights.theta``, laid out
-in PARAM_ORDER; ``weights[name]`` is a view into it. Because the gates
-are ordered i, f, o, g, the four W_* form one (4, F, H) block, the U_*
-one (4, H, H) block and the b_* one (4H,) block. The kernel computes all
-gates together (the fused layout of Appleyard et al. 2016): one input
-projection X @ W + b for every timestep at once, then one h @ U product
-per step, with the logistic gates taken in place as 0.5*(1 + tanh(x/2)),
-which cannot overflow. Backward runs one dA @ U.T per step and gets dW,
+All parameters live in one flat vector, ``LstmWeights.theta``, as five
+blocks: the input maps ``W`` (4, F, H), the recurrent maps ``U``
+(4, H, H) and the biases ``b`` (4H,), each with its gates in i, f, o, g
+order, then the dense head ``w_out`` (H,) and ``b_out`` (). The kernel
+computes all gates together (the fused layout of Appleyard et al. 2016):
+one input projection X @ W + b for every timestep at once, then one
+h @ U product per step, with the logistic gates taken in place as
+0.5*(1 + tanh(x/2)), which cannot overflow. Backward runs one dA @ U.T per step and gets dW,
 dU and db from one product or sum each after the loop. Gradients come
 back in the same flat layout, so clipping is one dot product and Adam
 one update over the whole vector.
@@ -41,14 +41,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RunFailed
-
-#: Gradient / Adam traversal order, and the layout of LstmWeights.theta.
-PARAM_ORDER = (
-    "W_i", "W_f", "W_o", "W_g",
-    "U_i", "U_f", "U_o", "U_g",
-    "b_i", "b_f", "b_o", "b_g",
-    "w_out", "b_out",
-)
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -81,28 +73,20 @@ class LstmConfig:
             raise ValueError("seed must be non-negative")
 
 
-def _param_shape(name, n_features, hidden):
-    if name == "b_out":
-        return ()
-    if name.startswith("W_"):
-        return (n_features, hidden)
-    if name.startswith("U_"):
-        return (hidden, hidden)
-    return (hidden,)  # gate biases and w_out
-
-
-def _theta_size(n_features, hidden):
-    return sum(math.prod(_param_shape(name, n_features, hidden)) for name in PARAM_ORDER)
+def _block_shapes(n_features, hidden):
+    """The layout of theta: the shapes of W, U, b, w_out and b_out, in order."""
+    F, H = n_features, hidden
+    return (4, F, H), (4, H, H), (4 * H,), (H,), ()
 
 
 class LstmWeights:
-    """All parameters in one flat float64 vector, ``theta``, in PARAM_ORDER.
+    """All parameters in one flat float64 vector, ``theta``, and five views into it.
 
-    W_* map inputs to the hidden layer, U_* are the recurrent maps, b_*
-    the gate biases; w_out/b_out form the dense head. ``weights[name]`` is
-    a contiguous view into theta, and ``W`` (4, F, H), ``U`` (4, H, H)
-    and ``b`` (4H,) view the three gate blocks. Gradients use the same
-    class and layout.
+    ``W`` (4, F, H) maps inputs to the gates, ``U`` (4, H, H) is the
+    recurrent map and ``b`` (4H,) the gate biases, gate k of each at
+    ``W[k]``, ``U[k]`` and ``b[k*H:(k+1)*H]`` in i, f, o, g order;
+    ``w_out`` (H,) and ``b_out`` () form the dense head. Gradients use
+    the same class and layout.
     """
 
     @classmethod
@@ -111,24 +95,13 @@ class LstmWeights:
         weights = cls()
         weights.theta = theta
         weights.hidden_units = hidden
-        weights._views = {}
-        start = 0
-        for name in PARAM_ORDER:
-            shape = _param_shape(name, n_features, hidden)
+        views, start = [], 0
+        for shape in _block_shapes(n_features, hidden):
             size = math.prod(shape)
-            weights._views[name] = theta[start:start + size].reshape(shape)
+            views.append(theta[start:start + size].reshape(shape))
             start += size
-        F, H = n_features, hidden
-        weights.W = theta[:4 * F * H].reshape(4, F, H)
-        weights.U = theta[4 * F * H:4 * H * (F + H)].reshape(4, H, H)
-        weights.b = theta[4 * H * (F + H):4 * H * (F + H + 1)]
+        weights.W, weights.U, weights.b, weights.w_out, weights.b_out = views
         return weights
-
-    def __getitem__(self, name):
-        return self._views[name]
-
-    def items(self):
-        return self._views.items()
 
 
 def init_weights(config, n_features):
@@ -140,12 +113,11 @@ def init_weights(config, n_features):
     h = config.hidden_units
     k = 1.0 / np.sqrt(h)
     rng = np.random.default_rng([config.seed, 0])
-    weights = LstmWeights.from_theta(np.empty(_theta_size(n_features, h)), n_features, h)
-    for name, view in weights.items():
-        if name == "b_f":
-            view[...] = 1.0
-        else:
-            view[...] = rng.uniform(-k, k, size=view.shape)
+    size = sum(math.prod(shape) for shape in _block_shapes(n_features, h))
+    weights = LstmWeights.from_theta(np.full(size, np.nan), n_features, h)
+    weights.b[h:2 * h] = 1.0
+    # one draw, in theta's order, for every entry but the forget-gate bias
+    weights.theta[np.isnan(weights.theta)] = rng.uniform(-k, k, size - h)
     return weights
 
 
@@ -237,7 +209,7 @@ def forward(weights, X, workspace=None):
         c[t + 1] += ig
         np.tanh(c[t + 1], out=tanh_c[t])
         np.multiply(o, tanh_c[t], out=h[t + 1])
-    z = h[T] @ weights["w_out"] + weights["b_out"]
+    z = h[T] @ weights.w_out + weights.b_out
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise RunFailed("non-finite prediction; training diverged?")
@@ -265,9 +237,9 @@ def backward(weights, cache, targets, workspace=None):
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
-    grads["w_out"][...] = h[T].T @ dz
-    grads["b_out"][...] = dz.sum()
-    np.outer(dz, weights["w_out"], out=dh)
+    grads.w_out[...] = h[T].T @ dz
+    grads.b_out[...] = dz.sum()
+    np.outer(dz, weights.w_out, out=dh)
     dc[...] = 0.0
 
     for t in reversed(range(T)):
@@ -425,7 +397,6 @@ __all__ = [
     "LstmWeights",
     "LstmWorkspace",
     "AdamState",
-    "PARAM_ORDER",
     "init_weights",
     "forward",
     "backward",

@@ -115,41 +115,45 @@ def load_price_csv(path):
     bars = []
     with open_text(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader, [])
-        for col in PRICE_HEADER:
-            if col not in header:
-                raise StockcastError(f"missing required column {col!r} in {path}")
-        idx = {col: header.index(col) for col in PRICE_HEADER}
-        last_date = None
-        for lineno, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) != len(header):
-                raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
-                                     f"{len(row)} fields where the header has {len(header)}")
-            try:
-                d = date.fromisoformat(row[idx["Date"]].strip())
-                bar = PriceBar(
-                    date=d,
-                    open=float(row[idx["Open"]]),
-                    high=float(row[idx["High"]]),
-                    low=float(row[idx["Low"]]),
-                    close=float(row[idx["Close"]]),
-                    adj_close=float(row[idx["Adj Close"]]),
-                    volume=float(row[idx["Volume"]]),
-                )
-                bar.validate()
-            except (ValueError, IndexError) as exc:
-                raise StockcastError(
-                    f"{path}:{lineno}: unparsable row at line {lineno}: {exc}") from exc
-            if last_date is not None:
-                if bar.date == last_date:
-                    raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
-                if bar.date < last_date:
+        try:
+            header = next(reader, [])
+            for col in PRICE_HEADER:
+                if col not in header:
+                    raise StockcastError(f"missing required column {col!r} in {path}")
+            idx = {col: header.index(col) for col in PRICE_HEADER}
+            last_date = None
+            for lineno, row in enumerate(reader, start=2):
+                if not row or all(not cell.strip() for cell in row):
+                    continue
+                if len(row) != len(header):
+                    raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
+                                         f"{len(row)} fields where the header has {len(header)}")
+                try:
+                    d = date.fromisoformat(row[idx["Date"]].strip())
+                    bar = PriceBar(
+                        date=d,
+                        open=float(row[idx["Open"]]),
+                        high=float(row[idx["High"]]),
+                        low=float(row[idx["Low"]]),
+                        close=float(row[idx["Close"]]),
+                        adj_close=float(row[idx["Adj Close"]]),
+                        volume=float(row[idx["Volume"]]),
+                    )
+                    bar.validate()
+                except (ValueError, IndexError) as exc:
                     raise StockcastError(
-                        f"{path}:{lineno}: dates not strictly increasing at {bar.date}")
-            last_date = bar.date
-            bars.append(bar)
+                        f"{path}:{lineno}: unparsable row at line {lineno}: {exc}") from exc
+                if last_date is not None:
+                    if bar.date == last_date:
+                        raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
+                    if bar.date < last_date:
+                        raise StockcastError(
+                            f"{path}:{lineno}: dates not strictly increasing at {bar.date}")
+                last_date = bar.date
+                bars.append(bar)
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise StockcastError(f"{path}:{reader.line_num}: unparsable row at line "
+                                 f"{reader.line_num}: {exc}") from exc
     if not bars:
         raise StockcastError(f"{path}: no price rows after the header")
     return bars
@@ -244,7 +248,7 @@ def _read_posts(path, kind, lines, first_line):
             continue
         try:
             record = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
         if not isinstance(record, dict):
             raise StockcastError(

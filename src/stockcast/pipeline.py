@@ -442,22 +442,26 @@ def load_predictions_csv(path, config, dates):
                 f"config and flags"
             )
         reader = csv.reader(fh)
-        if next(reader, None) != PREDICTIONS_COLUMNS:
-            raise StockcastError(f"{path}:2: header is not {','.join(PREDICTIONS_COLUMNS)}")
-        pairs = []
-        for lineno, row in enumerate(reader, start=3):
-            i = len(pairs)
-            if i == len(dates) or len(row) != len(PREDICTIONS_COLUMNS) \
-                    or row[0] != dates[i].isoformat():
-                expected = dates[i].isoformat() if i < len(dates) else "end of file"
-                raise StockcastError(f"{path}:{lineno}: expected {expected}, got {row!r}")
-            try:
-                pred = float(row[-1])
-            except ValueError:
-                pred = float("nan")
-            if not np.isfinite(pred):
-                raise StockcastError(f"{path}:{lineno}: bad pred value {row[-1]!r}")
-            pairs.append((dates[i], pred))
+        try:
+            if next(reader, None) != PREDICTIONS_COLUMNS:
+                raise StockcastError(f"{path}:2: header is not {','.join(PREDICTIONS_COLUMNS)}")
+            pairs = []
+            for lineno, row in enumerate(reader, start=3):
+                i = len(pairs)
+                if i == len(dates) or len(row) != len(PREDICTIONS_COLUMNS) \
+                        or row[0] != dates[i].isoformat():
+                    expected = dates[i].isoformat() if i < len(dates) else "end of file"
+                    raise StockcastError(f"{path}:{lineno}: expected {expected}, got {row!r}")
+                try:
+                    pred = float(row[-1])
+                except ValueError:
+                    pred = float("nan")
+                if not np.isfinite(pred):
+                    raise StockcastError(f"{path}:{lineno}: bad pred value {row[-1]!r}")
+                pairs.append((dates[i], pred))
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            line = reader.line_num + 1  # the reader starts at line 2
+            raise StockcastError(f"{path}:{line}: unparsable row at line {line}: {exc}") from exc
     if len(pairs) < len(dates):
         raise StockcastError(
             f"{path}:{len(pairs) + 3}: file ends before trading date {dates[len(pairs)]}"

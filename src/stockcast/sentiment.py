@@ -216,7 +216,7 @@ def load_replay_scores(path):
                                      f"first on line {first_line[post_id]}")
                 first_line[post_id] = lineno
                 table[post_id] = score
-            except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
     return table

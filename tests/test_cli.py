@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stockcast import cli, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
@@ -729,38 +729,72 @@ def mutate(name, data, mutation, draw):
         lines[-1] = lines[-1][:draw(st.integers(0, len(lines[-1]) - 1))]
         return b"\n".join(lines)
     i = draw(st.integers(0, len(lines) - 1))
-    if mutation == "non-utf8":
+    if mutation in ("non-utf8", "pad"):
         at = draw(st.integers(0, len(lines[i])))
-        lines[i] = lines[i][:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"])) \
-            + lines[i][at:]
+        insert = b"x" * OVER_CSV_FIELD_LIMIT if mutation == "pad" \
+            else draw(st.sampled_from([b"\xff", b"\xc3", b"\x80"]))
+        lines[i] = lines[i][:at] + insert + lines[i][at:]
+    elif mutation == "nested":
+        lines[i] = b"[" * 200_000  # past json's recursion limit
     else:
         lines[i] = mutate_line(name, lines[i].decode(), mutation, draw).encode()
     return b"\n".join(lines) + b"\n"
 
 
 MUTATIONS = ["drop-field", "add-field", "non-finite", "swap-type", "bom", "crlf", "truncate",
-             "non-utf8"]
+             "non-utf8", "pad", "nested"]
+
+#: One more character than the csv module's default field_size_limit().
+OVER_CSV_FIELD_LIMIT = 131_073
+
+
+class Draws:
+    """Stands in for ``st.data()`` in an explicit example: each draw returns
+    the next of the given values, whatever the strategy."""
+
+    def __init__(self, *values):
+        self.values = list(values)
+
+    def draw(self, strategy):
+        return self.values.pop(0)
 
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(name=st.sampled_from(["prices.csv", "tweets.jsonl", "exp.conf"]),
+@given(name=st.sampled_from(["prices.csv", "tweets.jsonl", "exp.conf", "predictions_prices.csv"]),
        mutation=st.sampled_from(MUTATIONS), data=st.data())
+# a price field and a predictions field over the csv field limit (csv.Error)
+@example(name="prices.csv", mutation="pad", data=Draws(1, 0))
+@example(name="predictions_prices.csv", mutation="pad", data=Draws(2, 0))
+# a posts line that json.loads gives up on with a RecursionError
+@example(name="tweets.jsonl", mutation="nested", data=Draws(0))
+# a path longer than the OS allows (OSError ENAMETOOLONG): line 3 is tweets = tweets.jsonl
+@example(name="exp.conf", mutation="pad", data=Draws(2, len("tweets = tweets.jsonl")))
 def test_mutated_input_fails_cleanly(tmp_path, capsys, name, mutation, data):
     """One mutated line or byte in one input: exit 0, 2 or 3, never a traceback.
 
-    An exit 2 prints one ``error:`` line naming the mutated file, or, for a
-    config mutation, its key or the file the key now names.
+    ``ingest`` reads the prices, posts and config; ``simulate`` reads the
+    predictions file, written once by a tiny ``train-eval``. An exit 2
+    prints one ``error:`` line naming the mutated file, or, for a config
+    mutation, its key or the file the key now names.
     """
+    sim = tmp_path / "sim"
     if not (tmp_path / "exp.conf").exists():
         write_tiny_dataset(tmp_path, n_bars=20)
         write_config(tmp_path, out_dir="out")
-    path = tmp_path / name
+        sim.mkdir()
+        write_tiny_dataset(sim)
+        assert cli.main(["train-eval", "--config", str(write_config(sim))]) == 0
+        capsys.readouterr()
+    if name.startswith("predictions_"):
+        command, config, path = "simulate", sim / "exp.conf", sim / "out" / name
+    else:
+        command, config, path = "ingest", tmp_path / "exp.conf", tmp_path / name
     original = path.read_bytes()
     mutated = mutate(name, original, mutation, data.draw)
     path.write_bytes(mutated)
     try:
-        code = cli.main(["ingest", "--config", str(tmp_path / "exp.conf")])
+        code = cli.main([command, "--config", str(config)])
     finally:
         path.write_bytes(original)
     err = capsys.readouterr().err

@@ -218,7 +218,7 @@ class TestAssemble:
 # --- windowing -----------------------------------------------------------------
 
 def matrix_of(values, dates):
-    return FeatureMatrix("Prices", tuple(dates), ("close",),
+    return FeatureMatrix(tuple(dates), ("close",),
                          np.asarray(values, dtype=np.float64).reshape(-1, 1))
 
 

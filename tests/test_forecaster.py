@@ -18,7 +18,6 @@ from stockcast.forecaster import (
     LstmConfig,
     LstmWeights,
     LstmWorkspace,
-    PARAM_ORDER,
     adam_step,
     backward,
     clip_gradients,
@@ -35,9 +34,9 @@ def cell_oracle(weights, X):
     Pure Python loops over units; shares nothing with the vectorized
     implementation beyond the parameter values.
     """
-    p = {name: np.asarray(arr, dtype=float) for name, arr in weights.items()}
+    W, U, b = (np.asarray(arr, dtype=float) for arr in (weights.W, weights.U, weights.b))
     n_steps, n_feat = X.shape
-    H = p["W_i"].shape[1]
+    H = weights.hidden_units
 
     def sig(v):
         return 1.0 / (1.0 + math.exp(-v))
@@ -48,57 +47,50 @@ def cell_oracle(weights, X):
         x = X[t]
         nh, nc = [0.0] * H, [0.0] * H
         for u in range(H):
-            def pre(gate):
-                acc = p[f"b_{gate}"][u]
+            def pre(gate):  # gates in i, f, o, g order
+                acc = b[gate * H + u]
                 for k in range(n_feat):
-                    acc += x[k] * p[f"W_{gate}"][k, u]
+                    acc += x[k] * W[gate][k, u]
                 for k in range(H):
-                    acc += h[k] * p[f"U_{gate}"][k, u]
+                    acc += h[k] * U[gate][k, u]
                 return acc
 
-            i_u = sig(pre("i"))
-            f_u = sig(pre("f"))
-            o_u = sig(pre("o"))
-            g_u = math.tanh(pre("g"))
+            i_u = sig(pre(0))
+            f_u = sig(pre(1))
+            o_u = sig(pre(2))
+            g_u = math.tanh(pre(3))
             nc[u] = f_u * c[u] + i_u * g_u
             nh[u] = o_u * math.tanh(nc[u])
         h, c = nh, nc
-    z = float(p["b_out"])
+    z = float(weights.b_out)
     for u in range(H):
-        z += h[u] * p["w_out"][u]
+        z += h[u] * weights.w_out[u]
     return max(z, 0.0)
 
 
 def finite_difference_grads(weights, X, targets, h=1e-5):
-    """Central differences of the batch-mean squared error."""
+    """Central differences of the batch-mean squared error, one per theta entry."""
     def loss():
         pred, _ = forward(weights, X)
         return float(np.mean((pred - targets) ** 2))
 
-    fd = {}
-    for name, arr in weights.items():
-        flat = arr.reshape(-1) if arr.ndim else np.atleast_1d(arr)
-        grad = np.zeros_like(flat)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            up = loss()
-            flat[j] = orig - h
-            down = loss()
-            flat[j] = orig
-            grad[j] = (up - down) / (2 * h)
-        fd[name] = grad.reshape(arr.shape) if arr.ndim else grad[0]
+    theta = weights.theta
+    fd = np.zeros_like(theta)
+    for j in range(theta.size):
+        orig = theta[j]
+        theta[j] = orig + h
+        up = loss()
+        theta[j] = orig - h
+        down = loss()
+        theta[j] = orig
+        fd[j] = (up - down) / (2 * h)
     return fd
 
 
-def max_relative_error(analytic, fd):
-    worst = 0.0
-    for name in PARAM_ORDER:
-        a = np.atleast_1d(np.asarray(analytic[name], dtype=float)).ravel()
-        b = np.atleast_1d(np.asarray(fd[name], dtype=float)).ravel()
-        denom = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1e-8)
-        worst = max(worst, float(np.max(np.abs(a - b) / denom)))
-    return worst
+def max_relative_error(grads, fd):
+    """Worst relative gap between the analytic ``grads.theta`` and ``fd``."""
+    denom = np.maximum(np.maximum(np.abs(grads.theta), np.abs(fd)), 1e-8)
+    return float(np.max(np.abs(grads.theta - fd) / denom))
 
 
 def zero_weights(hidden, n_features):
@@ -121,17 +113,16 @@ class TestInit:
         cfg = LstmConfig(hidden_units=8, seed=5)
         w1 = init_weights(cfg, 3)
         w2 = init_weights(cfg, 3)
-        for name, arr in w1.items():
-            assert np.array_equal(arr, w2[name])
+        assert np.array_equal(w1.theta, w2.theta)
 
     def test_different_seed_differs(self):
         w1 = init_weights(LstmConfig(hidden_units=8, seed=5), 3)
         w2 = init_weights(LstmConfig(hidden_units=8, seed=6), 3)
-        assert not np.array_equal(w1["W_i"], w2["W_i"])
+        assert not np.array_equal(w1.W[0], w2.W[0])
 
     def test_frozen_values(self):
         # pins the seeded stream and the order the blocks are drawn in: the
-        # first W_i and last head values, the sum, and a position-weighted
+        # first W and last head values, the sum, and a position-weighted
         # sum, which any two blocks drawn in swapped order change
         theta = init_weights(LstmConfig(hidden_units=3, seed=5), 2).theta
         assert theta.size == 76
@@ -144,23 +135,18 @@ class TestInit:
 
     def test_forget_bias_is_one(self):
         w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
-        assert np.all(w["b_f"] == 1.0)
+        assert np.all(w.b[8:16] == 1.0)
 
     def test_shapes(self):
         w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
-        for gate in "ifog":
-            assert w[f"W_{gate}"].shape == (3, 8)
-            assert w[f"U_{gate}"].shape == (8, 8)
-            assert w[f"b_{gate}"].shape == (8,)
-        assert w["w_out"].shape == (8,)
-        assert w["b_out"].shape == ()
+        blocks = (w.W, w.U, w.b, w.w_out, w.b_out)
+        assert [arr.shape for arr in blocks] == [(4, 3, 8), (4, 8, 8), (32,), (8,), ()]
+        assert w.theta.size == sum(arr.size for arr in blocks)
 
     def test_bound(self):
         w = init_weights(LstmConfig(hidden_units=16, seed=1), 4)
         k = 1 / math.sqrt(16)
-        for name, arr in w.items():
-            if name == "b_f":
-                continue
+        for arr in (w.W, w.U, w.b[:16], w.b[32:], w.w_out, w.b_out):  # all but b_f
             assert np.all(np.abs(arr) <= k)
 
 
@@ -212,11 +198,8 @@ class TestForward:
         # to finite values in [0, 1] without an exp overflow warning
         H = 3
         w = zero_weights(H, 2)
-        w["b_i"][...] = 1000.0
-        w["b_f"][...] = -1000.0
-        w["b_o"][...] = 1000.0
-        w["b_g"][...] = -1000.0
-        w["w_out"][...] = -1.0
+        w.b[...] = np.repeat([1000.0, -1000.0, 1000.0, -1000.0], H)  # i, f, o, g
+        w.w_out[...] = -1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             pred, cache = forward(w, np.zeros((1, 4, 2)))
@@ -235,20 +218,12 @@ class TestFlatLayout:
         X = live_sample(w, rng, 5, 3)
         theta_before = w.theta.copy()
         pred_before, _ = forward(w, X[None])
-        w["U_f"][...] += 0.5
+        w.U[1] += 0.5
         changed = np.flatnonzero(w.theta != theta_before)
         start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
         assert np.array_equal(changed, np.arange(start, start + 4 * 4))
         pred_after, _ = forward(w, X[None])
         assert pred_after != pred_before
-
-    def test_gate_blocks_follow_param_order(self):
-        w = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
-        for k, gate in enumerate("ifog"):
-            assert np.array_equal(w.W[k], w[f"W_{gate}"])
-            assert np.array_equal(w.U[k], w[f"U_{gate}"])
-            assert np.array_equal(w.b[k * 3:(k + 1) * 3], w[f"b_{gate}"])
-        assert w.theta.size == sum(arr.size for _, arr in w.items())
 
 
 class TestBackward:
@@ -278,50 +253,40 @@ class TestBackward:
         X = np.zeros((5, 3))
         _, cache = forward(w, X[None])
         grads = backward(w, cache, np.array([0.5]))
-        for gate in "ifog":
-            assert np.all(grads[f"W_{gate}"] == 0.0)
+        assert np.all(grads.W == 0.0)
 
     def test_dead_relu_all_grads_zero(self):
         w = zero_weights(4, 2)
-        w["b_out"][...] = -1.0  # pre-activation < 0 always
+        w.b_out[...] = -1.0  # pre-activation < 0 always
         X = np.random.default_rng(0).normal(size=(3, 2))
         pred, cache = forward(w, X[None])
         assert pred[0] == 0.0
         grads = backward(w, cache, np.array([1.0]))
-        for name in PARAM_ORDER:
-            assert np.all(np.asarray(grads[name]) == 0.0)
+        assert np.all(grads.theta == 0.0)
 
 
 class TestAdam:
-    def make(self, values):
-        w = zero_weights(2, 1)
-        for name in PARAM_ORDER:
-            w[name][...] += values
-        return w
-
     def test_zero_gradient_no_move(self):
         w = init_weights(LstmConfig(hidden_units=3, seed=0), 2)
-        before = {name: arr.copy() for name, arr in w.items()}
+        before = w.theta.copy()
         grads = LstmWeights.from_theta(np.zeros_like(w.theta), 2, 3)
         state = AdamState.for_weights(w)
         adam_step(w, grads, state, lr=0.1)
         assert state.t == 1
-        for name, arr in w.items():
-            assert np.array_equal(arr, before[name])
+        assert np.array_equal(w.theta, before)
 
     def test_first_step_closed_form(self):
         # t=1 bias correction collapses to delta = -lr*g/(|g|+eps)
         w = init_weights(LstmConfig(hidden_units=3, seed=1), 2)
-        before = {name: arr.copy() for name, arr in w.items()}
+        before = w.theta.copy()
         rng = np.random.default_rng(5)
         grads = LstmWeights.from_theta(rng.normal(size=w.theta.size), 2, 3)
         state = AdamState.for_weights(w)
         lr = 0.01
         adam_step(w, grads, state, lr)
-        for name, arr in w.items():
-            g = grads[name]
-            expected = before[name] - lr * g / (np.sqrt(g ** 2) + ADAM_EPS)
-            assert arr == pytest.approx(expected, rel=1e-9)
+        g = grads.theta
+        expected = before - lr * g / (np.sqrt(g ** 2) + ADAM_EPS)
+        assert w.theta == pytest.approx(expected, rel=1e-9)
 
     def test_two_steps_differ_from_one_double_lr_step(self):
         # gradients are recomputed at the moved weights, so two small
@@ -344,18 +309,18 @@ class TestAdam:
         s_one = AdamState.for_weights(w_one)
         adam_step(w_one, grads_at(w_one), s_one, lr=0.02)
 
-        assert not np.allclose(w_two["W_i"], w_one["W_i"], atol=1e-12)
+        assert not np.allclose(w_two.W[0], w_one.W[0], atol=1e-12)
 
     def test_clip_gradients_scales_to_norm(self):
         grads = zero_weights(1, 1)
-        grads["W_i"][...] = 3.0
-        grads["U_i"][...] = 4.0
-        grads["b_out"][...] = 12.0
+        grads.W[0] = 3.0
+        grads.U[0] = 4.0
+        grads.b_out[...] = 12.0
         clip_gradients(grads, 6.5)
-        total = math.sqrt(float(sum(np.sum(g ** 2) for _, g in grads.items())))
+        total = math.sqrt(float(np.sum(grads.theta ** 2)))
         assert total == pytest.approx(6.5, rel=1e-12)
         # direction preserved
-        assert grads["U_i"][0, 0] / grads["W_i"][0, 0] == pytest.approx(4 / 3, rel=1e-12)
+        assert grads.U[0, 0, 0] / grads.W[0, 0, 0] == pytest.approx(4 / 3, rel=1e-12)
 
 
 def constant_target_dataset():
@@ -387,8 +352,7 @@ class TestTrain:
         w1, h1 = train(ds, cfg)
         w2, h2 = train(ds, cfg)
         assert h1 == h2
-        for name, arr in w1.items():
-            assert np.array_equal(arr, w2[name])
+        assert np.array_equal(w1.theta, w2.theta)
 
     def test_defaults_accepted(self):
         cfg = LstmConfig()
@@ -444,7 +408,7 @@ class TestPredict:
 def live_weights(hidden, n_features, seed):
     """Seeded init with the head bias raised, so every prediction is live."""
     w = init_weights(LstmConfig(hidden_units=hidden, seed=seed), n_features)
-    w["b_out"][...] = 1.0
+    w.b_out[...] = 1.0
     return w
 
 
@@ -551,11 +515,19 @@ class TestCheckpoint:
         params = json.loads(committed.read_text(encoding="utf-8"))["params"]
         n_features, hidden = np.shape(params["W_i"])
         assert (n_features, hidden) == (2, 3)
-        theta = np.concatenate([np.ravel(params[name]) for name in PARAM_ORDER])
+        theta = np.concatenate([np.ravel(params[name]) for name in self.V1_NAMES])
         weights = LstmWeights.from_theta(theta, n_features, hidden)
         X = np.random.default_rng(7).uniform(0, 1, size=(5, 4, 2))
         pred = predict(weights, WindowedDataset(X=X, y=np.zeros(5), dates=tuple(range(5))))
         assert pred == pytest.approx(self.V1_PREDICTIONS, rel=1e-12)
+
+    #: the v1 file's parameter names, in the order their values fill theta
+    V1_NAMES = (
+        "W_i", "W_f", "W_o", "W_g",
+        "U_i", "U_f", "U_o", "U_g",
+        "b_i", "b_f", "b_o", "b_g",
+        "w_out", "b_out",
+    )
 
     V1_PREDICTIONS = [0.3798698132025385, 0.3493928875379534, 0.3374546653777686,
                       0.3512604468614238, 0.3096045966334155]

@@ -227,6 +227,14 @@ class TestReplayProvider:
             load_replay_scores(path)
         assert str(exc.value).startswith(f"{path}:2: unparsable line 2: ")
 
+    def test_deeply_nested_line_names_file_and_line(self, tmp_path):
+        # json.loads gives up on deep nesting with a RecursionError
+        path = tmp_path / "scores.jsonl"
+        path.write_text('{"id": "a", "label": 1, "confidence": 0.7}\n' + "[" * 200_000 + "\n")
+        with pytest.raises(StockcastError) as exc:
+            load_replay_scores(path)
+        assert str(exc.value).startswith(f"{path}:2: unparsable line 2: ")
+
     @pytest.mark.parametrize("field, value, reason", [
         ("id", None, "field 'id' must be a string or an integer, got null"),
         ("id", True, "field 'id' must be a string or an integer, got true"),
