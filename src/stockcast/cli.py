@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from pathlib import Path
 
 from . import pipeline
 from .config import apply_overrides, parse_config
@@ -38,7 +37,7 @@ def build_parser():
         description="Deterministic multimodal stock forecasting pipeline",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    _add_common(sub.add_parser("ingest", help="validate inputs, print counts"),
+    _add_common(sub.add_parser("ingest", help="validate and score inputs, save daily sentiment"),
                 with_run_flags=False)
     _add_common(sub.add_parser("featurize", help="export feature matrix CSVs"),
                 with_run_flags=False)
@@ -62,8 +61,10 @@ def _load_config(args):
 
 
 def cmd_ingest(args):
+    """Load, check and score every input; save the daily sentiment for the other commands."""
     config = _load_config(args)
     dataset = pipeline.load_dataset(config)
+    path = pipeline.write_daily_sentiment(config.out_dir, config, dataset)
     bars = dataset.bars
     print(f"stock: {config.stock}")
     print(f"bars: {len(bars)} ({bars[0].date} .. {bars[-1].date})")
@@ -71,18 +72,19 @@ def cmd_ingest(args):
     print(f"news: {dataset.news_count}")
     print(f"provider: {config.provider}")
     print(f"config_hash: {config.config_hash}")
+    print(f"wrote {path}")
     return EXIT_OK
 
 
 def cmd_featurize(args):
     config = _load_config(args)
-    dataset = pipeline.load_dataset(config)
-    out_dir = Path(config.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    dataset = pipeline.load_dataset(config, config.out_dir)
+    out_dir = pipeline.make_out_dir(config.out_dir)
+    column_text = {}  # the sets share their columns: each is formatted once
     for feature_set in config.feature_sets:
         matrix = pipeline.build_matrix(config, dataset, feature_set)
         path = out_dir / f"features_{pipeline.safe_name(feature_set)}.csv"
-        write_matrix_csv(path, matrix, f"config_hash={config.config_hash}")
+        write_matrix_csv(path, matrix, f"config_hash={config.config_hash}", column_text)
         print(f"wrote {path} ({len(matrix.dates)} rows x {len(matrix.columns)} features)")
     return EXIT_OK
 

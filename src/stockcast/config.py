@@ -18,7 +18,7 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .errors import StockcastError, open_text
+from .errors import StockcastError, echo, open_text
 from .features import FEATURE_SETS
 
 PROVIDERS = ("lexicon", "replay")
@@ -112,17 +112,24 @@ class ExperimentConfig:
         return "\n".join(sorted(lines))
 
     @cached_property
+    def input_sha256(self):
+        """{path key: SHA-256 of its file} for each input file that is set.
+
+        The files are read once per config object, on first use, never
+        while parsing; config_hash and the pipeline's scores digest share
+        the result.
+        """
+        return {key: _file_sha256(getattr(self, key)) for key in _PATH_KEYS if getattr(self, key)}
+
+    @cached_property
     def config_hash(self):
         """canonical() plus the SHA-256 of each input file that is set.
 
         Hashing contents, not just paths, makes a changed input file change
-        the hash, so simulate refuses forecasts made from other data. The
-        files are read once per config object, on first use, never while
-        parsing.
+        the hash, so simulate refuses forecasts made from other data.
         """
         lines = [self.canonical()]
-        lines += [f"{key}.sha256={_file_sha256(getattr(self, key))}"
-                  for key in _PATH_KEYS if getattr(self, key)]
+        lines += [f"{key}.sha256={sha}" for key, sha in self.input_sha256.items()]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
@@ -130,10 +137,11 @@ def _check_feature_sets(names):
     """Refuse a name that is no feature set, and one named twice (it would train twice)."""
     unknown = [fs for fs in names if fs not in FEATURE_SETS]
     if unknown:
-        raise StockcastError(f"unknown feature sets {unknown}; valid: {', '.join(FEATURE_SETS)}")
+        raise StockcastError(f"unknown feature sets {echo(str(unknown))}; "
+                             f"valid: {', '.join(FEATURE_SETS)}")
     for i, name in enumerate(names):
         if name in names[:i]:
-            raise StockcastError(f"{name!r} named twice")
+            raise StockcastError(f"{echo(repr(name))} named twice")
 
 
 def _file_sha256(path):
@@ -167,7 +175,7 @@ def _parse_value(key, raw, base_dir):
         try:
             return _BOOL_VALUES[raw.lower()]
         except KeyError:
-            raise ValueError(f"must be true/false, got {raw!r}") from None
+            raise ValueError(f"must be true/false, got {echo(repr(raw))}") from None
     if key in ("rsi_period", "sma_period", "lookback", "hidden_units",
                "batch_size", "epochs", "replicates", "base_seed"):
         return int(raw)
@@ -208,10 +216,11 @@ def parse_config(path):
         if not line:
             continue
         if "=" not in line:
-            raise StockcastError(f"{path}:{lineno}: expected 'key = value', got {line!r}")
+            raise StockcastError(
+                f"{path}:{lineno}: expected 'key = value', got {echo(repr(line))}")
         key, raw = (part.strip() for part in line.split("=", 1))
         if key not in known:
-            raise StockcastError(f"{path}:{lineno}: unknown key {key!r}")
+            raise StockcastError(f"{path}:{lineno}: unknown key {echo(repr(key))}")
         if key in seen:
             raise StockcastError(f"{path}:{lineno}: key {key!r} given twice, "
                                  f"first on line {seen[key]}")
@@ -219,7 +228,9 @@ def parse_config(path):
         try:
             values[key] = _parse_value(key, raw, base_dir)
         except (ValueError, TypeError, StockcastError) as exc:
-            raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {exc}") from exc
+            # float() and date.fromisoformat() quote the whole value
+            detail = str(exc).replace(repr(raw), echo(repr(raw)))
+            raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {detail}") from exc
     for f in fields(ExperimentConfig):
         if f.name in _PATH_KEYS and f.name not in values and f.default is not None:
             values[f.name] = _parse_value(f.name, f.default, base_dir)

@@ -8,6 +8,8 @@
 The CLI's only decision about an error is which of the two exit codes it
 gets, so these are the only classes. What went wrong, and where, is in the
 message, written at the raise site; a load error starts ``<path>:<line>: ``.
+A message echoes an input value through ``echo``, so one huge line or field
+cannot flood stderr.
 Both classes take only the message, so the default ``Exception`` pickling
 carries them out of a training worker process unchanged.
 """
@@ -22,6 +24,16 @@ class StockcastError(Exception):
 
 class RunFailed(StockcastError):
     """Valid input, but the run could not finish: exit 3."""
+
+
+#: Characters of an input value an error message shows; longer ones are cut.
+ECHO_LIMIT = 80
+
+
+def echo(text):
+    """``text``, an input value as a message shows it (its repr, say), cut
+    to its first ECHO_LIMIT characters plus ``...`` when longer."""
+    return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
 @contextmanager

@@ -241,15 +241,25 @@ def _check_aligned(bar_dates, other_dates):
             raise StockcastError(f"inputs not aligned to the trading calendar at {bd}")
 
 
-def write_matrix_csv(path, matrix, header_comment):
+def write_matrix_csv(path, matrix, header_comment, column_text):
     """Export a FeatureMatrix as CSV: a ``# header_comment`` line, then a
-    date column first and the features after it."""
+    date column first and the features after it, floats via repr.
+
+    ``column_text`` maps a column name (and "date") to its formatted
+    values. A column missing from it is formatted and added, so calls that
+    share one dict, for matrices over the same dates and daily data,
+    format each column once.
+    """
+    if "date" not in column_text:
+        column_text["date"] = [d.isoformat() for d in matrix.dates]
+    for j, name in enumerate(matrix.columns):
+        if name not in column_text:
+            column_text[name] = [repr(v) for v in matrix.values[:, j].tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
         writer.writerow(["date", *matrix.columns])
-        for d, row in zip(matrix.dates, matrix.values):
-            writer.writerow([d.isoformat(), *[repr(float(v)) for v in row]])
+        writer.writerows(zip(*(column_text[name] for name in ("date", *matrix.columns))))
 
 
 # --- windowing ------------------------------------------------------------------

@@ -19,7 +19,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import StockcastError, open_text
+from .errors import StockcastError, echo, open_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -140,9 +140,9 @@ def load_price_csv(path):
                         volume=float(row[idx["Volume"]]),
                     )
                     bar.validate()
-                except (ValueError, IndexError) as exc:
-                    raise StockcastError(
-                        f"{path}:{lineno}: unparsable row at line {lineno}: {exc}") from exc
+                except (ValueError, IndexError) as exc:  # float() quotes the whole field
+                    raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
+                                         f"{echo(str(exc))}") from exc
                 if last_date is not None:
                     if bar.date == last_date:
                         raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
@@ -262,21 +262,21 @@ def _read_posts(path, kind, lines, first_line):
             if type(post_id) is not int:
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
-                    f"a string or an integer, got {json.dumps(post_id)}")
+                    f"a string or an integer, got {echo(json.dumps(post_id))}")
             post_id = str(post_id)
         text = record["text"]
         if type(text) is not str:
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"field 'text' must be a string, got {json.dumps(text)}")
+                                 f"field 'text' must be a string, got {echo(json.dumps(text))}")
         ts = record["ts"]
         if type(ts) is not str:
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"field 'ts' must be a string, got {json.dumps(ts)}")
+                                 f"field 'ts' must be a string, got {echo(json.dumps(ts))}")
         try:
             ts = _parse_timestamp(ts)
         except ValueError as exc:
-            raise StockcastError(
-                f"{path}:{lineno}: unparsable line {lineno}: bad timestamp: {exc}") from exc
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                 f"bad timestamp: {echo(str(exc))}") from exc
         if news:
             counts = _NO_COUNTS
         else:
@@ -287,7 +287,7 @@ def _read_posts(path, kind, lines, first_line):
                 if type(value) is not int:
                     raise StockcastError(
                         f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
-                        f"expected an integer, got {json.dumps(value)}")
+                        f"expected an integer, got {echo(json.dumps(value))}")
                 if value < 0:
                     raise StockcastError(
                         f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")

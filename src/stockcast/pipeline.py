@@ -9,8 +9,11 @@ identical bytes.
 from __future__ import annotations
 
 import csv
+import hashlib
 import json
+import math
 import os
+import re
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -20,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import features, forecaster, market_sim, sentiment, textprep
-from .errors import StockcastError, open_text
+from .errors import StockcastError, echo, open_text
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
 from .ingest import (
     assign_posts,
@@ -60,19 +63,28 @@ _RANGE_BYTES = 1 << 20
 _BYTES_PER_WORKER = 4 << 20
 
 
-def load_dataset(config):
+def load_dataset(config, out_dir=None):
     """Load + validate prices and posts, score posts, aggregate daily.
 
-    Each post file is cut into ranges of about _RANGE_BYTES that end on
+    When ``out_dir`` holds a daily_sentiment.csv that ingest wrote with
+    this config's scores_digest, the post counts and daily rows come from
+    that file (see load_daily_sentiment) and no post is read. Otherwise
+    each post file is cut into ranges of about _RANGE_BYTES that end on
     line ends, and _score_range loads, checks and scores each one: in
     spawn workers, one per _BYTES_PER_WORKER of posts up to the usable
     cores, or here when that makes fewer than 2. The first error reported
     is the one a single pass over the inputs meets first: prices, the
     tweets file in line order, the news file, the lexicon or replay table,
-    stopwords, then a post without a replay score in (day, load) order.
+    stopwords, then a post without a replay score or a finite weighted
+    sentiment in (day, load) order, then a day whose mean weighted
+    sentiment is not finite, tweets before news.
     """
     bars = load_price_csv(config.prices)
     calendar = calendar_from_bars(bars)
+    if out_dir is not None:
+        saved = load_daily_sentiment(Path(out_dir) / DAILY_SENTIMENT_FILE, config, calendar)
+        if saved is not None:
+            return Dataset(bars, *saved)
     try:
         provider = make_provider(config)
         stopwords = textprep.load_stopwords(config.stopwords)
@@ -86,21 +98,29 @@ def load_dataset(config):
         tweets = _gather(run(_score_range, _post_tasks(config.tweets, "tweet", config.min_likes)),
                          config.min_likes)
         news = _gather(run(_score_range, _post_tasks(config.news, "news", None)), None)
-    for _, _, missing in (tweets, news):
-        if missing is not None:
-            raise missing
+    for _, _, unscored in (tweets, news):
+        if unscored is not None:
+            raise unscored
 
-    def daily(by_day):
-        return sentiment.aggregate_daily(
+    def daily(by_day, path):
+        rows = sentiment.aggregate_daily(
             {calendar.dates[day]: scores for day, scores in by_day.items()}, calendar)
+        for row in rows:
+            if not math.isfinite(row.mean_ws):
+                raise StockcastError(f"{path}: mean weighted sentiment on {row.date} is not "
+                                     f"a finite float{_TOO_LARGE}")
+        return rows
 
     return Dataset(
         bars=bars,
         tweet_count=tweets[0],
         news_count=news[0],
-        tweet_daily=daily(tweets[1]),
-        news_daily=daily(news[1]),
+        tweet_daily=daily(tweets[1], config.tweets),
+        news_daily=daily(news[1], config.news),
     )
+
+
+_TOO_LARGE = ": engagement counts or weights alpha..delta too large"
 
 
 def _post_workers(config):
@@ -127,9 +147,11 @@ def _score_range(shared, task):
     score_post triple. A post no daily average can include is not scored
     and gets day and score None: one dated past the calendar end, or with
     fewer than min_likes. A post the provider cannot score gets the
-    provider's StockcastError as its score; that is an error only if the
-    post is kept. Only primitives go back: returning post objects cost
-    more to pickle than scoring them in the worker saved.
+    provider's StockcastError as its score, and one whose weighted
+    sentiment is not a finite float a StockcastError naming the file and
+    the post; either is an error only if the post is kept. Only
+    primitives go back: returning post objects cost more to pickle than
+    scoring them in the worker saved.
     """
     provider, stopwords, keep_cashtags, weights, calendar = shared
     path, kind, min_likes, byte_range = task
@@ -144,8 +166,20 @@ def _score_range(shared, task):
             except StockcastError as exc:  # a replay table without this id
                 scored[post.id] = (day, exc)
                 continue
-            scored[post.id] = (day, sentiment.score_post(post, score, weights))
+            scored[post.id] = (day, _finite_score(path, post, score, weights))
     return [(post.id, post.likes, *scored.get(post.id, (None, None))) for post in posts]
+
+
+def _finite_score(path, post, score, weights):
+    """score_post's triple, or a StockcastError if its weighted value is not a finite float."""
+    try:
+        triple = sentiment.score_post(post, score, weights)
+        if math.isfinite(triple[2]):
+            return triple
+    except OverflowError:  # a count past float range
+        pass
+    return StockcastError(f"{path}: post id {echo(repr(post.id))}: weighted sentiment is "
+                          f"not a finite float{_TOO_LARGE}")
 
 
 def _gather(results, min_likes):
@@ -160,7 +194,7 @@ def _gather(results, min_likes):
     seen = set()
     kept = 0
     by_day = defaultdict(list)
-    missing = None
+    unscored = None
     for rows in results:
         for post_id, likes, day, score in rows:
             if post_id in seen:
@@ -173,9 +207,9 @@ def _gather(results, min_likes):
                 continue
             if not isinstance(score, StockcastError):
                 by_day[day].append(score)
-            elif missing is None or day < missing[0]:
-                missing = (day, score)
-    return kept, by_day, None if missing is None else missing[1]
+            elif unscored is None or day < unscored[0]:
+                unscored = (day, score)
+    return kept, by_day, None if unscored is None else unscored[1]
 
 
 def build_matrix(config, dataset, feature_set):
@@ -343,6 +377,153 @@ def simulate_feature_set(config, bars, predictions):
     return market_sim.run_simulation(predictions, bars, sim_config)
 
 
+# --- daily sentiment, scored once per out dir -----------------------------------
+
+#: The file ingest writes into the out dir for featurize and train-eval to reuse.
+DAILY_SENTIMENT_FILE = "daily_sentiment.csv"
+DAILY_SENTIMENT_COLUMNS = [
+    "date", "tweet_mean_label", "tweet_mean_conf", "tweet_mean_ws", "tweet_count",
+    "news_mean_label", "news_mean_conf", "news_mean_ws", "news_count",
+]
+#: Config keys a post's score depends on, besides the input files.
+_SCORE_KEYS = ("provider", "min_likes", "keep_cashtags", "alpha", "beta", "gamma", "delta")
+_PACKAGE = Path(__file__).resolve().parent
+_KEPT_RE = re.compile(r"# kept_tweets=([0-9]{1,19}) kept_news=([0-9]{1,19})")
+_COUNT_RE = re.compile(r"[0-9]{1,19}")
+
+
+def scores_digest(config):
+    """SHA-256 hex digest of everything the daily sentiment depends on.
+
+    That is the SHA-256 of each input file config_hash reads (the same
+    per-file hashes, so no file is read twice), the config keys in
+    _SCORE_KEYS, and the bytes of this package's .py and resource files.
+    Other keys (feature_sets, base_seed, replicates, ...) leave it alone.
+    """
+    digest = hashlib.sha256()
+    lines = [f"{key}.sha256={sha}" for key, sha in config.input_sha256.items()]
+    lines += [f"{key}={getattr(config, key)}" for key in _SCORE_KEYS]
+    digest.update("\n".join(lines).encode("utf-8"))
+    for path in sorted(_PACKAGE.rglob("*")):
+        name = path.relative_to(_PACKAGE).as_posix()
+        if path.is_file() and (path.suffix == ".py" or name.startswith("resources/")):
+            data = path.read_bytes()
+            digest.update(f"\n{name} {len(data)}\n".encode("utf-8"))
+            digest.update(data)
+    return digest.hexdigest()
+
+
+def make_out_dir(out_dir):
+    """``out_dir`` as a Path, made with its parents if missing.
+
+    Raises:
+        StockcastError: it cannot be made (a file of that name exists, a
+            name is too long, ...), naming the out_dir key and the path.
+    """
+    out_dir = Path(out_dir)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise StockcastError(f"out_dir {echo(repr(str(out_dir)))}: {exc.strerror}") from exc
+    return out_dir
+
+
+def write_daily_sentiment(out_dir, config, dataset):
+    """Save ``dataset``'s post counts and daily rows as out_dir/DAILY_SENTIMENT_FILE.
+
+    Lines: ``# config_hash=``, ``# scores=`` with scores_digest, ``#
+    kept_tweets=N kept_news=M``, the DAILY_SENTIMENT_COLUMNS header, then
+    one row per trading date, floats via repr. The file is written whole
+    under a temporary name in out_dir and then renamed over the old one,
+    so no reader sees half of it. Returns its path.
+    """
+    lines = [
+        f"# config_hash={config.config_hash}",
+        f"# scores={scores_digest(config)}",
+        f"# kept_tweets={dataset.tweet_count} kept_news={dataset.news_count}",
+        ",".join(DAILY_SENTIMENT_COLUMNS),
+    ]
+    for tweet, news in zip(dataset.tweet_daily, dataset.news_daily):
+        lines.append(",".join([
+            tweet.date.isoformat(),
+            repr(tweet.mean_label), repr(tweet.mean_conf), repr(tweet.mean_ws), str(tweet.count),
+            repr(news.mean_label), repr(news.mean_conf), repr(news.mean_ws), str(news.count),
+        ]))
+    out_dir = make_out_dir(out_dir)
+    path = out_dir / DAILY_SENTIMENT_FILE
+    tmp = out_dir / f".{DAILY_SENTIMENT_FILE}.{os.getpid()}.tmp"
+    try:
+        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def load_daily_sentiment(path, config, calendar):
+    """(tweet_count, news_count, tweet_daily, news_daily) saved by write_daily_sentiment.
+
+    None when ``path`` is no file or cannot be looked up, when an input
+    file cannot be read for the digest, or when its second line carries
+    another digest than this config's scores_digest: the caller then
+    scores the posts, and reports an unreadable input or out dir where it
+    would without the file. A file with this digest must parse in full. A wrong header line, a row that is not the next
+    calendar date, a mean that is not a finite float, a count that is not
+    a whole number >= 0, or a missing or extra row raises a StockcastError
+    at ``<path>:<line>: `` that says to rerun ingest.
+    """
+    path = Path(path)
+    try:
+        if not path.is_file():
+            return None
+        digest = scores_digest(config)
+    except OSError:
+        return None
+    with open(path, encoding="utf-8", errors="replace") as fh:  # a bad byte fails its line
+        lines = [line.rstrip("\n") for line in fh]
+    if len(lines) < 2 or lines[1] != f"# scores={digest}":
+        return None
+
+    def bad(index, problem):
+        return StockcastError(f"{path}:{index + 1}: {problem}; rerun ingest into this out dir")
+
+    def got(index):
+        return echo(repr(lines[index])) if index < len(lines) else "end of file"
+
+    header = ",".join(DAILY_SENTIMENT_COLUMNS)
+    if not lines[0].startswith("# config_hash="):
+        raise bad(0, f"expected # config_hash=<hash>, got {got(0)}")
+    kept = _KEPT_RE.fullmatch(lines[2]) if len(lines) > 2 else None
+    if kept is None:
+        raise bad(2, f"expected # kept_tweets=N kept_news=M, got {got(2)}")
+    if lines[3:4] != [header]:
+        raise bad(3, f"expected the header {header}, got {got(3)}")
+    tweet_daily, news_daily = [], []
+    for index, d in enumerate(calendar.dates, start=4):
+        fields = lines[index].split(",") if index < len(lines) else []
+        if len(fields) != len(DAILY_SENTIMENT_COLUMNS) or fields[0] != d.isoformat():
+            raise bad(index, f"expected a row for {d}, got {got(index)}")
+        for daily, source, (label, conf, ws, count) in (
+                (tweet_daily, "tweet", fields[1:5]), (news_daily, "news", fields[5:9])):
+            means = []
+            for column, text in zip(("mean_label", "mean_conf", "mean_ws"), (label, conf, ws)):
+                try:
+                    value = float(text)
+                except ValueError:
+                    value = math.nan
+                if not math.isfinite(value):
+                    raise bad(index, f"{source}_{column} {echo(repr(text))} is not a finite float")
+                means.append(value)
+            if not _COUNT_RE.fullmatch(count):
+                raise bad(index, f"{source}_count {echo(repr(count))} is not a whole number >= 0")
+            daily.append(sentiment.DailySentiment(d, *means, int(count)))
+    end = len(calendar.dates) + 4
+    if len(lines) > end:
+        raise bad(end, f"expected end of file, got {got(end)}")
+    return int(kept[1]), int(kept[2]), tweet_daily, news_daily
+
+
 # --- report writers ---------------------------------------------------------
 
 def _protocol_echo(config):
@@ -437,7 +618,7 @@ def load_predictions_csv(path, config, dates):
         first = fh.readline().rstrip("\r\n")
         if first != f"# config_hash={config.config_hash}":
             raise StockcastError(
-                f"{path}: first line {first!r} does not carry this config's "
+                f"{path}: first line {echo(repr(first))} does not carry this config's "
                 f"config_hash={config.config_hash}; rerun train-eval with the same "
                 f"config and flags"
             )
@@ -451,13 +632,14 @@ def load_predictions_csv(path, config, dates):
                 if i == len(dates) or len(row) != len(PREDICTIONS_COLUMNS) \
                         or row[0] != dates[i].isoformat():
                     expected = dates[i].isoformat() if i < len(dates) else "end of file"
-                    raise StockcastError(f"{path}:{lineno}: expected {expected}, got {row!r}")
+                    raise StockcastError(
+                        f"{path}:{lineno}: expected {expected}, got {echo(repr(row))}")
                 try:
                     pred = float(row[-1])
                 except ValueError:
                     pred = float("nan")
                 if not np.isfinite(pred):
-                    raise StockcastError(f"{path}:{lineno}: bad pred value {row[-1]!r}")
+                    raise StockcastError(f"{path}:{lineno}: bad pred value {echo(repr(row[-1]))}")
                 pairs.append((dates[i], pred))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
             line = reader.line_num + 1  # the reader starts at line 2
@@ -532,7 +714,7 @@ def run_train_eval(config, out_dir):
     out_dir is made, so bad input fails before training starts; reports
     are written once all have.
     """
-    dataset = load_dataset(config)
+    dataset = load_dataset(config, out_dir)
     splits = [
         features.make_windows(build_matrix(config, dataset, fs), config.lookback,
                               config.split_date)
@@ -540,8 +722,7 @@ def run_train_eval(config, out_dir):
     ]
     for split in splits:
         _check_scorable(config, split.test.y)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = make_out_dir(out_dir)
     jobs = [
         (split.train, split.test, forecaster.LstmConfig(
             hidden_units=config.hidden_units,
@@ -606,7 +787,13 @@ __all__ = [
     "write_predictions_csv",
     "load_predictions_csv",
     "PREDICTIONS_COLUMNS",
+    "scores_digest",
+    "write_daily_sentiment",
+    "load_daily_sentiment",
+    "DAILY_SENTIMENT_FILE",
+    "DAILY_SENTIMENT_COLUMNS",
     "write_ledger_csv",
     "write_simulation_json",
     "safe_name",
+    "make_out_dir",
 ]

@@ -24,7 +24,7 @@ from collections import namedtuple
 from dataclasses import dataclass
 from importlib import resources
 
-from .errors import StockcastError, open_text
+from .errors import StockcastError, echo, open_text
 
 #: Default engagement weights: 0.3 for each interaction metric, 0.1 for
 #: follower influence.
@@ -155,7 +155,7 @@ class ReplayProvider:
 
     def score(self, text, post_id=None):
         if post_id is None or post_id not in self.table:
-            raise StockcastError(f"no replay score for post id {post_id!r}")
+            raise StockcastError(f"no replay score for post id {echo(repr(post_id))}")
         return self.table[post_id]
 
 
@@ -175,10 +175,11 @@ def load_lexicon(path=None):
             lexicon[word.strip().lower()] = int(value)
         except ValueError as exc:
             raise StockcastError(
-                f"{path}:{lineno}: unparsable line {lineno}: bad lexicon entry: {line!r}") from exc
+                f"{path}:{lineno}: unparsable line {lineno}: bad lexicon entry: "
+                f"{echo(repr(line))}") from exc
         if lexicon[word.strip().lower()] not in (-1, 1):
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"lexicon polarity must be +1 or -1: {line!r}")
+                                 f"lexicon polarity must be +1 or -1: {echo(repr(line))}")
     return lexicon
 
 
@@ -204,19 +205,21 @@ def load_replay_scores(path):
                 # type(), not isinstance(): a JSON true is a bool, an int subclass
                 if type(post_id) not in (str, int):
                     raise ValueError(f"field 'id' must be a string or an integer, "
-                                     f"got {json.dumps(post_id)}")
+                                     f"got {echo(json.dumps(post_id))}")
                 if type(label) is not int:
-                    raise ValueError(f"field 'label' must be an integer, got {json.dumps(label)}")
+                    raise ValueError(f"field 'label' must be an integer, "
+                                     f"got {echo(json.dumps(label))}")
                 if type(conf) not in (int, float):
                     raise ValueError(f"field 'confidence' must be a number, "
-                                     f"got {json.dumps(conf)}")
+                                     f"got {echo(json.dumps(conf))}")
                 post_id, score = str(post_id), SentimentScore(label, float(conf))
                 if post_id in first_line:
-                    raise ValueError(f"duplicate id {post_id!r}, "
+                    raise ValueError(f"duplicate id {echo(repr(post_id))}, "
                                      f"first on line {first_line[post_id]}")
                 first_line[post_id] = lineno
                 table[post_id] = score
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError) as exc:
+            except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
+                    OverflowError) as exc:  # OverflowError: an integer confidence past float range
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
     return table

@@ -308,6 +308,109 @@ def test_mistyped_post_field_exit_2(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+#: The error that a weighted sentiment past float range ends with.
+TOO_LARGE = "is not a finite float: engagement counts or weights alpha..delta too large\n"
+
+
+@pytest.mark.parametrize("counts", [{"likes": 10**400}, {"likes": 10**200, "followers": 10**200}],
+                         ids=["likes-past-float", "product-past-float"])
+def test_overflowing_engagement_exit_2(tmp_path, capsys, counts):
+    # 10**400 likes cannot become a float; 10**200 likes times 10**200
+    # followers overflows to inf. Either must stop before anything is written.
+    write_tiny_dataset(tmp_path)
+    tweets = tmp_path / "tweets.jsonl"
+    lines = tweets.read_text().splitlines()
+    lines[1] = json.dumps({**json.loads(lines[1]), **counts})
+    tweets.write_text("\n".join(lines) + "\n")
+    for command in ("ingest", "featurize"):
+        code = cli.main([command, "--config", str(write_config(tmp_path))])
+        assert code == 2
+        assert capsys.readouterr().err == (
+            f"error: {tweets}: post id 't1': weighted sentiment {TOO_LARGE}")
+    assert not (tmp_path / "out").exists()
+
+
+def test_day_mean_past_float_exit_2(tmp_path, capsys):
+    # with alpha = 1e300 each post weighs 1e308, a finite float; the day's
+    # sum of two is not
+    days = write_tiny_dataset(tmp_path)
+    tweets = tmp_path / "tweets.jsonl"
+    post = {"ts": f"{days[0]}T12:00:00Z", "text": "profit surge rally",
+            "retweets": 1, "likes": 0, "comments": 0, "followers": 10**9}
+    tweets.write_text("".join(json.dumps({"id": f"big{i}", **post}) + "\n" for i in range(2)))
+    code = cli.main(["ingest", "--config", str(write_config(tmp_path, alpha="1e300"))])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {tweets}: mean weighted sentiment on {days[0]} {TOO_LARGE}")
+    assert not (tmp_path / "out").exists()
+
+
+#: Characters of one oversized input value.
+HUGE = 200_000
+
+
+def oversized_input(tmp_path, site):
+    """(command, config, path, line): an input with an oversized value at one
+    site that echoes input into an error message."""
+    write_tiny_dataset(tmp_path)
+    extra = {
+        "config-value": {"keep_cashtags": "x" * HUGE},
+        "config-float": {"alpha": "x" * HUGE},
+        "lexicon-line": {"lexicon": "lexicon.tsv"},
+        "replay-field": {"provider": "replay", "replay_scores": "scores.jsonl"},
+    }.get(site, {})
+    config = write_config(tmp_path, **extra)
+    if site.startswith("config-"):
+        lines = config.read_text().splitlines()
+        if site == "config-line":
+            lines.append("[" * HUGE)
+        line = next(n for n, text in enumerate(lines, 1) if len(text) >= HUGE)
+        config.write_text("\n".join(lines) + "\n")
+        return "ingest", config, config, line
+    if site == "lexicon-line":
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("profit\t+1\n" + "x" * HUGE + "\n")
+        return "ingest", config, path, 2
+    if site == "replay-field":
+        path = tmp_path / "scores.jsonl"
+        path.write_text(json.dumps({"id": "t0", "label": [1] * 50_000, "confidence": 1}) + "\n")
+        return "ingest", config, path, 1
+    if site in ("post-field", "post-timestamp"):
+        path = tmp_path / "tweets.jsonl"
+        lines = path.read_text().splitlines()
+        field = {"text": ["word"] * 50_000} if site == "post-field" else {"ts": "x" * HUGE}
+        lines[2] = json.dumps({**json.loads(lines[2]), **field})
+        path.write_text("\n".join(lines) + "\n")
+        return "ingest", config, path, 3
+    if site == "price-field":  # under the csv module's field limit
+        path = tmp_path / "prices.csv"
+        lines = path.read_text().splitlines()
+        lines[4] = _field(lines[4], 4, "1" + "0" * 100_000 + "x")
+        path.write_text("\n".join(lines) + "\n")
+        return "ingest", config, path, 5
+    assert site == "predictions-row"
+    assert cli.main(["train-eval", "--config", str(config)]) == 0
+    path = tmp_path / "out" / "predictions_prices.csv"
+    lines = path.read_text().splitlines()
+    lines[2] = ",".join(["1"] * 50_000)
+    path.write_text("\n".join(lines) + "\n")
+    return "simulate", config, path, 3
+
+
+@pytest.mark.parametrize("site", ["config-line", "config-value", "config-float", "lexicon-line",
+                                  "replay-field", "post-field", "post-timestamp", "price-field",
+                                  "predictions-row"])
+def test_oversized_value_echo_is_cut(tmp_path, capsys, site):
+    command, config, path, line = oversized_input(tmp_path, site)
+    capsys.readouterr()
+    code = cli.main([command, "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err) < 1000, err[:2000]
+    assert err.startswith(f"error: {path}:{line}: ") and err.endswith("...\n"), err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("edit", [lambda row: row + ",7", lambda row: row.rsplit(",", 1)[0]],
                          ids=["extra-field", "missing-field"])
 def test_price_row_width_exit_2(tmp_path, capsys, edit):
@@ -656,12 +759,184 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path)]) == 0
 
 
+def refuse_posts(*args, **kwargs):
+    raise AssertionError("the posts were scored by ingest; no command may read them again")
+
+
+def read_outputs(out_dir):
+    return {f.name: f.read_bytes() for f in Path(out_dir).iterdir()}
+
+
+class TestScoredOnce:
+    """ingest saves the daily sentiment; featurize and train-eval reuse it."""
+
+    def test_fixture_outputs_identical_with_or_without_ingest(self, tmp_path, monkeypatch):
+        config = str(REPO / "configs" / "fixture.conf")
+        run = ["--feature-set", "Prices-Tweets-News", "--replicates", "1"]
+        outputs = {}
+        for name in ("alone", "after-ingest"):
+            out_dir = str(tmp_path / name)
+            if name == "after-ingest":
+                assert cli.main(["ingest", "--config", config, "--out-dir", out_dir]) == 0
+                monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", refuse_posts)
+            assert cli.main(["featurize", "--config", config, "--out-dir", out_dir]) == 0
+            assert cli.main(["train-eval", "--config", config, "--out-dir", out_dir, *run]) == 0
+            outputs[name] = read_outputs(out_dir)
+        saved = outputs["after-ingest"].pop(pipeline.DAILY_SENTIMENT_FILE)
+        assert saved.startswith(b"# config_hash=")
+        assert len(outputs["alone"]) == 12 + 3  # 12 feature files, report, table, predictions
+        assert outputs["after-ingest"] == outputs["alone"]
+
+    def test_saved_rows_equal_scored_rows(self, tmp_path, fixture_config_path):
+        config = apply_overrides(parse_config(fixture_config_path), {"out_dir": str(tmp_path)})
+        scored = pipeline.load_dataset(config, tmp_path)  # nothing saved yet
+        pipeline.write_daily_sentiment(tmp_path, config, scored)
+        saved = pipeline.load_dataset(config, tmp_path)
+        for key in ("tweet_count", "news_count", "tweet_daily", "news_daily"):
+            assert getattr(saved, key) == getattr(scored, key), key
+        assert any(d.count == 0 for d in saved.tweet_daily)  # forward-filled days too
+
+    @pytest.mark.parametrize("command, flags", [
+        ("featurize", []), ("featurize", ["--feature-set", "Prices-Weighted-Tweets-News"]),
+        ("train-eval", []), ("train-eval", ["--feature-set", "Prices-Tweets"]),
+        ("train-eval", ["--seed", "9"]), ("train-eval", ["--replicates", "2"]),
+    ])
+    def test_reuse_reads_no_post(self, tmp_path, monkeypatch, command, flags):
+        write_tiny_dataset(tmp_path)
+        config = str(write_config(tmp_path))
+        assert cli.main(["ingest", "--config", config]) == 0
+        monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", refuse_posts)
+        assert cli.main([command, "--config", config, *flags]) == 0
+
+    #: An edit after ingest, as (config key, new value) or (file key, edit of its text).
+    EDITS = {
+        "prices": lambda text: text.replace(",1000\n", ",1001\n", 1),
+        "tweets": lambda text: text.replace("profit surge rally", "loss warning", 1),
+        "news": lambda text: text.replace("quarterly loss warning", "profit", 1),
+        "lexicon": lambda text: text.replace("profit\t+1", "profit\t-1"),
+        "replay_scores": lambda text: text.replace('"label": 1', '"label": -1', 1),
+        "stopwords": lambda text: text + "profit\n",
+        "provider": "replay",
+        "min_likes": 250,
+        "keep_cashtags": "false",
+        "alpha": 0.5, "beta": 0.5, "gamma": 0.5, "delta": 0.5,
+    }
+
+    @pytest.mark.parametrize("key", list(EDITS))
+    def test_edit_after_ingest_rescores(self, tmp_path, monkeypatch, key):
+        write_tiny_dataset(tmp_path)
+        resources = Path(pipeline.__file__).parent / "resources"
+        for name in ("lexicon.tsv", "stopwords.txt"):
+            (tmp_path / name).write_bytes((resources / name).read_bytes())
+        (tmp_path / "scores.jsonl").write_text("".join(
+            json.dumps({"id": post_id, "label": 1, "confidence": 0.5}) + "\n"
+            for post_id in [f"t{i}" for i in range(8)] + [f"n{i}" for i in range(4)]))
+        files = {"lexicon": "lexicon.tsv", "stopwords": "stopwords.txt",
+                 "replay_scores": "scores.jsonl"}
+        extra = dict(files, feature_sets="all")
+        if key == "replay_scores":
+            extra["provider"] = "replay"
+        config = write_config(tmp_path, **extra)
+        assert cli.main(["ingest", "--config", str(config)]) == 0
+        edit = self.EDITS[key]
+        if callable(edit):
+            path = Path(getattr(parse_config(config), key))
+            path.write_text(edit(path.read_text()))
+        else:
+            config = write_config(tmp_path, **extra, **{key: edit})
+        loads = []
+        load_posts = pipeline.load_posts_jsonl
+
+        def counting(path, kind, byte_range=None):
+            loads.append(kind)
+            return load_posts(path, kind, byte_range)
+
+        monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", counting)
+        assert cli.main(["featurize", "--config", str(config)]) == 0
+        assert loads, "featurize reused scores from before the edit"
+        fresh = tmp_path / "fresh"
+        assert cli.main(["featurize", "--config", str(config), "--out-dir", str(fresh)]) == 0
+        reused = read_outputs(tmp_path / "out")
+        del reused[pipeline.DAILY_SENTIMENT_FILE]
+        assert reused == read_outputs(fresh)
+
+    def test_failed_ingest_writes_nothing(self, tmp_path, capsys):
+        write_tiny_dataset(tmp_path)
+        tweets = tmp_path / "tweets.jsonl"
+        good = tweets.read_text()
+        tweets.write_text(good + "not json\n")
+        config = str(write_config(tmp_path))
+        assert cli.main(["ingest", "--config", config]) == 2
+        assert not (tmp_path / "out").exists()
+        tweets.write_text(good)
+        assert cli.main(["ingest", "--config", config]) == 0
+        saved = read_outputs(tmp_path / "out")
+        tweets.write_text(good + "not json\n")
+        assert cli.main(["ingest", "--config", config]) == 2
+        assert read_outputs(tmp_path / "out") == saved  # no new file, no temporary one
+
+    #: One edit of a saved file's lines each, and the 1-based line it breaks.
+    MALFORMED = {
+        "config-hash-line": (lambda lines: ["config_hash=x", *lines[1:]], 1),
+        "kept-line": (lambda lines: [*lines[:2], "# kept_tweets=-1 kept_news=4", *lines[3:]], 3),
+        "header": (lambda lines: [*lines[:3], lines[3].replace("tweet_mean_ws", "ws"),
+                                  *lines[4:]], 4),
+        "date-skipped": (lambda lines: [*lines[:6], *lines[7:]], 7),
+        "dates-swapped": (lambda lines: [*lines[:6], lines[7], lines[6], *lines[8:]], 7),
+        "mean-nan": (lambda lines: [*lines[:9], _field(lines[9], 3, "nan"), *lines[10:]], 10),
+        "mean-inf": (lambda lines: [*lines[:9], _field(lines[9], 6, "inf"), *lines[10:]], 10),
+        "count-negative": (lambda lines: [*lines[:9], _field(lines[9], 4, "-1"), *lines[10:]], 10),
+        "count-fraction": (lambda lines: [*lines[:9], _field(lines[9], 8, "1.5"), *lines[10:]],
+                           10),
+        "rows-missing": (lambda lines: lines[:-1], 64),
+        "row-extra": (lambda lines: [*lines, lines[-1]], 65),
+    }
+
+    @pytest.mark.parametrize("case", list(MALFORMED))
+    def test_malformed_saved_file_exit_2(self, tmp_path, monkeypatch, capsys, case):
+        write_tiny_dataset(tmp_path)
+        config = str(write_config(tmp_path))
+        assert cli.main(["ingest", "--config", config]) == 0
+        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        edit, line = self.MALFORMED[case]
+        lines = path.read_text().splitlines()
+        assert len(lines) == 64  # 4 header lines, 60 trading dates
+        path.write_text("\n".join(edit(lines)) + "\n")
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        capsys.readouterr()
+        for command in ("featurize", "train-eval"):
+            assert cli.main([command, "--config", config]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: {path}:{line}: "), err
+            assert err.endswith("; rerun ingest into this out dir\n"), err
+        assert not list((tmp_path / "out").glob("features_*.csv"))
+
+    def test_other_digest_is_rescored(self, tmp_path, monkeypatch):
+        # a file from another config's ingest is left alone, however broken
+        write_tiny_dataset(tmp_path)
+        config = str(write_config(tmp_path))
+        assert cli.main(["ingest", "--config", config]) == 0
+        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        lines = path.read_text().splitlines()
+        path.write_text("\n".join([lines[0], "# scores=0", "garbage"]) + "\n")
+        assert cli.main(["featurize", "--config", config]) == 0
+
+
+def _field(line, i, value):
+    """``line`` of a saved daily file with comma-separated field ``i`` replaced."""
+    fields = line.split(",")
+    fields[i] = value
+    return ",".join(fields)
+
+
 def test_tracer_patches_every_name(tmp_path):
-    """The benchmark's tracer wraps pipeline names by attribute; a rename fails here."""
+    """The benchmark's tracer wraps pipeline names by attribute; a rename fails here.
+
+    featurize and train-eval run after ingest, so on its saved daily sentiment."""
     write_tiny_dataset(tmp_path)
     path = write_config(tmp_path)
     (tmp_path / "spans").mkdir()
-    for command in ("train-eval", "simulate"):
+    for command in ("ingest", "featurize", "train-eval", "simulate"):
         proc = subprocess.run(
             [sys.executable, str(REPO / "bench" / "tracer.py"),
              str(tmp_path / "spans" / command), "t", "--", command, "--config", str(path)],
@@ -761,7 +1036,8 @@ class Draws:
 
 @settings(max_examples=150, deadline=None, derandomize=True,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(name=st.sampled_from(["prices.csv", "tweets.jsonl", "exp.conf", "predictions_prices.csv"]),
+@given(name=st.sampled_from(["prices.csv", "tweets.jsonl", "exp.conf", "predictions_prices.csv",
+                             "daily_sentiment.csv"]),
        mutation=st.sampled_from(MUTATIONS), data=st.data())
 # a price field and a predictions field over the csv field limit (csv.Error)
 @example(name="prices.csv", mutation="pad", data=Draws(1, 0))
@@ -770,14 +1046,17 @@ class Draws:
 @example(name="tweets.jsonl", mutation="nested", data=Draws(0))
 # a path longer than the OS allows (OSError ENAMETOOLONG): line 3 is tweets = tweets.jsonl
 @example(name="exp.conf", mutation="pad", data=Draws(2, len("tweets = tweets.jsonl")))
-def test_mutated_input_fails_cleanly(tmp_path, capsys, name, mutation, data):
+def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutation, data):
     """One mutated line or byte in one input: exit 0, 2 or 3, never a traceback.
 
     ``ingest`` reads the prices, posts and config; ``simulate`` reads the
-    predictions file, written once by a tiny ``train-eval``. An exit 2
-    prints one ``error:`` line naming the mutated file, or, for a config
-    mutation, its key or the file the key now names.
+    predictions file, written once by a tiny ``train-eval``; ``featurize``
+    reads the daily_sentiment.csv that an ``ingest`` just before wrote.
+    An exit 2 prints one ``error:`` line naming the mutated file, or, for
+    a config mutation, its key or the file the key now names. The config's
+    ``out_dir = out`` resolves against the working directory, tmp_path.
     """
+    monkeypatch.chdir(tmp_path)
     sim = tmp_path / "sim"
     if not (tmp_path / "exp.conf").exists():
         write_tiny_dataset(tmp_path, n_bars=20)
@@ -788,6 +1067,10 @@ def test_mutated_input_fails_cleanly(tmp_path, capsys, name, mutation, data):
         capsys.readouterr()
     if name.startswith("predictions_"):
         command, config, path = "simulate", sim / "exp.conf", sim / "out" / name
+    elif name == "daily_sentiment.csv":
+        command, config, path = "featurize", tmp_path / "exp.conf", Path("out") / name
+        assert cli.main(["ingest", "--config", str(config)]) == 0  # this config's digest
+        capsys.readouterr()
     else:
         command, config, path = "ingest", tmp_path / "exp.conf", tmp_path / name
     original = path.read_bytes()

@@ -1,6 +1,7 @@
 """Orchestration-level checks on the bundled fixture dataset."""
 
 import json
+import shutil
 from pathlib import Path
 
 import pytest
@@ -120,6 +121,28 @@ def test_csv_ledger_equals_in_memory_ledger(config, dataset, trained):
     assert from_csv == from_memory
 
 
+def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
+    # an edited scorer or bundled lexicon makes ingest's saved scores stale
+    package = tmp_path / "stockcast"
+    shutil.copytree(Path(pipeline.__file__).parent, package,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    digest = pipeline.scores_digest(config)
+    monkeypatch.setattr("stockcast.pipeline._PACKAGE", package)
+    assert pipeline.scores_digest(config) == digest
+    (package / "__pycache__").mkdir()
+    (package / "__pycache__" / "textprep.cpython-311.pyc").write_bytes(b"compiled")
+    assert pipeline.scores_digest(config) == digest
+    for name in ("resources/lexicon.tsv", "textprep.py"):
+        path = package / name
+        original = path.read_bytes()
+        path.write_bytes(original + b"\n")
+        assert pipeline.scores_digest(config) != digest, name
+        path.write_bytes(original)
+    assert pipeline.scores_digest(apply_overrides(config, {
+        "base_seed": 1, "replicates": 3, "feature_sets": ("Prices",), "epochs": 1,
+        "out_dir": "elsewhere"})) == digest
+
+
 # --- post files loaded in byte ranges, in workers or here -------------------
 
 GOOD = {"id": "g", "ts": "2022-06-01T12:00:00Z", "text": "strong profit rally",
@@ -144,7 +167,8 @@ def write_posts_config(tmp_path, tweets, **extra):
     path = tmp_path / "tweets.jsonl"
     path.write_bytes(tweets if isinstance(tweets, bytes) else ("\n".join(tweets) + "\n").encode())
     values = {"prices": FIXTURES / "prices.csv", "tweets": path,
-              "news": FIXTURES / "news.jsonl", "min_likes": 100, **extra}
+              "news": FIXTURES / "news.jsonl", "min_likes": 100, "out_dir": tmp_path / "out",
+              **extra}
     config = tmp_path / "posts.conf"
     config.write_text("".join(f"{key} = {value}\n" for key, value in values.items()))
     return config

@@ -248,9 +248,10 @@ class TestReplayProvider:
         ("confidence", None, "field 'confidence' must be a number, got null"),
         ("confidence", 1.5, "confidence must be in [0, 1], got 1.5"),
         ("confidence", float("nan"), "confidence must be in [0, 1], got nan"),
+        ("confidence", 10**400, "int too large to convert to float"),
     ], ids=["id-null", "id-bool", "id-float", "label-bool", "label-string", "label-float",
             "label-range", "confidence-string", "confidence-bool", "confidence-null",
-            "confidence-range", "confidence-nan"])
+            "confidence-range", "confidence-nan", "confidence-past-float"])
     def test_mistyped_field_names_file_and_line(self, tmp_path, field, value, reason):
         path = tmp_path / "scores.jsonl"
         good = {"id": "a", "label": 1, "confidence": 0.7}
