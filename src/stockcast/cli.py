@@ -11,8 +11,8 @@ import sys
 
 from . import pipeline
 from .config import apply_overrides, parse_config
-from .errors import RunFailed, StockcastError
-from .features import write_matrix_csv
+from .errors import RunFailed, StockcastError, echo
+from .features import format_columns, select, write_matrix_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -80,11 +80,12 @@ def cmd_featurize(args):
     config = _load_config(args)
     dataset = pipeline.load_dataset(config, config.out_dir)
     out_dir = pipeline.make_out_dir(config.out_dir)
-    column_text = {}  # the sets share their columns: each is formatted once
+    table = pipeline.build_matrix(config, dataset)
+    column_text = format_columns(table)
     for feature_set in config.feature_sets:
-        matrix = pipeline.build_matrix(config, dataset, feature_set)
+        matrix = select(table, feature_set)
         path = out_dir / f"features_{pipeline.safe_name(feature_set)}.csv"
-        write_matrix_csv(path, matrix, f"config_hash={config.config_hash}", column_text)
+        write_matrix_csv(path, matrix.columns, column_text, f"config_hash={config.config_hash}")
         print(f"wrote {path} ({len(matrix.dates)} rows x {len(matrix.columns)} features)")
     return EXIT_OK
 
@@ -130,10 +131,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:
-        print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+        print(f"error: missing file: {echo(str(exc.filename or exc))}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"error: {exc.filename}: {exc.strerror}", file=sys.stderr)
+        print(f"error: {echo(str(exc.filename))}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

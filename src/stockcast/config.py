@@ -90,6 +90,8 @@ class ExperimentConfig:
             if not getattr(self, key) >= 0:
                 raise StockcastError(f"{key} must be >= 0, got {getattr(self, key)}")
         _check_feature_sets(self.feature_sets)
+        if not self.out_dir:  # "" would write every output into the working directory
+            raise StockcastError("out_dir must not be empty")
 
     def canonical(self):
         """Sorted key=value lines; the hashing base.

@@ -8,6 +8,9 @@ Twelve feature sets combine four column blocks in a fixed order:
     news        news_mean_label, news_mean_conf, news_count
     indicators  rsi, sma
 
+A run assembles one daily table that holds each column once; a feature
+set is the selection of its blocks' columns from that table.
+
 Scaling is fitted on the training span only; test rows are transformed
 with the same state and may land outside [0, 1] (never clipped).
 """
@@ -165,70 +168,52 @@ def minmax_transform(state, values):
 
 @dataclass(frozen=True)
 class FeatureMatrix:
-    """Date-indexed raw feature values for one feature set."""
+    """Date-indexed raw feature values: the daily table, or one set's columns of it."""
 
     dates: tuple
     columns: tuple
     values: np.ndarray  # (n_dates, n_columns) float64
 
 
-def assemble(feature_set, bars, tweet_daily=None, news_daily=None, indicators=None):
-    """Stack the blocks of one feature set into a raw FeatureMatrix.
+def assemble(bars, tweet_daily, news_daily, indicators=None):
+    """Every daily column as one raw FeatureMatrix, the table each feature
+    set selects its columns from.
 
-    All inputs must cover exactly the bar dates, in order. Values are
-    left unscaled here; make_windows fits normalization on the training
-    span so no test information leaks into the scaler.
+    Columns: the six prices, tweet_mean_label, tweet_mean_conf, tweet_count,
+    tweet_mean_ws, the three news columns, then rsi and sma when
+    ``indicators`` is given. All inputs must cover exactly the bar dates, in
+    order. Values are left unscaled here; make_windows fits normalization
+    on the training span so no test information leaks into the scaler.
 
     Raises:
         StockcastError: a sentiment row or indicator series does not
             line up with the bar dates.
     """
-    columns = feature_set_columns(feature_set)
-    blocks = FEATURE_SETS[feature_set]
     dates = [bar.date for bar in bars]
-    n = len(bars)
+    _check_aligned(dates, [d.date for d in tweet_daily])
+    _check_aligned(dates, [d.date for d in news_daily])
+    columns = [*PRICE_COLUMNS, *TWEET_COLUMNS, "tweet_mean_ws", *NEWS_COLUMNS]
+    values = np.array([
+        [b.open, b.high, b.low, b.close, b.adj_close, b.volume,
+         t.mean_label, t.mean_conf, t.count, t.mean_ws,
+         n.mean_label, n.mean_conf, n.count]
+        for b, t, n in zip(bars, tweet_daily, news_daily)
+    ], dtype=np.float64)
+    if indicators is not None:
+        for key in INDICATOR_COLUMNS:
+            if len(indicators[key]) != len(dates):
+                raise StockcastError("inputs not aligned to the trading calendar at "
+                                     f"{dates[min(len(indicators[key]), len(dates) - 1)]}")
+        columns += INDICATOR_COLUMNS
+        values = np.column_stack([values, *(indicators[key] for key in INDICATOR_COLUMNS)])
+    return FeatureMatrix(dates=tuple(dates), columns=tuple(columns), values=values)
 
-    parts = []
-    for block in blocks:
-        if block == "prices":
-            parts.append(np.array(
-                [[b.open, b.high, b.low, b.close, b.adj_close, b.volume] for b in bars],
-                dtype=np.float64,
-            ))
-        elif block in ("tweets", "weighted_tweets"):
-            if tweet_daily is None:
-                raise ValueError(f"{feature_set} needs tweet_daily")
-            _check_aligned(dates, [d.date for d in tweet_daily])
-            if block == "tweets":
-                rows = [[d.mean_label, d.mean_conf, d.count] for d in tweet_daily]
-            else:
-                rows = [[d.mean_ws, d.count] for d in tweet_daily]
-            parts.append(np.array(rows, dtype=np.float64))
-        elif block == "news":
-            if news_daily is None:
-                raise ValueError(f"{feature_set} needs news_daily")
-            _check_aligned(dates, [d.date for d in news_daily])
-            parts.append(np.array(
-                [[d.mean_label, d.mean_conf, d.count] for d in news_daily],
-                dtype=np.float64,
-            ))
-        elif block == "indicators":
-            if indicators is None:
-                raise ValueError(f"{feature_set} needs indicators")
-            for key in INDICATOR_COLUMNS:
-                if len(indicators[key]) != n:
-                    raise StockcastError("inputs not aligned to the trading calendar at "
-                                         f"{dates[min(len(indicators[key]), n - 1)]}")
-            parts.append(np.column_stack([
-                np.asarray(indicators[key], dtype=np.float64) for key in INDICATOR_COLUMNS
-            ]))
-    values = np.hstack(parts)
-    assert values.shape == (n, len(columns))
-    return FeatureMatrix(
-        dates=tuple(dates),
-        columns=tuple(columns),
-        values=values,
-    )
+
+def select(table, feature_set):
+    """``feature_set``'s columns of a table from assemble, in feature_set_columns order."""
+    columns = feature_set_columns(feature_set)
+    index = [table.columns.index(name) for name in columns]
+    return FeatureMatrix(dates=table.dates, columns=tuple(columns), values=table.values[:, index])
 
 
 def _check_aligned(bar_dates, other_dates):
@@ -241,25 +226,25 @@ def _check_aligned(bar_dates, other_dates):
             raise StockcastError(f"inputs not aligned to the trading calendar at {bd}")
 
 
-def write_matrix_csv(path, matrix, header_comment, column_text):
-    """Export a FeatureMatrix as CSV: a ``# header_comment`` line, then a
-    date column first and the features after it, floats via repr.
+def format_columns(table):
+    """{"date", then each column of ``table``: its values as write_matrix_csv
+    writes them}: ISO dates, floats via repr."""
+    text = {"date": [d.isoformat() for d in table.dates]}
+    for j, name in enumerate(table.columns):
+        text[name] = [repr(v) for v in table.values[:, j].tolist()]
+    return text
 
-    ``column_text`` maps a column name (and "date") to its formatted
-    values. A column missing from it is formatted and added, so calls that
-    share one dict, for matrices over the same dates and daily data,
-    format each column once.
+
+def write_matrix_csv(path, columns, column_text, header_comment):
+    """Export ``columns`` as CSV: a ``# header_comment`` line, then a date
+    column first and the features after it, each from ``column_text``, the
+    format_columns of a table holding them.
     """
-    if "date" not in column_text:
-        column_text["date"] = [d.isoformat() for d in matrix.dates]
-    for j, name in enumerate(matrix.columns):
-        if name not in column_text:
-            column_text[name] = [repr(v) for v in matrix.values[:, j].tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(f"# {header_comment}\n")
         writer = csv.writer(fh)
-        writer.writerow(["date", *matrix.columns])
-        writer.writerows(zip(*(column_text[name] for name in ("date", *matrix.columns))))
+        writer.writerow(["date", *columns])
+        writer.writerows(zip(*(column_text[name] for name in ("date", *columns))))
 
 
 # --- windowing ------------------------------------------------------------------
@@ -332,6 +317,8 @@ __all__ = [
     "minmax_transform",
     "FeatureMatrix",
     "assemble",
+    "select",
+    "format_columns",
     "write_matrix_csv",
     "WindowedDataset",
     "SplitWindows",

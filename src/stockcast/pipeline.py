@@ -212,22 +212,20 @@ def _gather(results, min_likes):
     return kept, by_day, None if unscored is None else unscored[1]
 
 
-def build_matrix(config, dataset, feature_set):
-    """Raw (unscaled) FeatureMatrix for one feature set."""
+def build_matrix(config, dataset):
+    """The raw (unscaled) daily table the configured feature sets select from.
+
+    rsi and sma are computed only when a configured set uses them: they
+    need more closes than the other columns do.
+    """
     indicators = None
-    if "indicators" in features.FEATURE_SETS[feature_set]:
+    if any("indicators" in features.FEATURE_SETS[fs] for fs in config.feature_sets):
         closes = [bar.close for bar in dataset.bars]
         indicators = {
             "rsi": features.rsi(closes, config.rsi_period),
             "sma": features.sma(closes, config.sma_period),
         }
-    return features.assemble(
-        feature_set,
-        dataset.bars,
-        tweet_daily=dataset.tweet_daily,
-        news_daily=dataset.news_daily,
-        indicators=indicators,
-    )
+    return features.assemble(dataset.bars, dataset.tweet_daily, dataset.news_daily, indicators)
 
 
 @dataclass
@@ -714,14 +712,13 @@ def run_train_eval(config, out_dir):
     out_dir is made, so bad input fails before training starts; reports
     are written once all have.
     """
-    dataset = load_dataset(config, out_dir)
+    table = build_matrix(config, load_dataset(config, out_dir))
     splits = [
-        features.make_windows(build_matrix(config, dataset, fs), config.lookback,
-                              config.split_date)
+        features.make_windows(features.select(table, fs), config.lookback, config.split_date)
         for fs in config.feature_sets
     ]
-    for split in splits:
-        _check_scorable(config, split.test.y)
+    del table  # the windows are copies: free the table before training
+    _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
     out_dir = make_out_dir(out_dir)
     jobs = [
         (split.train, split.test, forecaster.LstmConfig(

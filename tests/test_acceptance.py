@@ -21,6 +21,7 @@ from stockcast.features import (
     assemble,
     make_windows,
     rsi,
+    select,
     sma,
 )
 from stockcast.market_sim import SimConfig
@@ -235,7 +236,7 @@ def test_criterion_10_feature_set_shapes():
     assert EXPECTED_WIDTHS["Prices"] == 6
     assert EXPECTED_WIDTHS["Prices-Tweets-News-RSI-SMA"] == 14
     dates, bars, indicators = build_inputs()
+    table = assemble(bars, daily_rows(dates), daily_rows(dates), indicators)
     for feature_set, width in EXPECTED_WIDTHS.items():
-        matrix = assemble(feature_set, bars, daily_rows(dates), daily_rows(dates),
-                          indicators)
+        matrix = select(table, feature_set)
         assert matrix.values.shape == (len(bars), width), feature_set

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stockcast import cli, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
-from stockcast.errors import RunFailed, StockcastError
+from stockcast.errors import RunFailed, StockcastError, echo
 from stockcast.forecaster import LstmConfig
 
 from conftest import REPO
@@ -155,6 +155,23 @@ class TestConfig:
         with pytest.raises(StockcastError,
                            match=f"^{re.escape(str(path))}:2: bad value for 'prices': empty path$"):
             parse_config(path)
+
+    def test_empty_out_dir_in_config_exit_2(self, tmp_path, monkeypatch, capsys):
+        # an empty out_dir would write every output into the working directory
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, out_dir="")
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+        assert not (tmp_path / "daily_sentiment.csv").exists()
+
+    def test_empty_out_dir_flag_exit_2(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["featurize", "--config", str(path), "--out-dir", ""]) == 2
+        assert capsys.readouterr().err == "error: out_dir must not be empty\n"
+        assert not list(tmp_path.glob("features_*.csv"))
 
     def test_empty_feature_sets_refused_before_loading(self, tmp_path, capsys):
         # prices names no file: the config error must come before any data loads
@@ -645,9 +662,9 @@ class TestWorkerPool:
         # at once. The error reported is job 0's, though job 1 fails first.
         write_tiny_dataset(tmp_path)
         config = parse_config(write_config(tmp_path))
+        table = pipeline.build_matrix(config, pipeline.load_dataset(config))
         split = pipeline.features.make_windows(
-            pipeline.build_matrix(config, pipeline.load_dataset(config), "Prices"),
-            config.lookback, config.split_date)
+            pipeline.features.select(table, "Prices"), config.lookback, config.split_date)
         bad_test = pipeline.features.WindowedDataset(
             X=np.full_like(split.test.X, np.nan), y=split.test.y, dates=split.test.dates)
         slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, seed=3)
@@ -1052,8 +1069,9 @@ def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutati
     ``ingest`` reads the prices, posts and config; ``simulate`` reads the
     predictions file, written once by a tiny ``train-eval``; ``featurize``
     reads the daily_sentiment.csv that an ``ingest`` just before wrote.
-    An exit 2 prints one ``error:`` line naming the mutated file, or, for
-    a config mutation, its key or the file the key now names. The config's
+    An exit 2 prints one short ``error:`` line naming the mutated file, or,
+    for a config mutation, its key or the file the key now names, cut by
+    ``echo`` like any input value. The config's
     ``out_dir = out`` resolves against the working directory, tmp_path.
     """
     monkeypatch.chdir(tmp_path)
@@ -1086,6 +1104,7 @@ def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutati
         return
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    assert len(err) < 1000, err[:1000]
     named = [str(path)]
     if name.endswith(".conf"):
         for old, line in zip(original.splitlines(), mutated.splitlines()):
@@ -1094,5 +1113,5 @@ def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutati
                                  line.decode("utf-8", "replace").partition("="))
                 named.append(key)
                 if value:
-                    named.append(str((tmp_path / value).resolve()))
+                    named.append(echo(str((tmp_path / value).resolve())))
     assert any(n and n in err for n in named), err

@@ -23,6 +23,7 @@ from stockcast.features import (
     assemble,
     make_windows,
     minmax_fit,
+    select,
     sma,
 )
 from stockcast.forecaster import LstmConfig, forward, init_weights, train
@@ -45,7 +46,9 @@ def write(tmp_path, name, text):
 
 def misaligned_sentiment(tmp_path):
     bars = [make_bar(d) for d in D[:3]]
-    assemble("Prices-Tweets", bars, [DailySentiment(d, 0.0, 0.0, 0.0, 0) for d in D[1:4]])
+    shifted = [DailySentiment(d, 0.0, 0.0, 0.0, 0) for d in D[1:4]]
+    aligned = [DailySentiment(d, 0.0, 0.0, 0.0, 0) for d in D[:3]]
+    select(assemble(bars, shifted, aligned), "Prices-Tweets")
 
 
 def diverging_training(tmp_path):

@@ -16,6 +16,7 @@ from stockcast.features import (
     minmax_fit,
     minmax_transform,
     rsi,
+    select,
     sma,
 )
 from stockcast.sentiment import DailySentiment
@@ -184,22 +185,26 @@ class TestAssemble:
     def test_all_twelve_column_counts(self):
         assert set(EXPECTED_WIDTHS) == set(FEATURE_SETS)
         dates, bars, indicators = build_inputs()
+        table = assemble(bars, daily_rows(dates), daily_rows(dates), indicators)
         for feature_set, width in EXPECTED_WIDTHS.items():
-            matrix = assemble(feature_set, bars, daily_rows(dates),
-                              daily_rows(dates), indicators)
+            matrix = select(table, feature_set)
             assert len(matrix.columns) == width, feature_set
             assert matrix.values.shape == (len(bars), width)
             assert list(matrix.columns) == feature_set_columns(feature_set)
+            for j, name in enumerate(matrix.columns):
+                assert matrix.values[:, j].tolist() \
+                    == table.values[:, table.columns.index(name)].tolist(), name
 
     def test_price_columns_in_order(self):
         dates, bars, _ = build_inputs()
-        matrix = assemble("Prices", bars)
+        matrix = select(assemble(bars, daily_rows(dates), daily_rows(dates)), "Prices")
         assert matrix.columns == ("open", "high", "low", "close", "adj_close", "volume")
         assert matrix.values[:, 0].tolist() == [b.open for b in bars]
 
     def test_weighted_block_excludes_confidence(self):
         dates, bars, _ = build_inputs()
-        matrix = assemble("Prices-Weighted-Tweets", bars, daily_rows(dates))
+        matrix = select(assemble(bars, daily_rows(dates), daily_rows(dates)),
+                        "Prices-Weighted-Tweets")
         assert matrix.columns[6:] == ("tweet_mean_ws", "tweet_count")
 
     def test_misaligned_sentiment_rejected(self):
@@ -207,12 +212,7 @@ class TestAssemble:
         shifted = daily_rows([d + timedelta(days=1) for d in dates])
         with pytest.raises(StockcastError,
                            match="^inputs not aligned to the trading calendar at 2023-01-02$"):
-            assemble("Prices-Tweets", bars, shifted)
-
-    def test_missing_block_input_rejected(self):
-        _, bars, _ = build_inputs()
-        with pytest.raises(ValueError):
-            assemble("Prices-Tweets", bars, None)
+            select(assemble(bars, shifted, daily_rows(dates)), "Prices-Tweets")
 
 
 # --- windowing -----------------------------------------------------------------

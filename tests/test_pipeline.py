@@ -1,5 +1,6 @@
 """Orchestration-level checks on the bundled fixture dataset."""
 
+import hashlib
 import json
 import shutil
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 
 from stockcast import cli, pipeline
 from stockcast.config import apply_overrides, parse_config
+from stockcast.features import select
 from stockcast.ingest import line_ranges
 from stockcast.pipeline import (
     build_matrix,
@@ -44,7 +46,7 @@ def trained(config, tmp_path_factory):
 
 
 def test_matrix_dates_match_calendar(config, dataset):
-    matrix = build_matrix(config, dataset, "Prices-Tweets-News-RSI-SMA")
+    matrix = select(build_matrix(config, dataset), "Prices-Tweets-News-RSI-SMA")
     assert list(matrix.dates) == [bar.date for bar in dataset.bars]
     assert matrix.values.shape == (len(dataset.bars), 14)
 
@@ -66,6 +68,19 @@ def test_daily_sentiment_matches_frozen_values(dataset):
         rows = [[d.date.isoformat(), d.mean_label, d.mean_conf, d.mean_ws, d.count]
                 for d in getattr(dataset, key)]
         assert rows == frozen[key], key
+
+
+def test_fixture_feature_files_match_frozen_digests(fixture_config_path, tmp_path, capsys):
+    """The fixture config's twelve features_*.csv files hash to the SHA-256
+    values in tests/data/fixture_features_sha256.json, so a set that selects
+    its columns in another order, or a value formatted another way, fails."""
+    argv = ["featurize", "--config", str(fixture_config_path), "--out-dir", str(tmp_path)]
+    assert cli.main(argv) == 0
+    frozen = json.loads((Path(__file__).parent / "data" / "fixture_features_sha256.json")
+                        .read_text(encoding="utf-8"))
+    written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in tmp_path.glob("features_*.csv")}
+    assert written == frozen
 
 
 def test_run_feature_set_shapes(config, dataset, trained):
