@@ -79,8 +79,8 @@ def cmd_ingest(args):
 def cmd_featurize(args):
     config = _load_config(args)
     dataset = pipeline.load_dataset(config, config.out_dir)
-    out_dir = pipeline.make_out_dir(config.out_dir)
     table = pipeline.build_matrix(config, dataset)
+    out_dir = pipeline.make_out_dir(config.out_dir)
     column_text = format_columns(table)
     for feature_set in config.feature_sets:
         matrix = select(table, feature_set)

@@ -3,7 +3,8 @@
 - ``StockcastError``: exit 2. An input file, config value or flag is
   invalid, or a caller broke a function's contract.
 - ``RunFailed``: exit 3. The inputs were valid but the run could not
-  finish: training diverged, or predictions and bars fell out of step.
+  finish: training diverged, predictions and bars fell out of step, or a
+  simulated capital left the float range.
 
 The CLI's only decision about an error is which of the two exit codes it
 gets, so these are the only classes. What went wrong, and where, is in the

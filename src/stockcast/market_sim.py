@@ -20,11 +20,14 @@ the single normative statement):
   A carry exit at the open frees cash for that same day's base trade; an
   exit at the close does not.
 
-All trades deploy the full current capital.
+All trades deploy the full current capital. A capital or percent gain
+past the float range stops the run (RunFailed) rather than reaching a
+ledger as inf or nan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .errors import RunFailed, StockcastError
@@ -34,32 +37,6 @@ SHORT_OPEN_CLOSE = "short_open_close"
 BUY_AT_CLOSE = "buy_at_close"
 DEFERRED_EXIT = "deferred_exit"
 NONE = "none"
-
-
-@dataclass(frozen=True)
-class SimConfig:
-    """Capital and the 2% entry/exit refinements.
-
-    dip_threshold=None disables the carry mechanism entirely.
-    """
-
-    initial_capital: float = 1_000_000.0
-    profit_threshold: float = 0.02
-    dip_threshold: float | None = 0.02
-
-    def __post_init__(self):
-        if self.initial_capital <= 0:
-            raise ValueError("initial_capital must be positive")
-        if self.profit_threshold < 0:
-            raise ValueError("profit_threshold must be >= 0")
-        if self.dip_threshold is not None and self.dip_threshold < 0:
-            raise ValueError("dip_threshold must be >= 0 or None")
-
-
-@dataclass(frozen=True)
-class Position:
-    shares: float
-    entry_price: float
 
 
 @dataclass(frozen=True)
@@ -86,64 +63,24 @@ def return_signal(pred_close, true_open):
     return (pred_close - true_open) / true_open
 
 
-def _exit_target(position, cfg):
-    return (1.0 + cfg.profit_threshold) * position.entry_price
-
-
-def _dip_triggered(bar, pred_close, cfg):
-    if cfg.dip_threshold is None:
-        return False
-    return bar.open <= (1.0 - cfg.dip_threshold) * pred_close
-
-
-def trade_decision(r, bar, pred_close, cfg, open_position=None):
-    """Action sequence for one day, in execution order.
-
-    With a carried position: exit when today's open or close reaches the
-    profit target (open checked first), else hold ("none"). With free
-    cash: the base open->close trade by sign of r, plus "buy_at_close"
-    when the dip rule fires.
-    """
-    actions = []
-    if open_position is not None:
-        target = _exit_target(open_position, cfg)
-        if bar.open >= target:
-            actions.append(DEFERRED_EXIT)
-            # cash freed at the open; base/dip rules run below
-        elif bar.close >= target:
-            return (DEFERRED_EXIT,)
-        else:
-            return (NONE,)
-    if r > 0:
-        actions.append(LONG_OPEN_CLOSE)
-    elif r < 0:
-        actions.append(SHORT_OPEN_CLOSE)
-    else:
-        actions.append(NONE)
-    if _dip_triggered(bar, pred_close, cfg):
-        actions.append(BUY_AT_CLOSE)
-    return tuple(actions)
-
-
-def run_simulation(predictions, bars, cfg=None):
+def run_simulation(predictions, bars, initial_capital, profit_threshold, dip_threshold):
     """Run the policy day by day over aligned predictions and bars.
 
     Args:
         predictions: sequence of (date, predicted_close) pairs, one per
             bar, on the true price scale.
         bars: PriceBar sequence, same dates in the same order.
-        cfg: SimConfig; defaults apply when omitted.
+        initial_capital, profit_threshold, dip_threshold: the policy's
+            values; dip_threshold=None turns the dip rule off.
 
     Returns:
         SimulationResult with a per-action ledger (hold and no-signal
         days appear as action "none").
 
     Raises:
-        RunFailed: date mismatch between predictions and bars.
+        RunFailed: date mismatch between predictions and bars, or a
+            capital or percent gain past the float range.
     """
-    cfg = cfg or SimConfig()
-    predictions = list(predictions)
-    bars = list(bars)
     if len(predictions) != len(bars):
         unmatched = (predictions[len(bars)][0] if len(predictions) > len(bars)
                      else bars[len(predictions)].date)
@@ -152,54 +89,59 @@ def run_simulation(predictions, bars, cfg=None):
         if pd != bar.date:
             raise RunFailed(f"prediction and bar series misaligned at {pd}")
 
-    capital = cfg.initial_capital
-    position = None
+    capital = initial_capital
+    carry = None  # (shares, entry price) of the position bought at a close
     ledger = []
     last_index = len(bars) - 1
 
+    def book(action, entry_price=None, exit_price=None):
+        """Ledger ``action`` on the current day at the current capital."""
+        if not math.isfinite(capital):
+            raise RunFailed(f"capital on {day} is {capital}, not a finite number: "
+                            f"lower initial_capital ({initial_capital})")
+        ledger.append(LedgerEntry(day, r, action, entry_price, exit_price, capital))
+
     for index, ((day, pred), bar) in enumerate(zip(predictions, bars)):
         r = return_signal(pred, bar.open)
-        actions = trade_decision(r, bar, pred, cfg, open_position=position)
-        if position is not None and actions == (NONE,) and index == last_index:
-            # end of period: forced liquidation at the final close
-            actions = (DEFERRED_EXIT,)
-        for action in actions:
-            if action == DEFERRED_EXIT:
-                exit_price = bar.open if bar.open >= _exit_target(position, cfg) else bar.close
-                capital = position.shares * exit_price
-                ledger.append(LedgerEntry(day, r, action, position.entry_price,
-                                          exit_price, capital))
-                position = None
-            elif action == LONG_OPEN_CLOSE:
-                capital = capital * (bar.close / bar.open)
-                ledger.append(LedgerEntry(day, r, action, bar.open, bar.close, capital))
-            elif action == SHORT_OPEN_CLOSE:
-                capital = capital * (2.0 - bar.close / bar.open)
-                ledger.append(LedgerEntry(day, r, action, bar.open, bar.close, capital))
-            elif action == BUY_AT_CLOSE:
-                if index == last_index:
-                    continue  # would liquidate at the same print; skip
-                position = Position(shares=capital / bar.close, entry_price=bar.close)
-                ledger.append(LedgerEntry(day, r, action, bar.close, None, capital))
-            else:
-                ledger.append(LedgerEntry(day, r, NONE, None, None, capital))
+        if carry is not None:
+            shares, entry_price = carry
+            target = (1.0 + profit_threshold) * entry_price
+            at_open = bar.open >= target
+            if not (at_open or bar.close >= target or index == last_index):
+                book(NONE)
+                continue
+            exit_price = bar.open if at_open else bar.close
+            capital = shares * exit_price
+            book(DEFERRED_EXIT, entry_price, exit_price)
+            carry = None
+            if not at_open:
+                continue  # cash freed at the close makes no trade that day
+        if r > 0:
+            capital = capital * (bar.close / bar.open)
+            book(LONG_OPEN_CLOSE, bar.open, bar.close)
+        elif r < 0:
+            capital = capital * (2.0 - bar.close / bar.open)
+            book(SHORT_OPEN_CLOSE, bar.open, bar.close)
+        else:
+            book(NONE)
+        # a carry opened on the final day would liquidate at the same print
+        if (dip_threshold is not None and index < last_index
+                and bar.open <= (1.0 - dip_threshold) * pred):
+            carry = (capital / bar.close, bar.close)
+            book(BUY_AT_CLOSE, bar.close)
 
-    final_capital = capital
-    percent_gain = 100.0 * (final_capital - cfg.initial_capital) / cfg.initial_capital
-    return SimulationResult(
-        ledger=tuple(ledger),
-        final_capital=final_capital,
-        percent_gain=percent_gain,
-    )
+    percent_gain = 100.0 * (capital - initial_capital) / initial_capital
+    if not math.isfinite(percent_gain):
+        raise RunFailed(f"percent gain on {ledger[-1].date} is {percent_gain}, not a finite "
+                        f"number: lower initial_capital ({initial_capital})")
+    return SimulationResult(ledger=tuple(ledger), final_capital=capital,
+                            percent_gain=percent_gain)
 
 
 __all__ = [
-    "SimConfig",
-    "Position",
     "LedgerEntry",
     "SimulationResult",
     "return_signal",
-    "trade_decision",
     "run_simulation",
     "LONG_OPEN_CLOSE",
     "SHORT_OPEN_CLOSE",

@@ -216,15 +216,19 @@ def build_matrix(config, dataset):
     """The raw (unscaled) daily table the configured feature sets select from.
 
     rsi and sma are computed only when a configured set uses them: they
-    need more closes than the other columns do.
+    need more closes than the other columns do, and too few for a period
+    is an error that names the prices file and the period's key.
     """
     indicators = None
     if any("indicators" in features.FEATURE_SETS[fs] for fs in config.feature_sets):
         closes = [bar.close for bar in dataset.bars]
-        indicators = {
-            "rsi": features.rsi(closes, config.rsi_period),
-            "sma": features.sma(closes, config.sma_period),
-        }
+        indicators = {}
+        for name, compute, period in (("rsi", features.rsi, config.rsi_period),
+                                      ("sma", features.sma, config.sma_period)):
+            try:
+                indicators[name] = compute(closes, period)
+            except StockcastError as exc:
+                raise StockcastError(f"{config.prices}: {name}_period = {period}: {exc}") from None
     return features.assemble(dataset.bars, dataset.tweet_daily, dataset.news_daily, indicators)
 
 
@@ -367,12 +371,8 @@ def _fit_all(jobs):
 
 def simulate_feature_set(config, bars, predictions):
     """Trade one set's (date, predicted close) pairs over the same-dated bars."""
-    sim_config = market_sim.SimConfig(
-        initial_capital=config.initial_capital,
-        profit_threshold=config.profit_threshold,
-        dip_threshold=config.dip_threshold,
-    )
-    return market_sim.run_simulation(predictions, bars, sim_config)
+    return market_sim.run_simulation(predictions, bars, config.initial_capital,
+                                     config.profit_threshold, config.dip_threshold)
 
 
 # --- daily sentiment, scored once per out dir -----------------------------------
@@ -748,8 +748,8 @@ def run_train_eval(config, out_dir):
 def run_simulate(config, out_dir):
     """The simulate command body: trades the forecasts train-eval wrote.
 
-    Every set's predictions file is checked before any ledger is written,
-    so a refused run leaves no partial output.
+    Every set's predictions file is checked, and every set simulated,
+    before any ledger is written, so a refused run leaves no partial output.
     """
     out_dir = Path(out_dir)
     bars = [bar for bar in load_price_csv(config.prices) if bar.date > config.split_date]
@@ -758,13 +758,9 @@ def run_simulate(config, out_dir):
         (fs, load_predictions_csv(out_dir / f"predictions_{safe_name(fs)}.csv", config, dates))
         for fs in config.feature_sets
     ]
-    sim_results = []
-    for feature_set, pairs in predictions:
-        sim = simulate_feature_set(config, bars, pairs)
-        write_ledger_csv(
-            out_dir / f"ledger_{safe_name(feature_set)}.csv", config, sim
-        )
-        sim_results.append((feature_set, sim))
+    sim_results = [(fs, simulate_feature_set(config, bars, pairs)) for fs, pairs in predictions]
+    for feature_set, sim in sim_results:
+        write_ledger_csv(out_dir / f"ledger_{safe_name(feature_set)}.csv", config, sim)
     write_simulation_json(out_dir / "simulation_summary.json", config, sim_results)
     return sim_results
 

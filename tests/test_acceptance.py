@@ -24,7 +24,6 @@ from stockcast.features import (
     select,
     sma,
 )
-from stockcast.market_sim import SimConfig
 from stockcast.sentiment import SentimentScore, WeightParams, weighted_sentiment
 
 from conftest import CONFIGS, make_post
@@ -177,10 +176,9 @@ def test_criterion_8_protocol_constants(tmp_path):
     assert experiment.replicates == 10
     assert experiment.split_date == date(2022, 12, 31)
 
-    trading = SimConfig()
-    assert trading.initial_capital == 1_000_000.0
-    assert trading.profit_threshold == 0.02
-    assert trading.dip_threshold == 0.02
+    assert experiment.initial_capital == 1_000_000.0
+    assert experiment.profit_threshold == 0.02
+    assert experiment.dip_threshold == 0.02
 
     # the shipped full-scale template carries the same constants
     template = parse_config(CONFIGS / "protocol.conf")

@@ -306,6 +306,19 @@ def test_header_only_price_file_exit_2(tmp_path, capsys, command):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["featurize", "train-eval"])
+@pytest.mark.parametrize("key, needed", [("rsi_period", 31), ("sma_period", 30)])
+def test_indicator_period_past_price_rows_exit_2(tmp_path, capsys, command, key, needed):
+    write_tiny_dataset(tmp_path, n_bars=20)
+    path = write_config(tmp_path, **{key: 30})
+    code = cli.main([command, "--config", str(path), "--feature-set", "Prices-RSI-SMA"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (f"error: {tmp_path / 'prices.csv'}: {key} = 30: "
+                   f"need at least {needed} closes, got 20\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("field, value", [
     ("text", None), ("text", 5), ("id", None), ("id", 1.5), ("id", True),
     ("ts", 20220103), ("likes", 1000.9), ("likes", True), ("likes", "250"),
@@ -763,6 +776,29 @@ class TestSimulateCommand:
         ledger = (out / "ledger_prices.csv").read_text().splitlines()[2:]
         assert ledger
         assert not {row.split(",")[2] for row in ledger} & {"buy_at_close", "deferred_exit"}
+
+    def test_capital_past_float_range_exit_3(self, tmp_path, capsys):
+        # closes below opens after split_date: the forecasts' shorts gain, and
+        # the first gain takes 1.79e308 past the largest float
+        write_tiny_dataset(tmp_path)
+        prices = tmp_path / "prices.csv"
+        lines = prices.read_text().splitlines()
+        for i, line in enumerate(lines[1:], 1):
+            day, open_, high, low, close, *rest = line.split(",")
+            if day > "2022-03-04":
+                lines[i] = ",".join([day, close, high, low, open_, *rest])
+        prices.write_text("\n".join(lines) + "\n")
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA",
+                            initial_capital=1.79e308)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        code = cli.main(["simulate", "--config", str(path)])
+        err = capsys.readouterr().err
+        assert code == 3
+        assert err == ("error: capital on 2022-03-07 is inf, not a finite number: "
+                       "lower initial_capital (1.79e+308)\n")
+        out = tmp_path / "out"
+        assert not list(out.glob("ledger_*.csv"))
+        assert not (out / "simulation_summary.json").exists()
 
     def test_trains_nothing(self, tmp_path, monkeypatch):
         write_tiny_dataset(tmp_path)

@@ -69,6 +69,8 @@ SITES = {
     "StockcastError": (StockcastError, lambda p: load_price_csv(write(p, "h.csv", HEADER))),
     "ConfigError": (StockcastError, lambda p: parse_config(
         write(p, "bad.conf", "nonsense = 1\n"))),
+    "CapitalOverflow": (RunFailed, lambda p: run_simulation(
+        [(D[0], 103.0)], [make_bar(D[0], open_=100, close=104)], 1.79e308, 0.02, 0.02)),
     "ConstantTarget": (StockcastError, lambda p: r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])),
     "DuplicateDate": (StockcastError, lambda p: load_price_csv(
         write(p, "d.csv", HEADER + ROW + ROW))),
@@ -78,7 +80,8 @@ SITES = {
         7, D[6])),
     "LengthMismatch": (StockcastError, lambda p: r_squared([1.0, 2.0], [1.0])),
     "MisalignedInputs": (StockcastError, misaligned_sentiment),
-    "MisalignedSeries": (RunFailed, lambda p: run_simulation([(D[1], 100.0)], [make_bar(D[0])])),
+    "MisalignedSeries": (RunFailed, lambda p: run_simulation(
+        [(D[1], 100.0)], [make_bar(D[0])], 1_000_000.0, 0.02, 0.02)),
     "MissingColumn": (StockcastError, lambda p: load_price_csv(
         write(p, "c.csv", "Date,Open,High,Low,Close,Volume\n"))),
     "MissingField": (StockcastError, lambda p: load_posts_jsonl(

@@ -10,18 +10,16 @@ from stockcast.market_sim import (
     DEFERRED_EXIT,
     LONG_OPEN_CLOSE,
     NONE,
-    Position,
     SHORT_OPEN_CLOSE,
-    SimConfig,
     return_signal,
     run_simulation,
-    trade_decision,
 )
 
 from conftest import make_bar
 
 D = [date(2023, 1, 2) + timedelta(days=i) for i in range(12)]
-CFG = SimConfig()
+#: initial_capital, profit_threshold and dip_threshold, the protocol's values.
+CAPITAL, PROFIT, DIP = 1_000_000.0, 0.02, 0.02
 
 
 class TestReturnSignal:
@@ -39,46 +37,53 @@ class TestReturnSignal:
             return_signal(100.0, 0.0)
 
 
-class TestTradeDecision:
-    def test_long_when_positive_no_dip(self):
-        bar = make_bar(D[0], open_=100, close=104)
-        assert trade_decision(0.03, bar, 101.0, CFG) == (LONG_OPEN_CLOSE,)
-
-    def test_short_when_negative(self):
-        bar = make_bar(D[0], open_=100, close=99)
-        assert trade_decision(-0.01, bar, 99.0, CFG) == (SHORT_OPEN_CLOSE,)
-
-    def test_none_on_zero(self):
-        bar = make_bar(D[0], open_=100, close=101)
-        assert trade_decision(0.0, bar, 100.0, CFG) == (NONE,)
-
-    def test_dip_adds_buy_at_close(self):
-        bar = make_bar(D[0], open_=100, close=104)
-        assert trade_decision(0.05, bar, 105.0, CFG) == (LONG_OPEN_CLOSE, BUY_AT_CLOSE)
-
-    def test_holding_blocks_base_trade(self):
-        bar = make_bar(D[0], open_=100, close=101)
-        position = Position(shares=10.0, entry_price=100.0)
-        assert trade_decision(0.05, bar, 105.0, CFG, position) == (NONE,)
-
-    def test_exit_at_open_frees_cash(self):
-        bar = make_bar(D[0], open_=103, close=104)
-        position = Position(shares=10.0, entry_price=100.0)
-        actions = trade_decision(0.02, bar, 105.06, CFG, position)
-        assert actions[0] == DEFERRED_EXIT
-        assert LONG_OPEN_CLOSE in actions
-
-    def test_exit_at_close_ends_day(self):
-        bar = make_bar(D[0], open_=101, close=103, high=103.5)
-        position = Position(shares=10.0, entry_price=100.0)
-        assert trade_decision(0.05, bar, 106.0, CFG, position) == (DEFERRED_EXIT,)
-
-
-def sim(days):
+def sim(days, initial_capital=CAPITAL, dip_threshold=DIP):
     """days: list of (open, close, pred). Returns the SimulationResult."""
     bars = [make_bar(D[i], open_=o, close=c) for i, (o, c, _) in enumerate(days)]
     predictions = [(D[i], p) for i, (_, _, p) in enumerate(days)]
-    return run_simulation(predictions, bars, CFG)
+    return run_simulation(predictions, bars, initial_capital, PROFIT, dip_threshold)
+
+
+def actions(result):
+    return [e.action for e in result.ledger]
+
+
+#: A day that longs 98 -> 100 and, its open at least 2% below the predicted
+#: 101, buys at the close: a carry entered at 100 with target 102.
+DIP_BUY_AT_100 = (98.0, 100.0, 101.0)
+
+
+class TestTradeDecision:
+    def test_long_when_positive_no_dip(self):
+        assert actions(sim([(100.0, 104.0, 101.0)])) == [LONG_OPEN_CLOSE]
+
+    def test_short_when_negative(self):
+        assert actions(sim([(100.0, 99.0, 99.0)])) == [SHORT_OPEN_CLOSE]
+
+    def test_none_on_zero(self):
+        assert actions(sim([(100.0, 101.0, 100.0)])) == [NONE]
+
+    def test_dip_adds_buy_at_close(self):
+        result = sim([(100.0, 104.0, 105.0), (104.0, 104.0, 104.0)])
+        assert actions(result) == [LONG_OPEN_CLOSE, BUY_AT_CLOSE, DEFERRED_EXIT]
+        assert result.ledger[1].entry_price == 104.0
+
+    def test_holding_blocks_base_trade(self):
+        # day 2: r = 0.05 and a dip, but 100 and 101 stay below the 102 target
+        result = sim([DIP_BUY_AT_100, (100.0, 101.0, 105.0), (101.0, 101.0, 101.0)])
+        assert actions(result) == [LONG_OPEN_CLOSE, BUY_AT_CLOSE, NONE, DEFERRED_EXIT]
+
+    def test_exit_at_open_frees_cash(self):
+        result = sim([DIP_BUY_AT_100, (103.0, 104.0, 105.06)])
+        assert actions(result) == [LONG_OPEN_CLOSE, BUY_AT_CLOSE, DEFERRED_EXIT,
+                                   LONG_OPEN_CLOSE]
+        assert result.ledger[2].exit_price == 103.0
+
+    def test_exit_at_close_ends_day(self):
+        # day 2: open 101 < 102 <= close 103; r > 0 and a dip, but no trade follows
+        result = sim([DIP_BUY_AT_100, (101.0, 103.0, 106.0), (103.0, 103.0, 103.0)])
+        assert actions(result) == [LONG_OPEN_CLOSE, BUY_AT_CLOSE, DEFERRED_EXIT, NONE]
+        assert result.ledger[2].exit_price == 103.0
 
 
 class TestSingleDayFixtures:
@@ -191,11 +196,8 @@ class TestInvariants:
             assert entry.r == return_signal(pred, open_)
 
     def test_closed_form_compounding_with_dip_disabled(self):
-        cfg = SimConfig(dip_threshold=None)
         days = [(100.0, 103.0, 102.0), (103.0, 105.0, 104.0), (105.0, 106.0, 107.0)]
-        bars = [make_bar(D[i], open_=o, close=c) for i, (o, c, _) in enumerate(days)]
-        preds = [(D[i], p) for i, (_, _, p) in enumerate(days)]
-        result = run_simulation(preds, bars, cfg)
+        result = sim(days, dip_threshold=None)
         cap = 1_000_000.0
         for open_, close, _ in days:
             cap = cap * (close / open_)
@@ -207,20 +209,32 @@ class TestInvariants:
         assert a == b
 
     def test_empty_period_gain_zero(self):
-        result = run_simulation([], [], CFG)
+        result = run_simulation([], [], CAPITAL, PROFIT, DIP)
         assert result.percent_gain == 0.0 and result.ledger == ()
 
     def test_misaligned_dates(self):
         bars = [make_bar(D[0], open_=100, close=101)]
         with pytest.raises(RunFailed, match=f"^prediction and bar series misaligned at {D[1]}$"):
-            run_simulation([(D[1], 100.0)], bars, CFG)
+            run_simulation([(D[1], 100.0)], bars, CAPITAL, PROFIT, DIP)
 
     def test_length_mismatch(self):
         bars = [make_bar(D[0], open_=100, close=101)]
         with pytest.raises(RunFailed, match=f"^prediction and bar series misaligned at {D[1]}$"):
-            run_simulation([(D[0], 100.0), (D[1], 101.0)], bars, CFG)
+            run_simulation([(D[0], 100.0), (D[1], 101.0)], bars, CAPITAL, PROFIT, DIP)
 
     def test_no_carry_opened_on_final_day(self):
         # dip condition holds on the last day; position would be pointless
         result = sim([(100.0, 104.0, 105.0)])
         assert [e.action for e in result.ledger] == [LONG_OPEN_CLOSE]
+
+    def test_capital_past_float_range_fails(self):
+        # a 4% long day takes 1.79e308 past the largest float
+        with pytest.raises(RunFailed, match=f"^capital on {D[0]} is inf, not a finite number: "
+                                            r"lower initial_capital \(1\.79e\+308\)$"):
+            sim([(100.0, 104.0, 103.0)], initial_capital=1.79e308)
+
+    def test_percent_gain_past_float_range_fails(self):
+        # 1.02e308 is a float, but 100 times its 2e306 gain is not
+        with pytest.raises(RunFailed, match=f"^percent gain on {D[0]} is inf, not a finite "
+                                            r"number: lower initial_capital \(1e\+308\)$"):
+            sim([(100.0, 102.0, 101.0)], initial_capital=1e308)
