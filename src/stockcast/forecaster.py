@@ -13,12 +13,21 @@ blocks: the input maps ``W`` (4, F, H), the recurrent maps ``U``
 (4, H, H) and the biases ``b`` (4H,), each with its gates in i, f, o, g
 order, then the dense head ``w_out`` (H,) and ``b_out`` (). The kernel
 computes all gates together (the fused layout of Appleyard et al. 2016):
-one input projection X @ W + b for every timestep at once, then one
-h @ U product per step, with the logistic gates taken in place as
-0.5*(1 + tanh(x/2)), which cannot overflow. Backward runs one dA @ U.T per step and gets dW,
-dU and db from one product or sum each after the loop. Gradients come
-back in the same flat layout, so clipping is one dot product and Adam
-one update over the whole vector.
+one input projection X @ W for every timestep at once, then per step the
+bias b and one h @ U product added to it, with the logistic gates taken
+in place as 0.5*(1 + tanh(x/2)), which cannot overflow. Backward runs one
+dA @ U.T per step and gets dW, dU and db from one product or sum each
+after the loop. Gradients come back in the same flat layout, so clipping
+is one dot product and Adam one update over the whole vector.
+
+Each backward step copies its (B, 4H) gate rows into a gate-major
+(4, B, H) block, runs the per-gate elementwise work on that block's
+contiguous (B, H) arrays (1 - i, 1 - f and 1 - o as one call over three
+of them), and copies the gate gradients back into the rows before
+dA @ U.T; the matmuls keep the fused (B, 4H) layout. On small models that
+work is bound by numpy's per-call cost, which is lower on contiguous
+arrays. Forward reads its gates as column views of the rows: its four
+uses of them do not pay for the copy at the reference shape.
 
 Activations and per-step temporaries live in an LstmWorkspace: flat
 buffers that ``train`` allocates once for its batch size and ``predict``
@@ -139,7 +148,7 @@ class LstmWorkspace:
         self._h = np.empty((T + 1) * rows * H)
         self._c = np.empty((T + 1) * rows * H)
         self._tanh_c = np.empty(T * rows * H)
-        self._scratch = np.empty(5 * rows * H)
+        self._scratch = np.empty(9 * rows * H)
 
     def cache(self, B, T, F, H):
         """Views for one batch: X, A, h, c and tanh_c, as forward documents."""
@@ -151,9 +160,12 @@ class LstmWorkspace:
                 "tanh_c": _prefix(self._tanh_c, T, B, H)}
 
     def scratch(self, B):
-        """Five (B, H) temporaries: forward's h @ U product takes the first four
-        as one (B, 4H) block, backward's dh, dc and three terms all five."""
-        return _prefix(self._scratch, 5, B, self.dims[2])
+        """Nine (B, H) temporaries. Forward's h @ U product takes the first
+        four as one (B, 4H) block and i * g the fifth; backward takes the
+        first four as its gate-major (4, B, H) step block, the next three
+        for 1 - i, 1 - f and 1 - o (and for terms while those are not
+        live), and the last two as dh and dc."""
+        return _prefix(self._scratch, 9, B, self.dims[2])
 
 
 def _prefix(buf, *shape):
@@ -233,46 +245,51 @@ def backward(weights, cache, targets, workspace=None):
     U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
     pred = np.maximum(z, 0.0)
     grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
-    dh, dc, t1, t2, t3 = np.empty((5, B, H)) if workspace is None else workspace.scratch(B)
+    scratch = np.empty((9, B, H)) if workspace is None else workspace.scratch(B)
+    gates, one_minus, dh, dc = scratch[:4], scratch[4:7], scratch[7], scratch[8]
+    i, f, o, g = gates
+    one_minus_i, one_minus_f, one_minus_o = one_minus
+    # A[t]'s (B, 4H) rows as a gate-major (4, B, H) view, for the copies
+    rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     grads.w_out[...] = h[T].T @ dz
     grads.b_out[...] = dz.sum()
-    np.outer(dz, weights.w_out, out=dh)
+    np.multiply(dz[:, None], weights.w_out, out=dh)
     dc[...] = 0.0
 
     for t in reversed(range(T)):
-        a = A[t]
-        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
-        # dc += dh * o * (1 - tanh_c**2)
+        np.copyto(gates, rows[t])
+        # dc += dh * o * (1 - tanh_c**2), in two of the 1 - x blocks before they fill
+        t1, t2 = one_minus_i, one_minus_f
         np.multiply(dh, o, out=t1)
         np.square(tanh_c[t], out=t2)
         np.subtract(1.0, t2, out=t2)
         t1 *= t2
         dc += t1
-        # o <- dh * tanh_c * o * (1 - o)
-        np.multiply(dh, tanh_c[t], out=t1)
-        t1 *= o
-        np.subtract(1.0, o, out=t2)
-        np.multiply(t1, t2, out=o)
-        # g <- dc * i * (1 - g**2), then i <- dc * g * i * (1 - i) with the old g
-        np.multiply(dc, g, out=t1)
-        t1 *= i
-        np.multiply(dc, i, out=t2)
-        np.square(g, out=t3)
-        np.subtract(1.0, t3, out=t3)
-        np.multiply(t2, t3, out=g)
-        np.subtract(1.0, i, out=t2)
-        np.multiply(t1, t2, out=i)
+        np.subtract(1.0, gates[:3], out=one_minus)  # 1 - i, 1 - f, 1 - o in one call
+        # o <- dh * tanh_c * o * (1 - o); dh is a spare block from here to the step's end
+        np.multiply(dh, tanh_c[t], out=dh)
+        dh *= o
+        np.multiply(dh, one_minus_o, out=o)
+        # i <- dc * g * i * (1 - i), then g <- dc * i * (1 - g**2) with the old i,
+        # whose dc * i waits in the spent 1 - o block
+        np.multiply(dc, i, out=one_minus_o)
+        np.multiply(dc, g, out=dh)
+        dh *= i
+        np.multiply(dh, one_minus_i, out=i)
+        np.square(g, out=dh)
+        np.subtract(1.0, dh, out=dh)
+        np.multiply(one_minus_o, dh, out=g)
         # f <- dc * c_prev * f * (1 - f), and dc <- dc * f
-        np.multiply(dc, c[t], out=t1)
-        t1 *= f
-        np.subtract(1.0, f, out=t2)
+        np.multiply(dc, c[t], out=dh)
+        dh *= f
         dc *= f
-        np.multiply(t1, t2, out=f)
+        np.multiply(dh, one_minus_f, out=f)
+        np.copyto(rows[t], gates)
         if t:  # dh_0 would feed the zero initial state
-            np.matmul(a, U.T, out=dh)
+            np.matmul(A[t], U.T, out=dh)
 
     dA = A.reshape(T * B, 4 * H)
     grads.W[...] = (X.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)

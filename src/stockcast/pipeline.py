@@ -386,6 +386,10 @@ DAILY_SENTIMENT_COLUMNS = [
 #: Config keys a post's score depends on, besides the input files.
 _SCORE_KEYS = ("provider", "min_likes", "keep_cashtags", "alpha", "beta", "gamma", "delta")
 _PACKAGE = Path(__file__).resolve().parent
+#: The modules whose code turns the input files into daily scores: loading
+#: and decoding posts, cleaning, scoring, and the ranges and daily means
+#: here. Editing any other module leaves saved scores valid.
+_SCORING_MODULES = ("errors.py", "ingest.py", "pipeline.py", "sentiment.py", "textprep.py")
 _KEPT_RE = re.compile(r"# kept_tweets=([0-9]{1,19}) kept_news=([0-9]{1,19})")
 _COUNT_RE = re.compile(r"[0-9]{1,19}")
 
@@ -395,8 +399,9 @@ def scores_digest(config):
 
     That is the SHA-256 of each input file config_hash reads (the same
     per-file hashes, so no file is read twice), the config keys in
-    _SCORE_KEYS, and the bytes of this package's .py and resource files.
-    Other keys (feature_sets, base_seed, replicates, ...) leave it alone.
+    _SCORE_KEYS, and the bytes of _SCORING_MODULES and the resource files.
+    Other keys (feature_sets, base_seed, replicates, ...) and other modules
+    (the forecaster, features, the simulator, ...) leave it alone.
     """
     digest = hashlib.sha256()
     lines = [f"{key}.sha256={sha}" for key, sha in config.input_sha256.items()]
@@ -404,7 +409,7 @@ def scores_digest(config):
     digest.update("\n".join(lines).encode("utf-8"))
     for path in sorted(_PACKAGE.rglob("*")):
         name = path.relative_to(_PACKAGE).as_posix()
-        if path.is_file() and (path.suffix == ".py" or name.startswith("resources/")):
+        if path.is_file() and (name in _SCORING_MODULES or name.startswith("resources/")):
             data = path.read_bytes()
             digest.update(f"\n{name} {len(data)}\n".encode("utf-8"))
             digest.update(data)

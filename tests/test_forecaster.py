@@ -507,6 +507,91 @@ class TestWorkspace:
         assert peak <= 1.25 * one_cache, (peak, one_cache)
 
 
+def expression_kernel(weights, X, targets):
+    """forward and backward as textbook expressions on fresh arrays.
+
+    Each product and sum has the operands and order of the in-place
+    kernel's, and each matmul the same shapes and memory layout, so the
+    kernel must match it bit for bit. Returns (pred, cache, grad theta).
+    """
+    B, T, F = X.shape
+    H = weights.hidden_units
+    W = weights.W.transpose(1, 0, 2).reshape(F, 4 * H)
+    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)
+    shift = np.repeat([0.5, 0.5, 0.5, 0.0], H)
+    Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
+    XW = (Xt.reshape(T * B, F) @ W).reshape(T, B, 4 * H)
+    A = np.empty((T, B, 4 * H))
+    h, c = np.zeros((T + 1, B, H)), np.zeros((T + 1, B, H))
+    tanh_c = np.empty((T, B, H))
+    for t in range(T):
+        a = XW[t] + weights.b
+        if t:
+            a = a + h[t] @ U
+        a = np.tanh(a * scale) * scale + shift
+        i, f, o, g = np.split(a, 4, axis=1)
+        c[t + 1] = f * c[t] + i * g
+        tanh_c[t] = np.tanh(c[t + 1])
+        h[t + 1] = o * tanh_c[t]
+        A[t] = a
+    z = h[T] @ weights.w_out + weights.b_out
+    pred = np.maximum(z, 0.0)
+    cache = {"X": Xt, "A": A.copy(), "h": h, "c": c, "tanh_c": tanh_c, "z": z}
+
+    dz = (2.0 / B) * (pred - targets) * (z > 0)
+    dh = np.outer(dz, weights.w_out)
+    dc = np.zeros((B, H))
+    dA = np.empty((T, B, 4 * H))
+    for t in reversed(range(T)):
+        i, f, o, g = np.split(A[t], 4, axis=1)
+        dc = dc + dh * o * (1 - tanh_c[t] ** 2)
+        do = dh * tanh_c[t] * o * (1 - o)
+        dg = dc * i * (1 - g ** 2)
+        di = dc * g * i * (1 - i)
+        df = dc * c[t] * f * (1 - f)
+        dc = dc * f
+        dA[t] = np.concatenate([di, df, do, dg], axis=1)
+        if t:
+            dh = dA[t] @ U.T
+    dA = dA.reshape(T * B, 4 * H)
+    dW = (Xt.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)
+    dU = (h[:T].reshape(T * B, H).T @ dA).reshape(H, 4, H).transpose(1, 0, 2)
+    theta = np.concatenate([dW.ravel(), dU.ravel(), dA.sum(axis=0), h[T].T @ dz, [dz.sum()]])
+    return pred, cache, theta
+
+
+class TestExpressionOracle:
+    """The in-place kernel, backward's gate-major step block included, is
+    bit-identical to expression_kernel at every shape, with and without a
+    workspace; the 26-row batch runs through a 32-row workspace."""
+
+    @pytest.mark.parametrize("with_workspace", [False, True])
+    @pytest.mark.parametrize("B, T, F, H, rows", [
+        (32, 10, 6, 16, 32), (26, 10, 14, 16, 32), (5, 4, 2, 3, 5), (1, 1, 1, 1, 1),
+        (7, 3, 4, 64, 7)])
+    def test_kernel_matches_expressions(self, B, T, F, H, rows, with_workspace):
+        rng = np.random.default_rng(B * 1000 + H)
+        w = live_weights(H, F, seed=5)
+        workspace = None
+        if with_workspace:
+            workspace = LstmWorkspace(rows, T, F, H)
+            # a full batch first, so the one under test reuses written buffers
+            _, warm = forward(w, rng.uniform(0, 1, size=(rows, T, F)), workspace)
+            backward(w, warm, rng.uniform(0, 1, size=rows), workspace)
+        X = rng.uniform(0, 1, size=(B, T, F))
+        y = rng.uniform(0, 1, size=B)
+        want_pred, want_cache, want_theta = expression_kernel(w, X, y)
+        assert np.any(want_pred > 0)
+        pred, cache = forward(w, X, workspace)
+        assert np.array_equal(pred, want_pred)
+        assert cache.keys() == want_cache.keys()
+        for key in cache:
+            assert np.array_equal(cache[key], want_cache[key]), key
+        grads = backward(w, cache, y, workspace)
+        assert np.array_equal(grads.theta, want_theta)
+
+
 class TestCheckpoint:
     def test_v1_file_predicts_frozen_values(self):
         # params written by the per-gate kernel that predates the flat layout;

@@ -137,7 +137,8 @@ def test_csv_ledger_equals_in_memory_ledger(config, dataset, trained):
 
 
 def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
-    # an edited scorer or bundled lexicon makes ingest's saved scores stale
+    # an edited scorer or bundled lexicon makes ingest's saved scores stale;
+    # an edited model, feature or simulator module does not
     package = tmp_path / "stockcast"
     shutil.copytree(Path(pipeline.__file__).parent, package,
                     ignore=shutil.ignore_patterns("__pycache__"))
@@ -147,11 +148,13 @@ def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
     (package / "__pycache__").mkdir()
     (package / "__pycache__" / "textprep.cpython-311.pyc").write_bytes(b"compiled")
     assert pipeline.scores_digest(config) == digest
-    for name in ("resources/lexicon.tsv", "textprep.py"):
+    scoring = ("resources/lexicon.tsv", "resources/stopwords.txt", "errors.py", "ingest.py",
+               "pipeline.py", "sentiment.py", "textprep.py")
+    for name in scoring + ("forecaster.py", "features.py", "market_sim.py"):
         path = package / name
         original = path.read_bytes()
         path.write_bytes(original + b"\n")
-        assert pipeline.scores_digest(config) != digest, name
+        assert (pipeline.scores_digest(config) != digest) == (name in scoring), name
         path.write_bytes(original)
     assert pipeline.scores_digest(apply_overrides(config, {
         "base_seed": 1, "replicates": 3, "feature_sets": ("Prices",), "epochs": 1,
