@@ -8,11 +8,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from pathlib import Path
 
 from . import pipeline
 from .config import apply_overrides, parse_config
 from .errors import RunFailed, StockcastError, echo
-from .features import format_columns, select, write_matrix_csv
+from .features import format_columns, select
+from .pipeline import write_matrix_csv
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -64,7 +66,8 @@ def cmd_ingest(args):
     """Load, check and score every input; save the daily sentiment for the other commands."""
     config = _load_config(args)
     dataset = pipeline.load_dataset(config)
-    path = pipeline.write_daily_sentiment(config.out_dir, config, dataset)
+    with pipeline.publish(config.out_dir) as stage:
+        pipeline.write_daily_sentiment(stage(pipeline.DAILY_SENTIMENT_FILE), config, dataset)
     bars = dataset.bars
     print(f"stock: {config.stock}")
     print(f"bars: {len(bars)} ({bars[0].date} .. {bars[-1].date})")
@@ -72,7 +75,7 @@ def cmd_ingest(args):
     print(f"news: {dataset.news_count}")
     print(f"provider: {config.provider}")
     print(f"config_hash: {config.config_hash}")
-    print(f"wrote {path}")
+    print(f"wrote {Path(config.out_dir) / pipeline.DAILY_SENTIMENT_FILE}")
     return EXIT_OK
 
 
@@ -80,13 +83,16 @@ def cmd_featurize(args):
     config = _load_config(args)
     dataset = pipeline.load_dataset(config, config.out_dir)
     table = pipeline.build_matrix(config, dataset)
-    out_dir = pipeline.make_out_dir(config.out_dir)
     column_text = format_columns(table)
-    for feature_set in config.feature_sets:
-        matrix = select(table, feature_set)
-        path = out_dir / f"features_{pipeline.safe_name(feature_set)}.csv"
-        write_matrix_csv(path, matrix.columns, column_text, f"config_hash={config.config_hash}")
-        print(f"wrote {path} ({len(matrix.dates)} rows x {len(matrix.columns)} features)")
+    wrote = []
+    with pipeline.publish(config.out_dir) as stage:
+        for feature_set in config.feature_sets:
+            matrix = select(table, feature_set)
+            name = f"features_{pipeline.safe_name(feature_set)}.csv"
+            write_matrix_csv(stage(name), config, matrix.columns, column_text)
+            wrote.append(f"wrote {Path(config.out_dir) / name} "
+                         f"({len(matrix.dates)} rows x {len(matrix.columns)} features)")
+    print("\n".join(wrote))
     return EXIT_OK
 
 
@@ -126,6 +132,9 @@ def main(argv=None):
         return _COMMANDS[args.command](args)
     except RunFailed as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
+    except MemoryError as exc:  # numpy's names the allocation; a worker's comes back pickled
+        print(f"error: out of memory: {exc or 'no details'}", file=sys.stderr)
         return EXIT_RUNTIME
     except StockcastError as exc:
         print(f"error: {exc}", file=sys.stderr)

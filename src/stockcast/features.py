@@ -17,7 +17,6 @@ with the same state and may land outside [0, 1] (never clipped).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -227,24 +226,12 @@ def _check_aligned(bar_dates, other_dates):
 
 
 def format_columns(table):
-    """{"date", then each column of ``table``: its values as write_matrix_csv
-    writes them}: ISO dates, floats via repr."""
+    """{"date", then each column of ``table``: its values as
+    pipeline.write_matrix_csv writes them}: ISO dates, floats via repr."""
     text = {"date": [d.isoformat() for d in table.dates]}
     for j, name in enumerate(table.columns):
         text[name] = [repr(v) for v in table.values[:, j].tolist()]
     return text
-
-
-def write_matrix_csv(path, columns, column_text, header_comment):
-    """Export ``columns`` as CSV: a ``# header_comment`` line, then a date
-    column first and the features after it, each from ``column_text``, the
-    format_columns of a table holding them.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# {header_comment}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", *columns])
-        writer.writerows(zip(*(column_text[name] for name in ("date", *columns))))
 
 
 # --- windowing ------------------------------------------------------------------
@@ -319,7 +306,6 @@ __all__ = [
     "assemble",
     "select",
     "format_columns",
-    "write_matrix_csv",
     "WindowedDataset",
     "SplitWindows",
     "make_windows",

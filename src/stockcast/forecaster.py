@@ -88,6 +88,11 @@ def _block_shapes(n_features, hidden):
     return (4, F, H), (4, H, H), (4 * H,), (H,), ()
 
 
+def theta_size(n_features, hidden):
+    """The number of parameters, the length of theta."""
+    return sum(math.prod(shape) for shape in _block_shapes(n_features, hidden))
+
+
 class LstmWeights:
     """All parameters in one flat float64 vector, ``theta``, and five views into it.
 
@@ -122,7 +127,7 @@ def init_weights(config, n_features):
     h = config.hidden_units
     k = 1.0 / np.sqrt(h)
     rng = np.random.default_rng([config.seed, 0])
-    size = sum(math.prod(shape) for shape in _block_shapes(n_features, h))
+    size = theta_size(n_features, h)
     weights = LstmWeights.from_theta(np.full(size, np.nan), n_features, h)
     weights.b[h:2 * h] = 1.0
     # one draw, in theta's order, for every entry but the forget-gate bias
@@ -414,6 +419,7 @@ __all__ = [
     "LstmWeights",
     "LstmWorkspace",
     "AdamState",
+    "theta_size",
     "init_weights",
     "forward",
     "backward",

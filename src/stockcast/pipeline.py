@@ -17,6 +17,7 @@ import re
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass
+from datetime import date
 from functools import partial
 from pathlib import Path
 
@@ -416,29 +417,55 @@ def scores_digest(config):
     return digest.hexdigest()
 
 
-def make_out_dir(out_dir):
-    """``out_dir`` as a Path, made with its parents if missing.
+@contextmanager
+def publish(out_dir, marker=None):
+    """Stage a command's output files in ``out_dir``, then land them together.
 
-    Raises:
-        StockcastError: it cannot be made (a file of that name exists, a
-            name is too long, ...), naming the out_dir key and the path.
+    Makes out_dir with its parents if missing; one that cannot be made (a
+    file of that name exists, a name is too long, ...) is a StockcastError
+    naming the out_dir key and the path. Then yields ``stage(name)``, the
+    path to write output ``name`` to: ``.<name>.<pid>.tmp`` in out_dir. When
+    the block exits cleanly, every staged file is renamed to its name, and
+    ``marker`` last, after the old marker is removed: a marker on disk
+    means every file beside it came from the run that wrote it. When the
+    block raises, nothing is renamed. No temporary file outlives the
+    block, and an OSError on one is reported as a StockcastError naming
+    the output it stands for.
     """
     out_dir = Path(out_dir)
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise StockcastError(f"out_dir {echo(repr(str(out_dir)))}: {exc.strerror}") from exc
-    return out_dir
+    staged = {}  # temporary path, as a str -> output path
+
+    def stage(name):
+        tmp = out_dir / f".{name}.{os.getpid()}.tmp"
+        staged[str(tmp)] = out_dir / name
+        return tmp
+
+    try:
+        yield stage
+        if marker is not None:
+            (out_dir / marker).unlink(missing_ok=True)
+        for tmp, path in sorted(staged.items(), key=lambda item: item[1].name == marker):
+            os.replace(tmp, path)
+    except OSError as exc:
+        path = staged.get(str(exc.filename))
+        if path is None:
+            raise
+        raise StockcastError(f"{echo(str(path))}: {exc.strerror}") from exc
+    finally:
+        for tmp in staged:
+            Path(tmp).unlink(missing_ok=True)
 
 
-def write_daily_sentiment(out_dir, config, dataset):
-    """Save ``dataset``'s post counts and daily rows as out_dir/DAILY_SENTIMENT_FILE.
+def write_daily_sentiment(path, config, dataset):
+    """Save ``dataset``'s post counts and daily rows to ``path``, a publish stage.
 
     Lines: ``# config_hash=``, ``# scores=`` with scores_digest, ``#
     kept_tweets=N kept_news=M``, the DAILY_SENTIMENT_COLUMNS header, then
-    one row per trading date, floats via repr. The file is written whole
-    under a temporary name in out_dir and then renamed over the old one,
-    so no reader sees half of it. Returns its path.
+    one row per trading date, floats via repr.
     """
     lines = [
         f"# config_hash={config.config_hash}",
@@ -452,16 +479,7 @@ def write_daily_sentiment(out_dir, config, dataset):
             repr(tweet.mean_label), repr(tweet.mean_conf), repr(tweet.mean_ws), str(tweet.count),
             repr(news.mean_label), repr(news.mean_conf), repr(news.mean_ws), str(news.count),
         ]))
-    out_dir = make_out_dir(out_dir)
-    path = out_dir / DAILY_SENTIMENT_FILE
-    tmp = out_dir / f".{DAILY_SENTIMENT_FILE}.{os.getpid()}.tmp"
-    try:
-        tmp.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
+    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
 
 
 def load_daily_sentiment(path, config, calendar):
@@ -529,59 +547,36 @@ def load_daily_sentiment(path, config, calendar):
 
 # --- report writers ---------------------------------------------------------
 
-def _protocol_echo(config):
-    return {
-        "hidden_units": config.hidden_units,
-        "learning_rate": config.learning_rate,
-        "batch_size": config.batch_size,
-        "epochs": config.epochs,
-        "replicates": config.replicates,
-        "split_date": config.split_date.isoformat(),
-        "initial_capital": config.initial_capital,
-        "profit_threshold": config.profit_threshold,
-        "dip_threshold": config.dip_threshold,
-        "lookback": config.lookback,
-        "base_seed": config.base_seed,
-    }
+#: The config keys every JSON output echoes under "protocol".
+_PROTOCOL_KEYS = ("hidden_units", "learning_rate", "batch_size", "epochs", "replicates",
+                  "split_date", "initial_capital", "profit_threshold", "dip_threshold",
+                  "lookback", "base_seed")
 
 
 def write_report_json(path, config, results):
-    rows = []
-    for result in results:
-        for report in result.reports:
-            rows.append({
-                "stock": config.stock,
-                "sentiment_provider": config.provider,
-                "feature_set": report.feature_set,
-                "replicates": report.replicates,
-                "r2_mean": report.r2_mean,
-                "mae_mean": report.mae_mean,
-                "r2_runs": list(report.r2_runs),
-                "mae_runs": list(report.mae_runs),
-                "scale": report.scale,
-            })
-    payload = {
-        "config_hash": config.config_hash,
-        "protocol": _protocol_echo(config),
-        "reports": rows,
-    }
-    _write_json(path, payload)
+    _write_json(path, config, {"reports": [
+        {
+            "stock": config.stock,
+            "sentiment_provider": config.provider,
+            "feature_set": report.feature_set,
+            "replicates": report.replicates,
+            "r2_mean": report.r2_mean,
+            "mae_mean": report.mae_mean,
+            "r2_runs": list(report.r2_runs),
+            "mae_runs": list(report.mae_runs),
+            "scale": report.scale,
+        }
+        for result in results for report in result.reports
+    ]})
 
 
 def write_metrics_csv(path, config, results):
     """Flat table, one row per feature set (the Tables 4-5 shape), normalized scale."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config.config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["feature_set", "stock", "sentiment_provider", "r2", "mae"])
-        for result in results:
-            for report in result.reports:
-                if report.scale != "normalized":
-                    continue
-                writer.writerow([
-                    report.feature_set, config.stock, config.provider,
-                    repr(report.r2_mean), repr(report.mae_mean),
-                ])
+    _write_csv(path, config, ["feature_set", "stock", "sentiment_provider", "r2", "mae"], [
+        [report.feature_set, config.stock, config.provider,
+         repr(report.r2_mean), repr(report.mae_mean)]
+        for result in results for report in result.reports if report.scale == "normalized"
+    ])
 
 
 PREDICTIONS_COLUMNS = ["date", "close_norm", "pred_norm", "close", "pred"]
@@ -589,18 +584,11 @@ PREDICTIONS_COLUMNS = ["date", "close_norm", "pred_norm", "close", "pred"]
 
 def write_predictions_csv(path, config, result):
     """Plot-ready series: per test date, truth and replicate-mean forecast."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config.config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(PREDICTIONS_COLUMNS)
-        for d, *values in zip(
-            result.split.test.dates,
-            result.split.test.y.tolist(),
-            result.mean_pred_norm.tolist(),
-            result.true_price.tolist(),
-            result.mean_pred_price.tolist(),
-        ):
-            writer.writerow([d.isoformat(), *map(repr, values)])
+    _write_csv(path, config, PREDICTIONS_COLUMNS, [
+        [d.isoformat(), *map(repr, values)] for d, *values in zip(
+            result.split.test.dates, result.split.test.y.tolist(), result.mean_pred_norm.tolist(),
+            result.true_price.tolist(), result.mean_pred_price.tolist())
+    ])
 
 
 def load_predictions_csv(path, config, dates):
@@ -655,44 +643,53 @@ def load_predictions_csv(path, config, dates):
 
 
 def write_ledger_csv(path, config, sim_result):
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config.config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["date", "r", "action", "entry_price", "exit_price", "capital_after"])
-        for entry in sim_result.ledger:
-            writer.writerow([
-                entry.date.isoformat(),
-                repr(entry.r),
-                entry.action,
-                "" if entry.entry_price is None else repr(entry.entry_price),
-                "" if entry.exit_price is None else repr(entry.exit_price),
-                repr(entry.capital_after),
-            ])
+    header = ["date", "r", "action", "entry_price", "exit_price", "capital_after"]
+    _write_csv(path, config, header, [
+        [entry.date.isoformat(), repr(entry.r), entry.action,
+         "" if entry.entry_price is None else repr(entry.entry_price),
+         "" if entry.exit_price is None else repr(entry.exit_price),
+         repr(entry.capital_after)]
+        for entry in sim_result.ledger
+    ])
 
 
 def write_simulation_json(path, config, sim_results):
-    payload = {
-        "config_hash": config.config_hash,
-        "protocol": _protocol_echo(config),
+    _write_json(path, config, {
         "stock": config.stock,
         "sentiment_provider": config.provider,
         "rows": [
-            {
-                "feature_set": feature_set,
-                "percent_gain": sim.percent_gain,
-                "final_capital": sim.final_capital,
-                "trades": sum(1 for e in sim.ledger if e.action != market_sim.NONE),
-            }
+            {"feature_set": feature_set, "percent_gain": sim.percent_gain,
+             "final_capital": sim.final_capital,
+             "trades": sum(1 for e in sim.ledger if e.action != market_sim.NONE)}
             for feature_set, sim in sim_results
         ],
-    }
-    _write_json(path, payload)
+    })
 
 
-def _write_json(path, payload):
-    Path(path).write_text(
-        json.dumps(payload, indent=1, sort_keys=True) + "\n", encoding="utf-8"
-    )
+def write_matrix_csv(path, config, columns, column_text):
+    """One feature set's matrix: a date column first and ``columns`` after it,
+    each from ``column_text``, the features.format_columns of a table
+    holding them."""
+    _write_csv(path, config, ["date", *columns],
+               zip(*(column_text[name] for name in ("date", *columns))))
+
+
+def _write_csv(path, config, header, rows):
+    """The outputs' CSV form: a ``# config_hash=`` line, ``header``, then ``rows``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write(f"# config_hash={config.config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_json(path, config, payload):
+    """The outputs' JSON form: ``payload`` plus the config_hash and, under
+    "protocol", the _PROTOCOL_KEYS; keys sorted, dates in ISO form."""
+    stamp = {"config_hash": config.config_hash,
+             "protocol": {key: getattr(config, key) for key in _PROTOCOL_KEYS}}
+    Path(path).write_text(json.dumps({**stamp, **payload}, indent=1, sort_keys=True,
+                                     default=date.isoformat) + "\n", encoding="utf-8")
 
 
 def safe_name(feature_set):
@@ -710,12 +707,22 @@ def _check_scorable(config, y_test):
         )
 
 
+def _check_model_size(config, splits):
+    """Refuse a hidden_units whose parameter vector numpy cannot index."""
+    n_features = max(split.train.X.shape[2] for split in splits)
+    nbytes = forecaster.theta_size(n_features, config.hidden_units) * np.dtype(np.float64).itemsize
+    if nbytes > np.iinfo(np.intp).max:
+        raise StockcastError(f"hidden_units = {config.hidden_units}: a model of {nbytes} bytes "
+                             f"is past numpy's index range")
+
+
 def run_train_eval(config, out_dir):
     """The train-eval command body; returns the per-set results.
 
-    Every set's windows are built and checked before any model trains or
-    out_dir is made, so bad input fails before training starts; reports
-    are written once all have.
+    Every set's windows, and the model size, are checked before out_dir
+    is made, so bad input fails before training starts and leaves no out
+    dir. publish makes out_dir before any model trains; the reports land
+    once every model has trained, report.json last.
     """
     table = build_matrix(config, load_dataset(config, out_dir))
     splits = [
@@ -724,7 +731,7 @@ def run_train_eval(config, out_dir):
     ]
     del table  # the windows are copies: free the table before training
     _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
-    out_dir = make_out_dir(out_dir)
+    _check_model_size(config, splits)
     jobs = [
         (split.train, split.test, forecaster.LstmConfig(
             hidden_units=config.hidden_units,
@@ -735,18 +742,19 @@ def run_train_eval(config, out_dir):
         ))
         for split in splits for i in range(config.replicates)
     ]
-    preds = _fit_all(jobs)
-    n = config.replicates
-    results = [
-        run_feature_set(fs, split, preds[k * n:(k + 1) * n])
-        for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
-    ]
-    write_report_json(out_dir / "report.json", config, results)
-    write_metrics_csv(out_dir / "metrics_table.csv", config, results)
-    for result in results:
-        write_predictions_csv(
-            out_dir / f"predictions_{safe_name(result.feature_set)}.csv", config, result
-        )
+    with publish(out_dir, marker="report.json") as stage:
+        preds = _fit_all(jobs)
+        n = config.replicates
+        results = [
+            run_feature_set(fs, split, preds[k * n:(k + 1) * n])
+            for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
+        ]
+        write_report_json(stage("report.json"), config, results)
+        write_metrics_csv(stage("metrics_table.csv"), config, results)
+        for result in results:
+            write_predictions_csv(
+                stage(f"predictions_{safe_name(result.feature_set)}.csv"), config, result
+            )
     return results
 
 
@@ -754,7 +762,8 @@ def run_simulate(config, out_dir):
     """The simulate command body: trades the forecasts train-eval wrote.
 
     Every set's predictions file is checked, and every set simulated,
-    before any ledger is written, so a refused run leaves no partial output.
+    before any ledger is staged; the ledgers land through publish,
+    simulation_summary.json last.
     """
     out_dir = Path(out_dir)
     bars = [bar for bar in load_price_csv(config.prices) if bar.date > config.split_date]
@@ -764,9 +773,10 @@ def run_simulate(config, out_dir):
         for fs in config.feature_sets
     ]
     sim_results = [(fs, simulate_feature_set(config, bars, pairs)) for fs, pairs in predictions]
-    for feature_set, sim in sim_results:
-        write_ledger_csv(out_dir / f"ledger_{safe_name(feature_set)}.csv", config, sim)
-    write_simulation_json(out_dir / "simulation_summary.json", config, sim_results)
+    with publish(out_dir, marker="simulation_summary.json") as stage:
+        for feature_set, sim in sim_results:
+            write_ledger_csv(stage(f"ledger_{safe_name(feature_set)}.csv"), config, sim)
+        write_simulation_json(stage("simulation_summary.json"), config, sim_results)
     return sim_results
 
 
@@ -792,6 +802,7 @@ __all__ = [
     "DAILY_SENTIMENT_COLUMNS",
     "write_ledger_csv",
     "write_simulation_json",
+    "write_matrix_csv",
     "safe_name",
-    "make_out_dir",
+    "publish",
 ]

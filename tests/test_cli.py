@@ -625,9 +625,46 @@ class TestTrainEvalCommand:
         assert "absent.csv" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_out_dir_made_before_training(self, tmp_path, monkeypatch, capsys):
+        # a file where out_dir should be: refused before any model trains
+        write_tiny_dataset(tmp_path)
+        out = tmp_path / "out"
+        out.write_text("not a directory\n")
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        assert cli.main(["train-eval", "--config", str(write_config(tmp_path))]) == 2
+        assert capsys.readouterr().err.startswith(f"error: out_dir {str(out)!r}: ")
+
+    def test_hidden_units_past_index_range_exit_2(self, tmp_path, monkeypatch, capsys):
+        # numpy cannot index a parameter vector of ~6.4e19 floats
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, hidden_units=4000000000)
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        assert cli.main(["train-eval", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: hidden_units = 4000000000: "), err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    def test_memory_error_exit_3(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        monkeypatch.setattr("stockcast.pipeline.forecaster.train", exhaust_memory)
+        assert cli.main(["train-eval", "--config", str(write_config(tmp_path))]) == 3
+        assert capsys.readouterr().err == f"error: out of memory: {ALLOCATION_FAILED}\n"
+        assert not (tmp_path / "out" / "report.json").exists()
+
 
 def refuse_training(dataset, config):
     raise AssertionError("no model may train on refused input")
+
+
+#: The message of numpy's MemoryError for hidden_units = 300000.
+ALLOCATION_FAILED = ("Unable to allocate 2.62 TiB for an array with shape (360008700001,) "
+                     "and data type float64")
+
+
+def exhaust_memory(*args):
+    """Fail as numpy does when an allocation is refused; module level, so workers can run it."""
+    raise MemoryError(ALLOCATION_FAILED)
 
 
 def force_cores(monkeypatch, n):
@@ -686,6 +723,12 @@ class TestWorkerPool:
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
             pipeline._fit_all([(split.train, bad_test, slow),
                                (split.train, split.test, diverging)])
+
+    def test_memory_error_in_worker_comes_back(self):
+        # the CLI turns it into exit 3 as it does one raised here
+        with pipeline._worker_pool(2) as run, pytest.raises(MemoryError) as caught:
+            list(run(exhaust_memory, [0, 1]))
+        assert str(caught.value) == ALLOCATION_FAILED
 
 
 class TestSimulateCommand:
@@ -812,6 +855,107 @@ class TestSimulateCommand:
         assert cli.main(["simulate", "--config", str(path)]) == 0
 
 
+def staged_files(out_dir):
+    return sorted(f.name for f in Path(out_dir).iterdir() if f.name.endswith(".tmp"))
+
+
+class TestPublish:
+    """A command's outputs land together, its marker last, or not at all."""
+
+    @staticmethod
+    def short_out_dir(tmp_path, monkeypatch):
+        """Run in tmp_path with out_dir ``out``: an error shows the whole output path."""
+        monkeypatch.chdir(tmp_path)
+        return Path("out")
+
+    def test_failed_writer_leaves_previous_run(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA", out_dir=out)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        before = read_outputs(out)
+        real = pipeline.write_predictions_csv
+        calls = []
+
+        def fail_second(stage, config, result):
+            calls.append(stage)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(stage))
+            real(stage, config, result)
+
+        monkeypatch.setattr("stockcast.pipeline.write_predictions_csv", fail_second)
+        # another seed, so a file that landed would differ
+        assert cli.main(["train-eval", "--config", str(path), "--seed", "9"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {out / 'predictions_prices_rsi_sma.csv'}: No space left on device\n")
+        assert read_outputs(out) == before
+        assert staged_files(out) == []
+
+    def test_failed_rename_leaves_no_marker(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA", out_dir=out)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        real = os.replace
+        calls = []
+
+        def fail_second(src, dst):
+            calls.append(str(dst))
+            if len(calls) == 2:
+                raise OSError(5, "Input/output error", str(src), None, str(dst))
+            real(src, dst)
+
+        monkeypatch.setattr("stockcast.pipeline.os.replace", fail_second)
+        assert cli.main(["train-eval", "--config", str(path), "--seed", "9"]) == 2
+        assert capsys.readouterr().err == f"error: {calls[1]}: Input/output error\n"
+        assert calls[1] == str(out / "predictions_prices.csv")  # the marker was not reached
+        assert not (out / "report.json").exists()
+        assert staged_files(out) == []
+
+    def test_directory_in_place_of_an_output_exit_2(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-Tweets", out_dir=out)
+        blocked = out / "predictions_prices_tweets.csv"
+        blocked.mkdir(parents=True)
+        assert cli.main(["train-eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+        assert not (out / "report.json").exists()
+        assert staged_files(out) == []
+
+    def test_directory_in_place_of_the_summary_exit_2(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, out_dir=out)
+        assert cli.main(["train-eval", "--config", str(path)]) == 0
+        blocked = out / "simulation_summary.json"
+        blocked.mkdir()
+        capsys.readouterr()
+        assert cli.main(["simulate", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
+        assert not list(out.glob("ledger_*.csv"))
+        assert staged_files(out) == []
+
+    def test_featurize_prints_after_landing(self, tmp_path, monkeypatch, capsys):
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, feature_sets="Prices,Prices-RSI-SMA", out_dir=out)
+        real = cli.write_matrix_csv
+
+        def fail_second(stage, config, columns, column_text):
+            real(stage, config, columns, column_text)
+            if "rsi_sma" in stage.name:
+                raise OSError(28, "No space left on device", str(stage))
+
+        monkeypatch.setattr(cli, "write_matrix_csv", fail_second)
+        assert cli.main(["featurize", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"error: {out / 'features_prices_rsi_sma.csv'}: No space left on device\n")
+        assert list(out.iterdir()) == []
+
+
 def refuse_posts(*args, **kwargs):
     raise AssertionError("the posts were scored by ingest; no command may read them again")
 
@@ -843,7 +987,8 @@ class TestScoredOnce:
     def test_saved_rows_equal_scored_rows(self, tmp_path, fixture_config_path):
         config = apply_overrides(parse_config(fixture_config_path), {"out_dir": str(tmp_path)})
         scored = pipeline.load_dataset(config, tmp_path)  # nothing saved yet
-        pipeline.write_daily_sentiment(tmp_path, config, scored)
+        with pipeline.publish(tmp_path) as stage:
+            pipeline.write_daily_sentiment(stage(pipeline.DAILY_SENTIMENT_FILE), config, scored)
         saved = pipeline.load_dataset(config, tmp_path)
         for key in ("tweet_count", "news_count", "tweet_daily", "news_daily"):
             assert getattr(saved, key) == getattr(scored, key), key
