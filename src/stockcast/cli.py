@@ -12,8 +12,7 @@ from pathlib import Path
 
 from . import pipeline
 from .config import apply_overrides, parse_config
-from .errors import RunFailed, StockcastError, echo
-from .features import format_columns, select
+from .errors import RunFailed, StockcastError, echo_path
 from .pipeline import write_matrix_csv
 
 EXIT_OK = 0
@@ -80,6 +79,8 @@ def cmd_ingest(args):
 
 
 def cmd_featurize(args):
+    from .features import format_columns, select  # array code: ingest and simulate skip numpy
+
     config = _load_config(args)
     dataset = pipeline.load_dataset(config, config.out_dir)
     table = pipeline.build_matrix(config, dataset)
@@ -140,10 +141,10 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except FileNotFoundError as exc:
-        print(f"error: missing file: {echo(str(exc.filename or exc))}", file=sys.stderr)
+        print(f"error: missing file: {echo_path(exc.filename or exc)}", file=sys.stderr)
         return EXIT_INPUT
     except OSError as exc:
-        print(f"error: {echo(str(exc.filename))}: {exc.strerror}", file=sys.stderr)
+        print(f"error: {echo_path(exc.filename)}: {exc.strerror}", file=sys.stderr)
         return EXIT_INPUT
 
 

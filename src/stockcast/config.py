@@ -19,9 +19,28 @@ from functools import cached_property
 from pathlib import Path
 
 from .errors import StockcastError, echo, open_text
-from .features import FEATURE_SETS
 
 PROVIDERS = ("lexicon", "replay")
+
+#: The twelve feature-set identifiers and the blocks each one stacks, in
+#: column order; features._BLOCKS names each block's columns. The table
+#: lives here, not in the array module, so reading a config loads no numpy.
+FEATURE_SETS = {
+    "Prices": ("prices",),
+    "Prices-RSI-SMA": ("prices", "indicators"),
+    "Prices-News": ("prices", "news"),
+    "Prices-News-RSI-SMA": ("prices", "news", "indicators"),
+    "Prices-Tweets": ("prices", "tweets"),
+    "Prices-Tweets-RSI-SMA": ("prices", "tweets", "indicators"),
+    "Prices-Tweets-News": ("prices", "tweets", "news"),
+    "Prices-Tweets-News-RSI-SMA": ("prices", "tweets", "news", "indicators"),
+    "Prices-Weighted-Tweets": ("prices", "weighted_tweets"),
+    "Prices-Weighted-Tweets-RSI-SMA": ("prices", "weighted_tweets", "indicators"),
+    "Prices-Weighted-Tweets-News": ("prices", "weighted_tweets", "news"),
+    "Prices-Weighted-Tweets-News-RSI-SMA": (
+        "prices", "weighted_tweets", "news", "indicators",
+    ),
+}
 
 #: Reference protocol defaults: model 256/0.001/128/100, ten replicates,
 #: one million starting capital with symmetric 2% thresholds, and the
@@ -246,6 +265,7 @@ def apply_overrides(config, overrides):
 
 __all__ = [
     "ExperimentConfig",
+    "FEATURE_SETS",
     "parse_config",
     "apply_overrides",
     "PROVIDERS",

@@ -10,7 +10,8 @@ The CLI's only decision about an error is which of the two exit codes it
 gets, so these are the only classes. What went wrong, and where, is in the
 message, written at the raise site; a load error starts ``<path>:<line>: ``.
 A message echoes an input value through ``echo``, so one huge line or field
-cannot flood stderr.
+cannot flood stderr, and a path through ``echo_path``, which keeps the file
+name at its end.
 Both classes take only the message, so the default ``Exception`` pickling
 carries them out of a training worker process unchanged.
 """
@@ -35,6 +36,13 @@ def echo(text):
     """``text``, an input value as a message shows it (its repr, say), cut
     to its first ECHO_LIMIT characters plus ``...`` when longer."""
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
+
+
+def echo_path(path):
+    """``path`` as a message shows it: cut to ``...`` plus its last
+    ECHO_LIMIT characters when longer, so a deep path still names its file."""
+    text = str(path)
+    return text if len(text) <= ECHO_LIMIT else "..." + text[-ECHO_LIMIT:]
 
 
 @contextmanager

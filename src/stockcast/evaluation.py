@@ -1,10 +1,12 @@
-"""R-squared / MAE metrics and replicate averaging."""
+"""R-squared / MAE metrics and replicate averaging.
+
+numpy is imported where an input becomes an array, so the modules that
+import this one for its records load no numpy until a metric is computed.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
 
 from .errors import StockcastError
 
@@ -29,6 +31,8 @@ class AggregateReport:
 
 
 def _pair(y_true, y_pred, min_len):
+    import numpy as np
+
     y_true = np.asarray(y_true, dtype=np.float64)
     y_pred = np.asarray(y_pred, dtype=np.float64)
     if y_true.shape != y_pred.shape:
@@ -42,17 +46,17 @@ def r_squared(y_true, y_pred):
     """1 - SS_res/SS_tot. May be negative; constant targets are an error
     rather than a silent zero, so degenerate fixtures surface."""
     y_true, y_pred = _pair(y_true, y_pred, 2)
-    ss_tot = float(np.sum((y_true - y_true.mean()) ** 2))
+    ss_tot = float(((y_true - y_true.mean()) ** 2).sum())
     if ss_tot == 0:
         raise StockcastError("target series is constant")
-    ss_res = float(np.sum((y_true - y_pred) ** 2))
+    ss_res = float(((y_true - y_pred) ** 2).sum())
     return 1.0 - ss_res / ss_tot
 
 
 def mae(y_true, y_pred):
     """Mean absolute error."""
     y_true, y_pred = _pair(y_true, y_pred, 1)
-    return float(np.mean(np.abs(y_true - y_pred)))
+    return float(abs(y_true - y_pred).mean())
 
 
 def replicate_average(runs):

@@ -1,6 +1,7 @@
 """Technical indicators, min-max scaling, feature assembly and windowing.
 
-Twelve feature sets combine four column blocks in a fixed order:
+Twelve feature sets (config.FEATURE_SETS) combine four column blocks in
+a fixed order:
 
     prices      open, high, low, close, adj_close, volume
     tweets      tweet_mean_label, tweet_mean_conf, tweet_count
@@ -21,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import FEATURE_SETS
 from .errors import StockcastError
 
 PRICE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
@@ -35,24 +37,6 @@ _BLOCKS = {
     "weighted_tweets": WEIGHTED_TWEET_COLUMNS,
     "news": NEWS_COLUMNS,
     "indicators": INDICATOR_COLUMNS,
-}
-
-#: The twelve feature-set identifiers and the blocks each one stacks.
-FEATURE_SETS = {
-    "Prices": ("prices",),
-    "Prices-RSI-SMA": ("prices", "indicators"),
-    "Prices-News": ("prices", "news"),
-    "Prices-News-RSI-SMA": ("prices", "news", "indicators"),
-    "Prices-Tweets": ("prices", "tweets"),
-    "Prices-Tweets-RSI-SMA": ("prices", "tweets", "indicators"),
-    "Prices-Tweets-News": ("prices", "tweets", "news"),
-    "Prices-Tweets-News-RSI-SMA": ("prices", "tweets", "news", "indicators"),
-    "Prices-Weighted-Tweets": ("prices", "weighted_tweets"),
-    "Prices-Weighted-Tweets-RSI-SMA": ("prices", "weighted_tweets", "indicators"),
-    "Prices-Weighted-Tweets-News": ("prices", "weighted_tweets", "news"),
-    "Prices-Weighted-Tweets-News-RSI-SMA": (
-        "prices", "weighted_tweets", "news", "indicators",
-    ),
 }
 
 
@@ -290,7 +274,6 @@ def make_windows(matrix, lookback, split_date):
 
 
 __all__ = [
-    "FEATURE_SETS",
     "PRICE_COLUMNS",
     "TWEET_COLUMNS",
     "WEIGHTED_TWEET_COLUMNS",

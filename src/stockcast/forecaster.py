@@ -314,30 +314,42 @@ def clip_gradients(grads, max_norm):
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (theta's layout) plus the shared timestep."""
+    """First/second moment vectors (theta's layout), two theta-sized
+    scratch rows for the update, and the shared timestep."""
 
     m: np.ndarray
     v: np.ndarray
+    scratch: np.ndarray  # (2, theta size)
     t: int = 0
 
     @classmethod
     def for_weights(cls, weights):
-        return cls(m=np.zeros_like(weights.theta), v=np.zeros_like(weights.theta))
+        theta = weights.theta
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
+                   scratch=np.empty((2, theta.size)))
 
 
 def adam_step(weights, grads, state, lr):
     """One bias-corrected Adam update with the ADAM_* constants, in place;
-    returns (weights, state)."""
+    returns (weights, state).
+
+    Each step writes into state.scratch with the operands and order of
+    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    theta -= lr*m_hat / (sqrt(v_hat) + eps), so it allocates no
+    theta-sized array and matches those expressions bit for bit.
+    """
     state.t += 1
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
     g = grads.theta
+    a, b = state.scratch
     state.m *= b1
-    state.m += (1.0 - b1) * g
+    state.m += np.multiply(1.0 - b1, g, out=a)
     state.v *= b2
-    state.v += (1.0 - b2) * g ** 2
-    m_hat = state.m / (1.0 - b1 ** t)
-    v_hat = state.v / (1.0 - b2 ** t)
-    weights.theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+    state.v += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
+    np.divide(state.m, 1.0 - b1 ** t, out=a)  # m_hat
+    np.divide(state.v, 1.0 - b2 ** t, out=b)  # v_hat
+    np.add(np.sqrt(b, out=b), eps, out=b)
+    weights.theta -= np.divide(np.multiply(lr, a, out=a), b, out=a)
     return weights, state
 
 

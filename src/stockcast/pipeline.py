@@ -4,6 +4,12 @@ Everything here is deterministic for a fixed config: replicate i trains
 with seed base_seed + i, report files serialize floats via repr, and no
 wall-clock state enters any output, so rerunning a config reproduces
 identical bytes.
+
+Only featurize and train-eval compute on arrays. numpy, forecaster and
+features are imported inside the functions that build or train on arrays
+(build_matrix, run_feature_set, _fit_replicate, run_train_eval and
+_check_model_size), so ingest, simulate and the post workers run without
+them.
 """
 
 from __future__ import annotations
@@ -21,10 +27,8 @@ from datetime import date
 from functools import partial
 from pathlib import Path
 
-import numpy as np
-
-from . import features, forecaster, market_sim, sentiment, textprep
-from .errors import StockcastError, echo, open_text
+from . import market_sim, sentiment, textprep
+from .errors import StockcastError, echo, echo_path, open_text
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
 from .ingest import (
     assign_posts,
@@ -220,6 +224,8 @@ def build_matrix(config, dataset):
     need more closes than the other columns do, and too few for a period
     is an error that names the prices file and the period's key.
     """
+    from . import features
+
     indicators = None
     if any("indicators" in features.FEATURE_SETS[fs] for fs in config.feature_sets):
         closes = [bar.close for bar in dataset.bars]
@@ -238,9 +244,9 @@ class FeatureSetResult:
     feature_set: str
     split: object                   # features.SplitWindows
     reports: list                   # AggregateReport, both scales
-    mean_pred_norm: np.ndarray      # replicate-mean normalized predictions
-    mean_pred_price: np.ndarray     # same, on the price scale
-    true_price: np.ndarray          # test targets on the price scale
+    mean_pred_norm: object          # replicate-mean normalized predictions (ndarray)
+    mean_pred_price: object         # same, on the price scale
+    true_price: object              # test targets on the price scale
 
 
 def run_feature_set(feature_set, split, preds):
@@ -249,6 +255,8 @@ def run_feature_set(feature_set, split, preds):
     ``preds`` holds one normalized forecast per replicate, in replicate
     order, which the reports' per-run lists keep.
     """
+    import numpy as np
+
     close_min, close_max = split.norm.column_state("close")
 
     def to_price(values):
@@ -289,10 +297,15 @@ def run_feature_set(feature_set, split, preds):
 def _fit_replicate(_, job):
     """Train one (set, replicate) model; its test forecast.
 
-    ``job`` is one (train, test, LstmConfig) tuple; a _worker_pool task
-    that shares nothing.
+    ``job`` is one (LstmConfig, train, test) tuple; a _worker_pool task
+    that shares nothing. The config comes first: a spawn worker starts
+    without numpy and imports it, with forecaster, while it unpickles the
+    config. Imported after the windows' arrays instead, they raised a
+    fixture worker's peak RSS by about 0.3 MB.
     """
-    train, test, model_config = job
+    from . import forecaster
+
+    model_config, train, test = job
     weights, _ = forecaster.train(train, model_config)
     return forecaster.predict(weights, test)
 
@@ -436,7 +449,7 @@ def publish(out_dir, marker=None):
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
-        raise StockcastError(f"out_dir {echo(repr(str(out_dir)))}: {exc.strerror}") from exc
+        raise StockcastError(f"out_dir {echo_path(repr(str(out_dir)))}: {exc.strerror}") from exc
     staged = {}  # temporary path, as a str -> output path
 
     def stage(name):
@@ -454,7 +467,7 @@ def publish(out_dir, marker=None):
         path = staged.get(str(exc.filename))
         if path is None:
             raise
-        raise StockcastError(f"{echo(str(path))}: {exc.strerror}") from exc
+        raise StockcastError(f"{echo_path(path)}: {exc.strerror}") from exc
     finally:
         for tmp in staged:
             Path(tmp).unlink(missing_ok=True)
@@ -629,7 +642,7 @@ def load_predictions_csv(path, config, dates):
                     pred = float(row[-1])
                 except ValueError:
                     pred = float("nan")
-                if not np.isfinite(pred):
+                if not math.isfinite(pred):
                     raise StockcastError(f"{path}:{lineno}: bad pred value {echo(repr(row[-1]))}")
                 pairs.append((dates[i], pred))
         except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
@@ -699,7 +712,7 @@ def safe_name(feature_set):
 def _check_scorable(config, y_test):
     """Refuse test targets r_squared cannot score: fewer than 2, or constant."""
     n = y_test.size
-    if n < 2 or np.all(y_test == y_test[0]):
+    if n < 2 or (y_test == y_test[0]).all():
         raise StockcastError(
             f"split_date {config.split_date} leaves {n} test windows"
             f"{', all with the same close' if n >= 2 else ''}: R2 needs at least 2 "
@@ -709,6 +722,10 @@ def _check_scorable(config, y_test):
 
 def _check_model_size(config, splits):
     """Refuse a hidden_units whose parameter vector numpy cannot index."""
+    import numpy as np
+
+    from . import forecaster
+
     n_features = max(split.train.X.shape[2] for split in splits)
     nbytes = forecaster.theta_size(n_features, config.hidden_units) * np.dtype(np.float64).itemsize
     if nbytes > np.iinfo(np.intp).max:
@@ -724,6 +741,8 @@ def run_train_eval(config, out_dir):
     dir. publish makes out_dir before any model trains; the reports land
     once every model has trained, report.json last.
     """
+    from . import features, forecaster
+
     table = build_matrix(config, load_dataset(config, out_dir))
     splits = [
         features.make_windows(features.select(table, fs), config.lookback, config.split_date)
@@ -733,13 +752,13 @@ def run_train_eval(config, out_dir):
     _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
     _check_model_size(config, splits)
     jobs = [
-        (split.train, split.test, forecaster.LstmConfig(
+        (forecaster.LstmConfig(
             hidden_units=config.hidden_units,
             learning_rate=config.learning_rate,
             batch_size=config.batch_size,
             epochs=config.epochs,
             seed=config.base_seed + i,
-        ))
+        ), split.train, split.test)
         for split in splits for i in range(config.replicates)
     ]
     with publish(out_dir, marker="report.json") as stage:

@@ -13,10 +13,9 @@ import pytest
 
 from stockcast import forecaster as fc
 from stockcast import pipeline
-from stockcast.config import ExperimentConfig, apply_overrides, parse_config
+from stockcast.config import FEATURE_SETS, ExperimentConfig, apply_overrides, parse_config
 from stockcast.evaluation import mae, r_squared
 from stockcast.features import (
-    FEATURE_SETS,
     FeatureMatrix,
     assemble,
     make_windows,

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast import cli, pipeline
+from stockcast import cli, features, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
-from stockcast.errors import RunFailed, StockcastError, echo
+from stockcast.errors import ECHO_LIMIT, RunFailed, StockcastError, echo, echo_path
 from stockcast.forecaster import LstmConfig
 
 from conftest import REPO
@@ -260,6 +260,14 @@ class TestIngestCommand:
         code = cli.main(["ingest", "--config", str(tmp_path / "nope.conf")])
         assert code == 2
         assert "nope.conf" in capsys.readouterr().err
+
+    def test_missing_file_in_a_deep_dir_names_the_file(self, tmp_path, capsys):
+        # the echo keeps a long path's tail, which holds the file name
+        write_tiny_dataset(tmp_path)
+        absent = tmp_path / ("deep" * 20) / "absent.csv"
+        path = write_config(tmp_path, prices=absent)
+        assert cli.main(["ingest", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: missing file: ...{str(absent)[-ECHO_LIMIT:]}\n"
 
 
 class TestFeaturizeCommand:
@@ -584,7 +592,7 @@ class TestTrainEvalCommand:
         def explode(dataset, config):
             raise RunFailed("training diverged at epoch 0")
 
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", explode)
+        monkeypatch.setattr("stockcast.forecaster.train", explode)
         code = cli.main(["train-eval", "--config", str(path)])
         assert code == 3
         assert "diverged" in capsys.readouterr().err
@@ -596,7 +604,7 @@ class TestTrainEvalCommand:
         # it a single window; R2 cannot score either
         days = write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, split_date=days[-last_days].isoformat())
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
         code = cli.main(["train-eval", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2
@@ -611,7 +619,7 @@ class TestTrainEvalCommand:
         rows = [row if row[:10] <= "2022-03-04"
                 else row[:10] + ",100.00,101.00,99.00,100.00,100.00,1000" for row in rows]
         prices.write_text("\n".join([header, *rows]) + "\n")
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
         code = cli.main(["train-eval", "--config", str(write_config(tmp_path))])
         err = capsys.readouterr().err
         assert code == 2
@@ -630,7 +638,7 @@ class TestTrainEvalCommand:
         write_tiny_dataset(tmp_path)
         out = tmp_path / "out"
         out.write_text("not a directory\n")
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
         assert cli.main(["train-eval", "--config", str(write_config(tmp_path))]) == 2
         assert capsys.readouterr().err.startswith(f"error: out_dir {str(out)!r}: ")
 
@@ -638,7 +646,7 @@ class TestTrainEvalCommand:
         # numpy cannot index a parameter vector of ~6.4e19 floats
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path, hidden_units=4000000000)
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
         assert cli.main(["train-eval", "--config", str(path)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: hidden_units = 4000000000: "), err
@@ -647,7 +655,7 @@ class TestTrainEvalCommand:
 
     def test_memory_error_exit_3(self, tmp_path, monkeypatch, capsys):
         write_tiny_dataset(tmp_path)
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", exhaust_memory)
+        monkeypatch.setattr("stockcast.forecaster.train", exhaust_memory)
         assert cli.main(["train-eval", "--config", str(write_config(tmp_path))]) == 3
         assert capsys.readouterr().err == f"error: out of memory: {ALLOCATION_FAILED}\n"
         assert not (tmp_path / "out" / "report.json").exists()
@@ -713,16 +721,16 @@ class TestWorkerPool:
         write_tiny_dataset(tmp_path)
         config = parse_config(write_config(tmp_path))
         table = pipeline.build_matrix(config, pipeline.load_dataset(config))
-        split = pipeline.features.make_windows(
-            pipeline.features.select(table, "Prices"), config.lookback, config.split_date)
-        bad_test = pipeline.features.WindowedDataset(
+        split = features.make_windows(
+            features.select(table, "Prices"), config.lookback, config.split_date)
+        bad_test = features.WindowedDataset(
             X=np.full_like(split.test.X, np.nan), y=split.test.y, dates=split.test.dates)
         slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, seed=3)
         diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
         force_cores(monkeypatch, 2)
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
-            pipeline._fit_all([(split.train, bad_test, slow),
-                               (split.train, split.test, diverging)])
+            pipeline._fit_all([(slow, split.train, bad_test),
+                               (diverging, split.train, split.test)])
 
     def test_memory_error_in_worker_comes_back(self):
         # the CLI turns it into exit 3 as it does one raised here
@@ -851,7 +859,7 @@ class TestSimulateCommand:
         def refuse(dataset, config):
             raise AssertionError("simulate must not train")
 
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse)
         assert cli.main(["simulate", "--config", str(path)]) == 0
 
 
@@ -934,6 +942,23 @@ class TestPublish:
         assert cli.main(["simulate", "--config", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {blocked}: Is a directory\n"
         assert not list(out.glob("ledger_*.csv"))
+        assert staged_files(out) == []
+
+    def test_failure_under_a_deep_out_dir_names_the_file(self, tmp_path, monkeypatch, capsys):
+        # the echo keeps a long path's tail, which holds the file name
+        write_tiny_dataset(tmp_path)
+        out = tmp_path / ("deep" * 20) / "out"
+        path = write_config(tmp_path, out_dir=out)
+        failed = out / "predictions_prices.csv"
+        assert len(str(failed)) > ECHO_LIMIT
+
+        def fail(stage, config, result):
+            raise OSError(28, "No space left on device", str(stage))
+
+        monkeypatch.setattr("stockcast.pipeline.write_predictions_csv", fail)
+        assert cli.main(["train-eval", "--config", str(path)]) == 2
+        assert capsys.readouterr().err == (
+            f"error: ...{str(failed)[-ECHO_LIMIT:]}: No space left on device\n")
         assert staged_files(out) == []
 
     def test_featurize_prints_after_landing(self, tmp_path, monkeypatch, capsys):
@@ -1100,7 +1125,7 @@ class TestScoredOnce:
         lines = path.read_text().splitlines()
         assert len(lines) == 64  # 4 header lines, 60 trading dates
         path.write_text("\n".join(edit(lines)) + "\n")
-        monkeypatch.setattr("stockcast.pipeline.forecaster.train", refuse_training)
+        monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
         capsys.readouterr()
         for command in ("featurize", "train-eval"):
             assert cli.main([command, "--config", config]) == 2
@@ -1127,28 +1152,95 @@ def _field(line, i, value):
     return ",".join(fields)
 
 
+#: Spans each command must record in the CLI process: the tracer patches
+#: module attributes, so one the program stopped looking up would be missing.
+TRACED_SPANS = {
+    "ingest": {"config.parse_config", "pipeline.load_dataset"},
+    "featurize": {"config.parse_config", "pipeline.load_dataset", "features.assemble"},
+    "train-eval": {"config.parse_config", "pipeline.load_dataset", "features.assemble",
+                   "evaluation.r_squared"},
+    "simulate": {"config.parse_config", "market_sim.run_simulation"},
+}
+
+
 def test_tracer_patches_every_name(tmp_path):
-    """The benchmark's tracer wraps pipeline names by attribute; a rename fails here.
+    """The benchmark's tracer wraps pipeline names by attribute; a rename fails
+    here, and so does a call the program no longer makes through a patched name.
 
     featurize and train-eval run after ingest, so on its saved daily sentiment."""
     write_tiny_dataset(tmp_path)
     path = write_config(tmp_path)
     (tmp_path / "spans").mkdir()
-    for command in ("ingest", "featurize", "train-eval", "simulate"):
+    for command, spans in TRACED_SPANS.items():
+        prefix = tmp_path / "spans" / command
         proc = subprocess.run(
             [sys.executable, str(REPO / "bench" / "tracer.py"),
-             str(tmp_path / "spans" / command), "t", "--", command, "--config", str(path)],
+             str(prefix), "t", "--", command, "--config", str(path)],
             capture_output=True, text=True, env=subprocess_env(), check=False)
         assert proc.returncode == 0, proc.stderr
+        meta = json.loads(prefix.with_suffix(".json").read_text(encoding="utf-8"))
+        called = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype=np.intc,
+                               count=meta["count"])
+        assert spans <= {meta["names"][i] for i in called}, command
 
 
-def test_cli_import_leaves_out_multiprocessing():
-    """Both worker pools import multiprocessing only when they start, so
-    process start-up (the benchmark's setup_s) never pays for it."""
-    proc = subprocess.run(
-        [sys.executable, "-c", "import sys, stockcast.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True, text=True, env=subprocess_env(), check=True)
-    assert proc.stdout == "False\n"
+#: A post-pool task that records, in a file named by the worker's pid,
+#: whether numpy was loaded once _score_range had run there.
+SCORE_RANGE_PROBE = """\
+import os, sys
+from pathlib import Path
+from stockcast import pipeline
+
+
+def score_range(shared, task):
+    rows = pipeline._score_range(shared, task)
+    Path(__file__).with_name(f"worker_{os.getpid()}").write_text(str("numpy" in sys.modules))
+    return rows
+"""
+
+
+@pytest.mark.parametrize("case", ["import", "ingest", "simulate", "score_range_worker"])
+def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
+    """Only featurize and train-eval load numpy. A fresh interpreter that
+    imports the CLI and reads a config (the benchmark's setup_s), the ingest
+    and simulate commands, and a post worker, which starts with stockcast.cli
+    as its main module, run without it. The first three also leave out
+    multiprocessing: the worker pools import it when they start."""
+    config = str(fixture_config_path)
+    ingest = ["ingest", "--config", config, "--out-dir", str(tmp_path / "out")]
+    one_model = ["--feature-set", "Prices", "--replicates", "1"]
+    report = "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
+    if case == "import":
+        code = f"import sys; from stockcast import cli; cli.parse_config({config!r}); {report}"
+    elif case == "ingest":
+        code = f"import sys; from stockcast import cli; cli.main({ingest!r}); {report}"
+    elif case == "simulate":
+        assert cli.main(["train-eval", *ingest[1:], *one_model]) == 0
+        simulate = ["simulate", *ingest[1:], *one_model]
+        code = f"import sys; from stockcast import cli; cli.main({simulate!r}); {report}"
+    else:
+        # runpy runs stockcast.cli as __main__, as python -m does, so the spawn
+        # workers import it as their main module; the patches come first
+        (tmp_path / "score_range_probe.py").write_text(SCORE_RANGE_PROBE)
+        code = "\n".join([
+            "import runpy, sys",
+            "import score_range_probe",
+            "from stockcast import pipeline",
+            "pipeline._score_range = score_range_probe.score_range",
+            "pipeline._post_workers = lambda config: 2  # the fixture is too small for the pool",
+            f"sys.argv[1:] = {ingest!r}",
+            "runpy.run_module('stockcast.cli', run_name='__main__', alter_sys=True)",
+        ])
+    env = subprocess_env()
+    env["PYTHONPATH"] = os.pathsep.join([env["PYTHONPATH"], str(tmp_path)])
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, cwd=tmp_path, check=False)
+    assert proc.returncode == 0, proc.stderr
+    if case == "score_range_worker":
+        workers = [path.read_text() for path in tmp_path.glob("worker_*")]
+        assert workers and set(workers) == {"False"}, workers
+    else:
+        assert proc.stdout.splitlines()[-1] == "False False"
 
 
 # --- every malformed input fails cleanly ------------------------------------
@@ -1252,7 +1344,7 @@ def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutati
     reads the daily_sentiment.csv that an ``ingest`` just before wrote.
     An exit 2 prints one short ``error:`` line naming the mutated file, or,
     for a config mutation, its key or the file the key now names, cut by
-    ``echo`` like any input value. The config's
+    ``echo_path`` like any path. The config's
     ``out_dir = out`` resolves against the working directory, tmp_path.
     """
     monkeypatch.chdir(tmp_path)
@@ -1294,5 +1386,5 @@ def test_mutated_input_fails_cleanly(tmp_path, monkeypatch, capsys, name, mutati
                                  line.decode("utf-8", "replace").partition("="))
                 named.append(key)
                 if value:
-                    named.append(echo(str((tmp_path / value).resolve())))
+                    named.append(echo_path((tmp_path / value).resolve()))
     assert any(n and n in err for n in named), err

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stockcast.config import FEATURE_SETS
 from stockcast.errors import StockcastError
 from stockcast.features import (
-    FEATURE_SETS,
     FeatureMatrix,
     assemble,
     feature_set_columns,

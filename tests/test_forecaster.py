@@ -12,6 +12,8 @@ import pytest
 from stockcast.errors import RunFailed
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
+    ADAM_BETA1,
+    ADAM_BETA2,
     ADAM_EPS,
     GRAD_CLIP,
     AdamState,
@@ -310,6 +312,30 @@ class TestAdam:
         adam_step(w_one, grads_at(w_one), s_one, lr=0.02)
 
         assert not np.allclose(w_two.W[0], w_one.W[0], atol=1e-12)
+
+    @pytest.mark.parametrize("hidden, n_features", [(16, 10), (256, 14)])
+    def test_matches_expressions_over_50_steps(self, hidden, n_features):
+        # adam_step writes into scratch rows; the expressions below are the
+        # fresh-array form it replaced, and every bit must agree
+        rng = np.random.default_rng(hidden)
+        w = init_weights(LstmConfig(hidden_units=hidden, seed=2), n_features)
+        state = AdamState.for_weights(w)
+        theta, m, v = w.theta.copy(), np.zeros_like(w.theta), np.zeros_like(w.theta)
+        b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 0.001
+        for t in range(1, 51):
+            g = rng.normal(size=theta.size) * 10.0 ** rng.uniform(-6, 1, size=theta.size)
+            m *= b1
+            m += (1.0 - b1) * g
+            v *= b2
+            v += (1.0 - b2) * g ** 2
+            m_hat = m / (1.0 - b1 ** t)
+            v_hat = v / (1.0 - b2 ** t)
+            theta -= lr * m_hat / (np.sqrt(v_hat) + eps)
+            adam_step(w, LstmWeights.from_theta(g, n_features, hidden), state, lr)
+            assert state.t == t
+            assert np.array_equal(w.theta, theta)
+            assert np.array_equal(state.m, m)
+            assert np.array_equal(state.v, v)
 
     def test_clip_gradients_scales_to_norm(self):
         grads = zero_weights(1, 1)
