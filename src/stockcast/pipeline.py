@@ -476,23 +476,17 @@ def publish(out_dir, marker=None):
 def write_daily_sentiment(path, config, dataset):
     """Save ``dataset``'s post counts and daily rows to ``path``, a publish stage.
 
-    Lines: ``# config_hash=``, ``# scores=`` with scores_digest, ``#
-    kept_tweets=N kept_news=M``, the DAILY_SENTIMENT_COLUMNS header, then
-    one row per trading date, floats via repr.
+    An output in the CSV form, with two note lines: ``# scores=`` with
+    scores_digest and ``# kept_tweets=N kept_news=M``; then the
+    DAILY_SENTIMENT_COLUMNS header and one row per trading date.
     """
-    lines = [
-        f"# config_hash={config.config_hash}",
-        f"# scores={scores_digest(config)}",
-        f"# kept_tweets={dataset.tweet_count} kept_news={dataset.news_count}",
-        ",".join(DAILY_SENTIMENT_COLUMNS),
-    ]
-    for tweet, news in zip(dataset.tweet_daily, dataset.news_daily):
-        lines.append(",".join([
-            tweet.date.isoformat(),
-            repr(tweet.mean_label), repr(tweet.mean_conf), repr(tweet.mean_ws), str(tweet.count),
-            repr(news.mean_label), repr(news.mean_conf), repr(news.mean_ws), str(news.count),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="")
+    _write_csv(path, config, DAILY_SENTIMENT_COLUMNS, [
+        [tweet.date.isoformat(),
+         repr(tweet.mean_label), repr(tweet.mean_conf), repr(tweet.mean_ws), tweet.count,
+         repr(news.mean_label), repr(news.mean_conf), repr(news.mean_ws), news.count]
+        for tweet, news in zip(dataset.tweet_daily, dataset.news_daily)
+    ], notes=[f"scores={scores_digest(config)}",
+              f"kept_tweets={dataset.tweet_count} kept_news={dataset.news_count}"])
 
 
 def load_daily_sentiment(path, config, calendar):
@@ -500,12 +494,13 @@ def load_daily_sentiment(path, config, calendar):
 
     None when ``path`` is no file or cannot be looked up, when an input
     file cannot be read for the digest, or when its second line carries
-    another digest than this config's scores_digest: the caller then
-    scores the posts, and reports an unreadable input or out dir where it
-    would without the file. A file with this digest must parse in full. A wrong header line, a row that is not the next
-    calendar date, a mean that is not a finite float, a count that is not
-    a whole number >= 0, or a missing or extra row raises a StockcastError
-    at ``<path>:<line>: `` that says to rerun ingest.
+    another digest than this config's scores_digest, whatever else the
+    file holds: the caller then scores the posts, and reports an
+    unreadable input or out dir where it would without the file. A file
+    with this digest must parse in full (see _ReadBack). A wrong stamp
+    line, a mean that is not a finite float or a count that is not a whole
+    number >= 0 is a StockcastError too, and every such error says to
+    rerun ingest.
     """
     path = Path(path)
     try:
@@ -514,48 +509,79 @@ def load_daily_sentiment(path, config, calendar):
         digest = scores_digest(config)
     except OSError:
         return None
-    with open(path, encoding="utf-8", errors="replace") as fh:  # a bad byte fails its line
-        lines = [line.rstrip("\n") for line in fh]
-    if len(lines) < 2 or lines[1] != f"# scores={digest}":
+    table = _ReadBack(path, "; rerun ingest into this out dir", strict=False)
+    lines = table.lines
+    if lines[1:2] != [f"# scores={digest}"]:
         return None
-
-    def bad(index, problem):
-        return StockcastError(f"{path}:{index + 1}: {problem}; rerun ingest into this out dir")
-
-    def got(index):
-        return echo(repr(lines[index])) if index < len(lines) else "end of file"
-
-    header = ",".join(DAILY_SENTIMENT_COLUMNS)
     if not lines[0].startswith("# config_hash="):
-        raise bad(0, f"expected # config_hash=<hash>, got {got(0)}")
+        raise table.expected(0, "# config_hash=<hash>")
     kept = _KEPT_RE.fullmatch(lines[2]) if len(lines) > 2 else None
     if kept is None:
-        raise bad(2, f"expected # kept_tweets=N kept_news=M, got {got(2)}")
-    if lines[3:4] != [header]:
-        raise bad(3, f"expected the header {header}, got {got(3)}")
+        raise table.expected(2, "# kept_tweets=N kept_news=M")
     tweet_daily, news_daily = [], []
-    for index, d in enumerate(calendar.dates, start=4):
-        fields = lines[index].split(",") if index < len(lines) else []
-        if len(fields) != len(DAILY_SENTIMENT_COLUMNS) or fields[0] != d.isoformat():
-            raise bad(index, f"expected a row for {d}, got {got(index)}")
-        for daily, source, (label, conf, ws, count) in (
-                (tweet_daily, "tweet", fields[1:5]), (news_daily, "news", fields[5:9])):
-            means = []
-            for column, text in zip(("mean_label", "mean_conf", "mean_ws"), (label, conf, ws)):
-                try:
-                    value = float(text)
-                except ValueError:
-                    value = math.nan
-                if not math.isfinite(value):
-                    raise bad(index, f"{source}_{column} {echo(repr(text))} is not a finite float")
-                means.append(value)
+    for index, d, fields in table.rows(3, DAILY_SENTIMENT_COLUMNS, calendar.dates):
+        for daily, first in ((tweet_daily, 1), (news_daily, 5)):
+            columns = DAILY_SENTIMENT_COLUMNS[first:first + 4]
+            *texts, count = fields[first:first + 4]
+            means = [table.finite(index, column, text) for column, text in zip(columns, texts)]
             if not _COUNT_RE.fullmatch(count):
-                raise bad(index, f"{source}_count {echo(repr(count))} is not a whole number >= 0")
+                raise table.error(index, f"{columns[3]} {echo(repr(count))} is not a whole "
+                                         f"number >= 0")
             daily.append(sentiment.DailySentiment(d, *means, int(count)))
-    end = len(calendar.dates) + 4
-    if len(lines) > end:
-        raise bad(end, f"expected end of file, got {got(end)}")
     return int(kept[1]), int(kept[2]), tweet_daily, news_daily
+
+
+class _ReadBack:
+    """An output this program wrote in the CSV form and reads back.
+
+    ``lines`` are the file's lines as text mode reads them: each ends at
+    LF, CR LF or a lone CR. Every error is a StockcastError at
+    ``<path>:<line>: `` that ends with ``frame``.
+    """
+
+    def __init__(self, path, frame="", strict=True):
+        """Read ``path``: as UTF-8 (open_text), or, unless ``strict``, with
+        each bad byte replaced, so that it fails the line it is on."""
+        self.path, self.frame = path, frame
+        with (open_text(path) if strict else open(path, encoding="utf-8", errors="replace")) as fh:
+            self.lines = [line.rstrip("\n") for line in fh]
+
+    def error(self, index, problem):
+        return StockcastError(f"{self.path}:{index + 1}: {problem}{self.frame}")
+
+    def expected(self, index, what):
+        """The error for a line ``index`` that is not ``what``; it echoes the line."""
+        got = echo(repr(self.lines[index])) if index < len(self.lines) else "end of file"
+        return self.error(index, f"expected {what}, got {got}")
+
+    def rows(self, start, columns, dates):
+        """Yield (index, date, fields) for each of ``dates``, in order.
+
+        Line ``start`` is the header ``columns``; then comes one row per
+        date, which starts with that date and has as many fields as the
+        header; then no line at all. The first line out of place raises.
+        """
+        header = ",".join(columns)
+        if self.lines[start:start + 1] != [header]:
+            raise self.expected(start, f"the header {header}")
+        for index, d in enumerate(dates, start + 1):
+            fields = self.lines[index].split(",") if index < len(self.lines) else []
+            if len(fields) != len(columns) or fields[0] != d.isoformat():
+                raise self.expected(index, f"a row for {d}")
+            yield index, d, fields
+        end = start + 1 + len(dates)
+        if len(self.lines) > end:
+            raise self.expected(end, "end of file")
+
+    def finite(self, index, column, text):
+        """``text``, field ``column`` of line ``index``, as a finite float."""
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not math.isfinite(value):
+            raise self.error(index, f"{column} {echo(repr(text))} is not a finite float")
+        return value
 
 
 # --- report writers ---------------------------------------------------------
@@ -608,9 +634,9 @@ def load_predictions_csv(path, config, dates):
     """The (date, pred) pairs of a predictions file written for this config.
 
     Raises:
-        StockcastError: the file is missing, carries another config_hash,
-            or its rows are not exactly ``dates`` in order with a finite
-            ``pred`` each.
+        StockcastError: the file is missing or not UTF-8, carries another
+            config_hash, does not parse in full (see _ReadBack), or has a
+            ``pred`` that is not a finite float.
     """
     path = Path(path)
     if not path.is_file():
@@ -618,41 +644,16 @@ def load_predictions_csv(path, config, dates):
             f"{path} not found: run train-eval with the same config and flags "
             f"into the same --out-dir first"
         )
-    with open_text(path, newline="") as fh:
-        first = fh.readline().rstrip("\r\n")
-        if first != f"# config_hash={config.config_hash}":
-            raise StockcastError(
-                f"{path}: first line {echo(repr(first))} does not carry this config's "
-                f"config_hash={config.config_hash}; rerun train-eval with the same "
-                f"config and flags"
-            )
-        reader = csv.reader(fh)
-        try:
-            if next(reader, None) != PREDICTIONS_COLUMNS:
-                raise StockcastError(f"{path}:2: header is not {','.join(PREDICTIONS_COLUMNS)}")
-            pairs = []
-            for lineno, row in enumerate(reader, start=3):
-                i = len(pairs)
-                if i == len(dates) or len(row) != len(PREDICTIONS_COLUMNS) \
-                        or row[0] != dates[i].isoformat():
-                    expected = dates[i].isoformat() if i < len(dates) else "end of file"
-                    raise StockcastError(
-                        f"{path}:{lineno}: expected {expected}, got {echo(repr(row))}")
-                try:
-                    pred = float(row[-1])
-                except ValueError:
-                    pred = float("nan")
-                if not math.isfinite(pred):
-                    raise StockcastError(f"{path}:{lineno}: bad pred value {echo(repr(row[-1]))}")
-                pairs.append((dates[i], pred))
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            line = reader.line_num + 1  # the reader starts at line 2
-            raise StockcastError(f"{path}:{line}: unparsable row at line {line}: {exc}") from exc
-    if len(pairs) < len(dates):
+    table = _ReadBack(path)
+    first = table.lines[0] if table.lines else ""
+    if first != f"# config_hash={config.config_hash}":
         raise StockcastError(
-            f"{path}:{len(pairs) + 3}: file ends before trading date {dates[len(pairs)]}"
+            f"{path}: first line {echo(repr(first))} does not carry this config's "
+            f"config_hash={config.config_hash}; rerun train-eval with the same "
+            f"config and flags"
         )
-    return pairs
+    return [(d, table.finite(index, "pred", fields[-1]))
+            for index, d, fields in table.rows(1, PREDICTIONS_COLUMNS, dates)]
 
 
 def write_ledger_csv(path, config, sim_result):
@@ -687,10 +688,11 @@ def write_matrix_csv(path, config, columns, column_text):
                zip(*(column_text[name] for name in ("date", *columns))))
 
 
-def _write_csv(path, config, header, rows):
-    """The outputs' CSV form: a ``# config_hash=`` line, ``header``, then ``rows``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write(f"# config_hash={config.config_hash}\n")
+def _write_csv(path, config, header, rows, notes=()):
+    """The outputs' CSV form: a ``# config_hash=`` line, a ``# <note>`` line
+    per note, ``header``, then ``rows``, each row ending in CR LF."""
+    with _named(path), open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("".join(f"# {line}\n" for line in [f"config_hash={config.config_hash}", *notes]))
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -701,8 +703,21 @@ def _write_json(path, config, payload):
     "protocol", the _PROTOCOL_KEYS; keys sorted, dates in ISO form."""
     stamp = {"config_hash": config.config_hash,
              "protocol": {key: getattr(config, key) for key in _PROTOCOL_KEYS}}
-    Path(path).write_text(json.dumps({**stamp, **payload}, indent=1, sort_keys=True,
-                                     default=date.isoformat) + "\n", encoding="utf-8")
+    with _named(path):
+        Path(path).write_text(json.dumps({**stamp, **payload}, indent=1, sort_keys=True,
+                                         default=date.isoformat) + "\n", encoding="utf-8")
+
+
+@contextmanager
+def _named(path):
+    """An OSError raised inside without a filename (a failed write or
+    close) gets ``path`` as its filename, so publish names the output."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            exc.filename = str(path)
+        raise
 
 
 def safe_name(feature_set):

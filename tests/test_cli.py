@@ -867,6 +867,10 @@ def staged_files(out_dir):
     return sorted(f.name for f in Path(out_dir).iterdir() if f.name.endswith(".tmp"))
 
 
+#: A device on which every write fails with ENOSPC.
+DEV_FULL = Path("/dev/full")
+
+
 class TestPublish:
     """A command's outputs land together, its marker last, or not at all."""
 
@@ -979,6 +983,22 @@ class TestPublish:
         assert captured.err == (
             f"error: {out / 'features_prices_rsi_sma.csv'}: No space left on device\n")
         assert list(out.iterdir()) == []
+
+    @pytest.mark.skipif(not DEV_FULL.exists(), reason="no /dev/full")
+    @pytest.mark.parametrize("command, name", [("ingest", "daily_sentiment.csv"),
+                                               ("train-eval", "report.json")],
+                             ids=["csv", "json"])
+    def test_full_device_names_the_output(self, tmp_path, monkeypatch, capsys, command, name):
+        # a real failed write or close raises an OSError that carries no file name
+        write_tiny_dataset(tmp_path)
+        out = self.short_out_dir(tmp_path, monkeypatch)
+        path = write_config(tmp_path, out_dir=out)
+        out.mkdir()
+        (out / f".{name}.{os.getpid()}.tmp").symlink_to(DEV_FULL)
+        assert cli.main([command, "--config", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {out / name}: No space left on device\n"
+        assert list(out.iterdir()) == []
+        assert DEV_FULL.exists()
 
 
 def refuse_posts(*args, **kwargs):
@@ -1143,6 +1163,23 @@ class TestScoredOnce:
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], "# scores=0", "garbage"]) + "\n")
         assert cli.main(["featurize", "--config", config]) == 0
+
+    def test_other_digest_with_a_bad_byte_is_rescored(self, tmp_path):
+        # the digest is checked before any row: a byte that is not UTF-8 fails nothing
+        write_tiny_dataset(tmp_path)
+        config = str(write_config(tmp_path))
+        assert cli.main(["ingest", "--config", config]) == 0
+        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        lines = path.read_bytes().splitlines(keepends=True)
+        lines[1] = b"# scores=0\n"
+        lines[5] = b"\xff" + lines[5]
+        path.write_bytes(b"".join(lines))
+        assert cli.main(["featurize", "--config", config]) == 0
+        fresh = tmp_path / "fresh"
+        assert cli.main(["featurize", "--config", config, "--out-dir", str(fresh)]) == 0
+        reused = read_outputs(tmp_path / "out")
+        assert reused.pop(pipeline.DAILY_SENTIMENT_FILE) == b"".join(lines)  # left alone
+        assert reused == read_outputs(fresh)
 
 
 def _field(line, i, value):

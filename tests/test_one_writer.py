@@ -1,13 +1,20 @@
-"""Every file the program writes goes through one stage-and-publish path.
+"""Every file the program writes goes through one stage-and-publish path,
+and every output it reads back goes through one checked reader.
 
 An AST walk over ``src/stockcast`` finds every file write and every
 rename. A file write is an ``open`` call whose mode is not a constant
 string free of ``w``, ``a``, ``x`` and ``+``, or a ``.write_text`` or
 ``.write_bytes`` call; a rename is ``os.replace`` or ``os.rename``. Each
-must sit in ``pipeline.publish`` (the renames), ``pipeline._write_csv`` or
-``pipeline._write_json`` (the framed outputs), or be the text write of
-``pipeline.write_daily_sentiment``, whose lines are not the CSV dialect.
-A writer that opens its own file, or renames one, fails here.
+must sit in ``pipeline.publish`` (the renames), or in ``pipeline._write_csv``
+or ``pipeline._write_json`` (the framed outputs). A writer that opens its
+own file, or renames one, fails here.
+
+A second walk, over ``pipeline.py``, finds every file read: an ``open``
+that is not a write, an ``open_text``, or a ``.read_text`` or
+``.read_bytes`` call. Each must sit in ``pipeline._ReadBack``, the reader
+that checks daily_sentiment.csv and the predictions files, or be
+``scores_digest``'s read of the package files. A read-back that opens its
+own file fails here.
 """
 
 import ast
@@ -19,7 +26,13 @@ ALLOWED = {
     ("pipeline", "publish", "os.replace"),
     ("pipeline", "_write_csv", "open"),
     ("pipeline", "_write_json", "write_text"),
-    ("pipeline", "write_daily_sentiment", "write_text"),
+}
+
+#: (module, enclosing function, call) of every allowed read in pipeline.py.
+READS_ALLOWED = {
+    ("pipeline", "_ReadBack.__init__", "open"),
+    ("pipeline", "_ReadBack.__init__", "open_text"),
+    ("pipeline", "scores_digest", "read_bytes"),
 }
 
 
@@ -44,21 +57,35 @@ def _writes(call):
     return None
 
 
-def write_sites(tree, module):
-    """(module, innermost enclosing function or "<module>", call) per write or rename."""
+def _reads(call):
+    """The call's name if it opens or reads a file and does not write one, else None."""
+    func = call.func
+    if isinstance(func, ast.Name) and func.id in ("open", "open_text"):
+        return None if _writes(call) else func.id
+    if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
+        return func.attr
+    return None
+
+
+def call_sites(tree, module, name_of=_writes):
+    """(module, innermost enclosing function or "<module>", call) per call
+    ``name_of`` names; a method's function is ``Class.method``."""
     sites = []
 
-    def visit(node, function):
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            function = node.name
+    def visit(node, function, cls):
+        if isinstance(node, ast.ClassDef):
+            cls = node.name
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name if cls is None else f"{cls}.{node.name}"
+            cls = None
         if isinstance(node, ast.Call):
-            name = _writes(node)
+            name = name_of(node)
             if name is not None:
                 sites.append((module, function, name))
         for child in ast.iter_child_nodes(node):
-            visit(child, function)
+            visit(child, function, cls)
 
-    visit(tree, "<module>")
+    visit(tree, "<module>", None)
     return sites
 
 
@@ -66,15 +93,23 @@ def test_every_write_goes_through_publish():
     sites = []
     for path in sorted((REPO / "src" / "stockcast").rglob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
-        sites += write_sites(tree, path.stem)
+        sites += call_sites(tree, path.stem)
     stray = sorted(set(sites) - ALLOWED)
     assert stray == [], f"writes or renames outside publish: {stray}"
     assert set(sites) == ALLOWED
     assert len(sites) == len(ALLOWED)  # one site each
 
 
-def test_walk_finds_each_kind():
-    source = '''
+def test_every_read_back_goes_through_one_reader():
+    path = REPO / "src" / "stockcast" / "pipeline.py"
+    sites = call_sites(ast.parse(path.read_text(encoding="utf-8")), "pipeline", _reads)
+    stray = sorted(set(sites) - READS_ALLOWED)
+    assert stray == [], f"reads outside _ReadBack: {stray}"
+    assert set(sites) == READS_ALLOWED
+    assert len(sites) == len(READS_ALLOWED)  # one site each
+
+
+WALKED = '''
 def f(p, os):
     open(p)
     open(p, "r")
@@ -87,6 +122,22 @@ def f(p, os):
     os.replace(p, p)
     os.rename(p, p)
     s.replace("a", "b")
+
+
+class C:
+    def m(self, p):
+        open_text(p)
+        p.read_bytes()
+
+        def inner():
+            open(p, "rb")
 '''
-    assert [name for _, _, name in write_sites(ast.parse(source), "m")] == [
+
+
+def test_walk_finds_each_kind():
+    tree = ast.parse(WALKED)
+    assert [name for _, _, name in call_sites(tree, "m")] == [
         "open", "open", "open", "write_text", "write_bytes", "os.replace", "os.rename"]
+    assert [site[1:] for site in call_sites(tree, "m", _reads)] == [
+        ("f", "open"), ("f", "open"), ("f", "read_text"),
+        ("C.m", "open_text"), ("C.m", "read_bytes"), ("inner", "open")]
