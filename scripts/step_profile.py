@@ -1,10 +1,13 @@
-"""Time the stages of one LSTM training batch: forward, backward, clip, Adam.
+"""Time the stages of one LSTM training batch (forward, backward, clip, Adam) and predict.
 
 Runs --batches batches of seeded random windows of one shape through one
 workspace, each stage called as ``forecaster.train`` calls it, after a
-warm-up of WARMUP batches. Prints the median microseconds per batch of
-``forward``, ``backward``, ``clip_gradients`` and ``adam_step``, then
-numpy's version and the number of threads the loaded BLAS uses.
+warm-up of WARMUP batches. After each batch, ``predict`` runs on one
+chunk of PREDICT_CHUNK seeded random windows, its own workspace included,
+as it runs once per model. Prints the median microseconds per batch of
+``forward``, ``backward``, ``clip_gradients`` and ``adam_step`` and per
+chunk of ``predict``, then numpy's version and the number of threads the
+loaded BLAS uses.
 
 Usage (from the repository root; set OPENBLAS_NUM_THREADS to pin BLAS):
     PYTHONPATH=src python scripts/step_profile.py --hidden 16 --batch 32 \\
@@ -22,8 +25,10 @@ from statistics import median
 
 import numpy as np
 
+from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
     GRAD_CLIP,
+    PREDICT_CHUNK,
     AdamState,
     LstmConfig,
     LstmWorkspace,
@@ -32,6 +37,7 @@ from stockcast.forecaster import (
     clip_gradients,
     forward,
     init_weights,
+    predict,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,13 +56,15 @@ def blas_threads():
 
 
 def profile(hidden, batch, lookback, features, batches):
-    """Median microseconds per batch of each stage, by stage name."""
+    """Median microseconds per batch (per chunk for predict) of each stage, by stage name."""
     config = LstmConfig(hidden_units=hidden, batch_size=batch, seed=0)
     weights = init_weights(config, features)
     state = AdamState.for_weights(weights)
     workspace = LstmWorkspace(batch, lookback, features, hidden)
     rng = np.random.default_rng(0)
-    times = {"forward": [], "backward": [], "clip_gradients": [], "adam_step": []}
+    chunk = WindowedDataset(X=rng.uniform(0, 1, size=(PREDICT_CHUNK, lookback, features)),
+                            y=np.zeros(PREDICT_CHUNK), dates=tuple(range(PREDICT_CHUNK)))
+    times = {"forward": [], "backward": [], "clip_gradients": [], "adam_step": [], "predict": []}
     for n in range(WARMUP + batches):
         X = rng.uniform(0, 1, size=(batch, lookback, features))
         y = rng.uniform(0, 1, size=batch)
@@ -69,8 +77,10 @@ def profile(hidden, batch, lookback, features, batches):
         t3 = time.perf_counter()
         adam_step(weights, grads, state, config.learning_rate)
         t4 = time.perf_counter()
+        predict(weights, chunk)
+        t5 = time.perf_counter()
         if n >= WARMUP:
-            for name, start, stop in zip(times, (t0, t1, t2, t3), (t1, t2, t3, t4)):
+            for name, start, stop in zip(times, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
                 times[name].append((stop - start) * 1e6)
     return {name: median(values) for name, values in times.items()}
 

@@ -50,8 +50,9 @@ def open_text(path, newline=None):
     """``path`` opened for reading as UTF-8 text.
 
     A byte sequence that is not UTF-8 raises a StockcastError at
-    ``<path>:<line>: ``. Text is decoded in chunks, so the line is found by
-    decoding the whole file once more, on that error only.
+    ``<path>:<line>: ``, the line numbered as text-mode reading numbers it.
+    Text is decoded in chunks, so the line is found by decoding the whole
+    file once more, on that error only.
     """
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
@@ -61,6 +62,8 @@ def open_text(path, newline=None):
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = data.count(b"\n", 0, exc.start) + 1
+                # text mode ends a line at an LF, a CR LF or a lone CR
+                head = data[:exc.start]
+                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
                 raise StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
             raise

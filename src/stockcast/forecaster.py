@@ -13,12 +13,13 @@ blocks: the input maps ``W`` (4, F, H), the recurrent maps ``U``
 (4, H, H) and the biases ``b`` (4H,), each with its gates in i, f, o, g
 order, then the dense head ``w_out`` (H,) and ``b_out`` (). The kernel
 computes all gates together (the fused layout of Appleyard et al. 2016):
-one input projection X @ W for every timestep at once, then per step the
-bias b and one h @ U product added to it, with the logistic gates taken
-in place as 0.5*(1 + tanh(x/2)), which cannot overflow. Backward runs one
-dA @ U.T per step and gets dW, dU and db from one product or sum each
-after the loop. Gradients come back in the same flat layout, so clipping
-is one dot product and Adam one update over the whole vector.
+one input projection X @ W for every timestep at once with the bias b
+added to it, then per step one h @ U product added to that, with the
+logistic gates taken in place as 0.5*(1 + tanh(x/2)), which cannot
+overflow. Backward runs one dA @ U.T per step and gets dW, dU and db
+from one product or sum each after the loop. Gradients come back in the
+same flat layout, so clipping is one dot product and Adam one update
+over the whole vector.
 
 Each backward step copies its (B, 4H) gate rows into a gate-major
 (4, B, H) block, runs the per-gate elementwise work on that block's
@@ -32,10 +33,15 @@ uses of them do not pay for the copy at the reference shape.
 Activations and per-step temporaries live in an LstmWorkspace: flat
 buffers that ``train`` allocates once for its batch size and ``predict``
 once for its chunk size, and that every batch writes into with ``out=``.
-The cache ``forward`` returns aliases its workspace, so it is valid until
-that workspace's next ``forward``. Each in-place step keeps the operand
-order of the expression it replaces, so the numbers are bit-identical to
-allocating fresh arrays.
+The workspace also builds the views each step works on once per batch
+size, holds the logistic constants as contiguous (B, 4H) blocks and W
+and U with their gates side by side, and owns the gradient vector
+``backward`` returns, so a batch allocates no theta-sized array. The
+cache ``forward`` returns aliases its workspace, so it is valid until
+that workspace's next ``forward``, and the gradients until its next
+``backward``. Each in-place step keeps the operand order of the
+expression it replaces, so the numbers are bit-identical to allocating
+fresh arrays.
 
 Gradients are exact analytic BPTT, including the ReLU subgradient
 (defined as 0 at exactly 0); the test suite checks them against central
@@ -46,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -143,6 +150,16 @@ class LstmWorkspace:
     floats of each flat buffer as a contiguous (T, B, k) array, so a short
     last batch is as contiguous as a full one. ``train`` and ``predict``
     each allocate one workspace and run every batch through it.
+
+    The views of a batch size, per step views included, are built on its
+    first batch and kept (see ``views``): ``train`` sees two sizes, a full
+    batch and the short tail, and ``predict`` a chunk and its tail. The
+    logistic gates' scale and shift constants fill one buffer of ``rows``
+    (4H,) rows each, so a batch multiplies and adds them as contiguous
+    (B, 4H) blocks. ``fused`` holds W and U with their gates side by side,
+    (F, 4H) and (H, 4H), for the matmuls; after backward's step loop they
+    take the dW and dU products. ``grads`` is backward's gradient vector,
+    in theta's layout. So a batch allocates no theta-sized array.
     """
 
     def __init__(self, rows, lookback, n_features, hidden):
@@ -154,23 +171,69 @@ class LstmWorkspace:
         self._c = np.empty((T + 1) * rows * H)
         self._tanh_c = np.empty(T * rows * H)
         self._scratch = np.empty(9 * rows * H)
+        # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
+        # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift
+        self._scale = np.tile(np.repeat([0.5, 0.5, 0.5, 1.0], H), rows)
+        self._shift = np.tile(np.repeat([0.5, 0.5, 0.5, 0.0], H), rows)
+        self.fused = np.empty((F, 4 * H)), np.empty((H, 4 * H))
+        self._views = {}
 
-    def cache(self, B, T, F, H):
-        """Views for one batch: X, A, h, c and tanh_c, as forward documents."""
-        if (T, F, H) != self.dims or B > self.rows:
-            raise ValueError(f"workspace holds {self.rows} rows of (T, F, H) = {self.dims}; "
-                             f"got {B} rows of {(T, F, H)}")
-        return {"X": _prefix(self._X, T, B, F), "A": _prefix(self._A, T, B, 4 * H),
-                "h": _prefix(self._h, T + 1, B, H), "c": _prefix(self._c, T + 1, B, H),
-                "tanh_c": _prefix(self._tanh_c, T, B, H)}
+    @cached_property
+    def grads(self):
+        """backward's gradient vector, made by the first backward (predict's
+        workspace never has one)."""
+        _, F, H = self.dims
+        return LstmWeights.from_theta(np.empty(theta_size(F, H)), F, H)
 
-    def scratch(self, B):
-        """Nine (B, H) temporaries. Forward's h @ U product takes the first
-        four as one (B, 4H) block and i * g the fifth; backward takes the
-        first four as its gate-major (4, B, H) step block, the next three
-        for 1 - i, 1 - f and 1 - o (and for terms while those are not
-        live), and the last two as dh and dc."""
-        return _prefix(self._scratch, 9, B, self.dims[2])
+    def views(self, B, T, F, H):
+        """The _BatchViews of a B-row batch of (T, F, H), built on first use."""
+        views = self._views.get((B, T, F, H))
+        if views is None:
+            if (T, F, H) != self.dims or B > self.rows:
+                raise ValueError(f"workspace holds {self.rows} rows of (T, F, H) = {self.dims}; "
+                                 f"got {B} rows of {(T, F, H)}")
+            views = self._views[B, T, F, H] = _BatchViews(self, B)
+        return views
+
+
+class _BatchViews:
+    """A workspace's views for batches of B rows.
+
+    ``cache`` holds X, A, h, c and tanh_c, as forward documents.
+    ``scratch`` is nine (B, H) temporaries: forward's h @ U product takes
+    the first four as the (B, 4H) block ``hU`` and i * g the fifth, ``ig``;
+    backward takes the first four as its gate-major (4, B, H) step block,
+    the next three for 1 - i, 1 - f and 1 - o (and for terms while those
+    are not live), and the last two as dh and dc. ``scale`` and ``shift``
+    are the (B, 4H) logistic constants. ``forward_steps`` and
+    ``backward_steps`` hold one tuple of views per step.
+    """
+
+    def __init__(self, workspace, B):
+        T, F, H = workspace.dims
+        X = _prefix(workspace._X, T, B, F)
+        A = _prefix(workspace._A, T, B, 4 * H)
+        h = _prefix(workspace._h, T + 1, B, H)
+        c = _prefix(workspace._c, T + 1, B, H)
+        tanh_c = _prefix(workspace._tanh_c, T, B, H)
+        self.cache = {"X": X, "A": A, "h": h, "c": c, "tanh_c": tanh_c}
+        self.scratch = _prefix(workspace._scratch, 9, B, H)
+        self.hU, self.ig = self.scratch[:4].reshape(B, 4 * H), self.scratch[4]
+        self.scale = _prefix(workspace._scale, B, 4 * H)
+        self.shift = _prefix(workspace._shift, B, 4 * H)
+        # t, A[t], h[t], c[t], c[t+1], tanh_c[t], h[t+1] and A[t]'s gate columns
+        self.forward_steps = [(t, A[t], h[t], c[t], c[t + 1], tanh_c[t], h[t + 1],
+                               *(A[t][:, k * H:(k + 1) * H] for k in range(4)))
+                              for t in range(T)]
+        self.backward_steps = _backward_steps(A, tanh_c, c)
+
+
+def _backward_steps(A, tanh_c, c):
+    """Backward's views of each step t, last step first: t, A[t]'s (B, 4H)
+    rows as a gate-major (4, B, H) view, tanh_c[t], c[t] and A[t]."""
+    T, B, H = tanh_c.shape
+    rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
+    return [(t, rows[t], tanh_c[t], c[t], A[t]) for t in reversed(range(T))]
 
 
 def _prefix(buf, *shape):
@@ -196,66 +259,72 @@ def forward(weights, X, workspace=None):
     H = weights.hidden_units
     if workspace is None:
         workspace = LstmWorkspace(B, T, F, H)
-    cache = workspace.cache(B, T, F, H)
-    Xt, A, h, c, tanh_c = (cache[key] for key in ("X", "A", "h", "c", "tanh_c"))
-    scratch = workspace.scratch(B)
-    hU, ig = scratch[:4].reshape(B, 4 * H), scratch[4]
-    W = weights.W.transpose(1, 0, 2).reshape(F, 4 * H)
-    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
+    views = workspace.views(B, T, F, H)
+    Xt, A, h, c = (views.cache[key] for key in ("X", "A", "h", "c"))
+    hU, ig, scale, shift = views.hU, views.ig, views.scale, views.shift
+    W, U = workspace.fused
+    np.copyto(W.reshape(F, 4, H), weights.W.transpose(1, 0, 2))
+    np.copyto(U.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
     np.copyto(Xt, X.transpose(1, 0, 2))
-    np.matmul(Xt.reshape(T * B, F), W, out=A.reshape(T * B, 4 * H))
+    XW = A.reshape(T * B, 4 * H)
+    np.matmul(Xt.reshape(T * B, F), W, out=XW)
+    XW += weights.b  # (XW + b) + hU: the same sums as adding b at each step
     h[0] = 0.0
     c[0] = 0.0
-    # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
-    # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift.
-    scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)
-    shift = np.repeat([0.5, 0.5, 0.5, 0.0], H)
-    for t in range(T):
-        a = A[t]
-        a += weights.b  # (XW + b) + hU, the bias added while the step is hot
+    for t, a, h_prev, c_prev, c_next, tanh_ct, h_next, i, f, o, g in views.forward_steps:
         if t:  # h_0 = 0, so step 0 has no recurrent term
-            np.matmul(h[t], U, out=hU)
+            np.matmul(h_prev, U, out=hU)
             a += hU
         a *= scale
         np.tanh(a, out=a)
         a *= scale
         a += shift
-        i, f, o, g = (a[:, k * H:(k + 1) * H] for k in range(4))
-        np.multiply(f, c[t], out=c[t + 1])
+        np.multiply(f, c_prev, out=c_next)
         np.multiply(i, g, out=ig)
-        c[t + 1] += ig
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=h[t + 1])
+        c_next += ig
+        np.tanh(c_next, out=tanh_ct)
+        np.multiply(o, tanh_ct, out=h_next)
     z = h[T] @ weights.w_out + weights.b_out
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise RunFailed("non-finite prediction; training diverged?")
-    cache["z"] = z
-    return pred, cache
+    return pred, dict(views.cache, z=z)
 
 
 def backward(weights, cache, targets, workspace=None):
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
-    Returns an LstmWeights over a fresh gradient vector. The gate
-    gradients are written over ``cache["A"]``, so a cache serves one
-    backward call. The per-step temporaries come from ``workspace``'s
-    scratch (fresh arrays when None); every step runs in place with each
-    product's operands in the order of the textbook expression.
+    Returns an LstmWeights over ``workspace.grads``, valid until that
+    workspace's next backward, or over a fresh vector when ``workspace``
+    is None. The gate gradients are written over ``cache["A"]``, so a
+    cache serves one backward call. With a workspace, ``cache`` must be
+    the one its last forward returned: the per-step views and temporaries
+    are the workspace's (fresh ones, built by the same helper, when
+    None). Every step runs in place with each product's operands in the
+    order of the textbook expression.
     """
     targets = np.asarray(targets, dtype=np.float64)
     X, A, h, c, tanh_c, z = (cache[key] for key in ("X", "A", "h", "c", "tanh_c", "z"))
     T, B, F = X.shape
     H = weights.hidden_units
-    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
+    if workspace is None:
+        grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
+        scratch, fused = np.empty((9, B, H)), (np.empty((F, 4 * H)), np.empty((H, 4 * H)))
+        steps = _backward_steps(A, tanh_c, c)
+    else:
+        views = workspace.views(B, T, F, H)
+        if views.cache["A"] is not A:
+            raise ValueError("cache is not from this workspace's last forward")
+        grads, scratch, fused = workspace.grads, views.scratch, workspace.fused
+        steps = views.backward_steps
+    dW, dU = fused  # dU holds U until the loop is done
+    np.copyto(dU.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
+    U_T = dU.T
     pred = np.maximum(z, 0.0)
-    grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
-    scratch = np.empty((9, B, H)) if workspace is None else workspace.scratch(B)
     gates, one_minus, dh, dc = scratch[:4], scratch[4:7], scratch[7], scratch[8]
     i, f, o, g = gates
+    ifo = gates[:3]
     one_minus_i, one_minus_f, one_minus_o = one_minus
-    # A[t]'s (B, 4H) rows as a gate-major (4, B, H) view, for the copies
-    rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
@@ -264,18 +333,18 @@ def backward(weights, cache, targets, workspace=None):
     np.multiply(dz[:, None], weights.w_out, out=dh)
     dc[...] = 0.0
 
-    for t in reversed(range(T)):
-        np.copyto(gates, rows[t])
+    for t, rows, tanh_ct, c_prev, a in steps:
+        np.copyto(gates, rows)
         # dc += dh * o * (1 - tanh_c**2), in two of the 1 - x blocks before they fill
         t1, t2 = one_minus_i, one_minus_f
         np.multiply(dh, o, out=t1)
-        np.square(tanh_c[t], out=t2)
+        np.square(tanh_ct, out=t2)
         np.subtract(1.0, t2, out=t2)
         t1 *= t2
         dc += t1
-        np.subtract(1.0, gates[:3], out=one_minus)  # 1 - i, 1 - f, 1 - o in one call
+        np.subtract(1.0, ifo, out=one_minus)  # 1 - i, 1 - f, 1 - o in one call
         # o <- dh * tanh_c * o * (1 - o); dh is a spare block from here to the step's end
-        np.multiply(dh, tanh_c[t], out=dh)
+        np.multiply(dh, tanh_ct, out=dh)
         dh *= o
         np.multiply(dh, one_minus_o, out=o)
         # i <- dc * g * i * (1 - i), then g <- dc * i * (1 - g**2) with the old i,
@@ -288,17 +357,19 @@ def backward(weights, cache, targets, workspace=None):
         np.subtract(1.0, dh, out=dh)
         np.multiply(one_minus_o, dh, out=g)
         # f <- dc * c_prev * f * (1 - f), and dc <- dc * f
-        np.multiply(dc, c[t], out=dh)
+        np.multiply(dc, c_prev, out=dh)
         dh *= f
         dc *= f
         np.multiply(dh, one_minus_f, out=f)
-        np.copyto(rows[t], gates)
+        np.copyto(rows, gates)
         if t:  # dh_0 would feed the zero initial state
-            np.matmul(A[t], U.T, out=dh)
+            np.matmul(a, U_T, out=dh)
 
     dA = A.reshape(T * B, 4 * H)
-    grads.W[...] = (X.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)
-    grads.U[...] = (h[:T].reshape(T * B, H).T @ dA).reshape(H, 4, H).transpose(1, 0, 2)
+    np.matmul(X.reshape(T * B, F).T, dA, out=dW)
+    np.matmul(h[:T].reshape(T * B, H).T, dA, out=dU)
+    grads.W[...] = dW.reshape(F, 4, H).transpose(1, 0, 2)
+    grads.U[...] = dU.reshape(H, 4, H).transpose(1, 0, 2)
     grads.b[...] = dA.sum(axis=0)
     return grads
 

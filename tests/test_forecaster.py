@@ -443,12 +443,13 @@ class TestWorkspace:
 
     def test_full_short_full_batches_match_fresh_caches(self):
         # rows a short batch leaves behind sit inside the next full batch's
-        # h[0]/c[0] and backward's dc, so stale state would show here
+        # h[0]/c[0] and backward's dc, so stale state would show here; the
+        # kept views hold three batch sizes and each size comes back
         rng = np.random.default_rng(21)
         T, F, H = 5, 3, 6
         w = live_weights(H, F, seed=2)
         workspace = LstmWorkspace(8, T, F, H)
-        for B in (8, 5, 8):
+        for B in (8, 5, 8, 3, 5):
             X = rng.uniform(-1, 1, size=(B, T, F))
             y = rng.uniform(0, 1, size=B)
             pred, cache = forward(w, X, workspace)
@@ -461,11 +462,32 @@ class TestWorkspace:
             fresh_grads = backward(w, fresh_cache, y)
             assert np.array_equal(grads.theta, fresh_grads.theta)
 
+    def test_backward_returns_the_workspace_gradient_vector(self):
+        # valid until the workspace's next backward, which writes over it
+        rng = np.random.default_rng(25)
+        w = live_weights(6, 3, seed=2)
+        workspace = LstmWorkspace(8, 5, 3, 6)
+        thetas = []
+        for B in (8, 3):
+            _, cache = forward(w, rng.uniform(-1, 1, size=(B, 5, 3)), workspace)
+            grads = backward(w, cache, rng.uniform(0, 1, size=B), workspace)
+            assert grads.theta is workspace.grads.theta
+            thetas.append(grads.theta.copy())
+        assert not np.array_equal(workspace.grads.theta, thetas[0])
+        _, cache = forward(w, rng.uniform(-1, 1, size=(2, 5, 3)))
+        assert backward(w, cache, np.zeros(2)).theta is not workspace.grads.theta
+
+    def test_backward_rejects_a_cache_from_another_workspace(self):
+        w = live_weights(6, 3, seed=2)
+        X = np.zeros((4, 5, 3))
+        _, cache = forward(w, X, LstmWorkspace(4, 5, 3, 6))
+        with pytest.raises(ValueError, match="workspace"):
+            backward(w, cache, np.zeros(4), LstmWorkspace(4, 5, 3, 6))
+
     def test_short_batch_views_are_contiguous(self):
-        workspace = LstmWorkspace(8, 4, 3, 5)
-        for array in workspace.cache(3, 4, 3, 5).values():
+        views = LstmWorkspace(8, 4, 3, 5).views(3, 4, 3, 5)
+        for array in (*views.cache.values(), views.scratch, views.scale, views.shift):
             assert array.flags.c_contiguous
-        assert workspace.scratch(3).flags.c_contiguous
 
     def test_wrong_shape_rejected(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=0), 3)
@@ -531,6 +553,34 @@ class TestWorkspace:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * one_cache, (peak, one_cache)
+
+    def test_train_peak_memory_holds_one_gradient_vector(self):
+        # train holds the weights, the Adam state and one workspace, whose
+        # gradient vector each backward writes over; a second theta-sized
+        # array alive at any point (last batch's gradients, say) breaks this
+        T, F, H, B, n = 10, 8, 128, 16, 40
+        rng = np.random.default_rng(26)
+        X, y = rng.uniform(0, 1, size=(n, T, F)), rng.uniform(0.2, 0.8, size=n)
+        cfg = LstmConfig(hidden_units=H, batch_size=B, epochs=2, seed=0)
+        w = init_weights(cfg, F)
+        theta = w.theta.nbytes
+        tracemalloc.start()
+        try:
+            workspace = LstmWorkspace(B, T, F, H)
+            for rows in (B, n % B):  # a full batch and the short tail
+                _, cache = forward(w, X[:rows], workspace)
+                backward(w, cache, y[:rows], workspace)
+            del cache
+            one_workspace = tracemalloc.get_traced_memory()[0]
+            del workspace
+            tracemalloc.reset_peak()
+            train(WindowedDataset(X=X, y=y, dates=tuple(range(n))), cfg)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        adam = 4 * theta  # m, v and two scratch rows
+        # half a theta covers the batch's rows and numpy's ufunc buffers
+        assert peak <= one_workspace + adam + theta + theta // 2, (peak, one_workspace, theta)
 
 
 def expression_kernel(weights, X, targets):
