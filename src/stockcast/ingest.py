@@ -183,6 +183,9 @@ def line_ranges(path, size):
     None, the whole file. Text-mode reading decodes 8 KiB at a time, so a
     bad byte is reported before a bad line just ahead of it in the same
     block; only a read of the whole file reports the same error first.
+
+    A block that is all ASCII is valid UTF-8 and is not decoded, and one
+    without a CR adds only its LF count.
     """
     ranges = []
     start, first_line = 0, 1
@@ -190,12 +193,15 @@ def line_ranges(path, size):
         while block := fh.read(size):
             if not block.endswith(b"\n"):
                 block += fh.readline()
-            try:
-                block.decode("utf-8")
-            except UnicodeDecodeError:
-                return [None]
+            if not block.isascii():
+                try:
+                    block.decode("utf-8")
+                except UnicodeDecodeError:
+                    return [None]
             ranges.append((start, start + len(block), first_line))
-            first_line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            first_line += block.count(b"\n")
+            if b"\r" in block:
+                first_line += block.count(b"\r") - block.count(b"\r\n")
             start += len(block)
     return ranges
 

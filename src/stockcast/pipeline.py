@@ -9,7 +9,9 @@ Only featurize and train-eval compute on arrays. numpy, forecaster and
 features are imported inside the functions that build or train on arrays
 (build_matrix, run_feature_set, _fit_replicate, run_train_eval and
 _check_model_size), so ingest, simulate and the post workers run without
-them.
+them. Likewise the array module, a shared library, is imported only by
+_score_range and _gather, which score posts, so starting a command does
+not load it.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from functools import partial
+from itertools import islice
 from pathlib import Path
 
 from . import market_sim, sentiment, textprep
@@ -75,9 +78,10 @@ def load_dataset(config, out_dir=None):
     this config's scores_digest, the post counts and daily rows come from
     that file (see load_daily_sentiment) and no post is read. Otherwise
     each post file is cut into ranges of about _RANGE_BYTES that end on
-    line ends, and _score_range loads, checks and scores each one: in
-    spawn workers, one per _BYTES_PER_WORKER of posts up to the usable
-    cores, or here when that makes fewer than 2. The first error reported
+    line ends, and _score_range loads, checks and scores each one, the
+    tweets' ranges and then the news' as one task list: in spawn workers,
+    one per _BYTES_PER_WORKER of posts up to the usable cores, or here
+    when that makes fewer than 2. The first error reported
     is the one a single pass over the inputs meets first: prices, the
     tweets file in line order, the news file, the lexicon or replay table,
     stopwords, then a post without a replay score or a finite weighted
@@ -99,10 +103,12 @@ def load_dataset(config, out_dir=None):
         raise
     weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
     shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
+    tweet_tasks = _post_tasks(config.tweets, "tweet", config.min_likes)
+    news_tasks = _post_tasks(config.news, "news", None)
     with _worker_pool(_post_workers(config), shared) as run:
-        tweets = _gather(run(_score_range, _post_tasks(config.tweets, "tweet", config.min_likes)),
-                         config.min_likes)
-        news = _gather(run(_score_range, _post_tasks(config.news, "news", None)), None)
+        results = run(_score_range, tweet_tasks + news_tasks)
+        tweets = _gather(islice(results, len(tweet_tasks)))
+        news = _gather(results)
     for _, _, unscored in (tweets, news):
         if unscored is not None:
             raise unscored
@@ -140,80 +146,105 @@ def _post_workers(config):
 
 
 def _post_tasks(path, kind, min_likes):
-    return [(path, kind, min_likes, byte_range)
-            for byte_range in line_ranges(path, _RANGE_BYTES)]
+    try:
+        ranges = line_ranges(path, _RANGE_BYTES)
+    except OSError:
+        ranges = [None]  # the whole-file load reports it, in task order
+    return [(path, kind, min_likes, byte_range) for byte_range in ranges]
 
 
 def _score_range(shared, task):
     """Load, check and score one byte range of a post file.
 
-    Returns one (id, likes, day, score) tuple per post of the range, in
-    load order, with day the calendar index and score the post's
-    score_post triple. A post no daily average can include is not scored
-    and gets day and score None: one dated past the calendar end, or with
-    fewer than min_likes. A post the provider cannot score gets the
-    provider's StockcastError as its score, and one whose weighted
-    sentiment is not a finite float a StockcastError naming the file and
-    the post; either is an error only if the post is kept. Only
-    primitives go back: returning post objects cost more to pickle than
-    scoring them in the worker saved.
+    Returns the range's posts as columns, one entry per post in load
+    order: the ids, a keep flag (bytes; 1 when min_likes is None or the
+    post has at least min_likes), the calendar day (array 'i'), and the
+    post's score_post label (array 'b'), confidence and weighted value
+    (array 'd'); then a dict row -> StockcastError. A post no daily
+    average can include is not scored and gets day -1: one dated past the
+    calendar end, or not kept. A post the provider cannot score gets the
+    provider's StockcastError, and one whose weighted sentiment is not a
+    finite float a StockcastError naming the file and the post; either is
+    an error only if the post is the first of its id. Only primitives go
+    back, as columns: returning post objects cost more to pickle than
+    scoring them in the worker saved, and a tuple per post cost the main
+    process about 120 B per kept post.
     """
+    from array import array
+
     provider, stopwords, keep_cashtags, weights, calendar = shared
     path, kind, min_likes, byte_range = task
     posts = load_posts_jsonl(path, kind, byte_range=byte_range)
-    countable = posts if min_likes is None else [p for p in posts if p.likes >= min_likes]
-    scored = {}
+    n = len(posts)
+    keep = bytes(min_likes is None or post.likes >= min_likes for post in posts)
+    row_of = {post.id: row for row, post in enumerate(posts)}
+    days = array("i", [-1]) * n
+    labels = array("b", [0]) * n
+    confidences = array("d", [0.0]) * n
+    weighted = array("d", [0.0]) * n
+    errors = {}
+    countable = [post for post, keep_it in zip(posts, keep) if keep_it]
     for day, day_posts in enumerate(assign_posts(countable, calendar).values()):
         for post in day_posts:
+            row = row_of[post.id]
+            days[row] = day
             text = textprep.clean_text(post.text, stopwords, keep_cashtags)
             try:
-                score = provider.score(text, post_id=post.id)
-            except StockcastError as exc:  # a replay table without this id
-                scored[post.id] = (day, exc)
-                continue
-            scored[post.id] = (day, _finite_score(path, post, score, weights))
-    return [(post.id, post.likes, *scored.get(post.id, (None, None))) for post in posts]
+                score = provider.score(text, post_id=post.id)  # raises without a replay score
+                labels[row], confidences[row], weighted[row] = _finite_score(
+                    path, post, score, weights)
+            except StockcastError as exc:
+                errors[row] = exc
+    return [post.id for post in posts], keep, days, labels, confidences, weighted, errors
 
 
 def _finite_score(path, post, score, weights):
-    """score_post's triple, or a StockcastError if its weighted value is not a finite float."""
+    """score_post's triple; a StockcastError if its weighted value is not a finite float."""
     try:
         triple = sentiment.score_post(post, score, weights)
         if math.isfinite(triple[2]):
             return triple
     except OverflowError:  # a count past float range
         pass
-    return StockcastError(f"{path}: post id {echo(repr(post.id))}: weighted sentiment is "
-                          f"not a finite float{_TOO_LARGE}")
+    raise StockcastError(f"{path}: post id {echo(repr(post.id))}: weighted sentiment is "
+                         f"not a finite float{_TOO_LARGE}")
 
 
-def _gather(results, min_likes):
+def _gather(results):
     """Merge one file's _score_range results, in file order.
 
-    Keeps the first post of each id, then drops those with fewer than
-    min_likes, as the one-pass loader did over a whole file. Returns the
-    number kept; a dict day -> [(label, confidence, weighted)] in load
-    order; and the error of the first kept post without a score in
-    (day, load) order, or None.
+    Keeps the first post of each id, then drops those the worker did not
+    keep, as the one-pass loader did over a whole file. Returns the number
+    kept; a dict day -> (labels, confidences, weighted), three columns
+    (arrays 'b', 'd' and 'd') in load order; and the error of the first
+    kept post without a score in (day, load) order, or None. Per kept post
+    this holds its id in the set of seen ids plus about 17 bytes of columns.
     """
+    from array import array
+
     seen = set()
     kept = 0
-    by_day = defaultdict(list)
+    by_day = defaultdict(lambda: (array("b"), array("d"), array("d")))
     unscored = None
-    for rows in results:
-        for post_id, likes, day, score in rows:
+    for ids, keep, days, labels, confidences, weighted, errors in results:
+        for row, post_id in enumerate(ids):
             if post_id in seen:
                 continue
             seen.add(post_id)
-            if min_likes is not None and likes < min_likes:
+            if not keep[row]:
                 continue
             kept += 1
-            if day is None:
+            day = days[row]
+            if day < 0:
                 continue
-            if not isinstance(score, StockcastError):
-                by_day[day].append(score)
-            elif unscored is None or day < unscored[0]:
-                unscored = (day, score)
+            if row in errors:
+                if unscored is None or day < unscored[0]:
+                    unscored = (day, errors[row])
+                continue
+            day_labels, day_confidences, day_weighted = by_day[day]
+            day_labels.append(labels[row])
+            day_confidences.append(confidences[row])
+            day_weighted.append(weighted[row])
     return kept, by_day, None if unscored is None else unscored[1]
 
 

@@ -231,8 +231,9 @@ def aggregate_daily(scored_by_date, calendar):
     """Collapse per-post scores into one row per trading date.
 
     Args:
-        scored_by_date: dict trading-date -> list of (label, confidence,
-            weighted) per post assigned to that date, in load order.
+        scored_by_date: dict trading-date -> (labels, confidences,
+            weighted), three equal-length columns holding the score_post
+            values of the posts assigned to that date, in load order.
         calendar: the trading calendar to emit over.
 
     Returns:
@@ -243,10 +244,9 @@ def aggregate_daily(scored_by_date, calendar):
     rows = []
     prev = (0.0, 0.0, 0.0)
     for d in calendar:
-        posts = scored_by_date.get(d, [])
-        if posts:
-            n = len(posts)
-            labels, confs, weighted = zip(*posts)
+        labels, confs, weighted = scored_by_date.get(d, ((), (), ()))
+        n = len(labels)
+        if n:
             mean_label = sum(labels) / n
             mean_conf = sum(confs) / n
             mean_ws = sum(weighted) / n

@@ -5,12 +5,14 @@ import re
 from datetime import date
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stockcast.errors import StockcastError
 from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
     calendar_from_bars,
+    line_ranges,
     load_posts_jsonl,
     load_price_csv,
 )
@@ -188,3 +190,44 @@ def test_calendar_matches_price_file(fixtures_dir):
     cal = calendar_from_bars(bars)
     assert list(cal) == [b.date for b in bars]
     assert cal.dates[0] == bars[0].date and cal.dates[-1] == bars[-1].date
+
+
+# --- line_ranges ----------------------------------------------------------------
+
+def line_ranges_oracle(path, size):
+    """line_ranges as it was before it skipped decoding all-ASCII blocks and
+    counting CRs in blocks without one: every block decoded, every block's
+    CR and CR LF counted."""
+    ranges = []
+    start, first_line = 0, 1
+    with open(path, "rb") as fh:
+        while block := fh.read(size):
+            if not block.endswith(b"\n"):
+                block += fh.readline()
+            try:
+                block.decode("utf-8")
+            except UnicodeDecodeError:
+                return [None]
+            ranges.append((start, start + len(block), first_line))
+            first_line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+            start += len(block)
+    return ranges
+
+
+#: Line ends of each kind, ASCII text and 2-, 3- and 4-byte UTF-8 characters.
+LINE_PIECES = st.sampled_from([b"\n", b"\r", b"\r\n", b"a", b'{"id": 1}',
+                               "é".encode(), "€".encode(), "😀".encode()])
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(LINE_PIECES, max_size=80), bad_at=st.none() | st.integers(0, 80),
+       size=st.integers(1, 64))
+@example(pieces=[b"a", b"\r", b"b", b"\n", b"c", b"\n"], bad_at=None, size=1)  # a lone CR
+@example(pieces=[b"a", b"\n", "é".encode(), b"\n"], bad_at=3, size=2)  # a bad byte after é
+def test_line_ranges_matches_oracle(tmp_path, pieces, bad_at, size):
+    if bad_at is not None:
+        pieces.insert(min(bad_at, len(pieces)), b"\xff")  # not UTF-8
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"".join(pieces))
+    assert line_ranges(path, size) == line_ranges_oracle(path, size)

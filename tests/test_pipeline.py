@@ -3,6 +3,8 @@
 import hashlib
 import json
 import shutil
+import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -246,6 +248,24 @@ def test_bad_json_then_bad_byte(tmp_path, monkeypatch, capsys, gap, reported):
     assert ingest_err(config, capsys) == expected
 
 
+@pytest.mark.parametrize("news_case", ["bad-line", "missing"])
+def test_one_task_list_reports_tweets_error_first(tmp_path, monkeypatch, capsys, news_case):
+    # Both files' ranges run as one task list: the news file's first line is
+    # bad, or the file is missing, and its one range may well be scored
+    # first, but the tweets file's bad last line, many ranges in, is the
+    # error reported
+    news = tmp_path / "news.jsonl"
+    if news_case == "bad-line":
+        news.write_text("not json\n" + post_line(id="n") + "\n")
+    lines = [post_line(id=f"a{i}") for i in range(30)] + ['{"id": "x", "ts": 5}']
+    config = write_posts_config(tmp_path, lines, news=news)
+    expected = f"error: {tmp_path / 'tweets.jsonl'}:31: missing field 'text' at line 31\n"
+    assert ingest_err(config, capsys) == expected
+    force_pool(monkeypatch)
+    assert len(line_ranges(tmp_path / "tweets.jsonl", pipeline._RANGE_BYTES)) > 10
+    assert ingest_err(config, capsys) == expected
+
+
 def test_tweets_error_before_lexicon_error(tmp_path, monkeypatch, capsys):
     lexicon = tmp_path / "lexicon.tsv"
     lexicon.write_text("good\t2\n")
@@ -306,3 +326,27 @@ def test_missing_replay_score_only_where_it_counts(tmp_path, monkeypatch, capsys
     config = write_posts_config(tmp_path, lines, news=news, provider="replay",
                                 replay_scores=scores)
     assert ingest_err(config, capsys) == "error: no replay score for post id 'miss-a'\n"
+
+
+def test_ingest_peak_memory_per_kept_post(tmp_path, monkeypatch):
+    """Scoring 20,000 distinct kept tweets in-process peaks under 270 traced
+    bytes per kept post. What load_dataset keeps per kept post is its id in
+    the set of seen ids plus 17 bytes of score columns; a tuple of three
+    values per post, 120 bytes more, breaks this (on Python 3.11 the columns
+    read 215 bytes and the tuples 313). Ranges of 64 KiB keep the one range
+    being scored small beside that."""
+    monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", 1 << 16)
+    first = date(2022, 1, 3)
+    lines = [post_line(id=f"t{i}", text=f"strong profit rally {i}",
+                       ts=f"{first + timedelta(days=i % 420)}T12:00:00Z")
+             for i in range(20_000)]
+    config = parse_config(write_posts_config(tmp_path, lines))
+    tracemalloc.start()
+    try:
+        dataset = load_dataset(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    kept = dataset.tweet_count + dataset.news_count
+    assert dataset.tweet_count == 20_000
+    assert peak / kept < 270, (peak, kept)

@@ -1,6 +1,7 @@
 """Engagement-weighted sentiment: worked examples, providers, properties."""
 
 import json
+from array import array
 from datetime import date
 
 import pytest
@@ -281,9 +282,15 @@ class TestAggregateDaily:
     D = [date(2023, 1, d) for d in (3, 4, 5)]
 
     def scored(self, day, label, conf, **counts):
-        """One post's (label, confidence, weighted), as aggregate_daily takes it."""
+        """One post's (label, confidence, weighted), as score_post gives it."""
         post = make_post(f"p{label}{conf}", day, **counts)
         return score_post(post, SentimentScore(label, conf), W)
+
+    @staticmethod
+    def columns(scored):
+        """Per-post triples as the three columns aggregate_daily takes per day."""
+        labels, confidences, weighted = zip(*scored)
+        return array("b", labels), array("d", confidences), array("d", weighted)
 
     def test_means_over_one_day(self):
         cal = TradingCalendar(self.D[:1])
@@ -292,7 +299,7 @@ class TestAggregateDaily:
             self.scored(self.D[0], 0, 0.5),
             self.scored(self.D[0], -1, 0.7),
         ]
-        (row,) = aggregate_daily({self.D[0]: posts}, cal)
+        (row,) = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
         assert row.count == 3
         assert row.mean_label == pytest.approx(0.0)
         assert row.mean_conf == pytest.approx(0.7)
@@ -300,19 +307,19 @@ class TestAggregateDaily:
     def test_empty_day_forward_fills(self):
         cal = TradingCalendar(self.D[:2])
         posts = [self.scored(self.D[0], 1, 0.5), self.scored(self.D[0], 0, 0.5)]
-        rows = aggregate_daily({self.D[0]: posts}, cal)
+        rows = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
         assert rows[1].count == 0
         assert rows[1].mean_label == rows[0].mean_label == 0.5
 
     def test_leading_empty_day_defaults_to_zero(self):
         cal = TradingCalendar(self.D[:2])
-        rows = aggregate_daily({self.D[1]: [self.scored(self.D[1], 1, 0.9)]}, cal)
+        rows = aggregate_daily({self.D[1]: self.columns([self.scored(self.D[1], 1, 0.9)])}, cal)
         assert rows[0] == DailySentiment(self.D[0], 0.0, 0.0, 0.0, 0)
 
     def test_singleton_day(self):
         cal = TradingCalendar(self.D[:1])
         (row,) = aggregate_daily(
-            {self.D[0]: [self.scored(self.D[0], -1, 0.8)]}, cal)
+            {self.D[0]: self.columns([self.scored(self.D[0], -1, 0.8)])}, cal)
         assert (row.mean_label, row.mean_conf, row.count) == (-1.0, 0.8, 1)
 
     def test_order_invariance(self):
@@ -322,8 +329,8 @@ class TestAggregateDaily:
             self.scored(self.D[0], -1, 0.4, retweets=1, likes=3, followers=50),
             self.scored(self.D[0], 0, 0.2),
         ]
-        forward = aggregate_daily({self.D[0]: posts}, cal)
-        backward = aggregate_daily({self.D[0]: posts[::-1]}, cal)
+        forward = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
+        backward = aggregate_daily({self.D[0]: self.columns(posts[::-1])}, cal)
         assert forward[0].mean_label == pytest.approx(backward[0].mean_label)
         assert forward[0].mean_ws == pytest.approx(backward[0].mean_ws)
         assert forward[0].count == backward[0].count
