@@ -6,8 +6,11 @@ warm-up of WARMUP batches. After each batch, ``predict`` runs on one
 chunk of PREDICT_CHUNK seeded random windows, its own workspace included,
 as it runs once per model. Prints the median microseconds per batch of
 ``forward``, ``backward``, ``clip_gradients`` and ``adam_step`` and per
-chunk of ``predict``, then numpy's version and the number of threads the
-loaded BLAS uses.
+chunk of ``predict``; the median minor page faults (``ru_minflt``) per
+``predict`` call, which faults in a fresh workspace unless the allocator
+kept the last one's pages; the bytes one training workspace and its
+AdamState hold after a batch (tracemalloc); then numpy's version and the
+number of threads the loaded BLAS uses.
 
 Usage (from the repository root; set OPENBLAS_NUM_THREADS to pin BLAS):
     PYTHONPATH=src python scripts/step_profile.py --hidden 16 --batch 32 \\
@@ -20,7 +23,9 @@ import argparse
 import importlib.util
 import sys
 import time
+import tracemalloc
 from pathlib import Path
+from resource import RUSAGE_SELF, getrusage
 from statistics import median
 
 import numpy as np
@@ -55,8 +60,27 @@ def blas_threads():
     return bench_run.blas_threads()
 
 
+def training_bytes(hidden, batch, lookback, features):
+    """Bytes that one training workspace and its AdamState hold after a
+    batch, the workspace's gradient vector included, by tracemalloc."""
+    weights = init_weights(LstmConfig(hidden_units=hidden, seed=0), features)
+    rng = np.random.default_rng(1)
+    X, y = rng.uniform(0, 1, size=(batch, lookback, features)), rng.uniform(0, 1, size=batch)
+    tracemalloc.start()
+    try:
+        state = AdamState.for_weights(weights)
+        workspace = LstmWorkspace(batch, lookback, features, hidden)
+        _, cache = forward(weights, X, workspace)
+        backward(weights, cache, y, workspace)
+        del cache
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def profile(hidden, batch, lookback, features, batches):
-    """Median microseconds per batch (per chunk for predict) of each stage, by stage name."""
+    """Median microseconds per batch (per chunk for predict) of each stage, by
+    stage name, and the median minor page faults per predict call."""
     config = LstmConfig(hidden_units=hidden, batch_size=batch, seed=0)
     weights = init_weights(config, features)
     state = AdamState.for_weights(weights)
@@ -65,6 +89,7 @@ def profile(hidden, batch, lookback, features, batches):
     chunk = WindowedDataset(X=rng.uniform(0, 1, size=(PREDICT_CHUNK, lookback, features)),
                             y=np.zeros(PREDICT_CHUNK), dates=tuple(range(PREDICT_CHUNK)))
     times = {"forward": [], "backward": [], "clip_gradients": [], "adam_step": [], "predict": []}
+    faults = []
     for n in range(WARMUP + batches):
         X = rng.uniform(0, 1, size=(batch, lookback, features))
         y = rng.uniform(0, 1, size=batch)
@@ -77,12 +102,16 @@ def profile(hidden, batch, lookback, features, batches):
         t3 = time.perf_counter()
         adam_step(weights, grads, state, config.learning_rate)
         t4 = time.perf_counter()
-        predict(weights, chunk)
+        minflt = getrusage(RUSAGE_SELF).ru_minflt
         t5 = time.perf_counter()
+        predict(weights, chunk)
+        t6 = time.perf_counter()
+        minflt = getrusage(RUSAGE_SELF).ru_minflt - minflt
         if n >= WARMUP:
-            for name, start, stop in zip(times, (t0, t1, t2, t3, t4), (t1, t2, t3, t4, t5)):
+            for name, start, stop in zip(times, (t0, t1, t2, t3, t5), (t1, t2, t3, t4, t6)):
                 times[name].append((stop - start) * 1e6)
-    return {name: median(values) for name, values in times.items()}
+            faults.append(minflt)
+    return {name: median(values) for name, values in times.items()}, median(faults)
 
 
 def main(argv=None):
@@ -95,11 +124,15 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if min(args.hidden, args.batch, args.lookback, args.features, args.batches) < 1:
         parser.error("every size must be >= 1")
-    medians = profile(args.hidden, args.batch, args.lookback, args.features, args.batches)
+    medians, faults = profile(args.hidden, args.batch, args.lookback, args.features,
+                              args.batches)
+    held = training_bytes(args.hidden, args.batch, args.lookback, args.features)
     print(f"H={args.hidden} B={args.batch} T={args.lookback} F={args.features}, "
           f"median of {args.batches} batches")
     for name, us in medians.items():
         print(f"{name:15s} {us:10.1f} us")
+    print(f"{'predict_minflt':15s} {faults:10.1f} faults per call")
+    print(f"{'train_bytes':15s} {held:10d} B in workspace and AdamState")
     print(f"numpy {np.__version__}, BLAS threads {blas_threads()}")
 
 

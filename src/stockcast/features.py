@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import FEATURE_SETS
 from .errors import StockcastError
@@ -247,6 +248,11 @@ def make_windows(matrix, lookback, split_date):
     Test windows may reach back into training rows for context, which
     leaks nothing (those rows predate the targets).
 
+    Train and test ``X`` are read-only views of one scaled (rows, columns)
+    table, not copies: window k is rows [k, k + lookback) of it, so the
+    windows hold the table once instead of lookback times. Pickling a
+    view (for a pool worker) sends a contiguous copy of its windows.
+
     Raises:
         StockcastError: lookback >= number of training rows.
     """
@@ -260,11 +266,12 @@ def make_windows(matrix, lookback, split_date):
     norm = minmax_fit(matrix.values[:n_train_rows], matrix.columns)
     scaled = minmax_transform(norm, matrix.values)
     close_idx = matrix.columns.index("close")
+    # (n - lookback + 1, lookback, columns): window k is scaled[k:k + lookback]
+    windows = sliding_window_view(scaled, lookback, axis=0).transpose(0, 2, 1)
 
     def build(t_start, t_stop):
         targets = range(t_start, t_stop)
-        X = np.stack([scaled[t - lookback:t] for t in targets]) if t_stop > t_start \
-            else np.empty((0, lookback, len(matrix.columns)))
+        X = windows[t_start - lookback:t_stop - lookback]
         y = np.array([scaled[t, close_idx] for t in targets], dtype=np.float64)
         return WindowedDataset(X=X, y=y, dates=tuple(dates[t] for t in targets))
 

@@ -43,6 +43,12 @@ that workspace's next ``forward``, and the gradients until its next
 expression it replaces, so the numbers are bit-identical to allocating
 fresh arrays.
 
+The workspace keeps each step's gates and h and c states but not
+tanh(c): forward writes each step's tanh(c[t+1]) into one (B, H) block,
+and backward takes it again from c[t+1] with the same call, which gives
+the same bits. One tanh per step replaces a (T, B, H) buffer, the
+store-or-recompute trade of Gruslys et al. 2016.
+
 Gradients are exact analytic BPTT, including the ReLU subgradient
 (defined as 0 at exactly 0); the test suite checks them against central
 finite differences.
@@ -151,6 +157,10 @@ class LstmWorkspace:
     last batch is as contiguous as a full one. ``train`` and ``predict``
     each allocate one workspace and run every batch through it.
 
+    It holds every step's inputs, gates and h and c states and ten (B, H)
+    scratch blocks; tanh(c) is taken per step in one of them, not kept
+    (see ``_BatchViews``).
+
     The views of a batch size, per step views included, are built on its
     first batch and kept (see ``views``): ``train`` sees two sizes, a full
     batch and the short tail, and ``predict`` a chunk and its tail. The
@@ -169,8 +179,7 @@ class LstmWorkspace:
         self._A = np.empty(T * rows * 4 * H)
         self._h = np.empty((T + 1) * rows * H)
         self._c = np.empty((T + 1) * rows * H)
-        self._tanh_c = np.empty(T * rows * H)
-        self._scratch = np.empty(9 * rows * H)
+        self._scratch = np.empty(10 * rows * H)
         # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
         # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift
         self._scale = np.tile(np.repeat([0.5, 0.5, 0.5, 1.0], H), rows)
@@ -199,14 +208,16 @@ class LstmWorkspace:
 class _BatchViews:
     """A workspace's views for batches of B rows.
 
-    ``cache`` holds X, A, h, c and tanh_c, as forward documents.
-    ``scratch`` is nine (B, H) temporaries: forward's h @ U product takes
-    the first four as the (B, 4H) block ``hU`` and i * g the fifth, ``ig``;
-    backward takes the first four as its gate-major (4, B, H) step block,
-    the next three for 1 - i, 1 - f and 1 - o (and for terms while those
-    are not live), and the last two as dh and dc. ``scale`` and ``shift``
-    are the (B, 4H) logistic constants. ``forward_steps`` and
-    ``backward_steps`` hold one tuple of views per step.
+    ``cache`` holds X, A, h and c, as forward documents. ``scratch`` is
+    ten (B, H) temporaries: forward's h @ U product takes the first four
+    as the (B, 4H) block ``hU`` and i * g the fifth, ``ig``; backward
+    takes the first four as its gate-major (4, B, H) step block, the next
+    three for 1 - i, 1 - f and 1 - o (and for terms while those are not
+    live), and the next two as dh and dc. The last, ``tanh_c``, holds the
+    step's tanh(c[t+1]) in forward and in backward. ``scale`` and
+    ``shift`` are the (B, 4H) logistic constants. ``forward_steps`` and
+    ``backward_steps`` hold one tuple of views per step, backward's last
+    step first.
     """
 
     def __init__(self, workspace, B):
@@ -215,25 +226,19 @@ class _BatchViews:
         A = _prefix(workspace._A, T, B, 4 * H)
         h = _prefix(workspace._h, T + 1, B, H)
         c = _prefix(workspace._c, T + 1, B, H)
-        tanh_c = _prefix(workspace._tanh_c, T, B, H)
-        self.cache = {"X": X, "A": A, "h": h, "c": c, "tanh_c": tanh_c}
-        self.scratch = _prefix(workspace._scratch, 9, B, H)
+        self.cache = {"X": X, "A": A, "h": h, "c": c}
+        self.scratch = _prefix(workspace._scratch, 10, B, H)
         self.hU, self.ig = self.scratch[:4].reshape(B, 4 * H), self.scratch[4]
+        self.tanh_c = self.scratch[9]
         self.scale = _prefix(workspace._scale, B, 4 * H)
         self.shift = _prefix(workspace._shift, B, 4 * H)
-        # t, A[t], h[t], c[t], c[t+1], tanh_c[t], h[t+1] and A[t]'s gate columns
-        self.forward_steps = [(t, A[t], h[t], c[t], c[t + 1], tanh_c[t], h[t + 1],
+        # t, A[t], h[t], c[t], c[t+1], h[t+1] and A[t]'s gate columns
+        self.forward_steps = [(t, A[t], h[t], c[t], c[t + 1], h[t + 1],
                                *(A[t][:, k * H:(k + 1) * H] for k in range(4)))
                               for t in range(T)]
-        self.backward_steps = _backward_steps(A, tanh_c, c)
-
-
-def _backward_steps(A, tanh_c, c):
-    """Backward's views of each step t, last step first: t, A[t]'s (B, 4H)
-    rows as a gate-major (4, B, H) view, tanh_c[t], c[t] and A[t]."""
-    T, B, H = tanh_c.shape
-    rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
-    return [(t, rows[t], tanh_c[t], c[t], A[t]) for t in reversed(range(T))]
+        # t, A[t]'s (B, 4H) rows as a gate-major (4, B, H) view, c[t+1], c[t] and A[t]
+        rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
+        self.backward_steps = [(t, rows[t], c[t + 1], c[t], A[t]) for t in reversed(range(T))]
 
 
 def _prefix(buf, *shape):
@@ -241,15 +246,15 @@ def _prefix(buf, *shape):
     return buf[:math.prod(shape)].reshape(shape)
 
 
-def forward(weights, X, workspace=None):
+def forward(weights, X, workspace):
     """Unrolled forward pass over a (batch, lookback, features) array.
 
     Returns predictions (batch,) and the activation cache BPTT needs:
     time-major inputs ``X`` (T, B, F), gate activations ``A`` (T, B, 4H)
     in i, f, o, g order, hidden and cell states ``h``/``c`` (T+1, B, H)
-    with the zero initial state first, ``tanh_c`` (T, B, H), and the head
-    pre-activation ``z``. The cache arrays live in ``workspace`` (a fresh
-    one when None) and stay valid until that workspace's next forward.
+    with the zero initial state first, and the head pre-activation ``z``.
+    The cache arrays live in ``workspace``, an LstmWorkspace with room for
+    the batch, and stay valid until that workspace's next forward.
 
     Raises:
         RunFailed: a prediction came out inf/nan.
@@ -257,11 +262,9 @@ def forward(weights, X, workspace=None):
     X = np.asarray(X, dtype=np.float64)
     B, T, F = X.shape
     H = weights.hidden_units
-    if workspace is None:
-        workspace = LstmWorkspace(B, T, F, H)
     views = workspace.views(B, T, F, H)
     Xt, A, h, c = (views.cache[key] for key in ("X", "A", "h", "c"))
-    hU, ig, scale, shift = views.hU, views.ig, views.scale, views.shift
+    hU, ig, tanh_c, scale, shift = views.hU, views.ig, views.tanh_c, views.scale, views.shift
     W, U = workspace.fused
     np.copyto(W.reshape(F, 4, H), weights.W.transpose(1, 0, 2))
     np.copyto(U.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
@@ -271,7 +274,7 @@ def forward(weights, X, workspace=None):
     XW += weights.b  # (XW + b) + hU: the same sums as adding b at each step
     h[0] = 0.0
     c[0] = 0.0
-    for t, a, h_prev, c_prev, c_next, tanh_ct, h_next, i, f, o, g in views.forward_steps:
+    for t, a, h_prev, c_prev, c_next, h_next, i, f, o, g in views.forward_steps:
         if t:  # h_0 = 0, so step 0 has no recurrent term
             np.matmul(h_prev, U, out=hU)
             a += hU
@@ -282,8 +285,8 @@ def forward(weights, X, workspace=None):
         np.multiply(f, c_prev, out=c_next)
         np.multiply(i, g, out=ig)
         c_next += ig
-        np.tanh(c_next, out=tanh_ct)
-        np.multiply(o, tanh_ct, out=h_next)
+        np.tanh(c_next, out=tanh_c)
+        np.multiply(o, tanh_c, out=h_next)
     z = h[T] @ weights.w_out + weights.b_out
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
@@ -291,33 +294,25 @@ def forward(weights, X, workspace=None):
     return pred, dict(views.cache, z=z)
 
 
-def backward(weights, cache, targets, workspace=None):
+def backward(weights, cache, targets, workspace):
     """Exact gradients of batch-mean MSE w.r.t. every parameter.
 
     Returns an LstmWeights over ``workspace.grads``, valid until that
-    workspace's next backward, or over a fresh vector when ``workspace``
-    is None. The gate gradients are written over ``cache["A"]``, so a
-    cache serves one backward call. With a workspace, ``cache`` must be
-    the one its last forward returned: the per-step views and temporaries
-    are the workspace's (fresh ones, built by the same helper, when
-    None). Every step runs in place with each product's operands in the
-    order of the textbook expression.
+    workspace's next backward. ``cache`` must be the one the workspace's
+    last forward returned, and the gate gradients are written over its
+    ``A``, so a cache serves one backward call. Each step takes tanh(c[t+1])
+    again from c[t+1], and every step runs in place with each product's
+    operands in the order of the textbook expression.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    X, A, h, c, tanh_c, z = (cache[key] for key in ("X", "A", "h", "c", "tanh_c", "z"))
+    X, A, h, z = (cache[key] for key in ("X", "A", "h", "z"))
     T, B, F = X.shape
     H = weights.hidden_units
-    if workspace is None:
-        grads = LstmWeights.from_theta(np.empty_like(weights.theta), F, H)
-        scratch, fused = np.empty((9, B, H)), (np.empty((F, 4 * H)), np.empty((H, 4 * H)))
-        steps = _backward_steps(A, tanh_c, c)
-    else:
-        views = workspace.views(B, T, F, H)
-        if views.cache["A"] is not A:
-            raise ValueError("cache is not from this workspace's last forward")
-        grads, scratch, fused = workspace.grads, views.scratch, workspace.fused
-        steps = views.backward_steps
-    dW, dU = fused  # dU holds U until the loop is done
+    views = workspace.views(B, T, F, H)
+    if views.cache["A"] is not A:
+        raise ValueError("cache is not from this workspace's last forward")
+    grads, scratch, tanh_c = workspace.grads, views.scratch, views.tanh_c
+    dW, dU = workspace.fused  # dU holds U until the loop is done
     np.copyto(dU.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
     U_T = dU.T
     pred = np.maximum(z, 0.0)
@@ -333,18 +328,19 @@ def backward(weights, cache, targets, workspace=None):
     np.multiply(dz[:, None], weights.w_out, out=dh)
     dc[...] = 0.0
 
-    for t, rows, tanh_ct, c_prev, a in steps:
+    for t, rows, c_next, c_prev, a in views.backward_steps:
         np.copyto(gates, rows)
+        np.tanh(c_next, out=tanh_c)
         # dc += dh * o * (1 - tanh_c**2), in two of the 1 - x blocks before they fill
         t1, t2 = one_minus_i, one_minus_f
         np.multiply(dh, o, out=t1)
-        np.square(tanh_ct, out=t2)
+        np.square(tanh_c, out=t2)
         np.subtract(1.0, t2, out=t2)
         t1 *= t2
         dc += t1
         np.subtract(1.0, ifo, out=one_minus)  # 1 - i, 1 - f, 1 - o in one call
         # o <- dh * tanh_c * o * (1 - o); dh is a spare block from here to the step's end
-        np.multiply(dh, tanh_ct, out=dh)
+        np.multiply(dh, tanh_c, out=dh)
         dh *= o
         np.multiply(dh, one_minus_o, out=o)
         # i <- dc * g * i * (1 - i), then g <- dc * i * (1 - g**2) with the old i,
@@ -385,42 +381,41 @@ def clip_gradients(grads, max_norm):
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (theta's layout), two theta-sized
-    scratch rows for the update, and the shared timestep."""
+    """First/second moment vectors (theta's layout), one theta-sized
+    scratch row for the update, and the shared timestep."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray  # (2, theta size)
+    scratch: np.ndarray  # (theta size,)
     t: int = 0
 
     @classmethod
     def for_weights(cls, weights):
         theta = weights.theta
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta),
-                   scratch=np.empty((2, theta.size)))
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), scratch=np.empty_like(theta))
 
 
 def adam_step(weights, grads, state, lr):
     """One bias-corrected Adam update with the ADAM_* constants, in place;
-    returns (weights, state).
+    returns (weights, state). Overwrites ``grads``.
 
-    Each step writes into state.scratch with the operands and order of
-    m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
+    Each step writes into state.scratch, and v_hat over ``grads.theta``,
+    which nothing reads after the moment updates, with the operands and
+    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
     theta -= lr*m_hat / (sqrt(v_hat) + eps), so it allocates no
     theta-sized array and matches those expressions bit for bit.
     """
     state.t += 1
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
-    g = grads.theta
-    a, b = state.scratch
+    g, a = grads.theta, state.scratch
     state.m *= b1
     state.m += np.multiply(1.0 - b1, g, out=a)
     state.v *= b2
     state.v += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
     np.divide(state.m, 1.0 - b1 ** t, out=a)  # m_hat
-    np.divide(state.v, 1.0 - b2 ** t, out=b)  # v_hat
-    np.add(np.sqrt(b, out=b), eps, out=b)
-    weights.theta -= np.divide(np.multiply(lr, a, out=a), b, out=a)
+    np.divide(state.v, 1.0 - b2 ** t, out=g)  # v_hat
+    np.add(np.sqrt(g, out=g), eps, out=g)
+    weights.theta -= np.divide(np.multiply(lr, a, out=a), g, out=a)
     return weights, state
 
 

@@ -97,10 +97,11 @@ def test_criterion_3_gradient_check():
         weights = fc.init_weights(fc.LstmConfig(hidden_units=hidden, seed=seed), feats)
         X = rng.uniform(-1, 1, size=(3, lookback, feats))
         y = rng.uniform(0, 1, size=3)
-        pred, cache = fc.forward(weights, X)
+        workspace = fc.LstmWorkspace(3, lookback, feats, hidden)
+        pred, cache = fc.forward(weights, X, workspace)
         if np.all(pred == 0.0):
             continue  # dead head: both sides identically zero, not informative
-        analytic = fc.backward(weights, cache, y)
+        analytic = fc.backward(weights, cache, y, workspace)
         fd = finite_difference_grads(weights, X, y, h=1e-5)
         worst = max(worst, max_relative_error(analytic, fd))
         checked += 1

@@ -1,10 +1,12 @@
 """Indicators, scaling, assembly and windowing."""
 
+import pickle
 from datetime import date, timedelta
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from numpy.lib.array_utils import byte_bounds
 
 from stockcast.config import FEATURE_SETS
 from stockcast.errors import StockcastError
@@ -222,6 +224,33 @@ def matrix_of(values, dates):
                          np.asarray(values, dtype=np.float64).reshape(-1, 1))
 
 
+def check_windows_are_views(matrix, lookback, split_date):
+    """make_windows' train and test X are read-only views of one scaled
+    table, bit for bit the np.stack copies of its rows, and pickle (as
+    they reach a pool worker) as contiguous copies. Returns the split."""
+    split = make_windows(matrix, lookback, split_date)
+    scaled = minmax_transform(split.norm, matrix.values)
+    n, n_train = len(matrix.dates), sum(1 for d in matrix.dates if d <= split_date)
+    lows, highs = [], []
+    for part, targets in ((split.train, range(lookback, n_train)), (split.test, range(n_train, n))):
+        stacked = np.stack([scaled[t - lookback:t] for t in targets]) if targets \
+            else np.empty((0, lookback, len(matrix.columns)))
+        assert part.X.shape == stacked.shape and part.X.dtype == stacked.dtype
+        assert part.X.tobytes() == stacked.tobytes()
+        assert not part.X.flags.writeable and not part.X.flags.owndata
+        sent = pickle.loads(pickle.dumps(part.X))
+        assert sent.flags.c_contiguous and sent.tobytes() == stacked.tobytes()
+        if targets:
+            low, high = byte_bounds(part.X)
+            lows.append(low)
+            highs.append(high)
+    # the windows together span one table's bytes, however many windows there are
+    assert max(highs) - min(lows) <= scaled.nbytes
+    if len(split.test):
+        assert np.shares_memory(split.train.X, split.test.X)
+    return split
+
+
 class TestMakeWindows:
     def test_index_enumeration(self):
         # oracle: with rows 1..10, lookback 3, split after row 7, valid
@@ -270,3 +299,11 @@ class TestMakeWindows:
         assert split.test.y.max() > 1.0  # not clipped
         lo, hi = split.norm.column_state("close")
         assert (lo, hi) == (1.0, 10.0)
+
+    def test_windows_are_views_with_an_empty_test_split(self):
+        dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(12)]
+        values = np.arange(24, dtype=float).reshape(12, 2) ** 1.5
+        matrix = FeatureMatrix(tuple(dates), ("close", "volume"), values)
+        split = check_windows_are_views(matrix, 4, dates[-1])
+        assert (len(split.train), len(split.test)) == (8, 0)
+        assert split.test.X.shape == (0, 4, 2)

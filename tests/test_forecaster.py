@@ -70,10 +70,18 @@ def cell_oracle(weights, X):
     return max(z, 0.0)
 
 
+def workspace_for(weights, X):
+    """A fresh LstmWorkspace with room for exactly the (B, T, F) batch X."""
+    B, T, F = np.shape(X)
+    return LstmWorkspace(B, T, F, weights.hidden_units)
+
+
 def finite_difference_grads(weights, X, targets, h=1e-5):
     """Central differences of the batch-mean squared error, one per theta entry."""
+    workspace = workspace_for(weights, X)
+
     def loss():
-        pred, _ = forward(weights, X)
+        pred, _ = forward(weights, X, workspace)
         return float(np.mean((pred - targets) ** 2))
 
     theta = weights.theta
@@ -104,7 +112,7 @@ def live_sample(weights, rng, lookback, n_features):
     """Draw inputs until the ReLU head is active, so checks are informative."""
     for _ in range(50):
         X = rng.uniform(-1, 1, size=(lookback, n_features))
-        pred, _ = forward(weights, X[None])
+        pred, _ = forward(weights, X[None], workspace_for(weights, X[None]))
         if pred[0] > 0:
             return X
     raise AssertionError("no live sample found; pick another seed")
@@ -155,13 +163,14 @@ class TestInit:
 class TestForward:
     def test_all_zero(self):
         w = zero_weights(4, 2)
-        pred, _ = forward(w, np.zeros((1, 3, 2)))
+        X = np.zeros((1, 3, 2))
+        pred, _ = forward(w, X, workspace_for(w, X))
         assert pred[0] == 0.0
 
     def test_lookback_one_single_step(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 2)
         X = np.array([[0.3, -0.7]])
-        pred, cache = forward(w, X[None])
+        pred, cache = forward(w, X[None], workspace_for(w, X[None]))
         assert cache["A"].shape[0] == 1
         assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12)
 
@@ -169,7 +178,7 @@ class TestForward:
         w = init_weights(LstmConfig(hidden_units=4, seed=42), 2)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 2))
-        pred, _ = forward(w, X[None])
+        pred, _ = forward(w, X[None], workspace_for(w, X[None]))
         assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_matches_cell_oracle_more_shapes(self):
@@ -177,14 +186,15 @@ class TestForward:
         for hidden, lookback, feats in [(1, 1, 1), (3, 5, 4), (6, 2, 3)]:
             w = init_weights(LstmConfig(hidden_units=hidden, seed=7), feats)
             X = rng.normal(size=(lookback, feats))
-            pred, _ = forward(w, X[None])
+            pred, _ = forward(w, X[None], workspace_for(w, X[None]))
             assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_gates_bounded(self):
         w = init_weights(LstmConfig(hidden_units=5, seed=3), 2)
-        _, cache = forward(w, np.random.default_rng(0).normal(size=(4, 2))[None])
+        X = np.random.default_rng(0).normal(size=(4, 2))[None]
+        _, cache = forward(w, X, workspace_for(w, X))
         H = w.hidden_units
-        for gates, tanh_c in zip(cache["A"], cache["tanh_c"]):
+        for gates, tanh_c in zip(cache["A"], np.tanh(cache["c"][1:])):
             for k in range(3):  # i, f, o
                 values = gates[:, k * H:(k + 1) * H]
                 assert np.all((values > 0) & (values < 1))
@@ -192,8 +202,9 @@ class TestForward:
 
     def test_non_finite_raises(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=0), 2)
+        X = np.full((1, 3, 2), np.nan)
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
-            forward(w, np.full((1, 3, 2), np.nan))
+            forward(w, X, workspace_for(w, X))
 
     def test_extreme_preactivations_no_overflow(self):
         # gate pre-activations of exactly +-1000: the logistic must saturate
@@ -204,7 +215,8 @@ class TestForward:
         w.w_out[...] = -1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            pred, cache = forward(w, np.zeros((1, 4, 2)))
+            X = np.zeros((1, 4, 2))
+            pred, cache = forward(w, X, workspace_for(w, X))
         gates = cache["A"][:, :, :3 * H]
         assert np.all(np.isfinite(gates))
         assert np.all((gates >= 0) & (gates <= 1))
@@ -219,12 +231,13 @@ class TestFlatLayout:
         rng = np.random.default_rng(3)
         X = live_sample(w, rng, 5, 3)
         theta_before = w.theta.copy()
-        pred_before, _ = forward(w, X[None])
+        workspace = workspace_for(w, X[None])
+        pred_before, _ = forward(w, X[None], workspace)
         w.U[1] += 0.5
         changed = np.flatnonzero(w.theta != theta_before)
         start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
         assert np.array_equal(changed, np.arange(start, start + 4 * 4))
-        pred_after, _ = forward(w, X[None])
+        pred_after, _ = forward(w, X[None], workspace)
         assert pred_after != pred_before
 
 
@@ -234,8 +247,9 @@ class TestBackward:
         w = init_weights(LstmConfig(hidden_units=6, seed=3), 3)
         X = live_sample(w, rng, 4, 3)
         y = 0.2
-        _, cache = forward(w, X[None])
-        analytic = backward(w, cache, np.array([y]))
+        workspace = workspace_for(w, X[None])
+        _, cache = forward(w, X[None], workspace)
+        analytic = backward(w, cache, np.array([y]), workspace)
         fd = finite_difference_grads(w, X[None, :, :], np.array([y]))
         assert max_relative_error(analytic, fd) < 1e-4
 
@@ -244,8 +258,9 @@ class TestBackward:
         w = init_weights(LstmConfig(hidden_units=5, seed=8), 2)
         X = rng.uniform(-1, 1, size=(6, 4, 2))
         y = rng.uniform(0, 1, size=6)
-        _, cache = forward(w, X)
-        analytic = backward(w, cache, y)
+        workspace = workspace_for(w, X)
+        _, cache = forward(w, X, workspace)
+        analytic = backward(w, cache, y, workspace)
         fd = finite_difference_grads(w, X, y)
         assert max_relative_error(analytic, fd) < 1e-4
 
@@ -253,17 +268,19 @@ class TestBackward:
         rng = np.random.default_rng(4)
         w = init_weights(LstmConfig(hidden_units=4, seed=9), 3)
         X = np.zeros((5, 3))
-        _, cache = forward(w, X[None])
-        grads = backward(w, cache, np.array([0.5]))
+        workspace = workspace_for(w, X[None])
+        _, cache = forward(w, X[None], workspace)
+        grads = backward(w, cache, np.array([0.5]), workspace)
         assert np.all(grads.W == 0.0)
 
     def test_dead_relu_all_grads_zero(self):
         w = zero_weights(4, 2)
         w.b_out[...] = -1.0  # pre-activation < 0 always
         X = np.random.default_rng(0).normal(size=(3, 2))
-        pred, cache = forward(w, X[None])
+        workspace = workspace_for(w, X[None])
+        pred, cache = forward(w, X[None], workspace)
         assert pred[0] == 0.0
-        grads = backward(w, cache, np.array([1.0]))
+        grads = backward(w, cache, np.array([1.0]), workspace)
         assert np.all(grads.theta == 0.0)
 
 
@@ -285,8 +302,8 @@ class TestAdam:
         grads = LstmWeights.from_theta(rng.normal(size=w.theta.size), 2, 3)
         state = AdamState.for_weights(w)
         lr = 0.01
+        g = grads.theta.copy()  # adam_step overwrites grads
         adam_step(w, grads, state, lr)
-        g = grads.theta
         expected = before - lr * g / (np.sqrt(g ** 2) + ADAM_EPS)
         assert w.theta == pytest.approx(expected, rel=1e-9)
 
@@ -298,8 +315,9 @@ class TestAdam:
         y = rng.uniform(0, 1, size=4)
 
         def grads_at(w):
-            _, cache = forward(w, X)
-            return backward(w, cache, y)
+            workspace = workspace_for(w, X)
+            _, cache = forward(w, X, workspace)
+            return backward(w, cache, y, workspace)
 
         w_two = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
         s_two = AdamState.for_weights(w_two)
@@ -419,7 +437,7 @@ class TestPredict:
         w = init_weights(LstmConfig(hidden_units=4, seed=1), 3)
         ds = self.make_dataset(1)
         pred = predict(w, ds)
-        direct, _ = forward(w, ds.X[:1])
+        direct, _ = forward(w, ds.X[:1], workspace_for(w, ds.X[:1]))
         assert pred[0] == direct[0]
 
     def test_batch_equals_per_sample_loop(self, monkeypatch):
@@ -427,7 +445,7 @@ class TestPredict:
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
         ds = self.make_dataset(9)
         batched = predict(w, ds)
-        looped = np.array([forward(w, x[None])[0][0] for x in ds.X])
+        looped = np.array([forward(w, x[None], workspace_for(w, x[None]))[0][0] for x in ds.X])
         assert batched == pytest.approx(looped, rel=0, abs=1e-12)
 
 
@@ -453,13 +471,14 @@ class TestWorkspace:
             X = rng.uniform(-1, 1, size=(B, T, F))
             y = rng.uniform(0, 1, size=B)
             pred, cache = forward(w, X, workspace)
-            fresh_pred, fresh_cache = forward(w, X)
+            fresh = workspace_for(w, X)
+            fresh_pred, fresh_cache = forward(w, X, fresh)
             assert np.array_equal(pred, fresh_pred)
             assert cache.keys() == fresh_cache.keys()
             for key in cache:
                 assert np.array_equal(cache[key], fresh_cache[key]), key
             grads = backward(w, cache, y, workspace)
-            fresh_grads = backward(w, fresh_cache, y)
+            fresh_grads = backward(w, fresh_cache, y, fresh)
             assert np.array_equal(grads.theta, fresh_grads.theta)
 
     def test_backward_returns_the_workspace_gradient_vector(self):
@@ -474,8 +493,9 @@ class TestWorkspace:
             assert grads.theta is workspace.grads.theta
             thetas.append(grads.theta.copy())
         assert not np.array_equal(workspace.grads.theta, thetas[0])
-        _, cache = forward(w, rng.uniform(-1, 1, size=(2, 5, 3)))
-        assert backward(w, cache, np.zeros(2)).theta is not workspace.grads.theta
+        other = LstmWorkspace(2, 5, 3, 6)
+        _, cache = forward(w, rng.uniform(-1, 1, size=(2, 5, 3)), other)
+        assert backward(w, cache, np.zeros(2), other).theta is not workspace.grads.theta
 
     def test_backward_rejects_a_cache_from_another_workspace(self):
         w = live_weights(6, 3, seed=2)
@@ -513,9 +533,10 @@ class TestWorkspace:
             sq_sum = 0.0
             for first in range(0, 21, cfg.batch_size):
                 idx = order[first:first + cfg.batch_size]
-                pred, cache = forward(weights, X[idx])
+                workspace = workspace_for(weights, X[idx])
+                pred, cache = forward(weights, X[idx], workspace)
                 sq_sum += float(np.sum((pred - y[idx]) ** 2))
-                grads = backward(weights, cache, y[idx])
+                grads = backward(weights, cache, y[idx], workspace)
                 clip_gradients(grads, GRAD_CLIP)
                 adam_step(weights, grads, state, cfg.learning_rate)
             history.append(sq_sum / 21)
@@ -533,19 +554,20 @@ class TestWorkspace:
         w = live_weights(32, 5, seed=3)
         for n in [300] + [129] * 12:
             X = rng.uniform(0, 1, size=(n, 30, 5))
-            whole, _ = forward(w, X)
+            whole, _ = forward(w, X, workspace_for(w, X))
             assert np.all(whole > 0)
             pred = predict(w, WindowedDataset(X=X, y=np.zeros(n), dates=tuple(range(n))))
             assert np.array_equal(pred, whole), n
 
     def test_predict_peak_memory_is_one_chunk(self):
         # numpy reports its buffers to tracemalloc; 300 windows must not
-        # hold more than one 128-row cache at a time
+        # hold more than one 128-row cache at a time: X, A, h and c, with
+        # no (T, B, H) tanh(c) buffer
         T, F, H, n = 30, 14, 64, 300
         w = live_weights(H, F, seed=4)
         ds = WindowedDataset(X=np.random.default_rng(24).uniform(0, 1, size=(n, T, F)),
                              y=np.zeros(n), dates=tuple(range(n)))
-        one_cache = T * 128 * (F + 7 * H) * 8
+        one_cache = T * 128 * (F + 6 * H) * 8
         tracemalloc.start()
         try:
             predict(w, ds)
@@ -578,7 +600,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adam = 4 * theta  # m, v and two scratch rows
+        adam = 3 * theta  # m, v and one scratch row
         # half a theta covers the batch's rows and numpy's ufunc buffers
         assert peak <= one_workspace + adam + theta + theta // 2, (peak, one_workspace, theta)
 
@@ -613,7 +635,7 @@ def expression_kernel(weights, X, targets):
         A[t] = a
     z = h[T] @ weights.w_out + weights.b_out
     pred = np.maximum(z, 0.0)
-    cache = {"X": Xt, "A": A.copy(), "h": h, "c": c, "tanh_c": tanh_c, "z": z}
+    cache = {"X": Xt, "A": A.copy(), "h": h, "c": c, "z": z}
 
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     dh = np.outer(dz, weights.w_out)
@@ -639,19 +661,19 @@ def expression_kernel(weights, X, targets):
 
 class TestExpressionOracle:
     """The in-place kernel, backward's gate-major step block included, is
-    bit-identical to expression_kernel at every shape, with and without a
-    workspace; the 26-row batch runs through a 32-row workspace."""
+    bit-identical to expression_kernel at every shape, in a fresh workspace
+    and in one a batch has already written; the 26-row batch runs through
+    a 32-row workspace."""
 
-    @pytest.mark.parametrize("with_workspace", [False, True])
+    @pytest.mark.parametrize("warm", [False, True])
     @pytest.mark.parametrize("B, T, F, H, rows", [
         (32, 10, 6, 16, 32), (26, 10, 14, 16, 32), (5, 4, 2, 3, 5), (1, 1, 1, 1, 1),
         (7, 3, 4, 64, 7)])
-    def test_kernel_matches_expressions(self, B, T, F, H, rows, with_workspace):
+    def test_kernel_matches_expressions(self, B, T, F, H, rows, warm):
         rng = np.random.default_rng(B * 1000 + H)
         w = live_weights(H, F, seed=5)
-        workspace = None
-        if with_workspace:
-            workspace = LstmWorkspace(rows, T, F, H)
+        workspace = LstmWorkspace(rows, T, F, H)
+        if warm:
             # a full batch first, so the one under test reuses written buffers
             _, warm = forward(w, rng.uniform(0, 1, size=(rows, T, F)), workspace)
             backward(w, warm, rng.uniform(0, 1, size=rows), workspace)

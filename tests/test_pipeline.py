@@ -25,6 +25,7 @@ from stockcast.pipeline import (
 from stockcast.sentiment import ReplayProvider
 
 from conftest import FIXTURES
+from test_features import check_windows_are_views
 
 
 @pytest.fixture(scope="module")
@@ -83,6 +84,12 @@ def test_fixture_feature_files_match_frozen_digests(fixture_config_path, tmp_pat
     written = {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
                for path in tmp_path.glob("features_*.csv")}
     assert written == frozen
+
+
+def test_fixture_windows_are_views_of_one_table(config, dataset):
+    matrix = select(build_matrix(config, dataset), "Prices-Tweets-News-RSI-SMA")
+    split = check_windows_are_views(matrix, config.lookback, config.split_date)
+    assert len(split.train) > 0 and len(split.test) > 0
 
 
 def test_run_feature_set_shapes(config, dataset, trained):

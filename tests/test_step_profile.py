@@ -3,6 +3,8 @@
 import importlib.util
 import re
 
+from stockcast.forecaster import theta_size
+
 from conftest import REPO
 
 _spec = importlib.util.spec_from_file_location("step_profile", REPO / "scripts" / "step_profile.py")
@@ -19,5 +21,11 @@ def test_prints_each_stage_then_numpy_and_blas(capsys):
     assert [m.group(1) for m in stages] == ["forward", "backward", "clip_gradients", "adam_step",
                                             "predict"]
     assert all(float(m.group(2)) > 0 for m in stages)
-    assert re.fullmatch(r"numpy \S+, BLAS threads (\d+|None)", lines[6])
-    assert len(lines) == 7
+    assert re.fullmatch(r"predict_minflt +[0-9]+\.[0-9] faults per call", lines[6])
+    held = re.fullmatch(r"train_bytes +([0-9]+) B in workspace and AdamState", lines[7])
+    # at least the workspace's A, h and c and Adam's m, v and scratch row
+    H, B, T, F = 2, 3, 2, 1
+    floats = T * B * 4 * H + 2 * (T + 1) * B * H + 3 * theta_size(F, H)
+    assert int(held.group(1)) >= 8 * floats
+    assert re.fullmatch(r"numpy \S+, BLAS threads (\d+|None)", lines[8])
+    assert len(lines) == 9
