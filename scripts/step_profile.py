@@ -2,19 +2,22 @@
 
 Runs --batches batches of seeded random windows of one shape through one
 workspace, each stage called as ``forecaster.train`` calls it, after a
-warm-up of WARMUP batches. After each batch, ``predict`` runs on one
-chunk of PREDICT_CHUNK seeded random windows, its own workspace included,
-as it runs once per model. Prints the median microseconds per batch of
-``forward``, ``backward``, ``clip_gradients`` and ``adam_step`` and per
-chunk of ``predict``; the median minor page faults (``ru_minflt``) per
-``predict`` call, which faults in a fresh workspace unless the allocator
-kept the last one's pages; the bytes one training workspace and its
-AdamState hold after a batch (tracemalloc); then numpy's version and the
-number of threads the loaded BLAS uses.
+warm-up of WARMUP batches. With --models K, K models train in lockstep
+through one workspace of K models, as ``train`` runs a group of
+replicates, and the stage times are per model: a group's time over K.
+After each batch, ``predict`` runs on one chunk of PREDICT_CHUNK seeded
+random windows, its own workspace included, as it runs once per model.
+Prints the median microseconds per batch of ``forward``, ``backward``,
+``clip_gradients`` and ``adam_step`` and per chunk of ``predict``; the
+median minor page faults (``ru_minflt``) per ``predict`` call, which
+faults in a fresh workspace unless the allocator kept the last one's
+pages; the bytes one training workspace of K models and its AdamState
+hold after a batch (tracemalloc); then numpy's version and the number of
+threads the loaded BLAS uses.
 
 Usage (from the repository root; set OPENBLAS_NUM_THREADS to pin BLAS):
     PYTHONPATH=src python scripts/step_profile.py --hidden 16 --batch 32 \\
-        --lookback 10 --features 10 --batches 500
+        --lookback 10 --features 10 --batches 500 [--models 2]
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from stockcast.forecaster import (
     PREDICT_CHUNK,
     AdamState,
     LstmConfig,
+    LstmWeights,
     LstmWorkspace,
     adam_step,
     backward,
@@ -60,16 +64,26 @@ def blas_threads():
     return bench_run.blas_threads()
 
 
-def training_bytes(hidden, batch, lookback, features):
-    """Bytes that one training workspace and its AdamState hold after a
-    batch, the workspace's gradient vector included, by tracemalloc."""
-    weights = init_weights(LstmConfig(hidden_units=hidden, seed=0), features)
+def group_weights(hidden, features, models):
+    """K seeded models' weights, in the form a workspace of K models takes."""
+    rows = [init_weights(LstmConfig(hidden_units=hidden, seed=seed), features).theta
+            for seed in range(models)]
+    theta = np.stack(rows) if models > 1 else rows[0]
+    return LstmWeights.from_theta(theta, features, hidden)
+
+
+def training_bytes(hidden, batch, lookback, features, models=1):
+    """Bytes that one training workspace of K models and its AdamState hold
+    after a batch, the workspace's gradient vectors included, by tracemalloc."""
+    weights = group_weights(hidden, features, models)
+    lead = (models,) if models > 1 else ()
     rng = np.random.default_rng(1)
-    X, y = rng.uniform(0, 1, size=(batch, lookback, features)), rng.uniform(0, 1, size=batch)
+    X = rng.uniform(0, 1, size=lead + (batch, lookback, features))
+    y = rng.uniform(0, 1, size=lead + (batch,))
     tracemalloc.start()
     try:
         state = AdamState.for_weights(weights)
-        workspace = LstmWorkspace(batch, lookback, features, hidden)
+        workspace = LstmWorkspace(batch, lookback, features, hidden, models)
         _, cache = forward(weights, X, workspace)
         backward(weights, cache, y, workspace)
         del cache
@@ -78,21 +92,24 @@ def training_bytes(hidden, batch, lookback, features):
         tracemalloc.stop()
 
 
-def profile(hidden, batch, lookback, features, batches):
-    """Median microseconds per batch (per chunk for predict) of each stage, by
-    stage name, and the median minor page faults per predict call."""
+def profile(hidden, batch, lookback, features, batches, models=1):
+    """Median microseconds per batch and model (per chunk for predict) of
+    each stage, by stage name, and the median minor page faults per predict
+    call."""
     config = LstmConfig(hidden_units=hidden, batch_size=batch, seed=0)
-    weights = init_weights(config, features)
+    weights = group_weights(hidden, features, models)
+    first = LstmWeights.from_theta(weights.theta.reshape(models, -1)[0], features, hidden)
     state = AdamState.for_weights(weights)
-    workspace = LstmWorkspace(batch, lookback, features, hidden)
+    workspace = LstmWorkspace(batch, lookback, features, hidden, models)
+    lead = workspace.lead
     rng = np.random.default_rng(0)
     chunk = WindowedDataset(X=rng.uniform(0, 1, size=(PREDICT_CHUNK, lookback, features)),
                             y=np.zeros(PREDICT_CHUNK), dates=tuple(range(PREDICT_CHUNK)))
     times = {"forward": [], "backward": [], "clip_gradients": [], "adam_step": [], "predict": []}
     faults = []
     for n in range(WARMUP + batches):
-        X = rng.uniform(0, 1, size=(batch, lookback, features))
-        y = rng.uniform(0, 1, size=batch)
+        X = rng.uniform(0, 1, size=lead + (batch, lookback, features))
+        y = rng.uniform(0, 1, size=lead + (batch,))
         t0 = time.perf_counter()
         _, cache = forward(weights, X, workspace)
         t1 = time.perf_counter()
@@ -104,12 +121,13 @@ def profile(hidden, batch, lookback, features, batches):
         t4 = time.perf_counter()
         minflt = getrusage(RUSAGE_SELF).ru_minflt
         t5 = time.perf_counter()
-        predict(weights, chunk)
+        predict(first, chunk)
         t6 = time.perf_counter()
         minflt = getrusage(RUSAGE_SELF).ru_minflt - minflt
         if n >= WARMUP:
             for name, start, stop in zip(times, (t0, t1, t2, t3, t5), (t1, t2, t3, t4, t6)):
-                times[name].append((stop - start) * 1e6)
+                per = models if name != "predict" else 1
+                times[name].append((stop - start) * 1e6 / per)
             faults.append(minflt)
     return {name: median(values) for name, values in times.items()}, median(faults)
 
@@ -121,13 +139,16 @@ def main(argv=None):
     parser.add_argument("--lookback", type=int, required=True)
     parser.add_argument("--features", type=int, required=True)
     parser.add_argument("--batches", type=int, required=True)
+    parser.add_argument("--models", type=int, default=1,
+                        help="models trained in lockstep; stage times are per model")
     args = parser.parse_args(argv)
-    if min(args.hidden, args.batch, args.lookback, args.features, args.batches) < 1:
+    sizes = (args.hidden, args.batch, args.lookback, args.features, args.batches, args.models)
+    if min(sizes) < 1:
         parser.error("every size must be >= 1")
-    medians, faults = profile(args.hidden, args.batch, args.lookback, args.features,
-                              args.batches)
-    held = training_bytes(args.hidden, args.batch, args.lookback, args.features)
-    print(f"H={args.hidden} B={args.batch} T={args.lookback} F={args.features}, "
+    medians, faults = profile(*sizes)
+    held = training_bytes(args.hidden, args.batch, args.lookback, args.features, args.models)
+    group = f" K={args.models}" if args.models > 1 else ""
+    print(f"H={args.hidden} B={args.batch} T={args.lookback} F={args.features}{group}, "
           f"median of {args.batches} batches")
     for name, us in medians.items():
         print(f"{name:15s} {us:10.1f} us")

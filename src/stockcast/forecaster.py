@@ -18,8 +18,21 @@ added to it, then per step one h @ U product added to that, with the
 logistic gates taken in place as 0.5*(1 + tanh(x/2)), which cannot
 overflow. Backward runs one dA @ U.T per step and gets dW, dU and db
 from one product or sum each after the loop. Gradients come back in the
-same flat layout, so clipping is one dot product and Adam one update
-over the whole vector.
+same flat layout, so clipping is one dot product per model and Adam one
+update over the whole vector.
+
+The kernel has a leading model axis K: ``train`` given K configs that
+differ only in seed trains those replicates in lockstep, as a (K, theta
+size) block of weights through one workspace of K models. Each model's
+(T, B, k) inputs, gates and hidden states sit one after another, laid out
+as a single model's, and the cell states are time-major, so every
+per-step call runs once over a (K, B, k) view of the K models' blocks,
+while X @ W, dW and dU stay one GEMM per model over its T*B rows and each
+stacked matmul runs the GEMM one model alone would; clipping takes each
+model's norm alone, and Adam is elementwise. Every model's numbers are
+bit-identical to training it alone. One model is K = 1, whose arrays
+carry no model axis. Stacking saves numpy's per-call cost, which
+dominates on small models; at the reference shape it saves nothing.
 
 Each backward step copies its (B, 4H) gate rows into a gate-major
 (4, B, H) block, runs the per-gate elementwise work on that block's
@@ -57,7 +70,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -118,14 +131,15 @@ class LstmWeights:
 
     @classmethod
     def from_theta(cls, theta, n_features, hidden):
-        """Wrap an existing flat vector (no copy)."""
+        """Wrap an existing flat vector, or a (K, theta size) block of K
+        models' vectors whose views then lead with K (no copy)."""
         weights = cls()
         weights.theta = theta
         weights.hidden_units = hidden
         views, start = [], 0
         for shape in _block_shapes(n_features, hidden):
             size = math.prod(shape)
-            views.append(theta[start:start + size].reshape(shape))
+            views.append(theta[..., start:start + size].reshape(theta.shape[:-1] + shape))
             start += size
         weights.W, weights.U, weights.b, weights.w_out, weights.b_out = views
         return weights
@@ -152,13 +166,20 @@ class LstmWorkspace:
     """Preallocated float64 buffers that forward and backward write into.
 
     Sized for batches of up to ``rows`` samples of one (lookback,
-    n_features, hidden) shape. A batch of B rows takes the first T*B*k
-    floats of each flat buffer as a contiguous (T, B, k) array, so a short
-    last batch is as contiguous as a full one. ``train`` and ``predict``
-    each allocate one workspace and run every batch through it.
+    n_features, hidden) shape, for ``models`` models K that run in
+    lockstep. Every array the kernel takes or gives has the model axis
+    first when K > 1, and none when K = 1: ``lead`` is (K,) or (). The X,
+    A and h buffers hold the K models' arrays one after another, so model
+    k's (T, B, k) block is laid out as a single model's and the X @ W, dW
+    and dU products need no copy; the c buffer, which no product reads, is
+    time-major, (T+1, K, B, H), so a step's cell states are one contiguous
+    block. A batch of B rows takes the first K*T*B*k floats of each flat
+    buffer, so a short last batch is as contiguous as a full one; for
+    K = 1 the two orders are the same. ``train`` and ``predict`` each
+    allocate one workspace and run every batch through it.
 
-    It holds every step's inputs, gates and h and c states and ten (B, H)
-    scratch blocks; tanh(c) is taken per step in one of them, not kept
+    It holds every step's inputs, gates and h and c states and ten (K, B,
+    H) scratch blocks; tanh(c) is taken per step in one of them, not kept
     (see ``_BatchViews``).
 
     The views of a batch size, per step views included, are built on its
@@ -166,33 +187,40 @@ class LstmWorkspace:
     batch and the short tail, and ``predict`` a chunk and its tail. The
     logistic gates' scale and shift constants fill one buffer of ``rows``
     (4H,) rows each, so a batch multiplies and adds them as contiguous
-    (B, 4H) blocks. ``fused`` holds W and U with their gates side by side,
-    (F, 4H) and (H, 4H), for the matmuls; after backward's step loop they
-    take the dW and dU products. ``grads`` is backward's gradient vector,
-    in theta's layout. So a batch allocates no theta-sized array.
+    (B, 4H) blocks, the same for every model. ``fused`` holds each model's
+    W and U with their gates side by side, (K, F, 4H) and (K, H, 4H), for
+    the matmuls; after backward's step loop they take the dW and dU
+    products. ``grads`` is backward's gradient vectors, in theta's layout.
+    So a batch allocates no theta-sized array.
     """
 
-    def __init__(self, rows, lookback, n_features, hidden):
-        T, F, H = lookback, n_features, hidden
-        self.rows, self.dims = rows, (T, F, H)
-        self._X = np.empty(T * rows * F)
-        self._A = np.empty(T * rows * 4 * H)
-        self._h = np.empty((T + 1) * rows * H)
-        self._c = np.empty((T + 1) * rows * H)
-        self._scratch = np.empty(10 * rows * H)
+    def __init__(self, rows, lookback, n_features, hidden, models=1):
+        K, T, F, H = models, lookback, n_features, hidden
+        self.rows, self.models, self.dims = rows, K, (T, F, H)
+        self.lead = (K,) if K > 1 else ()
+        self._X = np.empty(K * T * rows * F)
+        self._A = np.empty(K * T * rows * 4 * H)
+        self._h = np.empty(K * (T + 1) * rows * H)
+        self._c = np.empty(K * (T + 1) * rows * H)
+        self._scratch = np.empty(10 * K * rows * H)
         # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
         # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift
         self._scale = np.tile(np.repeat([0.5, 0.5, 0.5, 1.0], H), rows)
         self._shift = np.tile(np.repeat([0.5, 0.5, 0.5, 0.0], H), rows)
-        self.fused = np.empty((F, 4 * H)), np.empty((H, 4 * H))
+        self.fused = np.empty((K, F, 4 * H)), np.empty((K, H, 4 * H))
         self._views = {}
 
     @cached_property
     def grads(self):
-        """backward's gradient vector, made by the first backward (predict's
-        workspace never has one)."""
+        """backward's gradient vectors, ``lead`` + (theta size,), made by the
+        first backward (predict's workspace never has them)."""
         _, F, H = self.dims
-        return LstmWeights.from_theta(np.empty(theta_size(F, H)), F, H)
+        return LstmWeights.from_theta(np.empty(self.lead + (theta_size(F, H),)), F, H)
+
+    @cached_property
+    def grads_by_model(self):
+        """``grads`` with the model axis first, for K = 1 too."""
+        return self.by_model(self.grads)
 
     def views(self, B, T, F, H):
         """The _BatchViews of a B-row batch of (T, F, H), built on first use."""
@@ -204,41 +232,61 @@ class LstmWorkspace:
             views = self._views[B, T, F, H] = _BatchViews(self, B)
         return views
 
+    def by_model(self, weights):
+        """``weights`` with the model axis first, for K = 1 too (no copy).
+
+        Raises:
+            ValueError: ``weights`` are not ``lead`` models of this shape.
+        """
+        _, F, H = self.dims
+        size = theta_size(F, H)
+        if weights.theta.shape != self.lead + (size,):
+            raise ValueError(f"workspace runs {self.models} model(s) of theta size {size}; "
+                             f"got theta of shape {weights.theta.shape}")
+        return LstmWeights.from_theta(weights.theta.reshape(self.models, size), F, H)
+
 
 class _BatchViews:
-    """A workspace's views for batches of B rows.
+    """A workspace's views for batches of B rows, with the model axis first.
 
-    ``cache`` holds X, A, h and c, as forward documents. ``scratch`` is
-    ten (B, H) temporaries: forward's h @ U product takes the first four
-    as the (B, 4H) block ``hU`` and i * g the fifth, ``ig``; backward
-    takes the first four as its gate-major (4, B, H) step block, the next
-    three for 1 - i, 1 - f and 1 - o (and for terms while those are not
-    live), and the next two as dh and dc. The last, ``tanh_c``, holds the
-    step's tanh(c[t+1]) in forward and in backward. ``scale`` and
-    ``shift`` are the (B, 4H) logistic constants. ``forward_steps`` and
+    ``cache`` holds X, A, h and c, as forward documents, each (K, T, B, k)
+    or (K, T+1, B, k) (c as a view of its time-major buffer), and
+    ``given`` the same arrays in ``lead``'s form, which forward hands out. ``scratch`` is ten (K, B, H) temporaries:
+    forward's h @ U product takes the first four as the (K, B, 4H) block
+    ``hU`` and i * g the fifth, ``ig``; backward takes the first four as
+    its gate-major (4, K, B, H) step block, the next three for 1 - i,
+    1 - f and 1 - o (and for terms while those are not live), and the next
+    two as dh and dc. The last, ``tanh_c``, holds the step's tanh(c[t+1])
+    in forward and in backward. ``scale`` and ``shift`` are the (B, 4H)
+    logistic constants, read by every model. ``forward_steps`` and
     ``backward_steps`` hold one tuple of views per step, backward's last
-    step first.
+    step first; the K models' blocks of a step form one (K, B, k) view,
+    contiguous for c.
     """
 
     def __init__(self, workspace, B):
         T, F, H = workspace.dims
-        X = _prefix(workspace._X, T, B, F)
-        A = _prefix(workspace._A, T, B, 4 * H)
-        h = _prefix(workspace._h, T + 1, B, H)
-        c = _prefix(workspace._c, T + 1, B, H)
-        self.cache = {"X": X, "A": A, "h": h, "c": c}
-        self.scratch = _prefix(workspace._scratch, 10, B, H)
-        self.hU, self.ig = self.scratch[:4].reshape(B, 4 * H), self.scratch[4]
+        K = workspace.models
+        X = _prefix(workspace._X, K, T, B, F)
+        A = _prefix(workspace._A, K, T, B, 4 * H)
+        h = _prefix(workspace._h, K, T + 1, B, H)
+        c = _prefix(workspace._c, T + 1, K, B, H)
+        self.cache = {"X": X, "A": A, "h": h, "c": c.transpose(1, 0, 2, 3)}
+        self.given = {key: array.reshape(workspace.lead + array.shape[1:])
+                      for key, array in self.cache.items()}
+        self.scratch = _prefix(workspace._scratch, 10, K, B, H)
+        self.hU, self.ig = self.scratch[:4].reshape(K, B, 4 * H), self.scratch[4]
         self.tanh_c = self.scratch[9]
-        self.scale = _prefix(workspace._scale, B, 4 * H)
-        self.shift = _prefix(workspace._shift, B, 4 * H)
+        self.scale = np.broadcast_to(_prefix(workspace._scale, B, 4 * H), (K, B, 4 * H))
+        self.shift = np.broadcast_to(_prefix(workspace._shift, B, 4 * H), (K, B, 4 * H))
         # t, A[t], h[t], c[t], c[t+1], h[t+1] and A[t]'s gate columns
-        self.forward_steps = [(t, A[t], h[t], c[t], c[t + 1], h[t + 1],
-                               *(A[t][:, k * H:(k + 1) * H] for k in range(4)))
+        self.forward_steps = [(t, A[:, t], h[:, t], c[t], c[t + 1], h[:, t + 1],
+                               *(A[:, t, :, k * H:(k + 1) * H] for k in range(4)))
                               for t in range(T)]
-        # t, A[t]'s (B, 4H) rows as a gate-major (4, B, H) view, c[t+1], c[t] and A[t]
-        rows = A.reshape(T, B, 4, H).transpose(0, 2, 1, 3)
-        self.backward_steps = [(t, rows[t], c[t + 1], c[t], A[t]) for t in reversed(range(T))]
+        # t, A[t]'s (K, B, 4H) rows as a gate-major (4, K, B, H) view, c[t+1], c[t] and A[t]
+        rows = A.reshape(K, T, B, 4, H).transpose(1, 3, 0, 2, 4)
+        self.backward_steps = [(t, rows[t], c[t + 1], c[t], A[:, t])
+                               for t in reversed(range(T))]
 
 
 def _prefix(buf, *shape):
@@ -254,26 +302,33 @@ def forward(weights, X, workspace):
     in i, f, o, g order, hidden and cell states ``h``/``c`` (T+1, B, H)
     with the zero initial state first, and the head pre-activation ``z``.
     The cache arrays live in ``workspace``, an LstmWorkspace with room for
-    the batch, and stay valid until that workspace's next forward.
+    the batch, and stay valid until that workspace's next forward. For a
+    workspace of K > 1 models, ``weights`` hold K models, ``X`` is one
+    batch per model, (K, batch, lookback, features), and every array
+    returned leads with K.
 
     Raises:
         RunFailed: a prediction came out inf/nan.
     """
     X = np.asarray(X, dtype=np.float64)
-    B, T, F = X.shape
+    lead, K = workspace.lead, workspace.models
+    if X.shape[:-3] != lead:
+        raise ValueError(f"workspace runs {K} model(s); got a batch of shape {X.shape}")
+    B, T, F = X.shape[-3:]
     H = weights.hidden_units
     views = workspace.views(B, T, F, H)
+    weights = workspace.by_model(weights)
     Xt, A, h, c = (views.cache[key] for key in ("X", "A", "h", "c"))
     hU, ig, tanh_c, scale, shift = views.hU, views.ig, views.tanh_c, views.scale, views.shift
     W, U = workspace.fused
-    np.copyto(W.reshape(F, 4, H), weights.W.transpose(1, 0, 2))
-    np.copyto(U.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
-    np.copyto(Xt, X.transpose(1, 0, 2))
-    XW = A.reshape(T * B, 4 * H)
-    np.matmul(Xt.reshape(T * B, F), W, out=XW)
-    XW += weights.b  # (XW + b) + hU: the same sums as adding b at each step
-    h[0] = 0.0
-    c[0] = 0.0
+    np.copyto(W.reshape(K, F, 4, H), weights.W.transpose(0, 2, 1, 3))
+    np.copyto(U.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
+    np.copyto(Xt, X.reshape(K, B, T, F).transpose(0, 2, 1, 3))
+    XW = A.reshape(K, T * B, 4 * H)
+    np.matmul(Xt.reshape(K, T * B, F), W, out=XW)
+    XW += weights.b[:, None]  # (XW + b) + hU: the same sums as adding b at each step
+    h[:, 0] = 0.0
+    c[:, 0] = 0.0
     for t, a, h_prev, c_prev, c_next, h_next, i, f, o, g in views.forward_steps:
         if t:  # h_0 = 0, so step 0 has no recurrent term
             np.matmul(h_prev, U, out=hU)
@@ -287,11 +342,13 @@ def forward(weights, X, workspace):
         c_next += ig
         np.tanh(c_next, out=tanh_c)
         np.multiply(o, tanh_c, out=h_next)
-    z = h[T] @ weights.w_out + weights.b_out
+    # one h[T] @ w_out product (a gemv) per model
+    z = np.matmul(h[:, T], weights.w_out[:, :, None])[..., 0] + weights.b_out[:, None]
+    z = z.reshape(lead + (B,))
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise RunFailed("non-finite prediction; training diverged?")
-    return pred, dict(views.cache, z=z)
+    return pred, dict(views.given, z=z)
 
 
 def backward(weights, cache, targets, workspace):
@@ -300,21 +357,27 @@ def backward(weights, cache, targets, workspace):
     Returns an LstmWeights over ``workspace.grads``, valid until that
     workspace's next backward. ``cache`` must be the one the workspace's
     last forward returned, and the gate gradients are written over its
-    ``A``, so a cache serves one backward call. Each step takes tanh(c[t+1])
-    again from c[t+1], and every step runs in place with each product's
-    operands in the order of the textbook expression.
+    ``A``, so a cache serves one backward call. ``targets`` are (batch,),
+    or (K, batch) for K models. Each step takes tanh(c[t+1]) again from
+    c[t+1], and every step runs in place with each product's operands in
+    the order of the textbook expression.
     """
     targets = np.asarray(targets, dtype=np.float64)
-    X, A, h, z = (cache[key] for key in ("X", "A", "h", "z"))
-    T, B, F = X.shape
+    K = workspace.models
+    T, B = cache["A"].shape[-3:-1]
+    F = cache["X"].shape[-1]
     H = weights.hidden_units
     views = workspace.views(B, T, F, H)
-    if views.cache["A"] is not A:
+    if views.given["A"] is not cache["A"]:
         raise ValueError("cache is not from this workspace's last forward")
-    grads, scratch, tanh_c = workspace.grads, views.scratch, views.tanh_c
+    weights = workspace.by_model(weights)
+    grads, by_model = workspace.grads, workspace.grads_by_model
+    X, A, h = (views.cache[key] for key in ("X", "A", "h"))
+    z, targets = cache["z"].reshape(K, B), targets.reshape(K, B)
+    scratch, tanh_c = views.scratch, views.tanh_c
     dW, dU = workspace.fused  # dU holds U until the loop is done
-    np.copyto(dU.reshape(H, 4, H), weights.U.transpose(1, 0, 2))
-    U_T = dU.T
+    np.copyto(dU.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
+    U_T = dU.transpose(0, 2, 1)
     pred = np.maximum(z, 0.0)
     gates, one_minus, dh, dc = scratch[:4], scratch[4:7], scratch[7], scratch[8]
     i, f, o, g = gates
@@ -323,9 +386,10 @@ def backward(weights, cache, targets, workspace):
 
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
-    grads.w_out[...] = h[T].T @ dz
-    grads.b_out[...] = dz.sum()
-    np.multiply(dz[:, None], weights.w_out, out=dh)
+    # one h[T].T @ dz product (a gemv) per model
+    by_model.w_out[...] = np.matmul(h[:, T].transpose(0, 2, 1), dz[:, :, None])[..., 0]
+    by_model.b_out[...] = dz.sum(axis=1)
+    np.multiply(dz[:, :, None], weights.w_out[:, None], out=dh)
     dc[...] = 0.0
 
     for t, rows, c_next, c_prev, a in views.backward_steps:
@@ -361,32 +425,35 @@ def backward(weights, cache, targets, workspace):
         if t:  # dh_0 would feed the zero initial state
             np.matmul(a, U_T, out=dh)
 
-    dA = A.reshape(T * B, 4 * H)
-    np.matmul(X.reshape(T * B, F).T, dA, out=dW)
-    np.matmul(h[:T].reshape(T * B, H).T, dA, out=dU)
-    grads.W[...] = dW.reshape(F, 4, H).transpose(1, 0, 2)
-    grads.U[...] = dU.reshape(H, 4, H).transpose(1, 0, 2)
-    grads.b[...] = dA.sum(axis=0)
+    # one GEMM per model over its T*B rows, as for a single model
+    dA = A.reshape(K, T * B, 4 * H)
+    np.matmul(X.reshape(K, T * B, F).transpose(0, 2, 1), dA, out=dW)
+    np.matmul(h[:, :T].reshape(K, T * B, H).transpose(0, 2, 1), dA, out=dU)
+    by_model.W[...] = dW.reshape(K, F, 4, H).transpose(0, 2, 1, 3)
+    by_model.U[...] = dU.reshape(K, H, 4, H).transpose(0, 2, 1, 3)
+    by_model.b[...] = dA.sum(axis=1)
     return grads
 
 
 def clip_gradients(grads, max_norm):
-    """Scale all gradients so their global L2 norm is at most max_norm."""
-    g = grads.theta
-    total = np.sqrt(g @ g)
-    if total > max_norm and total > 0:
-        g *= max_norm / total
+    """Scale each model's gradients so their global L2 norm is at most max_norm."""
+    theta = grads.theta
+    for g in theta.reshape(-1, theta.shape[-1]):
+        total = np.sqrt(g @ g)
+        if total > max_norm and total > 0:
+            g *= max_norm / total
     return grads
 
 
 @dataclass
 class AdamState:
-    """First/second moment vectors (theta's layout), one theta-sized
-    scratch row for the update, and the shared timestep."""
+    """First/second moment vectors (theta's layout, K models' rows for K
+    models), one theta-sized scratch row per model for the update, and the
+    shared timestep."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray  # (theta size,)
+    scratch: np.ndarray  # theta's shape
     t: int = 0
 
     @classmethod
@@ -403,7 +470,9 @@ def adam_step(weights, grads, state, lr):
     which nothing reads after the moment updates, with the operands and
     order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
     theta -= lr*m_hat / (sqrt(v_hat) + eps), so it allocates no
-    theta-sized array and matches those expressions bit for bit.
+    theta-sized array and matches those expressions bit for bit. Every
+    operation is elementwise, so K models' (K, theta size) block takes one
+    update, each row as its own model's.
     """
     state.t += 1
     b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
@@ -422,48 +491,68 @@ def adam_step(weights, grads, state, lr):
 def train(dataset, config):
     """Train on a WindowedDataset; returns (weights, loss_history).
 
+    ``config`` is one LstmConfig, or a sequence of K that differ only in
+    seed: those K replicates then train in lockstep, through one
+    workspace of K models and one Adam update over their (K, theta size)
+    block, and train returns one (weights, loss_history) per config, in
+    order, each model's weights a row of that block. Every epoch gives
+    each model batches of the same sizes, so each replicate's weights and
+    losses are bit-identical to training it alone.
+
     Mini-batches follow a seed-determined shuffle each epoch (last batch
     may be short). loss_history holds one training MSE per epoch,
     accumulated over the batches as they were seen.
 
     Raises:
         RunFailed: ``training diverged at epoch N`` when activations or a
-            batch's loss went non-finite.
+            batch's loss went non-finite, for K models at the first epoch
+            where any model's did.
     """
+    configs = [config] if isinstance(config, LstmConfig) else list(config)
+    first = configs[0]
+    if any(replace(other, seed=first.seed) != first for other in configs):
+        raise ValueError("models trained in lockstep may differ only in seed")
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
-    n = X.shape[0]
+    n, T, F = X.shape
     if n < 1:
         raise ValueError("need at least one training sample")
-    weights = init_weights(config, X.shape[2])
-    workspace = LstmWorkspace(min(config.batch_size, n), X.shape[1], X.shape[2],
-                              config.hidden_units)
+    K, H, batch = len(configs), first.hidden_units, first.batch_size
+    workspace = LstmWorkspace(min(batch, n), T, F, H, models=K)
+    theta = np.empty((K, theta_size(F, H)))
+    for row, model_config in zip(theta, configs):
+        row[...] = init_weights(model_config, F).theta
+    weights = LstmWeights.from_theta(theta.reshape(workspace.lead + theta.shape[1:]), F, H)
     state = AdamState.for_weights(weights)
-    shuffle_rng = np.random.default_rng([config.seed, 1])
-    loss_history = []
-    for epoch in range(config.epochs):
-        order = shuffle_rng.permutation(n)
+    shuffle_rngs = [np.random.default_rng([model_config.seed, 1]) for model_config in configs]
+    losses = []
+    for epoch in range(first.epochs):
+        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+        orders = orders.reshape(workspace.lead + (n,))
         sq_sum = 0.0
         try:
-            for start in range(0, n, config.batch_size):
-                idx = order[start:start + config.batch_size]
+            for start in range(0, n, batch):
+                idx = orders[..., start:start + batch]
                 pred, cache = forward(weights, X[idx], workspace)
                 with np.errstate(over="ignore"):
-                    batch_sq = float(np.sum((pred - y[idx]) ** 2))
-                if not math.isfinite(batch_sq):
+                    batch_sq = np.sum((pred - y[idx]) ** 2, axis=-1)
+                if not np.all(np.isfinite(batch_sq)):
                     # stop here: backward, clip and Adam would spread the overflow
                     raise RunFailed("non-finite batch loss")
                 sq_sum += batch_sq
                 grads = backward(weights, cache, y[idx], workspace)
                 clip_gradients(grads, GRAD_CLIP)
-                adam_step(weights, grads, state, config.learning_rate)
+                adam_step(weights, grads, state, first.learning_rate)
             epoch_loss = sq_sum / n
-            if not np.isfinite(epoch_loss):
+            if not np.all(np.isfinite(epoch_loss)):
                 raise RunFailed("non-finite epoch loss")
         except RunFailed as exc:
             raise RunFailed(f"training diverged at epoch {epoch}") from exc
-        loss_history.append(epoch_loss)
-    return weights, loss_history
+        losses.append(epoch_loss)
+    histories = np.reshape(losses, (first.epochs, K)).T.tolist()
+    models = [(LstmWeights.from_theta(row, F, H), history)
+              for row, history in zip(theta, histories)]
+    return models[0] if isinstance(config, LstmConfig) else models
 
 
 def predict(weights, dataset):

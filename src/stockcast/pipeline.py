@@ -7,9 +7,9 @@ identical bytes.
 
 Only featurize and train-eval compute on arrays. numpy, forecaster and
 features are imported inside the functions that build or train on arrays
-(build_matrix, run_feature_set, _fit_replicate, run_train_eval and
-_check_model_size), so ingest, simulate and the post workers run without
-them. Likewise the array module, a shared library, is imported only by
+(build_matrix, run_feature_set, _train_jobs, _fit_group, run_train_eval
+and _check_model_size), so ingest, simulate and the post workers run
+without them. Likewise the array module, a shared library, is imported only by
 _score_range and _gather, which score posts, so starting a command does
 not load it.
 """
@@ -31,7 +31,7 @@ from itertools import islice
 from pathlib import Path
 
 from . import market_sim, sentiment, textprep
-from .errors import StockcastError, echo, echo_path, open_text
+from .errors import RunFailed, StockcastError, echo, echo_path, open_text
 from .evaluation import RunMetrics, mae, r_squared, replicate_average
 from .ingest import (
     assign_posts,
@@ -325,20 +325,33 @@ def run_feature_set(feature_set, split, preds):
     )
 
 
-def _fit_replicate(_, job):
-    """Train one (set, replicate) model; its test forecast.
+def _fit_group(_, job):
+    """Train one set's group of replicates in lockstep; their test forecasts,
+    in replicate order.
 
-    ``job`` is one (LstmConfig, train, test) tuple; a _worker_pool task
-    that shares nothing. The config comes first: a spawn worker starts
-    without numpy and imports it, with forecaster, while it unpickles the
-    config. Imported after the windows' arrays instead, they raised a
+    ``job`` is one (tuple of LstmConfig, train, test) tuple; a _worker_pool task
+    that shares nothing. The configs come first: a spawn worker starts
+    without numpy and imports it, with forecaster, while it unpickles
+    them. Imported after the windows' arrays instead, they raised a
     fixture worker's peak RSS by about 0.3 MB.
+
+    Each replicate's weights are the ones it trains to alone, so its
+    forecast is too. A group that raises RunFailed trains its replicates
+    again one at a time, in order, so the error raised is the one the
+    first failing replicate raises alone.
     """
     from . import forecaster
 
-    model_config, train, test = job
-    weights, _ = forecaster.train(train, model_config)
-    return forecaster.predict(weights, test)
+    model_configs, train, test = job
+    if len(model_configs) > 1:
+        try:
+            models = forecaster.train(train, model_configs)
+        except RunFailed:
+            pass
+        else:
+            return [forecaster.predict(weights, test) for weights, _ in models]
+    return [forecaster.predict(forecaster.train(train, model_config)[0], test)
+            for model_config in model_configs]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -402,7 +415,7 @@ def _worker_pool(workers, shared=None):
 
 
 def _fit_all(jobs):
-    """_fit_replicate over ``jobs``; results, or the first error, in job order.
+    """_fit_group over ``jobs``; results, or the first error, in job order.
 
     Jobs are independent, so with several jobs and several usable cores
     they run in spawn workers, one per core up to the job count. One job,
@@ -411,7 +424,50 @@ def _fit_all(jobs):
     with.
     """
     with _worker_pool(min(len(jobs), _usable_cores())) as run:
-        return list(run(_fit_replicate, jobs))
+        return list(run(_fit_group, jobs))
+
+
+#: The largest per-step gate block, K*B*4H floats, of a lockstep group of
+#: K replicates: a pair of fixture-size models (H=16, B=32). With
+#: scripts/step_profile.py --models (T=10, F=10, 1 BLAS thread, two runs)
+#: a model's forward, backward, clip and Adam took 0.74-0.78x its time
+#: alone in such a pair and 0.64-0.65x in a triple, 0.86-1.01x in a pair
+#: at H=32 and 0.87-0.99x at H=64; at the reference shape (H=256, B=128,
+#: T=30, F=14) a pair took 0.95-1.03x. Each model a group adds holds one
+#: more workspace in its worker.
+_GROUP_GATE_FLOATS = 4096
+
+
+def _train_jobs(config, splits):
+    """The _fit_group jobs of every (set, replicate) model, in set then replicate order.
+
+    Replicate i trains with seed base_seed + i, and each job holds a
+    set's windows once and K of its replicates, in order: the largest K
+    whose per-step gate block, K*batch_size*4*hidden_units floats, is
+    within _GROUP_GATE_FLOATS and that leaves at least min(models, usable
+    cores) jobs, so each model trains with the BLAS threads it would
+    train with alone.
+    """
+    from . import forecaster
+
+    model_configs = [
+        forecaster.LstmConfig(
+            hidden_units=config.hidden_units,
+            learning_rate=config.learning_rate,
+            batch_size=config.batch_size,
+            epochs=config.epochs,
+            seed=config.base_seed + i,
+        )
+        for i in range(config.replicates)
+    ]
+    n = config.replicates
+    wanted = min(len(splits) * n, _usable_cores())
+    block = config.batch_size * 4 * config.hidden_units
+    k = max(size for size in range(1, n + 1)
+            if size == 1 or (size * block <= _GROUP_GATE_FLOATS
+                             and len(splits) * math.ceil(n / size) >= wanted))
+    return [(tuple(model_configs[i:i + k]), split.train, split.test)
+            for split in splits for i in range(0, n, k)]
 
 
 def simulate_feature_set(config, bars, predictions):
@@ -787,28 +843,19 @@ def run_train_eval(config, out_dir):
     dir. publish makes out_dir before any model trains; the reports land
     once every model has trained, report.json last.
     """
-    from . import features, forecaster
+    from . import features
 
     table = build_matrix(config, load_dataset(config, out_dir))
     splits = [
         features.make_windows(features.select(table, fs), config.lookback, config.split_date)
         for fs in config.feature_sets
     ]
-    del table  # the windows are copies: free the table before training
+    del table  # the windows view make_windows' own scaled tables: free this one
     _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
     _check_model_size(config, splits)
-    jobs = [
-        (forecaster.LstmConfig(
-            hidden_units=config.hidden_units,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            seed=config.base_seed + i,
-        ), split.train, split.test)
-        for split in splits for i in range(config.replicates)
-    ]
+    jobs = _train_jobs(config, splits)
     with publish(out_dir, marker="report.json") as stage:
-        preds = _fit_all(jobs)
+        preds = [pred for group in _fit_all(jobs) for pred in group]
         n = config.replicates
         results = [
             run_feature_set(fs, split, preds[k * n:(k + 1) * n])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast import cli, features, pipeline
+from stockcast import cli, features, forecaster, pipeline
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
 from stockcast.errors import ECHO_LIMIT, RunFailed, StockcastError, echo, echo_path
 from stockcast.forecaster import LstmConfig
@@ -729,8 +729,48 @@ class TestWorkerPool:
         diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
         force_cores(monkeypatch, 2)
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
-            pipeline._fit_all([(slow, split.train, bad_test),
-                               (diverging, split.train, split.test)])
+            pipeline._fit_all([((slow,), split.train, bad_test),
+                               ((diverging,), split.train, split.test)])
+
+    def test_group_raises_the_diverging_replicates_error(self, tmp_path, monkeypatch, capsys):
+        # at lr 1e300 seed 4 trains through and seed 5 diverges at epoch 0; on
+        # one core the two train as one group, which fails, and then one at a
+        # time: seed 4 trains, and seed 5 raises its own error
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path, replicates=2, learning_rate="1e300", base_seed=4)
+        force_cores(monkeypatch, 1)
+        calls = []
+        real_train = forecaster.train
+
+        def recording_train(dataset, config):
+            group = [config] if isinstance(config, LstmConfig) else config
+            calls.append(tuple(c.seed for c in group))
+            try:
+                return real_train(dataset, config)
+            except RunFailed as exc:
+                calls.append(str(exc))
+                raise
+
+        monkeypatch.setattr("stockcast.forecaster.train", recording_train)
+        assert cli.main(["train-eval", "--config", str(path)]) == 3
+        assert capsys.readouterr().err == "error: training diverged at epoch 0\n"
+        assert calls == [(4, 5), "training diverged at epoch 0", (4,), (5,),
+                         "training diverged at epoch 0"]
+
+    def test_group_error_is_the_first_failing_replicates(self, monkeypatch):
+        # replicate 0 alone diverges at epoch 2 and replicate 1 at epoch 0, so
+        # their group stops at epoch 0; the error raised is replicate 0's
+        diverges_at = {7: 2, 8: 0}
+
+        def diverging_train(dataset, config):
+            group = [config] if isinstance(config, LstmConfig) else config
+            epoch = min(diverges_at[c.seed] for c in group)
+            raise RunFailed(f"training diverged at epoch {epoch}")
+
+        monkeypatch.setattr("stockcast.forecaster.train", diverging_train)
+        group = tuple(LstmConfig(hidden_units=4, seed=seed) for seed in (7, 8))
+        with pytest.raises(RunFailed, match="^training diverged at epoch 2$"):
+            pipeline._fit_group(None, (group, None, None))
 
     def test_memory_error_in_worker_comes_back(self):
         # the CLI turns it into exit 3 as it does one raised here

@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +27,7 @@ from stockcast.forecaster import (
     forward,
     init_weights,
     predict,
+    theta_size,
     train,
 )
 
@@ -586,6 +588,7 @@ class TestWorkspace:
         cfg = LstmConfig(hidden_units=H, batch_size=B, epochs=2, seed=0)
         w = init_weights(cfg, F)
         theta = w.theta.nbytes
+        dataset = WindowedDataset(X=X, y=y, dates=tuple(range(n)))
         tracemalloc.start()
         try:
             workspace = LstmWorkspace(B, T, F, H)
@@ -596,13 +599,100 @@ class TestWorkspace:
             one_workspace = tracemalloc.get_traced_memory()[0]
             del workspace
             tracemalloc.reset_peak()
-            train(WindowedDataset(X=X, y=y, dates=tuple(range(n))), cfg)
+            train(dataset, cfg)
             peak = tracemalloc.get_traced_memory()[1]
+            # K = 2 models in lockstep: K workspaces and K Adam rows, nothing more
+            tracemalloc.reset_peak()
+            train(dataset, [cfg, replace(cfg, seed=1)])
+            group_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         adam = 3 * theta  # m, v and one scratch row
         # half a theta covers the batch's rows and numpy's ufunc buffers
-        assert peak <= one_workspace + adam + theta + theta // 2, (peak, one_workspace, theta)
+        bound = one_workspace + adam + theta + theta // 2
+        assert peak <= bound, (peak, one_workspace, theta)
+        assert group_peak <= 2 * bound, (group_peak, one_workspace, theta)
+
+
+def lockstep_weights(models):
+    """One LstmWeights over the stacked theta of ``models``, for a workspace of K models."""
+    first = models[0]
+    return LstmWeights.from_theta(np.stack([w.theta for w in models]), first.W.shape[1],
+                                  first.hidden_units)
+
+
+class TestLockstep:
+    """K models in one workspace: each model's numbers are the ones it gets alone."""
+
+    @pytest.mark.parametrize("seeds", [(4, 5), (0, 1, 4)], ids=["K2", "K3"])
+    def test_group_matches_each_replicate_trained_alone(self, seeds):
+        # 21 samples in batches of 8: every epoch ends on a 5-row batch; seeds
+        # 0, 4 and 5 learn on these samples and seed 1 starts dead
+        rng = np.random.default_rng(27)
+        X = rng.uniform(0, 1, size=(21, 6, 3))
+        y = rng.uniform(0.2, 0.8, size=21)
+        dataset = WindowedDataset(X=X, y=y, dates=tuple(range(21)))
+        configs = [LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=seed)
+                   for seed in seeds]
+        group = train(dataset, configs)
+        assert len(group) == len(seeds)
+        learned = 0
+        for config, (weights, history) in zip(configs, group):
+            alone, alone_history = train(dataset, config)
+            learned += not np.array_equal(weights.theta, init_weights(config, 3).theta)
+            assert weights.theta.tobytes() == alone.theta.tobytes()
+            assert np.array(history).tobytes() == np.array(alone_history).tobytes()
+            assert predict(weights, dataset).tobytes() == predict(alone, dataset).tobytes()
+        assert learned >= 2
+
+    @pytest.mark.parametrize("B", [8, 5])
+    def test_kernel_matches_expressions_per_model(self, B):
+        # a full batch, then a short one through the same 8-row workspace
+        T, F, H, K = 4, 3, 6, 2
+        rng = np.random.default_rng(28 + B)
+        models = [live_weights(H, F, seed=seed) for seed in range(K)]
+        weights = lockstep_weights(models)
+        workspace = LstmWorkspace(8, T, F, H, models=K)
+        _, warm = forward(weights, rng.uniform(0, 1, size=(K, 8, T, F)), workspace)
+        backward(weights, warm, rng.uniform(0, 1, size=(K, 8)), workspace)
+        X = rng.uniform(0, 1, size=(K, B, T, F))
+        y = rng.uniform(0, 1, size=(K, B))
+        pred, cache = forward(weights, X, workspace)
+        want = [expression_kernel(w, X[k], y[k]) for k, w in enumerate(models)]
+        for k, (want_pred, want_cache, _) in enumerate(want):
+            assert np.any(want_pred > 0)
+            assert np.array_equal(pred[k], want_pred)
+            for key in want_cache:
+                assert np.array_equal(cache[key][k], want_cache[key]), key
+        grads = backward(weights, cache, y, workspace)
+        assert grads.theta is workspace.grads.theta
+        for k, (_, _, want_theta) in enumerate(want):
+            assert np.array_equal(grads.theta[k], want_theta)
+
+    def test_clip_scales_each_model_alone(self):
+        theta = np.zeros((2, theta_size(1, 1)))
+        theta[:, :2] = [[30.0, 40.0], [0.3, 0.4]]  # norms 50 and 0.5
+        alone = [clip_gradients(LstmWeights.from_theta(row.copy(), 1, 1), 5.0).theta
+                 for row in theta]
+        clip_gradients(LstmWeights.from_theta(theta, 1, 1), 5.0)
+        assert np.array_equal(theta, alone)
+        assert math.hypot(*theta[0, :2]) == pytest.approx(5.0)
+        assert theta[1, :2].tolist() == [0.3, 0.4]
+
+    def test_configs_may_differ_only_in_seed(self):
+        with pytest.raises(ValueError, match="only in seed"):
+            train(constant_target_dataset(), [LstmConfig(hidden_units=4, seed=0),
+                                              LstmConfig(hidden_units=5, seed=1)])
+
+    def test_model_count_must_match_the_workspace(self):
+        models = [live_weights(4, 3, seed=seed) for seed in range(2)]
+        X = np.zeros((2, 5, 4, 3))
+        with pytest.raises(ValueError, match="workspace runs 2 model"):
+            forward(models[0], X, LstmWorkspace(5, 4, 3, 4, models=2))
+        with pytest.raises(ValueError, match="workspace runs 2 model"):
+            forward(lockstep_weights(models), X[0], LstmWorkspace(5, 4, 3, 4, models=2))
+        with pytest.raises(ValueError, match="workspace runs 1 model"):
+            forward(lockstep_weights(models), X[0], LstmWorkspace(5, 4, 3, 4))
 
 
 def expression_kernel(weights, X, targets):

@@ -6,6 +6,7 @@ import shutil
 import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -24,7 +25,7 @@ from stockcast.pipeline import (
 )
 from stockcast.sentiment import ReplayProvider
 
-from conftest import FIXTURES
+from conftest import CONFIGS, FIXTURES
 from test_features import check_windows_are_views
 
 
@@ -105,6 +106,31 @@ def test_run_feature_set_shapes(config, dataset, trained):
                                list(zip(test_dates, result.mean_pred_price.tolist())))
     assert sim.ledger[0].date == result.split.test.dates[0]
     assert sim.ledger[-1].date == result.split.test.dates[-1]
+
+
+@pytest.mark.parametrize("conf, overrides, cores, groups", [
+    ("fixture.conf", {}, 2, [2] * 12),
+    ("protocol.conf", {}, 2, [1] * 120),
+    # the benchmark's protocol_shape run: one model of the reference shape
+    ("protocol.conf", {"feature_sets": ("Prices-Tweets-News-RSI-SMA",), "replicates": 1}, 2,
+     [1]),
+    ("fixture.conf", {"feature_sets": ("Prices",)}, 2, [1, 1]),
+    ("fixture.conf", {"feature_sets": ("Prices",)}, 1, [2]),
+], ids=["fixture", "protocol", "protocol-shape", "one-set-two-cores", "one-set-one-core"])
+def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf, overrides,
+                                                             cores, groups):
+    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity",
+                        lambda pid: set(range(cores)))
+    config = apply_overrides(parse_config(CONFIGS / conf), overrides)
+    splits = [SimpleNamespace(train=f"{fs} train", test=f"{fs} test")
+              for fs in config.feature_sets]
+    jobs = pipeline._train_jobs(config, splits)
+    assert [len(model_configs) for model_configs, _, _ in jobs] == groups
+    # each set's replicates in order, seeded base_seed + i, with that set's windows
+    n = config.replicates
+    assert [(train, test, c.seed) for model_configs, train, test in jobs
+            for c in model_configs] == [(f"{fs} train", f"{fs} test", config.base_seed + i)
+                                        for fs in config.feature_sets for i in range(n)]
 
 
 def test_replay_provider_covers_fixture_posts(fixture_config_path):
