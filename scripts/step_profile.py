@@ -65,10 +65,9 @@ def blas_threads():
 
 
 def group_weights(hidden, features, models):
-    """K seeded models' weights, in the form a workspace of K models takes."""
-    rows = [init_weights(LstmConfig(hidden_units=hidden, seed=seed), features).theta
-            for seed in range(models)]
-    theta = np.stack(rows) if models > 1 else rows[0]
+    """K seeded models' weights as the (K, theta size) block a workspace of K models takes."""
+    theta = np.stack([init_weights(LstmConfig(hidden_units=hidden, seed=seed), features).theta
+                      for seed in range(models)])
     return LstmWeights.from_theta(theta, features, hidden)
 
 
@@ -76,10 +75,9 @@ def training_bytes(hidden, batch, lookback, features, models=1):
     """Bytes that one training workspace of K models and its AdamState hold
     after a batch, the workspace's gradient vectors included, by tracemalloc."""
     weights = group_weights(hidden, features, models)
-    lead = (models,) if models > 1 else ()
     rng = np.random.default_rng(1)
-    X = rng.uniform(0, 1, size=lead + (batch, lookback, features))
-    y = rng.uniform(0, 1, size=lead + (batch,))
+    X = rng.uniform(0, 1, size=(models, batch, lookback, features))
+    y = rng.uniform(0, 1, size=(models, batch))
     tracemalloc.start()
     try:
         state = AdamState.for_weights(weights)
@@ -98,18 +96,17 @@ def profile(hidden, batch, lookback, features, batches, models=1):
     call."""
     config = LstmConfig(hidden_units=hidden, batch_size=batch, seed=0)
     weights = group_weights(hidden, features, models)
-    first = LstmWeights.from_theta(weights.theta.reshape(models, -1)[0], features, hidden)
+    first = LstmWeights.from_theta(weights.theta[0], features, hidden)
     state = AdamState.for_weights(weights)
     workspace = LstmWorkspace(batch, lookback, features, hidden, models)
-    lead = workspace.lead
     rng = np.random.default_rng(0)
     chunk = WindowedDataset(X=rng.uniform(0, 1, size=(PREDICT_CHUNK, lookback, features)),
                             y=np.zeros(PREDICT_CHUNK), dates=tuple(range(PREDICT_CHUNK)))
     times = {"forward": [], "backward": [], "clip_gradients": [], "adam_step": [], "predict": []}
     faults = []
     for n in range(WARMUP + batches):
-        X = rng.uniform(0, 1, size=lead + (batch, lookback, features))
-        y = rng.uniform(0, 1, size=lead + (batch,))
+        X = rng.uniform(0, 1, size=(models, batch, lookback, features))
+        y = rng.uniform(0, 1, size=(models, batch))
         t0 = time.perf_counter()
         _, cache = forward(weights, X, workspace)
         t1 = time.perf_counter()

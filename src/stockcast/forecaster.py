@@ -21,18 +21,19 @@ from one product or sum each after the loop. Gradients come back in the
 same flat layout, so clipping is one dot product per model and Adam one
 update over the whole vector.
 
-The kernel has a leading model axis K: ``train`` given K configs that
-differ only in seed trains those replicates in lockstep, as a (K, theta
-size) block of weights through one workspace of K models. Each model's
-(T, B, k) inputs, gates and hidden states sit one after another, laid out
-as a single model's, and the cell states are time-major, so every
-per-step call runs once over a (K, B, k) view of the K models' blocks,
-while X @ W, dW and dU stay one GEMM per model over its T*B rows and each
+The kernel has a leading model axis K: every array it takes and gives
+leads with K, and one model is K = 1. ``train`` trains K replicates, a
+config's seeds seed ... seed + K - 1, in lockstep, as a (K, theta size)
+block of weights through one workspace of K models. Each model's (T, B,
+k) inputs, gates and hidden states sit one after another, laid out as a
+single model's, and the cell states are time-major, so every per-step
+call runs once over a (K, B, k) view of the K models' blocks, while
+X @ W, dW and dU stay one GEMM per model over its T*B rows and each
 stacked matmul runs the GEMM one model alone would; clipping takes each
 model's norm alone, and Adam is elementwise. Every model's numbers are
-bit-identical to training it alone. One model is K = 1, whose arrays
-carry no model axis. Stacking saves numpy's per-call cost, which
-dominates on small models; at the reference shape it saves nothing.
+bit-identical to training it alone. Stacking saves numpy's per-call
+cost, which dominates on small models; at the reference shape it saves
+nothing. ``predict`` runs one model, as a block of K = 1.
 
 Each backward step copies its (B, 4H) gate rows into a gate-major
 (4, B, H) block, runs the per-gate elementwise work on that block's
@@ -168,15 +169,14 @@ class LstmWorkspace:
     Sized for batches of up to ``rows`` samples of one (lookback,
     n_features, hidden) shape, for ``models`` models K that run in
     lockstep. Every array the kernel takes or gives has the model axis
-    first when K > 1, and none when K = 1: ``lead`` is (K,) or (). The X,
-    A and h buffers hold the K models' arrays one after another, so model
-    k's (T, B, k) block is laid out as a single model's and the X @ W, dW
-    and dU products need no copy; the c buffer, which no product reads, is
-    time-major, (T+1, K, B, H), so a step's cell states are one contiguous
-    block. A batch of B rows takes the first K*T*B*k floats of each flat
-    buffer, so a short last batch is as contiguous as a full one; for
-    K = 1 the two orders are the same. ``train`` and ``predict`` each
-    allocate one workspace and run every batch through it.
+    first. The X, A and h buffers hold the K models' arrays one after
+    another, so model k's (T, B, k) block is laid out as a single model's
+    and the X @ W, dW and dU products need no copy; the c buffer, which no
+    product reads, is time-major, (T+1, K, B, H), so a step's cell states
+    are one contiguous block. A batch of B rows takes the first K*T*B*k
+    floats of each flat buffer, so a short last batch is as contiguous as
+    a full one; for K = 1 the two orders are the same. ``train`` and
+    ``predict`` each allocate one workspace and run every batch through it.
 
     It holds every step's inputs, gates and h and c states and ten (K, B,
     H) scratch blocks; tanh(c) is taken per step in one of them, not kept
@@ -197,7 +197,6 @@ class LstmWorkspace:
     def __init__(self, rows, lookback, n_features, hidden, models=1):
         K, T, F, H = models, lookback, n_features, hidden
         self.rows, self.models, self.dims = rows, K, (T, F, H)
-        self.lead = (K,) if K > 1 else ()
         self._X = np.empty(K * T * rows * F)
         self._A = np.empty(K * T * rows * 4 * H)
         self._h = np.empty(K * (T + 1) * rows * H)
@@ -212,56 +211,35 @@ class LstmWorkspace:
 
     @cached_property
     def grads(self):
-        """backward's gradient vectors, ``lead`` + (theta size,), made by the
-        first backward (predict's workspace never has them)."""
+        """backward's gradient vectors, (K, theta size), made by the first
+        backward (predict's workspace never has them)."""
         _, F, H = self.dims
-        return LstmWeights.from_theta(np.empty(self.lead + (theta_size(F, H),)), F, H)
+        return LstmWeights.from_theta(np.empty((self.models, theta_size(F, H))), F, H)
 
-    @cached_property
-    def grads_by_model(self):
-        """``grads`` with the model axis first, for K = 1 too."""
-        return self.by_model(self.grads)
-
-    def views(self, B, T, F, H):
-        """The _BatchViews of a B-row batch of (T, F, H), built on first use."""
-        views = self._views.get((B, T, F, H))
+    def views(self, B):
+        """The _BatchViews of a B-row batch, built on first use; forward
+        checks B against ``rows``."""
+        views = self._views.get(B)
         if views is None:
-            if (T, F, H) != self.dims or B > self.rows:
-                raise ValueError(f"workspace holds {self.rows} rows of (T, F, H) = {self.dims}; "
-                                 f"got {B} rows of {(T, F, H)}")
-            views = self._views[B, T, F, H] = _BatchViews(self, B)
+            views = self._views[B] = _BatchViews(self, B)
         return views
-
-    def by_model(self, weights):
-        """``weights`` with the model axis first, for K = 1 too (no copy).
-
-        Raises:
-            ValueError: ``weights`` are not ``lead`` models of this shape.
-        """
-        _, F, H = self.dims
-        size = theta_size(F, H)
-        if weights.theta.shape != self.lead + (size,):
-            raise ValueError(f"workspace runs {self.models} model(s) of theta size {size}; "
-                             f"got theta of shape {weights.theta.shape}")
-        return LstmWeights.from_theta(weights.theta.reshape(self.models, size), F, H)
 
 
 class _BatchViews:
     """A workspace's views for batches of B rows, with the model axis first.
 
     ``cache`` holds X, A, h and c, as forward documents, each (K, T, B, k)
-    or (K, T+1, B, k) (c as a view of its time-major buffer), and
-    ``given`` the same arrays in ``lead``'s form, which forward hands out. ``scratch`` is ten (K, B, H) temporaries:
-    forward's h @ U product takes the first four as the (K, B, 4H) block
-    ``hU`` and i * g the fifth, ``ig``; backward takes the first four as
-    its gate-major (4, K, B, H) step block, the next three for 1 - i,
-    1 - f and 1 - o (and for terms while those are not live), and the next
-    two as dh and dc. The last, ``tanh_c``, holds the step's tanh(c[t+1])
-    in forward and in backward. ``scale`` and ``shift`` are the (B, 4H)
-    logistic constants, read by every model. ``forward_steps`` and
-    ``backward_steps`` hold one tuple of views per step, backward's last
-    step first; the K models' blocks of a step form one (K, B, k) view,
-    contiguous for c.
+    or (K, T+1, B, k) (c as a view of its time-major buffer). ``scratch``
+    is ten (K, B, H) temporaries: forward's h @ U product takes the first
+    four as the (K, B, 4H) block ``hU`` and i * g the fifth, ``ig``;
+    backward takes the first four as its gate-major (4, K, B, H) step
+    block, the next three for 1 - i, 1 - f and 1 - o (and for terms while
+    those are not live), and the next two as dh and dc. The last,
+    ``tanh_c``, holds the step's tanh(c[t+1]) in forward and in backward.
+    ``scale`` and ``shift`` are the (B, 4H) logistic constants, read by
+    every model. ``forward_steps`` and ``backward_steps`` hold one tuple of
+    views per step, backward's last step first; the K models' blocks of a
+    step form one (K, B, k) view, contiguous for c.
     """
 
     def __init__(self, workspace, B):
@@ -272,8 +250,6 @@ class _BatchViews:
         h = _prefix(workspace._h, K, T + 1, B, H)
         c = _prefix(workspace._c, T + 1, K, B, H)
         self.cache = {"X": X, "A": A, "h": h, "c": c.transpose(1, 0, 2, 3)}
-        self.given = {key: array.reshape(workspace.lead + array.shape[1:])
-                      for key, array in self.cache.items()}
         self.scratch = _prefix(workspace._scratch, 10, K, B, H)
         self.hU, self.ig = self.scratch[:4].reshape(K, B, 4 * H), self.scratch[4]
         self.tanh_c = self.scratch[9]
@@ -295,35 +271,37 @@ def _prefix(buf, *shape):
 
 
 def forward(weights, X, workspace):
-    """Unrolled forward pass over a (batch, lookback, features) array.
+    """Unrolled forward pass over K models' (batch, lookback, features) arrays.
 
-    Returns predictions (batch,) and the activation cache BPTT needs:
-    time-major inputs ``X`` (T, B, F), gate activations ``A`` (T, B, 4H)
-    in i, f, o, g order, hidden and cell states ``h``/``c`` (T+1, B, H)
-    with the zero initial state first, and the head pre-activation ``z``.
-    The cache arrays live in ``workspace``, an LstmWorkspace with room for
-    the batch, and stay valid until that workspace's next forward. For a
-    workspace of K > 1 models, ``weights`` hold K models, ``X`` is one
-    batch per model, (K, batch, lookback, features), and every array
-    returned leads with K.
+    ``weights`` hold K models, a (K, theta size) block, and ``X`` is one
+    batch per model, (K, batch, lookback, features), for a workspace of K
+    models. Returns predictions (K, batch) and the activation cache BPTT
+    needs: time-major inputs ``X`` (K, T, B, F), gate activations ``A``
+    (K, T, B, 4H) in i, f, o, g order, hidden and cell states ``h``/``c``
+    (K, T+1, B, H) with the zero initial state first, and the head
+    pre-activation ``z`` (K, B). The cache arrays live in ``workspace``,
+    an LstmWorkspace with room for the batch, and stay valid until that
+    workspace's next forward.
 
     Raises:
+        ValueError: ``weights`` or ``X`` do not hold the workspace's K
+            models of its shape.
         RunFailed: a prediction came out inf/nan.
     """
     X = np.asarray(X, dtype=np.float64)
-    lead, K = workspace.lead, workspace.models
-    if X.shape[:-3] != lead:
-        raise ValueError(f"workspace runs {K} model(s); got a batch of shape {X.shape}")
-    B, T, F = X.shape[-3:]
-    H = weights.hidden_units
-    views = workspace.views(B, T, F, H)
-    weights = workspace.by_model(weights)
-    Xt, A, h, c = (views.cache[key] for key in ("X", "A", "h", "c"))
+    K, rows, (T, F, H) = workspace.models, workspace.rows, workspace.dims
+    B = X.shape[1] if X.ndim == 4 else 0
+    if X.shape != (K, B, T, F) or B > rows or weights.theta.shape != (K, theta_size(F, H)):
+        raise ValueError(f"workspace runs {K} model(s) of (T, F, H) = {(T, F, H)} on up to "
+                         f"{rows} rows; got theta of shape {weights.theta.shape} and a batch "
+                         f"of shape {X.shape}")
+    views = workspace.views(B)
+    Xt, A, h, c = views.cache.values()
     hU, ig, tanh_c, scale, shift = views.hU, views.ig, views.tanh_c, views.scale, views.shift
     W, U = workspace.fused
     np.copyto(W.reshape(K, F, 4, H), weights.W.transpose(0, 2, 1, 3))
     np.copyto(U.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
-    np.copyto(Xt, X.reshape(K, B, T, F).transpose(0, 2, 1, 3))
+    np.copyto(Xt, X.transpose(0, 2, 1, 3))
     XW = A.reshape(K, T * B, 4 * H)
     np.matmul(Xt.reshape(K, T * B, F), W, out=XW)
     XW += weights.b[:, None]  # (XW + b) + hU: the same sums as adding b at each step
@@ -344,36 +322,32 @@ def forward(weights, X, workspace):
         np.multiply(o, tanh_c, out=h_next)
     # one h[T] @ w_out product (a gemv) per model
     z = np.matmul(h[:, T], weights.w_out[:, :, None])[..., 0] + weights.b_out[:, None]
-    z = z.reshape(lead + (B,))
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise RunFailed("non-finite prediction; training diverged?")
-    return pred, dict(views.given, z=z)
+    return pred, dict(views.cache, z=z)
 
 
 def backward(weights, cache, targets, workspace):
-    """Exact gradients of batch-mean MSE w.r.t. every parameter.
+    """Exact gradients of batch-mean MSE w.r.t. every parameter of K models.
 
-    Returns an LstmWeights over ``workspace.grads``, valid until that
-    workspace's next backward. ``cache`` must be the one the workspace's
-    last forward returned, and the gate gradients are written over its
-    ``A``, so a cache serves one backward call. ``targets`` are (batch,),
-    or (K, batch) for K models. Each step takes tanh(c[t+1]) again from
-    c[t+1], and every step runs in place with each product's operands in
-    the order of the textbook expression.
+    Returns an LstmWeights over ``workspace.grads``, (K, theta size), valid
+    until that workspace's next backward. ``cache`` must be the one the
+    workspace's last forward returned, and the gate gradients are written
+    over its ``A``, so a cache serves one backward call. ``targets`` are
+    (K, batch). Each step takes tanh(c[t+1]) again from c[t+1], and every
+    step runs in place with each product's operands in the order of the
+    textbook expression.
     """
-    targets = np.asarray(targets, dtype=np.float64)
-    K = workspace.models
-    T, B = cache["A"].shape[-3:-1]
-    F = cache["X"].shape[-1]
-    H = weights.hidden_units
-    views = workspace.views(B, T, F, H)
-    if views.given["A"] is not cache["A"]:
+    K, (T, F, H) = workspace.models, workspace.dims
+    X, A, h, z = cache["X"], cache["A"], cache["h"], cache["z"]
+    B = A.shape[2]
+    views = workspace._views.get(B)
+    if views is None or views.cache["A"] is not A:
         raise ValueError("cache is not from this workspace's last forward")
-    weights = workspace.by_model(weights)
-    grads, by_model = workspace.grads, workspace.grads_by_model
-    X, A, h = (views.cache[key] for key in ("X", "A", "h"))
-    z, targets = cache["z"].reshape(K, B), targets.reshape(K, B)
+    grads = workspace.grads
+    if weights.theta.shape != grads.theta.shape:
+        raise ValueError(f"workspace runs {K} model(s); got theta of shape {weights.theta.shape}")
     scratch, tanh_c = views.scratch, views.tanh_c
     dW, dU = workspace.fused  # dU holds U until the loop is done
     np.copyto(dU.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
@@ -387,8 +361,8 @@ def backward(weights, cache, targets, workspace):
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     # one h[T].T @ dz product (a gemv) per model
-    by_model.w_out[...] = np.matmul(h[:, T].transpose(0, 2, 1), dz[:, :, None])[..., 0]
-    by_model.b_out[...] = dz.sum(axis=1)
+    grads.w_out[...] = np.matmul(h[:, T].transpose(0, 2, 1), dz[:, :, None])[..., 0]
+    grads.b_out[...] = dz.sum(axis=1)
     np.multiply(dz[:, :, None], weights.w_out[:, None], out=dh)
     dc[...] = 0.0
 
@@ -429,17 +403,27 @@ def backward(weights, cache, targets, workspace):
     dA = A.reshape(K, T * B, 4 * H)
     np.matmul(X.reshape(K, T * B, F).transpose(0, 2, 1), dA, out=dW)
     np.matmul(h[:, :T].reshape(K, T * B, H).transpose(0, 2, 1), dA, out=dU)
-    by_model.W[...] = dW.reshape(K, F, 4, H).transpose(0, 2, 1, 3)
-    by_model.U[...] = dU.reshape(K, H, 4, H).transpose(0, 2, 1, 3)
-    by_model.b[...] = dA.sum(axis=1)
+    grads.W[...] = dW.reshape(K, F, 4, H).transpose(0, 2, 1, 3)
+    grads.U[...] = dU.reshape(K, H, 4, H).transpose(0, 2, 1, 3)
+    grads.b[...] = dA.sum(axis=1)
     return grads
 
 
+@np.errstate(over="ignore")
 def clip_gradients(grads, max_norm):
-    """Scale each model's gradients so their global L2 norm is at most max_norm."""
-    theta = grads.theta
-    for g in theta.reshape(-1, theta.shape[-1]):
+    """Scale each model's gradients, (K, theta size), so each one's L2 norm
+    is at most max_norm.
+
+    A finite gradient whose norm passes sqrt(float max), about 1.3e154,
+    overflows g @ g to inf, silently; its norm is then taken on g over its
+    largest magnitude, so it is clipped, not zeroed. Where g @ g is finite
+    the norm is its square root.
+    """
+    for g in grads.theta:
         total = np.sqrt(g @ g)
+        if total == np.inf and np.all(np.isfinite(g)):
+            peak = np.max(np.abs(g))
+            total = peak * np.sqrt((g / peak) @ (g / peak))
         if total > max_norm and total > 0:
             g *= max_norm / total
     return grads
@@ -488,16 +472,15 @@ def adam_step(weights, grads, state, lr):
     return weights, state
 
 
-def train(dataset, config):
-    """Train on a WindowedDataset; returns (weights, loss_history).
+def train(dataset, config, models=1):
+    """Train ``models`` replicates K on a WindowedDataset, seeded config.seed,
+    config.seed + 1, ...; returns one (weights, loss_history) per replicate.
 
-    ``config`` is one LstmConfig, or a sequence of K that differ only in
-    seed: those K replicates then train in lockstep, through one
-    workspace of K models and one Adam update over their (K, theta size)
-    block, and train returns one (weights, loss_history) per config, in
-    order, each model's weights a row of that block. Every epoch gives
-    each model batches of the same sizes, so each replicate's weights and
-    losses are bit-identical to training it alone.
+    The K replicates train in lockstep, through one workspace of K models
+    and one Adam update over their (K, theta size) block, and each one's
+    weights are a row of that block. Every epoch gives each model batches
+    of the same sizes, so each replicate's weights and losses are
+    bit-identical to training it alone.
 
     Mini-batches follow a seed-determined shuffle each epoch (last batch
     may be short). loss_history holds one training MSE per epoch,
@@ -505,65 +488,60 @@ def train(dataset, config):
 
     Raises:
         RunFailed: ``training diverged at epoch N`` when activations or a
-            batch's loss went non-finite, for K models at the first epoch
-            where any model's did.
+            batch's loss went non-finite, at the first epoch where any
+            model's did.
     """
-    configs = [config] if isinstance(config, LstmConfig) else list(config)
-    first = configs[0]
-    if any(replace(other, seed=first.seed) != first for other in configs):
-        raise ValueError("models trained in lockstep may differ only in seed")
     X = np.asarray(dataset.X, dtype=np.float64)
     y = np.asarray(dataset.y, dtype=np.float64)
     n, T, F = X.shape
     if n < 1:
         raise ValueError("need at least one training sample")
-    K, H, batch = len(configs), first.hidden_units, first.batch_size
+    K, H, batch = models, config.hidden_units, config.batch_size
+    seeds = range(config.seed, config.seed + K)
     workspace = LstmWorkspace(min(batch, n), T, F, H, models=K)
     theta = np.empty((K, theta_size(F, H)))
-    for row, model_config in zip(theta, configs):
-        row[...] = init_weights(model_config, F).theta
-    weights = LstmWeights.from_theta(theta.reshape(workspace.lead + theta.shape[1:]), F, H)
+    for row, seed in zip(theta, seeds):
+        row[...] = init_weights(replace(config, seed=seed), F).theta
+    weights = LstmWeights.from_theta(theta, F, H)
     state = AdamState.for_weights(weights)
-    shuffle_rngs = [np.random.default_rng([model_config.seed, 1]) for model_config in configs]
+    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
     losses = []
-    for epoch in range(first.epochs):
+    for epoch in range(config.epochs):
         orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        orders = orders.reshape(workspace.lead + (n,))
         sq_sum = 0.0
         try:
             for start in range(0, n, batch):
-                idx = orders[..., start:start + batch]
+                idx = orders[:, start:start + batch]
                 pred, cache = forward(weights, X[idx], workspace)
                 with np.errstate(over="ignore"):
-                    batch_sq = np.sum((pred - y[idx]) ** 2, axis=-1)
+                    batch_sq = np.sum((pred - y[idx]) ** 2, axis=1)
                 if not np.all(np.isfinite(batch_sq)):
                     # stop here: backward, clip and Adam would spread the overflow
                     raise RunFailed("non-finite batch loss")
                 sq_sum += batch_sq
                 grads = backward(weights, cache, y[idx], workspace)
                 clip_gradients(grads, GRAD_CLIP)
-                adam_step(weights, grads, state, first.learning_rate)
+                adam_step(weights, grads, state, config.learning_rate)
             epoch_loss = sq_sum / n
             if not np.all(np.isfinite(epoch_loss)):
                 raise RunFailed("non-finite epoch loss")
         except RunFailed as exc:
             raise RunFailed(f"training diverged at epoch {epoch}") from exc
         losses.append(epoch_loss)
-    histories = np.reshape(losses, (first.epochs, K)).T.tolist()
-    models = [(LstmWeights.from_theta(row, F, H), history)
-              for row, history in zip(theta, histories)]
-    return models[0] if isinstance(config, LstmConfig) else models
+    histories = np.reshape(losses, (config.epochs, K)).T.tolist()
+    return [(LstmWeights.from_theta(row, F, H), history)
+            for row, history in zip(theta, histories)]
 
 
 def predict(weights, dataset):
-    """One prediction per sample, order preserved; empty in, empty out.
+    """One model's prediction per sample, order preserved; empty in, empty out.
 
-    The samples run through one workspace in chunks of PREDICT_CHUNK rows.
-    A 1-row tail joins the chunk before it: a 1-row product goes through
-    gemv, whose sums differ from gemm's in the last bit. BLAS kernels
-    handle rows in groups (OpenBLAS's dgemv in fours), so with
-    PREDICT_CHUNK a multiple of 8 every prediction is bit-identical to one
-    forward over all n samples.
+    The samples run through one workspace of one model in chunks of
+    PREDICT_CHUNK rows. A 1-row tail joins the chunk before it: a 1-row
+    product goes through gemv, whose sums differ from gemm's in the last
+    bit. BLAS kernels handle rows in groups (OpenBLAS's dgemv in fours), so
+    with PREDICT_CHUNK a multiple of 8 every prediction is bit-identical to
+    one forward over all n samples.
     """
     X = np.asarray(dataset.X, dtype=np.float64)
     n, T, F = X.shape
@@ -573,11 +551,13 @@ def predict(weights, dataset):
     if n > 1 and n - starts[-1] == 1:
         starts.pop()
     bounds = starts + [n]
-    workspace = LstmWorkspace(max(np.diff(bounds)), T, F, weights.hidden_units)
+    H = weights.hidden_units
+    workspace = LstmWorkspace(max(np.diff(bounds)), T, F, H)
+    block = LstmWeights.from_theta(weights.theta[None], F, H)
     preds = np.empty(n)
     for start, stop in zip(bounds, bounds[1:]):
-        pred, _ = forward(weights, X[start:stop], workspace)
-        preds[start:stop] = pred
+        pred, _ = forward(block, X[None, start:stop], workspace)
+        preds[start:stop] = pred[0]
     return preds
 
 

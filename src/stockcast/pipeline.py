@@ -24,7 +24,7 @@ import os
 import re
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
 from itertools import islice
@@ -329,11 +329,12 @@ def _fit_group(_, job):
     """Train one set's group of replicates in lockstep; their test forecasts,
     in replicate order.
 
-    ``job`` is one (tuple of LstmConfig, train, test) tuple; a _worker_pool task
-    that shares nothing. The configs come first: a spawn worker starts
-    without numpy and imports it, with forecaster, while it unpickles
-    them. Imported after the windows' arrays instead, they raised a
-    fixture worker's peak RSS by about 0.3 MB.
+    ``job`` is one (LstmConfig, models, train, test) tuple, which trains
+    ``models`` replicates seeded config.seed, config.seed + 1, ...; a
+    _worker_pool task that shares nothing. The config comes first: a spawn
+    worker starts without numpy and imports it, with forecaster, while it
+    unpickles it. Imported after the windows' arrays instead, they raised
+    a fixture worker's peak RSS by about 0.3 MB.
 
     Each replicate's weights are the ones it trains to alone, so its
     forecast is too. A group that raises RunFailed trains its replicates
@@ -342,16 +343,17 @@ def _fit_group(_, job):
     """
     from . import forecaster
 
-    model_configs, train, test = job
-    if len(model_configs) > 1:
+    config, models, train, test = job
+    if models > 1:
         try:
-            models = forecaster.train(train, model_configs)
+            trained = forecaster.train(train, config, models=models)
         except RunFailed:
             pass
         else:
-            return [forecaster.predict(weights, test) for weights, _ in models]
-    return [forecaster.predict(forecaster.train(train, model_config)[0], test)
-            for model_config in model_configs]
+            return [forecaster.predict(weights, test) for weights, _ in trained]
+    alone = (forecaster.train(train, replace(config, seed=config.seed + k))[0]
+             for k in range(models))
+    return [forecaster.predict(weights, test) for weights, _ in alone]
 
 
 _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -441,32 +443,28 @@ _GROUP_GATE_FLOATS = 4096
 def _train_jobs(config, splits):
     """The _fit_group jobs of every (set, replicate) model, in set then replicate order.
 
-    Replicate i trains with seed base_seed + i, and each job holds a
-    set's windows once and K of its replicates, in order: the largest K
-    whose per-step gate block, K*batch_size*4*hidden_units floats, is
-    within _GROUP_GATE_FLOATS and that leaves at least min(models, usable
-    cores) jobs, so each model trains with the BLAS threads it would
-    train with alone.
+    Replicate i trains with seed base_seed + i. Each job is an
+    (LstmConfig, K, train, test) tuple that holds a set's windows once and
+    K of its replicates, in order, the config seeded for the first of
+    them: the largest K whose per-step gate block,
+    K*batch_size*4*hidden_units floats, is within _GROUP_GATE_FLOATS and
+    that leaves at least min(models, usable cores) jobs, so each model
+    trains with the BLAS threads it would train with alone; a set's last
+    job takes the replicates that are left.
     """
     from . import forecaster
 
-    model_configs = [
-        forecaster.LstmConfig(
-            hidden_units=config.hidden_units,
-            learning_rate=config.learning_rate,
-            batch_size=config.batch_size,
-            epochs=config.epochs,
-            seed=config.base_seed + i,
-        )
-        for i in range(config.replicates)
-    ]
     n = config.replicates
     wanted = min(len(splits) * n, _usable_cores())
     block = config.batch_size * 4 * config.hidden_units
     k = max(size for size in range(1, n + 1)
             if size == 1 or (size * block <= _GROUP_GATE_FLOATS
                              and len(splits) * math.ceil(n / size) >= wanted))
-    return [(tuple(model_configs[i:i + k]), split.train, split.test)
+    return [(forecaster.LstmConfig(hidden_units=config.hidden_units,
+                                   learning_rate=config.learning_rate,
+                                   batch_size=config.batch_size, epochs=config.epochs,
+                                   seed=config.base_seed + i),
+             min(k, n - i), split.train, split.test)
             for split in splits for i in range(0, n, k)]
 
 

@@ -95,8 +95,9 @@ def test_criterion_3_gradient_check():
         feats = int(rng.integers(1, 5))
         seed = int(rng.integers(0, 10_000))
         weights = fc.init_weights(fc.LstmConfig(hidden_units=hidden, seed=seed), feats)
-        X = rng.uniform(-1, 1, size=(3, lookback, feats))
-        y = rng.uniform(0, 1, size=3)
+        weights = fc.LstmWeights.from_theta(weights.theta[None], feats, hidden)
+        X = rng.uniform(-1, 1, size=(1, 3, lookback, feats))
+        y = rng.uniform(0, 1, size=(1, 3))
         workspace = fc.LstmWorkspace(3, lookback, feats, hidden)
         pred, cache = fc.forward(weights, X, workspace)
         if np.all(pred == 0.0):
@@ -121,7 +122,7 @@ def test_criterion_4_synthetic_convergence():
     split = make_windows(matrix, 30, dates[399])
     config = fc.LstmConfig(hidden_units=32, learning_rate=0.001, batch_size=128,
                            epochs=200, seed=0)
-    weights, history = fc.train(split.train, config)
+    [(weights, history)] = fc.train(split.train, config)
     pred = fc.predict(weights, split.test)
     r2 = r_squared(split.test.y, pred)
     err = mae(split.test.y, pred)

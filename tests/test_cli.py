@@ -589,7 +589,7 @@ class TestTrainEvalCommand:
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path)
 
-        def explode(dataset, config):
+        def explode(dataset, config, models=1):
             raise RunFailed("training diverged at epoch 0")
 
         monkeypatch.setattr("stockcast.forecaster.train", explode)
@@ -661,7 +661,7 @@ class TestTrainEvalCommand:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
-def refuse_training(dataset, config):
+def refuse_training(dataset, config, models=1):
     raise AssertionError("no model may train on refused input")
 
 
@@ -670,7 +670,7 @@ ALLOCATION_FAILED = ("Unable to allocate 2.62 TiB for an array with shape (36000
                      "and data type float64")
 
 
-def exhaust_memory(*args):
+def exhaust_memory(*args, **kwargs):
     """Fail as numpy does when an allocation is refused; module level, so workers can run it."""
     raise MemoryError(ALLOCATION_FAILED)
 
@@ -729,8 +729,8 @@ class TestWorkerPool:
         diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
         force_cores(monkeypatch, 2)
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
-            pipeline._fit_all([((slow,), split.train, bad_test),
-                               ((diverging,), split.train, split.test)])
+            pipeline._fit_all([(slow, 1, split.train, bad_test),
+                               (diverging, 1, split.train, split.test)])
 
     def test_group_raises_the_diverging_replicates_error(self, tmp_path, monkeypatch, capsys):
         # at lr 1e300 seed 4 trains through and seed 5 diverges at epoch 0; on
@@ -742,11 +742,10 @@ class TestWorkerPool:
         calls = []
         real_train = forecaster.train
 
-        def recording_train(dataset, config):
-            group = [config] if isinstance(config, LstmConfig) else config
-            calls.append(tuple(c.seed for c in group))
+        def recording_train(dataset, config, models=1):
+            calls.append(tuple(range(config.seed, config.seed + models)))
             try:
-                return real_train(dataset, config)
+                return real_train(dataset, config, models)
             except RunFailed as exc:
                 calls.append(str(exc))
                 raise
@@ -762,15 +761,13 @@ class TestWorkerPool:
         # their group stops at epoch 0; the error raised is replicate 0's
         diverges_at = {7: 2, 8: 0}
 
-        def diverging_train(dataset, config):
-            group = [config] if isinstance(config, LstmConfig) else config
-            epoch = min(diverges_at[c.seed] for c in group)
+        def diverging_train(dataset, config, models=1):
+            epoch = min(diverges_at[config.seed + k] for k in range(models))
             raise RunFailed(f"training diverged at epoch {epoch}")
 
         monkeypatch.setattr("stockcast.forecaster.train", diverging_train)
-        group = tuple(LstmConfig(hidden_units=4, seed=seed) for seed in (7, 8))
         with pytest.raises(RunFailed, match="^training diverged at epoch 2$"):
-            pipeline._fit_group(None, (group, None, None))
+            pipeline._fit_group(None, (LstmConfig(hidden_units=4, seed=7), 2, None, None))
 
     def test_memory_error_in_worker_comes_back(self):
         # the CLI turns it into exit 3 as it does one raised here
@@ -896,7 +893,7 @@ class TestSimulateCommand:
         path = write_config(tmp_path)
         assert cli.main(["train-eval", "--config", str(path)]) == 0
 
-        def refuse(dataset, config):
+        def refuse(dataset, config, models=1):
             raise AssertionError("simulate must not train")
 
         monkeypatch.setattr("stockcast.forecaster.train", refuse)

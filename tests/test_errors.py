@@ -27,7 +27,14 @@ from stockcast.features import (
     select,
     sma,
 )
-from stockcast.forecaster import LstmConfig, LstmWorkspace, forward, init_weights, train
+from stockcast.forecaster import (
+    LstmConfig,
+    LstmWeights,
+    LstmWorkspace,
+    forward,
+    init_weights,
+    train,
+)
 from stockcast.ingest import TradingCalendar, load_posts_jsonl, load_price_csv
 from stockcast.market_sim import return_signal, run_simulation
 from stockcast.sentiment import DailySentiment, ReplayProvider
@@ -89,8 +96,9 @@ SITES = {
         write(p, "f.jsonl", '{"id": "a", "text": "x"}\n'), "tweet")),
     "MixedFeatureSets": (StockcastError, mixed_runs),
     "NonFiniteActivation": (RunFailed, lambda p: forward(
-        init_weights(LstmConfig(hidden_units=2, seed=0), 2), np.full((1, 3, 2), np.nan),
-        LstmWorkspace(1, 3, 2, 2))),
+        LstmWeights.from_theta(init_weights(LstmConfig(hidden_units=2, seed=0), 2).theta[None],
+                               2, 2),
+        np.full((1, 1, 3, 2), np.nan), LstmWorkspace(1, 3, 2, 2))),
     "NonMonotonicDate": (StockcastError, lambda p: TradingCalendar([D[1], D[0]])),
     "NonPositiveOpen": (StockcastError, lambda p: return_signal(100.0, 0.0)),
     "SeriesTooShort": (StockcastError, lambda p: sma([1.0, 2.0], 3)),

@@ -72,21 +72,30 @@ def cell_oracle(weights, X):
     return max(z, 0.0)
 
 
+def with_axis(weights, *arrays):
+    """One model's weights and arrays with a leading model axis of 1, the form
+    the kernel takes: views of the same theta and data (no copy)."""
+    block = LstmWeights.from_theta(weights.theta[None], weights.W.shape[-2], weights.hidden_units)
+    return (block, *(np.asarray(array)[None] for array in arrays))
+
+
 def workspace_for(weights, X):
-    """A fresh LstmWorkspace with room for exactly the (B, T, F) batch X."""
-    B, T, F = np.shape(X)
-    return LstmWorkspace(B, T, F, weights.hidden_units)
+    """A fresh LstmWorkspace with room for exactly the (K, B, T, F) batch X."""
+    K, B, T, F = np.shape(X)
+    return LstmWorkspace(B, T, F, weights.hidden_units, models=K)
 
 
 def finite_difference_grads(weights, X, targets, h=1e-5):
-    """Central differences of the batch-mean squared error, one per theta entry."""
+    """Central differences of the batch-mean squared error, one per theta
+    entry, for one model: weights (1, theta size), X (1, B, T, F) and
+    targets (1, B)."""
     workspace = workspace_for(weights, X)
 
     def loss():
         pred, _ = forward(weights, X, workspace)
         return float(np.mean((pred - targets) ** 2))
 
-    theta = weights.theta
+    theta = weights.theta[0]
     fd = np.zeros_like(theta)
     for j in range(theta.size):
         orig = theta[j]
@@ -114,8 +123,9 @@ def live_sample(weights, rng, lookback, n_features):
     """Draw inputs until the ReLU head is active, so checks are informative."""
     for _ in range(50):
         X = rng.uniform(-1, 1, size=(lookback, n_features))
-        pred, _ = forward(weights, X[None], workspace_for(weights, X[None]))
-        if pred[0] > 0:
+        block, batch = with_axis(weights, X[None])
+        pred, _ = forward(block, batch, workspace_for(block, batch))
+        if pred[0, 0] > 0:
             return X
     raise AssertionError("no live sample found; pick another seed")
 
@@ -164,47 +174,49 @@ class TestInit:
 
 class TestForward:
     def test_all_zero(self):
-        w = zero_weights(4, 2)
-        X = np.zeros((1, 3, 2))
+        w, X = with_axis(zero_weights(4, 2), np.zeros((1, 3, 2)))
         pred, _ = forward(w, X, workspace_for(w, X))
-        assert pred[0] == 0.0
+        assert pred[0, 0] == 0.0
 
     def test_lookback_one_single_step(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 2)
         X = np.array([[0.3, -0.7]])
-        pred, cache = forward(w, X[None], workspace_for(w, X[None]))
-        assert cache["A"].shape[0] == 1
-        assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12)
+        block, batch = with_axis(w, X[None])
+        pred, cache = forward(block, batch, workspace_for(block, batch))
+        assert cache["A"].shape[1] == 1
+        assert pred[0, 0] == pytest.approx(cell_oracle(w, X), rel=1e-12)
 
     def test_matches_cell_oracle_seed42(self):
         w = init_weights(LstmConfig(hidden_units=4, seed=42), 2)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 2))
-        pred, _ = forward(w, X[None], workspace_for(w, X[None]))
-        assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
+        block, batch = with_axis(w, X[None])
+        pred, _ = forward(block, batch, workspace_for(block, batch))
+        assert pred[0, 0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_matches_cell_oracle_more_shapes(self):
         rng = np.random.default_rng(9)
         for hidden, lookback, feats in [(1, 1, 1), (3, 5, 4), (6, 2, 3)]:
             w = init_weights(LstmConfig(hidden_units=hidden, seed=7), feats)
             X = rng.normal(size=(lookback, feats))
-            pred, _ = forward(w, X[None], workspace_for(w, X[None]))
-            assert pred[0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
+            block, batch = with_axis(w, X[None])
+            pred, _ = forward(block, batch, workspace_for(block, batch))
+            assert pred[0, 0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_gates_bounded(self):
-        w = init_weights(LstmConfig(hidden_units=5, seed=3), 2)
-        X = np.random.default_rng(0).normal(size=(4, 2))[None]
+        w, X = with_axis(init_weights(LstmConfig(hidden_units=5, seed=3), 2),
+                         np.random.default_rng(0).normal(size=(4, 2))[None])
         _, cache = forward(w, X, workspace_for(w, X))
         H = w.hidden_units
-        for gates, tanh_c in zip(cache["A"], np.tanh(cache["c"][1:])):
+        for gates, tanh_c in zip(cache["A"][0], np.tanh(cache["c"][0, 1:])):
             for k in range(3):  # i, f, o
                 values = gates[:, k * H:(k + 1) * H]
                 assert np.all((values > 0) & (values < 1))
             assert np.all(np.abs(tanh_c) <= 1.0)
 
     def test_non_finite_raises(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=0), 2)
-        X = np.full((1, 3, 2), np.nan)
+        w, X = with_axis(init_weights(LstmConfig(hidden_units=4, seed=0), 2),
+                         np.full((1, 3, 2), np.nan))
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
             forward(w, X, workspace_for(w, X))
 
@@ -217,14 +229,14 @@ class TestForward:
         w.w_out[...] = -1.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            X = np.zeros((1, 4, 2))
-            pred, cache = forward(w, X, workspace_for(w, X))
-        gates = cache["A"][:, :, :3 * H]
+            block, X = with_axis(w, np.zeros((1, 4, 2)))
+            pred, cache = forward(block, X, workspace_for(block, X))
+        gates = cache["A"][..., :3 * H]
         assert np.all(np.isfinite(gates))
         assert np.all((gates >= 0) & (gates <= 1))
-        assert np.all(cache["A"][:, :, :H] == 1.0)  # i saturates at 1
-        assert np.all(cache["A"][:, :, H:2 * H] == 0.0)  # f saturates at 0
-        assert pred[0] == pytest.approx(H * math.tanh(1.0), rel=1e-12)  # c = g = -1
+        assert np.all(cache["A"][..., :H] == 1.0)  # i saturates at 1
+        assert np.all(cache["A"][..., H:2 * H] == 0.0)  # f saturates at 0
+        assert pred[0, 0] == pytest.approx(H * math.tanh(1.0), rel=1e-12)  # c = g = -1
 
 
 class TestFlatLayout:
@@ -233,13 +245,14 @@ class TestFlatLayout:
         rng = np.random.default_rng(3)
         X = live_sample(w, rng, 5, 3)
         theta_before = w.theta.copy()
-        workspace = workspace_for(w, X[None])
-        pred_before, _ = forward(w, X[None], workspace)
+        block, batch = with_axis(w, X[None])
+        workspace = workspace_for(block, batch)
+        pred_before, _ = forward(block, batch, workspace)
         w.U[1] += 0.5
         changed = np.flatnonzero(w.theta != theta_before)
         start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
         assert np.array_equal(changed, np.arange(start, start + 4 * 4))
-        pred_after, _ = forward(w, X[None], workspace)
+        pred_after, _ = forward(block, batch, workspace)
         assert pred_after != pred_before
 
 
@@ -247,19 +260,17 @@ class TestBackward:
     def test_gradient_check_single_sample(self):
         rng = np.random.default_rng(11)
         w = init_weights(LstmConfig(hidden_units=6, seed=3), 3)
-        X = live_sample(w, rng, 4, 3)
-        y = 0.2
-        workspace = workspace_for(w, X[None])
-        _, cache = forward(w, X[None], workspace)
-        analytic = backward(w, cache, np.array([y]), workspace)
-        fd = finite_difference_grads(w, X[None, :, :], np.array([y]))
+        w, X, y = with_axis(w, live_sample(w, rng, 4, 3)[None], [0.2])
+        workspace = workspace_for(w, X)
+        _, cache = forward(w, X, workspace)
+        analytic = backward(w, cache, y, workspace)
+        fd = finite_difference_grads(w, X, y)
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_gradient_check_batch(self):
         rng = np.random.default_rng(12)
-        w = init_weights(LstmConfig(hidden_units=5, seed=8), 2)
-        X = rng.uniform(-1, 1, size=(6, 4, 2))
-        y = rng.uniform(0, 1, size=6)
+        w, X, y = with_axis(init_weights(LstmConfig(hidden_units=5, seed=8), 2),
+                            rng.uniform(-1, 1, size=(6, 4, 2)), rng.uniform(0, 1, size=6))
         workspace = workspace_for(w, X)
         _, cache = forward(w, X, workspace)
         analytic = backward(w, cache, y, workspace)
@@ -267,22 +278,21 @@ class TestBackward:
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_zero_inputs_zero_input_weight_grads(self):
-        rng = np.random.default_rng(4)
-        w = init_weights(LstmConfig(hidden_units=4, seed=9), 3)
-        X = np.zeros((5, 3))
-        workspace = workspace_for(w, X[None])
-        _, cache = forward(w, X[None], workspace)
-        grads = backward(w, cache, np.array([0.5]), workspace)
+        w, X, y = with_axis(init_weights(LstmConfig(hidden_units=4, seed=9), 3),
+                            np.zeros((1, 5, 3)), [0.5])
+        workspace = workspace_for(w, X)
+        _, cache = forward(w, X, workspace)
+        grads = backward(w, cache, y, workspace)
         assert np.all(grads.W == 0.0)
 
     def test_dead_relu_all_grads_zero(self):
-        w = zero_weights(4, 2)
+        w, X, y = with_axis(zero_weights(4, 2), np.random.default_rng(0).normal(size=(1, 3, 2)),
+                            [1.0])
         w.b_out[...] = -1.0  # pre-activation < 0 always
-        X = np.random.default_rng(0).normal(size=(3, 2))
-        workspace = workspace_for(w, X[None])
-        pred, cache = forward(w, X[None], workspace)
-        assert pred[0] == 0.0
-        grads = backward(w, cache, np.array([1.0]), workspace)
+        workspace = workspace_for(w, X)
+        pred, cache = forward(w, X, workspace)
+        assert pred[0, 0] == 0.0
+        grads = backward(w, cache, y, workspace)
         assert np.all(grads.theta == 0.0)
 
 
@@ -313,21 +323,21 @@ class TestAdam:
         # gradients are recomputed at the moved weights, so two small
         # steps do not collapse into one big one
         rng = np.random.default_rng(6)
-        X = rng.uniform(-1, 1, size=(4, 3, 2))
-        y = rng.uniform(0, 1, size=4)
+        X = rng.uniform(-1, 1, size=(1, 4, 3, 2))
+        y = rng.uniform(0, 1, size=(1, 4))
 
         def grads_at(w):
             workspace = workspace_for(w, X)
             _, cache = forward(w, X, workspace)
             return backward(w, cache, y, workspace)
 
-        w_two = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
+        w_two = with_axis(init_weights(LstmConfig(hidden_units=3, seed=4), 2))[0]
         s_two = AdamState.for_weights(w_two)
         first_grads = grads_at(w_two)
         adam_step(w_two, first_grads, s_two, lr=0.01)
         adam_step(w_two, grads_at(w_two), s_two, lr=0.01)
 
-        w_one = init_weights(LstmConfig(hidden_units=3, seed=4), 2)
+        w_one = with_axis(init_weights(LstmConfig(hidden_units=3, seed=4), 2))[0]
         s_one = AdamState.for_weights(w_one)
         adam_step(w_one, grads_at(w_one), s_one, lr=0.02)
 
@@ -362,11 +372,20 @@ class TestAdam:
         grads.W[0] = 3.0
         grads.U[0] = 4.0
         grads.b_out[...] = 12.0
-        clip_gradients(grads, 6.5)
+        clip_gradients(with_axis(grads)[0], 6.5)  # a view of the same theta
         total = math.sqrt(float(np.sum(grads.theta ** 2)))
         assert total == pytest.approx(6.5, rel=1e-12)
         # direction preserved
         assert grads.U[0, 0, 0] / grads.W[0, 0, 0] == pytest.approx(4 / 3, rel=1e-12)
+
+    def test_clip_gradients_past_the_square_root_of_float_max(self):
+        # g @ g overflows once the norm passes about 1.3e154; the step must be
+        # clipped, not zeroed, and raise no overflow warning (an error here)
+        grads = zero_weights(1, 1)
+        grads.theta[:2] = [3e154, 4e154]
+        clip_gradients(with_axis(grads)[0], 5.0)
+        assert grads.theta[:2].tolist() == [3.0, 4.0]
+        assert not np.any(grads.theta[2:])
 
 
 def constant_target_dataset():
@@ -381,12 +400,12 @@ class TestTrain:
                      epochs=150, seed=7)
 
     def test_constant_target_converges(self):
-        _, history = train(constant_target_dataset(), self.CFG)
+        [(_, history)] = train(constant_target_dataset(), self.CFG)
         assert len(history) == self.CFG.epochs
         assert history[-1] < 1e-4
 
     def test_loss_monotone_after_warmup(self):
-        _, history = train(constant_target_dataset(), self.CFG)
+        [(_, history)] = train(constant_target_dataset(), self.CFG)
         violations = sum(
             1 for i in range(10, len(history) - 1) if history[i + 1] > history[i]
         )
@@ -395,8 +414,8 @@ class TestTrain:
     def test_same_seed_bit_identical(self):
         ds = constant_target_dataset()
         cfg = LstmConfig(hidden_units=8, batch_size=16, epochs=12, seed=3)
-        w1, h1 = train(ds, cfg)
-        w2, h2 = train(ds, cfg)
+        [(w1, h1)] = train(ds, cfg)
+        [(w2, h2)] = train(ds, cfg)
         assert h1 == h2
         assert np.array_equal(w1.theta, w2.theta)
 
@@ -439,15 +458,18 @@ class TestPredict:
         w = init_weights(LstmConfig(hidden_units=4, seed=1), 3)
         ds = self.make_dataset(1)
         pred = predict(w, ds)
-        direct, _ = forward(w, ds.X[:1], workspace_for(w, ds.X[:1]))
-        assert pred[0] == direct[0]
+        block, X = with_axis(w, ds.X[:1])
+        direct, _ = forward(block, X, workspace_for(block, X))
+        assert pred[0] == direct[0, 0]
 
     def test_batch_equals_per_sample_loop(self, monkeypatch):
         monkeypatch.setattr("stockcast.forecaster.PREDICT_CHUNK", 4)
         w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
         ds = self.make_dataset(9)
         batched = predict(w, ds)
-        looped = np.array([forward(w, x[None], workspace_for(w, x[None]))[0][0] for x in ds.X])
+        block = with_axis(w)[0]
+        looped = np.array([forward(block, x[None, None], workspace_for(block, x[None, None]))[0][0, 0]
+                           for x in ds.X])
         assert batched == pytest.approx(looped, rel=0, abs=1e-12)
 
 
@@ -467,11 +489,11 @@ class TestWorkspace:
         # kept views hold three batch sizes and each size comes back
         rng = np.random.default_rng(21)
         T, F, H = 5, 3, 6
-        w = live_weights(H, F, seed=2)
+        w = with_axis(live_weights(H, F, seed=2))[0]
         workspace = LstmWorkspace(8, T, F, H)
         for B in (8, 5, 8, 3, 5):
-            X = rng.uniform(-1, 1, size=(B, T, F))
-            y = rng.uniform(0, 1, size=B)
+            X = rng.uniform(-1, 1, size=(1, B, T, F))
+            y = rng.uniform(0, 1, size=(1, B))
             pred, cache = forward(w, X, workspace)
             fresh = workspace_for(w, X)
             fresh_pred, fresh_cache = forward(w, X, fresh)
@@ -486,37 +508,36 @@ class TestWorkspace:
     def test_backward_returns_the_workspace_gradient_vector(self):
         # valid until the workspace's next backward, which writes over it
         rng = np.random.default_rng(25)
-        w = live_weights(6, 3, seed=2)
+        w = with_axis(live_weights(6, 3, seed=2))[0]
         workspace = LstmWorkspace(8, 5, 3, 6)
         thetas = []
         for B in (8, 3):
-            _, cache = forward(w, rng.uniform(-1, 1, size=(B, 5, 3)), workspace)
-            grads = backward(w, cache, rng.uniform(0, 1, size=B), workspace)
+            _, cache = forward(w, rng.uniform(-1, 1, size=(1, B, 5, 3)), workspace)
+            grads = backward(w, cache, rng.uniform(0, 1, size=(1, B)), workspace)
             assert grads.theta is workspace.grads.theta
             thetas.append(grads.theta.copy())
         assert not np.array_equal(workspace.grads.theta, thetas[0])
         other = LstmWorkspace(2, 5, 3, 6)
-        _, cache = forward(w, rng.uniform(-1, 1, size=(2, 5, 3)), other)
-        assert backward(w, cache, np.zeros(2), other).theta is not workspace.grads.theta
+        _, cache = forward(w, rng.uniform(-1, 1, size=(1, 2, 5, 3)), other)
+        assert backward(w, cache, np.zeros((1, 2)), other).theta is not workspace.grads.theta
 
     def test_backward_rejects_a_cache_from_another_workspace(self):
-        w = live_weights(6, 3, seed=2)
-        X = np.zeros((4, 5, 3))
+        w, X, y = with_axis(live_weights(6, 3, seed=2), np.zeros((4, 5, 3)), np.zeros(4))
         _, cache = forward(w, X, LstmWorkspace(4, 5, 3, 6))
         with pytest.raises(ValueError, match="workspace"):
-            backward(w, cache, np.zeros(4), LstmWorkspace(4, 5, 3, 6))
+            backward(w, cache, y, LstmWorkspace(4, 5, 3, 6))
 
     def test_short_batch_views_are_contiguous(self):
-        views = LstmWorkspace(8, 4, 3, 5).views(3, 4, 3, 5)
+        views = LstmWorkspace(8, 4, 3, 5).views(3)
         for array in (*views.cache.values(), views.scratch, views.scale, views.shift):
             assert array.flags.c_contiguous
 
     def test_wrong_shape_rejected(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=0), 3)
+        w = with_axis(init_weights(LstmConfig(hidden_units=4, seed=0), 3))[0]
         with pytest.raises(ValueError, match="workspace"):
-            forward(w, np.zeros((9, 5, 3)), LstmWorkspace(8, 5, 3, 4))
+            forward(w, np.zeros((1, 9, 5, 3)), LstmWorkspace(8, 5, 3, 4))
         with pytest.raises(ValueError, match="workspace"):
-            forward(w, np.zeros((2, 6, 3)), LstmWorkspace(8, 5, 3, 4))
+            forward(w, np.zeros((1, 2, 6, 3)), LstmWorkspace(8, 5, 3, 4))
 
     def test_train_matches_loop_with_fresh_caches(self):
         # 21 samples in batches of 8: the last batch of every epoch is short;
@@ -525,7 +546,7 @@ class TestWorkspace:
         X = rng.uniform(0, 1, size=(21, 6, 3))
         y = rng.uniform(0.2, 0.8, size=21)
         cfg = LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=0)
-        weights = init_weights(cfg, 3)
+        weights = with_axis(init_weights(cfg, 3))[0]
         start = weights.theta.copy()
         state = AdamState.for_weights(weights)
         shuffle_rng = np.random.default_rng([cfg.seed, 1])
@@ -534,7 +555,7 @@ class TestWorkspace:
             order = shuffle_rng.permutation(21)
             sq_sum = 0.0
             for first in range(0, 21, cfg.batch_size):
-                idx = order[first:first + cfg.batch_size]
+                idx = order[None, first:first + cfg.batch_size]
                 workspace = workspace_for(weights, X[idx])
                 pred, cache = forward(weights, X[idx], workspace)
                 sq_sum += float(np.sum((pred - y[idx]) ** 2))
@@ -543,9 +564,9 @@ class TestWorkspace:
                 adam_step(weights, grads, state, cfg.learning_rate)
             history.append(sq_sum / 21)
 
-        trained, trained_history = train(WindowedDataset(X=X, y=y, dates=tuple(range(21))), cfg)
+        [(trained, trained_history)] = train(WindowedDataset(X=X, y=y, dates=tuple(range(21))), cfg)
         assert not np.array_equal(weights.theta, start)
-        assert np.array_equal(trained.theta, weights.theta)
+        assert np.array_equal(trained.theta, weights.theta[0])
         assert trained_history == history
 
     def test_predict_chunks_match_one_forward(self):
@@ -554,12 +575,13 @@ class TestWorkspace:
         # these 12 draws on OpenBLAS 0.3.31), hence the repeats
         rng = np.random.default_rng(23)
         w = live_weights(32, 5, seed=3)
+        block = with_axis(w)[0]
         for n in [300] + [129] * 12:
             X = rng.uniform(0, 1, size=(n, 30, 5))
-            whole, _ = forward(w, X, workspace_for(w, X))
+            whole, _ = forward(block, X[None], workspace_for(block, X[None]))
             assert np.all(whole > 0)
             pred = predict(w, WindowedDataset(X=X, y=np.zeros(n), dates=tuple(range(n))))
-            assert np.array_equal(pred, whole), n
+            assert np.array_equal(pred, whole[0]), n
 
     def test_predict_peak_memory_is_one_chunk(self):
         # numpy reports its buffers to tracemalloc; 300 windows must not
@@ -586,15 +608,15 @@ class TestWorkspace:
         rng = np.random.default_rng(26)
         X, y = rng.uniform(0, 1, size=(n, T, F)), rng.uniform(0.2, 0.8, size=n)
         cfg = LstmConfig(hidden_units=H, batch_size=B, epochs=2, seed=0)
-        w = init_weights(cfg, F)
+        w = with_axis(init_weights(cfg, F))[0]
         theta = w.theta.nbytes
         dataset = WindowedDataset(X=X, y=y, dates=tuple(range(n)))
         tracemalloc.start()
         try:
             workspace = LstmWorkspace(B, T, F, H)
             for rows in (B, n % B):  # a full batch and the short tail
-                _, cache = forward(w, X[:rows], workspace)
-                backward(w, cache, y[:rows], workspace)
+                _, cache = forward(w, X[None, :rows], workspace)
+                backward(w, cache, y[None, :rows], workspace)
             del cache
             one_workspace = tracemalloc.get_traced_memory()[0]
             del workspace
@@ -603,7 +625,7 @@ class TestWorkspace:
             peak = tracemalloc.get_traced_memory()[1]
             # K = 2 models in lockstep: K workspaces and K Adam rows, nothing more
             tracemalloc.reset_peak()
-            train(dataset, [cfg, replace(cfg, seed=1)])
+            train(dataset, cfg, models=2)
             group_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -624,21 +646,21 @@ def lockstep_weights(models):
 class TestLockstep:
     """K models in one workspace: each model's numbers are the ones it gets alone."""
 
-    @pytest.mark.parametrize("seeds", [(4, 5), (0, 1, 4)], ids=["K2", "K3"])
-    def test_group_matches_each_replicate_trained_alone(self, seeds):
+    @pytest.mark.parametrize("seed, models", [(4, 2), (3, 3)], ids=["K2", "K3"])
+    def test_group_matches_each_replicate_trained_alone(self, seed, models):
         # 21 samples in batches of 8: every epoch ends on a 5-row batch; seeds
-        # 0, 4 and 5 learn on these samples and seed 1 starts dead
+        # 4 and 5 learn on these samples and seed 3 starts dead
         rng = np.random.default_rng(27)
         X = rng.uniform(0, 1, size=(21, 6, 3))
         y = rng.uniform(0.2, 0.8, size=21)
         dataset = WindowedDataset(X=X, y=y, dates=tuple(range(21)))
-        configs = [LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=seed)
-                   for seed in seeds]
-        group = train(dataset, configs)
-        assert len(group) == len(seeds)
+        config = LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=seed)
+        group = train(dataset, config, models)
+        assert len(group) == models
         learned = 0
-        for config, (weights, history) in zip(configs, group):
-            alone, alone_history = train(dataset, config)
+        for k, (weights, history) in enumerate(group):
+            config = replace(config, seed=seed + k)
+            [(alone, alone_history)] = train(dataset, config)
             learned += not np.array_equal(weights.theta, init_weights(config, 3).theta)
             assert weights.theta.tobytes() == alone.theta.tobytes()
             assert np.array(history).tobytes() == np.array(alone_history).tobytes()
@@ -672,27 +694,26 @@ class TestLockstep:
     def test_clip_scales_each_model_alone(self):
         theta = np.zeros((2, theta_size(1, 1)))
         theta[:, :2] = [[30.0, 40.0], [0.3, 0.4]]  # norms 50 and 0.5
-        alone = [clip_gradients(LstmWeights.from_theta(row.copy(), 1, 1), 5.0).theta
+        alone = [clip_gradients(LstmWeights.from_theta(row.copy()[None], 1, 1), 5.0).theta[0]
                  for row in theta]
         clip_gradients(LstmWeights.from_theta(theta, 1, 1), 5.0)
         assert np.array_equal(theta, alone)
         assert math.hypot(*theta[0, :2]) == pytest.approx(5.0)
         assert theta[1, :2].tolist() == [0.3, 0.4]
 
-    def test_configs_may_differ_only_in_seed(self):
-        with pytest.raises(ValueError, match="only in seed"):
-            train(constant_target_dataset(), [LstmConfig(hidden_units=4, seed=0),
-                                              LstmConfig(hidden_units=5, seed=1)])
-
     def test_model_count_must_match_the_workspace(self):
         models = [live_weights(4, 3, seed=seed) for seed in range(2)]
         X = np.zeros((2, 5, 4, 3))
         with pytest.raises(ValueError, match="workspace runs 2 model"):
-            forward(models[0], X, LstmWorkspace(5, 4, 3, 4, models=2))
+            forward(lockstep_weights(models[:1]), X, LstmWorkspace(5, 4, 3, 4, models=2))
         with pytest.raises(ValueError, match="workspace runs 2 model"):
-            forward(lockstep_weights(models), X[0], LstmWorkspace(5, 4, 3, 4, models=2))
+            forward(lockstep_weights(models), X[:1], LstmWorkspace(5, 4, 3, 4, models=2))
         with pytest.raises(ValueError, match="workspace runs 1 model"):
-            forward(lockstep_weights(models), X[0], LstmWorkspace(5, 4, 3, 4))
+            forward(lockstep_weights(models), X[:1], LstmWorkspace(5, 4, 3, 4))
+        workspace = LstmWorkspace(5, 4, 3, 4, models=2)
+        _, cache = forward(lockstep_weights(models), X, workspace)
+        with pytest.raises(ValueError, match="workspace runs 2 model"):
+            backward(lockstep_weights(models[:1]), cache, np.zeros((2, 5)), workspace)
 
 
 def expression_kernel(weights, X, targets):
@@ -762,22 +783,23 @@ class TestExpressionOracle:
     def test_kernel_matches_expressions(self, B, T, F, H, rows, warm):
         rng = np.random.default_rng(B * 1000 + H)
         w = live_weights(H, F, seed=5)
+        block = with_axis(w)[0]
         workspace = LstmWorkspace(rows, T, F, H)
         if warm:
             # a full batch first, so the one under test reuses written buffers
-            _, warm = forward(w, rng.uniform(0, 1, size=(rows, T, F)), workspace)
-            backward(w, warm, rng.uniform(0, 1, size=rows), workspace)
+            _, warm = forward(block, rng.uniform(0, 1, size=(1, rows, T, F)), workspace)
+            backward(block, warm, rng.uniform(0, 1, size=(1, rows)), workspace)
         X = rng.uniform(0, 1, size=(B, T, F))
         y = rng.uniform(0, 1, size=B)
         want_pred, want_cache, want_theta = expression_kernel(w, X, y)
         assert np.any(want_pred > 0)
-        pred, cache = forward(w, X, workspace)
-        assert np.array_equal(pred, want_pred)
+        pred, cache = forward(block, X[None], workspace)
+        assert np.array_equal(pred[0], want_pred)
         assert cache.keys() == want_cache.keys()
         for key in cache:
-            assert np.array_equal(cache[key], want_cache[key]), key
-        grads = backward(w, cache, y, workspace)
-        assert np.array_equal(grads.theta, want_theta)
+            assert np.array_equal(cache[key][0], want_cache[key]), key
+        grads = backward(block, cache, y[None], workspace)
+        assert np.array_equal(grads.theta[0], want_theta)
 
 
 class TestCheckpoint:

@@ -125,11 +125,11 @@ def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf,
     splits = [SimpleNamespace(train=f"{fs} train", test=f"{fs} test")
               for fs in config.feature_sets]
     jobs = pipeline._train_jobs(config, splits)
-    assert [len(model_configs) for model_configs, _, _ in jobs] == groups
+    assert [models for _, models, _, _ in jobs] == groups
     # each set's replicates in order, seeded base_seed + i, with that set's windows
     n = config.replicates
-    assert [(train, test, c.seed) for model_configs, train, test in jobs
-            for c in model_configs] == [(f"{fs} train", f"{fs} test", config.base_seed + i)
+    assert [(train, test, model_config.seed + k) for model_config, models, train, test in jobs
+            for k in range(models)] == [(f"{fs} train", f"{fs} test", config.base_seed + i)
                                         for fs in config.feature_sets for i in range(n)]
 
 
