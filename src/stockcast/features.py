@@ -250,8 +250,7 @@ def make_windows(matrix, lookback, split_date):
 
     Train and test ``X`` are read-only views of one scaled (rows, columns)
     table, not copies: window k is rows [k, k + lookback) of it, so the
-    windows hold the table once instead of lookback times. Pickling a
-    view (for a pool worker) sends a contiguous copy of its windows.
+    windows hold the table once instead of lookback times.
 
     Raises:
         StockcastError: lookback >= number of training rows.

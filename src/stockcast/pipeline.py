@@ -9,9 +9,10 @@ Only featurize and train-eval compute on arrays. numpy, forecaster and
 features are imported inside the functions that build or train on arrays
 (build_matrix, run_feature_set, _train_jobs, _fit_group, run_train_eval
 and _check_model_size), so ingest, simulate and the post workers run
-without them. Likewise the array module, a shared library, is imported only by
-_score_range and _gather, which score posts, so starting a command does
-not load it.
+without them: every command loads its posts before it imports them, and
+the post workers fork from it then. Likewise the array module, a shared
+library, is imported only by _score_range and _gather, which score posts,
+so starting a command does not load it.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ import math
 import os
 import re
 from collections import defaultdict
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass, replace
 from datetime import date
 from functools import partial
@@ -79,9 +80,12 @@ def load_dataset(config, out_dir=None):
     that file (see load_daily_sentiment) and no post is read. Otherwise
     each post file is cut into ranges of about _RANGE_BYTES that end on
     line ends, and _score_range loads, checks and scores each one, the
-    tweets' ranges and then the news' as one task list: in spawn workers,
-    one per _BYTES_PER_WORKER of posts up to the usable cores, or here
-    when that makes fewer than 2. The first error reported
+    tweets' ranges and then the news' as one task list: in workers forked
+    from this process, one per _BYTES_PER_WORKER of posts up to the usable
+    cores, or here when that makes fewer than 2. The commands call this
+    before they load numpy, so the workers never hold it, and each
+    inherits the scorer, stopwords, weights and calendar instead of
+    unpickling them. The first error reported
     is the one a single pass over the inputs meets first: prices, the
     tweets file in line order, the news file, the lexicon or replay table,
     stopwords, then a post without a replay score or a finite weighted
@@ -325,16 +329,14 @@ def run_feature_set(feature_set, split, preds):
     )
 
 
-def _fit_group(_, job):
+def _fit_group(jobs, index):
     """Train one set's group of replicates in lockstep; their test forecasts,
     in replicate order.
 
-    ``job`` is one (LstmConfig, models, train, test) tuple, which trains
-    ``models`` replicates seeded config.seed, config.seed + 1, ...; a
-    _worker_pool task that shares nothing. The config comes first: a spawn
-    worker starts without numpy and imports it, with forecaster, while it
-    unpickles it. Imported after the windows' arrays instead, they raised
-    a fixture worker's peak RSS by about 0.3 MB.
+    ``jobs[index]`` is one (LstmConfig, models, train, test) tuple, which
+    trains ``models`` replicates seeded config.seed, config.seed + 1, ...;
+    a _worker_pool task over the shared job list, so only the index goes
+    to a worker.
 
     Each replicate's weights are the ones it trains to alone, so its
     forecast is too. A group that raises RunFailed trains its replicates
@@ -343,7 +345,7 @@ def _fit_group(_, job):
     """
     from . import forecaster
 
-    config, models, train, test = job
+    config, models, train, test = jobs[index]
     if models > 1:
         try:
             trained = forecaster.train(train, config, models=models)
@@ -360,11 +362,11 @@ _BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS
 
 
 @contextmanager
-def _one_blas_thread_in_children():
-    """Processes started inside see 1 BLAS thread; this one's values return after.
+def _one_blas_thread():
+    """numpy loaded inside gets 1 BLAS thread; the environment's values return after.
 
-    BLAS libraries read these once, when loaded, so the running process
-    keeps its own thread count throughout.
+    BLAS libraries read these once, when loaded, so a process that loaded
+    numpy before keeps its own thread count, and so do workers it forks.
     """
     saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
     os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
@@ -398,35 +400,37 @@ def _with_shared(fn, task):
 def _worker_pool(workers, shared=None):
     """``run(fn, tasks)``: an iterator of ``fn(shared, task)``, in task order.
 
-    With 2 or more workers the tasks run in that many spawn workers, which
-    receive ``shared`` once each, through the pool initializer, and 1 BLAS
-    thread each: workers that inherited this process's BLAS threads would
-    oversubscribe the cores, which at 256 hidden units made them slower
-    than training serially. With fewer, the tasks run here, one after
-    another. A task's error is raised when the iterator reaches it, so the
-    first error reported is the first in task order either way.
+    With 2 or more workers the tasks run in that many workers forked from
+    this process, which inherit ``shared``, the modules it has loaded and
+    its BLAS thread count; only each task and its result are pickled. Call
+    it from a single-threaded process only: one that has loaded numpy
+    with 1 BLAS thread (see _one_blas_thread), or not at all. Workers with
+    this process's BLAS threads would oversubscribe the cores, which at
+    256 hidden units made them slower than training serially. With fewer
+    workers, the tasks run here, one after another. A task's error is
+    raised when the iterator reaches it, so the first error reported is
+    the first in task order either way.
     """
     if workers < 2:
         yield lambda fn, tasks: (fn(shared, task) for task in tasks)
         return
     import multiprocessing  # only here: process start-up stays free of it
 
-    with _one_blas_thread_in_children(), multiprocessing.get_context("spawn").Pool(
-            workers, _set_shared, (shared,)) as pool:
+    with multiprocessing.get_context("fork").Pool(workers, _set_shared, (shared,)) as pool:
         yield lambda fn, tasks: pool.imap(partial(_with_shared, fn), tasks, chunksize=1)
 
 
-def _fit_all(jobs):
+def _fit_all(jobs, workers):
     """_fit_group over ``jobs``; results, or the first error, in job order.
 
-    Jobs are independent, so with several jobs and several usable cores
-    they run in spawn workers, one per core up to the job count. One job,
-    or one core, runs here with this process's BLAS threads. Results do not
-    depend on the path taken, only on the BLAS thread count a model trains
-    with.
+    Jobs are independent, so with 2 or more ``workers`` (_training_workers)
+    they run in that many workers forked from this process, which inherit
+    numpy, forecaster and ``jobs``. Fewer train here, with this process's
+    BLAS threads. Results do not depend on the path taken, only on the
+    BLAS thread count a model trains with.
     """
-    with _worker_pool(min(len(jobs), _usable_cores())) as run:
-        return list(run(_fit_group, jobs))
+    with _worker_pool(workers, jobs) as run:
+        return list(run(_fit_group, range(len(jobs))))
 
 
 #: The largest per-step gate block, K*B*4H floats, of a lockstep group of
@@ -440,26 +444,41 @@ def _fit_all(jobs):
 _GROUP_GATE_FLOATS = 4096
 
 
+def _group_size(config):
+    """K, the replicates of a set one job trains in lockstep.
+
+    The largest K whose per-step gate block, K*batch_size*4*hidden_units
+    floats, is within _GROUP_GATE_FLOATS and that leaves at least
+    min(models, usable cores) jobs, so each model trains with the BLAS
+    threads it would train with alone.
+    """
+    sets, n = len(config.feature_sets), config.replicates
+    wanted = min(sets * n, _usable_cores())
+    block = config.batch_size * 4 * config.hidden_units
+    return max(size for size in range(1, n + 1)
+               if size == 1 or (size * block <= _GROUP_GATE_FLOATS
+                                and sets * math.ceil(n / size) >= wanted))
+
+
+def _training_workers(config):
+    """The workers _fit_all trains in: one per job, up to the usable cores."""
+    jobs = len(config.feature_sets) * math.ceil(config.replicates / _group_size(config))
+    return min(jobs, _usable_cores())
+
+
 def _train_jobs(config, splits):
     """The _fit_group jobs of every (set, replicate) model, in set then replicate order.
 
-    Replicate i trains with seed base_seed + i. Each job is an
-    (LstmConfig, K, train, test) tuple that holds a set's windows once and
-    K of its replicates, in order, the config seeded for the first of
-    them: the largest K whose per-step gate block,
-    K*batch_size*4*hidden_units floats, is within _GROUP_GATE_FLOATS and
-    that leaves at least min(models, usable cores) jobs, so each model
-    trains with the BLAS threads it would train with alone; a set's last
-    job takes the replicates that are left.
+    ``splits`` holds each configured set's windows. Replicate i trains with
+    seed base_seed + i. Each job is an (LstmConfig, K, train, test) tuple
+    that holds a set's windows once and K (_group_size) of its replicates,
+    in order, the config seeded for the first of them; a set's last job
+    takes the replicates that are left.
     """
     from . import forecaster
 
     n = config.replicates
-    wanted = min(len(splits) * n, _usable_cores())
-    block = config.batch_size * 4 * config.hidden_units
-    k = max(size for size in range(1, n + 1)
-            if size == 1 or (size * block <= _GROUP_GATE_FLOATS
-                             and len(splits) * math.ceil(n / size) >= wanted))
+    k = _group_size(config)
     return [(forecaster.LstmConfig(hidden_units=config.hidden_units,
                                    learning_rate=config.learning_rate,
                                    batch_size=config.batch_size, epochs=config.epochs,
@@ -840,31 +859,37 @@ def run_train_eval(config, out_dir):
     is made, so bad input fails before training starts and leaves no out
     dir. publish makes out_dir before any model trains; the reports land
     once every model has trained, report.json last.
-    """
-    from . import features
 
-    table = build_matrix(config, load_dataset(config, out_dir))
-    splits = [
-        features.make_windows(features.select(table, fs), config.lookback, config.split_date)
-        for fs in config.feature_sets
-    ]
-    del table  # the windows view make_windows' own scaled tables: free this one
-    _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
-    _check_model_size(config, splits)
-    jobs = _train_jobs(config, splits)
-    with publish(out_dir, marker="report.json") as stage:
-        preds = [pred for group in _fit_all(jobs) for pred in group]
-        n = config.replicates
-        results = [
-            run_feature_set(fs, split, preds[k * n:(k + 1) * n])
-            for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
+    Posts are loaded before numpy, so any post workers fork without it.
+    When the models train in workers (_training_workers), numpy loads with
+    1 BLAS thread, and the environment comes back when the command ends.
+    """
+    workers = _training_workers(config)
+    with _one_blas_thread() if workers > 1 else nullcontext():
+        table = build_matrix(config, load_dataset(config, out_dir))  # numpy loads after posts
+        from . import features
+
+        splits = [
+            features.make_windows(features.select(table, fs), config.lookback, config.split_date)
+            for fs in config.feature_sets
         ]
-        write_report_json(stage("report.json"), config, results)
-        write_metrics_csv(stage("metrics_table.csv"), config, results)
-        for result in results:
-            write_predictions_csv(
-                stage(f"predictions_{safe_name(result.feature_set)}.csv"), config, result
-            )
+        del table  # the windows view make_windows' own scaled tables: free this one
+        _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
+        _check_model_size(config, splits)
+        jobs = _train_jobs(config, splits)
+        with publish(out_dir, marker="report.json") as stage:
+            preds = [pred for group in _fit_all(jobs, workers) for pred in group]
+            n = config.replicates
+            results = [
+                run_feature_set(fs, split, preds[k * n:(k + 1) * n])
+                for k, (fs, split) in enumerate(zip(config.feature_sets, splits))
+            ]
+            write_report_json(stage("report.json"), config, results)
+            write_metrics_csv(stage("metrics_table.csv"), config, results)
+            for result in results:
+                write_predictions_csv(
+                    stage(f"predictions_{safe_name(result.feature_set)}.csv"), config, result
+                )
     return results
 
 

@@ -208,7 +208,7 @@ def post_line(**fields):
 
 def force_pool(monkeypatch, range_bytes=256):
     """Make load_dataset cut posts into ``range_bytes`` ranges and score
-    them in 2 spawn workers, however small the files."""
+    them in 2 workers, however small the files."""
     monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity", lambda pid: {0, 1})
     monkeypatch.setattr("stockcast.pipeline._BYTES_PER_WORKER", 1)
     monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", range_bytes)
