@@ -3,8 +3,9 @@
 For the config's tweets and news files, runs the stages ``load_dataset``
 runs when it scores posts: ``line_ranges``, then ``_score_range`` on each
 range, a pickle dump and load of each range's result (what a pool worker's
-result costs to send back), ``_gather`` over each file's results and
-``aggregate_daily`` over the gathered days. Then, on their own over each
+result costs to send back), ``_gather`` over each file's results, which
+keeps each day's running score sums, and ``aggregate_daily``, which
+divides them. Then, on their own over each
 range's posts that ``_score_range`` scores, ``textprep.clean_text``, the
 provider's ``score`` and ``sentiment.score_post``. Prints one
 ``<stage> <ms>`` line per stage, then the posts loaded per second over
@@ -59,11 +60,11 @@ def profile(config):
                                        result))
         results.append(file_results)
     gathered = [_timed(ms, "gather", pipeline._gather, iter(rs)) for rs in results]
-    for kept, by_day, unscored in gathered:
+    for kept, sums, unscored in gathered:
         if unscored is not None:
             raise SystemExit(f"error: {unscored}")
         _timed(ms, "aggregate_daily", sentiment.aggregate_daily,
-               {calendar.dates[day]: columns for day, columns in by_day.items()}, calendar)
+               {calendar.dates[day]: day_sums for day, day_sums in sums.items()}, calendar)
     posts = sum(len(r[0]) for rs in results for r in rs)
     posts_per_s = posts / (sum(ms[stage] for stage in PIPELINE_STAGES) / 1e3)
 

@@ -80,8 +80,8 @@ def cmd_ingest(args):
 
 def cmd_featurize(args):
     config = _load_config(args)
-    dataset = pipeline.load_dataset(config, config.out_dir)  # post workers fork before numpy
-    from .features import format_columns, select  # array code: ingest and simulate skip numpy
+    dataset = pipeline.load_dataset(config, config.out_dir)
+    from .features import format_columns, select  # only here: ingest and simulate skip it
 
     table = pipeline.build_matrix(config, dataset)
     column_text = format_columns(table)

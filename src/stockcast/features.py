@@ -14,14 +14,16 @@ set is the selection of its blocks' columns from that table.
 
 Scaling is fitted on the training span only; test rows are transformed
 with the same state and may land outside [0, 1] (never clipped).
+
+A FeatureMatrix holds plain floats, one tuple per column, so assembling,
+selecting and formatting the table (all featurize does) needs no numpy.
+numpy loads only in minmax_fit, minmax_transform and make_windows, which
+stacks the columns into the float64 (rows, columns) table it scales.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import FEATURE_SETS
 from .errors import StockcastError
@@ -118,8 +120,8 @@ class NormalizationState:
     """Per-column (min, max) fitted on the training span."""
 
     columns: tuple
-    mins: np.ndarray
-    maxs: np.ndarray
+    mins: object  # (columns,) float64 ndarray
+    maxs: object
 
     def column_state(self, name):
         i = self.columns.index(name)
@@ -128,6 +130,8 @@ class NormalizationState:
 
 def minmax_fit(values, columns):
     """Fit per-column (min, max) on a (rows, cols) array."""
+    import numpy as np
+
     values = np.asarray(values, dtype=np.float64)
     if values.ndim != 2 or values.shape[0] == 0:
         raise StockcastError("cannot fit normalization on empty column "
@@ -141,6 +145,8 @@ def minmax_fit(values, columns):
 
 def minmax_transform(state, values):
     """(x - min) / (max - min); constant columns map to 0.0. Not clipped."""
+    import numpy as np
+
     values = np.asarray(values, dtype=np.float64)
     span = state.maxs - state.mins
     safe = np.where(span == 0, 1.0, span)
@@ -156,7 +162,7 @@ class FeatureMatrix:
 
     dates: tuple
     columns: tuple
-    values: np.ndarray  # (n_dates, n_columns) float64
+    values: tuple  # one tuple of floats per column, one float per date
 
 
 def assemble(bars, tweet_daily, news_daily, indicators=None):
@@ -177,27 +183,27 @@ def assemble(bars, tweet_daily, news_daily, indicators=None):
     _check_aligned(dates, [d.date for d in tweet_daily])
     _check_aligned(dates, [d.date for d in news_daily])
     columns = [*PRICE_COLUMNS, *TWEET_COLUMNS, "tweet_mean_ws", *NEWS_COLUMNS]
-    values = np.array([
-        [b.open, b.high, b.low, b.close, b.adj_close, b.volume,
-         t.mean_label, t.mean_conf, t.count, t.mean_ws,
-         n.mean_label, n.mean_conf, n.count]
-        for b, t, n in zip(bars, tweet_daily, news_daily)
-    ], dtype=np.float64)
+    series = [[getattr(b, key) for b in bars] for key in PRICE_COLUMNS]
+    series += [[getattr(t, key) for t in tweet_daily]
+               for key in ("mean_label", "mean_conf", "count", "mean_ws")]
+    series += [[getattr(n, key) for n in news_daily]
+               for key in ("mean_label", "mean_conf", "count")]
     if indicators is not None:
         for key in INDICATOR_COLUMNS:
             if len(indicators[key]) != len(dates):
                 raise StockcastError("inputs not aligned to the trading calendar at "
                                      f"{dates[min(len(indicators[key]), len(dates) - 1)]}")
         columns += INDICATOR_COLUMNS
-        values = np.column_stack([values, *(indicators[key] for key in INDICATOR_COLUMNS)])
+        series += [indicators[key] for key in INDICATOR_COLUMNS]
+    values = tuple(tuple(map(float, column)) for column in series)
     return FeatureMatrix(dates=tuple(dates), columns=tuple(columns), values=values)
 
 
 def select(table, feature_set):
     """``feature_set``'s columns of a table from assemble, in feature_set_columns order."""
     columns = feature_set_columns(feature_set)
-    index = [table.columns.index(name) for name in columns]
-    return FeatureMatrix(dates=table.dates, columns=tuple(columns), values=table.values[:, index])
+    values = tuple(table.values[table.columns.index(name)] for name in columns)
+    return FeatureMatrix(dates=table.dates, columns=tuple(columns), values=values)
 
 
 def _check_aligned(bar_dates, other_dates):
@@ -214,8 +220,8 @@ def format_columns(table):
     """{"date", then each column of ``table``: its values as
     pipeline.write_matrix_csv writes them}: ISO dates, floats via repr."""
     text = {"date": [d.isoformat() for d in table.dates]}
-    for j, name in enumerate(table.columns):
-        text[name] = [repr(v) for v in table.values[:, j].tolist()]
+    for name, column in zip(table.columns, table.values):
+        text[name] = [repr(v) for v in column]
     return text
 
 
@@ -225,8 +231,8 @@ def format_columns(table):
 class WindowedDataset:
     """Supervised samples: lookback rows of features -> next normalized close."""
 
-    X: np.ndarray       # (n_samples, lookback, n_features)
-    y: np.ndarray       # (n_samples,)
+    X: object           # (n_samples, lookback, n_features) float64 ndarray
+    y: object           # (n_samples,) float64 ndarray
     dates: tuple        # target date per sample
 
     def __len__(self):
@@ -248,13 +254,17 @@ def make_windows(matrix, lookback, split_date):
     Test windows may reach back into training rows for context, which
     leaks nothing (those rows predate the targets).
 
-    Train and test ``X`` are read-only views of one scaled (rows, columns)
-    table, not copies: window k is rows [k, k + lookback) of it, so the
-    windows hold the table once instead of lookback times.
+    The matrix's columns are stacked into one float64 (rows, columns)
+    table, which is scaled. Train and test ``X`` are read-only views of the
+    scaled table, not copies: window k is rows [k, k + lookback) of it, so
+    the windows hold the table once instead of lookback times.
 
     Raises:
         StockcastError: lookback >= number of training rows.
     """
+    import numpy as np
+    from numpy.lib.stride_tricks import sliding_window_view
+
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
     dates = matrix.dates
@@ -262,8 +272,9 @@ def make_windows(matrix, lookback, split_date):
     n_train_rows = sum(1 for d in dates if d <= split_date)
     if lookback >= n_train_rows:
         raise StockcastError(f"lookback {lookback} >= training rows {n_train_rows}")
-    norm = minmax_fit(matrix.values[:n_train_rows], matrix.columns)
-    scaled = minmax_transform(norm, matrix.values)
+    table = np.column_stack([np.asarray(column, dtype=np.float64) for column in matrix.values])
+    norm = minmax_fit(table[:n_train_rows], matrix.columns)
+    scaled = minmax_transform(norm, table)
     close_idx = matrix.columns.index("close")
     # (n - lookback + 1, lookback, columns): window k is scaled[k:k + lookback]
     windows = sliding_window_view(scaled, lookback, axis=0).transpose(0, 2, 1)

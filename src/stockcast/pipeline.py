@@ -5,14 +5,16 @@ with seed base_seed + i, report files serialize floats via repr, and no
 wall-clock state enters any output, so rerunning a config reproduces
 identical bytes.
 
-Only featurize and train-eval compute on arrays. numpy, forecaster and
-features are imported inside the functions that build or train on arrays
-(build_matrix, run_feature_set, _train_jobs, _fit_group, run_train_eval
-and _check_model_size), so ingest, simulate and the post workers run
-without them: every command loads its posts before it imports them, and
-the post workers fork from it then. Likewise the array module, a shared
-library, is imported only by _score_range and _gather, which score posts,
-so starting a command does not load it.
+Only train-eval computes on arrays. numpy and forecaster are imported
+inside the functions that train on arrays or read them (run_feature_set,
+_train_jobs, _fit_group and _check_model_size), and features, which
+loads numpy only to window a table (features.make_windows), inside those
+that build or window one (build_matrix and run_train_eval). So ingest,
+featurize, simulate and the post workers run without numpy: train-eval
+loads its posts before it windows them, and the post workers fork from
+it then. Likewise the array module, a shared library, is imported only
+by _score_range, which scores posts, so starting a command does not load
+it.
 """
 
 from __future__ import annotations
@@ -117,9 +119,9 @@ def load_dataset(config, out_dir=None):
         if unscored is not None:
             raise unscored
 
-    def daily(by_day, path):
+    def daily(sums, path):
         rows = sentiment.aggregate_daily(
-            {calendar.dates[day]: scores for day, scores in by_day.items()}, calendar)
+            {calendar.dates[day]: day_sums for day, day_sums in sums.items()}, calendar)
         for row in rows:
             if not math.isfinite(row.mean_ws):
                 raise StockcastError(f"{path}: mean weighted sentiment on {row.date} is not "
@@ -161,10 +163,12 @@ def _score_range(shared, task):
     """Load, check and score one byte range of a post file.
 
     Returns the range's posts as columns, one entry per post in load
-    order: the ids, a keep flag (bytes; 1 when min_likes is None or the
-    post has at least min_likes), the calendar day (array 'i'), and the
-    post's score_post label (array 'b'), confidence and weighted value
-    (array 'd'); then a dict row -> StockcastError. A post no daily
+    order: the ids as UTF-8 bytes (with surrogatepass, so an id holding a
+    lone surrogate encodes too, and distinct ids stay distinct), a keep
+    flag (bytes; 1 when min_likes is None or the post has at least
+    min_likes), the calendar day (array 'i'), and the post's score_post
+    label (array 'b'), confidence and weighted value (array 'd'); then a
+    dict row -> StockcastError. A post no daily
     average can include is not scored and gets day -1: one dated past the
     calendar end, or not kept. A post the provider cannot score gets the
     provider's StockcastError, and one whose weighted sentiment is not a
@@ -199,7 +203,8 @@ def _score_range(shared, task):
                     path, post, score, weights)
             except StockcastError as exc:
                 errors[row] = exc
-    return [post.id for post in posts], keep, days, labels, confidences, weighted, errors
+    ids = [post.id.encode("utf-8", "surrogatepass") for post in posts]
+    return ids, keep, days, labels, confidences, weighted, errors
 
 
 def _finite_score(path, post, score, weights):
@@ -219,16 +224,15 @@ def _gather(results):
 
     Keeps the first post of each id, then drops those the worker did not
     keep, as the one-pass loader did over a whole file. Returns the number
-    kept; a dict day -> (labels, confidences, weighted), three columns
-    (arrays 'b', 'd' and 'd') in load order; and the error of the first
-    kept post without a score in (day, load) order, or None. Per kept post
-    this holds its id in the set of seen ids plus about 17 bytes of columns.
+    kept; a dict day -> [n, label_sum, conf_sum, weighted_sum], the count
+    and running sums of its scored posts, added in load order from 0 (what
+    aggregate_daily divides); and the error of the first kept post without
+    a score in (day, load) order, or None. Per kept post this holds only
+    its id, as bytes, in the set of seen ids; the sums grow with the days.
     """
-    from array import array
-
     seen = set()
     kept = 0
-    by_day = defaultdict(lambda: (array("b"), array("d"), array("d")))
+    sums = defaultdict(lambda: [0, 0, 0.0, 0.0])
     unscored = None
     for ids, keep, days, labels, confidences, weighted, errors in results:
         for row, post_id in enumerate(ids):
@@ -245,11 +249,12 @@ def _gather(results):
                 if unscored is None or day < unscored[0]:
                     unscored = (day, errors[row])
                 continue
-            day_labels, day_confidences, day_weighted = by_day[day]
-            day_labels.append(labels[row])
-            day_confidences.append(confidences[row])
-            day_weighted.append(weighted[row])
-    return kept, by_day, None if unscored is None else unscored[1]
+            day_sums = sums[day]
+            day_sums[0] += 1
+            day_sums[1] += labels[row]
+            day_sums[2] += confidences[row]
+            day_sums[3] += weighted[row]
+    return kept, sums, None if unscored is None else unscored[1]
 
 
 def build_matrix(config, dataset):
@@ -860,13 +865,14 @@ def run_train_eval(config, out_dir):
     dir. publish makes out_dir before any model trains; the reports land
     once every model has trained, report.json last.
 
-    Posts are loaded before numpy, so any post workers fork without it.
-    When the models train in workers (_training_workers), numpy loads with
-    1 BLAS thread, and the environment comes back when the command ends.
+    Posts are loaded before numpy, which loads in features.make_windows,
+    so any post workers fork without it. When the models train in workers
+    (_training_workers), numpy loads with 1 BLAS thread, and the
+    environment comes back when the command ends.
     """
     workers = _training_workers(config)
     with _one_blas_thread() if workers > 1 else nullcontext():
-        table = build_matrix(config, load_dataset(config, out_dir))  # numpy loads after posts
+        table = build_matrix(config, load_dataset(config, out_dir))
         from . import features
 
         splits = [

@@ -227,13 +227,14 @@ def load_replay_scores(path):
 
 # --- daily aggregation ---------------------------------------------------------
 
-def aggregate_daily(scored_by_date, calendar):
-    """Collapse per-post scores into one row per trading date.
+def aggregate_daily(sums_by_date, calendar):
+    """Divide per-day score sums into one row per trading date.
 
     Args:
-        scored_by_date: dict trading-date -> (labels, confidences,
-            weighted), three equal-length columns holding the score_post
-            values of the posts assigned to that date, in load order.
+        sums_by_date: dict trading-date -> (n, label_sum, conf_sum,
+            weighted_sum): the number of posts assigned to that date and
+            the sums of their score_post values, each added in load order,
+            left to right from 0.
         calendar: the trading calendar to emit over.
 
     Returns:
@@ -244,12 +245,11 @@ def aggregate_daily(scored_by_date, calendar):
     rows = []
     prev = (0.0, 0.0, 0.0)
     for d in calendar:
-        labels, confs, weighted = scored_by_date.get(d, ((), (), ()))
-        n = len(labels)
+        n, label_sum, conf_sum, weighted_sum = sums_by_date.get(d, (0, 0, 0.0, 0.0))
         if n:
-            mean_label = sum(labels) / n
-            mean_conf = sum(confs) / n
-            mean_ws = sum(weighted) / n
+            mean_label = label_sum / n
+            mean_conf = conf_sum / n
+            mean_ws = weighted_sum / n
             prev = (mean_label, mean_conf, mean_ws)
             rows.append(DailySentiment(d, mean_label, mean_conf, mean_ws, n))
         else:

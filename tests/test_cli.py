@@ -1332,15 +1332,15 @@ def run_probed(tmp_path, argv, cores=None):
     return forks, recorded
 
 
-@pytest.mark.parametrize("case", ["import", "ingest", "simulate", "score_range_worker",
-                                  "featurize_score_range_worker"])
+@pytest.mark.parametrize("case", ["import", "ingest", "featurize", "simulate",
+                                  "score_range_worker", "featurize_score_range_worker"])
 def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
-    """Only featurize and train-eval load numpy. A fresh interpreter that
-    imports the CLI and reads a config (the benchmark's setup_s), the ingest
-    and simulate commands, and a post worker, in ingest or in a featurize
-    that finds no daily_sentiment.csv to read, run without it. The first
-    three also leave out multiprocessing: the worker pools import it when
-    they start."""
+    """Only train-eval loads numpy. A fresh interpreter that imports the CLI
+    and reads a config (the benchmark's setup_s), the ingest, featurize
+    (over the daily_sentiment.csv ingest wrote) and simulate commands, and a
+    post worker, in ingest or in a featurize that finds no
+    daily_sentiment.csv to read, run without it. The first four also leave
+    out multiprocessing: the worker pools import it when they start."""
     config = str(fixture_config_path)
     ingest = ["ingest", "--config", config, "--out-dir", str(tmp_path / "out")]
     if case.endswith("score_range_worker"):
@@ -1353,12 +1353,14 @@ def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
     report = "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
     if case == "import":
         code = f"import sys; from stockcast import cli; cli.parse_config({config!r}); {report}"
-    elif case == "ingest":
-        code = f"import sys; from stockcast import cli; cli.main({ingest!r}); {report}"
     else:
-        assert cli.main(["train-eval", *ingest[1:], *one_model]) == 0
-        simulate = ["simulate", *ingest[1:], *one_model]
-        code = f"import sys; from stockcast import cli; cli.main({simulate!r}); {report}"
+        if case == "featurize":
+            assert cli.main(ingest) == 0
+        elif case == "simulate":
+            assert cli.main(["train-eval", *ingest[1:], *one_model]) == 0
+        argv = {"ingest": ingest, "featurize": ["featurize", *ingest[1:]],
+                "simulate": ["simulate", *ingest[1:], *one_model]}[case]
+        code = f"import sys; from stockcast import cli; assert cli.main({argv!r}) == 0; {report}"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=subprocess_env(), cwd=tmp_path, check=False)
     assert proc.returncode == 0, proc.stderr

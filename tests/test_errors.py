@@ -84,7 +84,7 @@ SITES = {
         write(p, "d.csv", HEADER + ROW + ROW))),
     "EmptyColumn": (StockcastError, lambda p: minmax_fit(np.empty((0, 1)), ["x"])),
     "InsufficientHistory": (StockcastError, lambda p: make_windows(
-        FeatureMatrix(tuple(D), ("close",), np.arange(10.0).reshape(-1, 1)),
+        FeatureMatrix(tuple(D), ("close",), (tuple(map(float, range(10))),)),
         7, D[6])),
     "LengthMismatch": (StockcastError, lambda p: r_squared([1.0, 2.0], [1.0])),
     "MisalignedInputs": (StockcastError, misaligned_sentiment),

@@ -191,17 +191,17 @@ class TestAssemble:
         for feature_set, width in EXPECTED_WIDTHS.items():
             matrix = select(table, feature_set)
             assert len(matrix.columns) == width, feature_set
-            assert matrix.values.shape == (len(bars), width)
+            assert [len(column) for column in matrix.values] == [len(bars)] * width
             assert list(matrix.columns) == feature_set_columns(feature_set)
-            for j, name in enumerate(matrix.columns):
-                assert matrix.values[:, j].tolist() \
-                    == table.values[:, table.columns.index(name)].tolist(), name
+            for column, name in zip(matrix.values, matrix.columns):
+                assert column == table.values[table.columns.index(name)], name
+        assert all(type(v) is float for column in table.values for v in column)
 
     def test_price_columns_in_order(self):
         dates, bars, _ = build_inputs()
         matrix = select(assemble(bars, daily_rows(dates), daily_rows(dates)), "Prices")
         assert matrix.columns == ("open", "high", "low", "close", "adj_close", "volume")
-        assert matrix.values[:, 0].tolist() == [b.open for b in bars]
+        assert list(matrix.values[0]) == [b.open for b in bars]
 
     def test_weighted_block_excludes_confidence(self):
         dates, bars, _ = build_inputs()
@@ -220,8 +220,7 @@ class TestAssemble:
 # --- windowing -----------------------------------------------------------------
 
 def matrix_of(values, dates):
-    return FeatureMatrix(tuple(dates), ("close",),
-                         np.asarray(values, dtype=np.float64).reshape(-1, 1))
+    return FeatureMatrix(tuple(dates), ("close",), (tuple(map(float, values)),))
 
 
 def check_windows_are_views(matrix, lookback, split_date):
@@ -229,7 +228,7 @@ def check_windows_are_views(matrix, lookback, split_date):
     table, bit for bit the np.stack copies of its rows, and pickle (as
     they reach a pool worker) as contiguous copies. Returns the split."""
     split = make_windows(matrix, lookback, split_date)
-    scaled = minmax_transform(split.norm, matrix.values)
+    scaled = minmax_transform(split.norm, np.column_stack(matrix.values))
     n, n_train = len(matrix.dates), sum(1 for d in matrix.dates if d <= split_date)
     lows, highs = [], []
     for part, targets in ((split.train, range(lookback, n_train)), (split.test, range(n_train, n))):
@@ -303,7 +302,8 @@ class TestMakeWindows:
     def test_windows_are_views_with_an_empty_test_split(self):
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(12)]
         values = np.arange(24, dtype=float).reshape(12, 2) ** 1.5
-        matrix = FeatureMatrix(tuple(dates), ("close", "volume"), values)
+        matrix = FeatureMatrix(tuple(dates), ("close", "volume"),
+                               tuple(map(tuple, values.T.tolist())))
         split = check_windows_are_views(matrix, 4, dates[-1])
         assert (len(split.train), len(split.test)) == (8, 0)
         assert split.test.X.shape == (0, 4, 2)

@@ -52,7 +52,7 @@ def trained(config, tmp_path_factory):
 def test_matrix_dates_match_calendar(config, dataset):
     matrix = select(build_matrix(config, dataset), "Prices-Tweets-News-RSI-SMA")
     assert list(matrix.dates) == [bar.date for bar in dataset.bars]
-    assert matrix.values.shape == (len(dataset.bars), 14)
+    assert [len(column) for column in matrix.values] == [len(dataset.bars)] * 14
 
 
 def test_daily_sentiment_covers_every_session(config, dataset):
@@ -338,6 +338,24 @@ def test_duplicate_of_post_under_min_likes_stays_dropped(tmp_path, monkeypatch):
     assert counts["2022-06-01"] == 20 and counts["2022-06-02"] == 0
 
 
+def test_lone_surrogate_id_kept_once(tmp_path, monkeypatch, capsys):
+    # The id "\ud800", a lone surrogate, loads from its JSON escape as a str
+    # that strict UTF-8 cannot encode; ids are kept as surrogatepass bytes,
+    # so ingest scores it, and its later copy, in another range, is dropped
+    pad = [post_line(id=f"p{i}") for i in range(20)]
+    lines = [post_line(id="\ud800")] + pad + [
+        post_line(id="\ud800", ts="2022-06-02T12:00:00Z")]
+    assert '"id": "\\ud800"' in lines[0]
+    config = write_posts_config(tmp_path, lines)
+    force_pool(monkeypatch)
+    assert len(line_ranges(tmp_path / "tweets.jsonl", pipeline._RANGE_BYTES)) > 10
+    assert cli.main(["ingest", "--config", str(config)]) == 0
+    assert "tweets: 21\n" in capsys.readouterr().out
+    dataset = load_dataset(parse_config(config))
+    counts = {d.date.isoformat(): d.count for d in dataset.tweet_daily}
+    assert counts["2022-06-01"] == 21 and counts["2022-06-02"] == 0
+
+
 def test_missing_replay_score_only_where_it_counts(tmp_path, monkeypatch, capsys):
     # Only "a" has a replay score. "late" is dated past the last bar
     # (2023-03-31) and "low" is under min_likes: neither is scored, so
@@ -362,12 +380,13 @@ def test_missing_replay_score_only_where_it_counts(tmp_path, monkeypatch, capsys
 
 
 def test_ingest_peak_memory_per_kept_post(tmp_path, monkeypatch):
-    """Scoring 20,000 distinct kept tweets in-process peaks under 270 traced
-    bytes per kept post. What load_dataset keeps per kept post is its id in
-    the set of seen ids plus 17 bytes of score columns; a tuple of three
-    values per post, 120 bytes more, breaks this (on Python 3.11 the columns
-    read 215 bytes and the tuples 313). Ranges of 64 KiB keep the one range
-    being scored small beside that."""
+    """Scoring 20,000 distinct kept tweets in-process peaks under 190 traced
+    bytes per kept post. What load_dataset keeps per kept post is only its
+    id, as bytes, in the set of seen ids; its score goes into its day's
+    running sums. A str id (16 bytes more) or 17 bytes of score columns per
+    post breaks this: on Python 3.11 byte ids with sums read 179 bytes, str
+    ids with sums 195, byte ids with columns 203 and str ids with columns
+    216. Ranges of 64 KiB keep the one range being scored small beside that."""
     monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", 1 << 16)
     first = date(2022, 1, 3)
     lines = [post_line(id=f"t{i}", text=f"strong profit rally {i}",
@@ -382,4 +401,4 @@ def test_ingest_peak_memory_per_kept_post(tmp_path, monkeypatch):
         tracemalloc.stop()
     kept = dataset.tweet_count + dataset.news_count
     assert dataset.tweet_count == 20_000
-    assert peak / kept < 270, (peak, kept)
+    assert peak / kept < 190, (peak, kept)

@@ -1,12 +1,14 @@
 """Engagement-weighted sentiment: worked examples, providers, properties."""
 
 import json
+import random
 from array import array
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from stockcast import pipeline
 from stockcast.errors import StockcastError
 from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
@@ -287,10 +289,17 @@ class TestAggregateDaily:
         return score_post(post, SentimentScore(label, conf), W)
 
     @staticmethod
-    def columns(scored):
-        """Per-post triples as the three columns aggregate_daily takes per day."""
+    def sums(scored):
+        """Per-post triples as the running sums aggregate_daily takes per day,
+        added as ingest adds them: pipeline._gather over one range that
+        holds the posts, all on day 0, in order."""
         labels, confidences, weighted = zip(*scored)
-        return array("b", labels), array("d", confidences), array("d", weighted)
+        n = len(scored)
+        result = ([b"%d" % i for i in range(n)], bytes([1]) * n, array("i", [0]) * n,
+                  array("b", labels), array("d", confidences), array("d", weighted), {})
+        kept, sums, unscored = pipeline._gather([result])
+        assert (kept, list(sums), unscored) == (n, [0], None)
+        return sums[0]
 
     def test_means_over_one_day(self):
         cal = TradingCalendar(self.D[:1])
@@ -299,7 +308,7 @@ class TestAggregateDaily:
             self.scored(self.D[0], 0, 0.5),
             self.scored(self.D[0], -1, 0.7),
         ]
-        (row,) = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
+        (row,) = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
         assert row.count == 3
         assert row.mean_label == pytest.approx(0.0)
         assert row.mean_conf == pytest.approx(0.7)
@@ -307,19 +316,19 @@ class TestAggregateDaily:
     def test_empty_day_forward_fills(self):
         cal = TradingCalendar(self.D[:2])
         posts = [self.scored(self.D[0], 1, 0.5), self.scored(self.D[0], 0, 0.5)]
-        rows = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
+        rows = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
         assert rows[1].count == 0
         assert rows[1].mean_label == rows[0].mean_label == 0.5
 
     def test_leading_empty_day_defaults_to_zero(self):
         cal = TradingCalendar(self.D[:2])
-        rows = aggregate_daily({self.D[1]: self.columns([self.scored(self.D[1], 1, 0.9)])}, cal)
+        rows = aggregate_daily({self.D[1]: self.sums([self.scored(self.D[1], 1, 0.9)])}, cal)
         assert rows[0] == DailySentiment(self.D[0], 0.0, 0.0, 0.0, 0)
 
     def test_singleton_day(self):
         cal = TradingCalendar(self.D[:1])
         (row,) = aggregate_daily(
-            {self.D[0]: self.columns([self.scored(self.D[0], -1, 0.8)])}, cal)
+            {self.D[0]: self.sums([self.scored(self.D[0], -1, 0.8)])}, cal)
         assert (row.mean_label, row.mean_conf, row.count) == (-1.0, 0.8, 1)
 
     def test_order_invariance(self):
@@ -329,8 +338,39 @@ class TestAggregateDaily:
             self.scored(self.D[0], -1, 0.4, retweets=1, likes=3, followers=50),
             self.scored(self.D[0], 0, 0.2),
         ]
-        forward = aggregate_daily({self.D[0]: self.columns(posts)}, cal)
-        backward = aggregate_daily({self.D[0]: self.columns(posts[::-1])}, cal)
+        forward = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
+        backward = aggregate_daily({self.D[0]: self.sums(posts[::-1])}, cal)
         assert forward[0].mean_label == pytest.approx(backward[0].mean_label)
         assert forward[0].mean_ws == pytest.approx(backward[0].mean_ws)
         assert forward[0].count == backward[0].count
+
+    def test_means_are_sum_over_count_bit_for_bit(self):
+        """The daily means equal sum(column) / n, the expression the running
+        sums replace, bit for bit (float.hex), forward-fill included: over
+        random days of -1/0/1 labels and of values of either sign from 1e-300
+        to 1e300, zeros of both signs, days with only -0.0 (whose sum from 0
+        is 0.0) and empty days. Python 3.11's sum() adds left to right from 0."""
+        rng = random.Random(25)
+
+        def value():
+            if rng.random() < 0.1:
+                return rng.choice((0.0, -0.0))
+            return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
+
+        for _ in range(20):
+            days = [date(2023, 1, 2) + timedelta(days=i) for i in range(30)]
+            by_day = {d: [(rng.choice((-1, 0, 1)), value(), value())
+                          for _ in range(rng.randint(1, 6))]
+                      for d in days if rng.random() < 0.7}
+            by_day[days[3]] = [(0, -0.0, -0.0)]
+            by_day[days[4]] = [(0, -0.0, -0.0)] * 3
+            rows = aggregate_daily({d: self.sums(scored) for d, scored in by_day.items()},
+                                   TradingCalendar(days))
+            expected, means = [], (0.0, 0.0, 0.0)
+            for d in days:
+                scored = by_day.get(d, [])
+                if scored:
+                    means = tuple(sum(column) / len(scored) for column in zip(*scored))
+                expected.append((d, *(m.hex() for m in means), len(scored)))
+            assert [(row.date, row.mean_label.hex(), row.mean_conf.hex(), row.mean_ws.hex(),
+                     row.count) for row in rows] == expected
