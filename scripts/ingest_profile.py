@@ -23,7 +23,7 @@ import pickle
 import time
 import tracemalloc
 
-from stockcast import pipeline, sentiment, textprep
+from stockcast import scoring, sentiment, textprep
 from stockcast.config import parse_config
 from stockcast.ingest import assign_posts, calendar_from_bars, load_posts_jsonl, load_price_csv
 
@@ -43,23 +43,23 @@ def _timed(ms, stage, fn, *args):
 def profile(config):
     """(milliseconds by stage, posts loaded per second, _gather bytes per kept post)."""
     calendar = calendar_from_bars(load_price_csv(config.prices))
-    provider = pipeline.make_provider(config)
+    provider = scoring.make_provider(config)
     stopwords = textprep.load_stopwords(config.stopwords)
     weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
     shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
     files = ((config.tweets, "tweet", config.min_likes), (config.news, "news", None))
     ms = dict.fromkeys(PIPELINE_STAGES + POST_STAGES, 0.0)
 
-    tasks = [_timed(ms, "line_ranges", pipeline._post_tasks, *file) for file in files]
+    tasks = [_timed(ms, "line_ranges", scoring._post_tasks, *file) for file in files]
     results = []
     for file_tasks in tasks:
         file_results = []
         for task in file_tasks:
-            result = _timed(ms, "score_range", pipeline._score_range, shared, task)
+            result = _timed(ms, "score_range", scoring._score_range, shared, task)
             file_results.append(_timed(ms, "pickle", lambda r: pickle.loads(pickle.dumps(r)),
                                        result))
         results.append(file_results)
-    gathered = [_timed(ms, "gather", pipeline._gather, iter(rs)) for rs in results]
+    gathered = [_timed(ms, "gather", scoring._gather, iter(rs)) for rs in results]
     for kept, sums, unscored in gathered:
         if unscored is not None:
             raise SystemExit(f"error: {unscored}")
@@ -71,7 +71,7 @@ def profile(config):
     tracemalloc.start()
     try:
         for rs in results:
-            pipeline._gather(iter(rs))
+            scoring._gather(iter(rs))
         gather_peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

@@ -10,9 +10,10 @@ import argparse
 import sys
 from pathlib import Path
 
-from . import pipeline
+from . import pipeline, scoring
 from .config import apply_overrides, parse_config
 from .errors import RunFailed, StockcastError, echo_path
+from .outputs import publish
 from .pipeline import write_matrix_csv
 
 EXIT_OK = 0
@@ -65,8 +66,8 @@ def cmd_ingest(args):
     """Load, check and score every input; save the daily sentiment for the other commands."""
     config = _load_config(args)
     dataset = pipeline.load_dataset(config)
-    with pipeline.publish(config.out_dir) as stage:
-        pipeline.write_daily_sentiment(stage(pipeline.DAILY_SENTIMENT_FILE), config, dataset)
+    with publish(config.out_dir) as stage:
+        scoring.write_daily_sentiment(stage(scoring.DAILY_SENTIMENT_FILE), config, dataset)
     bars = dataset.bars
     print(f"stock: {config.stock}")
     print(f"bars: {len(bars)} ({bars[0].date} .. {bars[-1].date})")
@@ -74,7 +75,7 @@ def cmd_ingest(args):
     print(f"news: {dataset.news_count}")
     print(f"provider: {config.provider}")
     print(f"config_hash: {config.config_hash}")
-    print(f"wrote {Path(config.out_dir) / pipeline.DAILY_SENTIMENT_FILE}")
+    print(f"wrote {Path(config.out_dir) / scoring.DAILY_SENTIMENT_FILE}")
     return EXIT_OK
 
 
@@ -86,7 +87,7 @@ def cmd_featurize(args):
     table = pipeline.build_matrix(config, dataset)
     column_text = format_columns(table)
     wrote = []
-    with pipeline.publish(config.out_dir) as stage:
+    with publish(config.out_dir) as stage:
         for feature_set in config.feature_sets:
             matrix = select(table, feature_set)
             name = f"features_{pipeline.safe_name(feature_set)}.csv"

@@ -137,7 +137,7 @@ class ExperimentConfig:
         """{path key: SHA-256 of its file} for each input file that is set.
 
         The files are read once per config object, on first use, never
-        while parsing; config_hash and the pipeline's scores digest share
+        while parsing; config_hash and scoring.scores_digest share
         the result.
         """
         return {key: _file_sha256(getattr(self, key)) for key in _PATH_KEYS if getattr(self, key)}

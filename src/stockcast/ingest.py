@@ -215,7 +215,7 @@ def load_posts_jsonl(path, kind, byte_range=None):
     booleans, at least 0). Engagement fields default to 0 when absent and
     are forced to 0 for news, whose lines are not checked for them. Posts
     with a duplicate id are dropped, keeping the first occurrence; the
-    pipeline applies ``min_likes`` after that.
+    scoring applies ``min_likes`` after that.
 
     Args:
         path: JSONL file path.

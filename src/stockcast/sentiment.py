@@ -193,7 +193,6 @@ def load_replay_scores(path):
     ``<path>:<line>: ``.
     """
     table = {}
-    first_line = {}
     with open_text(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -213,16 +212,24 @@ def load_replay_scores(path):
                     raise ValueError(f"field 'confidence' must be a number, "
                                      f"got {echo(json.dumps(conf))}")
                 post_id, score = str(post_id), SentimentScore(label, float(conf))
-                if post_id in first_line:
+                if post_id in table:
                     raise ValueError(f"duplicate id {echo(repr(post_id))}, "
-                                     f"first on line {first_line[post_id]}")
-                first_line[post_id] = lineno
+                                     f"first on line {_first_line(path, post_id)}")
                 table[post_id] = score
             except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
                     OverflowError) as exc:  # OverflowError: an integer confidence past float range
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
     return table
+
+
+def _first_line(path, post_id):
+    """The line of ``path`` that first gives ``post_id``: a second scan, so
+    that only a duplicate id pays for naming it. Every line up to the
+    duplicate parsed on the first scan."""
+    with open_text(path) as fh:
+        return next(lineno for lineno, line in enumerate(fh, start=1)
+                    if line.strip() and str(json.loads(line)["id"]) == post_id)
 
 
 # --- daily aggregation ---------------------------------------------------------

@@ -12,10 +12,11 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast import cli, features, forecaster, pipeline
+from stockcast import cli, features, forecaster, pipeline, scoring
 from stockcast.config import ExperimentConfig, apply_overrides, parse_config
 from stockcast.errors import ECHO_LIMIT, RunFailed, StockcastError, echo, echo_path
 from stockcast.forecaster import LstmConfig
+from stockcast.outputs import publish
 
 from conftest import REPO
 
@@ -677,7 +678,7 @@ def exhaust_memory(*args, **kwargs):
 
 def force_cores(monkeypatch, n):
     """Make the train-eval pool size see ``n`` usable cores."""
-    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity",
+    monkeypatch.setattr("stockcast.scoring.os.sched_getaffinity",
                         lambda pid: set(range(n)))
 
 
@@ -722,7 +723,7 @@ class TestWorkerPool:
         # at once. The error reported is job 0's, though job 1 fails first.
         write_tiny_dataset(tmp_path)
         config = parse_config(write_config(tmp_path))
-        table = pipeline.build_matrix(config, pipeline.load_dataset(config))
+        table = pipeline.build_matrix(config, scoring.load_dataset(config))
         split = features.make_windows(
             features.select(table, "Prices"), config.lookback, config.split_date)
         bad_test = features.WindowedDataset(
@@ -772,7 +773,7 @@ class TestWorkerPool:
 
     def test_memory_error_in_worker_comes_back(self):
         # the CLI turns it into exit 3 as it does one raised here
-        with pipeline._worker_pool(2) as run, pytest.raises(MemoryError) as caught:
+        with scoring._worker_pool(2, None) as run, pytest.raises(MemoryError) as caught:
             list(run(exhaust_memory, [0, 1]))
         assert str(caught.value) == ALLOCATION_FAILED
 
@@ -955,7 +956,7 @@ class TestPublish:
                 raise OSError(5, "Input/output error", str(src), None, str(dst))
             real(src, dst)
 
-        monkeypatch.setattr("stockcast.pipeline.os.replace", fail_second)
+        monkeypatch.setattr("stockcast.outputs.os.replace", fail_second)
         assert cli.main(["train-eval", "--config", str(path), "--seed", "9"]) == 2
         assert capsys.readouterr().err == f"error: {calls[1]}: Input/output error\n"
         assert calls[1] == str(out / "predictions_prices.csv")  # the marker was not reached
@@ -1058,21 +1059,21 @@ class TestScoredOnce:
             out_dir = str(tmp_path / name)
             if name == "after-ingest":
                 assert cli.main(["ingest", "--config", config, "--out-dir", out_dir]) == 0
-                monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", refuse_posts)
+                monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", refuse_posts)
             assert cli.main(["featurize", "--config", config, "--out-dir", out_dir]) == 0
             assert cli.main(["train-eval", "--config", config, "--out-dir", out_dir, *run]) == 0
             outputs[name] = read_outputs(out_dir)
-        saved = outputs["after-ingest"].pop(pipeline.DAILY_SENTIMENT_FILE)
+        saved = outputs["after-ingest"].pop(scoring.DAILY_SENTIMENT_FILE)
         assert saved.startswith(b"# config_hash=")
         assert len(outputs["alone"]) == 12 + 3  # 12 feature files, report, table, predictions
         assert outputs["after-ingest"] == outputs["alone"]
 
     def test_saved_rows_equal_scored_rows(self, tmp_path, fixture_config_path):
         config = apply_overrides(parse_config(fixture_config_path), {"out_dir": str(tmp_path)})
-        scored = pipeline.load_dataset(config, tmp_path)  # nothing saved yet
-        with pipeline.publish(tmp_path) as stage:
-            pipeline.write_daily_sentiment(stage(pipeline.DAILY_SENTIMENT_FILE), config, scored)
-        saved = pipeline.load_dataset(config, tmp_path)
+        scored = scoring.load_dataset(config, tmp_path)  # nothing saved yet
+        with publish(tmp_path) as stage:
+            scoring.write_daily_sentiment(stage(scoring.DAILY_SENTIMENT_FILE), config, scored)
+        saved = scoring.load_dataset(config, tmp_path)
         for key in ("tweet_count", "news_count", "tweet_daily", "news_daily"):
             assert getattr(saved, key) == getattr(scored, key), key
         assert any(d.count == 0 for d in saved.tweet_daily)  # forward-filled days too
@@ -1086,7 +1087,7 @@ class TestScoredOnce:
         write_tiny_dataset(tmp_path)
         config = str(write_config(tmp_path))
         assert cli.main(["ingest", "--config", config]) == 0
-        monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", refuse_posts)
+        monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", refuse_posts)
         assert cli.main([command, "--config", config, *flags]) == 0
 
     #: An edit after ingest, as (config key, new value) or (file key, edit of its text).
@@ -1106,7 +1107,7 @@ class TestScoredOnce:
     @pytest.mark.parametrize("key", list(EDITS))
     def test_edit_after_ingest_rescores(self, tmp_path, monkeypatch, key):
         write_tiny_dataset(tmp_path)
-        resources = Path(pipeline.__file__).parent / "resources"
+        resources = Path(scoring.__file__).parent / "resources"
         for name in ("lexicon.tsv", "stopwords.txt"):
             (tmp_path / name).write_bytes((resources / name).read_bytes())
         (tmp_path / "scores.jsonl").write_text("".join(
@@ -1126,19 +1127,19 @@ class TestScoredOnce:
         else:
             config = write_config(tmp_path, **extra, **{key: edit})
         loads = []
-        load_posts = pipeline.load_posts_jsonl
+        load_posts = scoring.load_posts_jsonl
 
         def counting(path, kind, byte_range=None):
             loads.append(kind)
             return load_posts(path, kind, byte_range)
 
-        monkeypatch.setattr("stockcast.pipeline.load_posts_jsonl", counting)
+        monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", counting)
         assert cli.main(["featurize", "--config", str(config)]) == 0
         assert loads, "featurize reused scores from before the edit"
         fresh = tmp_path / "fresh"
         assert cli.main(["featurize", "--config", str(config), "--out-dir", str(fresh)]) == 0
         reused = read_outputs(tmp_path / "out")
-        del reused[pipeline.DAILY_SENTIMENT_FILE]
+        del reused[scoring.DAILY_SENTIMENT_FILE]
         assert reused == read_outputs(fresh)
 
     def test_failed_ingest_writes_nothing(self, tmp_path, capsys):
@@ -1178,7 +1179,7 @@ class TestScoredOnce:
         write_tiny_dataset(tmp_path)
         config = str(write_config(tmp_path))
         assert cli.main(["ingest", "--config", config]) == 0
-        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        path = tmp_path / "out" / scoring.DAILY_SENTIMENT_FILE
         edit, line = self.MALFORMED[case]
         lines = path.read_text().splitlines()
         assert len(lines) == 64  # 4 header lines, 60 trading dates
@@ -1197,7 +1198,7 @@ class TestScoredOnce:
         write_tiny_dataset(tmp_path)
         config = str(write_config(tmp_path))
         assert cli.main(["ingest", "--config", config]) == 0
-        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        path = tmp_path / "out" / scoring.DAILY_SENTIMENT_FILE
         lines = path.read_text().splitlines()
         path.write_text("\n".join([lines[0], "# scores=0", "garbage"]) + "\n")
         assert cli.main(["featurize", "--config", config]) == 0
@@ -1207,7 +1208,7 @@ class TestScoredOnce:
         write_tiny_dataset(tmp_path)
         config = str(write_config(tmp_path))
         assert cli.main(["ingest", "--config", config]) == 0
-        path = tmp_path / "out" / pipeline.DAILY_SENTIMENT_FILE
+        path = tmp_path / "out" / scoring.DAILY_SENTIMENT_FILE
         lines = path.read_bytes().splitlines(keepends=True)
         lines[1] = b"# scores=0\n"
         lines[5] = b"\xff" + lines[5]
@@ -1216,7 +1217,7 @@ class TestScoredOnce:
         fresh = tmp_path / "fresh"
         assert cli.main(["featurize", "--config", config, "--out-dir", str(fresh)]) == 0
         reused = read_outputs(tmp_path / "out")
-        assert reused.pop(pipeline.DAILY_SENTIMENT_FILE) == b"".join(lines)  # left alone
+        assert reused.pop(scoring.DAILY_SENTIMENT_FILE) == b"".join(lines)  # left alone
         assert reused == read_outputs(fresh)
 
 
@@ -1268,10 +1269,10 @@ def test_tracer_patches_every_name(tmp_path):
 POOL_PROBE = """\
 import os, sys
 from pathlib import Path
-from stockcast import pipeline
+from stockcast import pipeline, scoring
 
 HERE = Path(__file__).parent
-_fork, _score_range, _fit_group = os.fork, pipeline._score_range, pipeline._fit_group
+_fork, _score_range, _fit_group = os.fork, scoring._score_range, pipeline._fit_group
 forks = []
 
 
@@ -1294,7 +1295,7 @@ def fit_group(jobs, index):
 
 
 os.fork = fork
-pipeline._score_range = score_range
+scoring._score_range = score_range
 pipeline._fit_group = fit_group
 """
 
@@ -1309,9 +1310,9 @@ def run_probed(tmp_path, argv, cores=None):
     code = "\n".join([
         "import json, sys",
         "import pool_probe",
-        "from stockcast import cli, pipeline",
-        "pipeline._post_workers = lambda config: 2",
-        *([f"pipeline.os.sched_getaffinity = lambda pid: set(range({cores}))"] if cores else []),
+        "from stockcast import cli, scoring",
+        "scoring._post_workers = lambda config: 2",
+        *([f"scoring.os.sched_getaffinity = lambda pid: set(range({cores}))"] if cores else []),
         f"code = cli.main({argv!r})",
         "print(json.dumps([pool_probe.os.getpid(), pool_probe.forks]))",
         "sys.exit(code)",

@@ -5,16 +5,16 @@ An AST walk over ``src/stockcast`` finds every file write and every
 rename. A file write is an ``open`` call whose mode is not a constant
 string free of ``w``, ``a``, ``x`` and ``+``, or a ``.write_text`` or
 ``.write_bytes`` call; a rename is ``os.replace`` or ``os.rename``. Each
-must sit in ``pipeline.publish`` (the renames), or in ``pipeline._write_csv``
-or ``pipeline._write_json`` (the framed outputs). A writer that opens its
+must sit in ``outputs.publish`` (the renames), or in ``outputs._write_csv``
+or ``outputs._write_json`` (the framed outputs). A writer that opens its
 own file, or renames one, fails here.
 
-A second walk, over ``pipeline.py``, finds every file read: an ``open``
-that is not a write, an ``open_text``, or a ``.read_text`` or
-``.read_bytes`` call. Each must sit in ``pipeline._ReadBack``, the reader
-that checks daily_sentiment.csv and the predictions files, or be
-``scores_digest``'s read of the package files. A read-back that opens its
-own file fails here.
+A second walk, over READ_BACK_MODULES (every module that reads an output
+back), finds every file read: an ``open`` that is not a write, an
+``open_text``, or a ``.read_text`` or ``.read_bytes`` call. Each must sit
+in ``outputs._ReadBack``, the reader that checks daily_sentiment.csv and
+the predictions files, or be ``scoring.scores_digest``'s read of the
+package files. A read-back that opens its own file fails here.
 """
 
 import ast
@@ -23,16 +23,20 @@ from conftest import REPO
 
 #: (module, enclosing function, call) of every allowed write or rename.
 ALLOWED = {
-    ("pipeline", "publish", "os.replace"),
-    ("pipeline", "_write_csv", "open"),
-    ("pipeline", "_write_json", "write_text"),
+    ("outputs", "publish", "os.replace"),
+    ("outputs", "_write_csv", "open"),
+    ("outputs", "_write_json", "write_text"),
 }
 
-#: (module, enclosing function, call) of every allowed read in pipeline.py.
+#: The modules that read outputs back: pipeline the predictions files,
+#: scoring daily_sentiment.csv, both through outputs._ReadBack.
+READ_BACK_MODULES = ("outputs", "pipeline", "scoring")
+
+#: (module, enclosing function, call) of every allowed read in READ_BACK_MODULES.
 READS_ALLOWED = {
-    ("pipeline", "_ReadBack.__init__", "open"),
-    ("pipeline", "_ReadBack.__init__", "open_text"),
-    ("pipeline", "scores_digest", "read_bytes"),
+    ("outputs", "_ReadBack.__init__", "open"),
+    ("outputs", "_ReadBack.__init__", "open_text"),
+    ("scoring", "scores_digest", "read_bytes"),
 }
 
 
@@ -101,8 +105,10 @@ def test_every_write_goes_through_publish():
 
 
 def test_every_read_back_goes_through_one_reader():
-    path = REPO / "src" / "stockcast" / "pipeline.py"
-    sites = call_sites(ast.parse(path.read_text(encoding="utf-8")), "pipeline", _reads)
+    sites = []
+    for module in READ_BACK_MODULES:
+        path = REPO / "src" / "stockcast" / f"{module}.py"
+        sites += call_sites(ast.parse(path.read_text(encoding="utf-8")), module, _reads)
     stray = sorted(set(sites) - READS_ALLOWED)
     assert stray == [], f"reads outside _ReadBack: {stray}"
     assert set(sites) == READS_ALLOWED

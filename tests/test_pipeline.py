@@ -1,5 +1,6 @@
 """Orchestration-level checks on the bundled fixture dataset."""
 
+import ast
 import hashlib
 import json
 import shutil
@@ -10,23 +11,24 @@ from types import SimpleNamespace
 
 import pytest
 
-from stockcast import cli, pipeline
+from stockcast import cli, pipeline, scoring
 from stockcast.config import apply_overrides, parse_config
 from stockcast.features import select
 from stockcast.ingest import line_ranges
 from stockcast.pipeline import (
     build_matrix,
-    load_dataset,
     load_predictions_csv,
-    make_provider,
     run_train_eval,
     safe_name,
     simulate_feature_set,
 )
+from stockcast.scoring import load_dataset, make_provider
 from stockcast.sentiment import ReplayProvider
 
 from conftest import CONFIGS, FIXTURES
 from test_features import check_windows_are_views
+
+PACKAGE = Path(scoring.__file__).parent
 
 
 @pytest.fixture(scope="module")
@@ -119,7 +121,7 @@ def test_run_feature_set_shapes(config, dataset, trained):
 ], ids=["fixture", "protocol", "protocol-shape", "one-set-two-cores", "one-set-one-core"])
 def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf, overrides,
                                                              cores, groups):
-    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity",
+    monkeypatch.setattr("stockcast.scoring.os.sched_getaffinity",
                         lambda pid: set(range(cores)))
     config = apply_overrides(parse_config(CONFIGS / conf), overrides)
     splits = [SimpleNamespace(train=f"{fs} train", test=f"{fs} test")
@@ -172,28 +174,66 @@ def test_csv_ledger_equals_in_memory_ledger(config, dataset, trained):
 
 
 def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
-    # an edited scorer or bundled lexicon makes ingest's saved scores stale;
-    # an edited model, feature or simulator module does not
+    # an edited scorer, writer or bundled lexicon makes ingest's saved scores
+    # stale; an edited model, feature, simulator, report or CLI module does not
     package = tmp_path / "stockcast"
-    shutil.copytree(Path(pipeline.__file__).parent, package,
-                    ignore=shutil.ignore_patterns("__pycache__"))
-    digest = pipeline.scores_digest(config)
-    monkeypatch.setattr("stockcast.pipeline._PACKAGE", package)
-    assert pipeline.scores_digest(config) == digest
+    shutil.copytree(PACKAGE, package, ignore=shutil.ignore_patterns("__pycache__"))
+    digest = scoring.scores_digest(config)
+    monkeypatch.setattr("stockcast.scoring._PACKAGE", package)
+    assert scoring.scores_digest(config) == digest
     (package / "__pycache__").mkdir()
     (package / "__pycache__" / "textprep.cpython-311.pyc").write_bytes(b"compiled")
-    assert pipeline.scores_digest(config) == digest
-    scoring = ("resources/lexicon.tsv", "resources/stopwords.txt", "errors.py", "ingest.py",
-               "pipeline.py", "sentiment.py", "textprep.py")
-    for name in scoring + ("forecaster.py", "features.py", "market_sim.py"):
+    assert scoring.scores_digest(config) == digest
+    scored_by = ("resources/lexicon.tsv", "resources/stopwords.txt", "errors.py", "ingest.py",
+                 "outputs.py", "scoring.py", "sentiment.py", "textprep.py")
+    for name in scored_by + ("forecaster.py", "features.py", "market_sim.py", "pipeline.py",
+                             "cli.py", "config.py", "evaluation.py"):
         path = package / name
         original = path.read_bytes()
         path.write_bytes(original + b"\n")
-        assert (pipeline.scores_digest(config) != digest) == (name in scoring), name
+        assert (scoring.scores_digest(config) != digest) == (name in scored_by), name
         path.write_bytes(original)
-    assert pipeline.scores_digest(apply_overrides(config, {
+    assert scoring.scores_digest(apply_overrides(config, {
         "base_seed": 1, "replicates": 3, "feature_sets": ("Prices",), "epochs": 1,
         "out_dir": "elsewhere"})) == digest
+
+
+def package_imports(path):
+    """The package modules the module at ``path`` imports, as file names:
+    ``from . import x``, ``from .x import y``, ``import stockcast.x`` and
+    the like, at any depth, so imports inside functions count too."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(filter(None, ["stockcast" if node.level else None, node.module]))
+            modules = [f"{base}.{alias.name}" for alias in node.names] \
+                if base == "stockcast" else [base]
+        else:
+            continue
+        found.update(f"{module.split('.')[1]}.py" for module in modules
+                     if module.startswith("stockcast."))
+    return found
+
+
+def outside_imports(modules):
+    """(module, imported) for each package module one of ``modules`` imports
+    that is not itself in ``modules``."""
+    return sorted((name, imported) for name in modules
+                  for imported in package_imports(PACKAGE / name) if imported not in modules)
+
+
+def test_scoring_modules_import_only_each_other():
+    # the digest hashes _SCORING_MODULES alone, so code they import from
+    # another module could change a score and leave saved scores in use
+    assert outside_imports(scoring._SCORING_MODULES) == []
+    assert "pipeline.py" not in scoring._SCORING_MODULES
+    # the walk finds imports at the top and inside functions alike: with
+    # pipeline.py in the list, as it once was, it reports what pipeline adds
+    assert outside_imports(scoring._SCORING_MODULES + ("pipeline.py",)) == [
+        ("pipeline.py", "evaluation.py"), ("pipeline.py", "features.py"),
+        ("pipeline.py", "forecaster.py"), ("pipeline.py", "market_sim.py")]
 
 
 # --- post files loaded in byte ranges, in workers or here -------------------
@@ -209,9 +249,9 @@ def post_line(**fields):
 def force_pool(monkeypatch, range_bytes=256):
     """Make load_dataset cut posts into ``range_bytes`` ranges and score
     them in 2 workers, however small the files."""
-    monkeypatch.setattr("stockcast.pipeline.os.sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr("stockcast.pipeline._BYTES_PER_WORKER", 1)
-    monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", range_bytes)
+    monkeypatch.setattr("stockcast.scoring.os.sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr("stockcast.scoring._BYTES_PER_WORKER", 1)
+    monkeypatch.setattr("stockcast.scoring._RANGE_BYTES", range_bytes)
 
 
 def write_posts_config(tmp_path, tweets, **extra):
@@ -243,8 +283,8 @@ def test_pool_matches_in_process(fixture_config_path, monkeypatch, provider):
                                     "replay_scores": str(FIXTURES / "replay_scores.jsonl")})
     here = load_dataset(config)
     force_pool(monkeypatch, range_bytes=4096)
-    assert pipeline._post_workers(config) == 2
-    assert len(line_ranges(config.tweets, pipeline._RANGE_BYTES)) > 20
+    assert scoring._post_workers(config) == 2
+    assert len(line_ranges(config.tweets, scoring._RANGE_BYTES)) > 20
     assert summary(load_dataset(config)) == summary(here)
     assert here.tweet_count > 0 and here.news_count > 0
 
@@ -260,7 +300,7 @@ def test_later_range_error_keeps_serial_line_number(tmp_path, monkeypatch, capsy
     expected = f"error: {path}:32: missing field 'text' at line 32\n"
     assert ingest_err(config, capsys) == expected
     force_pool(monkeypatch)
-    assert len(line_ranges(path, pipeline._RANGE_BYTES)) > 10
+    assert len(line_ranges(path, scoring._RANGE_BYTES)) > 10
     assert ingest_err(config, capsys) == expected
 
 
@@ -295,7 +335,7 @@ def test_one_task_list_reports_tweets_error_first(tmp_path, monkeypatch, capsys,
     expected = f"error: {tmp_path / 'tweets.jsonl'}:31: missing field 'text' at line 31\n"
     assert ingest_err(config, capsys) == expected
     force_pool(monkeypatch)
-    assert len(line_ranges(tmp_path / "tweets.jsonl", pipeline._RANGE_BYTES)) > 10
+    assert len(line_ranges(tmp_path / "tweets.jsonl", scoring._RANGE_BYTES)) > 10
     assert ingest_err(config, capsys) == expected
 
 
@@ -330,7 +370,7 @@ def test_duplicate_of_post_under_min_likes_stays_dropped(tmp_path, monkeypatch):
     config = parse_config(write_posts_config(tmp_path, lines))
     here = load_dataset(config)
     force_pool(monkeypatch)
-    assert len(line_ranges(config.tweets, pipeline._RANGE_BYTES)) > 10
+    assert len(line_ranges(config.tweets, scoring._RANGE_BYTES)) > 10
     pooled = load_dataset(config)
     assert summary(pooled) == summary(here)
     assert pooled.tweet_count == 20
@@ -348,7 +388,7 @@ def test_lone_surrogate_id_kept_once(tmp_path, monkeypatch, capsys):
     assert '"id": "\\ud800"' in lines[0]
     config = write_posts_config(tmp_path, lines)
     force_pool(monkeypatch)
-    assert len(line_ranges(tmp_path / "tweets.jsonl", pipeline._RANGE_BYTES)) > 10
+    assert len(line_ranges(tmp_path / "tweets.jsonl", scoring._RANGE_BYTES)) > 10
     assert cli.main(["ingest", "--config", str(config)]) == 0
     assert "tweets: 21\n" in capsys.readouterr().out
     dataset = load_dataset(parse_config(config))
@@ -387,7 +427,7 @@ def test_ingest_peak_memory_per_kept_post(tmp_path, monkeypatch):
     post breaks this: on Python 3.11 byte ids with sums read 179 bytes, str
     ids with sums 195, byte ids with columns 203 and str ids with columns
     216. Ranges of 64 KiB keep the one range being scored small beside that."""
-    monkeypatch.setattr("stockcast.pipeline._RANGE_BYTES", 1 << 16)
+    monkeypatch.setattr("stockcast.scoring._RANGE_BYTES", 1 << 16)
     first = date(2022, 1, 3)
     lines = [post_line(id=f"t{i}", text=f"strong profit rally {i}",
                        ts=f"{first + timedelta(days=i % 420)}T12:00:00Z")

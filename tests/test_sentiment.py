@@ -8,7 +8,7 @@ from datetime import date, timedelta
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from stockcast import pipeline
+from stockcast import scoring
 from stockcast.errors import StockcastError
 from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
@@ -291,13 +291,13 @@ class TestAggregateDaily:
     @staticmethod
     def sums(scored):
         """Per-post triples as the running sums aggregate_daily takes per day,
-        added as ingest adds them: pipeline._gather over one range that
+        added as ingest adds them: scoring._gather over one range that
         holds the posts, all on day 0, in order."""
         labels, confidences, weighted = zip(*scored)
         n = len(scored)
         result = ([b"%d" % i for i in range(n)], bytes([1]) * n, array("i", [0]) * n,
                   array("b", labels), array("d", confidences), array("d", weighted), {})
-        kept, sums, unscored = pipeline._gather([result])
+        kept, sums, unscored = scoring._gather([result])
         assert (kept, list(sums), unscored) == (n, [0], None)
         return sums[0]
 
