@@ -12,8 +12,10 @@ Prints the median microseconds per batch of ``forward``, ``backward``,
 median minor page faults (``ru_minflt``) per ``predict`` call, which
 faults in a fresh workspace unless the allocator kept the last one's
 pages; the bytes one training workspace of K models and its AdamState
-hold after a batch (tracemalloc); then numpy's version and the number of
-threads the loaded BLAS uses.
+hold after a batch and one predict workspace holds after a chunk
+(tracemalloc); the process's peak RSS (``ru_maxrss``) after the timed
+batches; then numpy's version and the number of threads the loaded BLAS
+uses.
 
 Usage (from the repository root; set OPENBLAS_NUM_THREADS to pin BLAS):
     PYTHONPATH=src python scripts/step_profile.py --hidden 16 --batch 32 \\
@@ -90,6 +92,20 @@ def training_bytes(hidden, batch, lookback, features, models=1):
         tracemalloc.stop()
 
 
+def predict_bytes(hidden, lookback, features):
+    """Bytes that one predict workspace holds after a chunk of PREDICT_CHUNK
+    windows, by tracemalloc."""
+    weights = group_weights(hidden, features, 1)
+    X = np.random.default_rng(2).uniform(0, 1, size=(1, PREDICT_CHUNK, lookback, features))
+    tracemalloc.start()
+    try:
+        workspace = LstmWorkspace(PREDICT_CHUNK, lookback, features, hidden)
+        forward(weights, X, workspace)
+        return tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+
+
 def profile(hidden, batch, lookback, features, batches, models=1):
     """Median microseconds per batch and model (per chunk for predict) of
     each stage, by stage name, and the median minor page faults per predict
@@ -143,7 +159,9 @@ def main(argv=None):
     if min(sizes) < 1:
         parser.error("every size must be >= 1")
     medians, faults = profile(*sizes)
+    peak_rss = getrusage(RUSAGE_SELF).ru_maxrss
     held = training_bytes(args.hidden, args.batch, args.lookback, args.features, args.models)
+    held_by_predict = predict_bytes(args.hidden, args.lookback, args.features)
     group = f" K={args.models}" if args.models > 1 else ""
     print(f"H={args.hidden} B={args.batch} T={args.lookback} F={args.features}{group}, "
           f"median of {args.batches} batches")
@@ -151,6 +169,8 @@ def main(argv=None):
         print(f"{name:15s} {us:10.1f} us")
     print(f"{'predict_minflt':15s} {faults:10.1f} faults per call")
     print(f"{'train_bytes':15s} {held:10d} B in workspace and AdamState")
+    print(f"{'predict_bytes':15s} {held_by_predict:10d} B in one predict workspace")
+    print(f"{'peak_rss':15s} {peak_rss:10d} kB (ru_maxrss)")
     print(f"numpy {np.__version__}, BLAS threads {blas_threads()}")
 
 

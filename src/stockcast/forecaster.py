@@ -19,18 +19,19 @@ logistic gates taken in place as 0.5*(1 + tanh(x/2)), which cannot
 overflow. Backward runs one dA @ U.T per step and gets dW, dU and db
 from one product or sum each after the loop. Gradients come back in the
 same flat layout, so clipping is one dot product per model and Adam one
-update over the whole vector.
+elementwise update over the whole vector, in column chunks.
 
 The kernel has a leading model axis K: every array it takes and gives
 leads with K, and one model is K = 1. ``train`` trains K replicates, a
 config's seeds seed ... seed + K - 1, in lockstep, as a (K, theta size)
 block of weights through one workspace of K models. Each model's (T, B,
-k) inputs, gates and hidden states sit one after another, laid out as a
-single model's, and the cell states are time-major, so every per-step
-call runs once over a (K, B, k) view of the K models' blocks, while
-X @ W, dW and dU stay one GEMM per model over its T*B rows and each
-stacked matmul runs the GEMM one model alone would; clipping takes each
-model's norm alone, and Adam is elementwise. Every model's numbers are
+k) inputs and gates sit one after another, laid out as a single model's,
+and the cell states are time-major, so every per-step call runs once
+over a (K, B, k) view of the K models' blocks, while X @ W, dW and dU
+stay one GEMM per model over its T*B rows (for dU, backward copies each
+model's h rows together when K > 1) and each stacked matmul runs the
+GEMM one model alone would; clipping takes each model's norm alone, and
+Adam is elementwise. Every model's numbers are
 bit-identical to training it alone. Stacking saves numpy's per-call
 cost, which dominates on small models; at the reference shape it saves
 nothing. ``predict`` runs one model, as a block of K = 1.
@@ -57,11 +58,16 @@ that workspace's next ``forward``, and the gradients until its next
 expression it replaces, so the numbers are bit-identical to allocating
 fresh arrays.
 
-The workspace keeps each step's gates and h and c states but not
-tanh(c): forward writes each step's tanh(c[t+1]) into one (B, H) block,
-and backward takes it again from c[t+1] with the same call, which gives
-the same bits. One tanh per step replaces a (T, B, H) buffer, the
-store-or-recompute trade of Gruslys et al. 2016.
+The workspace keeps each step's gates and c states but neither h nor
+tanh(c): forward writes each step's tanh(c[t+1]) into one (B, H) block
+and keeps h only for the step at hand, in two blocks it alternates
+between. Backward takes tanh(c[t+1]) again from c[t+1] with the same
+call, which gives the same bits, and from it h[t+1] = o * tanh(c[t+1])
+with forward's multiply, which it writes over c[t+2], a cell state no
+later step reads; after the loop c's slots 1..T hold h[0..T-1] for dU.
+So backward spends the cache's c as it spends its A. One tanh and one
+product per step replace two (T, B, H) buffers, the store-or-recompute
+trade of Gruslys et al. 2016.
 
 Gradients are exact analytic BPTT, including the ReLU subgradient
 (defined as 0 at exactly 0); the test suite checks them against central
@@ -87,6 +93,9 @@ GRAD_CLIP = 5.0
 
 #: Rows per predict chunk: a multiple of 8, see predict.
 PREDICT_CHUNK = 128
+
+#: Columns of theta per adam_step chunk, 128 KB of float64 per row.
+ADAM_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -169,18 +178,21 @@ class LstmWorkspace:
     Sized for batches of up to ``rows`` samples of one (lookback,
     n_features, hidden) shape, for ``models`` models K that run in
     lockstep. Every array the kernel takes or gives has the model axis
-    first. The X, A and h buffers hold the K models' arrays one after
+    first. The X and A buffers hold the K models' arrays one after
     another, so model k's (T, B, k) block is laid out as a single model's
-    and the X @ W, dW and dU products need no copy; the c buffer, which no
-    product reads, is time-major, (T+1, K, B, H), so a step's cell states
-    are one contiguous block. A batch of B rows takes the first K*T*B*k
-    floats of each flat buffer, so a short last batch is as contiguous as
-    a full one; for K = 1 the two orders are the same. ``train`` and
-    ``predict`` each allocate one workspace and run every batch through it.
+    and the X @ W and dW products need no copy; the c buffer is
+    time-major, (T+1, K, B, H), so a step's cell states are one contiguous
+    block. A batch of B rows takes the first K*T*B*k floats of each flat
+    buffer, so a short last batch is as contiguous as a full one; for K = 1
+    the two orders are the same. ``train`` and ``predict`` each allocate
+    one workspace and run every batch through it.
 
-    It holds every step's inputs, gates and h and c states and ten (K, B,
-    H) scratch blocks; tanh(c) is taken per step in one of them, not kept
-    (see ``_BatchViews``).
+    It holds every step's inputs, gates and c states and ten (K, B, H)
+    scratch blocks; h and tanh(c) are kept only for the step at hand, in
+    scratch, and backward takes them again (see ``_BatchViews``). Its dU
+    product reads h[0..T-1] from c's slots 1..T, which backward fills as
+    it spends them: for K = 1 they are one (T*B, H) matrix, and for K > 1
+    each model's rows are copied into that layout.
 
     The views of a batch size, per step views included, are built on its
     first batch and kept (see ``views``): ``train`` sees two sizes, a full
@@ -199,7 +211,6 @@ class LstmWorkspace:
         self.rows, self.models, self.dims = rows, K, (T, F, H)
         self._X = np.empty(K * T * rows * F)
         self._A = np.empty(K * T * rows * 4 * H)
-        self._h = np.empty(K * (T + 1) * rows * H)
         self._c = np.empty(K * (T + 1) * rows * H)
         self._scratch = np.empty(10 * K * rows * H)
         # logistic(x) = 0.5 * (1 + tanh(x / 2)) on i, f, o and tanh on g, as one
@@ -228,18 +239,21 @@ class LstmWorkspace:
 class _BatchViews:
     """A workspace's views for batches of B rows, with the model axis first.
 
-    ``cache`` holds X, A, h and c, as forward documents, each (K, T, B, k)
+    ``cache`` holds X, A and c, as forward documents, each (K, T, B, k)
     or (K, T+1, B, k) (c as a view of its time-major buffer). ``scratch``
     is ten (K, B, H) temporaries: forward's h @ U product takes the first
-    four as the (K, B, 4H) block ``hU`` and i * g the fifth, ``ig``;
-    backward takes the first four as its gate-major (4, K, B, H) step
-    block, the next three for 1 - i, 1 - f and 1 - o (and for terms while
-    those are not live), and the next two as dh and dc. The last,
-    ``tanh_c``, holds the step's tanh(c[t+1]) in forward and in backward.
-    ``scale`` and ``shift`` are the (B, 4H) logistic constants, read by
-    every model. ``forward_steps`` and ``backward_steps`` hold one tuple of
-    views per step, backward's last step first; the K models' blocks of a
-    step form one (K, B, k) view, contiguous for c.
+    four as the (K, B, 4H) block ``hU``, i * g the fifth, ``ig``, and h[t]
+    the sixth and seventh, h[t] in block 5 + t % 2, so ``h_last``, h[T], is
+    block 5 + T % 2; backward reads h[T] from there first and then takes
+    the first four as its gate-major (4, K, B, H) step block, the next
+    three for 1 - i, 1 - f and 1 - o (and for terms while those are not
+    live), and the next two as dh and dc. The last, ``tanh_c``, holds the
+    step's tanh(c[t+1]) in forward and in backward. ``scale`` and
+    ``shift`` are the (B, 4H) logistic constants, read by every model.
+    ``forward_steps`` and ``backward_steps`` hold one tuple of views per
+    step, backward's last step first; the K models' blocks of a step form
+    one (K, B, k) view, contiguous for c and h. Backward's step t writes
+    h[t+1] over c[t+2], which step t+1 was the last to read.
     """
 
     def __init__(self, workspace, B):
@@ -247,21 +261,24 @@ class _BatchViews:
         K = workspace.models
         X = _prefix(workspace._X, K, T, B, F)
         A = _prefix(workspace._A, K, T, B, 4 * H)
-        h = _prefix(workspace._h, K, T + 1, B, H)
         c = _prefix(workspace._c, T + 1, K, B, H)
-        self.cache = {"X": X, "A": A, "h": h, "c": c.transpose(1, 0, 2, 3)}
+        self.cache = {"X": X, "A": A, "c": c.transpose(1, 0, 2, 3)}
         self.scratch = _prefix(workspace._scratch, 10, K, B, H)
         self.hU, self.ig = self.scratch[:4].reshape(K, B, 4 * H), self.scratch[4]
         self.tanh_c = self.scratch[9]
+        h = [self.scratch[5 + t % 2] for t in range(T + 1)]
+        self.h_last = h[T]
         self.scale = np.broadcast_to(_prefix(workspace._scale, B, 4 * H), (K, B, 4 * H))
         self.shift = np.broadcast_to(_prefix(workspace._shift, B, 4 * H), (K, B, 4 * H))
         # t, A[t], h[t], c[t], c[t+1], h[t+1] and A[t]'s gate columns
-        self.forward_steps = [(t, A[:, t], h[:, t], c[t], c[t + 1], h[:, t + 1],
+        self.forward_steps = [(t, A[:, t], h[t], c[t], c[t + 1], h[t + 1],
                                *(A[:, t, :, k * H:(k + 1) * H] for k in range(4)))
                               for t in range(T)]
-        # t, A[t]'s (K, B, 4H) rows as a gate-major (4, K, B, H) view, c[t+1], c[t] and A[t]
+        # t, A[t]'s (K, B, 4H) rows as a gate-major (4, K, B, H) view, c[t+1], c[t],
+        # A[t] and the spent slot c[t+2] that takes h[t+1] (None for h[T], not needed)
         rows = A.reshape(K, T, B, 4, H).transpose(1, 3, 0, 2, 4)
-        self.backward_steps = [(t, rows[t], c[t + 1], c[t], A[:, t])
+        self.backward_steps = [(t, rows[t], c[t + 1], c[t], A[:, t],
+                                c[t + 2] if t < T - 1 else None)
                                for t in reversed(range(T))]
 
 
@@ -277,10 +294,11 @@ def forward(weights, X, workspace):
     batch per model, (K, batch, lookback, features), for a workspace of K
     models. Returns predictions (K, batch) and the activation cache BPTT
     needs: time-major inputs ``X`` (K, T, B, F), gate activations ``A``
-    (K, T, B, 4H) in i, f, o, g order, hidden and cell states ``h``/``c``
-    (K, T+1, B, H) with the zero initial state first, and the head
-    pre-activation ``z`` (K, B). The cache arrays live in ``workspace``,
-    an LstmWorkspace with room for the batch, and stay valid until that
+    (K, T, B, 4H) in i, f, o, g order, cell states ``c`` (K, T+1, B, H)
+    with the zero initial state first, and the head pre-activation ``z``
+    (K, B). Hidden states are not kept: backward takes them again from
+    ``A`` and ``c``. The cache arrays live in ``workspace``, an
+    LstmWorkspace with room for the batch, and stay valid until that
     workspace's next forward.
 
     Raises:
@@ -296,7 +314,7 @@ def forward(weights, X, workspace):
                          f"{rows} rows; got theta of shape {weights.theta.shape} and a batch "
                          f"of shape {X.shape}")
     views = workspace.views(B)
-    Xt, A, h, c = views.cache.values()
+    Xt, A, c = views.cache.values()
     hU, ig, tanh_c, scale, shift = views.hU, views.ig, views.tanh_c, views.scale, views.shift
     W, U = workspace.fused
     np.copyto(W.reshape(K, F, 4, H), weights.W.transpose(0, 2, 1, 3))
@@ -305,7 +323,6 @@ def forward(weights, X, workspace):
     XW = A.reshape(K, T * B, 4 * H)
     np.matmul(Xt.reshape(K, T * B, F), W, out=XW)
     XW += weights.b[:, None]  # (XW + b) + hU: the same sums as adding b at each step
-    h[:, 0] = 0.0
     c[:, 0] = 0.0
     for t, a, h_prev, c_prev, c_next, h_next, i, f, o, g in views.forward_steps:
         if t:  # h_0 = 0, so step 0 has no recurrent term
@@ -321,7 +338,7 @@ def forward(weights, X, workspace):
         np.tanh(c_next, out=tanh_c)
         np.multiply(o, tanh_c, out=h_next)
     # one h[T] @ w_out product (a gemv) per model
-    z = np.matmul(h[:, T], weights.w_out[:, :, None])[..., 0] + weights.b_out[:, None]
+    z = np.matmul(views.h_last, weights.w_out[:, :, None])[..., 0] + weights.b_out[:, None]
     pred = np.maximum(z, 0.0)
     if not np.all(np.isfinite(pred)):
         raise RunFailed("non-finite prediction; training diverged?")
@@ -333,14 +350,15 @@ def backward(weights, cache, targets, workspace):
 
     Returns an LstmWeights over ``workspace.grads``, (K, theta size), valid
     until that workspace's next backward. ``cache`` must be the one the
-    workspace's last forward returned, and the gate gradients are written
-    over its ``A``, so a cache serves one backward call. ``targets`` are
-    (K, batch). Each step takes tanh(c[t+1]) again from c[t+1], and every
-    step runs in place with each product's operands in the order of the
-    textbook expression.
+    workspace's last forward returned, and backward spends it: the gate
+    gradients are written over its ``A`` and the hidden states over its
+    ``c``, so a cache serves one backward call. ``targets`` are (K, batch).
+    Each step takes tanh(c[t+1]) again from c[t+1] and h[t+1] from that,
+    and every step runs in place with each product's operands in the order
+    of the textbook expression.
     """
     K, (T, F, H) = workspace.models, workspace.dims
-    X, A, h, z = cache["X"], cache["A"], cache["h"], cache["z"]
+    X, A, c, z = cache["X"], cache["A"], cache["c"], cache["z"]
     B = A.shape[2]
     views = workspace._views.get(B)
     if views is None or views.cache["A"] is not A:
@@ -361,14 +379,16 @@ def backward(weights, cache, targets, workspace):
     # dL/dz through the ReLU; subgradient at exactly 0 is 0.
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     # one h[T].T @ dz product (a gemv) per model
-    grads.w_out[...] = np.matmul(h[:, T].transpose(0, 2, 1), dz[:, :, None])[..., 0]
+    grads.w_out[...] = np.matmul(views.h_last.transpose(0, 2, 1), dz[:, :, None])[..., 0]
     grads.b_out[...] = dz.sum(axis=1)
     np.multiply(dz[:, :, None], weights.w_out[:, None], out=dh)
     dc[...] = 0.0
 
-    for t, rows, c_next, c_prev, a in views.backward_steps:
+    for t, rows, c_next, c_prev, a, h_next in views.backward_steps:
         np.copyto(gates, rows)
         np.tanh(c_next, out=tanh_c)
+        if h_next is not None:  # h[t+1] for dU, as forward took it
+            np.multiply(o, tanh_c, out=h_next)
         # dc += dh * o * (1 - tanh_c**2), in two of the 1 - x blocks before they fill
         t1, t2 = one_minus_i, one_minus_f
         np.multiply(dh, o, out=t1)
@@ -399,10 +419,14 @@ def backward(weights, cache, targets, workspace):
         if t:  # dh_0 would feed the zero initial state
             np.matmul(a, U_T, out=dh)
 
-    # one GEMM per model over its T*B rows, as for a single model
+    # c's slots 2..T now hold h[1..T-1], and slot 1 takes the zero h[0]; for
+    # K > 1 ascontiguousarray copies each model's rows together, so dU, like
+    # dW, is one GEMM per model over its T*B rows
+    c[:, 1] = 0.0
+    h = np.ascontiguousarray(c[:, 1:])
     dA = A.reshape(K, T * B, 4 * H)
     np.matmul(X.reshape(K, T * B, F).transpose(0, 2, 1), dA, out=dW)
-    np.matmul(h[:, :T].reshape(K, T * B, H).transpose(0, 2, 1), dA, out=dU)
+    np.matmul(h.reshape(K, T * B, H).transpose(0, 2, 1), dA, out=dU)
     grads.W[...] = dW.reshape(K, F, 4, H).transpose(0, 2, 1, 3)
     grads.U[...] = dU.reshape(K, H, 4, H).transpose(0, 2, 1, 3)
     grads.b[...] = dA.sum(axis=1)
@@ -432,43 +456,60 @@ def clip_gradients(grads, max_norm):
 @dataclass
 class AdamState:
     """First/second moment vectors (theta's layout, K models' rows for K
-    models), one theta-sized scratch row per model for the update, and the
-    shared timestep."""
+    models), a flat scratch buffer of one ADAM_CHUNK column chunk of every
+    row, and the shared timestep."""
 
     m: np.ndarray
     v: np.ndarray
-    scratch: np.ndarray  # theta's shape
+    scratch: np.ndarray  # K * min(ADAM_CHUNK, theta size) floats
     t: int = 0
 
     @classmethod
     def for_weights(cls, weights):
         theta = weights.theta
-        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), scratch=np.empty_like(theta))
+        chunk = theta[..., :ADAM_CHUNK]
+        return cls(m=np.zeros_like(theta), v=np.zeros_like(theta), scratch=np.empty(chunk.size))
+
+    @cached_property
+    def chunks(self):
+        """Per column chunk of theta: its column slice and its views of m, v
+        and scratch, built on first use so that a step slices only theta and
+        the gradients."""
+        chunks = []
+        for start in range(0, self.m.shape[-1], ADAM_CHUNK):
+            cols = slice(start, start + ADAM_CHUNK)
+            m = self.m[..., cols]
+            chunks.append((cols, m, self.v[..., cols], self.scratch[:m.size].reshape(m.shape)))
+        return chunks
 
 
 def adam_step(weights, grads, state, lr):
     """One bias-corrected Adam update with the ADAM_* constants, in place;
     returns (weights, state). Overwrites ``grads``.
 
-    Each step writes into state.scratch, and v_hat over ``grads.theta``,
-    which nothing reads after the moment updates, with the operands and
-    order of m = b1*m + (1-b1)*g, v = b2*v + (1-b2)*g**2 and
-    theta -= lr*m_hat / (sqrt(v_hat) + eps), so it allocates no
-    theta-sized array and matches those expressions bit for bit. Every
-    operation is elementwise, so K models' (K, theta size) block takes one
-    update, each row as its own model's.
+    The update runs over theta's columns in chunks of ADAM_CHUNK (see
+    ``AdamState.chunks``), each chunk writing into state.scratch, and v_hat
+    over ``grads.theta``, which nothing reads after the moment updates,
+    with the operands and order of m = b1*m + (1-b1)*g,
+    v = b2*v + (1-b2)*g**2 and theta -= lr*m_hat / (sqrt(v_hat) + eps), so
+    it allocates no theta-sized array and matches those expressions bit
+    for bit. Every operation is elementwise, so K models' (K, theta size)
+    block takes one update, each row as its own model's, and a chunk's
+    five arrays stay in cache between its operations.
     """
     state.t += 1
-    b1, b2, eps, t = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, state.t
-    g, a = grads.theta, state.scratch
-    state.m *= b1
-    state.m += np.multiply(1.0 - b1, g, out=a)
-    state.v *= b2
-    state.v += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
-    np.divide(state.m, 1.0 - b1 ** t, out=a)  # m_hat
-    np.divide(state.v, 1.0 - b2 ** t, out=g)  # v_hat
-    np.add(np.sqrt(g, out=g), eps, out=g)
-    weights.theta -= np.divide(np.multiply(lr, a, out=a), g, out=a)
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
+    m_scale, v_scale = 1.0 - b1 ** state.t, 1.0 - b2 ** state.t
+    for cols, m, v, a in state.chunks:
+        theta, g = weights.theta[..., cols], grads.theta[..., cols]
+        m *= b1
+        m += np.multiply(1.0 - b1, g, out=a)
+        v *= b2
+        v += np.multiply(1.0 - b2, np.square(g, out=a), out=a)
+        np.divide(m, m_scale, out=a)  # m_hat
+        np.divide(v, v_scale, out=g)  # v_hat
+        np.add(np.sqrt(g, out=g), eps, out=g)
+        theta -= np.divide(np.multiply(lr, a, out=a), g, out=a)
     return weights, state
 
 

@@ -15,6 +15,7 @@ from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
     ADAM_BETA1,
     ADAM_BETA2,
+    ADAM_CHUNK,
     ADAM_EPS,
     GRAD_CLIP,
     AdamState,
@@ -343,17 +344,24 @@ class TestAdam:
 
         assert not np.allclose(w_two.W[0], w_one.W[0], atol=1e-12)
 
-    @pytest.mark.parametrize("hidden, n_features", [(16, 10), (256, 14)])
-    def test_matches_expressions_over_50_steps(self, hidden, n_features):
-        # adam_step writes into scratch rows; the expressions below are the
-        # fresh-array form it replaced, and every bit must agree
-        rng = np.random.default_rng(hidden)
-        w = init_weights(LstmConfig(hidden_units=hidden, seed=2), n_features)
+    @pytest.mark.parametrize("hidden, n_features, models",
+                             [(16, 10, 1), (256, 14, 1), (256, 14, 2)],
+                             ids=["16-10", "256-14", "256-14-K2"])
+    def test_matches_expressions_over_50_steps(self, hidden, n_features, models):
+        # adam_step runs in column chunks through one chunk of scratch; the
+        # expressions below are the fresh-array form it replaced, and every bit
+        # must agree. At H=256 theta spans 17 chunks, the last one short, and
+        # K = 2 models update as one (2, theta size) block
+        rng = np.random.default_rng(hidden * models)
+        alone = [init_weights(LstmConfig(hidden_units=hidden, seed=2 + k), n_features)
+                 for k in range(models)]
+        w = lockstep_weights(alone) if models > 1 else alone[0]
+        assert w.theta.shape[-1] // ADAM_CHUNK == (16 if hidden == 256 else 0)
         state = AdamState.for_weights(w)
         theta, m, v = w.theta.copy(), np.zeros_like(w.theta), np.zeros_like(w.theta)
         b1, b2, eps, lr = ADAM_BETA1, ADAM_BETA2, ADAM_EPS, 0.001
         for t in range(1, 51):
-            g = rng.normal(size=theta.size) * 10.0 ** rng.uniform(-6, 1, size=theta.size)
+            g = rng.normal(size=theta.shape) * 10.0 ** rng.uniform(-6, 1, size=theta.shape)
             m *= b1
             m += (1.0 - b1) * g
             v *= b2
@@ -521,6 +529,19 @@ class TestWorkspace:
         _, cache = forward(w, rng.uniform(-1, 1, size=(1, 2, 5, 3)), other)
         assert backward(w, cache, np.zeros((1, 2)), other).theta is not workspace.grads.theta
 
+    def test_forward_caches_exactly_what_backward_reads(self):
+        class Recorder(dict):
+            def __getitem__(self, key):
+                read.add(key)
+                return super().__getitem__(key)
+
+        read = set()
+        w, X, y = with_axis(live_weights(6, 3, seed=2), np.ones((4, 5, 3)), np.ones(4))
+        workspace = LstmWorkspace(4, 5, 3, 6)
+        _, cache = forward(w, X, workspace)
+        backward(w, Recorder(cache), y, workspace)
+        assert read == cache.keys()
+
     def test_backward_rejects_a_cache_from_another_workspace(self):
         w, X, y = with_axis(live_weights(6, 3, seed=2), np.zeros((4, 5, 3)), np.zeros(4))
         _, cache = forward(w, X, LstmWorkspace(4, 5, 3, 6))
@@ -585,13 +606,13 @@ class TestWorkspace:
 
     def test_predict_peak_memory_is_one_chunk(self):
         # numpy reports its buffers to tracemalloc; 300 windows must not
-        # hold more than one 128-row cache at a time: X, A, h and c, with
-        # no (T, B, H) tanh(c) buffer
+        # hold more than one 128-row cache at a time: X, A and c, with no
+        # (T, B, H) h or tanh(c) buffer
         T, F, H, n = 30, 14, 64, 300
         w = live_weights(H, F, seed=4)
         ds = WindowedDataset(X=np.random.default_rng(24).uniform(0, 1, size=(n, T, F)),
                              y=np.zeros(n), dates=tuple(range(n)))
-        one_cache = T * 128 * (F + 6 * H) * 8
+        one_cache = T * 128 * (F + 5 * H) * 8
         tracemalloc.start()
         try:
             predict(w, ds)
@@ -629,7 +650,7 @@ class TestWorkspace:
             group_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        adam = 3 * theta  # m, v and one scratch row
+        adam = 2 * theta + ADAM_CHUNK * 8  # m, v and one column chunk
         # half a theta covers the batch's rows and numpy's ufunc buffers
         bound = one_workspace + adam + theta + theta // 2
         assert peak <= bound, (peak, one_workspace, theta)
@@ -746,7 +767,7 @@ def expression_kernel(weights, X, targets):
         A[t] = a
     z = h[T] @ weights.w_out + weights.b_out
     pred = np.maximum(z, 0.0)
-    cache = {"X": Xt, "A": A.copy(), "h": h, "c": c, "z": z}
+    cache = {"X": Xt, "A": A.copy(), "c": c, "z": z}
 
     dz = (2.0 / B) * (pred - targets) * (z > 0)
     dh = np.outer(dz, weights.w_out)

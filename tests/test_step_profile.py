@@ -3,7 +3,7 @@
 import importlib.util
 import re
 
-from stockcast.forecaster import theta_size
+from stockcast.forecaster import PREDICT_CHUNK, theta_size
 
 from conftest import REPO
 
@@ -23,12 +23,22 @@ def test_prints_each_stage_then_numpy_and_blas(capsys):
     assert all(float(m.group(2)) > 0 for m in stages)
     assert re.fullmatch(r"predict_minflt +[0-9]+\.[0-9] faults per call", lines[6])
     held = re.fullmatch(r"train_bytes +([0-9]+) B in workspace and AdamState", lines[7])
-    # at least the workspace's A, h and c and Adam's m, v and scratch row
+    # at least the workspace's A and c and Adam's m and v
     H, B, T, F = 2, 3, 2, 1
-    floats = T * B * 4 * H + 2 * (T + 1) * B * H + 3 * theta_size(F, H)
+    floats = T * B * 4 * H + (T + 1) * B * H + 2 * theta_size(F, H)
     assert int(held.group(1)) >= 8 * floats
-    assert re.fullmatch(r"numpy \S+, BLAS threads (\d+|None)", lines[8])
-    assert len(lines) == 9
+    check_predict_and_rss_lines(lines, H, T, F)
+    assert re.fullmatch(r"numpy \S+, BLAS threads (\d+|None)", lines[10])
+    assert len(lines) == 11
+
+
+def check_predict_and_rss_lines(lines, H, T, F):
+    held = re.fullmatch(r"predict_bytes +([0-9]+) B in one predict workspace", lines[8])
+    # at least one chunk's X, A and c
+    floats = PREDICT_CHUNK * (T * (F + 4 * H) + (T + 1) * H)
+    assert int(held.group(1)) >= 8 * floats
+    peak = re.fullmatch(r"peak_rss +([0-9]+) kB \(ru_maxrss\)", lines[9])
+    assert 1024 * int(peak.group(1)) >= int(held.group(1))
 
 
 def test_models_times_one_lockstep_group(capsys):
@@ -41,8 +51,9 @@ def test_models_times_one_lockstep_group(capsys):
                                             "predict"]
     assert all(float(m.group(2)) > 0 for m in stages)
     held = re.fullmatch(r"train_bytes +([0-9]+) B in workspace and AdamState", lines[7])
-    # at least both models' A, h and c and both Adam rows of m, v and scratch
+    # at least both models' A and c and both Adam rows of m and v
     H, B, T, F, K = 2, 3, 2, 1, 2
-    floats = K * (T * B * 4 * H + 2 * (T + 1) * B * H + 3 * theta_size(F, H))
+    floats = K * (T * B * 4 * H + (T + 1) * B * H + 2 * theta_size(F, H))
     assert int(held.group(1)) >= 8 * floats
-    assert len(lines) == 9
+    check_predict_and_rss_lines(lines, H, T, F)
+    assert len(lines) == 11
