@@ -9,16 +9,17 @@ stream, epoch shuffles from a second, so init_weights(config) always
 matches what train(config) started from.
 
 All parameters live in one flat vector, ``LstmWeights.theta``, as five
-blocks: the input maps ``W`` (4, F, H), the recurrent maps ``U``
-(4, H, H) and the biases ``b`` (4H,), each with its gates in i, f, o, g
-order, then the dense head ``w_out`` (H,) and ``b_out`` (). The kernel
-computes all gates together (the fused layout of Appleyard et al. 2016):
-one input projection X @ W for every timestep at once with the bias b
-added to it, then per step one h @ U product added to that, with the
-logistic gates taken in place as 0.5*(1 + tanh(x/2)), which cannot
-overflow. Backward runs one dA @ U.T per step and gets dW, dU and db
-from one product or sum each after the loop. Gradients come back in the
-same flat layout, so clipping is one dot product per model and Adam one
+blocks: the input maps ``W`` (F, 4H), the recurrent maps ``U`` (H, 4H)
+and the biases ``b`` (4H,), each with its gates side by side in i, f, o,
+g order, gate k in columns k*H to (k+1)*H, then the dense head ``w_out``
+(H,) and ``b_out`` (). That is the fused layout of Appleyard et al. 2016,
+and the kernel multiplies theta's own views: one input projection X @ W
+for every timestep at once with the bias b added to it, then per step one
+h @ U product added to that, with the logistic gates taken in place as
+0.5*(1 + tanh(x/2)), which cannot overflow. Backward runs one dA @ U.T
+per step and writes dW, dU and db into the gradient vector with one
+product or sum each after the loop. Gradients come back in the same flat
+layout, so clipping is one dot product per model and Adam one
 elementwise update over the whole vector, in column chunks.
 
 The kernel has a leading model axis K: every array it takes and gives
@@ -49,9 +50,9 @@ Activations and per-step temporaries live in an LstmWorkspace: flat
 buffers that ``train`` allocates once for its batch size and ``predict``
 once for its chunk size, and that every batch writes into with ``out=``.
 The workspace also builds the views each step works on once per batch
-size, holds the logistic constants as contiguous (B, 4H) blocks and W
-and U with their gates side by side, and owns the gradient vector
-``backward`` returns, so a batch allocates no theta-sized array. The
+size, holds the logistic constants as contiguous (B, 4H) blocks and owns
+the gradient vector ``backward`` returns, so a batch allocates no
+theta-sized array and copies no weights. The
 cache ``forward`` returns aliases its workspace, so it is valid until
 that workspace's next ``forward``, and the gradients until its next
 ``backward``. Each in-place step keeps the operand order of the
@@ -121,7 +122,7 @@ class LstmConfig:
 def _block_shapes(n_features, hidden):
     """The layout of theta: the shapes of W, U, b, w_out and b_out, in order."""
     F, H = n_features, hidden
-    return (4, F, H), (4, H, H), (4 * H,), (H,), ()
+    return (F, 4 * H), (H, 4 * H), (4 * H,), (H,), ()
 
 
 def theta_size(n_features, hidden):
@@ -132,11 +133,11 @@ def theta_size(n_features, hidden):
 class LstmWeights:
     """All parameters in one flat float64 vector, ``theta``, and five views into it.
 
-    ``W`` (4, F, H) maps inputs to the gates, ``U`` (4, H, H) is the
-    recurrent map and ``b`` (4H,) the gate biases, gate k of each at
-    ``W[k]``, ``U[k]`` and ``b[k*H:(k+1)*H]`` in i, f, o, g order;
-    ``w_out`` (H,) and ``b_out`` () form the dense head. Gradients use
-    the same class and layout.
+    ``W`` (F, 4H) maps inputs to the gates, ``U`` (H, 4H) is the
+    recurrent map and ``b`` (4H,) the gate biases, gate k of each in the
+    columns ``k*H:(k+1)*H`` in i, f, o, g order; ``w_out`` (H,) and
+    ``b_out`` () form the dense head. Gradients use the same class and
+    layout.
     """
 
     @classmethod
@@ -159,7 +160,9 @@ def init_weights(config, n_features):
     """Seed-determined uniform init in [-k, k], k = 1/sqrt(hidden).
 
     The forget-gate bias is set to 1.0 (not drawn) so early training
-    does not wash out the cell state.
+    does not wash out the cell state. One draw fills every other entry:
+    W and U gate by gate, each gate's (rows, H) block in turn, then the
+    rest of theta in its order.
     """
     h = config.hidden_units
     k = 1.0 / np.sqrt(h)
@@ -167,8 +170,12 @@ def init_weights(config, n_features):
     size = theta_size(n_features, h)
     weights = LstmWeights.from_theta(np.full(size, np.nan), n_features, h)
     weights.b[h:2 * h] = 1.0
-    # one draw, in theta's order, for every entry but the forget-gate bias
-    weights.theta[np.isnan(weights.theta)] = rng.uniform(-k, k, size - h)
+    draw, start = rng.uniform(-k, k, size - h), 0
+    for block in (weights.W, weights.U):
+        gates = block.reshape(len(block), 4, h).transpose(1, 0, 2)  # a (4, rows, H) view
+        gates[...] = draw[start:start + block.size].reshape(gates.shape)
+        start += block.size
+    weights.theta[np.isnan(weights.theta)] = draw[start:]
     return weights
 
 
@@ -199,11 +206,10 @@ class LstmWorkspace:
     batch and the short tail, and ``predict`` a chunk and its tail. The
     logistic gates' scale and shift constants fill one buffer of ``rows``
     (4H,) rows each, so a batch multiplies and adds them as contiguous
-    (B, 4H) blocks, the same for every model. ``fused`` holds each model's
-    W and U with their gates side by side, (K, F, 4H) and (K, H, 4H), for
-    the matmuls; after backward's step loop they take the dW and dU
-    products. ``grads`` is backward's gradient vectors, in theta's layout.
-    So a batch allocates no theta-sized array.
+    (B, 4H) blocks, the same for every model. The matmuls read W and U
+    from theta's own views, and backward writes the dW and dU products
+    straight into ``grads``, its gradient vectors in theta's layout. So a
+    batch allocates no theta-sized array and copies no weights.
     """
 
     def __init__(self, rows, lookback, n_features, hidden, models=1):
@@ -217,7 +223,6 @@ class LstmWorkspace:
         # tanh over the contiguous (B, 4H) block: scale, tanh, scale, shift
         self._scale = np.tile(np.repeat([0.5, 0.5, 0.5, 1.0], H), rows)
         self._shift = np.tile(np.repeat([0.5, 0.5, 0.5, 0.0], H), rows)
-        self.fused = np.empty((K, F, 4 * H)), np.empty((K, H, 4 * H))
         self._views = {}
 
     @cached_property
@@ -316,9 +321,7 @@ def forward(weights, X, workspace):
     views = workspace.views(B)
     Xt, A, c = views.cache.values()
     hU, ig, tanh_c, scale, shift = views.hU, views.ig, views.tanh_c, views.scale, views.shift
-    W, U = workspace.fused
-    np.copyto(W.reshape(K, F, 4, H), weights.W.transpose(0, 2, 1, 3))
-    np.copyto(U.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
+    W, U = weights.W, weights.U
     np.copyto(Xt, X.transpose(0, 2, 1, 3))
     XW = A.reshape(K, T * B, 4 * H)
     np.matmul(Xt.reshape(K, T * B, F), W, out=XW)
@@ -355,7 +358,8 @@ def backward(weights, cache, targets, workspace):
     ``c``, so a cache serves one backward call. ``targets`` are (K, batch).
     Each step takes tanh(c[t+1]) again from c[t+1] and h[t+1] from that,
     and every step runs in place with each product's operands in the order
-    of the textbook expression.
+    of the textbook expression. The dW and dU products go straight into
+    the gradient vector's views, in theta's gate-fused layout.
     """
     K, (T, F, H) = workspace.models, workspace.dims
     X, A, c, z = cache["X"], cache["A"], cache["c"], cache["z"]
@@ -367,9 +371,7 @@ def backward(weights, cache, targets, workspace):
     if weights.theta.shape != grads.theta.shape:
         raise ValueError(f"workspace runs {K} model(s); got theta of shape {weights.theta.shape}")
     scratch, tanh_c = views.scratch, views.tanh_c
-    dW, dU = workspace.fused  # dU holds U until the loop is done
-    np.copyto(dU.reshape(K, H, 4, H), weights.U.transpose(0, 2, 1, 3))
-    U_T = dU.transpose(0, 2, 1)
+    U_T = weights.U.transpose(0, 2, 1)
     pred = np.maximum(z, 0.0)
     gates, one_minus, dh, dc = scratch[:4], scratch[4:7], scratch[7], scratch[8]
     i, f, o, g = gates
@@ -425,29 +427,27 @@ def backward(weights, cache, targets, workspace):
     c[:, 1] = 0.0
     h = np.ascontiguousarray(c[:, 1:])
     dA = A.reshape(K, T * B, 4 * H)
-    np.matmul(X.reshape(K, T * B, F).transpose(0, 2, 1), dA, out=dW)
-    np.matmul(h.reshape(K, T * B, H).transpose(0, 2, 1), dA, out=dU)
-    grads.W[...] = dW.reshape(K, F, 4, H).transpose(0, 2, 1, 3)
-    grads.U[...] = dU.reshape(K, H, 4, H).transpose(0, 2, 1, 3)
+    np.matmul(X.reshape(K, T * B, F).transpose(0, 2, 1), dA, out=grads.W)
+    np.matmul(h.reshape(K, T * B, H).transpose(0, 2, 1), dA, out=grads.U)
     grads.b[...] = dA.sum(axis=1)
     return grads
 
 
-@np.errstate(over="ignore")
 def clip_gradients(grads, max_norm):
     """Scale each model's gradients, (K, theta size), so each one's L2 norm
     is at most max_norm.
 
+    The norm is the square root of np.vdot(g, g), summed in theta's order.
     A finite gradient whose norm passes sqrt(float max), about 1.3e154,
-    overflows g @ g to inf, silently; its norm is then taken on g over its
-    largest magnitude, so it is clipped, not zeroed. Where g @ g is finite
-    the norm is its square root.
+    overflows that sum to inf, which np.vdot returns without a warning
+    (g @ g would raise one); its norm is then taken on g over its largest
+    magnitude, so it is clipped, not zeroed.
     """
     for g in grads.theta:
-        total = np.sqrt(g @ g)
+        total = np.sqrt(np.vdot(g, g))
         if total == np.inf and np.all(np.isfinite(g)):
             peak = np.max(np.abs(g))
-            total = peak * np.sqrt((g / peak) @ (g / peak))
+            total = peak * np.sqrt(np.vdot(g / peak, g / peak))
         if total > max_norm and total > 0:
             g *= max_norm / total
     return grads

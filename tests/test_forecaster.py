@@ -55,9 +55,9 @@ def cell_oracle(weights, X):
             def pre(gate):  # gates in i, f, o, g order
                 acc = b[gate * H + u]
                 for k in range(n_feat):
-                    acc += x[k] * W[gate][k, u]
+                    acc += x[k] * W[k, gate * H + u]
                 for k in range(H):
-                    acc += h[k] * U[gate][k, u]
+                    acc += h[k] * U[k, gate * H + u]
                 return acc
 
             i_u = sig(pre(0))
@@ -147,14 +147,36 @@ class TestInit:
         # pins the seeded stream and the order the blocks are drawn in: the
         # first W and last head values, the sum, and a position-weighted
         # sum, which any two blocks drawn in swapped order change
-        theta = init_weights(LstmConfig(hidden_units=3, seed=5), 2).theta
+        w = init_weights(LstmConfig(hidden_units=3, seed=5), 2)
+        theta = w.theta
         assert theta.size == 76
         assert theta[:3].tolist() == [0.3521870402560363, 0.3555793956976613,
                                       0.017696433586325444]
         assert theta[-3:].tolist() == [-0.12648715121241894, 0.34402441867765277,
                                        -0.13801515386773477]
         assert theta.sum() == pytest.approx(2.972153980652408, rel=1e-12)
-        assert np.arange(theta.size) @ theta == pytest.approx(203.57184664527065, rel=1e-12)
+        # the position weights run over theta laid back out gate by gate, the
+        # order the draw fills: W (4, F, H), then U (4, H, H), then the rest
+        gates = [block.reshape(len(block), 4, 3).transpose(1, 0, 2).ravel() for block in (w.W, w.U)]
+        drawn_order = np.concatenate([*gates, theta[w.W.size + w.U.size:]])
+        assert np.arange(theta.size) @ drawn_order == pytest.approx(203.57184664527065, rel=1e-12)
+
+    @pytest.mark.parametrize("hidden, n_features, seed", [(3, 2, 5), (16, 14, 42), (256, 14, 42)])
+    def test_one_draw_fills_the_gates_in_turn(self, hidden, n_features, seed):
+        # one uniform draw, read as W (4, F, H) and U (4, H, H) gate by gate and
+        # laid out gate-fused, (F, 4H) and (H, 4H); then b without the forget
+        # bias, w_out and b_out in theta's order. Reordering the draws fails here
+        H, F = hidden, n_features
+        k = 1.0 / math.sqrt(H)
+        w = init_weights(LstmConfig(hidden_units=H, seed=seed), F)
+        draw = np.random.default_rng([seed, 0]).uniform(-k, k, theta_size(F, H) - H)
+        n_W, n_U = 4 * F * H, 4 * H * H
+        W = draw[:n_W].reshape(4, F, H).transpose(1, 0, 2).reshape(F, 4 * H)
+        U = draw[n_W:n_W + n_U].reshape(4, H, H).transpose(1, 0, 2).reshape(H, 4 * H)
+        rest = draw[n_W + n_U:]
+        assert np.array_equal(w.W, W)
+        assert np.array_equal(w.U, U)
+        assert np.array_equal(w.theta[n_W + n_U:], np.concatenate([rest[:H], np.ones(H), rest[H:]]))
 
     def test_forget_bias_is_one(self):
         w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
@@ -163,7 +185,7 @@ class TestInit:
     def test_shapes(self):
         w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
         blocks = (w.W, w.U, w.b, w.w_out, w.b_out)
-        assert [arr.shape for arr in blocks] == [(4, 3, 8), (4, 8, 8), (32,), (8,), ()]
+        assert [arr.shape for arr in blocks] == [(3, 32), (8, 32), (32,), (8,), ()]
         assert w.theta.size == sum(arr.size for arr in blocks)
 
     def test_bound(self):
@@ -251,7 +273,7 @@ class TestFlatLayout:
         pred_before, _ = forward(block, batch, workspace)
         w.U[1] += 0.5
         changed = np.flatnonzero(w.theta != theta_before)
-        start = 4 * 3 * 4 + 4 * 4  # after the W block and U_i
+        start = 3 * 4 * 4 + 4 * 4  # after the (3, 16) W block and U's row 0
         assert np.array_equal(changed, np.arange(start, start + 4 * 4))
         pred_after, _ = forward(block, batch, workspace)
         assert pred_after != pred_before
@@ -377,14 +399,14 @@ class TestAdam:
 
     def test_clip_gradients_scales_to_norm(self):
         grads = zero_weights(1, 1)
-        grads.W[0] = 3.0
-        grads.U[0] = 4.0
+        grads.W[0, 0] = 3.0  # gate i's one entry
+        grads.U[0, 0] = 4.0
         grads.b_out[...] = 12.0
         clip_gradients(with_axis(grads)[0], 6.5)  # a view of the same theta
         total = math.sqrt(float(np.sum(grads.theta ** 2)))
         assert total == pytest.approx(6.5, rel=1e-12)
         # direction preserved
-        assert grads.U[0, 0, 0] / grads.W[0, 0, 0] == pytest.approx(4 / 3, rel=1e-12)
+        assert grads.U[0, 0] / grads.W[0, 0] == pytest.approx(4 / 3, rel=1e-12)
 
     def test_clip_gradients_past_the_square_root_of_float_max(self):
         # g @ g overflows once the norm passes about 1.3e154; the step must be
@@ -548,6 +570,21 @@ class TestWorkspace:
         with pytest.raises(ValueError, match="workspace"):
             backward(w, cache, y, LstmWorkspace(4, 5, 3, 6))
 
+    @pytest.mark.parametrize("models", [1, 2])
+    def test_holds_no_copy_of_the_weights(self, models):
+        # the matmuls read W and U from theta and backward writes dW and dU into
+        # grads, so after a full and a short batch every buffer the workspace
+        # reaches is X, A, c, the ten scratch blocks, scale, shift or grads
+        K, T, F, H, rows = models, 4, 3, 6, 8
+        rng = np.random.default_rng(29)
+        weights = lockstep_weights([live_weights(H, F, seed=seed) for seed in range(K)])
+        workspace = LstmWorkspace(rows, T, F, H, models=K)
+        for B in (rows, 5):
+            _, cache = forward(weights, rng.uniform(0, 1, size=(K, B, T, F)), workspace)
+            backward(weights, cache, rng.uniform(0, 1, size=(K, B)), workspace)
+        floats = K * rows * (T * F + T * 4 * H + (T + 1) * H + 10 * H) + 2 * rows * 4 * H
+        assert buffer_bytes(workspace) == 8 * (floats + K * theta_size(F, H))
+
     def test_short_batch_views_are_contiguous(self):
         views = LstmWorkspace(8, 4, 3, 5).views(3)
         for array in (*views.cache.values(), views.scratch, views.scale, views.shift):
@@ -657,10 +694,30 @@ class TestWorkspace:
         assert group_peak <= 2 * bound, (group_peak, one_workspace, theta)
 
 
+def buffer_bytes(root):
+    """The bytes of every distinct array buffer that ``root`` reaches through
+    its attributes, tuples, lists and dicts, each view counted as its base."""
+    buffers, seen, todo = {}, set(), [root]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item
+        elif isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, dict):
+            todo.extend(item.values())
+        elif hasattr(item, "__dict__") and id(item) not in seen:
+            seen.add(id(item))
+            todo.extend(vars(item).values())
+    return sum(buffer.nbytes for buffer in buffers.values())
+
+
 def lockstep_weights(models):
     """One LstmWeights over the stacked theta of ``models``, for a workspace of K models."""
     first = models[0]
-    return LstmWeights.from_theta(np.stack([w.theta for w in models]), first.W.shape[1],
+    return LstmWeights.from_theta(np.stack([w.theta for w in models]), first.W.shape[-2],
                                   first.hidden_units)
 
 
@@ -746,8 +803,7 @@ def expression_kernel(weights, X, targets):
     """
     B, T, F = X.shape
     H = weights.hidden_units
-    W = weights.W.transpose(1, 0, 2).reshape(F, 4 * H)
-    U = weights.U.transpose(1, 0, 2).reshape(H, 4 * H)
+    W, U = weights.W, weights.U
     scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)
     shift = np.repeat([0.5, 0.5, 0.5, 0.0], H)
     Xt = np.ascontiguousarray(X.transpose(1, 0, 2))
@@ -785,8 +841,8 @@ def expression_kernel(weights, X, targets):
         if t:
             dh = dA[t] @ U.T
     dA = dA.reshape(T * B, 4 * H)
-    dW = (Xt.reshape(T * B, F).T @ dA).reshape(F, 4, H).transpose(1, 0, 2)
-    dU = (h[:T].reshape(T * B, H).T @ dA).reshape(H, 4, H).transpose(1, 0, 2)
+    dW = Xt.reshape(T * B, F).T @ dA
+    dU = h[:T].reshape(T * B, H).T @ dA
     theta = np.concatenate([dW.ravel(), dU.ravel(), dA.sum(axis=0), h[T].T @ dz, [dz.sum()]])
     return pred, cache, theta
 
@@ -831,13 +887,17 @@ class TestCheckpoint:
         params = json.loads(committed.read_text(encoding="utf-8"))["params"]
         n_features, hidden = np.shape(params["W_i"])
         assert (n_features, hidden) == (2, 3)
-        theta = np.concatenate([np.ravel(params[name]) for name in self.V1_NAMES])
+        # W_i..W_g side by side as W (F, 4H), U_i..U_g as U (H, 4H), then the rest
+        names = self.V1_NAMES
+        W, U = (np.hstack([params[name] for name in gates]) for gates in (names[:4], names[4:8]))
+        rest = [np.ravel(params[name]) for name in names[8:]]
+        theta = np.concatenate([W.ravel(), U.ravel(), *rest])
         weights = LstmWeights.from_theta(theta, n_features, hidden)
         X = np.random.default_rng(7).uniform(0, 1, size=(5, 4, 2))
         pred = predict(weights, WindowedDataset(X=X, y=np.zeros(5), dates=tuple(range(5))))
         assert pred == pytest.approx(self.V1_PREDICTIONS, rel=1e-12)
 
-    #: the v1 file's parameter names, in the order their values fill theta
+    #: the v1 file's parameter names: W's and U's gates, then the rest in theta's order
     V1_NAMES = (
         "W_i", "W_f", "W_o", "W_g",
         "U_i", "U_f", "U_o", "U_g",

@@ -3,7 +3,9 @@
 import importlib.util
 import re
 
-from stockcast.forecaster import PREDICT_CHUNK, theta_size
+import pytest
+
+from stockcast.forecaster import ADAM_CHUNK, PREDICT_CHUNK, theta_size
 
 from conftest import REPO
 
@@ -57,3 +59,15 @@ def test_models_times_one_lockstep_group(capsys):
     assert int(held.group(1)) >= 8 * floats
     check_predict_and_rss_lines(lines, H, T, F)
     assert len(lines) == 11
+
+
+@pytest.mark.parametrize("models", [1, 2])
+def test_train_bytes_hold_no_copy_of_the_weights(models):
+    # the workspace's X, A, c, scratch, scale, shift and gradient vectors and
+    # Adam's m, v and column chunk, plus 32 KB for the Python objects that hold
+    # them; one copy of a model's W and U, (F + H) * 4H floats, is 144 KB here
+    H, B, T, F, K = 64, 4, 2, 8, models
+    theta = theta_size(F, H)
+    floats = (K * B * (T * F + T * 4 * H + (T + 1) * H + 10 * H) + 2 * B * 4 * H
+              + 3 * K * theta + K * min(ADAM_CHUNK, theta))
+    assert step_profile.training_bytes(H, B, T, F, K) <= 8 * floats + 32 * 1024
