@@ -220,8 +220,13 @@ def _parse_value(key, raw, base_dir):
 def parse_config(path):
     """Parse a config file into an ExperimentConfig.
 
+    Lines end where text-mode reading ends them (``errors.line_ends``), so
+    a form feed or ``\\u2028`` inside a comment stays in the comment.
+
     Raises:
-        StockcastError: unreadable file, unknown or repeated key, or bad value.
+        StockcastError: unreadable file, unknown or repeated key, or bad
+            value; a line error starts ``<path>:<line>: ``, and comes only
+            after the whole file decoded as UTF-8.
     """
     path = Path(path)
     if not path.is_file():
@@ -231,8 +236,8 @@ def parse_config(path):
     values = {}
     seen = {}
     with open_text(path) as fh:
-        text = fh.read()
-    for lineno, line in enumerate(text.splitlines(), 1):
+        lines = fh.readlines()
+    for lineno, line in enumerate(lines, 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -45,14 +45,29 @@ def echo_path(path):
     return text if len(text) <= ECHO_LIMIT else "..." + text[-ECHO_LIMIT:]
 
 
+def line_ends(data):
+    """The number of lines that end in the bytes ``data``, as text-mode
+    reading ends them: at an LF, a CR LF or a lone CR. The CR counts are
+    skipped when ``data`` holds no CR."""
+    ends = data.count(b"\n")
+    if b"\r" in data:
+        ends += data.count(b"\r") - data.count(b"\r\n")
+    return ends
+
+
 @contextmanager
 def open_text(path, newline=None):
     """``path`` opened for reading as UTF-8 text.
 
+    With the default ``newline``, a line ends where ``line_ends`` ends it,
+    and ``fh.readlines()`` gives a file's numbered lines; no reader splits
+    at the other characters ``str.splitlines`` breaks on (a form feed,
+    ``\\x85``, ``\\u2028``).
+
     A byte sequence that is not UTF-8 raises a StockcastError at
-    ``<path>:<line>: ``, the line numbered as text-mode reading numbers it.
-    Text is decoded in chunks, so the line is found by decoding the whole
-    file once more, on that error only.
+    ``<path>:<line>: ``, the line numbered by ``line_ends``. Text is
+    decoded in chunks, so the line is found by decoding the whole file
+    once more, on that error only.
     """
     with open(path, encoding="utf-8", newline=newline) as fh:
         try:
@@ -62,8 +77,6 @@ def open_text(path, newline=None):
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                # text mode ends a line at an LF, a CR LF or a lone CR
-                head = data[:exc.start]
-                line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+                line = line_ends(data[:exc.start]) + 1
                 raise StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
             raise

@@ -59,6 +59,20 @@ def mae(y_true, y_pred):
     return float(abs(y_true - y_pred).mean())
 
 
+def left_sum(values):
+    """The sum of ``values`` added left to right from the int 0.
+
+    Python 3.11's ``sum()`` adds floats the same way; 3.12's compensates
+    the rounding, so its last bits differ. The replicate means and the
+    SMA and RSI indicators add through here, so their bits do not depend
+    on the Python version.
+    """
+    total = 0
+    for value in values:
+        total += value
+    return total
+
+
 def replicate_average(runs):
     """Average RunMetrics over replicates of one (feature set, scale).
 
@@ -81,11 +95,11 @@ def replicate_average(runs):
         feature_set=feature_set,
         scale=scale,
         replicates=len(runs),
-        r2_mean=sum(r2_runs) / len(runs),
-        mae_mean=sum(mae_runs) / len(runs),
+        r2_mean=left_sum(r2_runs) / len(runs),
+        mae_mean=left_sum(mae_runs) / len(runs),
         r2_runs=r2_runs,
         mae_runs=mae_runs,
     )
 
 
-__all__ = ["RunMetrics", "AggregateReport", "r_squared", "mae", "replicate_average"]
+__all__ = ["RunMetrics", "AggregateReport", "r_squared", "mae", "left_sum", "replicate_average"]

@@ -27,6 +27,7 @@ from dataclasses import dataclass
 
 from .config import FEATURE_SETS
 from .errors import StockcastError
+from .evaluation import left_sum
 
 PRICE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
 TWEET_COLUMNS = ["tweet_mean_label", "tweet_mean_conf", "tweet_count"]
@@ -67,7 +68,7 @@ def sma(closes, period):
         raise StockcastError(f"need at least {period} closes, got {n}")
     out = [0.0] * n
     for t in range(period - 1, n):
-        out[t] = sum(closes[t - period + 1:t + 1]) / period
+        out[t] = left_sum(closes[t - period + 1:t + 1]) / period
     for t in range(period - 1):
         out[t] = out[period - 1]
     return out
@@ -95,8 +96,8 @@ def rsi(closes, period):
         else:
             losses[t] = -delta
     out = [50.0] * n
-    avg_gain = sum(gains[1:period + 1]) / period
-    avg_loss = sum(losses[1:period + 1]) / period
+    avg_gain = left_sum(gains[1:period + 1]) / period
+    avg_loss = left_sum(losses[1:period + 1]) / period
     for t in range(period, n):
         if t > period:
             avg_gain = (avg_gain * (period - 1) + gains[t]) / period

@@ -19,7 +19,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import StockcastError, echo, open_text
+from .errors import StockcastError, echo, line_ends, open_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -184,8 +184,7 @@ def line_ranges(path, size):
     bad byte is reported before a bad line just ahead of it in the same
     block; only a read of the whole file reports the same error first.
 
-    A block that is all ASCII is valid UTF-8 and is not decoded, and one
-    without a CR adds only its LF count.
+    A block that is all ASCII is valid UTF-8 and is not decoded.
     """
     ranges = []
     start, first_line = 0, 1
@@ -199,9 +198,7 @@ def line_ranges(path, size):
                 except UnicodeDecodeError:
                     return [None]
             ranges.append((start, start + len(block), first_line))
-            first_line += block.count(b"\n")
-            if b"\r" in block:
-                first_line += block.count(b"\r") - block.count(b"\r\n")
+            first_line += line_ends(block)
             start += len(block)
     return ranges
 
@@ -243,11 +240,16 @@ def load_posts_jsonl(path, kind, byte_range=None):
     return _read_posts(path, kind, io.StringIO(text, newline=None), first_line)
 
 
-def _read_posts(path, kind, lines, first_line):
-    """The posts of ``lines``, numbered from ``first_line``; see load_posts_jsonl."""
-    news = kind == "news"
-    posts = []
-    seen_ids = set()
+def json_records(path, lines, first_line, fields):
+    """``(lineno, record, id)`` for each non-blank line of a JSON-lines file.
+
+    ``lines`` are numbered from ``first_line``. Each must be one JSON
+    object holding every name in ``fields``, ``"id"`` among them; ``id``
+    is a string, or an integer taken as its decimal string. A line that
+    breaks a rule raises a StockcastError at ``<path>:<line>: ``:
+    ``unparsable line N: `` and the parse error, ``expected a JSON
+    object`` or the id rule, or ``missing field 'x' at line N``.
+    """
     for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line:
@@ -259,17 +261,27 @@ def _read_posts(path, kind, lines, first_line):
         if not isinstance(record, dict):
             raise StockcastError(
                 f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
-        for field in ("id", "ts", "text"):
+        for field in fields:
             if field not in record:
                 raise StockcastError(
                     f"{path}:{lineno}: missing field {field!r} at line {lineno}")
-        post_id = record["id"]
-        if type(post_id) is not str:
-            if type(post_id) is not int:
+        record_id = record["id"]
+        if type(record_id) is not str:
+            # type(), not isinstance(): a JSON true is a bool, an int subclass
+            if type(record_id) is not int:
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
-                    f"a string or an integer, got {echo(json.dumps(post_id))}")
-            post_id = str(post_id)
+                    f"a string or an integer, got {echo(json.dumps(record_id))}")
+            record_id = str(record_id)
+        yield lineno, record, record_id
+
+
+def _read_posts(path, kind, lines, first_line):
+    """The posts of ``lines``, numbered from ``first_line``; see load_posts_jsonl."""
+    news = kind == "news"
+    posts = []
+    seen_ids = set()
+    for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
         text = record["text"]
         if type(text) is not str:
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
@@ -330,6 +342,7 @@ __all__ = [
     "load_price_csv",
     "line_ranges",
     "load_posts_jsonl",
+    "json_records",
     "calendar_from_bars",
     "assign_posts",
 ]

@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 
 from .errors import StockcastError, echo, open_text
+from .ingest import json_records
 
 #: Default engagement weights: 0.3 for each interaction metric, 0.1 for
 #: follower influence.
@@ -160,13 +161,19 @@ class ReplayProvider:
 
 
 def load_lexicon(path=None):
-    """Load a word -> {-1, +1} map from a TSV of `word<TAB>{+1|-1}` lines."""
+    """Load a word -> {-1, +1} map from a TSV of `word<TAB>{+1|-1}` lines.
+
+    Lines end where text-mode reading ends them (``errors.line_ends``);
+    blank lines and lines starting with ``#`` are skipped. Any other line
+    that is not one word, a tab and +1 or -1 raises a StockcastError at
+    ``<path>:<line>: ``, after the whole file decoded as UTF-8.
+    """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("lexicon.tsv")
     with open_text(path) as fh:
-        text = fh.read()
+        lines = fh.readlines()
     lexicon = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -186,50 +193,44 @@ def load_lexicon(path=None):
 def load_replay_scores(path):
     """Load an id -> SentimentScore table from `{id, label, confidence}` JSONL.
 
-    The post loader's typing applies: ``id`` is a string or an integer,
-    ``label`` a JSON integer in {-1, 0, 1} and ``confidence`` a JSON number
-    in [0, 1], none of them a boolean. Any other line, or an id given
+    Lines are read by ``ingest.json_records``, so the post loader's rules
+    and messages apply: blank lines are skipped, each other line is a JSON
+    object holding all three fields, and ``id`` is a string or an integer.
+    ``label`` is a JSON integer in {-1, 0, 1} and ``confidence`` a JSON
+    number in [0, 1], neither a boolean. Any other line, or an id given
     twice (``7`` and ``"7"`` alike), raises a StockcastError at
     ``<path>:<line>: ``.
     """
     table = {}
     with open_text(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
+        for lineno, record, post_id in json_records(path, fh, 1, ("id", "label", "confidence")):
+            label, conf = record["label"], record["confidence"]
             try:
-                record = json.loads(line)
-                post_id, label, conf = record["id"], record["label"], record["confidence"]
-                # type(), not isinstance(): a JSON true is a bool, an int subclass
-                if type(post_id) not in (str, int):
-                    raise ValueError(f"field 'id' must be a string or an integer, "
-                                     f"got {echo(json.dumps(post_id))}")
                 if type(label) is not int:
                     raise ValueError(f"field 'label' must be an integer, "
                                      f"got {echo(json.dumps(label))}")
                 if type(conf) not in (int, float):
                     raise ValueError(f"field 'confidence' must be a number, "
                                      f"got {echo(json.dumps(conf))}")
-                post_id, score = str(post_id), SentimentScore(label, float(conf))
+                score = SentimentScore(label, float(conf))
                 if post_id in table:
                     raise ValueError(f"duplicate id {echo(repr(post_id))}, "
                                      f"first on line {_first_line(path, post_id)}")
-                table[post_id] = score
-            except (json.JSONDecodeError, RecursionError, KeyError, TypeError, ValueError,
-                    OverflowError) as exc:  # OverflowError: an integer confidence past float range
+            # OverflowError: an integer confidence past float range
+            except (ValueError, OverflowError) as exc:
                 raise StockcastError(
                     f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
+            table[post_id] = score
     return table
 
 
 def _first_line(path, post_id):
     """The line of ``path`` that first gives ``post_id``: a second scan, so
     that only a duplicate id pays for naming it. Every line up to the
-    duplicate parsed on the first scan."""
+    duplicate passed json_records on the first scan."""
     with open_text(path) as fh:
-        return next(lineno for lineno, line in enumerate(fh, start=1)
-                    if line.strip() and str(json.loads(line)["id"]) == post_id)
+        return next(lineno for lineno, _, record_id in json_records(path, fh, 1, ("id",))
+                    if record_id == post_id)
 
 
 # --- daily aggregation ---------------------------------------------------------

@@ -85,18 +85,15 @@ _ASCII_LOWER_ALPHA = str.maketrans(
 def load_stopwords(path=None):
     """Load the stopword set: one lowercase word per line, '#' comments.
 
-    Without a path, the bundled English list is used.
+    Lines end where text-mode reading ends them (``errors.line_ends``), so
+    a ``\\x85`` or ``\\u2028`` inside a line leaves it one word. Without
+    a path, the bundled English list is used.
     """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("stopwords.txt")
     with open_text(path) as fh:
-        text = fh.read()
-    words = set()
-    for line in text.splitlines():
-        word = line.split("#", 1)[0].strip().lower()
-        if word:
-            words.add(word)
-    return frozenset(words)
+        words = {line.split("#", 1)[0].strip().lower() for line in fh.readlines()}
+    return frozenset(words - {""})
 
 
 def clean_text(raw, stopwords, keep_cashtags=True):

@@ -239,6 +239,19 @@ class TestConfig:
         path.write_text("# leading comment\n" + path.read_text())
         assert parse_config(path).stock == "TINY"
 
+    def test_form_feed_stays_in_its_comment(self, tmp_path):
+        # str.splitlines would end the comment at the form feed
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        path.write_text("# leading\x0ccomment\n" + path.read_text())
+        assert parse_config(path).stock == "TINY"
+        # a later line keeps the number text mode gives it
+        path.write_text(path.read_text() + "\x0c\nnonsense = 1\n")
+        line = path.read_text().count("\n")
+        with pytest.raises(StockcastError,
+                           match=f"^{re.escape(str(path))}:{line}: unknown key 'nonsense'$"):
+            parse_config(path)
+
 
 class TestIngestCommand:
     def test_happy_path_counts(self, tmp_path, capsys):

@@ -1,5 +1,7 @@
 """Metric fixtures and replicate averaging."""
 
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -90,3 +92,11 @@ class TestReplicateAverage:
         shuffled = replicate_average([runs[i] for i in order])
         assert shuffled.r2_mean == pytest.approx(base.r2_mean, rel=1e-12)
         assert shuffled.mae_mean == pytest.approx(base.mae_mean, rel=1e-12)
+
+    def test_left_to_right_mean(self):
+        # added left to right the 1.0 is lost; math.fsum, as 3.12's sum() would, keeps it
+        values = [1e16, 1.0, -1e16]
+        assert math.fsum(values) == 1.0
+        report = replicate_average(self.runs(values))
+        assert report.r2_mean == 0.0
+        assert report.mae_mean == ((1e15 + 0.1) - 1e15) / 3 != math.fsum([1e15, 0.1, -1e15]) / 3

@@ -1,7 +1,10 @@
 """Indicators, scaling, assembly and windowing."""
 
+import math
+import operator
 import pickle
 from datetime import date, timedelta
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -21,9 +24,10 @@ from stockcast.features import (
     select,
     sma,
 )
+from stockcast.ingest import load_price_csv
 from stockcast.sentiment import DailySentiment
 
-from conftest import make_bar
+from conftest import FIXTURES, make_bar
 
 
 def sma_oracle(closes, period):
@@ -127,6 +131,34 @@ class TestRsi:
         assert out == pytest.approx(rsi_oracle(closes, period), rel=1e-12)
         assert all(0.0 <= v <= 100.0 for v in out)
 
+
+def left_fold(values):
+    """values added left to right from the int 0, as Python 3.11's sum() adds."""
+    return reduce(operator.add, values, 0)
+
+
+class TestLeftToRightSums:
+    """sma and rsi add floats left to right, never compensated as Python
+    3.12's sum() adds them. Each case checks that math.fsum differs on its
+    inputs, so a compensated sum would fail it."""
+
+    def test_sma_window_that_cancels(self):
+        closes = [1e16, 1.0, -1e16]
+        assert left_fold(closes) == 0.0 != math.fsum(closes)
+        assert sma(closes, 3) == [0.0, 0.0, 0.0]
+
+    def test_sma_of_the_fixture_closes(self):
+        closes = [bar.close for bar in load_price_csv(FIXTURES / "prices.csv")]
+        windows = [closes[t - 13:t + 1] for t in range(13, len(closes))]
+        assert sma(closes, 14)[13:] == [left_fold(w) / 14 for w in windows]
+        assert sum(left_fold(w) != math.fsum(w) for w in windows) > 100
+
+    def test_rsi_first_averages(self):
+        # gains 1e16 then fifty 1.0s, each lost in a left fold; losses one 1e16
+        closes = [0.0, 1e16, 0.0] + [float(i) for i in range(1, 51)]
+        gains = [1e16, 0.0] + [1.0] * 50
+        assert left_fold(gains) == 1e16 != math.fsum(gains)
+        assert rsi(closes, 52)[-1] == 50.0  # average gain == average loss
 
 class TestMinmax:
     def test_endpoints_and_midpoint(self):

@@ -170,6 +170,12 @@ class TestLexiconProvider:
         assert provider.score("profit surge rally").label == 1
         assert provider.score("loss crash selloff").label == -1
 
+    def test_line_separator_stays_in_its_comment(self, tmp_path):
+        # str.splitlines would end the comment at U+2028 and read "x" as an entry
+        path = tmp_path / "lexicon.tsv"
+        path.write_text("# a comment\u2028x\ngood\t+1\n", encoding="utf-8")
+        assert load_lexicon(path) == {"good": 1}
+
 
 def reference_lexicon_score(lexicon, text):
     """The two-generator count the one-pass scorer replaced."""
@@ -223,12 +229,20 @@ class TestReplayProvider:
         with pytest.raises(StockcastError, match="^no replay score for post id 'zzz'$"):
             provider.score("x", post_id="zzz")
 
-    def test_bad_line_names_file_and_line(self, tmp_path):
+    # The post loader's messages: no Python wording from a KeyError or TypeError
+    @pytest.mark.parametrize("line, reason", [
+        ('{"id": "b"}', "missing field 'label' at line 2"),
+        ("[1]", "unparsable line 2: expected a JSON object"),
+        ('"x"', "unparsable line 2: expected a JSON object"),
+        ("5", "unparsable line 2: expected a JSON object"),
+        ("null", "unparsable line 2: expected a JSON object"),
+    ], ids=["missing-label", "list", "string", "number", "null"])
+    def test_bad_line_names_file_and_line(self, tmp_path, line, reason):
         path = tmp_path / "scores.jsonl"
-        path.write_text('{"id": "a", "label": 1, "confidence": 0.7}\n{"id": "b"}\n')
+        path.write_text('{"id": "a", "label": 1, "confidence": 0.7}\n' + line + "\n")
         with pytest.raises(StockcastError) as exc:
             load_replay_scores(path)
-        assert str(exc.value).startswith(f"{path}:2: unparsable line 2: ")
+        assert str(exc.value) == f"{path}:2: {reason}"
 
     def test_deeply_nested_line_names_file_and_line(self, tmp_path):
         # json.loads gives up on deep nesting with a RecursionError

@@ -85,6 +85,12 @@ class TestStopwordFile:
         path.write_text("# comment\nthe\n\na  # trailing\n")
         assert load_stopwords(path) == {"the", "a"}
 
+    def test_next_line_character_stays_in_its_word(self, tmp_path):
+        # text mode ends no line at U+0085, where str.splitlines would
+        path = tmp_path / "sw.txt"
+        path.write_text("the\x85a\n", encoding="utf-8")
+        assert load_stopwords(path) == {"the\x85a"}
+
 
 # --- differential check against the unguarded chain -------------------------
 # The cleaner skips passes that cannot change the text (see the textprep
