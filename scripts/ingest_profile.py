@@ -6,11 +6,14 @@ range, a pickle dump and load of each range's result (what a pool worker's
 result costs to send back), ``_gather`` over each file's results, which
 keeps each day's running score sums, and ``aggregate_daily``, which
 divides them. Then, on their own over each
-range's posts that ``_score_range`` scores, ``textprep.clean_text``, the
-provider's ``score`` and ``sentiment.score_post``. Prints one
-``<stage> <ms>`` line per stage, then the posts loaded per second over
-the first five stages and the tracemalloc peak bytes per kept post while
-``_gather`` runs (a second, traced run of it).
+range's posts that ``_score_range`` scores, the three calls its pass makes
+per post: stage ``clean_text`` times ``textprep.clean_tokens`` (not run for
+a provider that reads no text), ``score`` the provider's ``score_tokens``
+(or, for replay, its ``score`` by id) and ``score_post``
+``sentiment.weighted_value``. Prints one ``<stage> <ms>`` line per stage,
+then the posts loaded per second over the first five stages and the
+tracemalloc peak bytes per kept post while ``_gather`` runs (a second,
+traced run of it).
 
 Usage (from the repository root):
     PYTHONPATH=src python scripts/ingest_profile.py --config configs/fixture.conf
@@ -29,7 +32,8 @@ from stockcast.ingest import assign_posts, calendar_from_bars, load_posts_jsonl,
 
 #: The stages load_dataset runs, in order; posts per second is taken over these.
 PIPELINE_STAGES = ("line_ranges", "score_range", "pickle", "gather", "aggregate_daily")
-#: The per-post calls inside score_range, timed on their own.
+#: The per-post calls inside score_range, timed on their own: cleaning,
+#: the provider's score and the weighted value.
 POST_STAGES = ("clean_text", "score", "score_post")
 
 
@@ -83,12 +87,18 @@ def profile(config):
                      if min_likes is None or p.likes >= min_likes]
             scored = [p for day_posts in assign_posts(posts, calendar).values()
                       for p in day_posts]
-            texts = _timed(ms, "clean_text", lambda: [
-                textprep.clean_text(p.text, stopwords, config.keep_cashtags) for p in scored])
-            scores = _timed(ms, "score", lambda: [
-                provider.score(text, post_id=p.id) for p, text in zip(scored, texts)])
+            if provider.reads_text:
+                tokens = _timed(ms, "clean_text", lambda: [
+                    textprep.clean_tokens(p.text, stopwords, config.keep_cashtags)
+                    for p in scored])
+                scores = _timed(ms, "score", lambda: list(map(provider.score_tokens, tokens)))
+            else:
+                scores = _timed(ms, "score", lambda: [
+                    provider.score(p.text, post_id=p.id) for p in scored])
             _timed(ms, "score_post", lambda: [
-                sentiment.score_post(p, score, weights) for p, score in zip(scored, scores)])
+                sentiment.weighted_value(p.retweets, p.likes, p.comments, p.followers,
+                                         label * confidence, weights)
+                for p, (label, confidence) in zip(scored, scores)])
     return ms, posts_per_s, bytes_per_kept
 
 

@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import math
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
@@ -60,8 +61,8 @@ class RawPost(NamedTuple):
     """One tweet or news item with engagement counts.
 
     News items carry no engagement, so all four counts are zero for
-    news. A named tuple rather than a frozen dataclass: a post is built
-    once per input line and the tuple is the cheaper record.
+    news. load_posts_jsonl builds one per post; the scoring reads
+    read_posts' plain tuples, in the same field order, and builds none.
     """
 
     id: str
@@ -92,10 +93,13 @@ class TradingCalendar:
         Posts on trading days map to that day; weekend/holiday posts roll
         forward to the next session.
         """
+        i = self.day(d)
+        return None if i < 0 else self.dates[i]
+
+    def day(self, d):
+        """Index in ``dates`` of ``assign(d)``, or -1 past the calendar end."""
         i = bisect.bisect_left(self.dates, d)
-        if i >= len(self.dates):
-            return None
-        return self.dates[i]
+        return i if i < len(self.dates) else -1
 
 
 def load_price_csv(path):
@@ -122,7 +126,11 @@ def load_price_csv(path):
                     raise StockcastError(f"missing required column {col!r} in {path}")
             idx = {col: header.index(col) for col in PRICE_HEADER}
             last_date = None
-            for lineno, row in enumerate(reader, start=2):
+            # A row starts on the line after the previous row's last line; a
+            # quoted field may hold line breaks, so rows are not lines.
+            next_line = reader.line_num + 1
+            for row in reader:
+                lineno, next_line = next_line, reader.line_num + 1
                 if not row or all(not cell.strip() for cell in row):
                     continue
                 if len(row) != len(header):
@@ -164,9 +172,16 @@ def calendar_from_bars(bars):
 
 
 def _parse_timestamp(raw):
-    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
+    """``raw`` as an aware UTC datetime; one without an offset is taken as UTC.
+
+    The ``Z`` rewrite runs only on a string holding a ``Z``, and the
+    conversion only off UTC: either step would return its input unchanged.
+    """
+    ts = datetime.fromisoformat(raw.replace("Z", "+00:00") if "Z" in raw else raw)
+    if ts.tzinfo is timezone.utc:
+        return ts
     if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
+        return ts.replace(tzinfo=timezone.utc)
     return ts.astimezone(timezone.utc)
 
 
@@ -204,7 +219,7 @@ def line_ranges(path, size):
 
 
 def load_posts_jsonl(path, kind, byte_range=None):
-    """Load tweets or news from a JSON-lines file.
+    """Load tweets or news from a JSON-lines file, as a list of RawPost.
 
     Each line is one object with fields ``id`` (a string or an integer),
     ``ts`` (an ISO-8601 string), ``text`` (a string) and, for tweets,
@@ -212,7 +227,8 @@ def load_posts_jsonl(path, kind, byte_range=None):
     booleans, at least 0). Engagement fields default to 0 when absent and
     are forced to 0 for news, whose lines are not checked for them. Posts
     with a duplicate id are dropped, keeping the first occurrence; the
-    scoring applies ``min_likes`` after that.
+    scoring applies ``min_likes`` after that. These are read_posts' posts,
+    which the scoring reads one at a time instead.
 
     Args:
         path: JSONL file path.
@@ -227,17 +243,91 @@ def load_posts_jsonl(path, kind, byte_range=None):
             or has the wrong type or value, or the file is not UTF-8. The
             message starts ``<path>:<line>: ``.
     """
+    return list(map(RawPost._make, read_posts(path, kind, byte_range)))
+
+
+def read_posts(path, kind, byte_range=None):
+    """The first post of each id in a post file, or in one of its ``line_ranges``.
+
+    A generator of plain tuples ``(id, timestamp, text, retweets, likes,
+    comments, followers)``, RawPost's fields, in line order; the file is
+    open while it runs. Every line is checked as load_posts_jsonl says,
+    duplicates included, and the first bad one raises when the generator
+    reaches it. A range is read at once; lines end where text-mode reading
+    ends them, at an LF, a CR LF or a lone CR.
+    """
     if kind not in POST_KINDS:
         raise ValueError(f"kind must be one of {POST_KINDS}, got {kind!r}")
     path = Path(path)
+    news = kind == "news"
+    seen_ids = set()
+    with _post_lines(path, byte_range) as (lines, first_line):
+        for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
+            text = record["text"]
+            if type(text) is not str:
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'text' "
+                                     f"must be a string, got {echo(json.dumps(text))}")
+            ts = record["ts"]
+            if type(ts) is not str:
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'ts' "
+                                     f"must be a string, got {echo(json.dumps(ts))}")
+            try:
+                ts = _parse_timestamp(ts)
+            except ValueError as exc:
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                     f"bad timestamp: {echo(str(exc))}") from exc
+            if news:
+                counts = _NO_COUNTS
+            else:  # _COUNT_FIELDS, each 0 when absent
+                retweets, likes, comments, followers = counts = (
+                    record.get("retweets", 0), record.get("likes", 0),
+                    record.get("comments", 0), record.get("followers", 0))
+                # type(), not isinstance(): a JSON true is a bool, an int subclass
+                if not (type(retweets) is type(likes) is type(comments) is type(followers) is int
+                        and retweets >= 0 and likes >= 0 and comments >= 0 and followers >= 0):
+                    _bad_count(path, lineno, counts)
+            if post_id in seen_ids:
+                continue
+            seen_ids.add(post_id)
+            yield (post_id, ts, text) + counts
+
+
+@contextmanager
+def _post_lines(path, byte_range):
+    """``(lines, first_line)`` of a post file, or of one of its line_ranges."""
     if byte_range is None:
         with open_text(path) as fh:
-            return _read_posts(path, kind, fh, 1)
+            yield fh, 1
+        return
     start, end, first_line = byte_range
     with open(path, "rb") as fh:
         fh.seek(start)
-        text = fh.read(end - start).decode("utf-8")
-    return _read_posts(path, kind, io.StringIO(text, newline=None), first_line)
+        data = fh.read(end - start)
+    if b"\r" in data:
+        yield io.StringIO(data.decode("utf-8"), newline=None), first_line
+        return
+    # Without a CR, text mode ends lines at LF only. No UTF-8 sequence holds
+    # an LF byte, so each line of the range (valid UTF-8, see line_ranges)
+    # decodes on its own, and none is held decoded longer than it is read.
+    # The trailing "" after the last LF is a blank line, which json_records
+    # skips.
+    yield map(bytes.decode, data.split(b"\n")), first_line
+
+
+def _bad_count(path, lineno, counts):
+    """Raise the error of the first of a tweet line's counts that is not a JSON integer >= 0."""
+    for name, value in zip(_COUNT_FIELDS, counts):
+        if type(value) is not int:
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
+                f"expected an integer, got {echo(json.dumps(value))}")
+        if value < 0:
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")
+
+
+#: The scanner json.loads runs, with json.loads' default settings.
+_scan_once = json.JSONDecoder().scan_once
 
 
 def json_records(path, lines, first_line, fields):
@@ -249,15 +339,28 @@ def json_records(path, lines, first_line, fields):
     breaks a rule raises a StockcastError at ``<path>:<line>: ``:
     ``unparsable line N: `` and the parse error, ``expected a JSON
     object`` or the id rule, or ``missing field 'x' at line N``.
+
+    Each stripped line is parsed by ``_scan_once``, the scanner json.loads
+    itself runs, and the value is taken only when it ends at the line's
+    end. On a stripped line that is exactly json.loads' result; any other
+    line (a parse error, trailing data, a BOM) goes to json.loads, so its
+    message is json.loads' own. One parse per line, not one of the lines
+    joined as a JSON array: lines such as ``{"a": [1`` and ``2]}`` join
+    into a valid array, while each alone is an error.
     """
     for lineno, line in enumerate(lines, start=first_line):
         line = line.strip()
         if not line:
             continue
         try:
-            record = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
-            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
+            record, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):  # json.loads says which
+            end = -1
+        if end != len(line):
+            try:
+                record = json.loads(line)
+            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
         if not isinstance(record, dict):
             raise StockcastError(
                 f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
@@ -274,47 +377,6 @@ def json_records(path, lines, first_line, fields):
                     f"a string or an integer, got {echo(json.dumps(record_id))}")
             record_id = str(record_id)
         yield lineno, record, record_id
-
-
-def _read_posts(path, kind, lines, first_line):
-    """The posts of ``lines``, numbered from ``first_line``; see load_posts_jsonl."""
-    news = kind == "news"
-    posts = []
-    seen_ids = set()
-    for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
-        text = record["text"]
-        if type(text) is not str:
-            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"field 'text' must be a string, got {echo(json.dumps(text))}")
-        ts = record["ts"]
-        if type(ts) is not str:
-            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"field 'ts' must be a string, got {echo(json.dumps(ts))}")
-        try:
-            ts = _parse_timestamp(ts)
-        except ValueError as exc:
-            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                 f"bad timestamp: {echo(str(exc))}") from exc
-        if news:
-            counts = _NO_COUNTS
-        else:
-            counts = []
-            for name in _COUNT_FIELDS:
-                value = record.get(name, 0)
-                # type(), not isinstance(): a JSON true is a bool, an int subclass
-                if type(value) is not int:
-                    raise StockcastError(
-                        f"{path}:{lineno}: unparsable line {lineno}: bad count {name!r}: "
-                        f"expected an integer, got {echo(json.dumps(value))}")
-                if value < 0:
-                    raise StockcastError(
-                        f"{path}:{lineno}: unparsable line {lineno}: negative count {name!r}")
-                counts.append(value)
-        if post_id in seen_ids:
-            continue
-        seen_ids.add(post_id)
-        posts.append(RawPost(post_id, ts, text, *counts))
-    return posts
 
 
 def assign_posts(posts, calendar):
@@ -342,6 +404,7 @@ __all__ = [
     "load_price_csv",
     "line_ranges",
     "load_posts_jsonl",
+    "read_posts",
     "json_records",
     "calendar_from_bars",
     "assign_posts",

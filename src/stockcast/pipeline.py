@@ -36,7 +36,8 @@ from .scoring import _usable_cores, _worker_pool, load_dataset
 
 # Only for bench/tracer.py, which wraps these names on this module; calls made
 # inside scoring bypass its wrappers
-from .scoring import assign_posts, calendar_from_bars, load_posts_jsonl, make_provider
+from .ingest import assign_posts, calendar_from_bars, load_posts_jsonl
+from .scoring import make_provider
 
 
 def build_matrix(config, dataset):

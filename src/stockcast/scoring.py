@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import sentiment, textprep
 from .errors import StockcastError, echo
-from .ingest import assign_posts, calendar_from_bars, line_ranges, load_posts_jsonl, load_price_csv
+from .ingest import calendar_from_bars, line_ranges, load_price_csv, read_posts
 from .outputs import _ReadBack, _write_csv
 
 
@@ -68,8 +68,10 @@ def load_dataset(config, out_dir=None):
     this config's scores_digest, the post counts and daily rows come from
     that file (see load_daily_sentiment) and no post is read. Otherwise
     each post file is cut into ranges of about _RANGE_BYTES that end on
-    line ends, and _score_range loads, checks and scores each one, the
-    tweets' ranges and then the news' as one task list: in workers forked
+    line ends, and _score_range loads, checks and scores each one in a
+    single pass that keeps no per-post record (ingest.read_posts streams
+    the posts; a provider that reads no text, replay, gets no cleaning),
+    the tweets' ranges and then the news' as one task list: in workers forked
     from this process, one per _BYTES_PER_WORKER of posts up to the usable
     cores, or here when that makes fewer than 2. The commands call this
     before they load numpy, so the workers never hold it, and each
@@ -91,8 +93,9 @@ def load_dataset(config, out_dir=None):
         provider = make_provider(config)
         stopwords = textprep.load_stopwords(config.stopwords)
     except (StockcastError, OSError):
-        load_posts_jsonl(config.tweets, "tweet")  # the post files' errors come first
-        load_posts_jsonl(config.news, "news")
+        for path, kind in ((config.tweets, "tweet"), (config.news, "news")):
+            for _ in read_posts(path, kind):  # the post files' errors come first
+                pass
         raise
     weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
     shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
@@ -147,63 +150,81 @@ def _post_tasks(path, kind, min_likes):
 
 
 def _score_range(shared, task):
-    """Load, check and score one byte range of a post file.
+    """Load, check and score one byte range of a post file, in one pass.
 
     Returns the range's posts as columns, one entry per post in load
     order: the ids as UTF-8 bytes (with surrogatepass, so an id holding a
     lone surrogate encodes too, and distinct ids stay distinct), a keep
     flag (bytes; 1 when min_likes is None or the post has at least
-    min_likes), the calendar day (array 'i'), and the post's score_post
-    label (array 'b'), confidence and weighted value (array 'd'); then a
-    dict row -> StockcastError. A post no daily
-    average can include is not scored and gets day -1: one dated past the
-    calendar end, or not kept. A post the provider cannot score gets the
-    provider's StockcastError, and one whose weighted sentiment is not a
-    finite float a StockcastError naming the file and the post; either is
-    an error only if the post is the first of its id. Only primitives go
-    back, as columns: returning post objects cost more to pickle than
-    scoring them in the worker saved, and a tuple per post cost the main
-    process about 120 B per kept post.
+    min_likes), the calendar day (array 'i'), and the post's label (array
+    'b'), confidence and weighted value (array 'd'); then a dict row ->
+    StockcastError. A post no daily average can include is not scored and
+    gets day -1: one not kept, or dated past the calendar end. A post the
+    provider cannot score gets the provider's StockcastError, and one whose
+    weighted value is not a finite float a StockcastError naming the file
+    and the post; its label, confidence and weighted value stay 0. Either
+    is an error only if the post is the first of its id.
+
+    Posts stream from read_posts as tuples, and nothing per post outlives
+    its loop step but its column entries. The day comes from a per-range
+    date -> day dict, filled by the calendar's bisect on a miss. A kept
+    post inside the calendar is scored from its tokens (clean_tokens, then
+    the provider's score_tokens), or by id when the provider reads no text,
+    which then cleans nothing; sentiment.weighted_value weighs it. The
+    values equal those of the reference formulation (clean_text, the
+    provider's score, score_post), which the tests check column for column.
+    Only primitives go back, as columns: returning post objects cost more
+    to pickle than scoring them in the worker saved, and a tuple per post
+    cost the main process about 120 B per kept post.
     """
     from array import array
 
     provider, stopwords, keep_cashtags, weights, calendar = shared
     path, kind, min_likes, byte_range = task
-    posts = load_posts_jsonl(path, kind, byte_range=byte_range)
-    n = len(posts)
-    keep = bytes(min_likes is None or post.likes >= min_likes for post in posts)
-    row_of = {post.id: row for row, post in enumerate(posts)}
-    days = array("i", [-1]) * n
-    labels = array("b", [0]) * n
-    confidences = array("d", [0.0]) * n
-    weighted = array("d", [0.0]) * n
+    ids, keep = [], bytearray()
+    days, labels = array("i"), array("b")
+    confidences, weighted = array("d"), array("d")
     errors = {}
-    countable = [post for post, keep_it in zip(posts, keep) if keep_it]
-    for day, day_posts in enumerate(assign_posts(countable, calendar).values()):
-        for post in day_posts:
-            row = row_of[post.id]
-            days[row] = day
-            text = textprep.clean_text(post.text, stopwords, keep_cashtags)
+    day_of = {}
+    reads_text = provider.reads_text
+    posts = read_posts(path, kind, byte_range)
+    for row, (post_id, ts, text, retweets, likes, comments, followers) in enumerate(posts):
+        ids.append(post_id.encode("utf-8", "surrogatepass"))
+        day, label, confidence, value = -1, 0, 0.0, 0.0
+        kept = min_likes is None or likes >= min_likes
+        keep.append(kept)
+        if kept:
+            d = ts.date()
+            day = day_of.get(d)
+            if day is None:
+                day = day_of[d] = calendar.day(d)
+        if day >= 0:
             try:
-                score = provider.score(text, post_id=post.id)  # raises without a replay score
-                labels[row], confidences[row], weighted[row] = _finite_score(
-                    path, post, score, weights)
+                if reads_text:
+                    score = provider.score_tokens(
+                        textprep.clean_tokens(text, stopwords, keep_cashtags))
+                else:
+                    score = provider.score(text, post_id=post_id)  # raises without a score
             except StockcastError as exc:
                 errors[row] = exc
-    ids = [post.id.encode("utf-8", "surrogatepass") for post in posts]
-    return ids, keep, days, labels, confidences, weighted, errors
-
-
-def _finite_score(path, post, score, weights):
-    """score_post's triple; a StockcastError if its weighted value is not a finite float."""
-    try:
-        triple = sentiment.score_post(post, score, weights)
-        if math.isfinite(triple[2]):
-            return triple
-    except OverflowError:  # a count past float range
-        pass
-    raise StockcastError(f"{path}: post id {echo(repr(post.id))}: weighted sentiment is "
-                         f"not a finite float{_TOO_LARGE}")
+            else:
+                try:
+                    value = sentiment.weighted_value(retweets, likes, comments, followers,
+                                                     score[0] * score[1], weights)
+                except OverflowError:  # a count past float range
+                    value = math.inf
+                if math.isfinite(value):
+                    label, confidence = score
+                else:
+                    errors[row] = StockcastError(
+                        f"{path}: post id {echo(repr(post_id))}: weighted sentiment is not "
+                        f"a finite float{_TOO_LARGE}")
+                    value = 0.0
+        days.append(day)
+        labels.append(label)
+        confidences.append(confidence)
+        weighted.append(value)
+    return ids, bytes(keep), days, labels, confidences, weighted, errors
 
 
 def _gather(results):
@@ -216,12 +237,25 @@ def _gather(results):
     aggregate_daily divides); and the error of the first kept post without
     a score in (day, load) order, or None. Per kept post this holds only
     its id, as bytes, in the set of seen ids; the sums grow with the days.
+    A range without errors whose ids are all new (the usual case) is added
+    column by column, with no per-row id check.
     """
     seen = set()
     kept = 0
     sums = defaultdict(lambda: [0, 0, 0.0, 0.0])
     unscored = None
     for ids, keep, days, labels, confidences, weighted, errors in results:
+        if not errors and seen.isdisjoint(ids):
+            seen.update(ids)
+            kept += keep.count(1)
+            for day, label, confidence, value in zip(days, labels, confidences, weighted):
+                if day >= 0:  # only kept posts have a day
+                    day_sums = sums[day]
+                    day_sums[0] += 1
+                    day_sums[1] += label
+                    day_sums[2] += confidence
+                    day_sums[3] += value
+            continue
         for row, post_id in enumerate(ids):
             if post_id in seen:
                 continue

@@ -67,9 +67,6 @@ class WeightParams:
             raise ValueError("weights must be non-negative")
 
 
-_NEUTRAL = SentimentScore(0, 0.0)
-
-
 @dataclass(frozen=True)
 class DailySentiment:
     date: object
@@ -81,36 +78,34 @@ class DailySentiment:
 
 # --- engagement formulas ----------------------------------------------------
 
-def tweet_interaction(post, w):
-    """alpha*retweets + beta*likes + gamma*comments."""
-    return w.alpha * post.retweets + w.beta * post.likes + w.gamma * post.comments
-
-
-def user_influence(post, w):
-    """delta*followers."""
-    return w.delta * post.followers
-
-
 def signed_sentiment(score):
     """label * confidence, in [-1, 1]."""
     return score.label * score.confidence
 
 
-def total_interaction(post):
-    """Plain engagement sum: retweets + likes + comments."""
-    return float(post.retweets + post.likes + post.comments)
+def weighted_value(retweets, likes, comments, followers, signed, w):
+    """The module docstring's weighted value, from a post's numbers.
+
+    (alpha*retweets + beta*likes + gamma*comments) * (delta*followers) *
+    signed / (retweets + likes + comments), evaluated left to right; 0.0
+    when the engagement total is 0 (news items, say). A count past float
+    range raises OverflowError.
+    """
+    total = float(retweets + likes + comments)
+    if total == 0:
+        return 0.0
+    return ((w.alpha * retweets + w.beta * likes + w.gamma * comments) * (w.delta * followers)
+            * signed / total)
 
 
 def weighted_sentiment(post, score, w):
-    """Engagement-weighted sentiment for one post.
+    """Engagement-weighted sentiment for one post: weighted_value of its counts."""
+    return weighted_value(post.retweets, post.likes, post.comments, post.followers,
+                          signed_sentiment(score), w)
 
-    Zero total engagement (e.g. news items) yields 0 by definition.
-    """
-    tt = total_interaction(post)
-    if tt == 0:
-        return 0.0
-    return tweet_interaction(post, w) * user_influence(post, w) * signed_sentiment(score) / tt
 
+# The text-level API below (score_post, clean_text, the providers' score) is
+# the reference formulation the scoring tests compare ingest's pass against.
 
 def score_post(post, score, w):
     """(label, confidence, weighted): one post's score, as aggregate_daily averages it."""
@@ -125,31 +120,42 @@ class LexiconProvider:
     label = sign(positives - negatives); confidence = |positives -
     negatives| / token count, clamped to [0, 1]. Empty text scores (0, 0).
     This is a reproducibility stand-in, not an emulation of any neural
-    scorer.
+    scorer. It reads the cleaned text (``reads_text``).
     """
+
+    reads_text = True
 
     def __init__(self, lexicon):
         self.lexicon = lexicon
 
     def score(self, text, post_id=None):
-        tokens = text.split()
+        return SentimentScore._make(self.score_tokens(text.split()))
+
+    def score_tokens(self, tokens):
+        """``(label, confidence)`` of a list of cleaned tokens, as a plain tuple."""
         if not tokens:
-            return _NEUTRAL
+            return 0, 0.0
         # One pass: positives minus negatives, counting exactly the values
-        # equal to +1 and -1.
+        # equal to +1 and -1. Most tokens are not in the lexicon; skipping
+        # their None first saves two comparisons that would fail.
         diff = 0
         for value in map(self.lexicon.get, tokens):
+            if value is None:
+                continue
             if value == 1:
                 diff += 1
             elif value == -1:
                 diff -= 1
-        label = (diff > 0) - (diff < 0)
-        conf = min(abs(diff) / len(tokens), 1.0)
-        return SentimentScore._make((label, conf))  # in range by construction
+        return (diff > 0) - (diff < 0), min(abs(diff) / len(tokens), 1.0)
 
 
 class ReplayProvider:
-    """Serve precomputed scores (e.g. from an external model) by post id."""
+    """Serve precomputed scores (e.g. from an external model) by post id.
+
+    It reads no text (``reads_text``), so ingest cleans none for it.
+    """
+
+    reads_text = False
 
     def __init__(self, table):
         self.table = table
@@ -165,28 +171,37 @@ def load_lexicon(path=None):
 
     Lines end where text-mode reading ends them (``errors.line_ends``);
     blank lines and lines starting with ``#`` are skipped. Any other line
-    that is not one word, a tab and +1 or -1 raises a StockcastError at
-    ``<path>:<line>: ``, after the whole file decoded as UTF-8.
+    that is not one word, a tab and +1 or -1, or that gives a word again
+    (matched after strip and lowercase, as the map keys it), raises a
+    StockcastError at ``<path>:<line>: ``, after the whole file decoded as
+    UTF-8.
     """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("lexicon.tsv")
     with open_text(path) as fh:
         lines = fh.readlines()
-    lexicon = {}
+    lexicon, first_line = {}, {}
     for lineno, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         try:
             word, value = line.split("\t")
-            lexicon[word.strip().lower()] = int(value)
+            value = int(value)
         except ValueError as exc:
             raise StockcastError(
                 f"{path}:{lineno}: unparsable line {lineno}: bad lexicon entry: "
                 f"{echo(repr(line))}") from exc
-        if lexicon[word.strip().lower()] not in (-1, 1):
+        if value not in (-1, 1):
             raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
                                  f"lexicon polarity must be +1 or -1: {echo(repr(line))}")
+        word = word.strip().lower()
+        if word in lexicon:
+            # either polarity would be a silent pick
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: duplicate word "
+                                 f"{echo(repr(word))}, first on line {first_line[word]}")
+        lexicon[word] = value
+        first_line[word] = lineno
     return lexicon
 
 
@@ -271,12 +286,9 @@ __all__ = [
     "DailySentiment",
     "LexiconProvider",
     "ReplayProvider",
-    "tweet_interaction",
-    "user_influence",
     "signed_sentiment",
-    "total_interaction",
+    "weighted_value",
     "weighted_sentiment",
-    "score_post",
     "aggregate_daily",
     "load_lexicon",
     "load_replay_scores",

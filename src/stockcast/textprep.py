@@ -13,25 +13,28 @@ Fixed pipeline order:
        may have reassembled, which keeps cleaning idempotent)
     7. collapse whitespace
 
-Output is lowercase words separated by single spaces; an empty string is
-a valid result.
+Output is a list of lowercase words (``clean_tokens``), which may be
+empty; ``clean_text`` joins it with single spaces.
 
 A pass is skipped where skipping it cannot change the result:
 
 - The URL, cashtag, hashtag and mention passes run only when the text
   holds ``http`` or ``www.``, ``$``, ``#`` or ``@``; each pattern starts
   with one of these, so without it the pass matches nothing.
-- The reserved-word and emoji passes run only on non-ASCII text. The
-  emoji class holds no ASCII character. On ASCII text the reserved-word
-  pass removes an rt, fav or via (any letter case) standing between
-  whitespace; such a token stays whole through steps 4-5, and step 6
-  drops it anyway. On other text the pass must run: under
-  ``re.IGNORECASE`` it also matches "vıa" (dotless i), which step 5 would
-  otherwise shorten to "va".
-- On ASCII text steps 4 and 5 are one ``str.translate`` through a table
-  built from the same two steps applied to each ASCII character; other
-  text is lowercased first, because lowercasing "İ" or the Kelvin sign
-  yields ASCII letters.
+- The emoji pass runs only on non-ASCII text: the emoji class holds no
+  ASCII character. The reserved-word pass runs only on text holding a
+  dotless "ı" or a dotted "İ", the only characters outside ASCII that
+  ``re.IGNORECASE`` matches to a letter of rt, fav or via. Elsewhere it
+  removes an rt, fav or via (any ASCII letter case) standing between
+  whitespace; such a token stays whole through steps 3-5, which delete
+  no whitespace, and step 6 drops it anyway. With those two characters it
+  must run: it also matches "vıa", which step 5 would otherwise shorten
+  to "va".
+- On ASCII text, which is what most emoji posts are once their emoji are
+  gone, steps 4 and 5 are one ``str.translate`` through a table built
+  from the same two steps applied to each ASCII character; other text is
+  lowercased first, because lowercasing "İ" or the Kelvin sign yields
+  ASCII letters.
 - Step 7 is ``str.split()``: after step 5 only a-z and whitespace
   remain, and ``str.split`` splits on exactly the characters the
   pattern's whitespace class matches (``str.isspace``).
@@ -47,7 +50,10 @@ from .errors import open_text
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
 _HASHTAG_RE = re.compile(r"#\S+")
 _MENTION_RE = re.compile(r"@\S+")
-_CASHTAG_RE = re.compile(r"\$([A-Za-z][A-Za-z0-9]*)")
+# "$MSFT" -> "MSFT": deleting each "$" before a letter is the same as
+# replacing each "$" + letter + [A-Za-z0-9]* run by the run (such a run holds
+# no "$"), and an empty replacement is applied without a Python call per match.
+_CASHTAG_RE = re.compile(r"\$(?=[A-Za-z])")
 _CASHTAG_STRIP_RE = re.compile(r"\$[A-Za-z]\S*")
 
 # Platform tokens carrying no sentiment: retweet/favourite markers and the
@@ -96,8 +102,8 @@ def load_stopwords(path=None):
     return frozenset(words - {""})
 
 
-def clean_text(raw, stopwords, keep_cashtags=True):
-    """Clean one raw post text down to lowercase word tokens.
+def clean_tokens(raw, stopwords, keep_cashtags=True):
+    """Clean one raw post text down to its lowercase word tokens.
 
     Args:
         raw: the post text as collected.
@@ -106,7 +112,7 @@ def clean_text(raw, stopwords, keep_cashtags=True):
             when False the whole cashtag is stripped like a hashtag.
 
     Returns:
-        Cleaned string; possibly empty.
+        The list of tokens, in text order; possibly empty.
     """
     # Each guard is a character the pattern needs (see the module docstring).
     text = raw
@@ -114,7 +120,7 @@ def clean_text(raw, stopwords, keep_cashtags=True):
         text = _URL_RE.sub(" ", text)
     if "$" in text:
         if keep_cashtags:
-            text = _CASHTAG_RE.sub(r"\1", text)
+            text = _CASHTAG_RE.sub("", text)
         else:
             text = _CASHTAG_STRIP_RE.sub(" ", text)
     if "#" in text:
@@ -123,18 +129,29 @@ def clean_text(raw, stopwords, keep_cashtags=True):
         text = _MENTION_RE.sub(" ", text)
     # Deleting (not spacing) keeps "don't" a single token; whitespace is
     # preserved as the token separator.
+    if not text.isascii():
+        if "\u0131" in text or "\u0130" in text:  # see the module docstring
+            text = _RESERVED_RE.sub(" ", text)
+        text = _EMOJI_RE.sub("", text)
     if text.isascii():
         text = text.translate(_ASCII_LOWER_ALPHA)
     else:
-        text = _RESERVED_RE.sub(" ", text)
-        text = _EMOJI_RE.sub("", text)
         text = _NON_ALPHA_RE.sub("", text.lower())
-    tokens = [
-        tok
-        for tok in text.split()
-        if tok not in stopwords and tok not in RESERVED_WORDS
-    ]
-    return " ".join(tokens)
+    tokens = text.split()
+    # Many posts hold no word to drop; two set checks in C find them, and
+    # such a post keeps its split list.
+    if stopwords.isdisjoint(tokens) and RESERVED_WORDS.isdisjoint(tokens):
+        return tokens
+    return [tok for tok in tokens if tok not in stopwords and tok not in RESERVED_WORDS]
 
 
-__all__ = ["clean_text", "load_stopwords", "RESERVED_WORDS"]
+def clean_text(raw, stopwords, keep_cashtags=True):
+    """clean_tokens' tokens joined by single spaces: the cleaned text, possibly empty.
+
+    Ingest scores the tokens; this text form is what the scoring tests'
+    reference formulation cleans to.
+    """
+    return " ".join(clean_tokens(raw, stopwords, keep_cashtags))
+
+
+__all__ = ["clean_tokens", "load_stopwords", "RESERVED_WORDS"]

@@ -1072,7 +1072,7 @@ class TestScoredOnce:
             out_dir = str(tmp_path / name)
             if name == "after-ingest":
                 assert cli.main(["ingest", "--config", config, "--out-dir", out_dir]) == 0
-                monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", refuse_posts)
+                monkeypatch.setattr("stockcast.scoring.read_posts", refuse_posts)
             assert cli.main(["featurize", "--config", config, "--out-dir", out_dir]) == 0
             assert cli.main(["train-eval", "--config", config, "--out-dir", out_dir, *run]) == 0
             outputs[name] = read_outputs(out_dir)
@@ -1100,7 +1100,7 @@ class TestScoredOnce:
         write_tiny_dataset(tmp_path)
         config = str(write_config(tmp_path))
         assert cli.main(["ingest", "--config", config]) == 0
-        monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", refuse_posts)
+        monkeypatch.setattr("stockcast.scoring.read_posts", refuse_posts)
         assert cli.main([command, "--config", config, *flags]) == 0
 
     #: An edit after ingest, as (config key, new value) or (file key, edit of its text).
@@ -1140,13 +1140,13 @@ class TestScoredOnce:
         else:
             config = write_config(tmp_path, **extra, **{key: edit})
         loads = []
-        load_posts = scoring.load_posts_jsonl
+        load_posts = scoring.read_posts
 
         def counting(path, kind, byte_range=None):
             loads.append(kind)
             return load_posts(path, kind, byte_range)
 
-        monkeypatch.setattr("stockcast.scoring.load_posts_jsonl", counting)
+        monkeypatch.setattr("stockcast.scoring.read_posts", counting)
         assert cli.main(["featurize", "--config", str(config)]) == 0
         assert loads, "featurize reused scores from before the edit"
         fresh = tmp_path / "fresh"

@@ -7,11 +7,12 @@ from datetime import date
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast.errors import StockcastError
+from stockcast.errors import StockcastError, echo
 from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
     calendar_from_bars,
+    json_records,
     line_ranges,
     load_posts_jsonl,
     load_price_csv,
@@ -88,6 +89,15 @@ class TestLoadPriceCsv:
         with pytest.raises(StockcastError) as exc:
             load_price_csv(path)
         assert str(exc.value) == f"{path}:3: {message}"
+
+    def test_row_after_a_quoted_line_break_names_its_physical_line(self, tmp_path):
+        # the second row spans lines 2-3 ("1\n" is a valid float), so the bad close is on line 4
+        path = write_csv(tmp_path, ['2022-01-03,"1\n",2,0.5,1,1,100',
+                                    "2022-01-04,1,2,0.5,9,9,100"])
+        with pytest.raises(StockcastError) as exc:
+            load_price_csv(path)
+        assert str(exc.value) == (f"{path}:4: unparsable row at line 4: "
+                                  f"close 9.0 outside [low, high] on 2022-01-04")
 
     def test_negative_volume_rejected(self, tmp_path):
         path = write_csv(tmp_path, ["2023-01-03,100,105,99,104,104,-1"])
@@ -231,3 +241,78 @@ def test_line_ranges_matches_oracle(tmp_path, pieces, bad_at, size):
     path = tmp_path / "posts.jsonl"
     path.write_bytes(b"".join(pieces))
     assert line_ranges(path, size) == line_ranges_oracle(path, size)
+
+
+# --- json_records: one parse per line, exactly json.loads' ------------------------
+
+def json_records_by_loads(path, lines, first_line, fields):
+    """json_records as it was before it scanned each line itself: json.loads
+    on each stripped line, then the same object, field and id rules."""
+    out = []
+    for lineno, line in enumerate(lines, start=first_line):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (json.JSONDecodeError, RecursionError) as exc:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
+        if not isinstance(record, dict):
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: expected a JSON object")
+        for field in fields:
+            if field not in record:
+                raise StockcastError(
+                    f"{path}:{lineno}: missing field {field!r} at line {lineno}")
+        record_id = record["id"]
+        if type(record_id) is not str:
+            if type(record_id) is not int:
+                raise StockcastError(
+                    f"{path}:{lineno}: unparsable line {lineno}: field 'id' must be "
+                    f"a string or an integer, got {echo(json.dumps(record_id))}")
+            record_id = str(record_id)
+        out.append((lineno, record, record_id))
+    return out
+
+
+def outcome(read, lines):
+    """What ``read`` gives for ``lines``: its records (repr, so a NaN equals
+    itself) or its error message."""
+    try:
+        return repr(list(read("p.jsonl", lines, 7, ("id",))))
+    except StockcastError as exc:
+        return f"error: {exc}"
+
+
+#: Lines that one json.loads of all of them joined as an array would take
+#: differently: three lines that join into a valid array, trailing data, a
+#: BOM, a bare NaN, nesting past the recursion limit, a leading form feed
+#: (which strip removes); each with whether it is an error.
+EXACTNESS_CASES = {
+    "array-join": (['{"id": "a", "n": 1}, {"id": "b", "n": 2}', '{"id": "c", "n": [1', "2]}"],
+                   True),
+    "extra-data": (["{} x"], True),
+    "bom": (['\ufeff{"id": "a"}'], True),
+    "nan": (['{"id": "a", "x": NaN}', "NaN"], True),
+    "deep": (["[" * 100_000 + "]" * 100_000], True),
+    "form-feed": (['\x0c{"id": "a"}\x0c', "", '  {"id": 7, "t": "\\u00e9"}\t'], False),
+}
+
+
+@pytest.mark.parametrize("case", list(EXACTNESS_CASES))
+def test_json_records_match_json_loads_per_line(case):
+    lines, is_error = EXACTNESS_CASES[case]
+    got = outcome(json_records, lines)
+    assert got == outcome(json_records_by_loads, lines)
+    assert got.startswith("error: p.jsonl:") == is_error, got[:200]
+
+
+JSON_PIECES = st.sampled_from(['{"id": "a"}', '{"id": 1', "}", "{", "[", "]", ",", " ", "\t",
+                               '"id"', ":", "1", "NaN", "Infinity", "-", "1e999", "null",
+                               "true", "\ufeff", "\x0c", "\\", '"', "x", "é", '{"id": []}'])
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.lists(JSON_PIECES, max_size=8).map("".join), max_size=4))
+def test_json_records_match_json_loads_on_mutated_lines(lines):
+    assert outcome(json_records, lines) == outcome(json_records_by_loads, lines)

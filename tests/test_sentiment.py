@@ -22,10 +22,8 @@ from stockcast.sentiment import (
     load_replay_scores,
     score_post,
     signed_sentiment,
-    total_interaction,
-    tweet_interaction,
-    user_influence,
     weighted_sentiment,
+    weighted_value,
 )
 
 from conftest import make_post
@@ -45,19 +43,24 @@ def reference_weighted(post, score, w):
 
 
 class TestFormulas:
+    """weighted_value's terms one at a time: with influence 1 and signed 1 the
+    value is interaction / total, and with alpha = beta = gamma = 1 the
+    interaction equals the total."""
+
     def test_interaction_worked_example(self):
-        post = make_post(retweets=100, likes=200, comments=50)
-        assert tweet_interaction(post, W) == 105.0
+        # interaction 0.3 * (100 + 200 + 50) = 105, influence 0.1 * 10 = 1, total 350
+        assert weighted_value(100, 200, 50, 10, 1.0, W) == 105.0 / 350.0
 
     def test_interaction_zero(self):
-        assert tweet_interaction(make_post(), W) == 0.0
+        assert weighted_value(100, 200, 50, 1000, 1.0, WeightParams(0.0, 0.0, 0.0, 0.1)) == 0.0
 
     def test_default_weights(self):
         assert (W.alpha, W.beta, W.gamma, W.delta) == (0.3, 0.3, 0.3, 0.1)
 
     def test_influence(self):
-        assert user_influence(make_post(followers=1000), W) == 100.0
-        assert user_influence(make_post(followers=0), W) == 0.0
+        unit = WeightParams(1.0, 1.0, 1.0, 0.1)
+        assert weighted_value(100, 200, 50, 1000, 1.0, unit) == 100.0
+        assert weighted_value(100, 200, 50, 0, 1.0, unit) == 0.0
 
     def test_signed(self):
         assert signed_sentiment(SentimentScore(1, 0.8)) == 0.8
@@ -65,9 +68,10 @@ class TestFormulas:
         assert signed_sentiment(SentimentScore(-1, 0.9)) == -0.9
 
     def test_total_interaction(self):
-        assert total_interaction(make_post(retweets=100, likes=200, comments=50)) == 350.0
-        assert total_interaction(make_post()) == 0.0
-        assert total_interaction(make_post(retweets=1)) == 1.0
+        retweets_only = WeightParams(1.0, 0.0, 0.0, 0.1)  # interaction = retweets
+        assert weighted_value(100, 200, 50, 3500, 1.0, retweets_only) == 100.0  # 100*350/350
+        assert weighted_value(0, 0, 0, 3500, 1.0, retweets_only) == 0.0
+        assert weighted_value(1, 0, 0, 10, 1.0, retweets_only) == 1.0
 
     def test_weighted_worked_example_exact(self):
         post = make_post(retweets=100, likes=200, comments=50, followers=1000)
@@ -175,6 +179,16 @@ class TestLexiconProvider:
         path = tmp_path / "lexicon.tsv"
         path.write_text("# a comment\u2028x\ngood\t+1\n", encoding="utf-8")
         assert load_lexicon(path) == {"good": 1}
+
+    @pytest.mark.parametrize("second", ["good\t-1", "good\t+1", " Good \t-1"])
+    def test_word_given_twice_names_both_lines(self, tmp_path, second):
+        # keeping either polarity would be a silent pick, as with a replay id given twice
+        path = tmp_path / "lexicon.tsv"
+        path.write_text(f"good\t+1\n# comment\nbad\t-1\n{second}\n", encoding="utf-8")
+        with pytest.raises(StockcastError) as exc:
+            load_lexicon(path)
+        assert str(exc.value) == (
+            f"{path}:4: unparsable line 4: duplicate word 'good', first on line 1")
 
 
 def reference_lexicon_score(lexicon, text):

@@ -172,3 +172,13 @@ def test_matches_unguarded_chain_on_every_ascii_and_fragment():
                 raw = f"{left}{right} {left}via{right}"
                 assert clean_text(raw, stopwords, keep) == reference_clean_text(
                     raw, stopwords, keep), repr(raw)
+
+
+def test_only_dotted_and_dotless_i_fold_into_a_reserved_word():
+    """clean_tokens runs the reserved-word pass only on text holding "ı" or
+    "İ": of all characters outside ASCII, only these two match a letter of
+    rt, fav or via under the pattern's re.IGNORECASE."""
+    letters = re.compile("[" + "".join(sorted(set("".join(RESERVED_WORDS)))) + "]",
+                         re.IGNORECASE)
+    folding = [c for c in map(chr, range(128, 0x110000)) if letters.fullmatch(c)]
+    assert folding == ["İ", "ı"]
