@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import bisect
 import csv
-import io
 import json
 import math
 from contextlib import contextmanager
@@ -303,14 +302,13 @@ def _post_lines(path, byte_range):
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
-    if b"\r" in data:
-        yield io.StringIO(data.decode("utf-8"), newline=None), first_line
-        return
-    # Without a CR, text mode ends lines at LF only. No UTF-8 sequence holds
-    # an LF byte, so each line of the range (valid UTF-8, see line_ranges)
-    # decodes on its own, and none is held decoded longer than it is read.
-    # The trailing "" after the last LF is a blank line, which json_records
-    # skips.
+    # Text mode ends lines at an LF, a CR LF or a lone CR; each becomes an
+    # LF here (replace returns data itself when there is nothing to
+    # replace). No UTF-8 sequence holds a CR or LF byte, so each line of the
+    # range (valid UTF-8, see line_ranges) decodes on its own, and none is
+    # held decoded longer than it is read. The trailing "" after the last
+    # LF is a blank line, which json_records skips.
+    data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     yield map(bytes.decode, data.split(b"\n")), first_line
 
 

@@ -237,25 +237,12 @@ def _gather(results):
     aggregate_daily divides); and the error of the first kept post without
     a score in (day, load) order, or None. Per kept post this holds only
     its id, as bytes, in the set of seen ids; the sums grow with the days.
-    A range without errors whose ids are all new (the usual case) is added
-    column by column, with no per-row id check.
     """
     seen = set()
     kept = 0
     sums = defaultdict(lambda: [0, 0, 0.0, 0.0])
     unscored = None
     for ids, keep, days, labels, confidences, weighted, errors in results:
-        if not errors and seen.isdisjoint(ids):
-            seen.update(ids)
-            kept += keep.count(1)
-            for day, label, confidence, value in zip(days, labels, confidences, weighted):
-                if day >= 0:  # only kept posts have a day
-                    day_sums = sums[day]
-                    day_sums[0] += 1
-                    day_sums[1] += label
-                    day_sums[2] += confidence
-                    day_sums[3] += value
-            continue
         for row, post_id in enumerate(ids):
             if post_id in seen:
                 continue

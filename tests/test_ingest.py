@@ -12,6 +12,7 @@ from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
     calendar_from_bars,
+    _post_lines,
     json_records,
     line_ranges,
     load_posts_jsonl,
@@ -241,6 +242,30 @@ def test_line_ranges_matches_oracle(tmp_path, pieces, bad_at, size):
     path = tmp_path / "posts.jsonl"
     path.write_bytes(b"".join(pieces))
     assert line_ranges(path, size) == line_ranges_oracle(path, size)
+
+
+def range_records(path, ranges):
+    """json_records over each range's lines, in order, then the first error."""
+    out = []
+    try:
+        for byte_range in ranges:
+            with _post_lines(path, byte_range) as (lines, first_line):
+                out.extend(r[:2] for r in json_records(path, lines, first_line, ("id",)))
+    except StockcastError as exc:
+        out.append(str(exc))
+    return out
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pieces=st.lists(LINE_PIECES | st.sampled_from([b" ", b"\x0c"]), max_size=80),
+       size=st.integers(1, 64))
+@example(pieces=[b'{"id": 1}', b"\r", b'{"id": 1}', b"\r\n", b"a", b"\r", b"\n"], size=1)
+def test_ranges_read_the_lines_of_a_text_mode_read(tmp_path, pieces, size):
+    # CR LF and a lone CR end a range's lines as they end a text-mode read's
+    path = tmp_path / "posts.jsonl"
+    path.write_bytes(b"".join(pieces))
+    assert range_records(path, line_ranges(path, size)) == range_records(path, [None])
 
 
 # --- json_records: one parse per line, exactly json.loads' ------------------------
