@@ -67,8 +67,7 @@ def profile(config):
     for kept, sums, unscored in gathered:
         if unscored is not None:
             raise SystemExit(f"error: {unscored}")
-        _timed(ms, "aggregate_daily", sentiment.aggregate_daily,
-               {calendar.dates[day]: day_sums for day, day_sums in sums.items()}, calendar)
+        _timed(ms, "aggregate_daily", sentiment.aggregate_daily, sums, len(calendar.dates))
     posts = sum(len(r[0]) for rs in results for r in rs)
     posts_per_s = posts / (sum(ms[stage] for stage in PIPELINE_STAGES) / 1e3)
 

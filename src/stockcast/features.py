@@ -9,8 +9,11 @@ a fixed order:
     news        news_mean_label, news_mean_conf, news_count
     indicators  rsi, sma
 
-A run assembles one daily table that holds each column once; a feature
-set is the selection of its blocks' columns from that table.
+A run assembles one daily table that holds each column once: the prices,
+the eight columns of daily_sentiment.csv under its header's names
+(news_mean_ws among them, which no set selects), then the indicators. A
+feature set is the selection of its blocks' columns from that table, by
+name.
 
 Scaling is fitted on the training span only; test rows are transformed
 with the same state and may land outside [0, 1] (never clipped).
@@ -166,29 +169,24 @@ class FeatureMatrix:
     values: tuple  # one tuple of floats per column, one float per date
 
 
-def assemble(bars, tweet_daily, news_daily, indicators=None):
+def assemble(bars, daily, indicators=None):
     """Every daily column as one raw FeatureMatrix, the table each feature
     set selects its columns from.
 
-    Columns: the six prices, tweet_mean_label, tweet_mean_conf, tweet_count,
-    tweet_mean_ws, the three news columns, then rsi and sma when
-    ``indicators`` is given. All inputs must cover exactly the bar dates, in
-    order. Values are left unscaled here; make_windows fits normalization
-    on the training span so no test information leaks into the scaler.
+    Columns: the six prices from ``bars``; then ``daily``'s columns under
+    their own names, the eight of daily_sentiment.csv (scoring.Dataset's
+    ``daily``), each one value per bar; then rsi and sma when
+    ``indicators`` is given. Values are left unscaled here; make_windows
+    fits normalization on the training span so no test information leaks
+    into the scaler.
 
     Raises:
-        StockcastError: a sentiment row or indicator series does not
-            line up with the bar dates.
+        StockcastError: an indicator series does not cover the bar dates.
     """
     dates = [bar.date for bar in bars]
-    _check_aligned(dates, [d.date for d in tweet_daily])
-    _check_aligned(dates, [d.date for d in news_daily])
-    columns = [*PRICE_COLUMNS, *TWEET_COLUMNS, "tweet_mean_ws", *NEWS_COLUMNS]
+    columns = [*PRICE_COLUMNS, *daily]
     series = [[getattr(b, key) for b in bars] for key in PRICE_COLUMNS]
-    series += [[getattr(t, key) for t in tweet_daily]
-               for key in ("mean_label", "mean_conf", "count", "mean_ws")]
-    series += [[getattr(n, key) for n in news_daily]
-               for key in ("mean_label", "mean_conf", "count")]
+    series += daily.values()
     if indicators is not None:
         for key in INDICATOR_COLUMNS:
             if len(indicators[key]) != len(dates):
@@ -205,16 +203,6 @@ def select(table, feature_set):
     columns = feature_set_columns(feature_set)
     values = tuple(table.values[table.columns.index(name)] for name in columns)
     return FeatureMatrix(dates=table.dates, columns=tuple(columns), values=values)
-
-
-def _check_aligned(bar_dates, other_dates):
-    if len(bar_dates) != len(other_dates):
-        shorter = min(len(bar_dates), len(other_dates))
-        raise StockcastError("inputs not aligned to the trading calendar at "
-                             f"{bar_dates[min(shorter, len(bar_dates) - 1)]}")
-    for bd, od in zip(bar_dates, other_dates):
-        if bd != od:
-            raise StockcastError(f"inputs not aligned to the trading calendar at {bd}")
 
 
 def format_columns(table):

@@ -83,20 +83,13 @@ class TradingCalendar:
                 raise StockcastError(f"dates not strictly increasing at {cur}")
         self.dates = dates
 
-    def __iter__(self):
-        return iter(self.dates)
-
-    def assign(self, d):
-        """Next trading date on or after ``d``, or None past the calendar end.
+    def day(self, d):
+        """Index in ``dates`` of the first trading date on or after ``d``, or
+        -1 past the calendar end.
 
         Posts on trading days map to that day; weekend/holiday posts roll
         forward to the next session.
         """
-        i = self.day(d)
-        return None if i < 0 else self.dates[i]
-
-    def day(self, d):
-        """Index in ``dates`` of ``assign(d)``, or -1 past the calendar end."""
         i = bisect.bisect_left(self.dates, d)
         return i if i < len(self.dates) else -1
 
@@ -357,7 +350,9 @@ def json_records(path, lines, first_line, fields):
         if end != len(line):
             try:
                 record = json.loads(line)
-            except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: deep nesting
+            # ValueError: JSONDecodeError, or an integer past the int-string
+            # digit limit; RecursionError: deep nesting
+            except (ValueError, RecursionError) as exc:
                 raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
         if not isinstance(record, dict):
             raise StockcastError(
@@ -385,12 +380,11 @@ def assign_posts(posts, calendar):
     last trading day are dropped (there is no session left for their
     information to act on).
     """
-    assigned = {d: [] for d in calendar}
+    assigned = {d: [] for d in calendar.dates}
     for post in posts:
-        d = calendar.assign(post.timestamp.date())
-        if d is None:
-            continue
-        assigned[d].append(post)
+        day = calendar.day(post.timestamp.date())
+        if day >= 0:
+            assigned[calendar.dates[day]].append(post)
     return assigned
 
 

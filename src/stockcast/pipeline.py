@@ -59,7 +59,7 @@ def build_matrix(config, dataset):
                 indicators[name] = compute(closes, period)
             except StockcastError as exc:
                 raise StockcastError(f"{config.prices}: {name}_period = {period}: {exc}") from None
-    return features.assemble(dataset.bars, dataset.tweet_daily, dataset.news_daily, indicators)
+    return features.assemble(dataset.bars, dataset.daily, indicators)
 
 
 @dataclass

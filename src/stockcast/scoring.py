@@ -40,13 +40,14 @@ class Dataset:
 
     ``tweet_count`` and ``news_count`` are the posts kept: the first post
     of each id and, for tweets, only those with at least ``min_likes``.
+    ``daily`` maps each name in DAILY_SENTIMENT_COLUMNS[1:], in that
+    order, to its column: one value per bar (float means, int counts).
     """
 
     bars: list
     tweet_count: int
     news_count: int
-    tweet_daily: list
-    news_daily: list
+    daily: dict
 
 
 def make_provider(config):
@@ -64,8 +65,10 @@ _BYTES_PER_WORKER = 4 << 20
 def load_dataset(config, out_dir=None):
     """Load + validate prices and posts, score posts, aggregate daily.
 
-    When ``out_dir`` holds a daily_sentiment.csv that ingest wrote with
-    this config's scores_digest, the post counts and daily rows come from
+    Returns a Dataset whose ``daily`` holds the DAILY_SENTIMENT_COLUMNS
+    (aggregate_daily's four columns for the tweets, then the news'). When
+    ``out_dir`` holds a daily_sentiment.csv that ingest wrote with this
+    config's scores_digest, the post counts and daily columns come from
     that file (see load_daily_sentiment) and no post is read. Otherwise
     each post file is cut into ranges of about _RANGE_BYTES that end on
     line ends, and _score_range loads, checks and scores each one in a
@@ -108,23 +111,15 @@ def load_dataset(config, out_dir=None):
     for _, _, unscored in (tweets, news):
         if unscored is not None:
             raise unscored
-
-    def daily(sums, path):
-        rows = sentiment.aggregate_daily(
-            {calendar.dates[day]: day_sums for day, day_sums in sums.items()}, calendar)
-        for row in rows:
-            if not math.isfinite(row.mean_ws):
-                raise StockcastError(f"{path}: mean weighted sentiment on {row.date} is not "
+    columns = []
+    for (_, sums, _), path in ((tweets, config.tweets), (news, config.news)):
+        means_and_count = sentiment.aggregate_daily(sums, len(calendar.dates))
+        for d, mean_ws in zip(calendar.dates, means_and_count[2]):
+            if not math.isfinite(mean_ws):
+                raise StockcastError(f"{path}: mean weighted sentiment on {d} is not "
                                      f"a finite float{_TOO_LARGE}")
-        return rows
-
-    return Dataset(
-        bars=bars,
-        tweet_count=tweets[0],
-        news_count=news[0],
-        tweet_daily=daily(tweets[1], config.tweets),
-        news_daily=daily(news[1], config.news),
-    )
+        columns += means_and_count
+    return Dataset(bars, tweets[0], news[0], dict(zip(DAILY_SENTIMENT_COLUMNS[1:], columns)))
 
 
 _TOO_LARGE = ": engagement counts or weights alpha..delta too large"
@@ -351,33 +346,33 @@ def scores_digest(config):
 
 
 def write_daily_sentiment(path, config, dataset):
-    """Save ``dataset``'s post counts and daily rows to ``path``, a publish stage.
+    """Save ``dataset``'s post counts and daily columns to ``path``, a publish stage.
 
     An output in the CSV form, with two note lines: ``# scores=`` with
     scores_digest and ``# kept_tweets=N kept_news=M``; then the
-    DAILY_SENTIMENT_COLUMNS header and one row per trading date.
+    DAILY_SENTIMENT_COLUMNS header and one row per trading date: the date,
+    then ``repr`` of each column's value.
     """
+    columns = [dataset.daily[name] for name in DAILY_SENTIMENT_COLUMNS[1:]]
     _write_csv(path, config, DAILY_SENTIMENT_COLUMNS, [
-        [tweet.date.isoformat(),
-         repr(tweet.mean_label), repr(tweet.mean_conf), repr(tweet.mean_ws), tweet.count,
-         repr(news.mean_label), repr(news.mean_conf), repr(news.mean_ws), news.count]
-        for tweet, news in zip(dataset.tweet_daily, dataset.news_daily)
+        [bar.date.isoformat(), *map(repr, row)] for bar, row in zip(dataset.bars, zip(*columns))
     ], notes=[f"scores={scores_digest(config)}",
               f"kept_tweets={dataset.tweet_count} kept_news={dataset.news_count}"])
 
 
 def load_daily_sentiment(path, config, calendar):
-    """(tweet_count, news_count, tweet_daily, news_daily) saved by write_daily_sentiment.
+    """(tweet_count, news_count, daily) saved by write_daily_sentiment.
 
-    None when ``path`` is no file or cannot be looked up, when an input
-    file cannot be read for the digest, or when its second line carries
-    another digest than this config's scores_digest, whatever else the
-    file holds: the caller then scores the posts, and reports an
-    unreadable input or out dir where it would without the file. A file
-    with this digest must parse in full (see _ReadBack). A wrong stamp
-    line, a mean that is not a finite float or a count that is not a whole
-    number >= 0 is a StockcastError too, and every such error says to
-    rerun ingest.
+    ``daily`` is Dataset's: each name in DAILY_SENTIMENT_COLUMNS[1:] ->
+    its column, filled field by field in header order. None when ``path``
+    is no file or cannot be looked up, when an input file cannot be read
+    for the digest, or when its second line carries another digest than
+    this config's scores_digest, whatever else the file holds: the caller
+    then scores the posts, and reports an unreadable input or out dir
+    where it would without the file. A file with this digest must parse
+    in full (see _ReadBack). A wrong stamp line, a mean that is not a
+    finite float or a count that is not a whole number >= 0 is a
+    StockcastError too, and every such error says to rerun ingest.
     """
     path = Path(path)
     try:
@@ -395,17 +390,16 @@ def load_daily_sentiment(path, config, calendar):
     kept = _KEPT_RE.fullmatch(lines[2]) if len(lines) > 2 else None
     if kept is None:
         raise table.expected(2, "# kept_tweets=N kept_news=M")
-    tweet_daily, news_daily = [], []
-    for index, d, fields in table.rows(3, DAILY_SENTIMENT_COLUMNS, calendar.dates):
-        for daily, first in ((tweet_daily, 1), (news_daily, 5)):
-            columns = DAILY_SENTIMENT_COLUMNS[first:first + 4]
-            *texts, count = fields[first:first + 4]
-            means = [table.finite(index, column, text) for column, text in zip(columns, texts)]
-            if not _COUNT_RE.fullmatch(count):
-                raise table.error(index, f"{columns[3]} {echo(repr(count))} is not a whole "
-                                         f"number >= 0")
-            daily.append(sentiment.DailySentiment(d, *means, int(count)))
-    return int(kept[1]), int(kept[2]), tweet_daily, news_daily
+    daily = {name: [] for name in DAILY_SENTIMENT_COLUMNS[1:]}
+    for index, _, fields in table.rows(3, DAILY_SENTIMENT_COLUMNS, calendar.dates):
+        for (name, column), text in zip(daily.items(), fields[1:]):
+            if not name.endswith("_count"):
+                column.append(table.finite(index, name, text))
+            elif _COUNT_RE.fullmatch(text):
+                column.append(int(text))
+            else:
+                raise table.error(index, f"{name} {echo(repr(text))} is not a whole number >= 0")
+    return int(kept[1]), int(kept[2]), daily
 
 
 __all__ = [

@@ -67,15 +67,6 @@ class WeightParams:
             raise ValueError("weights must be non-negative")
 
 
-@dataclass(frozen=True)
-class DailySentiment:
-    date: object
-    mean_label: float
-    mean_conf: float
-    mean_ws: float
-    count: int
-
-
 # --- engagement formulas ----------------------------------------------------
 
 def signed_sentiment(score):
@@ -250,40 +241,36 @@ def _first_line(path, post_id):
 
 # --- daily aggregation ---------------------------------------------------------
 
-def aggregate_daily(sums_by_date, calendar):
-    """Divide per-day score sums into one row per trading date.
+def aggregate_daily(sums_by_day, days):
+    """Divide per-day score sums into daily columns over ``days`` trading days.
 
     Args:
-        sums_by_date: dict trading-date -> (n, label_sum, conf_sum,
-            weighted_sum): the number of posts assigned to that date and
-            the sums of their score_post values, each added in load order,
-            left to right from 0.
-        calendar: the trading calendar to emit over.
+        sums_by_day: dict day index -> (n, label_sum, conf_sum,
+            weighted_sum): the number of posts assigned to that trading day
+            and the sums of their score_post values, each added in load
+            order, left to right from 0.
+        days: the number of trading days to emit.
 
     Returns:
-        One DailySentiment per calendar date, in order. Dates without
-        posts carry count=0 and means forward-filled from the previous
-        day (0.0 before the first populated day).
+        (mean_label, mean_conf, mean_ws, count): four lists with one entry
+        per day, in order. Days without posts carry count 0 and means
+        forward-filled from the previous day (0.0 before the first
+        populated day).
     """
-    rows = []
-    prev = (0.0, 0.0, 0.0)
-    for d in calendar:
-        n, label_sum, conf_sum, weighted_sum = sums_by_date.get(d, (0, 0, 0.0, 0.0))
+    columns = ([], [], [], [])
+    mean_label = mean_conf = mean_ws = 0.0
+    for day in range(days):
+        n, label_sum, conf_sum, weighted_sum = sums_by_day.get(day, (0, 0, 0.0, 0.0))
         if n:
-            mean_label = label_sum / n
-            mean_conf = conf_sum / n
-            mean_ws = weighted_sum / n
-            prev = (mean_label, mean_conf, mean_ws)
-            rows.append(DailySentiment(d, mean_label, mean_conf, mean_ws, n))
-        else:
-            rows.append(DailySentiment(d, prev[0], prev[1], prev[2], 0))
-    return rows
+            mean_label, mean_conf, mean_ws = label_sum / n, conf_sum / n, weighted_sum / n
+        for column, value in zip(columns, (mean_label, mean_conf, mean_ws, n)):
+            column.append(value)
+    return columns
 
 
 __all__ = [
     "SentimentScore",
     "WeightParams",
-    "DailySentiment",
     "LexiconProvider",
     "ReplayProvider",
     "signed_sentiment",

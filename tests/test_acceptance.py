@@ -229,13 +229,13 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
 
 @criterion(10, "feature-set shape audit")
 def test_criterion_10_feature_set_shapes():
-    from test_features import EXPECTED_WIDTHS, build_inputs, daily_rows
+    from test_features import EXPECTED_WIDTHS, build_inputs, daily_columns
 
     assert len(FEATURE_SETS) == 12
     assert EXPECTED_WIDTHS["Prices"] == 6
     assert EXPECTED_WIDTHS["Prices-Tweets-News-RSI-SMA"] == 14
     dates, bars, indicators = build_inputs()
-    table = assemble(bars, daily_rows(dates), daily_rows(dates), indicators)
+    table = assemble(bars, daily_columns(dates), indicators)
     for feature_set, width in EXPECTED_WIDTHS.items():
         matrix = select(table, feature_set)
         assert [len(column) for column in matrix.values] == [len(bars)] * width, feature_set

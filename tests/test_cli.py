@@ -360,6 +360,29 @@ def test_mistyped_post_field_exit_2(tmp_path, capsys, field, value):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("site", ["tweet", "replay"])
+def test_integer_past_digit_limit_exit_2(tmp_path, capsys, site):
+    # 5,001 digits: past Python's int-string limit of 4,300, which json.loads
+    # reports with a ValueError that is no JSONDecodeError
+    write_tiny_dataset(tmp_path)
+    huge = "9" * 5001
+    if site == "tweet":
+        path = tmp_path / "tweets.jsonl"
+        lines = path.read_text().splitlines()
+        lines[0] = lines[0].replace('"likes": 200', f'"likes": {huge}')
+        path.write_text("\n".join(lines) + "\n")
+        config = write_config(tmp_path)
+    else:
+        path = tmp_path / "scores.jsonl"
+        path.write_text(f'{{"id": "t0", "label": {huge}, "confidence": 1}}\n')
+        config = write_config(tmp_path, provider="replay", replay_scores="scores.jsonl")
+    code = cli.main(["ingest", "--config", str(config)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}:1: unparsable line 1: Exceeds the limit "), err[:300]
+    assert "Traceback" not in err
+
+
 #: The error that a weighted sentiment past float range ends with.
 TOO_LARGE = "is not a finite float: engagement counts or weights alpha..delta too large\n"
 
@@ -1087,9 +1110,10 @@ class TestScoredOnce:
         with publish(tmp_path) as stage:
             scoring.write_daily_sentiment(stage(scoring.DAILY_SENTIMENT_FILE), config, scored)
         saved = scoring.load_dataset(config, tmp_path)
-        for key in ("tweet_count", "news_count", "tweet_daily", "news_daily"):
+        for key in ("tweet_count", "news_count", "daily"):
             assert getattr(saved, key) == getattr(scored, key), key
-        assert any(d.count == 0 for d in saved.tweet_daily)  # forward-filled days too
+        assert list(saved.daily) == scoring.DAILY_SENTIMENT_COLUMNS[1:]
+        assert 0 in saved.daily["tweet_count"]  # forward-filled days too
 
     @pytest.mark.parametrize("command, flags", [
         ("featurize", []), ("featurize", ["--feature-set", "Prices-Weighted-Tweets-News"]),

@@ -24,7 +24,6 @@ from stockcast.features import (
     assemble,
     make_windows,
     minmax_fit,
-    select,
     sma,
 )
 from stockcast.forecaster import (
@@ -37,7 +36,7 @@ from stockcast.forecaster import (
 )
 from stockcast.ingest import TradingCalendar, load_posts_jsonl, load_price_csv
 from stockcast.market_sim import return_signal, run_simulation
-from stockcast.sentiment import DailySentiment, ReplayProvider
+from stockcast.sentiment import ReplayProvider
 
 from conftest import make_bar
 
@@ -52,11 +51,8 @@ def write(tmp_path, name, text):
     return path
 
 
-def misaligned_sentiment(tmp_path):
-    bars = [make_bar(d) for d in D[:3]]
-    shifted = [DailySentiment(d, 0.0, 0.0, 0.0, 0) for d in D[1:4]]
-    aligned = [DailySentiment(d, 0.0, 0.0, 0.0, 0) for d in D[:3]]
-    select(assemble(bars, shifted, aligned), "Prices-Tweets")
+def short_indicator(tmp_path):
+    assemble([make_bar(d) for d in D[:3]], {}, {"rsi": [50.0] * 2, "sma": [100.0] * 3})
 
 
 def diverging_training(tmp_path):
@@ -87,7 +83,7 @@ SITES = {
         FeatureMatrix(tuple(D), ("close",), (tuple(map(float, range(10))),)),
         7, D[6])),
     "LengthMismatch": (StockcastError, lambda p: r_squared([1.0, 2.0], [1.0])),
-    "MisalignedInputs": (StockcastError, misaligned_sentiment),
+    "MisalignedInputs": (StockcastError, short_indicator),
     "MisalignedSeries": (RunFailed, lambda p: run_simulation(
         [(D[1], 100.0)], [make_bar(D[0])], 1_000_000.0, 0.02, 0.02)),
     "MissingColumn": (StockcastError, lambda p: load_price_csv(

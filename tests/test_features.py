@@ -11,9 +11,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from numpy.lib.array_utils import byte_bounds
 
+from stockcast import scoring
 from stockcast.config import FEATURE_SETS
 from stockcast.errors import StockcastError
 from stockcast.features import (
+    INDICATOR_COLUMNS,
+    PRICE_COLUMNS,
     FeatureMatrix,
     assemble,
     feature_set_columns,
@@ -25,7 +28,6 @@ from stockcast.features import (
     sma,
 )
 from stockcast.ingest import load_price_csv
-from stockcast.sentiment import DailySentiment
 
 from conftest import FIXTURES, make_bar
 
@@ -204,8 +206,14 @@ EXPECTED_WIDTHS = {
 }
 
 
-def daily_rows(dates):
-    return [DailySentiment(d, 0.1 * i, 0.5, 0.2 * i, i) for i, d in enumerate(dates)]
+def daily_columns(dates):
+    """Daily sentiment columns for ``dates``, as scoring.Dataset's ``daily``
+    holds them: tweets then news, each mean_label, mean_conf, mean_ws, count."""
+    days = range(len(dates))
+    source = {"mean_label": [0.1 * i for i in days], "mean_conf": [0.5 for _ in days],
+              "mean_ws": [0.2 * i for i in days], "count": list(days)}
+    return {f"{prefix}_{key}": column for prefix in ("tweet", "news")
+            for key, column in source.items()}
 
 
 def build_inputs(n=8):
@@ -219,7 +227,7 @@ class TestAssemble:
     def test_all_twelve_column_counts(self):
         assert set(EXPECTED_WIDTHS) == set(FEATURE_SETS)
         dates, bars, indicators = build_inputs()
-        table = assemble(bars, daily_rows(dates), daily_rows(dates), indicators)
+        table = assemble(bars, daily_columns(dates), indicators)
         for feature_set, width in EXPECTED_WIDTHS.items():
             matrix = select(table, feature_set)
             assert len(matrix.columns) == width, feature_set
@@ -231,22 +239,31 @@ class TestAssemble:
 
     def test_price_columns_in_order(self):
         dates, bars, _ = build_inputs()
-        matrix = select(assemble(bars, daily_rows(dates), daily_rows(dates)), "Prices")
+        matrix = select(assemble(bars, daily_columns(dates)), "Prices")
         assert matrix.columns == ("open", "high", "low", "close", "adj_close", "volume")
         assert list(matrix.values[0]) == [b.open for b in bars]
 
     def test_weighted_block_excludes_confidence(self):
         dates, bars, _ = build_inputs()
-        matrix = select(assemble(bars, daily_rows(dates), daily_rows(dates)),
+        matrix = select(assemble(bars, daily_columns(dates)),
                         "Prices-Weighted-Tweets")
         assert matrix.columns[6:] == ("tweet_mean_ws", "tweet_count")
 
-    def test_misaligned_sentiment_rejected(self):
-        dates, bars, _ = build_inputs()
-        shifted = daily_rows([d + timedelta(days=1) for d in dates])
+    def test_daily_columns_keep_their_names(self):
+        dates, bars, indicators = build_inputs()
+        daily = daily_columns(dates)
+        table = assemble(bars, daily, indicators)
+        assert table.columns == (*PRICE_COLUMNS, *scoring.DAILY_SENTIMENT_COLUMNS[1:],
+                                 *INDICATOR_COLUMNS)
+        for name, column in daily.items():
+            assert table.values[table.columns.index(name)] == tuple(map(float, column)), name
+
+    def test_short_indicator_rejected(self):
+        dates, bars, indicators = build_inputs()
+        indicators["rsi"] = indicators["rsi"][:-1]
         with pytest.raises(StockcastError,
-                           match="^inputs not aligned to the trading calendar at 2023-01-02$"):
-            select(assemble(bars, shifted, daily_rows(dates)), "Prices-Tweets")
+                           match="^inputs not aligned to the trading calendar at 2023-01-09$"):
+            assemble(bars, daily_columns(dates), indicators)
 
 
 # --- windowing -----------------------------------------------------------------

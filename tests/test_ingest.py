@@ -181,9 +181,9 @@ class TestLoadPostsJsonl:
 class TestCalendar:
     def test_assign_rolls_forward_to_next_session(self):
         cal = TradingCalendar([date(2023, 1, 6), date(2023, 1, 9)])  # Fri, Mon
-        assert cal.assign(date(2023, 1, 7)) == date(2023, 1, 9)  # Saturday
-        assert cal.assign(date(2023, 1, 6)) == date(2023, 1, 6)
-        assert cal.assign(date(2023, 1, 10)) is None
+        assert cal.day(date(2023, 1, 7)) == 1  # Saturday
+        assert cal.day(date(2023, 1, 6)) == 0
+        assert cal.day(date(2023, 1, 10)) == -1
 
     def test_assign_posts_drops_past_calendar_end(self):
         cal = TradingCalendar([date(2023, 1, 6)])
@@ -199,7 +199,7 @@ class TestCalendar:
 def test_calendar_matches_price_file(fixtures_dir):
     bars = load_price_csv(fixtures_dir / "prices.csv")
     cal = calendar_from_bars(bars)
-    assert list(cal) == [b.date for b in bars]
+    assert cal.dates == [b.date for b in bars]
     assert cal.dates[0] == bars[0].date and cal.dates[-1] == bars[-1].date
 
 

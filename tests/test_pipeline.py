@@ -58,10 +58,10 @@ def test_matrix_dates_match_calendar(config, dataset):
 
 
 def test_daily_sentiment_covers_every_session(config, dataset):
-    sessions = [bar.date for bar in dataset.bars]
-    assert [d.date for d in dataset.tweet_daily] == sessions
-    assert [d.date for d in dataset.news_daily] == sessions
-    assert sum(d.count for d in dataset.tweet_daily) <= dataset.tweet_count
+    assert list(dataset.daily) == scoring.DAILY_SENTIMENT_COLUMNS[1:]
+    assert [len(column) for column in dataset.daily.values()] == [len(dataset.bars)] * 8
+    assert sum(dataset.daily["tweet_count"]) <= dataset.tweet_count
+    assert sum(dataset.daily["news_count"]) <= dataset.news_count
 
 
 def test_daily_sentiment_matches_frozen_values(dataset):
@@ -70,10 +70,12 @@ def test_daily_sentiment_matches_frozen_values(dataset):
     speed (tests/data/fixture_daily_sentiment.json)."""
     frozen = json.loads((Path(__file__).parent / "data" / "fixture_daily_sentiment.json")
                         .read_text(encoding="utf-8"))
-    for key in ("tweet_daily", "news_daily"):
-        rows = [[d.date.isoformat(), d.mean_label, d.mean_conf, d.mean_ws, d.count]
-                for d in getattr(dataset, key)]
-        assert rows == frozen[key], key
+    dates = [bar.date.isoformat() for bar in dataset.bars]
+    for source in ("tweet", "news"):
+        columns = [dataset.daily[f"{source}_{key}"]
+                   for key in ("mean_label", "mean_conf", "mean_ws", "count")]
+        rows = [list(row) for row in zip(dates, *columns)]
+        assert rows == frozen[f"{source}_daily"], source
 
 
 def test_fixture_feature_files_match_frozen_digests(fixture_config_path, tmp_path, capsys):
@@ -145,7 +147,7 @@ def test_replay_provider_covers_fixture_posts(fixture_config_path):
         "epochs": 2,
     })
     dataset = load_dataset(config)
-    assert sum(d.count for d in dataset.tweet_daily) > 0
+    assert sum(dataset.daily["tweet_count"]) > 0
     provider = make_provider(config)
     assert isinstance(provider, ReplayProvider)
 
@@ -273,7 +275,13 @@ def ingest_err(config, capsys):
 
 
 def summary(dataset):
-    return (dataset.tweet_count, dataset.news_count, dataset.tweet_daily, dataset.news_daily)
+    return (dataset.tweet_count, dataset.news_count, dataset.daily)
+
+
+def tweet_counts(dataset):
+    """ISO date -> the number of tweets averaged on that day."""
+    return dict(zip((bar.date.isoformat() for bar in dataset.bars),
+                    dataset.daily["tweet_count"]))
 
 
 @pytest.mark.parametrize("provider", ["lexicon", "replay"])
@@ -357,7 +365,7 @@ def test_min_likes_filter(tmp_path):
     lines = [post_line(id=f"t{likes}", likes=likes) for likes in (50, 100, 150)]
     dataset = load_dataset(parse_config(write_posts_config(tmp_path, lines)))
     assert dataset.tweet_count == 2
-    counts = {d.date.isoformat(): d.count for d in dataset.tweet_daily}
+    counts = tweet_counts(dataset)
     assert counts["2022-06-01"] == 2
 
 
@@ -374,7 +382,7 @@ def test_duplicate_of_post_under_min_likes_stays_dropped(tmp_path, monkeypatch):
     pooled = load_dataset(config)
     assert summary(pooled) == summary(here)
     assert pooled.tweet_count == 20
-    counts = {d.date.isoformat(): d.count for d in pooled.tweet_daily}
+    counts = tweet_counts(pooled)
     assert counts["2022-06-01"] == 20 and counts["2022-06-02"] == 0
 
 
@@ -392,7 +400,7 @@ def test_lone_surrogate_id_kept_once(tmp_path, monkeypatch, capsys):
     assert cli.main(["ingest", "--config", str(config)]) == 0
     assert "tweets: 21\n" in capsys.readouterr().out
     dataset = load_dataset(parse_config(config))
-    counts = {d.date.isoformat(): d.count for d in dataset.tweet_daily}
+    counts = tweet_counts(dataset)
     assert counts["2022-06-01"] == 21 and counts["2022-06-02"] == 0
 
 

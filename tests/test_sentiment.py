@@ -3,16 +3,14 @@
 import json
 import random
 from array import array
-from datetime import date, timedelta
+from datetime import date
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from stockcast import scoring
 from stockcast.errors import StockcastError
-from stockcast.ingest import TradingCalendar
 from stockcast.sentiment import (
-    DailySentiment,
     LexiconProvider,
     ReplayProvider,
     SentimentScore,
@@ -330,47 +328,42 @@ class TestAggregateDaily:
         return sums[0]
 
     def test_means_over_one_day(self):
-        cal = TradingCalendar(self.D[:1])
         posts = [
             self.scored(self.D[0], 1, 0.9),
             self.scored(self.D[0], 0, 0.5),
             self.scored(self.D[0], -1, 0.7),
         ]
-        (row,) = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
-        assert row.count == 3
-        assert row.mean_label == pytest.approx(0.0)
-        assert row.mean_conf == pytest.approx(0.7)
+        (label,), (conf,), _, (count,) = aggregate_daily({0: self.sums(posts)}, 1)
+        assert count == 3
+        assert label == pytest.approx(0.0)
+        assert conf == pytest.approx(0.7)
 
     def test_empty_day_forward_fills(self):
-        cal = TradingCalendar(self.D[:2])
         posts = [self.scored(self.D[0], 1, 0.5), self.scored(self.D[0], 0, 0.5)]
-        rows = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
-        assert rows[1].count == 0
-        assert rows[1].mean_label == rows[0].mean_label == 0.5
+        labels, _, _, counts = aggregate_daily({0: self.sums(posts)}, 2)
+        assert counts[1] == 0
+        assert labels[1] == labels[0] == 0.5
 
     def test_leading_empty_day_defaults_to_zero(self):
-        cal = TradingCalendar(self.D[:2])
-        rows = aggregate_daily({self.D[1]: self.sums([self.scored(self.D[1], 1, 0.9)])}, cal)
-        assert rows[0] == DailySentiment(self.D[0], 0.0, 0.0, 0.0, 0)
+        columns = aggregate_daily({1: self.sums([self.scored(self.D[1], 1, 0.9)])}, 2)
+        assert [column[0] for column in columns] == [0.0, 0.0, 0.0, 0]
 
     def test_singleton_day(self):
-        cal = TradingCalendar(self.D[:1])
-        (row,) = aggregate_daily(
-            {self.D[0]: self.sums([self.scored(self.D[0], -1, 0.8)])}, cal)
-        assert (row.mean_label, row.mean_conf, row.count) == (-1.0, 0.8, 1)
+        (label,), (conf,), _, (count,) = aggregate_daily(
+            {0: self.sums([self.scored(self.D[0], -1, 0.8)])}, 1)
+        assert (label, conf, count) == (-1.0, 0.8, 1)
 
     def test_order_invariance(self):
-        cal = TradingCalendar(self.D[:1])
         posts = [
             self.scored(self.D[0], 1, 0.9, retweets=5, likes=10, followers=100),
             self.scored(self.D[0], -1, 0.4, retweets=1, likes=3, followers=50),
             self.scored(self.D[0], 0, 0.2),
         ]
-        forward = aggregate_daily({self.D[0]: self.sums(posts)}, cal)
-        backward = aggregate_daily({self.D[0]: self.sums(posts[::-1])}, cal)
-        assert forward[0].mean_label == pytest.approx(backward[0].mean_label)
-        assert forward[0].mean_ws == pytest.approx(backward[0].mean_ws)
-        assert forward[0].count == backward[0].count
+        forward = aggregate_daily({0: self.sums(posts)}, 1)
+        backward = aggregate_daily({0: self.sums(posts[::-1])}, 1)
+        assert forward[0] == pytest.approx(backward[0])
+        assert forward[2] == pytest.approx(backward[2])
+        assert forward[3] == backward[3]
 
     def test_means_are_sum_over_count_bit_for_bit(self):
         """The daily means equal sum(column) / n, the expression the running
@@ -386,19 +379,20 @@ class TestAggregateDaily:
             return rng.choice((-1.0, 1.0)) * 10.0 ** rng.uniform(-300, 300)
 
         for _ in range(20):
-            days = [date(2023, 1, 2) + timedelta(days=i) for i in range(30)]
-            by_day = {d: [(rng.choice((-1, 0, 1)), value(), value())
-                          for _ in range(rng.randint(1, 6))]
-                      for d in days if rng.random() < 0.7}
-            by_day[days[3]] = [(0, -0.0, -0.0)]
-            by_day[days[4]] = [(0, -0.0, -0.0)] * 3
-            rows = aggregate_daily({d: self.sums(scored) for d, scored in by_day.items()},
-                                   TradingCalendar(days))
+            days = 30
+            by_day = {day: [(rng.choice((-1, 0, 1)), value(), value())
+                            for _ in range(rng.randint(1, 6))]
+                      for day in range(days) if rng.random() < 0.7}
+            by_day[3] = [(0, -0.0, -0.0)]
+            by_day[4] = [(0, -0.0, -0.0)] * 3
+            columns = aggregate_daily({day: self.sums(scored) for day, scored in by_day.items()},
+                                      days)
             expected, means = [], (0.0, 0.0, 0.0)
-            for d in days:
-                scored = by_day.get(d, [])
+            for day in range(days):
+                scored = by_day.get(day, [])
                 if scored:
                     means = tuple(sum(column) / len(scored) for column in zip(*scored))
-                expected.append((d, *(m.hex() for m in means), len(scored)))
-            assert [(row.date, row.mean_label.hex(), row.mean_conf.hex(), row.mean_ws.hex(),
-                     row.count) for row in rows] == expected
+                expected.append((*(m.hex() for m in means), len(scored)))
+            labels, confs, weighted, counts = columns
+            assert [(label.hex(), conf.hex(), ws.hex(), count) for label, conf, ws, count
+                    in zip(labels, confs, weighted, counts)] == expected
