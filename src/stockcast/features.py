@@ -1,4 +1,4 @@
-"""Technical indicators, min-max scaling, feature assembly and windowing.
+"""Technical indicators, feature assembly, and scaled windowing.
 
 Twelve feature sets (config.FEATURE_SETS) combine four column blocks in
 a fixed order:
@@ -15,13 +15,12 @@ the eight columns of daily_sentiment.csv under its header's names
 feature set is the selection of its blocks' columns from that table, by
 name.
 
-Scaling is fitted on the training span only; test rows are transformed
-with the same state and may land outside [0, 1] (never clipped).
-
 A FeatureMatrix holds plain floats, one tuple per column, so assembling,
 selecting and formatting the table (all featurize does) needs no numpy.
-numpy loads only in minmax_fit, minmax_transform and make_windows, which
-stacks the columns into the float64 (rows, columns) table it scales.
+numpy loads only in make_windows, which stacks one set's columns into a
+float64 (rows, columns) table and min-max scales it with each column's
+(min, max) over the training rows; test rows may land outside [0, 1]
+and are never clipped.
 """
 
 from __future__ import annotations
@@ -117,47 +116,6 @@ def rsi(closes, period):
     return out
 
 
-# --- min-max scaling ----------------------------------------------------------
-
-@dataclass(frozen=True)
-class NormalizationState:
-    """Per-column (min, max) fitted on the training span."""
-
-    columns: tuple
-    mins: object  # (columns,) float64 ndarray
-    maxs: object
-
-    def column_state(self, name):
-        i = self.columns.index(name)
-        return float(self.mins[i]), float(self.maxs[i])
-
-
-def minmax_fit(values, columns):
-    """Fit per-column (min, max) on a (rows, cols) array."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    if values.ndim != 2 or values.shape[0] == 0:
-        raise StockcastError("cannot fit normalization on empty column "
-                             f"{columns[0] if columns else '<none>'!r}")
-    return NormalizationState(
-        columns=tuple(columns),
-        mins=values.min(axis=0),
-        maxs=values.max(axis=0),
-    )
-
-
-def minmax_transform(state, values):
-    """(x - min) / (max - min); constant columns map to 0.0. Not clipped."""
-    import numpy as np
-
-    values = np.asarray(values, dtype=np.float64)
-    span = state.maxs - state.mins
-    safe = np.where(span == 0, 1.0, span)
-    out = (values - state.mins) / safe
-    return np.where(span == 0, 0.0, out)
-
-
 # --- assembly -------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -177,8 +135,8 @@ def assemble(bars, daily, indicators=None):
     their own names, the eight of daily_sentiment.csv (scoring.Dataset's
     ``daily``), each one value per bar; then rsi and sma when
     ``indicators`` is given. Values are left unscaled here; make_windows
-    fits normalization on the training span so no test information leaks
-    into the scaler.
+    scales on the training rows, so no test information leaks into the
+    scale.
 
     Raises:
         StockcastError: an indicator series does not cover the bar dates.
@@ -232,7 +190,7 @@ class WindowedDataset:
 class SplitWindows:
     train: WindowedDataset
     test: WindowedDataset
-    norm: NormalizationState
+    close_range: tuple  # training (min, max) of close: maps forecasts back to prices
 
 
 def make_windows(matrix, lookback, split_date):
@@ -244,39 +202,44 @@ def make_windows(matrix, lookback, split_date):
     leaks nothing (those rows predate the targets).
 
     The matrix's columns are stacked into one float64 (rows, columns)
-    table, which is scaled. Train and test ``X`` are read-only views of the
+    table and min-max scaled with each column's (min, max) over the
+    training rows: (x - min) / (max - min), 0.0 for a constant column,
+    test rows not clipped. Train and test ``X`` are read-only views of the
     scaled table, not copies: window k is rows [k, k + lookback) of it, so
-    the windows hold the table once instead of lookback times.
+    the windows hold the table once instead of lookback times. ``y`` is a
+    copy of the scaled close column's targets.
 
     Raises:
-        StockcastError: lookback >= number of training rows.
+        StockcastError: lookback >= number of training rows, or a column's
+            scaled training rows are not finite.
     """
     import numpy as np
     from numpy.lib.stride_tricks import sliding_window_view
 
     if lookback < 1:
         raise ValueError("lookback must be >= 1")
-    dates = matrix.dates
-    n = len(dates)
-    n_train_rows = sum(1 for d in dates if d <= split_date)
-    if lookback >= n_train_rows:
-        raise StockcastError(f"lookback {lookback} >= training rows {n_train_rows}")
-    table = np.column_stack([np.asarray(column, dtype=np.float64) for column in matrix.values])
-    norm = minmax_fit(table[:n_train_rows], matrix.columns)
-    scaled = minmax_transform(norm, table)
-    close_idx = matrix.columns.index("close")
+    dates, n = matrix.dates, len(matrix.dates)
+    n_train = sum(1 for d in dates if d <= split_date)
+    if lookback >= n_train:
+        raise StockcastError(f"lookback {lookback} >= training rows {n_train}")
+    scaled = np.column_stack([np.asarray(column, dtype=np.float64) for column in matrix.values])
+    lo, hi = scaled[:n_train].min(axis=0), scaled[:n_train].max(axis=0)
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = hi - lo
+        scaled -= lo
+        scaled /= np.where(span == 0, 1.0, span)
+    scaled[:, span == 0] = 0.0
+    finite = np.isfinite(scaled[:n_train]).all(axis=0)
+    if not finite.all():
+        raise StockcastError(f"feature column {matrix.columns[finite.argmin()]!r} is not "
+                             f"finite once min-max scaled on the training rows")
+    close = matrix.columns.index("close")
     # (n - lookback + 1, lookback, columns): window k is scaled[k:k + lookback]
     windows = sliding_window_view(scaled, lookback, axis=0).transpose(0, 2, 1)
-
-    def build(t_start, t_stop):
-        targets = range(t_start, t_stop)
-        X = windows[t_start - lookback:t_stop - lookback]
-        y = np.array([scaled[t, close_idx] for t in targets], dtype=np.float64)
-        return WindowedDataset(X=X, y=y, dates=tuple(dates[t] for t in targets))
-
-    train = build(lookback, n_train_rows)
-    test = build(n_train_rows, n)
-    return SplitWindows(train=train, test=test, norm=norm)
+    train, test = (WindowedDataset(X=windows[start - lookback:stop - lookback],
+                                   y=scaled[start:stop, close].copy(), dates=dates[start:stop])
+                   for start, stop in ((lookback, n_train), (n_train, n)))
+    return SplitWindows(train, test, close_range=(float(lo[close]), float(hi[close])))
 
 
 __all__ = [
@@ -288,9 +251,6 @@ __all__ = [
     "feature_set_columns",
     "sma",
     "rsi",
-    "NormalizationState",
-    "minmax_fit",
-    "minmax_transform",
     "FeatureMatrix",
     "assemble",
     "select",

@@ -547,28 +547,29 @@ def train(dataset, config, models=1):
     state = AdamState.for_weights(weights)
     shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
     losses = []
-    for epoch in range(config.epochs):
-        orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
-        sq_sum = 0.0
-        try:
-            for start in range(0, n, batch):
-                idx = orders[:, start:start + batch]
-                pred, cache = forward(weights, X[idx], workspace)
-                with np.errstate(over="ignore"):
+    # no numpy warnings: the loss and prediction checks raise on what overflows
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(config.epochs):
+            orders = np.stack([rng.permutation(n) for rng in shuffle_rngs])
+            sq_sum = 0.0
+            try:
+                for start in range(0, n, batch):
+                    idx = orders[:, start:start + batch]
+                    pred, cache = forward(weights, X[idx], workspace)
                     batch_sq = np.sum((pred - y[idx]) ** 2, axis=1)
-                if not np.all(np.isfinite(batch_sq)):
-                    # stop here: backward, clip and Adam would spread the overflow
-                    raise RunFailed("non-finite batch loss")
-                sq_sum += batch_sq
-                grads = backward(weights, cache, y[idx], workspace)
-                clip_gradients(grads, GRAD_CLIP)
-                adam_step(weights, grads, state, config.learning_rate)
-            epoch_loss = sq_sum / n
-            if not np.all(np.isfinite(epoch_loss)):
-                raise RunFailed("non-finite epoch loss")
-        except RunFailed as exc:
-            raise RunFailed(f"training diverged at epoch {epoch}") from exc
-        losses.append(epoch_loss)
+                    if not np.all(np.isfinite(batch_sq)):
+                        # stop here: backward, clip and Adam would spread the overflow
+                        raise RunFailed("non-finite batch loss")
+                    sq_sum += batch_sq
+                    grads = backward(weights, cache, y[idx], workspace)
+                    clip_gradients(grads, GRAD_CLIP)
+                    adam_step(weights, grads, state, config.learning_rate)
+                epoch_loss = sq_sum / n
+                if not np.all(np.isfinite(epoch_loss)):
+                    raise RunFailed("non-finite epoch loss")
+            except RunFailed as exc:
+                raise RunFailed(f"training diverged at epoch {epoch}") from exc
+            losses.append(epoch_loss)
     histories = np.reshape(losses, (config.epochs, K)).T.tolist()
     return [(LstmWeights.from_theta(row, F, H), history)
             for row, history in zip(theta, histories)]
@@ -596,9 +597,10 @@ def predict(weights, dataset):
     workspace = LstmWorkspace(max(np.diff(bounds)), T, F, H)
     block = LstmWeights.from_theta(weights.theta[None], F, H)
     preds = np.empty(n)
-    for start, stop in zip(bounds, bounds[1:]):
-        pred, _ = forward(block, X[None, start:stop], workspace)
-        preds[start:stop] = pred[0]
+    with np.errstate(over="ignore", invalid="ignore"):  # forward raises on what overflows
+        for start, stop in zip(bounds, bounds[1:]):
+            pred, _ = forward(block, X[None, start:stop], workspace)
+            preds[start:stop] = pred[0]
     return preds
 
 

@@ -102,7 +102,8 @@ def load_price_csv(path):
     volume >= 0).
 
     Raises:
-        StockcastError: a header column is missing, the file has no rows
+        StockcastError: a header column is missing (the error names a
+            leading UTF-8 byte order mark), the file has no rows
             after its header, or a row fails to parse, breaks a bar
             invariant or repeats or goes back in date. Row errors start
             ``<path>:<line>: ``.
@@ -115,7 +116,9 @@ def load_price_csv(path):
             header = next(reader, [])
             for col in PRICE_HEADER:
                 if col not in header:
-                    raise StockcastError(f"missing required column {col!r} in {path}")
+                    bom = "".join(header[:1]).startswith("\ufeff")
+                    raise StockcastError(f"missing required column {col!r} in {path}" + (
+                        ", which starts with a UTF-8 byte order mark" if bom else ""))
             idx = {col: header.index(col) for col in PRICE_HEADER}
             last_date = None
             # A row starts on the line after the previous row's last line; a

@@ -45,7 +45,8 @@ def build_matrix(config, dataset):
 
     rsi and sma are computed only when a configured set uses them: they
     need more closes than the other columns do, and too few for a period
-    is an error that names the prices file and the period's key.
+    is an error that names the prices file and the period's key, as is an
+    indicator value past the float range.
     """
     from . import features
 
@@ -57,6 +58,10 @@ def build_matrix(config, dataset):
                                       ("sma", features.sma, config.sma_period)):
             try:
                 indicators[name] = compute(closes, period)
+                bad = next((bar.date for bar, value in zip(dataset.bars, indicators[name])
+                            if not math.isfinite(value)), None)
+                if bad is not None:
+                    raise StockcastError(f"{name} is not finite on {bad}")
             except StockcastError as exc:
                 raise StockcastError(f"{config.prices}: {name}_period = {period}: {exc}") from None
     return features.assemble(dataset.bars, dataset.daily, indicators)
@@ -80,7 +85,7 @@ def run_feature_set(feature_set, split, preds):
     """
     import numpy as np
 
-    close_min, close_max = split.norm.column_state("close")
+    close_min, close_max = split.close_range
 
     def to_price(values):
         return values * (close_max - close_min) + close_min
@@ -348,7 +353,7 @@ def _check_scorable(config, y_test):
     n = y_test.size
     if n < 2 or (y_test == y_test[0]).all():
         raise StockcastError(
-            f"split_date {config.split_date} leaves {n} test windows"
+            f"split_date {config.split_date} leaves {n} test window{'' if n == 1 else 's'}"
             f"{', all with the same close' if n >= 2 else ''}: R2 needs at least 2 "
             f"whose closes differ"
         )

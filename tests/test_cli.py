@@ -3,6 +3,7 @@
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from datetime import date, timedelta
@@ -501,6 +502,56 @@ def test_price_row_width_exit_2(tmp_path, capsys, edit):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["featurize", "train-eval"])
+def test_indicator_past_float_range_exit_2(tmp_path, monkeypatch, capsys, command):
+    # 16 bars in a row at 1.5e308, each a valid bar: the 14-day SMA sums
+    # past the float max from the first window that holds two of them
+    shutil.copytree(REPO / "fixtures", tmp_path / "fixtures")
+    (tmp_path / "configs").mkdir()
+    shutil.copy(REPO / "configs" / "fixture.conf", tmp_path / "configs")
+    prices = tmp_path / "fixtures" / "prices.csv"
+    header, *rows = prices.read_text().splitlines()
+    for i in range(100, 116):
+        day, *_, volume = rows[i].split(",")
+        rows[i] = ",".join([day, *["1.5e308"] * 5, volume])
+    prices.write_text("\n".join([header, *rows]) + "\n")
+    monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
+    code = cli.main([command, "--config", str(tmp_path / "configs" / "fixture.conf")])
+    assert code == 2
+    first = rows[101][:10]
+    assert capsys.readouterr().err == (
+        f"error: {prices}: sma_period = 14: sma is not finite on {first}\n")
+    assert not (tmp_path / "configs" / "out").exists()
+
+
+def test_feature_past_float_range_once_scaled_exit_2(tmp_path, monkeypatch, capsys):
+    # with alpha = 1e300 and delta = 0.17 one post weighs 1.7e308: the day
+    # means of a rally post and a loss post span past the float max
+    days = write_tiny_dataset(tmp_path)
+    post = {"retweets": 1, "likes": 0, "comments": 0, "followers": 10**9}
+    (tmp_path / "tweets.jsonl").write_text("".join(json.dumps(line) + "\n" for line in [
+        {"id": "up", "ts": f"{days[0]}T12:00:00Z", "text": "profit surge rally", **post},
+        {"id": "down", "ts": f"{days[3]}T12:00:00Z", "text": "quarterly loss warning", **post},
+    ]))
+    path = write_config(tmp_path, alpha="1e300", delta="0.17",
+                        feature_sets="Prices-Weighted-Tweets")
+    monkeypatch.setattr("stockcast.forecaster.train", refuse_training)
+    assert cli.main(["train-eval", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == ("error: feature column 'tweet_mean_ws' is not finite "
+                                       "once min-max scaled on the training rows\n")
+    assert not (tmp_path / "out").exists()
+
+
+def test_price_file_with_byte_order_mark_exit_2(tmp_path, capsys):
+    # a "CSV UTF-8" export starts with U+FEFF, which joins the first header name
+    write_tiny_dataset(tmp_path)
+    prices = tmp_path / "prices.csv"
+    prices.write_bytes(b"\xef\xbb\xbf" + prices.read_bytes())
+    assert cli.main(["ingest", "--config", str(write_config(tmp_path))]) == 2
+    assert capsys.readouterr().err == (f"error: missing required column 'Date' in {prices}, "
+                                       f"which starts with a UTF-8 byte order mark\n")
+
+
 @pytest.mark.parametrize("column, value", [
     (1, "inf"), (2, "inf"), (3, "-inf"), (4, "nan"), (5, "1e999"), (6, "inf"), (6, "nan"),
 ], ids=["open-inf", "high-inf", "low-neg-inf", "close-nan", "adj-close-overflow",
@@ -634,9 +685,10 @@ class TestTrainEvalCommand:
         assert code == 3
         assert "diverged" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("last_days", [1, 2], ids=["no-test-window", "one-test-window"])
+    @pytest.mark.parametrize("last_days, windows", [(1, "0 test windows"), (2, "1 test window")],
+                             ids=["no-test-window", "one-test-window"])
     def test_unscorable_split_refused_before_training(self, tmp_path, monkeypatch, capsys,
-                                                      last_days):
+                                                      last_days, windows):
         # split_date on the last bar leaves no test window, on the one before
         # it a single window; R2 cannot score either
         days = write_tiny_dataset(tmp_path)
@@ -645,7 +697,8 @@ class TestTrainEvalCommand:
         code = cli.main(["train-eval", "--config", str(path)])
         err = capsys.readouterr().err
         assert code == 2
-        assert "split_date" in err
+        assert err == (f"error: split_date {days[-last_days]} leaves {windows}: "
+                       f"R2 needs at least 2 whose closes differ\n")
         assert not (tmp_path / "out").exists()
 
     def test_constant_test_closes_refused_before_training(self, tmp_path, monkeypatch,
@@ -661,6 +714,20 @@ class TestTrainEvalCommand:
         err = capsys.readouterr().err
         assert code == 2
         assert "split_date" in err and "same close" in err
+
+    def test_overflow_in_training_prints_only_the_error(self, tmp_path):
+        # at lr 1e308 the first Adam step takes the weights past the float
+        # range, so forward's products overflow before the loss check stops
+        text = (REPO / "configs" / "fixture.conf").read_text()
+        path = tmp_path / "fixture.conf"
+        path.write_text(text.replace("learning_rate = 0.001", "learning_rate = 1e308")
+                        .replace("../fixtures/", f"{REPO / 'fixtures'}/"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "stockcast.cli", "train-eval", "--config", str(path),
+             "--feature-set", "Prices", "--replicates", "1"],
+            capture_output=True, text=True, env=subprocess_env(), check=False)
+        assert proc.returncode == 3
+        assert proc.stderr == "error: training diverged at epoch 0\n"
 
     def test_missing_price_file_leaves_no_out_dir(self, tmp_path, capsys):
         write_tiny_dataset(tmp_path)

@@ -23,7 +23,6 @@ from stockcast.features import (
     WindowedDataset,
     assemble,
     make_windows,
-    minmax_fit,
     sma,
 )
 from stockcast.forecaster import (
@@ -78,7 +77,6 @@ SITES = {
     "ConstantTarget": (StockcastError, lambda p: r_squared([2.0, 2.0, 2.0], [1.0, 2.0, 3.0])),
     "DuplicateDate": (StockcastError, lambda p: load_price_csv(
         write(p, "d.csv", HEADER + ROW + ROW))),
-    "EmptyColumn": (StockcastError, lambda p: minmax_fit(np.empty((0, 1)), ["x"])),
     "InsufficientHistory": (StockcastError, lambda p: make_windows(
         FeatureMatrix(tuple(D), ("close",), (tuple(map(float, range(10))),)),
         7, D[6])),
@@ -95,6 +93,10 @@ SITES = {
         LstmWeights.from_theta(init_weights(LstmConfig(hidden_units=2, seed=0), 2).theta[None],
                                2, 2),
         np.full((1, 1, 3, 2), np.nan), LstmWorkspace(1, 3, 2, 2))),
+    "NonFiniteFeature": (StockcastError, lambda p: make_windows(
+        FeatureMatrix(tuple(D), ("close", "tweet_mean_ws"),
+                      (tuple(map(float, range(10))), (1.7e308, -1.7e308) + (0.0,) * 8)),
+        3, D[6])),
     "NonMonotonicDate": (StockcastError, lambda p: TradingCalendar([D[1], D[0]])),
     "NonPositiveOpen": (StockcastError, lambda p: return_signal(100.0, 0.0)),
     "SeriesTooShort": (StockcastError, lambda p: sma([1.0, 2.0], 3)),

@@ -21,8 +21,6 @@ from stockcast.features import (
     assemble,
     feature_set_columns,
     make_windows,
-    minmax_fit,
-    minmax_transform,
     rsi,
     select,
     sma,
@@ -162,30 +160,67 @@ class TestLeftToRightSums:
         assert left_fold(gains) == 1e16 != math.fsum(gains)
         assert rsi(closes, 52)[-1] == 50.0  # average gain == average loss
 
+
+def minmax_oracle(table, n_train):
+    """Min-max scaling written out column by column: (x - min) / (max - min)
+    with each column's min and max over its first n_train rows, and 0.0
+    everywhere in a constant column."""
+    out = np.empty_like(table)
+    for j, column in enumerate(table.T.tolist()):
+        lo, hi = min(column[:n_train]), max(column[:n_train])
+        out[:, j] = [0.0 if hi == lo else (x - lo) / (hi - lo) for x in column]
+    return out
+
+
+def consecutive_dates(n):
+    return [date(2023, 1, 1) + timedelta(days=i) for i in range(n)]
+
+
 class TestMinmax:
+    """make_windows' scaling, against minmax_oracle."""
+
     def test_endpoints_and_midpoint(self):
-        state = minmax_fit(np.array([[2.0], [4.0], [6.0]]), ["x"])
-        values = minmax_transform(state, np.array([[2.0], [6.0], [4.0]]))
-        assert values.ravel().tolist() == [0.0, 1.0, 0.5]
+        # rows 2, 6, 4 train and 8 tests; lookback 1 windows rows 0..2
+        dates = consecutive_dates(4)
+        split = make_windows(matrix_of([2.0, 6.0, 4.0, 8.0], dates), 1, dates[2])
+        assert split.train.X.ravel().tolist() == [0.0, 1.0]
+        assert split.train.y.tolist() == [1.0, 0.5]
+        assert split.test.X.ravel().tolist() == [0.5]
+        assert split.test.y.tolist() == [1.5]  # above the training max: not clipped
+        assert split.close_range == (2.0, 6.0)
 
     def test_constant_column_maps_to_zero(self):
-        state = minmax_fit(np.array([[5.0], [5.0]]), ["x"])
-        out = minmax_transform(state, np.array([[5.0], [7.0]]))
-        assert out.ravel().tolist() == [0.0, 0.0]
-
-    def test_empty_column(self):
-        with pytest.raises(StockcastError,
-                           match="^cannot fit normalization on empty column 'x'$"):
-            minmax_fit(np.empty((0, 1)), ["x"])
+        # volume is 5.0 on every training row and 7.0 on the test rows
+        dates = consecutive_dates(8)
+        matrix = FeatureMatrix(tuple(dates), ("close", "volume"),
+                               (tuple(map(float, range(8))), (5.0,) * 5 + (7.0,) * 3))
+        split = make_windows(matrix, 2, dates[4])
+        assert len(split.train) == 3 and len(split.test) == 3
+        for part in (split.train, split.test):
+            assert part.X[..., 1].tolist() == [[0.0, 0.0]] * 3
+        assert split.test.y.tolist() == [1.25, 1.5, 1.75]
 
     @settings(max_examples=100)
     @given(st.lists(st.floats(-1e6, 1e6), min_size=2, max_size=30).filter(
         lambda xs: max(xs) > min(xs)))
     def test_training_values_land_in_unit_interval(self, xs):
-        col = np.array(xs).reshape(-1, 1)
-        state = minmax_fit(col, ["x"])
-        out = minmax_transform(state, col)
-        assert out.min() >= 0.0 and out.max() <= 1.0
+        dates = consecutive_dates(len(xs))
+        split = make_windows(matrix_of(xs, dates), 1, dates[-1])
+        scaled = minmax_oracle(np.array(xs).reshape(-1, 1), len(xs))
+        assert split.train.X.ravel().tobytes() == scaled[:-1, 0].tobytes()
+        assert split.train.y.tobytes() == scaled[1:, 0].tobytes()
+        assert split.train.X.min() >= 0.0 and split.train.X.max() <= 1.0
+        assert split.train.y.min() >= 0.0 and split.train.y.max() <= 1.0
+
+    def test_non_finite_scaled_column_refused(self):
+        # a finite column whose training span passes the float range
+        dates = consecutive_dates(6)
+        ws = (1.7e308, -1.7e308, 0.0, 1.0, 2.0, 3.0)
+        matrix = FeatureMatrix(tuple(dates), ("close", "tweet_mean_ws"),
+                               (tuple(map(float, range(6))), ws))
+        with pytest.raises(StockcastError, match="^feature column 'tweet_mean_ws' is not finite "
+                                                 "once min-max scaled on the training rows$"):
+            make_windows(matrix, 2, dates[3])
 
 
 # --- assembly ----------------------------------------------------------------
@@ -273,12 +308,14 @@ def matrix_of(values, dates):
 
 
 def check_windows_are_views(matrix, lookback, split_date):
-    """make_windows' train and test X are read-only views of one scaled
-    table, bit for bit the np.stack copies of its rows, and pickle (as
-    they reach a pool worker) as contiguous copies. Returns the split."""
+    """make_windows' train and test X are read-only views of one table,
+    bit for bit the np.stack copies of minmax_oracle's rows, and pickle (as
+    they reach a pool worker) as contiguous copies; each y is a contiguous
+    copy of the oracle's close targets. Returns the split."""
     split = make_windows(matrix, lookback, split_date)
-    scaled = minmax_transform(split.norm, np.column_stack(matrix.values))
     n, n_train = len(matrix.dates), sum(1 for d in matrix.dates if d <= split_date)
+    scaled = minmax_oracle(np.column_stack(matrix.values), n_train)
+    close = matrix.columns.index("close")
     lows, highs = [], []
     for part, targets in ((split.train, range(lookback, n_train)), (split.test, range(n_train, n))):
         stacked = np.stack([scaled[t - lookback:t] for t in targets]) if targets \
@@ -286,6 +323,9 @@ def check_windows_are_views(matrix, lookback, split_date):
         assert part.X.shape == stacked.shape and part.X.dtype == stacked.dtype
         assert part.X.tobytes() == stacked.tobytes()
         assert not part.X.flags.writeable and not part.X.flags.owndata
+        assert part.y.tobytes() == scaled[targets.start:targets.stop, close].tobytes()
+        assert part.y.flags.c_contiguous and part.y.flags.owndata
+        assert part.dates == tuple(matrix.dates[t] for t in targets)
         sent = pickle.loads(pickle.dumps(part.X))
         assert sent.flags.c_contiguous and sent.tobytes() == stacked.tobytes()
         if targets:
@@ -330,11 +370,11 @@ class TestMakeWindows:
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(n)]
         values = np.arange(n, dtype=float) * 10  # row t holds value 10t
         split = make_windows(matrix_of(values, dates), lookback, dates[19])
-        state = split.norm
+        lo, hi = split.close_range
         for ds_part in (split.train, split.test):
             for X, target_date in zip(ds_part.X, ds_part.dates):
                 t = dates.index(target_date)
-                raw_rows = (X * (state.maxs - state.mins) + state.mins).ravel()
+                raw_rows = (X * (hi - lo) + lo).ravel()
                 assert raw_rows.tolist() == pytest.approx(
                     [10.0 * k for k in range(t - lookback, t)], rel=1e-12, abs=1e-9)
 
@@ -345,8 +385,9 @@ class TestMakeWindows:
         split = make_windows(matrix_of(values, dates), 3, dates[9])
         assert split.train.y.max() <= 1.0 and split.train.y.min() >= 0.0
         assert split.test.y.max() > 1.0  # not clipped
-        lo, hi = split.norm.column_state("close")
-        assert (lo, hi) == (1.0, 10.0)
+        assert split.close_range == (1.0, 10.0)
+        scaled = minmax_oracle(np.array(values, dtype=float).reshape(-1, 1), 10)
+        assert split.test.y.tobytes() == scaled[10:, 0].tobytes()
 
     def test_windows_are_views_with_an_empty_test_split(self):
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(12)]

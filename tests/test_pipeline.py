@@ -158,7 +158,7 @@ def test_r2_on_both_scales_agree(trained):
     by_scale = {report.scale: report for report in result.reports}
     assert by_scale["normalized"].r2_mean == pytest.approx(
         by_scale["denormalized"].r2_mean, rel=1e-9)
-    lo, hi = result.split.norm.column_state("close")
+    lo, hi = result.split.close_range
     assert by_scale["denormalized"].mae_mean == pytest.approx(
         by_scale["normalized"].mae_mean * (hi - lo), rel=1e-9)
 
