@@ -49,8 +49,7 @@ def profile(config):
     calendar = calendar_from_bars(load_price_csv(config.prices))
     provider = scoring.make_provider(config)
     stopwords = textprep.load_stopwords(config.stopwords)
-    weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
-    shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
+    shared = (provider, stopwords, config, calendar)
     files = ((config.tweets, "tweet", config.min_likes), (config.news, "news", None))
     ms = dict.fromkeys(PIPELINE_STAGES + POST_STAGES, 0.0)
 
@@ -96,7 +95,7 @@ def profile(config):
                     provider.score(p.text, post_id=p.id) for p in scored])
             _timed(ms, "score_post", lambda: [
                 sentiment.weighted_value(p.retweets, p.likes, p.comments, p.followers,
-                                         label * confidence, weights)
+                                         label * confidence, config)
                 for p, (label, confidence) in zip(scored, scores)])
     return ms, posts_per_s, bytes_per_kept
 

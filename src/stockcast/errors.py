@@ -16,6 +16,7 @@ Both classes take only the message, so the default ``Exception`` pickling
 carries them out of a training worker process unchanged.
 """
 
+import codecs
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -64,12 +65,16 @@ def open_text(path, newline=None):
     at the other characters ``str.splitlines`` breaks on (a form feed,
     ``\\x85``, ``\\u2028``).
 
-    A byte sequence that is not UTF-8 raises a StockcastError at
-    ``<path>:<line>: ``, the line numbered by ``line_ends``. Text is
+    A file that starts with a UTF-8 byte order mark raises a
+    StockcastError at ``<path>:1: ``: decoded, the mark would join the
+    first key, word or field. A byte sequence that is not UTF-8 raises one
+    at ``<path>:<line>: ``, the line numbered by ``line_ends``. Text is
     decoded in chunks, so the line is found by decoding the whole file
     once more, on that error only.
     """
     with open(path, encoding="utf-8", newline=newline) as fh:
+        if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
+            raise StockcastError(f"{path}:1: starts with a UTF-8 byte order mark")
         try:
             yield fh
         except UnicodeDecodeError:

@@ -1,7 +1,7 @@
 """R-squared / MAE metrics and replicate averaging.
 
 numpy is imported where an input becomes an array, so the modules that
-import this one for its records load no numpy until a metric is computed.
+import this one load no numpy until a metric is computed.
 """
 
 from __future__ import annotations
@@ -9,14 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import StockcastError
-
-
-@dataclass(frozen=True)
-class RunMetrics:
-    feature_set: str
-    r2: float
-    mae: float
-    scale: str
 
 
 @dataclass(frozen=True)
@@ -73,33 +65,14 @@ def left_sum(values):
     return total
 
 
-def replicate_average(runs):
-    """Average RunMetrics over replicates of one (feature set, scale).
-
-    Raises:
-        StockcastError: runs disagree on feature_set or scale.
-    """
-    if not runs:
+def replicate_average(feature_set, scale, r2_runs, mae_runs):
+    """The AggregateReport of one (feature set, scale): each replicate's R2
+    and MAE, in replicate order, and their means, each summed by left_sum."""
+    n = len(r2_runs)
+    if not n:
         raise ValueError("need at least one run")
-    feature_set = runs[0].feature_set
-    scale = runs[0].scale
-    for run in runs:
-        if run.feature_set != feature_set or run.scale != scale:
-            raise StockcastError(
-                f"cannot average {run.feature_set}/{run.scale} "
-                f"with {feature_set}/{scale}"
-            )
-    r2_runs = tuple(run.r2 for run in runs)
-    mae_runs = tuple(run.mae for run in runs)
-    return AggregateReport(
-        feature_set=feature_set,
-        scale=scale,
-        replicates=len(runs),
-        r2_mean=left_sum(r2_runs) / len(runs),
-        mae_mean=left_sum(mae_runs) / len(runs),
-        r2_runs=r2_runs,
-        mae_runs=mae_runs,
-    )
+    return AggregateReport(feature_set, scale, n, left_sum(r2_runs) / n, left_sum(mae_runs) / n,
+                           tuple(r2_runs), tuple(mae_runs))
 
 
-__all__ = ["RunMetrics", "AggregateReport", "r_squared", "mae", "left_sum", "replicate_average"]
+__all__ = ["AggregateReport", "r_squared", "mae", "left_sum", "replicate_average"]

@@ -102,11 +102,11 @@ def load_price_csv(path):
     volume >= 0).
 
     Raises:
-        StockcastError: a header column is missing (the error names a
-            leading UTF-8 byte order mark), the file has no rows
-            after its header, or a row fails to parse, breaks a bar
-            invariant or repeats or goes back in date. Row errors start
-            ``<path>:<line>: ``.
+        StockcastError: the file starts with a UTF-8 byte order mark
+            (see errors.open_text), a header column is missing, the file
+            has no rows after its header, or a row fails to parse, breaks
+            a bar invariant or repeats or goes back in date. Row errors
+            start ``<path>:<line>: ``.
     """
     path = Path(path)
     bars = []
@@ -116,9 +116,7 @@ def load_price_csv(path):
             header = next(reader, [])
             for col in PRICE_HEADER:
                 if col not in header:
-                    bom = "".join(header[:1]).startswith("\ufeff")
-                    raise StockcastError(f"missing required column {col!r} in {path}" + (
-                        ", which starts with a UTF-8 byte order mark" if bom else ""))
+                    raise StockcastError(f"missing required column {col!r} in {path}")
             idx = {col: header.index(col) for col in PRICE_HEADER}
             last_date = None
             # A row starts on the line after the previous row's last line; a
@@ -268,7 +266,8 @@ def read_posts(path, kind, byte_range=None):
                                      f"must be a string, got {echo(json.dumps(ts))}")
             try:
                 ts = _parse_timestamp(ts)
-            except ValueError as exc:
+            # OverflowError: a UTC time outside years 1-9999
+            except (ValueError, OverflowError) as exc:
                 raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
                                      f"bad timestamp: {echo(str(exc))}") from exc
             if news:

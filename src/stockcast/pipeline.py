@@ -29,7 +29,7 @@ from pathlib import Path
 
 from . import market_sim
 from .errors import RunFailed, StockcastError, echo
-from .evaluation import RunMetrics, mae, r_squared, replicate_average
+from .evaluation import mae, r_squared, replicate_average
 from .ingest import load_price_csv
 from .outputs import _ReadBack, _write_csv, _write_json, publish
 from .scoring import _usable_cores, _worker_pool, load_dataset
@@ -93,24 +93,13 @@ def run_feature_set(feature_set, split, preds):
     y_true_norm = split.test.y
     y_true_price = to_price(y_true_norm)
 
-    run_metrics = []
+    runs = {"normalized": ([], []), "denormalized": ([], [])}  # scale -> (R2s, MAEs)
     for pred_norm in preds:
-        run_metrics.append(RunMetrics(
-            feature_set,
-            r_squared(y_true_norm, pred_norm), mae(y_true_norm, pred_norm),
-            "normalized",
-        ))
-        pred_price = to_price(pred_norm)
-        run_metrics.append(RunMetrics(
-            feature_set,
-            r_squared(y_true_price, pred_price), mae(y_true_price, pred_price),
-            "denormalized",
-        ))
-
-    reports = [
-        replicate_average([m for m in run_metrics if m.scale == scale])
-        for scale in ("normalized", "denormalized")
-    ]
+        for (r2_runs, mae_runs), y_true, pred in zip(
+                runs.values(), (y_true_norm, y_true_price), (pred_norm, to_price(pred_norm))):
+            r2_runs.append(r_squared(y_true, pred))
+            mae_runs.append(mae(y_true, pred))
+    reports = [replicate_average(feature_set, scale, *scores) for scale, scores in runs.items()]
     mean_pred_norm = np.mean(np.stack(preds), axis=0)
     return FeatureSetResult(
         feature_set=feature_set,

@@ -78,7 +78,7 @@ def load_dataset(config, out_dir=None):
     from this process, one per _BYTES_PER_WORKER of posts up to the usable
     cores, or here when that makes fewer than 2. The commands call this
     before they load numpy, so the workers never hold it, and each
-    inherits the scorer, stopwords, weights and calendar instead of
+    inherits the scorer, stopwords, config and calendar instead of
     unpickling them. The first error reported
     is the one a single pass over the inputs meets first: prices, the
     tweets file in line order, the news file, the lexicon or replay table,
@@ -100,8 +100,7 @@ def load_dataset(config, out_dir=None):
             for _ in read_posts(path, kind):  # the post files' errors come first
                 pass
         raise
-    weights = sentiment.WeightParams(config.alpha, config.beta, config.gamma, config.delta)
-    shared = (provider, stopwords, config.keep_cashtags, weights, calendar)
+    shared = (provider, stopwords, config, calendar)
     tweet_tasks = _post_tasks(config.tweets, "tweet", config.min_likes)
     news_tasks = _post_tasks(config.news, "news", None)
     with _worker_pool(_post_workers(config), shared) as run:
@@ -165,7 +164,8 @@ def _score_range(shared, task):
     date -> day dict, filled by the calendar's bisect on a miss. A kept
     post inside the calendar is scored from its tokens (clean_tokens, then
     the provider's score_tokens), or by id when the provider reads no text,
-    which then cleans nothing; sentiment.weighted_value weighs it. The
+    which then cleans nothing; sentiment.weighted_value weighs it with the
+    config's alpha..delta, and keep_cashtags is the config's too. The
     values equal those of the reference formulation (clean_text, the
     provider's score, score_post), which the tests check column for column.
     Only primitives go back, as columns: returning post objects cost more
@@ -174,14 +174,14 @@ def _score_range(shared, task):
     """
     from array import array
 
-    provider, stopwords, keep_cashtags, weights, calendar = shared
+    provider, stopwords, config, calendar = shared
     path, kind, min_likes, byte_range = task
     ids, keep = [], bytearray()
     days, labels = array("i"), array("b")
     confidences, weighted = array("d"), array("d")
     errors = {}
     day_of = {}
-    reads_text = provider.reads_text
+    reads_text, keep_cashtags = provider.reads_text, config.keep_cashtags
     posts = read_posts(path, kind, byte_range)
     for row, (post_id, ts, text, retweets, likes, comments, followers) in enumerate(posts):
         ids.append(post_id.encode("utf-8", "surrogatepass"))
@@ -205,7 +205,7 @@ def _score_range(shared, task):
             else:
                 try:
                     value = sentiment.weighted_value(retweets, likes, comments, followers,
-                                                     score[0] * score[1], weights)
+                                                     score[0] * score[1], config)
                 except OverflowError:  # a count past float range
                     value = math.inf
                 if math.isfinite(value):

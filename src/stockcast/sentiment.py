@@ -10,8 +10,10 @@ counts and follower reach into a single weighted value per post:
     total engagement = retweets + likes + comments
     weighted         = interaction * influence * signed / total engagement
 
-Posts with zero engagement (news items in particular) get weighted
-sentiment 0 rather than a divide-by-zero.
+The weights alpha..delta are the experiment config's (``w``, an
+ExperimentConfig, which checks that each is finite and >= 0). Posts with
+zero engagement (news items in particular) get weighted sentiment 0
+rather than a divide-by-zero.
 
 Two offline providers ship with the package: a lexicon scorer and a
 replay provider that serves precomputed scores from file.
@@ -21,18 +23,10 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass
 from importlib import resources
 
 from .errors import StockcastError, echo, open_text
 from .ingest import json_records
-
-#: Default engagement weights: 0.3 for each interaction metric, 0.1 for
-#: follower influence.
-DEFAULT_ALPHA = 0.3
-DEFAULT_BETA = 0.3
-DEFAULT_GAMMA = 0.3
-DEFAULT_DELTA = 0.1
 
 _LABELS = {-1, 0, 1}
 
@@ -55,18 +49,6 @@ class SentimentScore(namedtuple("SentimentScore", "label confidence")):
         return super().__new__(cls, label, confidence)
 
 
-@dataclass(frozen=True)
-class WeightParams:
-    alpha: float = DEFAULT_ALPHA
-    beta: float = DEFAULT_BETA
-    gamma: float = DEFAULT_GAMMA
-    delta: float = DEFAULT_DELTA
-
-    def __post_init__(self):
-        if min(self.alpha, self.beta, self.gamma, self.delta) < 0:
-            raise ValueError("weights must be non-negative")
-
-
 # --- engagement formulas ----------------------------------------------------
 
 def signed_sentiment(score):
@@ -78,9 +60,9 @@ def weighted_value(retweets, likes, comments, followers, signed, w):
     """The module docstring's weighted value, from a post's numbers.
 
     (alpha*retweets + beta*likes + gamma*comments) * (delta*followers) *
-    signed / (retweets + likes + comments), evaluated left to right; 0.0
-    when the engagement total is 0 (news items, say). A count past float
-    range raises OverflowError.
+    signed / (retweets + likes + comments), evaluated left to right, with
+    ``w``'s alpha..delta; 0.0 when the engagement total is 0 (news items,
+    say). A count past float range raises OverflowError.
     """
     total = float(retweets + likes + comments)
     if total == 0:
@@ -270,7 +252,6 @@ def aggregate_daily(sums_by_day, days):
 
 __all__ = [
     "SentimentScore",
-    "WeightParams",
     "LexiconProvider",
     "ReplayProvider",
     "signed_sentiment",

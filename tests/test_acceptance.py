@@ -4,9 +4,13 @@ Run with `pytest -s tests/test_acceptance.py` to see the lines.
 """
 
 import functools
+import hashlib
 import json
+import math
+import sys
 import time
 from datetime import date, timedelta
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,7 +27,7 @@ from stockcast.features import (
     select,
     sma,
 )
-from stockcast.sentiment import SentimentScore, WeightParams, weighted_sentiment
+from stockcast.sentiment import SentimentScore, weighted_sentiment
 
 from conftest import CONFIGS, make_post
 from test_forecaster import finite_difference_grads, max_relative_error
@@ -56,7 +60,7 @@ def test_criterion_1_formula_oracle():
         a, b, g, d = (float(x) for x in rng.uniform(1e-3, 5.0, size=4))
         post = make_post(retweets=tr, likes=tl, comments=tc, followers=f)
         score = SentimentScore(label, conf)
-        w = WeightParams(a, b, g, d)
+        w = ExperimentConfig(alpha=a, beta=b, gamma=g, delta=d)
 
         # independent direct evaluation
         t_i = a * tr + b * tl + g * tc
@@ -68,7 +72,7 @@ def test_criterion_1_formula_oracle():
         assert got == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
         # equal-weight closed form
-        w_eq = WeightParams(a, a, a, d)
+        w_eq = ExperimentConfig(alpha=a, beta=a, gamma=a, delta=d)
         ws_eq = weighted_sentiment(post, score, w_eq)
         closed = 0.0 if tt == 0 else a * d * f * label * conf
         assert ws_eq == pytest.approx(closed, rel=1e-12, abs=1e-12)
@@ -79,7 +83,7 @@ def test_criterion_1_formula_oracle():
 @criterion(2, "worked example WS = 24.0")
 def test_criterion_2_worked_example():
     post = make_post(retweets=100, likes=200, comments=50, followers=1000)
-    ws = weighted_sentiment(post, SentimentScore(1, 0.8), WeightParams())
+    ws = weighted_sentiment(post, SentimentScore(1, 0.8), ExperimentConfig())
     assert ws == 24.0
 
 
@@ -204,6 +208,80 @@ def test_criterion_8_protocol_constants(tmp_path):
     assert report["config_hash"] == config.config_hash
 
 
+#: The files test_criterion_9_end_to_end_determinism writes: each one's
+#: SHA-256, the host_key of the host that wrote them, and their headline
+#: values (see frozen_record).
+FROZEN_OUTPUTS = Path(__file__).parent / "data" / "fixture_outputs_sha256.json"
+
+
+def host_key():
+    """What an output's bits depend on besides the code and the config:
+    Python's minor version, numpy's version, the CPU features numpy was
+    built for (baseline) and found to dispatch to, and its BLAS."""
+    try:
+        build = np.show_config(mode="dicts")
+    except TypeError:  # numpy before 1.26 only prints it
+        build = {}
+    simd = build.get("SIMD Extensions", {})
+    return {"python": "%d.%d" % sys.version_info[:2], "numpy": np.__version__,
+            "cpu_baseline": simd.get("baseline"), "cpu_dispatch": simd.get("found"),
+            "blas": build.get("Build Dependencies", {}).get("blas", {}).get("name")}
+
+
+def frozen_record(out_dir):
+    """FROZEN_OUTPUTS' contents for the train-eval and simulate outputs in ``out_dir``.
+
+    ``values`` holds each report row's r2_mean and mae_mean, keyed
+    ``<set>/<scale>/<name>``, and each set's percent_gain and trades, keyed
+    ``<set>/<name>``.
+    """
+    out_dir = Path(out_dir)
+    values = {}
+    for row in json.loads((out_dir / "report.json").read_text(encoding="utf-8"))["reports"]:
+        for name in ("r2_mean", "mae_mean"):
+            values[f"{row['feature_set']}/{row['scale']}/{name}"] = row[name]
+    summary = json.loads((out_dir / "simulation_summary.json").read_text(encoding="utf-8"))
+    for row in summary["rows"]:
+        for name in ("percent_gain", "trades"):
+            values[f"{row['feature_set']}/{name}"] = row[name]
+    return {"host": host_key(),
+            "sha256": {path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                       for path in sorted(out_dir.iterdir())},
+            "values": values}
+
+
+def check_frozen_outputs(out_dir):
+    r"""The quickstart's train-eval and simulate outputs in ``out_dir`` are
+    the frozen ones: byte for byte on the host that froze them; elsewhere,
+    where BLAS or SIMD may round differently, every value within 1e-9
+    relative and every trade count equal.
+
+    FROZEN_OUTPUTS was written from a checkout P of commit 9354937, the
+    parent of the commit that added it (``git archive 9354937 | tar -x -C
+    P``), by this command, run at the repository root:
+
+        PYTHONPATH=P/src:tests python -c "import json, test_acceptance as t
+        from stockcast import pipeline, config
+        c = config.parse_config(t.CONFIGS / 'fixture.conf')
+        pipeline.run_train_eval(c, 'P/out'); pipeline.run_simulate(c, 'P/out')
+        t.FROZEN_OUTPUTS.write_text(json.dumps(t.frozen_record('P/out'), indent=1) + '\n')"
+
+    A change that alters an output on purpose reruns it from its own tree
+    and names each changed file.
+    """
+    frozen = json.loads(FROZEN_OUTPUTS.read_text(encoding="utf-8"))
+    got = frozen_record(out_dir)
+    assert len(frozen["sha256"]) == 27  # reports, 12 predictions, 12 ledgers, summary
+    if got["host"] == frozen["host"]:
+        assert got["sha256"] == frozen["sha256"]
+    assert got["values"].keys() == frozen["values"].keys()
+    for key, want in frozen["values"].items():
+        if key.endswith("/trades"):
+            assert got["values"][key] == want, key
+        else:
+            assert math.isclose(got["values"][key], want, rel_tol=1e-9), key
+
+
 @criterion(9, "end-to-end determinism, byte-identical reports")
 def test_criterion_9_end_to_end_determinism(tmp_path):
     start = time.monotonic()
@@ -223,6 +301,7 @@ def test_criterion_9_end_to_end_determinism(tmp_path):
         assert outputs[0][name] == outputs[1][name], f"{name} differs between runs"
     expected = {"report.json", "metrics_table.csv", "simulation_summary.json"}
     assert expected <= set(outputs[0])
+    check_frozen_outputs(tmp_path / "a")
     elapsed = time.monotonic() - start
     assert elapsed < 600.0, f"took {elapsed:.1f}s"
 

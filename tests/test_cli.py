@@ -548,8 +548,49 @@ def test_price_file_with_byte_order_mark_exit_2(tmp_path, capsys):
     prices = tmp_path / "prices.csv"
     prices.write_bytes(b"\xef\xbb\xbf" + prices.read_bytes())
     assert cli.main(["ingest", "--config", str(write_config(tmp_path))]) == 2
-    assert capsys.readouterr().err == (f"error: missing required column 'Date' in {prices}, "
-                                       f"which starts with a UTF-8 byte order mark\n")
+    assert capsys.readouterr().err == f"error: {prices}:1: starts with a UTF-8 byte order mark\n"
+
+
+#: Text inputs besides the prices: (file name, text, further config keys).
+#: Decoded, a leading U+FEFF would join the first lexicon word, stopword,
+#: replay id or config key, so that word would never match.
+BOM_INPUTS = {
+    "lexicon": ("lexicon.tsv", "gain\t1\nloss\t-1\n", {}),
+    "stopwords": ("stopwords.txt", "the\nand\n", {}),
+    "replay_scores": ("scores.jsonl", '{"id": "t0", "label": 1, "confidence": 0.5}\n',
+                      {"provider": "replay"}),
+}
+
+
+@pytest.mark.parametrize("key", ["config", *BOM_INPUTS])
+def test_text_input_with_byte_order_mark_exit_2(tmp_path, capsys, key):
+    write_tiny_dataset(tmp_path)
+    if key == "config":
+        config = path = write_config(tmp_path)
+    else:
+        name, text, extra = BOM_INPUTS[key]
+        path = tmp_path / name
+        path.write_text(text)
+        config = write_config(tmp_path, **{key: name}, **extra)
+    path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+    assert cli.main(["ingest", "--config", str(config)]) == 2
+    assert capsys.readouterr().err == f"error: {path}:1: starts with a UTF-8 byte order mark\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("ts", ["9999-12-31T23:00:00-05:00", "0001-01-01T00:00:00+05:00"])
+@pytest.mark.parametrize("name", ["tweets.jsonl", "news.jsonl"])
+def test_timestamp_past_datetime_range_exit_2(tmp_path, capsys, name, ts):
+    # valid ISO 8601, but its UTC time falls outside datetime's years 1-9999
+    write_tiny_dataset(tmp_path)
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines.append(json.dumps({"id": "edge", "ts": ts, "text": "profit"}))
+    path.write_text("\n".join(lines) + "\n")
+    assert cli.main(["ingest", "--config", str(write_config(tmp_path))]) == 2
+    n = len(lines)
+    assert capsys.readouterr().err == (f"error: {path}:{n}: unparsable line {n}: "
+                                       f"bad timestamp: date value out of range\n")
 
 
 @pytest.mark.parametrize("column, value", [
@@ -1362,6 +1403,33 @@ def test_tracer_patches_every_name(tmp_path):
         called = np.frombuffer(prefix.with_suffix(".bin").read_bytes(), dtype=np.intc,
                                count=meta["count"])
         assert spans <= {meta["names"][i] for i in called}, command
+
+
+def test_traced_run_writes_the_same_bytes(tmp_path):
+    """train-eval then simulate, once as the CLI and once through bench/tracer.py,
+    into two out dirs: every file must be byte-identical, as the benchmark
+    requires of each traced pass against its untraced first pass. The tracer
+    only wraps calls, so a wrapper that changed a result or a call's order
+    would show here. Two sets of two replicates train as two lockstep pairs,
+    in the pool on a host with 2 or more cores. The tracer loads numpy
+    before the command does, so the traced process may get more BLAS
+    threads than the plain one; but at this shape (4 hidden units, batch
+    16) each matmul is small enough for BLAS to run on one thread, so a
+    mismatch that depends on the BLAS thread count may not show here."""
+    write_tiny_dataset(tmp_path)
+    path = write_config(tmp_path, feature_sets="Prices,Prices-Weighted-Tweets", replicates=2)
+    runs = {"plain": [sys.executable, "-m", "stockcast.cli"],
+            "traced": [sys.executable, str(REPO / "bench" / "tracer.py"),
+                       str(tmp_path / "spans"), "t", "--"]}
+    for name, argv in runs.items():
+        for command in ("train-eval", "simulate"):
+            proc = subprocess.run(
+                [*argv, command, "--config", str(path), "--out-dir", str(tmp_path / name)],
+                capture_output=True, text=True, env=subprocess_env(), check=False)
+            assert proc.returncode == 0, proc.stderr
+    plain = read_outputs(tmp_path / "plain")
+    assert "simulation_summary.json" in plain and "report.json" in plain
+    assert read_outputs(tmp_path / "traced") == plain
 
 
 #: Imported by a CLI subprocess before its command runs (see run_probed).

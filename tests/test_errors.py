@@ -17,7 +17,7 @@ import pytest
 from stockcast import errors
 from stockcast.config import parse_config
 from stockcast.errors import RunFailed, StockcastError
-from stockcast.evaluation import RunMetrics, r_squared, replicate_average
+from stockcast.evaluation import r_squared
 from stockcast.features import (
     FeatureMatrix,
     WindowedDataset,
@@ -59,11 +59,6 @@ def diverging_training(tmp_path):
     train(dataset, LstmConfig(hidden_units=2, batch_size=4, epochs=1, seed=0))
 
 
-def mixed_runs(tmp_path):
-    replicate_average([RunMetrics("Prices", 0.5, 0.1, "normalized"),
-                       RunMetrics("Prices-News", 0.5, 0.1, "normalized")])
-
-
 #: One raise site per kind of error: the class it must raise, and a call
 #: that reaches it. Each kind keeps the name of the class it had when every
 #: kind had its own; "StockcastError" stands for the errors that never did,
@@ -88,7 +83,6 @@ SITES = {
         write(p, "c.csv", "Date,Open,High,Low,Close,Volume\n"))),
     "MissingField": (StockcastError, lambda p: load_posts_jsonl(
         write(p, "f.jsonl", '{"id": "a", "text": "x"}\n'), "tweet")),
-    "MixedFeatureSets": (StockcastError, mixed_runs),
     "NonFiniteActivation": (RunFailed, lambda p: forward(
         LstmWeights.from_theta(init_weights(LstmConfig(hidden_units=2, seed=0), 2).theta[None],
                                2, 2),

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stockcast.errors import StockcastError
-from stockcast.evaluation import RunMetrics, mae, r_squared, replicate_average
+from stockcast.evaluation import mae, r_squared, replicate_average
 
 
 class TestRSquared:
@@ -56,40 +56,28 @@ class TestMae:
 
 
 class TestReplicateAverage:
-    def runs(self, r2s, feature_set="Prices", scale="normalized"):
-        return [RunMetrics(feature_set, r2=v, mae=v / 10, scale=scale) for v in r2s]
+    def report(self, r2s):
+        return replicate_average("Prices", "normalized", r2s, [v / 10 for v in r2s])
 
     def test_mean(self):
-        report = replicate_average(self.runs([0.9, 0.8]))
+        report = self.report([0.9, 0.8])
         assert report.r2_mean == pytest.approx(0.85)
         assert report.replicates == 2
         assert report.r2_runs == (0.9, 0.8)
 
     def test_singleton(self):
-        report = replicate_average(self.runs([0.7]))
+        report = self.report([0.7])
         assert report.r2_mean == 0.7 and report.replicates == 1
 
     def test_ten_identical(self):
-        report = replicate_average(self.runs([0.9] * 10))
+        report = self.report([0.9] * 10)
         assert report.r2_mean == pytest.approx(0.9) and report.replicates == 10
-
-    def test_mixed_sets_rejected(self):
-        runs = self.runs([0.9]) + self.runs([0.8], feature_set="Prices-News")
-        with pytest.raises(StockcastError,
-                           match="^cannot average Prices-News/normalized with Prices/normalized$"):
-            replicate_average(runs)
-
-    def test_mixed_scales_rejected(self):
-        runs = self.runs([0.9]) + self.runs([0.8], scale="denormalized")
-        with pytest.raises(StockcastError,
-                           match="^cannot average Prices/denormalized with Prices/normalized$"):
-            replicate_average(runs)
 
     @given(st.permutations(list(range(5))))
     def test_permutation_invariant(self, order):
-        runs = self.runs([0.1, 0.5, 0.9, 0.3, 0.7])
-        base = replicate_average(runs)
-        shuffled = replicate_average([runs[i] for i in order])
+        r2s = [0.1, 0.5, 0.9, 0.3, 0.7]
+        base = self.report(r2s)
+        shuffled = self.report([r2s[i] for i in order])
         assert shuffled.r2_mean == pytest.approx(base.r2_mean, rel=1e-12)
         assert shuffled.mae_mean == pytest.approx(base.mae_mean, rel=1e-12)
 
@@ -97,6 +85,6 @@ class TestReplicateAverage:
         # added left to right the 1.0 is lost; math.fsum, as 3.12's sum() would, keeps it
         values = [1e16, 1.0, -1e16]
         assert math.fsum(values) == 1.0
-        report = replicate_average(self.runs(values))
+        report = self.report(values)
         assert report.r2_mean == 0.0
         assert report.mae_mean == ((1e15 + 0.1) - 1e15) / 3 != math.fsum([1e15, 0.1, -1e15]) / 3

@@ -16,6 +16,7 @@ from datetime import date
 import pytest
 
 from stockcast import scoring, sentiment, textprep
+from stockcast.config import ExperimentConfig
 from stockcast.errors import StockcastError, echo
 from stockcast.ingest import TradingCalendar, assign_posts, line_ranges, load_posts_jsonl
 
@@ -25,7 +26,7 @@ HUGE = 10 ** 400  # a JSON integer past float range
 
 
 def reference_score_range(shared, task):
-    provider, stopwords, keep_cashtags, weights, calendar = shared
+    provider, stopwords, config, calendar = shared
     path, kind, min_likes, byte_range = task
     posts = load_posts_jsonl(path, kind, byte_range=byte_range)
     n = len(posts)
@@ -41,11 +42,11 @@ def reference_score_range(shared, task):
         for post in day_posts:
             row = row_of[post.id]
             days[row] = day
-            text = textprep.clean_text(post.text, stopwords, keep_cashtags)
+            text = textprep.clean_text(post.text, stopwords, config.keep_cashtags)
             try:
                 score = provider.score(text, post_id=post.id)
                 try:
-                    triple = sentiment.score_post(post, score, weights)
+                    triple = sentiment.score_post(post, score, config)
                 except OverflowError:
                     triple = (0, 0.0, math.inf)
                 if not math.isfinite(triple[2]):
@@ -154,8 +155,9 @@ def providers(tmp_path):
 @pytest.mark.parametrize("keep_cashtags", [True, False])
 def test_score_range_matches_reference(tmp_path, monkeypatch, provider_name, keep_cashtags):
     provider = providers(tmp_path)[provider_name]
-    shared = (provider, textprep.load_stopwords(), keep_cashtags,
-              sentiment.WeightParams(0.3, 0.2, 0.1, 0.05), CALENDAR)
+    config = ExperimentConfig(keep_cashtags=keep_cashtags, alpha=0.3, beta=0.2, gamma=0.1,
+                              delta=0.05)
+    shared = (provider, textprep.load_stopwords(), config, CALENDAR)
     files = [tasks(write_posts(tmp_path / "tweets.jsonl", TWEETS), "tweet", MIN_LIKES, 700),
              tasks(write_posts(tmp_path / "news.jsonl", NEWS), "news", None, 60)]
     expected = [[reference_score_range(shared, task) for task in file] for file in files]

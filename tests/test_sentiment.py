@@ -9,12 +9,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from stockcast import scoring
+from stockcast.config import ExperimentConfig
 from stockcast.errors import StockcastError
 from stockcast.sentiment import (
     LexiconProvider,
     ReplayProvider,
     SentimentScore,
-    WeightParams,
     aggregate_daily,
     load_lexicon,
     load_replay_scores,
@@ -26,7 +26,7 @@ from stockcast.sentiment import (
 
 from conftest import make_post
 
-W = WeightParams()
+W = ExperimentConfig()
 
 
 def reference_weighted(post, score, w):
@@ -50,13 +50,14 @@ class TestFormulas:
         assert weighted_value(100, 200, 50, 10, 1.0, W) == 105.0 / 350.0
 
     def test_interaction_zero(self):
-        assert weighted_value(100, 200, 50, 1000, 1.0, WeightParams(0.0, 0.0, 0.0, 0.1)) == 0.0
+        no_interaction = ExperimentConfig(alpha=0.0, beta=0.0, gamma=0.0, delta=0.1)
+        assert weighted_value(100, 200, 50, 1000, 1.0, no_interaction) == 0.0
 
     def test_default_weights(self):
         assert (W.alpha, W.beta, W.gamma, W.delta) == (0.3, 0.3, 0.3, 0.1)
 
     def test_influence(self):
-        unit = WeightParams(1.0, 1.0, 1.0, 0.1)
+        unit = ExperimentConfig(alpha=1.0, beta=1.0, gamma=1.0, delta=0.1)
         assert weighted_value(100, 200, 50, 1000, 1.0, unit) == 100.0
         assert weighted_value(100, 200, 50, 0, 1.0, unit) == 0.0
 
@@ -66,7 +67,8 @@ class TestFormulas:
         assert signed_sentiment(SentimentScore(-1, 0.9)) == -0.9
 
     def test_total_interaction(self):
-        retweets_only = WeightParams(1.0, 0.0, 0.0, 0.1)  # interaction = retweets
+        # interaction = retweets
+        retweets_only = ExperimentConfig(alpha=1.0, beta=0.0, gamma=0.0, delta=0.1)
         assert weighted_value(100, 200, 50, 3500, 1.0, retweets_only) == 100.0  # 100*350/350
         assert weighted_value(0, 0, 0, 3500, 1.0, retweets_only) == 0.0
         assert weighted_value(1, 0, 0, 10, 1.0, retweets_only) == 1.0
@@ -88,8 +90,6 @@ class TestFormulas:
             SentimentScore(2, 0.5)
         with pytest.raises(ValueError):
             SentimentScore(1, 1.5)
-        with pytest.raises(ValueError):
-            WeightParams(alpha=-0.1)
 
 
 counts = st.integers(0, 10_000)
@@ -104,7 +104,7 @@ confs = st.floats(0.0, 1.0, allow_nan=False)
 def test_matches_reference(tr, tl, tc, fc, label, conf, a, b, g, d):
     post = make_post(retweets=tr, likes=tl, comments=tc, followers=fc)
     score = SentimentScore(label, conf)
-    w = WeightParams(a, b, g, d)
+    w = ExperimentConfig(alpha=a, beta=b, gamma=g, delta=d)
     got = weighted_sentiment(post, score, w)
     want = reference_weighted(post, score, w)
     assert got == pytest.approx(want, rel=1e-12, abs=1e-12)
@@ -115,7 +115,7 @@ def test_matches_reference(tr, tl, tc, fc, label, conf, a, b, g, d):
 def test_equal_weight_closed_form(tr, tl, tc, fc, label, conf, a, d):
     post = make_post(retweets=tr, likes=tl, comments=tc, followers=fc)
     score = SentimentScore(label, conf)
-    w = WeightParams(a, a, a, d)
+    w = ExperimentConfig(alpha=a, beta=a, gamma=a, delta=d)
     ws = weighted_sentiment(post, score, w)
     if tr + tl + tc == 0:
         assert ws == 0.0
@@ -129,7 +129,7 @@ def test_equal_weight_closed_form(tr, tl, tc, fc, label, conf, a, d):
 def test_monotone_in_followers(tr, tl, tc, conf, a, d):
     if tr + tl + tc == 0:
         return
-    w = WeightParams(a, a, a, d)
+    w = ExperimentConfig(alpha=a, beta=a, gamma=a, delta=d)
     score = SentimentScore(1, conf)
     low = weighted_sentiment(make_post(retweets=tr, likes=tl, comments=tc, followers=100), score, w)
     high = weighted_sentiment(make_post(retweets=tr, likes=tl, comments=tc, followers=200), score, w)
@@ -141,8 +141,9 @@ def test_monotone_in_followers(tr, tl, tc, conf, a, d):
 def test_interaction_weights_scale_linearly(tr, tl, tc, fc, label, conf, a, k):
     post = make_post(retweets=tr, likes=tl, comments=tc, followers=fc)
     score = SentimentScore(label, conf)
-    base = weighted_sentiment(post, score, WeightParams(a, a, a, 0.1))
-    scaled = weighted_sentiment(post, score, WeightParams(k * a, k * a, k * a, 0.1))
+    base = weighted_sentiment(post, score, ExperimentConfig(alpha=a, beta=a, gamma=a, delta=0.1))
+    scaled = weighted_sentiment(
+        post, score, ExperimentConfig(alpha=k * a, beta=k * a, gamma=k * a, delta=0.1))
     assert scaled == pytest.approx(k * base, rel=1e-12, abs=1e-12)
 
 
