@@ -35,12 +35,12 @@ from statistics import median
 
 import numpy as np
 
+from stockcast.config import ExperimentConfig
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
     GRAD_CLIP,
     PREDICT_CHUNK,
     AdamState,
-    LstmConfig,
     LstmWeights,
     LstmWorkspace,
     adam_step,
@@ -68,8 +68,7 @@ def blas_threads():
 
 def group_weights(hidden, features, models):
     """K seeded models' weights as the (K, theta size) block a workspace of K models takes."""
-    theta = np.stack([init_weights(LstmConfig(hidden_units=hidden, seed=seed), features).theta
-                      for seed in range(models)])
+    theta = np.stack([init_weights(features, hidden, seed).theta for seed in range(models)])
     return LstmWeights.from_theta(theta, features, hidden)
 
 
@@ -110,7 +109,7 @@ def profile(hidden, batch, lookback, features, batches, models=1):
     """Median microseconds per batch and model (per chunk for predict) of
     each stage, by stage name, and the median minor page faults per predict
     call."""
-    config = LstmConfig(hidden_units=hidden, batch_size=batch, seed=0)
+    lr = ExperimentConfig().learning_rate  # the reference protocol's
     weights = group_weights(hidden, features, models)
     first = LstmWeights.from_theta(weights.theta[0], features, hidden)
     state = AdamState.for_weights(weights)
@@ -130,7 +129,7 @@ def profile(hidden, batch, lookback, features, batches, models=1):
         t2 = time.perf_counter()
         clip_gradients(grads, GRAD_CLIP)
         t3 = time.perf_counter()
-        adam_step(weights, grads, state, config.learning_rate)
+        adam_step(weights, grads, state, lr)
         t4 = time.perf_counter()
         minflt = getrusage(RUSAGE_SELF).ru_minflt
         t5 = time.perf_counter()

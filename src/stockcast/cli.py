@@ -8,10 +8,11 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, scoring
-from .config import apply_overrides, parse_config
+from .config import parse_config
 from .errors import RunFailed, StockcastError, echo_path
 from .outputs import publish
 from .pipeline import write_matrix_csv
@@ -58,8 +59,7 @@ def _load_config(args):
         overrides["out_dir"] = args.out_dir
     if args.feature_set is not None:
         overrides["feature_sets"] = (args.feature_set,)
-    config = parse_config(args.config)
-    return apply_overrides(config, overrides)
+    return replace(parse_config(args.config), **overrides)
 
 
 def cmd_ingest(args):
@@ -106,7 +106,7 @@ def cmd_train_eval(args):
             if report.scale != "normalized":
                 continue
             print(f"{result.feature_set}: r2={report.r2_mean:.4f} "
-                  f"mae={report.mae_mean:.4f} ({report.replicates} replicates)")
+                  f"mae={report.mae_mean:.4f} ({len(report.r2_runs)} replicates)")
     print(f"reports written to {config.out_dir}")
     return EXIT_OK
 

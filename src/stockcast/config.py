@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from datetime import date
 from functools import cached_property
 from pathlib import Path
@@ -42,15 +42,14 @@ FEATURE_SETS = {
     ),
 }
 
-#: Reference protocol defaults: model 256/0.001/128/100, ten replicates,
-#: one million starting capital with symmetric 2% thresholds, and the
-#: 2018-2022 / 2023 temporal split.
-DEFAULT_SPLIT_DATE = date(2022, 12, 31)
-DEFAULT_REPLICATES = 10
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """One experiment, a field per config key. The defaults are the reference
+    protocol's: model 256/0.001/128/100, ten replicates, one million starting
+    capital with symmetric 2% thresholds, and the 2018-2022 / 2023 temporal
+    split."""
+
     stock: str = "STOCK"
     prices: str = "prices.csv"
     tweets: str = "tweets.jsonl"
@@ -72,8 +71,8 @@ class ExperimentConfig:
     learning_rate: float = 0.001
     batch_size: int = 128
     epochs: int = 100
-    split_date: date = DEFAULT_SPLIT_DATE
-    replicates: int = DEFAULT_REPLICATES
+    split_date: date = date(2022, 12, 31)
+    replicates: int = 10
     base_seed: int = 42
     initial_capital: float = 1_000_000.0
     profit_threshold: float = 0.02
@@ -263,17 +262,9 @@ def parse_config(path):
     return ExperimentConfig(**values)
 
 
-def apply_overrides(config, overrides):
-    """Apply CLI-style overrides (already typed) onto a parsed config."""
-    return replace(config, **overrides) if overrides else config
-
-
 __all__ = [
     "ExperimentConfig",
     "FEATURE_SETS",
     "parse_config",
-    "apply_overrides",
     "PROVIDERS",
-    "DEFAULT_SPLIT_DATE",
-    "DEFAULT_REPLICATES",
 ]

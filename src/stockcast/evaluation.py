@@ -15,7 +15,6 @@ from .errors import StockcastError
 class AggregateReport:
     feature_set: str
     scale: str
-    replicates: int
     r2_mean: float
     mae_mean: float
     r2_runs: tuple
@@ -71,7 +70,7 @@ def replicate_average(feature_set, scale, r2_runs, mae_runs):
     n = len(r2_runs)
     if not n:
         raise ValueError("need at least one run")
-    return AggregateReport(feature_set, scale, n, left_sum(r2_runs) / n, left_sum(mae_runs) / n,
+    return AggregateReport(feature_set, scale, left_sum(r2_runs) / n, left_sum(mae_runs) / n,
                            tuple(r2_runs), tuple(mae_runs))
 
 

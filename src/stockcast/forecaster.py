@@ -4,9 +4,9 @@ The cell is the standard formulation: logistic input/forget/output
 gates, tanh candidate, with a dense head on the final hidden state and a
 ReLU at the output (normalized close targets are non-negative, so the
 ReLU loses nothing). Everything runs in float64 and is fully
-deterministic given the config seed: weight init draws from one seeded
-stream, epoch shuffles from a second, so init_weights(config) always
-matches what train(config) started from.
+deterministic given the seed: weight init draws from one seeded stream,
+epoch shuffles from a second, so init_weights(n_features, hidden, seed)
+always matches what train(dataset, config, seed=seed) started from.
 
 All parameters live in one flat vector, ``LstmWeights.theta``, as five
 blocks: the input maps ``W`` (F, 4H), the recurrent maps ``U`` (H, 4H)
@@ -23,9 +23,9 @@ layout, so clipping is one dot product per model and Adam one
 elementwise update over the whole vector, in column chunks.
 
 The kernel has a leading model axis K: every array it takes and gives
-leads with K, and one model is K = 1. ``train`` trains K replicates, a
-config's seeds seed ... seed + K - 1, in lockstep, as a (K, theta size)
-block of weights through one workspace of K models. Each model's (T, B,
+leads with K, and one model is K = 1. ``train`` trains K replicates,
+seeded seed ... seed + K - 1, in lockstep, as a (K, theta size) block
+of weights through one workspace of K models. Each model's (T, B,
 k) inputs and gates sit one after another, laid out as a single model's,
 and the cell states are time-major, so every per-step call runs once
 over a (K, B, k) view of the K models' blocks, while X @ W, dW and dU
@@ -78,7 +78,7 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -97,26 +97,6 @@ PREDICT_CHUNK = 128
 
 #: Columns of theta per adam_step chunk, 128 KB of float64 per row.
 ADAM_CHUNK = 1 << 14
-
-
-@dataclass(frozen=True)
-class LstmConfig:
-    """Model and training knobs. Defaults follow the reference protocol:
-    one layer of 256 units, Adam at 0.001, batches of 128, 100 epochs."""
-
-    hidden_units: int = 256
-    learning_rate: float = 0.001
-    batch_size: int = 128
-    epochs: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if min(self.hidden_units, self.batch_size, self.epochs) < 1:
-            raise ValueError("hidden_units, batch_size, epochs must be >= 1")
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
 
 
 def _block_shapes(n_features, hidden):
@@ -156,7 +136,7 @@ class LstmWeights:
         return weights
 
 
-def init_weights(config, n_features):
+def init_weights(n_features, hidden, seed):
     """Seed-determined uniform init in [-k, k], k = 1/sqrt(hidden).
 
     The forget-gate bias is set to 1.0 (not drawn) so early training
@@ -164,15 +144,14 @@ def init_weights(config, n_features):
     W and U gate by gate, each gate's (rows, H) block in turn, then the
     rest of theta in its order.
     """
-    h = config.hidden_units
-    k = 1.0 / np.sqrt(h)
-    rng = np.random.default_rng([config.seed, 0])
-    size = theta_size(n_features, h)
-    weights = LstmWeights.from_theta(np.full(size, np.nan), n_features, h)
-    weights.b[h:2 * h] = 1.0
-    draw, start = rng.uniform(-k, k, size - h), 0
+    k = 1.0 / np.sqrt(hidden)
+    rng = np.random.default_rng([seed, 0])
+    size = theta_size(n_features, hidden)
+    weights = LstmWeights.from_theta(np.full(size, np.nan), n_features, hidden)
+    weights.b[hidden:2 * hidden] = 1.0
+    draw, start = rng.uniform(-k, k, size - hidden), 0
     for block in (weights.W, weights.U):
-        gates = block.reshape(len(block), 4, h).transpose(1, 0, 2)  # a (4, rows, H) view
+        gates = block.reshape(len(block), 4, hidden).transpose(1, 0, 2)  # a (4, rows, H) view
         gates[...] = draw[start:start + block.size].reshape(gates.shape)
         start += block.size
     weights.theta[np.isnan(weights.theta)] = draw[start:]
@@ -513,9 +492,13 @@ def adam_step(weights, grads, state, lr):
     return weights, state
 
 
-def train(dataset, config, models=1):
-    """Train ``models`` replicates K on a WindowedDataset, seeded config.seed,
-    config.seed + 1, ...; returns one (weights, loss_history) per replicate.
+def train(dataset, config, *, seed, models=1):
+    """Train ``models`` replicates K on a WindowedDataset, seeded seed,
+    seed + 1, ...; returns one (weights, loss_history) per replicate.
+
+    ``config`` is an ExperimentConfig (stockcast.config); train reads its
+    hidden_units, learning_rate, batch_size and epochs, which the config
+    has checked.
 
     The K replicates train in lockstep, through one workspace of K models
     and one Adam update over their (K, theta size) block, and each one's
@@ -538,14 +521,14 @@ def train(dataset, config, models=1):
     if n < 1:
         raise ValueError("need at least one training sample")
     K, H, batch = models, config.hidden_units, config.batch_size
-    seeds = range(config.seed, config.seed + K)
+    seeds = range(seed, seed + K)
     workspace = LstmWorkspace(min(batch, n), T, F, H, models=K)
     theta = np.empty((K, theta_size(F, H)))
-    for row, seed in zip(theta, seeds):
-        row[...] = init_weights(replace(config, seed=seed), F).theta
+    for row, row_seed in zip(theta, seeds):
+        row[...] = init_weights(F, H, row_seed).theta
     weights = LstmWeights.from_theta(theta, F, H)
     state = AdamState.for_weights(weights)
-    shuffle_rngs = [np.random.default_rng([seed, 1]) for seed in seeds]
+    shuffle_rngs = [np.random.default_rng([row_seed, 1]) for row_seed in seeds]
     losses = []
     # no numpy warnings: the loss and prediction checks raise on what overflows
     with np.errstate(over="ignore", invalid="ignore"):
@@ -605,7 +588,6 @@ def predict(weights, dataset):
 
 
 __all__ = [
-    "LstmConfig",
     "LstmWeights",
     "LstmWorkspace",
     "AdamState",

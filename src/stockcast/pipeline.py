@@ -11,12 +11,11 @@ identical bytes.
 
 Only train-eval computes on arrays. numpy and forecaster are imported
 inside the functions that train on arrays or read them (run_feature_set,
-_train_jobs, _fit_group and _check_model_size), and features, which
-loads numpy only to window a table (features.make_windows), inside those
-that build or window one (build_matrix and run_train_eval). So ingest,
-featurize, simulate and the post workers run without numpy: train-eval
-loads its posts before it windows them, and the post workers fork from
-it then.
+_fit_group and _check_sizes), and features, which loads numpy only
+to window a table (features.make_windows), inside those that build or
+window one (build_matrix and run_train_eval). So ingest, featurize,
+simulate and the post workers run without numpy: train-eval loads its
+posts before it windows them, and the post workers fork from it then.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import market_sim
@@ -115,10 +114,9 @@ def _fit_group(jobs, index):
     """Train one set's group of replicates in lockstep; their test forecasts,
     in replicate order.
 
-    ``jobs[index]`` is one (LstmConfig, models, train, test) tuple, which
-    trains ``models`` replicates seeded config.seed, config.seed + 1, ...;
-    a _worker_pool task over the shared job list, so only the index goes
-    to a worker.
+    ``jobs[index]`` is one (config, seed, models, train, test) tuple, which
+    trains ``models`` replicates seeded seed, seed + 1, ...; a _worker_pool
+    task over the shared job list, so only the index goes to a worker.
 
     Each replicate's weights are the ones it trains to alone, so its
     forecast is too. A group that raises RunFailed trains its replicates
@@ -127,16 +125,15 @@ def _fit_group(jobs, index):
     """
     from . import forecaster
 
-    config, models, train, test = jobs[index]
+    config, seed, models, train, test = jobs[index]
     if models > 1:
         try:
-            trained = forecaster.train(train, config, models=models)
+            trained = forecaster.train(train, config, seed=seed, models=models)
         except RunFailed:
             pass
         else:
             return [forecaster.predict(weights, test) for weights, _ in trained]
-    alone = (forecaster.train(train, replace(config, seed=config.seed + k))[0]
-             for k in range(models))
+    alone = (forecaster.train(train, config, seed=seed + k)[0] for k in range(models))
     return [forecaster.predict(weights, test) for weights, _ in alone]
 
 
@@ -192,14 +189,15 @@ def _group_size(config):
     The largest K whose per-step gate block, K*batch_size*4*hidden_units
     floats, is within _GROUP_GATE_FLOATS and that leaves at least
     min(models, usable cores) jobs, so each model trains with the BLAS
-    threads it would train with alone.
+    threads it would train with alone. Only the sizes within the gate
+    block's bound are scanned, so the time does not grow with replicates.
     """
     sets, n = len(config.feature_sets), config.replicates
     wanted = min(sets * n, _usable_cores())
     block = config.batch_size * 4 * config.hidden_units
-    return max(size for size in range(1, n + 1)
-               if size == 1 or (size * block <= _GROUP_GATE_FLOATS
-                                and sets * math.ceil(n / size) >= wanted))
+    largest = max(1, min(n, _GROUP_GATE_FLOATS // block))
+    return max(size for size in range(1, largest + 1)
+               if size == 1 or sets * math.ceil(n / size) >= wanted)
 
 
 def _training_workers(config):
@@ -212,20 +210,14 @@ def _train_jobs(config, splits):
     """The _fit_group jobs of every (set, replicate) model, in set then replicate order.
 
     ``splits`` holds each configured set's windows. Replicate i trains with
-    seed base_seed + i. Each job is an (LstmConfig, K, train, test) tuple
+    seed base_seed + i. Each job is a (config, seed, K, train, test) tuple
     that holds a set's windows once and K (_group_size) of its replicates,
-    in order, the config seeded for the first of them; a set's last job
-    takes the replicates that are left.
+    in order, with the first one's seed; a set's last job takes the
+    replicates that are left.
     """
-    from . import forecaster
-
     n = config.replicates
     k = _group_size(config)
-    return [(forecaster.LstmConfig(hidden_units=config.hidden_units,
-                                   learning_rate=config.learning_rate,
-                                   batch_size=config.batch_size, epochs=config.epochs,
-                                   seed=config.base_seed + i),
-             min(k, n - i), split.train, split.test)
+    return [(config, config.base_seed + i, min(k, n - i), split.train, split.test)
             for split in splits for i in range(0, n, k)]
 
 
@@ -243,7 +235,7 @@ def write_report_json(path, config, results):
             "stock": config.stock,
             "sentiment_provider": config.provider,
             "feature_set": report.feature_set,
-            "replicates": report.replicates,
+            "replicates": len(report.r2_runs),
             "r2_mean": report.r2_mean,
             "mae_mean": report.mae_mean,
             "r2_runs": list(report.r2_runs),
@@ -348,8 +340,14 @@ def _check_scorable(config, y_test):
         )
 
 
-def _check_model_size(config, splits):
-    """Refuse a hidden_units whose parameter vector numpy cannot index."""
+def _check_sizes(config, splits):
+    """Refuse a hidden_units whose parameter vector numpy cannot index, and a
+    replicates whose forecasts cannot fit in this machine's memory.
+
+    The parent holds every (set, replicate) model's test forecast, 8 bytes
+    a test window, until the reports are written, so a replicate count
+    whose forecasts alone pass the physical memory could never finish.
+    """
     import numpy as np
 
     from . import forecaster
@@ -359,15 +357,22 @@ def _check_model_size(config, splits):
     if nbytes > np.iinfo(np.intp).max:
         raise StockcastError(f"hidden_units = {config.hidden_units}: a model of {nbytes} bytes "
                              f"is past numpy's index range")
+    forecasts = len(splits) * config.replicates * splits[0].test.y.nbytes
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    if forecasts > memory:
+        raise StockcastError(f"replicates = {config.replicates}: the forecasts of "
+                             f"{len(splits)} feature sets take {forecasts} bytes, more than "
+                             f"this machine's {memory} bytes of memory")
 
 
 def run_train_eval(config, out_dir):
     """The train-eval command body; returns the per-set results.
 
-    Every set's windows, and the model size, are checked before out_dir
-    is made, so bad input fails before training starts and leaves no out
-    dir. publish makes out_dir before any model trains; the reports land
-    once every model has trained, report.json last.
+    Every set's windows, the model size and the replicate count are
+    checked before out_dir is made, so bad input fails before training
+    starts and leaves no out dir. publish makes out_dir before any model
+    trains; the reports land once every model has trained, report.json
+    last.
 
     Posts are loaded before numpy, which loads in features.make_windows,
     so any post workers fork without it. When the models train in workers
@@ -385,7 +390,7 @@ def run_train_eval(config, out_dir):
         ]
         del table  # the windows view make_windows' own scaled tables: free this one
         _check_scorable(config, splits[0].test.y)  # every set's targets are the same closes
-        _check_model_size(config, splits)
+        _check_sizes(config, splits)
         jobs = _train_jobs(config, splits)
         with publish(out_dir, marker="report.json") as stage:
             preds = [pred for group in _fit_all(jobs, workers) for pred in group]

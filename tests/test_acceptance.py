@@ -9,6 +9,7 @@ import json
 import math
 import sys
 import time
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 
 from stockcast import forecaster as fc
 from stockcast import pipeline
-from stockcast.config import FEATURE_SETS, ExperimentConfig, apply_overrides, parse_config
+from stockcast.config import FEATURE_SETS, ExperimentConfig, parse_config
 from stockcast.evaluation import mae, r_squared
 from stockcast.features import (
     FeatureMatrix,
@@ -98,7 +99,7 @@ def test_criterion_3_gradient_check():
         lookback = int(rng.integers(1, 6))
         feats = int(rng.integers(1, 5))
         seed = int(rng.integers(0, 10_000))
-        weights = fc.init_weights(fc.LstmConfig(hidden_units=hidden, seed=seed), feats)
+        weights = fc.init_weights(feats, hidden, seed)
         weights = fc.LstmWeights.from_theta(weights.theta[None], feats, hidden)
         X = rng.uniform(-1, 1, size=(1, 3, lookback, feats))
         y = rng.uniform(0, 1, size=(1, 3))
@@ -124,9 +125,8 @@ def test_criterion_4_synthetic_convergence():
     dates = tuple(date(2021, 1, 4) + timedelta(days=int(i)) for i in range(n))
     matrix = FeatureMatrix(dates, ("close",), (tuple(closes.tolist()),))
     split = make_windows(matrix, 30, dates[399])
-    config = fc.LstmConfig(hidden_units=32, learning_rate=0.001, batch_size=128,
-                           epochs=200, seed=0)
-    [(weights, history)] = fc.train(split.train, config)
+    config = ExperimentConfig(hidden_units=32, learning_rate=0.001, batch_size=128, epochs=200)
+    [(weights, history)] = fc.train(split.train, config, seed=0)
     pred = fc.predict(weights, split.test)
     r2 = r_squared(split.test.y, pred)
     err = mae(split.test.y, pred)
@@ -171,13 +171,11 @@ def test_criterion_7_simulation_oracle():
 
 @criterion(8, "protocol constants honored and echoed")
 def test_criterion_8_protocol_constants(tmp_path):
-    model = fc.LstmConfig()
-    assert model.hidden_units == 256
-    assert model.learning_rate == 0.001
-    assert model.batch_size == 128
-    assert model.epochs == 100
-
     experiment = ExperimentConfig()
+    assert experiment.hidden_units == 256
+    assert experiment.learning_rate == 0.001
+    assert experiment.batch_size == 128
+    assert experiment.epochs == 100
     assert experiment.replicates == 10
     assert experiment.split_date == date(2022, 12, 31)
 
@@ -193,9 +191,8 @@ def test_criterion_8_protocol_constants(tmp_path):
     assert template.split_date == date(2022, 12, 31)
 
     # reports echo the effective config
-    config = apply_overrides(parse_config(CONFIGS / "fixture.conf"),
-                             {"feature_sets": ("Prices",), "replicates": 1,
-                              "epochs": 2, "out_dir": str(tmp_path)})
+    config = replace(parse_config(CONFIGS / "fixture.conf"), feature_sets=("Prices",),
+                     replicates=1, epochs=2, out_dir=str(tmp_path))
     pipeline.run_train_eval(config, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     echo = report["protocol"]

@@ -1,11 +1,13 @@
 """Config parsing and the four CLI commands on tiny datasets."""
 
+import hashlib
 import json
 import os
 import re
 import shutil
 import subprocess
 import sys
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -14,9 +16,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from stockcast import cli, features, forecaster, pipeline, scoring
-from stockcast.config import ExperimentConfig, apply_overrides, parse_config
+from stockcast.config import ExperimentConfig, parse_config
 from stockcast.errors import ECHO_LIMIT, RunFailed, StockcastError, echo, echo_path
-from stockcast.forecaster import LstmConfig
 from stockcast.outputs import publish
 
 from conftest import REPO
@@ -139,10 +140,8 @@ class TestConfig:
     def test_hash_ignores_out_dir_only(self, tmp_path):
         write_tiny_dataset(tmp_path)
         config = parse_config(write_config(tmp_path))
-        assert apply_overrides(config, {"out_dir": "elsewhere"}).config_hash \
-            == config.config_hash
-        assert apply_overrides(config, {"base_seed": 99}).config_hash \
-            != config.config_hash
+        assert replace(config, out_dir="elsewhere").config_hash == config.config_hash
+        assert replace(config, base_seed=99).config_hash != config.config_hash
 
     def test_dip_threshold_none_or_bogus(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -718,7 +717,7 @@ class TestTrainEvalCommand:
         write_tiny_dataset(tmp_path)
         path = write_config(tmp_path)
 
-        def explode(dataset, config, models=1):
+        def explode(dataset, config, *, seed, models=1):
             raise RunFailed("training diverged at epoch 0")
 
         monkeypatch.setattr("stockcast.forecaster.train", explode)
@@ -798,6 +797,22 @@ class TestTrainEvalCommand:
         assert err.count("\n") == 1
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("how", ["key", "flag"])
+    def test_replicates_past_memory_exit_2(self, tmp_path, how):
+        # the forecasts of 10^20 replicates pass any machine's memory: refused
+        # at once, not after a scan of every group size or a list of every job
+        write_tiny_dataset(tmp_path)
+        huge = "100000000000000000000"
+        path = write_config(tmp_path, **({"replicates": huge} if how == "key" else {}))
+        flag = ["--replicates", huge] if how == "flag" else []
+        proc = subprocess.run(
+            [sys.executable, "-m", "stockcast.cli", "train-eval", "--config", str(path), *flag],
+            capture_output=True, text=True, env=subprocess_env(), timeout=30, check=False)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"error: replicates = {huge}: "), proc.stderr
+        assert proc.stderr.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
     def test_memory_error_exit_3(self, tmp_path, monkeypatch, capsys):
         write_tiny_dataset(tmp_path)
         monkeypatch.setattr("stockcast.forecaster.train", exhaust_memory)
@@ -806,7 +821,7 @@ class TestTrainEvalCommand:
         assert not (tmp_path / "out" / "report.json").exists()
 
 
-def refuse_training(dataset, config, models=1):
+def refuse_training(dataset, config, *, seed, models=1):
     raise AssertionError("no model may train on refused input")
 
 
@@ -872,11 +887,11 @@ class TestWorkerPool:
             features.select(table, "Prices"), config.lookback, config.split_date)
         bad_test = features.WindowedDataset(
             X=np.full_like(split.test.X, np.nan), y=split.test.y, dates=split.test.dates)
-        slow = LstmConfig(hidden_units=4, epochs=300, batch_size=16, seed=3)
-        diverging = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=16, seed=5)
+        slow = ExperimentConfig(hidden_units=4, epochs=300, batch_size=16)
+        diverging = ExperimentConfig(hidden_units=4, learning_rate=1e300, batch_size=16)
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
-            pipeline._fit_all([(slow, 1, split.train, bad_test),
-                               (diverging, 1, split.train, split.test)], workers=2)
+            pipeline._fit_all([(slow, 3, 1, split.train, bad_test),
+                               (diverging, 5, 1, split.train, split.test)], workers=2)
 
     def test_group_raises_the_diverging_replicates_error(self, tmp_path, monkeypatch, capsys):
         # at lr 1e300 seed 4 trains through and seed 5 diverges at epoch 0; on
@@ -888,10 +903,10 @@ class TestWorkerPool:
         calls = []
         real_train = forecaster.train
 
-        def recording_train(dataset, config, models=1):
-            calls.append(tuple(range(config.seed, config.seed + models)))
+        def recording_train(dataset, config, *, seed, models=1):
+            calls.append(tuple(range(seed, seed + models)))
             try:
-                return real_train(dataset, config, models)
+                return real_train(dataset, config, seed=seed, models=models)
             except RunFailed as exc:
                 calls.append(str(exc))
                 raise
@@ -907,13 +922,13 @@ class TestWorkerPool:
         # their group stops at epoch 0; the error raised is replicate 0's
         diverges_at = {7: 2, 8: 0}
 
-        def diverging_train(dataset, config, models=1):
-            epoch = min(diverges_at[config.seed + k] for k in range(models))
+        def diverging_train(dataset, config, *, seed, models=1):
+            epoch = min(diverges_at[seed + k] for k in range(models))
             raise RunFailed(f"training diverged at epoch {epoch}")
 
         monkeypatch.setattr("stockcast.forecaster.train", diverging_train)
         with pytest.raises(RunFailed, match="^training diverged at epoch 2$"):
-            pipeline._fit_group([(LstmConfig(hidden_units=4, seed=7), 2, None, None)], 0)
+            pipeline._fit_group([(ExperimentConfig(hidden_units=4), 7, 2, None, None)], 0)
 
     def test_memory_error_in_worker_comes_back(self):
         # the CLI turns it into exit 3 as it does one raised here
@@ -1039,7 +1054,7 @@ class TestSimulateCommand:
         path = write_config(tmp_path)
         assert cli.main(["train-eval", "--config", str(path)]) == 0
 
-        def refuse(dataset, config, models=1):
+        def refuse(dataset, config, *, seed, models=1):
             raise AssertionError("simulate must not train")
 
         monkeypatch.setattr("stockcast.forecaster.train", refuse)
@@ -1192,6 +1207,27 @@ def read_outputs(out_dir):
     return {f.name: f.read_bytes() for f in Path(out_dir).iterdir()}
 
 
+def check_frozen_daily_sentiment(saved):
+    r"""``saved``, the fixture's daily_sentiment.csv, hashes without its
+    ``# scores=`` line, which any edit to a scoring module moves, to the
+    ``daily_sentiment_sha256`` of tests/data/fixture_daily_sentiment.json.
+    Its values are Python floats summed left to right, so its bytes do not
+    depend on the host.
+
+    The digest was written from a checkout P of commit ef0b2b4 (``git
+    archive ef0b2b4 | tar -x -C P``) by this command:
+
+        PYTHONPATH=P/src python -m stockcast.cli ingest \
+            --config P/configs/fixture.conf --out-dir P/out &&
+        grep -v '^# scores=' P/out/daily_sentiment.csv | sha256sum
+    """
+    frozen = json.loads((REPO / "tests" / "data" / "fixture_daily_sentiment.json")
+                        .read_text(encoding="utf-8"))
+    kept = b"".join(line for line in saved.splitlines(keepends=True)
+                    if not line.startswith(b"# scores="))
+    assert hashlib.sha256(kept).hexdigest() == frozen["daily_sentiment_sha256"]
+
+
 class TestScoredOnce:
     """ingest saves the daily sentiment; featurize and train-eval reuse it."""
 
@@ -1209,11 +1245,12 @@ class TestScoredOnce:
             outputs[name] = read_outputs(out_dir)
         saved = outputs["after-ingest"].pop(scoring.DAILY_SENTIMENT_FILE)
         assert saved.startswith(b"# config_hash=")
+        check_frozen_daily_sentiment(saved)
         assert len(outputs["alone"]) == 12 + 3  # 12 feature files, report, table, predictions
         assert outputs["after-ingest"] == outputs["alone"]
 
     def test_saved_rows_equal_scored_rows(self, tmp_path, fixture_config_path):
-        config = apply_overrides(parse_config(fixture_config_path), {"out_dir": str(tmp_path)})
+        config = replace(parse_config(fixture_config_path), out_dir=str(tmp_path))
         scored = scoring.load_dataset(config, tmp_path)  # nothing saved yet
         with publish(tmp_path) as stage:
             scoring.write_daily_sentiment(stage(scoring.DAILY_SENTIMENT_FILE), config, scored)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from stockcast import errors
-from stockcast.config import parse_config
+from stockcast.config import ExperimentConfig, parse_config
 from stockcast.errors import RunFailed, StockcastError
 from stockcast.evaluation import r_squared
 from stockcast.features import (
@@ -26,7 +26,6 @@ from stockcast.features import (
     sma,
 )
 from stockcast.forecaster import (
-    LstmConfig,
     LstmWeights,
     LstmWorkspace,
     forward,
@@ -56,7 +55,7 @@ def short_indicator(tmp_path):
 
 def diverging_training(tmp_path):
     dataset = WindowedDataset(X=np.full((4, 3, 2), np.nan), y=np.zeros(4), dates=tuple(D[:4]))
-    train(dataset, LstmConfig(hidden_units=2, batch_size=4, epochs=1, seed=0))
+    train(dataset, ExperimentConfig(hidden_units=2, batch_size=4, epochs=1), seed=0)
 
 
 #: One raise site per kind of error: the class it must raise, and a call
@@ -84,8 +83,7 @@ SITES = {
     "MissingField": (StockcastError, lambda p: load_posts_jsonl(
         write(p, "f.jsonl", '{"id": "a", "text": "x"}\n'), "tweet")),
     "NonFiniteActivation": (RunFailed, lambda p: forward(
-        LstmWeights.from_theta(init_weights(LstmConfig(hidden_units=2, seed=0), 2).theta[None],
-                               2, 2),
+        LstmWeights.from_theta(init_weights(2, 2, 0).theta[None], 2, 2),
         np.full((1, 1, 3, 2), np.nan), LstmWorkspace(1, 3, 2, 2))),
     "NonFiniteFeature": (StockcastError, lambda p: make_windows(
         FeatureMatrix(tuple(D), ("close", "tweet_mean_ws"),

@@ -62,16 +62,15 @@ class TestReplicateAverage:
     def test_mean(self):
         report = self.report([0.9, 0.8])
         assert report.r2_mean == pytest.approx(0.85)
-        assert report.replicates == 2
         assert report.r2_runs == (0.9, 0.8)
 
     def test_singleton(self):
         report = self.report([0.7])
-        assert report.r2_mean == 0.7 and report.replicates == 1
+        assert report.r2_mean == 0.7 and len(report.r2_runs) == 1
 
     def test_ten_identical(self):
         report = self.report([0.9] * 10)
-        assert report.r2_mean == pytest.approx(0.9) and report.replicates == 10
+        assert report.r2_mean == pytest.approx(0.9) and len(report.r2_runs) == 10
 
     @given(st.permutations(list(range(5))))
     def test_permutation_invariant(self, order):

@@ -4,12 +4,12 @@ import json
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from stockcast.config import ExperimentConfig
 from stockcast.errors import RunFailed
 from stockcast.features import WindowedDataset
 from stockcast.forecaster import (
@@ -19,7 +19,6 @@ from stockcast.forecaster import (
     ADAM_EPS,
     GRAD_CLIP,
     AdamState,
-    LstmConfig,
     LstmWeights,
     LstmWorkspace,
     adam_step,
@@ -133,21 +132,20 @@ def live_sample(weights, rng, lookback, n_features):
 
 class TestInit:
     def test_same_seed_bit_identical(self):
-        cfg = LstmConfig(hidden_units=8, seed=5)
-        w1 = init_weights(cfg, 3)
-        w2 = init_weights(cfg, 3)
+        w1 = init_weights(3, 8, 5)
+        w2 = init_weights(3, 8, 5)
         assert np.array_equal(w1.theta, w2.theta)
 
     def test_different_seed_differs(self):
-        w1 = init_weights(LstmConfig(hidden_units=8, seed=5), 3)
-        w2 = init_weights(LstmConfig(hidden_units=8, seed=6), 3)
+        w1 = init_weights(3, 8, 5)
+        w2 = init_weights(3, 8, 6)
         assert not np.array_equal(w1.W[0], w2.W[0])
 
     def test_frozen_values(self):
         # pins the seeded stream and the order the blocks are drawn in: the
         # first W and last head values, the sum, and a position-weighted
         # sum, which any two blocks drawn in swapped order change
-        w = init_weights(LstmConfig(hidden_units=3, seed=5), 2)
+        w = init_weights(2, 3, 5)
         theta = w.theta
         assert theta.size == 76
         assert theta[:3].tolist() == [0.3521870402560363, 0.3555793956976613,
@@ -168,7 +166,7 @@ class TestInit:
         # bias, w_out and b_out in theta's order. Reordering the draws fails here
         H, F = hidden, n_features
         k = 1.0 / math.sqrt(H)
-        w = init_weights(LstmConfig(hidden_units=H, seed=seed), F)
+        w = init_weights(F, H, seed)
         draw = np.random.default_rng([seed, 0]).uniform(-k, k, theta_size(F, H) - H)
         n_W, n_U = 4 * F * H, 4 * H * H
         W = draw[:n_W].reshape(4, F, H).transpose(1, 0, 2).reshape(F, 4 * H)
@@ -179,17 +177,17 @@ class TestInit:
         assert np.array_equal(w.theta[n_W + n_U:], np.concatenate([rest[:H], np.ones(H), rest[H:]]))
 
     def test_forget_bias_is_one(self):
-        w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
+        w = init_weights(3, 8, 0)
         assert np.all(w.b[8:16] == 1.0)
 
     def test_shapes(self):
-        w = init_weights(LstmConfig(hidden_units=8, seed=0), 3)
+        w = init_weights(3, 8, 0)
         blocks = (w.W, w.U, w.b, w.w_out, w.b_out)
         assert [arr.shape for arr in blocks] == [(3, 32), (8, 32), (32,), (8,), ()]
         assert w.theta.size == sum(arr.size for arr in blocks)
 
     def test_bound(self):
-        w = init_weights(LstmConfig(hidden_units=16, seed=1), 4)
+        w = init_weights(4, 16, 1)
         k = 1 / math.sqrt(16)
         for arr in (w.W, w.U, w.b[:16], w.b[32:], w.w_out, w.b_out):  # all but b_f
             assert np.all(np.abs(arr) <= k)
@@ -202,7 +200,7 @@ class TestForward:
         assert pred[0, 0] == 0.0
 
     def test_lookback_one_single_step(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=2), 2)
+        w = init_weights(2, 4, 2)
         X = np.array([[0.3, -0.7]])
         block, batch = with_axis(w, X[None])
         pred, cache = forward(block, batch, workspace_for(block, batch))
@@ -210,7 +208,7 @@ class TestForward:
         assert pred[0, 0] == pytest.approx(cell_oracle(w, X), rel=1e-12)
 
     def test_matches_cell_oracle_seed42(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=42), 2)
+        w = init_weights(2, 4, 42)
         rng = np.random.default_rng(42)
         X = rng.normal(size=(3, 2))
         block, batch = with_axis(w, X[None])
@@ -220,15 +218,14 @@ class TestForward:
     def test_matches_cell_oracle_more_shapes(self):
         rng = np.random.default_rng(9)
         for hidden, lookback, feats in [(1, 1, 1), (3, 5, 4), (6, 2, 3)]:
-            w = init_weights(LstmConfig(hidden_units=hidden, seed=7), feats)
+            w = init_weights(feats, hidden, 7)
             X = rng.normal(size=(lookback, feats))
             block, batch = with_axis(w, X[None])
             pred, _ = forward(block, batch, workspace_for(block, batch))
             assert pred[0, 0] == pytest.approx(cell_oracle(w, X), rel=1e-12, abs=1e-15)
 
     def test_gates_bounded(self):
-        w, X = with_axis(init_weights(LstmConfig(hidden_units=5, seed=3), 2),
-                         np.random.default_rng(0).normal(size=(4, 2))[None])
+        w, X = with_axis(init_weights(2, 5, 3), np.random.default_rng(0).normal(size=(4, 2))[None])
         _, cache = forward(w, X, workspace_for(w, X))
         H = w.hidden_units
         for gates, tanh_c in zip(cache["A"][0], np.tanh(cache["c"][0, 1:])):
@@ -238,8 +235,7 @@ class TestForward:
             assert np.all(np.abs(tanh_c) <= 1.0)
 
     def test_non_finite_raises(self):
-        w, X = with_axis(init_weights(LstmConfig(hidden_units=4, seed=0), 2),
-                         np.full((1, 3, 2), np.nan))
+        w, X = with_axis(init_weights(2, 4, 0), np.full((1, 3, 2), np.nan))
         with pytest.raises(RunFailed, match=r"^non-finite prediction; training diverged\?$"):
             forward(w, X, workspace_for(w, X))
 
@@ -264,7 +260,7 @@ class TestForward:
 
 class TestFlatLayout:
     def test_views_alias_theta(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
+        w = init_weights(3, 4, 2)
         rng = np.random.default_rng(3)
         X = live_sample(w, rng, 5, 3)
         theta_before = w.theta.copy()
@@ -282,7 +278,7 @@ class TestFlatLayout:
 class TestBackward:
     def test_gradient_check_single_sample(self):
         rng = np.random.default_rng(11)
-        w = init_weights(LstmConfig(hidden_units=6, seed=3), 3)
+        w = init_weights(3, 6, 3)
         w, X, y = with_axis(w, live_sample(w, rng, 4, 3)[None], [0.2])
         workspace = workspace_for(w, X)
         _, cache = forward(w, X, workspace)
@@ -292,7 +288,7 @@ class TestBackward:
 
     def test_gradient_check_batch(self):
         rng = np.random.default_rng(12)
-        w, X, y = with_axis(init_weights(LstmConfig(hidden_units=5, seed=8), 2),
+        w, X, y = with_axis(init_weights(2, 5, 8),
                             rng.uniform(-1, 1, size=(6, 4, 2)), rng.uniform(0, 1, size=6))
         workspace = workspace_for(w, X)
         _, cache = forward(w, X, workspace)
@@ -301,8 +297,7 @@ class TestBackward:
         assert max_relative_error(analytic, fd) < 1e-4
 
     def test_zero_inputs_zero_input_weight_grads(self):
-        w, X, y = with_axis(init_weights(LstmConfig(hidden_units=4, seed=9), 3),
-                            np.zeros((1, 5, 3)), [0.5])
+        w, X, y = with_axis(init_weights(3, 4, 9), np.zeros((1, 5, 3)), [0.5])
         workspace = workspace_for(w, X)
         _, cache = forward(w, X, workspace)
         grads = backward(w, cache, y, workspace)
@@ -321,7 +316,7 @@ class TestBackward:
 
 class TestAdam:
     def test_zero_gradient_no_move(self):
-        w = init_weights(LstmConfig(hidden_units=3, seed=0), 2)
+        w = init_weights(2, 3, 0)
         before = w.theta.copy()
         grads = LstmWeights.from_theta(np.zeros_like(w.theta), 2, 3)
         state = AdamState.for_weights(w)
@@ -331,7 +326,7 @@ class TestAdam:
 
     def test_first_step_closed_form(self):
         # t=1 bias correction collapses to delta = -lr*g/(|g|+eps)
-        w = init_weights(LstmConfig(hidden_units=3, seed=1), 2)
+        w = init_weights(2, 3, 1)
         before = w.theta.copy()
         rng = np.random.default_rng(5)
         grads = LstmWeights.from_theta(rng.normal(size=w.theta.size), 2, 3)
@@ -354,13 +349,13 @@ class TestAdam:
             _, cache = forward(w, X, workspace)
             return backward(w, cache, y, workspace)
 
-        w_two = with_axis(init_weights(LstmConfig(hidden_units=3, seed=4), 2))[0]
+        w_two = with_axis(init_weights(2, 3, 4))[0]
         s_two = AdamState.for_weights(w_two)
         first_grads = grads_at(w_two)
         adam_step(w_two, first_grads, s_two, lr=0.01)
         adam_step(w_two, grads_at(w_two), s_two, lr=0.01)
 
-        w_one = with_axis(init_weights(LstmConfig(hidden_units=3, seed=4), 2))[0]
+        w_one = with_axis(init_weights(2, 3, 4))[0]
         s_one = AdamState.for_weights(w_one)
         adam_step(w_one, grads_at(w_one), s_one, lr=0.02)
 
@@ -375,8 +370,7 @@ class TestAdam:
         # must agree. At H=256 theta spans 17 chunks, the last one short, and
         # K = 2 models update as one (2, theta size) block
         rng = np.random.default_rng(hidden * models)
-        alone = [init_weights(LstmConfig(hidden_units=hidden, seed=2 + k), n_features)
-                 for k in range(models)]
+        alone = [init_weights(n_features, hidden, 2 + k) for k in range(models)]
         w = lockstep_weights(alone) if models > 1 else alone[0]
         assert w.theta.shape[-1] // ADAM_CHUNK == (16 if hidden == 256 else 0)
         state = AdamState.for_weights(w)
@@ -426,16 +420,15 @@ def constant_target_dataset():
 
 
 class TestTrain:
-    CFG = LstmConfig(hidden_units=16, learning_rate=0.001, batch_size=8,
-                     epochs=150, seed=7)
+    CFG = ExperimentConfig(hidden_units=16, learning_rate=0.001, batch_size=8, epochs=150)
 
     def test_constant_target_converges(self):
-        [(_, history)] = train(constant_target_dataset(), self.CFG)
+        [(_, history)] = train(constant_target_dataset(), self.CFG, seed=7)
         assert len(history) == self.CFG.epochs
         assert history[-1] < 1e-4
 
     def test_loss_monotone_after_warmup(self):
-        [(_, history)] = train(constant_target_dataset(), self.CFG)
+        [(_, history)] = train(constant_target_dataset(), self.CFG, seed=7)
         violations = sum(
             1 for i in range(10, len(history) - 1) if history[i + 1] > history[i]
         )
@@ -443,14 +436,14 @@ class TestTrain:
 
     def test_same_seed_bit_identical(self):
         ds = constant_target_dataset()
-        cfg = LstmConfig(hidden_units=8, batch_size=16, epochs=12, seed=3)
-        [(w1, h1)] = train(ds, cfg)
-        [(w2, h2)] = train(ds, cfg)
+        cfg = ExperimentConfig(hidden_units=8, batch_size=16, epochs=12)
+        [(w1, h1)] = train(ds, cfg, seed=3)
+        [(w2, h2)] = train(ds, cfg, seed=3)
         assert h1 == h2
         assert np.array_equal(w1.theta, w2.theta)
 
     def test_defaults_accepted(self):
-        cfg = LstmConfig()
+        cfg = ExperimentConfig()
         assert (cfg.hidden_units, cfg.learning_rate, cfg.batch_size, cfg.epochs) == \
             (256, 0.001, 128, 100)
 
@@ -459,17 +452,17 @@ class TestTrain:
         bad = WindowedDataset(X=ds.X.copy(), y=ds.y, dates=ds.dates)
         bad.X[3, 2, 1] = np.nan
         with pytest.raises(RunFailed, match="^training diverged at epoch 0$"):
-            train(bad, LstmConfig(hidden_units=4, batch_size=8, epochs=2, seed=0))
+            train(bad, ExperimentConfig(hidden_units=4, batch_size=8, epochs=2), seed=0)
 
     def test_overflowing_loss_stops_before_backward(self):
         # the first Adam step at lr 1e300 moves the weights by ~1e300, so the
         # next batch's squared error overflows; train stops at that batch
         # instead of running the overflow through backward, clip and Adam
-        cfg = LstmConfig(hidden_units=4, learning_rate=1e300, batch_size=8, epochs=2, seed=0)
+        cfg = ExperimentConfig(hidden_units=4, learning_rate=1e300, batch_size=8, epochs=2)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(RunFailed, match="^training diverged at epoch 0$"):
-                train(constant_target_dataset(), cfg)
+                train(constant_target_dataset(), cfg, seed=0)
 
 
 class TestPredict:
@@ -480,12 +473,12 @@ class TestPredict:
         return WindowedDataset(X=X, y=y, dates=tuple(range(n)))
 
     def test_empty(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=0), 3)
+        w = init_weights(3, 4, 0)
         ds = WindowedDataset(X=np.empty((0, 4, 3)), y=np.empty(0), dates=())
         assert predict(w, ds).shape == (0,)
 
     def test_single_sample_equals_forward(self):
-        w = init_weights(LstmConfig(hidden_units=4, seed=1), 3)
+        w = init_weights(3, 4, 1)
         ds = self.make_dataset(1)
         pred = predict(w, ds)
         block, X = with_axis(w, ds.X[:1])
@@ -494,7 +487,7 @@ class TestPredict:
 
     def test_batch_equals_per_sample_loop(self, monkeypatch):
         monkeypatch.setattr("stockcast.forecaster.PREDICT_CHUNK", 4)
-        w = init_weights(LstmConfig(hidden_units=4, seed=2), 3)
+        w = init_weights(3, 4, 2)
         ds = self.make_dataset(9)
         batched = predict(w, ds)
         block = with_axis(w)[0]
@@ -505,7 +498,7 @@ class TestPredict:
 
 def live_weights(hidden, n_features, seed):
     """Seeded init with the head bias raised, so every prediction is live."""
-    w = init_weights(LstmConfig(hidden_units=hidden, seed=seed), n_features)
+    w = init_weights(n_features, hidden, seed)
     w.b_out[...] = 1.0
     return w
 
@@ -591,7 +584,7 @@ class TestWorkspace:
             assert array.flags.c_contiguous
 
     def test_wrong_shape_rejected(self):
-        w = with_axis(init_weights(LstmConfig(hidden_units=4, seed=0), 3))[0]
+        w = with_axis(init_weights(3, 4, 0))[0]
         with pytest.raises(ValueError, match="workspace"):
             forward(w, np.zeros((1, 9, 5, 3)), LstmWorkspace(8, 5, 3, 4))
         with pytest.raises(ValueError, match="workspace"):
@@ -603,11 +596,11 @@ class TestWorkspace:
         rng = np.random.default_rng(22)
         X = rng.uniform(0, 1, size=(21, 6, 3))
         y = rng.uniform(0.2, 0.8, size=21)
-        cfg = LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=0)
-        weights = with_axis(init_weights(cfg, 3))[0]
+        cfg = ExperimentConfig(hidden_units=8, batch_size=8, epochs=4)
+        weights = with_axis(init_weights(3, 8, 0))[0]
         start = weights.theta.copy()
         state = AdamState.for_weights(weights)
-        shuffle_rng = np.random.default_rng([cfg.seed, 1])
+        shuffle_rng = np.random.default_rng([0, 1])
         history = []
         for _ in range(cfg.epochs):
             order = shuffle_rng.permutation(21)
@@ -622,7 +615,8 @@ class TestWorkspace:
                 adam_step(weights, grads, state, cfg.learning_rate)
             history.append(sq_sum / 21)
 
-        [(trained, trained_history)] = train(WindowedDataset(X=X, y=y, dates=tuple(range(21))), cfg)
+        dataset = WindowedDataset(X=X, y=y, dates=tuple(range(21)))
+        [(trained, trained_history)] = train(dataset, cfg, seed=0)
         assert not np.array_equal(weights.theta, start)
         assert np.array_equal(trained.theta, weights.theta[0])
         assert trained_history == history
@@ -665,8 +659,8 @@ class TestWorkspace:
         T, F, H, B, n = 10, 8, 128, 16, 40
         rng = np.random.default_rng(26)
         X, y = rng.uniform(0, 1, size=(n, T, F)), rng.uniform(0.2, 0.8, size=n)
-        cfg = LstmConfig(hidden_units=H, batch_size=B, epochs=2, seed=0)
-        w = with_axis(init_weights(cfg, F))[0]
+        cfg = ExperimentConfig(hidden_units=H, batch_size=B, epochs=2)
+        w = with_axis(init_weights(F, H, 0))[0]
         theta = w.theta.nbytes
         dataset = WindowedDataset(X=X, y=y, dates=tuple(range(n)))
         tracemalloc.start()
@@ -679,11 +673,11 @@ class TestWorkspace:
             one_workspace = tracemalloc.get_traced_memory()[0]
             del workspace
             tracemalloc.reset_peak()
-            train(dataset, cfg)
+            train(dataset, cfg, seed=0)
             peak = tracemalloc.get_traced_memory()[1]
             # K = 2 models in lockstep: K workspaces and K Adam rows, nothing more
             tracemalloc.reset_peak()
-            train(dataset, cfg, models=2)
+            train(dataset, cfg, seed=0, models=2)
             group_peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -732,14 +726,13 @@ class TestLockstep:
         X = rng.uniform(0, 1, size=(21, 6, 3))
         y = rng.uniform(0.2, 0.8, size=21)
         dataset = WindowedDataset(X=X, y=y, dates=tuple(range(21)))
-        config = LstmConfig(hidden_units=8, batch_size=8, epochs=4, seed=seed)
-        group = train(dataset, config, models)
+        config = ExperimentConfig(hidden_units=8, batch_size=8, epochs=4)
+        group = train(dataset, config, seed=seed, models=models)
         assert len(group) == models
         learned = 0
         for k, (weights, history) in enumerate(group):
-            config = replace(config, seed=seed + k)
-            [(alone, alone_history)] = train(dataset, config)
-            learned += not np.array_equal(weights.theta, init_weights(config, 3).theta)
+            [(alone, alone_history)] = train(dataset, config, seed=seed + k)
+            learned += not np.array_equal(weights.theta, init_weights(3, 8, seed + k).theta)
             assert weights.theta.tobytes() == alone.theta.tobytes()
             assert np.array(history).tobytes() == np.array(alone_history).tobytes()
             assert predict(weights, dataset).tobytes() == predict(alone, dataset).tobytes()

@@ -5,6 +5,7 @@ import hashlib
 import json
 import shutil
 import tracemalloc
+from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -12,7 +13,7 @@ from types import SimpleNamespace
 import pytest
 
 from stockcast import cli, pipeline, scoring
-from stockcast.config import apply_overrides, parse_config
+from stockcast.config import parse_config
 from stockcast.features import select
 from stockcast.ingest import line_ranges
 from stockcast.pipeline import (
@@ -34,8 +35,7 @@ PACKAGE = Path(scoring.__file__).parent
 @pytest.fixture(scope="module")
 def config(fixture_config_path):
     base = parse_config(fixture_config_path)
-    return apply_overrides(base, {"feature_sets": ("Prices-Tweets-News-RSI-SMA",),
-                                  "epochs": 4})
+    return replace(base, feature_sets=("Prices-Tweets-News-RSI-SMA",), epochs=4)
 
 
 @pytest.fixture(scope="module")
@@ -125,14 +125,15 @@ def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf,
                                                              cores, groups):
     monkeypatch.setattr("stockcast.scoring.os.sched_getaffinity",
                         lambda pid: set(range(cores)))
-    config = apply_overrides(parse_config(CONFIGS / conf), overrides)
+    config = replace(parse_config(CONFIGS / conf), **overrides)
     splits = [SimpleNamespace(train=f"{fs} train", test=f"{fs} test")
               for fs in config.feature_sets]
     jobs = pipeline._train_jobs(config, splits)
-    assert [models for _, models, _, _ in jobs] == groups
+    assert [models for _, _, models, _, _ in jobs] == groups
+    assert all(job_config is config for job_config, *_ in jobs)
     # each set's replicates in order, seeded base_seed + i, with that set's windows
     n = config.replicates
-    assert [(train, test, model_config.seed + k) for model_config, models, train, test in jobs
+    assert [(train, test, seed + k) for _, seed, models, train, test in jobs
             for k in range(models)] == [(f"{fs} train", f"{fs} test", config.base_seed + i)
                                         for fs in config.feature_sets for i in range(n)]
 
@@ -140,12 +141,8 @@ def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf,
 def test_replay_provider_covers_fixture_posts(fixture_config_path):
     base = parse_config(fixture_config_path)
     replay_path = str((fixture_config_path.parent / "../fixtures/replay_scores.jsonl").resolve())
-    config = apply_overrides(base, {
-        "provider": "replay",
-        "replay_scores": replay_path,
-        "feature_sets": ("Prices-Tweets",),
-        "epochs": 2,
-    })
+    config = replace(base, provider="replay", replay_scores=replay_path,
+                     feature_sets=("Prices-Tweets",), epochs=2)
     dataset = load_dataset(config)
     assert sum(dataset.daily["tweet_count"]) > 0
     provider = make_provider(config)
@@ -195,9 +192,9 @@ def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
         path.write_bytes(original + b"\n")
         assert (scoring.scores_digest(config) != digest) == (name in scored_by), name
         path.write_bytes(original)
-    assert scoring.scores_digest(apply_overrides(config, {
-        "base_seed": 1, "replicates": 3, "feature_sets": ("Prices",), "epochs": 1,
-        "out_dir": "elsewhere"})) == digest
+    assert scoring.scores_digest(replace(
+        config, base_seed=1, replicates=3, feature_sets=("Prices",), epochs=1,
+        out_dir="elsewhere")) == digest
 
 
 def package_imports(path):
@@ -287,8 +284,7 @@ def tweet_counts(dataset):
 @pytest.mark.parametrize("provider", ["lexicon", "replay"])
 def test_pool_matches_in_process(fixture_config_path, monkeypatch, provider):
     base = parse_config(fixture_config_path)
-    config = apply_overrides(base, {"provider": provider,
-                                    "replay_scores": str(FIXTURES / "replay_scores.jsonl")})
+    config = replace(base, provider=provider, replay_scores=str(FIXTURES / "replay_scores.jsonl"))
     here = load_dataset(config)
     force_pool(monkeypatch, range_bytes=4096)
     assert scoring._post_workers(config) == 2
