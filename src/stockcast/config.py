@@ -1,6 +1,10 @@
 """Experiment configuration: flat `key = value` files, one pair per line.
 
-`#` starts a comment; blank lines are ignored. Relative input paths, and
+`#` starts a comment; blank lines are ignored. ExperimentConfig declares
+each key once: a value is parsed by its field's annotation (_parse_value)
+and checked by _check_value, a number against its bound in _BOUNDS, both
+while a file is read, naming the line, and again for a config built in
+code or changed by a flag, naming the key. Relative input paths, and
 the default `prices.csv`, `tweets.jsonl` and `news.jsonl` of a path key
 left out, are resolved against the config file's directory, so bundled
 configs work from any working directory; `out_dir` is kept as written, so
@@ -85,29 +89,11 @@ class ExperimentConfig:
             raise StockcastError(f"provider must be one of {PROVIDERS}, got {self.provider!r}")
         if self.provider == "replay" and not self.replay_scores:
             raise StockcastError("provider=replay needs a replay_scores path")
-        if self.replicates < 1:
-            raise StockcastError("replicates must be >= 1")
-        if self.base_seed < 0:
-            raise StockcastError("base_seed must be non-negative")
-        if self.min_likes is not None and self.min_likes < 0:
-            raise StockcastError(f"min_likes must be >= 0 or none, got {self.min_likes}")
-        for key in _FLOAT_KEYS:
-            value = getattr(self, key)
-            if value is not None and not math.isfinite(value):
-                raise StockcastError(f"{key} must be finite, got {value}")
-        for key in ("hidden_units", "batch_size", "epochs", "lookback",
-                    "rsi_period", "sma_period"):
-            if getattr(self, key) < 1:
-                raise StockcastError(f"{key} must be >= 1, got {getattr(self, key)}")
-        for key in ("learning_rate", "initial_capital"):
-            if not getattr(self, key) > 0:
-                raise StockcastError(f"{key} must be positive, got {getattr(self, key)}")
-        for key in ("alpha", "beta", "gamma", "delta", "profit_threshold", "dip_threshold"):
-            if key == "dip_threshold" and self.dip_threshold is None:
-                continue  # dip rule off
-            if not getattr(self, key) >= 0:
-                raise StockcastError(f"{key} must be >= 0, got {getattr(self, key)}")
-        _check_feature_sets(self.feature_sets)
+        for f in fields(self):
+            try:
+                _check_value(f.name, getattr(self, f.name))
+            except ValueError as exc:
+                raise StockcastError(f"{f.name} {exc}") from None
         if not self.out_dir:  # "" would write every output into the working directory
             raise StockcastError("out_dir must not be empty")
 
@@ -153,17 +139,6 @@ class ExperimentConfig:
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
 
 
-def _check_feature_sets(names):
-    """Refuse a name that is no feature set, and one named twice (it would train twice)."""
-    unknown = [fs for fs in names if fs not in FEATURE_SETS]
-    if unknown:
-        raise StockcastError(f"unknown feature sets {echo(str(unknown))}; "
-                             f"valid: {', '.join(FEATURE_SETS)}")
-    for i, name in enumerate(names):
-        if name in names[:i]:
-            raise StockcastError(f"{echo(repr(name))} named twice")
-
-
 def _file_sha256(path):
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
@@ -177,43 +152,68 @@ _BOOL_VALUES = {"true": True, "false": False, "yes": True, "no": False,
 
 _PATH_KEYS = ("prices", "tweets", "news", "lexicon", "replay_scores", "stopwords")
 
-_FLOAT_KEYS = ("alpha", "beta", "gamma", "delta", "learning_rate",
-               "initial_capital", "profit_threshold", "dip_threshold")
+#: {numeric key: (its lower bound, whether a value may equal it)}; a float
+#: key's value must also be finite, and an optional key's may be None.
+_BOUNDS = {"learning_rate": (0, False), "initial_capital": (0, False),
+           **dict.fromkeys(("min_likes", "alpha", "beta", "gamma", "delta", "base_seed",
+                            "profit_threshold", "dip_threshold"), (0, True)),
+           **dict.fromkeys(("rsi_period", "sma_period", "lookback", "hidden_units",
+                            "batch_size", "epochs", "replicates"), (1, True))}
 
 
-def _parse_value(key, raw, base_dir):
+def _check_value(key, value):
+    """Raise a ValueError, worded to follow the key, if ``value`` is out of
+    ``key``'s range: a path or out_dir holding a NUL byte, which no file
+    name can, or a number that is not finite or not past its _BOUNDS. The
+    value is shown through echo, so a 4,300-digit one cannot flood stderr.
+    A feature_sets naming no set, or a set twice (it would train twice),
+    raises a StockcastError."""
+    if key == "feature_sets":
+        unknown = [fs for fs in value if fs not in FEATURE_SETS]
+        if unknown:
+            raise StockcastError(f"unknown feature sets {echo(str(unknown))}; "
+                                 f"valid: {', '.join(FEATURE_SETS)}")
+        for i, name in enumerate(value):
+            if name in value[:i]:
+                raise StockcastError(f"{echo(repr(name))} named twice")
+    if (key in _PATH_KEYS or key == "out_dir") and value and "\0" in value:
+        raise ValueError("must not hold a NUL byte")
+    if key in _BOUNDS and value is not None:
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"must be finite, got {value}")
+        low, inclusive = _BOUNDS[key]
+        if not (value >= low if inclusive else value > low):
+            raise ValueError(f"must be {'>=' if inclusive else '>'} {low}, "
+                             f"got {echo(str(value))}")
+
+
+def _parse_value(key, kind, raw, base_dir):
+    """``raw`` parsed by ``kind``, the annotation of field ``key`` (``int``,
+    ``float``, ``bool``, ``date``, ``tuple`` or ``str``): a path key's
+    resolved against ``base_dir``, and ``none`` (or, for min_likes,
+    nothing) as None where the annotation ends in ``| None``."""
     if key in _PATH_KEYS:
         if not raw:
             raise ValueError("empty path")
+        _check_value(key, raw)  # before resolve() meets a NUL byte
         p = Path(raw)
-        if not p.is_absolute():
-            p = (base_dir / p).resolve()
-        return str(p)
-    if key in ("min_likes",):
-        return None if raw.lower() in ("", "none") else int(raw)
-    if key in ("keep_cashtags",):
-        try:
-            return _BOOL_VALUES[raw.lower()]
-        except KeyError:
-            raise ValueError(f"must be true/false, got {echo(repr(raw))}") from None
-    if key in ("rsi_period", "sma_period", "lookback", "hidden_units",
-               "batch_size", "epochs", "replicates", "base_seed"):
-        return int(raw)
-    if key == "dip_threshold" and raw.lower() == "none":
-        return None
-    if key in _FLOAT_KEYS:
-        return float(raw)
-    if key == "split_date":
-        return date.fromisoformat(raw)
-    if key == "feature_sets":
+        return str(p if p.is_absolute() else (base_dir / p).resolve())
+    if kind.endswith(" | None"):
+        if raw.lower() == "none" or (key == "min_likes" and not raw):
+            return None
+        kind = kind.removesuffix(" | None")
+    if kind == "bool":
+        if raw.lower() not in _BOOL_VALUES:
+            raise ValueError(f"must be true/false, got {echo(repr(raw))}")
+        return _BOOL_VALUES[raw.lower()]
+    if kind == "tuple":
         if raw.strip().lower() == "all":
             return tuple(FEATURE_SETS)
         names = tuple(part.strip() for part in raw.split(",") if part.strip())
         if not names:
             raise ValueError("names no feature set; give a comma list of set names or all")
-        _check_feature_sets(names)
         return names
-    return raw
+    return {"int": int, "float": float, "date": date.fromisoformat, "str": str}[kind](raw)
 
 
 def parse_config(path):
@@ -231,7 +231,7 @@ def parse_config(path):
     if not path.is_file():
         raise StockcastError(f"config file not found: {path}")
     base_dir = path.parent.resolve()
-    known = {f.name for f in fields(ExperimentConfig)}
+    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     seen = {}
     with open_text(path) as fh:
@@ -244,21 +244,22 @@ def parse_config(path):
             raise StockcastError(
                 f"{path}:{lineno}: expected 'key = value', got {echo(repr(line))}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in known:
+        if key not in kinds:
             raise StockcastError(f"{path}:{lineno}: unknown key {echo(repr(key))}")
         if key in seen:
             raise StockcastError(f"{path}:{lineno}: key {key!r} given twice, "
                                  f"first on line {seen[key]}")
         seen[key] = lineno
         try:
-            values[key] = _parse_value(key, raw, base_dir)
+            values[key] = _parse_value(key, kinds[key], raw, base_dir)
+            _check_value(key, values[key])
         except (ValueError, TypeError, StockcastError) as exc:
             # float() and date.fromisoformat() quote the whole value
             detail = str(exc).replace(repr(raw), echo(repr(raw)))
             raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {detail}") from exc
     for f in fields(ExperimentConfig):
         if f.name in _PATH_KEYS and f.name not in values and f.default is not None:
-            values[f.name] = _parse_value(f.name, f.default, base_dir)
+            values[f.name] = _parse_value(f.name, f.type, f.default, base_dir)
     return ExperimentConfig(**values)
 
 

@@ -62,7 +62,8 @@ def build_matrix(config, dataset):
                 if bad is not None:
                     raise StockcastError(f"{name} is not finite on {bad}")
             except StockcastError as exc:
-                raise StockcastError(f"{config.prices}: {name}_period = {period}: {exc}") from None
+                raise StockcastError(f"{config.prices}: {name}_period = {echo(str(period))}: "
+                                     f"{exc}") from None
     return features.assemble(dataset.bars, dataset.daily, indicators)
 
 
@@ -196,13 +197,15 @@ def _group_size(config):
     wanted = min(sets * n, _usable_cores())
     block = config.batch_size * 4 * config.hidden_units
     largest = max(1, min(n, _GROUP_GATE_FLOATS // block))
+    # -(-n // size) is ceil(n / size) in ints: a count past the float range
+    # must reach _check_sizes' memory bound, not overflow here
     return max(size for size in range(1, largest + 1)
-               if size == 1 or sets * math.ceil(n / size) >= wanted)
+               if size == 1 or sets * -(-n // size) >= wanted)
 
 
 def _training_workers(config):
     """The workers _fit_all trains in: one per job, up to the usable cores."""
-    jobs = len(config.feature_sets) * math.ceil(config.replicates / _group_size(config))
+    jobs = len(config.feature_sets) * -(-config.replicates // _group_size(config))
     return min(jobs, _usable_cores())
 
 
@@ -355,14 +358,14 @@ def _check_sizes(config, splits):
     n_features = max(split.train.X.shape[2] for split in splits)
     nbytes = forecaster.theta_size(n_features, config.hidden_units) * np.dtype(np.float64).itemsize
     if nbytes > np.iinfo(np.intp).max:
-        raise StockcastError(f"hidden_units = {config.hidden_units}: a model of {nbytes} bytes "
-                             f"is past numpy's index range")
-    forecasts = len(splits) * config.replicates * splits[0].test.y.nbytes
+        raise StockcastError(f"hidden_units = {echo(str(config.hidden_units))}: a model of "
+                             f"that size is past numpy's index range")
+    per_replicate = len(splits) * splits[0].test.y.nbytes
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-    if forecasts > memory:
-        raise StockcastError(f"replicates = {config.replicates}: the forecasts of "
-                             f"{len(splits)} feature sets take {forecasts} bytes, more than "
-                             f"this machine's {memory} bytes of memory")
+    if config.replicates * per_replicate > memory:
+        raise StockcastError(f"replicates = {echo(str(config.replicates))}: the forecasts of "
+                             f"{len(splits)} feature sets, {per_replicate} bytes a replicate, "
+                             f"pass this machine's {memory} bytes of memory")
 
 
 def run_train_eval(config, out_dir):

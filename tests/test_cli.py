@@ -333,11 +333,12 @@ def test_header_only_price_file_exit_2(tmp_path, capsys, command):
 def test_indicator_period_past_price_rows_exit_2(tmp_path, capsys, command, key, needed):
     write_tiny_dataset(tmp_path, n_bars=20)
     path = write_config(tmp_path, **{key: 30})
+    need = f"more than {needed - 1}" if key == "rsi_period" else f"at least {needed}"
     code = cli.main([command, "--config", str(path), "--feature-set", "Prices-RSI-SMA"])
     err = capsys.readouterr().err
     assert code == 2
     assert err == (f"error: {tmp_path / 'prices.csv'}: {key} = 30: "
-                   f"need at least {needed} closes, got 20\n")
+                   f"need {need} closes, got 20\n")
     assert not (tmp_path / "out").exists()
 
 

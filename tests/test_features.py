@@ -118,7 +118,7 @@ class TestRsi:
         assert out[:3] == [50.0, 50.0, 50.0]
 
     def test_too_short(self):
-        with pytest.raises(StockcastError, match="^need at least 4 closes, got 3$"):
+        with pytest.raises(StockcastError, match="^need more than 3 closes, got 3$"):
             rsi([1.0, 2.0, 3.0], 3)
 
     @settings(max_examples=100)
@@ -361,7 +361,8 @@ class TestMakeWindows:
 
     def test_insufficient_history(self):
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(10)]
-        with pytest.raises(StockcastError, match="^lookback 7 >= training rows 7$"):
+        with pytest.raises(StockcastError, match="^lookback 7 >= training rows 7 "
+                                                 "up to split_date 2023-01-07$"):
             make_windows(matrix_of(range(10), dates), 7, dates[6])
 
     def test_causality(self):
