@@ -13,7 +13,7 @@ from pathlib import Path
 
 from . import pipeline, scoring
 from .config import parse_config
-from .errors import RunFailed, StockcastError, echo_path
+from .errors import RunFailed, StockcastError, echo, echo_path
 from .outputs import publish
 from .pipeline import write_matrix_csv
 
@@ -22,15 +22,24 @@ EXIT_INPUT = 2
 EXIT_RUNTIME = 3
 
 
+def _int_flag(text):
+    """``int(text)``: argparse would quote a refused value whole, so it is cut by echo."""
+    try:
+        return int(text)
+    except ValueError:  # not an integer, or more digits than int() converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {echo(repr(text))}") from None
+
+
 def _add_common(parser, with_run_flags=True):
+    """The flags every command takes; each but --config stores its config key's value."""
     parser.add_argument("--config", required=True, help="experiment config file")
-    parser.add_argument("--feature-set", default=None,
-                        help="restrict to one feature set")
-    parser.add_argument("--out-dir", default=None, help="output directory")
+    parser.add_argument("--feature-set", dest="feature_sets", metavar="FEATURE_SET",
+                        type=lambda name: (name,), help="restrict to one feature set")
+    parser.add_argument("--out-dir", help="output directory")
     if with_run_flags:
-        parser.add_argument("--seed", type=int, default=None,
+        parser.add_argument("--seed", dest="base_seed", metavar="SEED", type=_int_flag,
                             help="override base seed")
-        parser.add_argument("--replicates", type=int, default=None,
+        parser.add_argument("--replicates", type=_int_flag,
                             help="override replicate count")
 
 
@@ -50,16 +59,10 @@ def build_parser():
 
 
 def _load_config(args):
-    overrides = {}
-    if getattr(args, "seed", None) is not None:
-        overrides["base_seed"] = args.seed
-    if getattr(args, "replicates", None) is not None:
-        overrides["replicates"] = args.replicates
-    if args.out_dir is not None:
-        overrides["out_dir"] = args.out_dir
-    if args.feature_set is not None:
-        overrides["feature_sets"] = (args.feature_set,)
-    return replace(parse_config(args.config), **overrides)
+    """The --config file's config, with each flag given in place of its key."""
+    keys = ("feature_sets", "out_dir", "base_seed", "replicates")  # the keys flags set
+    return replace(parse_config(args.config), **{
+        key: getattr(args, key) for key in keys if getattr(args, key, None) is not None})
 
 
 def cmd_ingest(args):

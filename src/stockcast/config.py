@@ -22,7 +22,7 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .errors import StockcastError, echo, open_text
+from .errors import StockcastError, echo, echo_number, open_text
 
 PROVIDERS = ("lexicon", "replay")
 
@@ -165,7 +165,8 @@ def _check_value(key, value):
     """Raise a ValueError, worded to follow the key, if ``value`` is out of
     ``key``'s range: a path or out_dir holding a NUL byte, which no file
     name can, or a number that is not finite or not past its _BOUNDS. The
-    value is shown through echo, so a 4,300-digit one cannot flood stderr.
+    value is shown through echo_number, so a 4,300-digit one cannot flood
+    stderr, nor a longer one make str() raise.
     A feature_sets naming no set, or a set twice (it would train twice),
     raises a StockcastError."""
     if key == "feature_sets":
@@ -184,7 +185,7 @@ def _check_value(key, value):
         low, inclusive = _BOUNDS[key]
         if not (value >= low if inclusive else value > low):
             raise ValueError(f"must be {'>=' if inclusive else '>'} {low}, "
-                             f"got {echo(str(value))}")
+                             f"got {echo_number(value)}")
 
 
 def _parse_value(key, kind, raw, base_dir):

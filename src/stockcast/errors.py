@@ -10,13 +10,16 @@ The CLI's only decision about an error is which of the two exit codes it
 gets, so these are the only classes. What went wrong, and where, is in the
 message, written at the raise site; a load error starts ``<path>:<line>: ``.
 A message echoes an input value through ``echo``, so one huge line or field
-cannot flood stderr, and a path through ``echo_path``, which keeps the file
-name at its end.
+cannot flood stderr, a number through ``echo_number``, which also shows an
+int too long for str(), and a path through ``echo_path``, which keeps the
+file name at its end. A file that is not UTF-8 is reported at the line of
+its first bad byte, in ``not_utf8``'s words.
 Both classes take only the message, so the default ``Exception`` pickling
 carries them out of a training worker process unchanged.
 """
 
 import codecs
+import sys
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -39,6 +42,17 @@ def echo(text):
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
+def echo_number(value):
+    """``value``, a number, as a message shows it: echo of its decimal
+    text, or, for an int with more digits than Python converts to text
+    (sys.get_int_max_str_digits), a phrase that says so, without the str()
+    that would raise."""
+    limit = sys.get_int_max_str_digits()
+    if type(value) is int and limit and abs(value) >= 10 ** limit:
+        return f"{'a negative' if value < 0 else 'an'} integer of over {limit} digits"
+    return echo(str(value))
+
+
 def echo_path(path):
     """``path`` as a message shows it: cut to ``...`` plus its last
     ECHO_LIMIT characters when longer, so a deep path still names its file."""
@@ -54,6 +68,15 @@ def line_ends(data):
     if b"\r" in data:
         ends += data.count(b"\r") - data.count(b"\r\n")
     return ends
+
+
+def not_utf8(path, data, exc, first_line=1):
+    """The StockcastError for ``exc``, the UnicodeDecodeError of ``data``,
+    the bytes of ``path`` from the start of line ``first_line``:
+    ``<path>:<line>: not UTF-8 text: <reason>``, the bad byte's line
+    numbered by ``line_ends``."""
+    line = first_line + line_ends(data[:exc.start])
+    return StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}")
 
 
 @contextmanager
@@ -82,6 +105,5 @@ def open_text(path, newline=None):
             try:
                 data.decode("utf-8")
             except UnicodeDecodeError as exc:
-                line = line_ends(data[:exc.start]) + 1
-                raise StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}") from None
+                raise not_utf8(path, data, exc) from None
             raise

@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .config import FEATURE_SETS
-from .errors import StockcastError, echo
+from .errors import StockcastError, echo_number
 from .evaluation import left_sum
 
 PRICE_COLUMNS = ["open", "high", "low", "close", "adj_close", "volume"]
@@ -67,7 +67,7 @@ def sma(closes, period):
         raise ValueError("period must be >= 1")
     n = len(closes)
     if n < period:
-        raise StockcastError(f"need at least {echo(str(period))} closes, got {n}")
+        raise StockcastError(f"need at least {echo_number(period)} closes, got {n}")
     out = [0.0] * n
     for t in range(period - 1, n):
         out[t] = left_sum(closes[t - period + 1:t + 1]) / period
@@ -88,7 +88,7 @@ def rsi(closes, period):
         raise ValueError("period must be >= 1")
     n = len(closes)
     if n <= period:
-        raise StockcastError(f"need more than {echo(str(period))} closes, got {n}")
+        raise StockcastError(f"need more than {echo_number(period)} closes, got {n}")
     gains = [0.0] * n
     losses = [0.0] * n
     for t in range(1, n):
@@ -221,7 +221,7 @@ def make_windows(matrix, lookback, split_date):
     dates, n = matrix.dates, len(matrix.dates)
     n_train = sum(1 for d in dates if d <= split_date)
     if lookback >= n_train:
-        raise StockcastError(f"lookback {echo(str(lookback))} >= training rows {n_train} "
+        raise StockcastError(f"lookback {echo_number(lookback)} >= training rows {n_train} "
                              f"up to split_date {split_date}")
     scaled = np.column_stack([np.asarray(column, dtype=np.float64) for column in matrix.values])
     lo, hi = scaled[:n_train].min(axis=0), scaled[:n_train].max(axis=0)

@@ -13,13 +13,12 @@ import bisect
 import csv
 import json
 import math
-from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import StockcastError, echo, line_ends, open_text
+from .errors import StockcastError, echo, line_ends, not_utf8, open_text
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -28,6 +27,9 @@ POST_KINDS = ("tweet", "news")
 # Tweet engagement counts, in RawPost field order; news carries none.
 _COUNT_FIELDS = ("retweets", "likes", "comments", "followers")
 _NO_COUNTS = (0, 0, 0, 0)
+#: Post files are cut into line_ranges of about this size: one scoring task
+#: each, and the most of a file read_posts holds at once.
+_RANGE_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -182,17 +184,17 @@ def line_ranges(path, size):
     """Split a post file into byte ranges of about ``size`` bytes that end on line ends.
 
     Returns one ``(start, end, first_line)`` per range, in file order, for
-    ``load_posts_jsonl``'s ``byte_range``. ``first_line`` numbers the
-    range's first line as text-mode reading does, which ends a line at an
-    LF, a CR LF or a lone CR. A range ends just after an LF, so it never
-    splits a CR LF or a UTF-8 sequence.
+    ``read_posts``' ``byte_range``. ``first_line`` numbers the range's
+    first line as text-mode reading does, which ends a line at an LF, a
+    CR LF or a lone CR. A range ends just after an LF, so it never splits
+    a CR LF or a UTF-8 sequence.
 
-    A file holding a byte that is not UTF-8 comes back as the one range
-    None, the whole file. Text-mode reading decodes 8 KiB at a time, so a
-    bad byte is reported before a bad line just ahead of it in the same
-    block; only a read of the whole file reports the same error first.
-
-    A block that is all ASCII is valid UTF-8 and is not decoded.
+    Each range is checked to be UTF-8 as it is cut, so a file holding a
+    byte that is not UTF-8 raises a StockcastError at its first such byte,
+    ``<path>:<line>: not UTF-8 text: <reason>``, with the line and reason a
+    text-mode read of the whole file gives (errors.not_utf8), before any
+    line of the file is parsed. A block that is all ASCII is valid UTF-8
+    and is not decoded.
     """
     ranges = []
     start, first_line = 0, 1
@@ -203,8 +205,8 @@ def line_ranges(path, size):
             if not block.isascii():
                 try:
                     block.decode("utf-8")
-                except UnicodeDecodeError:
-                    return [None]
+                except UnicodeDecodeError as exc:
+                    raise not_utf8(path, block, exc, first_line) from None
             ranges.append((start, start + len(block), first_line))
             first_line += line_ends(block)
             start += len(block)
@@ -229,12 +231,13 @@ def load_posts_jsonl(path, kind, byte_range=None):
         byte_range: one ``line_ranges`` entry, to load only that part of
             the file, its lines numbered as in the whole file; duplicate
             ids are then dropped only within the range. None loads the
-            whole file.
+            whole file, read as read_posts reads it.
 
     Raises:
-        StockcastError: a line is not a JSON object, or a field is absent
-            or has the wrong type or value, or the file is not UTF-8. The
-            message starts ``<path>:<line>: ``.
+        StockcastError: the file is not UTF-8 (reported first, at its first
+            bad byte; see line_ranges), or a line is not a JSON object, or
+            a field is absent or has the wrong type or value. The message
+            starts ``<path>:<line>: ``.
     """
     return list(map(RawPost._make, read_posts(path, kind, byte_range)))
 
@@ -243,10 +246,13 @@ def read_posts(path, kind, byte_range=None):
     """The first post of each id in a post file, or in one of its ``line_ranges``.
 
     A generator of plain tuples ``(id, timestamp, text, retweets, likes,
-    comments, followers)``, RawPost's fields, in line order; the file is
-    open while it runs. Every line is checked as load_posts_jsonl says,
-    duplicates included, and the first bad one raises when the generator
-    reaches it. A range is read at once; lines end where text-mode reading
+    comments, followers)``, RawPost's fields, in line order. Every line is
+    checked as load_posts_jsonl says, duplicates included, and the first
+    bad one raises when the generator reaches it. Without ``byte_range``
+    the whole file is read: cut by line_ranges first, so a byte that is not
+    UTF-8 raises before any line is parsed, then read one range at a time,
+    with one set of seen ids across them. Either way no more than one range
+    is held at once, read by _post_lines; lines end where text-mode reading
     ends them, at an LF, a CR LF or a lone CR.
     """
     if kind not in POST_KINDS:
@@ -254,7 +260,9 @@ def read_posts(path, kind, byte_range=None):
     path = Path(path)
     news = kind == "news"
     seen_ids = set()
-    with _post_lines(path, byte_range) as (lines, first_line):
+    ranges = line_ranges(path, _RANGE_BYTES) if byte_range is None else [byte_range]
+    for start, end, first_line in ranges:
+        lines = _post_lines(path, start, end)
         for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
             text = record["text"]
             if type(text) is not str:
@@ -286,14 +294,9 @@ def read_posts(path, kind, byte_range=None):
             yield (post_id, ts, text) + counts
 
 
-@contextmanager
-def _post_lines(path, byte_range):
-    """``(lines, first_line)`` of a post file, or of one of its line_ranges."""
-    if byte_range is None:
-        with open_text(path) as fh:
-            yield fh, 1
-        return
-    start, end, first_line = byte_range
+def _post_lines(path, start, end):
+    """The lines of bytes ``start`` to ``end`` of a post file, one of its
+    line_ranges, read at once and decoded."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
@@ -304,7 +307,7 @@ def _post_lines(path, byte_range):
     # held decoded longer than it is read. The trailing "" after the last
     # LF is a blank line, which json_records skips.
     data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
-    yield map(bytes.decode, data.split(b"\n")), first_line
+    return map(bytes.decode, data.split(b"\n"))
 
 
 def _bad_count(path, lineno, counts):

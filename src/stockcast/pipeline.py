@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import market_sim
-from .errors import RunFailed, StockcastError, echo
+from .errors import RunFailed, StockcastError, echo, echo_number
 from .evaluation import mae, r_squared, replicate_average
 from .ingest import load_price_csv
 from .outputs import _ReadBack, _write_csv, _write_json, publish
@@ -62,7 +62,7 @@ def build_matrix(config, dataset):
                 if bad is not None:
                     raise StockcastError(f"{name} is not finite on {bad}")
             except StockcastError as exc:
-                raise StockcastError(f"{config.prices}: {name}_period = {echo(str(period))}: "
+                raise StockcastError(f"{config.prices}: {name}_period = {echo_number(period)}: "
                                      f"{exc}") from None
     return features.assemble(dataset.bars, dataset.daily, indicators)
 
@@ -358,12 +358,12 @@ def _check_sizes(config, splits):
     n_features = max(split.train.X.shape[2] for split in splits)
     nbytes = forecaster.theta_size(n_features, config.hidden_units) * np.dtype(np.float64).itemsize
     if nbytes > np.iinfo(np.intp).max:
-        raise StockcastError(f"hidden_units = {echo(str(config.hidden_units))}: a model of "
+        raise StockcastError(f"hidden_units = {echo_number(config.hidden_units)}: a model of "
                              f"that size is past numpy's index range")
     per_replicate = len(splits) * splits[0].test.y.nbytes
     memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
     if config.replicates * per_replicate > memory:
-        raise StockcastError(f"replicates = {echo(str(config.replicates))}: the forecasts of "
+        raise StockcastError(f"replicates = {echo_number(config.replicates)}: the forecasts of "
                              f"{len(splits)} feature sets, {per_replicate} bytes a replicate, "
                              f"pass this machine's {memory} bytes of memory")
 

@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import sentiment, textprep
 from .errors import StockcastError, echo
-from .ingest import calendar_from_bars, line_ranges, load_price_csv, read_posts
+from .ingest import _RANGE_BYTES, calendar_from_bars, line_ranges, load_price_csv, read_posts
 from .outputs import _ReadBack, _write_csv
 
 
@@ -56,8 +56,6 @@ def make_provider(config):
     return sentiment.ReplayProvider(sentiment.load_replay_scores(config.replay_scores))
 
 
-#: Post files are cut into byte ranges of about this size, one task each.
-_RANGE_BYTES = 1 << 20
 #: Post bytes per worker: smaller inputs load faster than workers start.
 _BYTES_PER_WORKER = 4 << 20
 
@@ -81,10 +79,14 @@ def load_dataset(config, out_dir=None):
     inherits the scorer, stopwords, config and calendar instead of
     unpickling them. The first error reported
     is the one a single pass over the inputs meets first: prices, the
-    tweets file in line order, the news file, the lexicon or replay table,
-    stopwords, then a post without a replay score or a finite weighted
-    sentiment in (day, load) order, then a day whose mean weighted
-    sentiment is not finite, tweets before news.
+    tweets file, the news file, the lexicon or replay table, stopwords,
+    then a post without a replay score or a finite weighted sentiment in
+    (day, load) order, then a day whose mean weighted sentiment is not
+    finite, tweets before news. A post file's own errors come in line
+    order, except that one holding a byte that is not UTF-8 fails at its
+    first such byte, before any other error in it (ingest.line_ranges).
+    Each error of a post names its file: ``<path>: `` goes in front of a
+    provider's message.
     """
     bars = load_price_csv(config.prices)
     calendar = calendar_from_bars(bars)
@@ -107,9 +109,10 @@ def load_dataset(config, out_dir=None):
         results = run(_score_range, tweet_tasks + news_tasks)
         tweets = _gather(islice(results, len(tweet_tasks)))
         news = _gather(results)
-    for _, _, unscored in (tweets, news):
-        if unscored is not None:
-            raise unscored
+    for (_, _, unscored), path in ((tweets, config.tweets), (news, config.news)):
+        if unscored is not None:  # a provider's own message does not name the file
+            raise unscored if str(unscored).startswith(f"{path}: ") else StockcastError(
+                f"{path}: {unscored}")
     columns = []
     for (_, sums, _), path in ((tweets, config.tweets), (news, config.news)):
         means_and_count = sentiment.aggregate_daily(sums, len(calendar.dates))
@@ -126,20 +129,17 @@ _TOO_LARGE = ": engagement counts or weights alpha..delta too large"
 
 def _post_workers(config):
     """Workers for the post files: one per _BYTES_PER_WORKER, up to the usable cores."""
-    size = 0
-    for path in (config.tweets, config.news):
-        try:
-            size += os.path.getsize(path)
-        except OSError:
-            pass  # the loader reports it, in file order
+    # a missing file or a directory counts 0 bytes: the loader reports it, in file order
+    size = sum(os.path.getsize(path) for path in (config.tweets, config.news)
+               if os.path.isfile(path))
     return min(_usable_cores(), size // _BYTES_PER_WORKER)
 
 
 def _post_tasks(path, kind, min_likes):
     try:
         ranges = line_ranges(path, _RANGE_BYTES)
-    except OSError:
-        ranges = [None]  # the whole-file load reports it, in task order
+    except (OSError, StockcastError):  # unreadable, or not UTF-8
+        ranges = [None]  # read_posts meets the error again on the whole file, in task order
     return [(path, kind, min_likes, byte_range) for byte_range in ranges]
 
 

@@ -25,7 +25,7 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .errors import StockcastError, echo, open_text
+from .errors import StockcastError, echo, echo_number, open_text
 from .ingest import json_records
 
 _LABELS = {-1, 0, 1}
@@ -43,9 +43,9 @@ class SentimentScore(namedtuple("SentimentScore", "label confidence")):
 
     def __new__(cls, label, confidence):
         if label not in _LABELS:
-            raise ValueError(f"label must be -1, 0 or 1, got {label}")
+            raise ValueError(f"label must be -1, 0 or 1, got {echo_number(label)}")
         if not 0.0 <= confidence <= 1.0:
-            raise ValueError(f"confidence must be in [0, 1], got {confidence}")
+            raise ValueError(f"confidence must be in [0, 1], got {echo_number(confidence)}")
         return super().__new__(cls, label, confidence)
 
 

@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast.errors import StockcastError, echo
+from stockcast.errors import StockcastError, echo, open_text
 from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
@@ -208,7 +208,8 @@ def test_calendar_matches_price_file(fixtures_dir):
 def line_ranges_oracle(path, size):
     """line_ranges as it was before it skipped decoding all-ASCII blocks and
     counting CRs in blocks without one: every block decoded, every block's
-    CR and CR LF counted."""
+    CR and CR LF counted. A file that is not UTF-8 raises the error a
+    text-mode read of the whole file raises."""
     ranges = []
     start, first_line = 0, 1
     with open(path, "rb") as fh:
@@ -218,7 +219,8 @@ def line_ranges_oracle(path, size):
             try:
                 block.decode("utf-8")
             except UnicodeDecodeError:
-                return [None]
+                with open_text(path) as text:
+                    text.read()
             ranges.append((start, start + len(block), first_line))
             first_line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
             start += len(block)
@@ -241,16 +243,21 @@ def test_line_ranges_matches_oracle(tmp_path, pieces, bad_at, size):
         pieces.insert(min(bad_at, len(pieces)), b"\xff")  # not UTF-8
     path = tmp_path / "posts.jsonl"
     path.write_bytes(b"".join(pieces))
-    assert line_ranges(path, size) == line_ranges_oracle(path, size)
+    try:
+        expected = line_ranges_oracle(path, size)
+    except StockcastError as exc:
+        with pytest.raises(StockcastError, match=f"^{re.escape(str(exc))}$"):
+            line_ranges(path, size)
+    else:
+        assert line_ranges(path, size) == expected
 
 
-def range_records(path, ranges):
-    """json_records over each range's lines, in order, then the first error."""
+def first_records(path, parts):
+    """json_records over each ``(lines, first_line)`` part, in order, then the first error."""
     out = []
     try:
-        for byte_range in ranges:
-            with _post_lines(path, byte_range) as (lines, first_line):
-                out.extend(r[:2] for r in json_records(path, lines, first_line, ("id",)))
+        for lines, first_line in parts:
+            out.extend(r[:2] for r in json_records(path, lines, first_line, ("id",)))
     except StockcastError as exc:
         out.append(str(exc))
     return out
@@ -265,7 +272,10 @@ def test_ranges_read_the_lines_of_a_text_mode_read(tmp_path, pieces, size):
     # CR LF and a lone CR end a range's lines as they end a text-mode read's
     path = tmp_path / "posts.jsonl"
     path.write_bytes(b"".join(pieces))
-    assert range_records(path, line_ranges(path, size)) == range_records(path, [None])
+    ranges = line_ranges(path, size)
+    in_ranges = first_records(path, ((_post_lines(path, *r[:2]), r[2]) for r in ranges))
+    with open_text(path) as text_mode:
+        assert in_ranges == first_records(path, [(text_mode, 1)])
 
 
 # --- json_records: one parse per line, exactly json.loads' ------------------------

@@ -308,18 +308,22 @@ def test_later_range_error_keeps_serial_line_number(tmp_path, monkeypatch, capsy
     assert ingest_err(config, capsys) == expected
 
 
-@pytest.mark.parametrize("gap, reported", [(300, "json"), (2, "utf8")])
-def test_bad_json_then_bad_byte(tmp_path, monkeypatch, capsys, gap, reported):
-    # A text-mode read decodes 8 KiB at a time: a bad byte in the same block
-    # as an earlier bad line is met first; one many blocks on is not.
+@pytest.mark.parametrize("gap", [300, 2])
+@pytest.mark.parametrize("name", ["tweets", "news"])
+def test_bad_json_then_bad_byte(tmp_path, monkeypatch, capsys, name, gap):
+    # A post file that is not UTF-8 fails at its first bad byte, before a bad
+    # line ahead of it: one in the same 8 KiB, or 300 lines (over 8 KiB, and
+    # many forced-pool ranges) ahead
     lines = [post_line(id="a"), "not json"] + [post_line(id=f"g{i}") for i in range(gap)]
     data = ("\n".join(lines) + "\n").encode() + b'{"id": "\xff"}\n'
-    config = write_posts_config(tmp_path, data)
-    path = tmp_path / "tweets.jsonl"
-    expected = {
-        "json": f"error: {path}:2: unparsable line 2: Expecting value: line 1 column 1 (char 0)\n",
-        "utf8": f"error: {path}:{gap + 3}: not UTF-8 text: invalid start byte\n",
-    }[reported]
+    path = tmp_path / f"{name}.jsonl"
+    if name == "news":
+        path.write_bytes(data)
+        config = write_posts_config(tmp_path, [post_line(id="t")], news=path)
+    else:
+        config = write_posts_config(tmp_path, data)
+    assert (data.index(b"\xff") - data.index(b"not json") > 8192) == (gap == 300)
+    expected = f"error: {path}:{gap + 3}: not UTF-8 text: invalid start byte\n"
     assert ingest_err(config, capsys) == expected
     force_pool(monkeypatch)
     assert ingest_err(config, capsys) == expected
@@ -420,7 +424,8 @@ def test_missing_replay_score_only_where_it_counts(tmp_path, monkeypatch, capsys
               post_line(id="miss-a", ts="2022-08-01T12:00:00Z")]
     config = write_posts_config(tmp_path, lines, news=news, provider="replay",
                                 replay_scores=scores)
-    assert ingest_err(config, capsys) == "error: no replay score for post id 'miss-a'\n"
+    assert ingest_err(config, capsys) == (
+        f"error: {tmp_path / 'tweets.jsonl'}: no replay score for post id 'miss-a'\n")
 
 
 def test_ingest_peak_memory_per_kept_post(tmp_path, monkeypatch):
