@@ -327,3 +327,111 @@ def test_replay_table_edge_fails_cleanly(tmp_path, capsys, row):
     else:
         expected = expected.format(table=table, tweets=tmp_path / "tweets.jsonl")
         assert (code, err) == (2, f"error: {expected}\n")
+
+
+# --- the price file, the lexicon and the stopwords file ---------------------------
+
+#: {key: (file name, its text)}: the tiny dataset's price file, and a
+#: lexicon and a stopwords file written beside it.
+LINE_FILES = {"prices": ("prices.csv", None),
+              "lexicon": ("lexicon.tsv", b"profit\t1\nloss\t-1\n"),
+              "stopwords": ("stopwords.txt", b"the\nand\n")}
+
+
+def inside_last_line(char):
+    """An edit that puts ``char`` three bytes before the end of the file,
+    inside its last line: in a price file's last volume, before a lexicon
+    line's polarity, inside the last stopword."""
+    return lambda data: data[:-3] + char.encode() + data[-3:]
+
+
+#: {row: (file bytes from the key's file, outcome for prices, lexicon,
+#: stopwords)}. An outcome is 0 (exit 0), "first" or "last" (exit 2 at the
+#: file's first or last line) or "file" (exit 2 naming the file, for a
+#: price file without its header columns).
+LINE_EDGES = {
+    "bom-at-start": (lambda data: BOM + data, "first", "first", "first"),
+    "bom-at-start-and-bad-byte": (lambda data: BOM + data + b"\xff\n", "first", "first",
+                                  "first"),
+    "bad-byte-first-line": (lambda data: b"\xff" + data, "first", "first", "first"),
+    "bad-byte-unterminated-last-line": (lambda data: data + b"\xff", "last", "last", "last"),
+    "cr-line-ends": (lambda data: data.replace(b"\n", b"\r"), 0, 0, 0),
+    "crlf-line-ends": (lambda data: data.replace(b"\n", b"\r\n"), 0, 0, 0),
+    "empty": (lambda data: b"", "file", 0, 0),
+    "blank-lines-only": (lambda data: b"\n \r\n\t\n\r", "file", 0, 0),
+    # none of these ends a line; int() and float() strip all but NUL
+    "form-feed-in-line": (inside_last_line("\x0c"), "last", 0, 0),
+    "x85-in-line": (inside_last_line("\x85"), "last", 0, 0),
+    "u2028-in-line": (inside_last_line("\u2028"), "last", 0, 0),
+    "nul-in-line": (inside_last_line("\0"), "last", "last", 0),
+}
+
+
+def price_rows(edit):
+    """An edit of the price file's lines, split at LF; the header is line 0."""
+    def build(data):
+        lines = data.split(b"\n")
+        edit(lines)
+        return b"\n".join(lines)
+    return build
+
+
+def swap_first_rows(lines):
+    lines[1], lines[2] = lines[2], lines[1]
+
+
+def repeat_first_row(lines):
+    lines[2] = lines[1]
+
+
+def with_row(day, at):
+    """An edit that puts a valid row for ``day``, an ISO date, in as line ``at``."""
+    return lambda lines: lines.insert(at, f"{day},100,101,99,100,100,1000".encode())
+
+
+def quote_first_volume(line_break):
+    """An edit that splits the first row's volume over two lines in a quoted field."""
+    def edit(lines):
+        row = lines[1].rsplit(b",", 1)[0]
+        lines[1] = row + b',"10' + line_break + b'00"'
+    return edit
+
+
+#: {row: (price file bytes from the tiny dataset's, outcome)}: outcomes as
+#: in LINE_EDGES, or the line number an exit 2 names. A row's error names
+#: the line the row starts on.
+PRICE_EDGES = {
+    "reordered-rows": (price_rows(swap_first_rows), 3),
+    "duplicated-row": (price_rows(repeat_first_row), 3),
+    "truncated-last-row": (lambda data: data[:-10], "last"),
+    "date-year-1": (price_rows(with_row("0001-01-01", 1)), 0),
+    "date-year-9999": (price_rows(with_row("9999-12-31", -1)), 0),
+    "date-2023-02-29": (price_rows(with_row("2023-02-29", -1)), "last"),
+    "date-2024-02-29": (price_rows(with_row("2024-02-29", -1)), 0),
+    "quoted-lf-in-field": (price_rows(quote_first_volume(b"\n")), 2),
+    "quoted-crlf-in-field": (price_rows(quote_first_volume(b"\r\n")), 2),
+}
+
+LINE_CASES = [(key, row) for key in LINE_FILES for row in LINE_EDGES] + [
+    ("prices", row) for row in PRICE_EDGES]
+
+
+@pytest.mark.parametrize("key, row", LINE_CASES, ids=[f"{k}-{r}" for k, r in LINE_CASES])
+def test_line_file_edge_fails_cleanly(tmp_path, capsys, key, row):
+    write_tiny_dataset(tmp_path)
+    name, text = LINE_FILES[key]
+    path = tmp_path / name
+    if row in PRICE_EDGES:
+        build, outcome = PRICE_EDGES[row]
+    else:
+        build, *outcomes = LINE_EDGES[row]
+        outcome = outcomes[list(LINE_FILES).index(key)]
+    data = build(path.read_bytes() if text is None else text)
+    path.write_bytes(data)
+    code, err = run_ingest(write_config(tmp_path, **{key: name}), capsys)
+    assert code == (2 if outcome else 0), err
+    if outcome == "file":
+        assert err.startswith("error: ") and str(path) in err, err
+    elif outcome:
+        line = {"first": 1, "last": len(data.splitlines())}.get(outcome, outcome)
+        assert err.startswith(f"error: {path}:{line}: "), err
