@@ -22,7 +22,8 @@ from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .errors import StockcastError, echo, echo_number, open_text
+from .errors import StockcastError, echo, echo_number
+from .ingest import text_lines
 
 PROVIDERS = ("lexicon", "replay")
 
@@ -220,8 +221,9 @@ def _parse_value(key, kind, raw, base_dir):
 def parse_config(path):
     """Parse a config file into an ExperimentConfig.
 
-    Lines end where text-mode reading ends them (``errors.line_ends``), so
-    a form feed or ``\\u2028`` inside a comment stays in the comment.
+    Lines are read by ``ingest.text_lines``, which ends them where text
+    mode does, so a form feed or ``\\u2028`` inside a comment stays in the
+    comment.
 
     Raises:
         StockcastError: unreadable file, unknown or repeated key, or bad
@@ -235,9 +237,7 @@ def parse_config(path):
     kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     seen = {}
-    with open_text(path) as fh:
-        lines = fh.readlines()
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(text_lines(path), 1):
         line = line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -12,16 +12,15 @@ message, written at the raise site; a load error starts ``<path>:<line>: ``.
 A message echoes an input value through ``echo``, so one huge line or field
 cannot flood stderr, a number through ``echo_number``, which also shows an
 int too long for str(), and a path through ``echo_path``, which keeps the
-file name at its end. A file that is not UTF-8 is reported at the line of
-its first bad byte, in ``not_utf8``'s words.
+file name at its end. A text input file is read by ``ingest.text_lines``
+or one of its ``line_ranges``: one that is not UTF-8 is reported at the
+line of its first bad byte, in ``not_utf8``'s words, ahead of a leading
+byte order mark.
 Both classes take only the message, so the default ``Exception`` pickling
 carries them out of a training worker process unchanged.
 """
 
-import codecs
 import sys
-from contextlib import contextmanager
-from pathlib import Path
 
 
 class StockcastError(Exception):
@@ -70,7 +69,7 @@ def line_ends(data):
     return ends
 
 
-def not_utf8(path, data, exc, first_line=1):
+def not_utf8(path, data, exc, first_line):
     """The StockcastError for ``exc``, the UnicodeDecodeError of ``data``,
     the bytes of ``path`` from the start of line ``first_line``:
     ``<path>:<line>: not UTF-8 text: <reason>``, the bad byte's line
@@ -78,32 +77,3 @@ def not_utf8(path, data, exc, first_line=1):
     line = first_line + line_ends(data[:exc.start])
     return StockcastError(f"{path}:{line}: not UTF-8 text: {exc.reason}")
 
-
-@contextmanager
-def open_text(path, newline=None):
-    """``path`` opened for reading as UTF-8 text.
-
-    With the default ``newline``, a line ends where ``line_ends`` ends it,
-    and ``fh.readlines()`` gives a file's numbered lines; no reader splits
-    at the other characters ``str.splitlines`` breaks on (a form feed,
-    ``\\x85``, ``\\u2028``).
-
-    A file that starts with a UTF-8 byte order mark raises a
-    StockcastError at ``<path>:1: ``: decoded, the mark would join the
-    first key, word or field. A byte sequence that is not UTF-8 raises one
-    at ``<path>:<line>: ``, the line numbered by ``line_ends``. Text is
-    decoded in chunks, so the line is found by decoding the whole file
-    once more, on that error only.
-    """
-    with open(path, encoding="utf-8", newline=newline) as fh:
-        if fh.buffer.peek(3).startswith(codecs.BOM_UTF8):
-            raise StockcastError(f"{path}:1: starts with a UTF-8 byte order mark")
-        try:
-            yield fh
-        except UnicodeDecodeError:
-            data = Path(path).read_bytes()
-            try:
-                data.decode("utf-8")
-            except UnicodeDecodeError as exc:
-                raise not_utf8(path, data, exc) from None
-            raise

@@ -10,6 +10,7 @@ is usable at that day's open.
 from __future__ import annotations
 
 import bisect
+import codecs
 import csv
 import json
 import math
@@ -18,7 +19,7 @@ from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import StockcastError, echo, line_ends, not_utf8, open_text
+from .errors import StockcastError, echo, line_ends, not_utf8
 
 PRICE_HEADER = ["Date", "Open", "High", "Low", "Close", "Adj Close", "Volume"]
 
@@ -27,8 +28,8 @@ POST_KINDS = ("tweet", "news")
 # Tweet engagement counts, in RawPost field order; news carries none.
 _COUNT_FIELDS = ("retweets", "likes", "comments", "followers")
 _NO_COUNTS = (0, 0, 0, 0)
-#: Post files are cut into line_ranges of about this size: one scoring task
-#: each, and the most of a file read_posts holds at once.
+#: Text files are cut into line_ranges of about this size: one scoring task
+#: each in a post file, and the most of a file text_lines holds at once.
 _RANGE_BYTES = 1 << 20
 
 
@@ -103,60 +104,62 @@ def load_price_csv(path):
     enforced (finite values, low <= open/close <= high, positive prices,
     volume >= 0).
 
+    The file is read by text_lines, each line with its end, so a quoted
+    field may hold a line break, which csv keeps as an LF.
+
     Raises:
-        StockcastError: the file starts with a UTF-8 byte order mark
-            (see errors.open_text), a header column is missing, the file
-            has no rows after its header, or a row fails to parse, breaks
-            a bar invariant or repeats or goes back in date. Row errors
-            start ``<path>:<line>: ``.
+        StockcastError: the file is not UTF-8 or starts with a UTF-8 byte
+            order mark (see line_ranges), a header column is missing, the
+            file has no rows after its header, or a row fails to parse,
+            breaks a bar invariant or repeats or goes back in date. Row
+            errors start ``<path>:<line>: ``.
     """
     path = Path(path)
     bars = []
-    with open_text(path, newline="") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader, [])
-            for col in PRICE_HEADER:
-                if col not in header:
-                    raise StockcastError(f"missing required column {col!r} in {path}")
-            idx = {col: header.index(col) for col in PRICE_HEADER}
-            last_date = None
-            # A row starts on the line after the previous row's last line; a
-            # quoted field may hold line breaks, so rows are not lines.
-            next_line = reader.line_num + 1
-            for row in reader:
-                lineno, next_line = next_line, reader.line_num + 1
-                if not row or all(not cell.strip() for cell in row):
-                    continue
-                if len(row) != len(header):
-                    raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
-                                         f"{len(row)} fields where the header has {len(header)}")
-                try:
-                    d = date.fromisoformat(row[idx["Date"]].strip())
-                    bar = PriceBar(
-                        date=d,
-                        open=float(row[idx["Open"]]),
-                        high=float(row[idx["High"]]),
-                        low=float(row[idx["Low"]]),
-                        close=float(row[idx["Close"]]),
-                        adj_close=float(row[idx["Adj Close"]]),
-                        volume=float(row[idx["Volume"]]),
-                    )
-                    bar.validate()
-                except (ValueError, IndexError) as exc:  # float() quotes the whole field
-                    raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
-                                         f"{echo(str(exc))}") from exc
-                if last_date is not None:
-                    if bar.date == last_date:
-                        raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
-                    if bar.date < last_date:
-                        raise StockcastError(
-                            f"{path}:{lineno}: dates not strictly increasing at {bar.date}")
-                last_date = bar.date
-                bars.append(bar)
-        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
-            raise StockcastError(f"{path}:{reader.line_num}: unparsable row at line "
-                                 f"{reader.line_num}: {exc}") from exc
+    reader = csv.reader(text_lines(path))
+    try:
+        header = next(reader, [])
+        for col in PRICE_HEADER:
+            if col not in header:
+                raise StockcastError(f"missing required column {col!r} in {path}")
+        idx = {col: header.index(col) for col in PRICE_HEADER}
+        last_date = None
+        # A row starts on the line after the previous row's last line; a
+        # quoted field may hold line breaks, so rows are not lines.
+        next_line = reader.line_num + 1
+        for row in reader:
+            lineno, next_line = next_line, reader.line_num + 1
+            if not row or all(not cell.strip() for cell in row):
+                continue
+            if len(row) != len(header):
+                raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
+                                     f"{len(row)} fields where the header has {len(header)}")
+            try:
+                d = date.fromisoformat(row[idx["Date"]].strip())
+                bar = PriceBar(
+                    date=d,
+                    open=float(row[idx["Open"]]),
+                    high=float(row[idx["High"]]),
+                    low=float(row[idx["Low"]]),
+                    close=float(row[idx["Close"]]),
+                    adj_close=float(row[idx["Adj Close"]]),
+                    volume=float(row[idx["Volume"]]),
+                )
+                bar.validate()
+            except (ValueError, IndexError) as exc:  # float() quotes the whole field
+                raise StockcastError(f"{path}:{lineno}: unparsable row at line {lineno}: "
+                                     f"{echo(str(exc))}") from exc
+            if last_date is not None:
+                if bar.date == last_date:
+                    raise StockcastError(f"{path}:{lineno}: duplicate date {bar.date}")
+                if bar.date < last_date:
+                    raise StockcastError(
+                        f"{path}:{lineno}: dates not strictly increasing at {bar.date}")
+            last_date = bar.date
+            bars.append(bar)
+    except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+        raise StockcastError(f"{path}:{reader.line_num}: unparsable row at line "
+                             f"{reader.line_num}: {exc}") from exc
     if not bars:
         raise StockcastError(f"{path}: no price rows after the header")
     return bars
@@ -171,7 +174,11 @@ def _parse_timestamp(raw):
 
     The ``Z`` rewrite runs only on a string holding a ``Z``, and the
     conversion only off UTC: either step would return its input unchanged.
+    A NUL anywhere is refused: fromisoformat reads a trailing one as the
+    string's end.
     """
+    if "\0" in raw:
+        raise ValueError(f"Invalid isoformat string: {raw!r}")
     ts = datetime.fromisoformat(raw.replace("Z", "+00:00") if "Z" in raw else raw)
     if ts.tzinfo is timezone.utc:
         return ts
@@ -181,24 +188,27 @@ def _parse_timestamp(raw):
 
 
 def line_ranges(path, size):
-    """Split a post file into byte ranges of about ``size`` bytes that end on line ends.
+    """Split a text file into byte ranges of about ``size`` bytes that end on line ends.
 
     Returns one ``(start, end, first_line)`` per range, in file order, for
-    ``read_posts``' ``byte_range``. ``first_line`` numbers the range's
-    first line as text-mode reading does, which ends a line at an LF, a
-    CR LF or a lone CR. A range ends just after an LF, so it never splits
-    a CR LF or a UTF-8 sequence.
+    ``read_posts``' ``byte_range`` or for text_lines. ``first_line``
+    numbers the range's first line as text-mode reading does, which ends a
+    line at an LF, a CR LF or a lone CR. A range ends just after an LF, so
+    it never splits a CR LF or a UTF-8 sequence.
 
     Each range is checked to be UTF-8 as it is cut, so a file holding a
     byte that is not UTF-8 raises a StockcastError at its first such byte,
     ``<path>:<line>: not UTF-8 text: <reason>``, with the line and reason a
     text-mode read of the whole file gives (errors.not_utf8), before any
     line of the file is parsed. A block that is all ASCII is valid UTF-8
-    and is not decoded.
+    and is not decoded. Then a file that starts with a UTF-8 byte order
+    mark raises one at ``<path>:1: ``: decoded, the mark would join the
+    first key, word, field or JSON value.
     """
     ranges = []
     start, first_line = 0, 1
     with open(path, "rb") as fh:
+        bom = fh.peek(3).startswith(codecs.BOM_UTF8)
         while block := fh.read(size):
             if not block.endswith(b"\n"):
                 block += fh.readline()
@@ -210,7 +220,25 @@ def line_ranges(path, size):
             ranges.append((start, start + len(block), first_line))
             first_line += line_ends(block)
             start += len(block)
+    if bom:
+        raise StockcastError(f"{path}:1: starts with a UTF-8 byte order mark")
     return ranges
+
+
+def text_lines(path):
+    """The lines of a text input file, as ``open(path, encoding="utf-8")``
+    reads them: each ends at an LF, a CR LF or a lone CR and is given with
+    an LF for its end, the last one perhaps with none.
+
+    line_ranges checks the whole file before a line is given, so its first
+    byte that is not UTF-8 raises first, then a leading byte order mark.
+    The file is read one range of about _RANGE_BYTES at a time.
+    """
+    for start, end, _ in line_ranges(path, _RANGE_BYTES):
+        *lines, last = _post_lines(path, start, end)
+        yield from (line + "\n" for line in lines)
+        if last:  # the file's last line, without a line end
+            yield last
 
 
 def load_posts_jsonl(path, kind, byte_range=None):
@@ -235,7 +263,8 @@ def load_posts_jsonl(path, kind, byte_range=None):
 
     Raises:
         StockcastError: the file is not UTF-8 (reported first, at its first
-            bad byte; see line_ranges), or a line is not a JSON object, or
+            bad byte) or starts with a byte order mark (see line_ranges),
+            or a line is not a JSON object, or
             a field is absent or has the wrong type or value. The message
             starts ``<path>:<line>: ``.
     """
@@ -249,54 +278,55 @@ def read_posts(path, kind, byte_range=None):
     comments, followers)``, RawPost's fields, in line order. Every line is
     checked as load_posts_jsonl says, duplicates included, and the first
     bad one raises when the generator reaches it. Without ``byte_range``
-    the whole file is read: cut by line_ranges first, so a byte that is not
-    UTF-8 raises before any line is parsed, then read one range at a time,
-    with one set of seen ids across them. Either way no more than one range
-    is held at once, read by _post_lines; lines end where text-mode reading
-    ends them, at an LF, a CR LF or a lone CR.
+    the whole file is read by text_lines, so a byte that is not UTF-8 or a
+    byte order mark raises before any line is parsed. Either way no more
+    than one range is held at once, read by _post_lines; lines end where
+    text-mode reading ends them, at an LF, a CR LF or a lone CR.
     """
     if kind not in POST_KINDS:
         raise ValueError(f"kind must be one of {POST_KINDS}, got {kind!r}")
     path = Path(path)
     news = kind == "news"
     seen_ids = set()
-    ranges = line_ranges(path, _RANGE_BYTES) if byte_range is None else [byte_range]
-    for start, end, first_line in ranges:
+    if byte_range is None:
+        lines, first_line = text_lines(path), 1
+    else:
+        start, end, first_line = byte_range
         lines = _post_lines(path, start, end)
-        for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
-            text = record["text"]
-            if type(text) is not str:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'text' "
-                                     f"must be a string, got {echo(json.dumps(text))}")
-            ts = record["ts"]
-            if type(ts) is not str:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'ts' "
-                                     f"must be a string, got {echo(json.dumps(ts))}")
-            try:
-                ts = _parse_timestamp(ts)
-            # OverflowError: a UTC time outside years 1-9999
-            except (ValueError, OverflowError) as exc:
-                raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
-                                     f"bad timestamp: {echo(str(exc))}") from exc
-            if news:
-                counts = _NO_COUNTS
-            else:  # _COUNT_FIELDS, each 0 when absent
-                retweets, likes, comments, followers = counts = (
-                    record.get("retweets", 0), record.get("likes", 0),
-                    record.get("comments", 0), record.get("followers", 0))
-                # type(), not isinstance(): a JSON true is a bool, an int subclass
-                if not (type(retweets) is type(likes) is type(comments) is type(followers) is int
-                        and retweets >= 0 and likes >= 0 and comments >= 0 and followers >= 0):
-                    _bad_count(path, lineno, counts)
-            if post_id in seen_ids:
-                continue
-            seen_ids.add(post_id)
-            yield (post_id, ts, text) + counts
+    for lineno, record, post_id in json_records(path, lines, first_line, ("id", "ts", "text")):
+        text = record["text"]
+        if type(text) is not str:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'text' "
+                                 f"must be a string, got {echo(json.dumps(text))}")
+        ts = record["ts"]
+        if type(ts) is not str:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: field 'ts' "
+                                 f"must be a string, got {echo(json.dumps(ts))}")
+        try:
+            ts = _parse_timestamp(ts)
+        # OverflowError: a UTC time outside years 1-9999
+        except (ValueError, OverflowError) as exc:
+            raise StockcastError(f"{path}:{lineno}: unparsable line {lineno}: "
+                                 f"bad timestamp: {echo(str(exc))}") from exc
+        if news:
+            counts = _NO_COUNTS
+        else:  # _COUNT_FIELDS, each 0 when absent
+            retweets, likes, comments, followers = counts = (
+                record.get("retweets", 0), record.get("likes", 0),
+                record.get("comments", 0), record.get("followers", 0))
+            # type(), not isinstance(): a JSON true is a bool, an int subclass
+            if not (type(retweets) is type(likes) is type(comments) is type(followers) is int
+                    and retweets >= 0 and likes >= 0 and comments >= 0 and followers >= 0):
+                _bad_count(path, lineno, counts)
+        if post_id in seen_ids:
+            continue
+        seen_ids.add(post_id)
+        yield (post_id, ts, text) + counts
 
 
 def _post_lines(path, start, end):
-    """The lines of bytes ``start`` to ``end`` of a post file, one of its
-    line_ranges, read at once and decoded."""
+    """The lines of bytes ``start`` to ``end`` of a text file, one of its
+    line_ranges, read at once and decoded, without their line ends."""
     with open(path, "rb") as fh:
         fh.seek(start)
         data = fh.read(end - start)
@@ -305,7 +335,7 @@ def _post_lines(path, start, end):
     # replace). No UTF-8 sequence holds a CR or LF byte, so each line of the
     # range (valid UTF-8, see line_ranges) decodes on its own, and none is
     # held decoded longer than it is read. The trailing "" after the last
-    # LF is a blank line, which json_records skips.
+    # LF is a blank line, which json_records skips and text_lines drops.
     data = data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
     return map(bytes.decode, data.split(b"\n"))
 
@@ -400,6 +430,7 @@ __all__ = [
     "PRICE_HEADER",
     "load_price_csv",
     "line_ranges",
+    "text_lines",
     "load_posts_jsonl",
     "read_posts",
     "json_records",

@@ -15,7 +15,8 @@ from contextlib import contextmanager
 from datetime import date
 from pathlib import Path
 
-from .errors import StockcastError, echo, echo_path, open_text
+from .errors import StockcastError, echo, echo_path
+from .ingest import text_lines
 
 
 @contextmanager
@@ -70,11 +71,15 @@ class _ReadBack:
     """
 
     def __init__(self, path, frame="", strict=True):
-        """Read ``path``: as UTF-8 (open_text), or, unless ``strict``, with
-        each bad byte replaced, so that it fails the line it is on."""
+        """Read ``path``: by ingest.text_lines, or, unless ``strict``, in
+        text mode with each bad byte replaced, so that it fails the line it
+        is on."""
         self.path, self.frame = path, frame
-        with (open_text(path) if strict else open(path, encoding="utf-8", errors="replace")) as fh:
-            self.lines = [line.rstrip("\n") for line in fh]
+        if strict:
+            self.lines = [line.rstrip("\n") for line in text_lines(path)]
+        else:
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                self.lines = [line.rstrip("\n") for line in fh]
 
     def error(self, index, problem):
         return StockcastError(f"{self.path}:{index + 1}: {problem}{self.frame}")

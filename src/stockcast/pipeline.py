@@ -174,13 +174,13 @@ def _fit_all(jobs, workers):
 
 
 #: The largest per-step gate block, K*B*4H floats, of a lockstep group of
-#: K replicates: a pair of fixture-size models (H=16, B=32). With
-#: scripts/step_profile.py --models (T=10, F=10, 1 BLAS thread, two runs)
-#: a model's forward, backward, clip and Adam took 0.74-0.78x its time
-#: alone in such a pair and 0.64-0.65x in a triple, 0.86-1.01x in a pair
-#: at H=32 and 0.87-0.99x at H=64; at the reference shape (H=256, B=128,
-#: T=30, F=14) a pair took 0.95-1.03x. Each model a group adds holds one
-#: more workspace in its worker.
+#: K replicates: a pair of fixture-size models (H=16, B=32), no triple.
+#: The pair pays end to end: in 10 alternating bench/run.py
+#: fixture_quickstart runs (2 cores), K=2 beat K=1 in 10 of 10, with
+#: median wall times of 1.883 s against 2.304 s. Per-step timings of
+#: scripts/step_profile.py --models were too noisy on that host to rank
+#: group sizes. Each model a group adds holds one more workspace in its
+#: worker.
 _GROUP_GATE_FLOATS = 4096
 
 

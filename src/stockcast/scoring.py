@@ -84,7 +84,8 @@ def load_dataset(config, out_dir=None):
     (day, load) order, then a day whose mean weighted sentiment is not
     finite, tweets before news. A post file's own errors come in line
     order, except that one holding a byte that is not UTF-8 fails at its
-    first such byte, before any other error in it (ingest.line_ranges).
+    first such byte, and then one that starts with a byte order mark at
+    line 1, before any other error in it (ingest.line_ranges).
     Each error of a post names its file: ``<path>: `` goes in front of a
     provider's message.
     """
@@ -138,7 +139,7 @@ def _post_workers(config):
 def _post_tasks(path, kind, min_likes):
     try:
         ranges = line_ranges(path, _RANGE_BYTES)
-    except (OSError, StockcastError):  # unreadable, or not UTF-8
+    except (OSError, StockcastError):  # unreadable, not UTF-8 or with a BOM
         ranges = [None]  # read_posts meets the error again on the whole file, in task order
     return [(path, kind, min_likes, byte_range) for byte_range in ranges]
 

@@ -25,8 +25,8 @@ import json
 from collections import namedtuple
 from importlib import resources
 
-from .errors import StockcastError, echo, echo_number, open_text
-from .ingest import json_records
+from .errors import StockcastError, echo, echo_number
+from .ingest import json_records, text_lines
 
 _LABELS = {-1, 0, 1}
 
@@ -142,19 +142,17 @@ class ReplayProvider:
 def load_lexicon(path=None):
     """Load a word -> {-1, +1} map from a TSV of `word<TAB>{+1|-1}` lines.
 
-    Lines end where text-mode reading ends them (``errors.line_ends``);
-    blank lines and lines starting with ``#`` are skipped. Any other line
-    that is not one word, a tab and +1 or -1, or that gives a word again
-    (matched after strip and lowercase, as the map keys it), raises a
-    StockcastError at ``<path>:<line>: ``, after the whole file decoded as
-    UTF-8.
+    Lines are read by ``ingest.text_lines``, which ends them where text
+    mode does; blank lines and lines starting with ``#`` are skipped. Any
+    other line that is not one word, a tab and +1 or -1, or that gives a
+    word again (matched after strip and lowercase, as the map keys it),
+    raises a StockcastError at ``<path>:<line>: ``, after the whole file
+    decoded as UTF-8.
     """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("lexicon.tsv")
-    with open_text(path) as fh:
-        lines = fh.readlines()
     lexicon, first_line = {}, {}
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(text_lines(path), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
@@ -181,34 +179,35 @@ def load_lexicon(path=None):
 def load_replay_scores(path):
     """Load an id -> SentimentScore table from `{id, label, confidence}` JSONL.
 
-    Lines are read by ``ingest.json_records``, so the post loader's rules
-    and messages apply: blank lines are skipped, each other line is a JSON
-    object holding all three fields, and ``id`` is a string or an integer.
+    Lines are read by ``ingest.text_lines`` and parsed by
+    ``ingest.json_records``, so the post loader's rules and messages
+    apply: blank lines are skipped, each other line is a JSON object
+    holding all three fields, and ``id`` is a string or an integer.
     ``label`` is a JSON integer in {-1, 0, 1} and ``confidence`` a JSON
     number in [0, 1], neither a boolean. Any other line, or an id given
     twice (``7`` and ``"7"`` alike), raises a StockcastError at
     ``<path>:<line>: ``.
     """
     table = {}
-    with open_text(path) as fh:
-        for lineno, record, post_id in json_records(path, fh, 1, ("id", "label", "confidence")):
-            label, conf = record["label"], record["confidence"]
-            try:
-                if type(label) is not int:
-                    raise ValueError(f"field 'label' must be an integer, "
-                                     f"got {echo(json.dumps(label))}")
-                if type(conf) not in (int, float):
-                    raise ValueError(f"field 'confidence' must be a number, "
-                                     f"got {echo(json.dumps(conf))}")
-                score = SentimentScore(label, float(conf))
-                if post_id in table:
-                    raise ValueError(f"duplicate id {echo(repr(post_id))}, "
-                                     f"first on line {_first_line(path, post_id)}")
-            # OverflowError: an integer confidence past float range
-            except (ValueError, OverflowError) as exc:
-                raise StockcastError(
-                    f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
-            table[post_id] = score
+    records = json_records(path, text_lines(path), 1, ("id", "label", "confidence"))
+    for lineno, record, post_id in records:
+        label, conf = record["label"], record["confidence"]
+        try:
+            if type(label) is not int:
+                raise ValueError(f"field 'label' must be an integer, "
+                                 f"got {echo(json.dumps(label))}")
+            if type(conf) not in (int, float):
+                raise ValueError(f"field 'confidence' must be a number, "
+                                 f"got {echo(json.dumps(conf))}")
+            score = SentimentScore(label, float(conf))
+            if post_id in table:
+                raise ValueError(f"duplicate id {echo(repr(post_id))}, "
+                                 f"first on line {_first_line(path, post_id)}")
+        # OverflowError: an integer confidence past float range
+        except (ValueError, OverflowError) as exc:
+            raise StockcastError(
+                f"{path}:{lineno}: unparsable line {lineno}: {exc}") from exc
+        table[post_id] = score
     return table
 
 
@@ -216,9 +215,8 @@ def _first_line(path, post_id):
     """The line of ``path`` that first gives ``post_id``: a second scan, so
     that only a duplicate id pays for naming it. Every line up to the
     duplicate passed json_records on the first scan."""
-    with open_text(path) as fh:
-        return next(lineno for lineno, _, record_id in json_records(path, fh, 1, ("id",))
-                    if record_id == post_id)
+    records = json_records(path, text_lines(path), 1, ("id",))
+    return next(lineno for lineno, _, record_id in records if record_id == post_id)
 
 
 # --- daily aggregation ---------------------------------------------------------

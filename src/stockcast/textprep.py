@@ -45,7 +45,7 @@ from __future__ import annotations
 import re
 from importlib import resources
 
-from .errors import open_text
+from .ingest import text_lines
 
 _URL_RE = re.compile(r"(?:https?://\S+|www\.\S+)")
 _HASHTAG_RE = re.compile(r"#\S+")
@@ -91,14 +91,13 @@ _ASCII_LOWER_ALPHA = str.maketrans(
 def load_stopwords(path=None):
     """Load the stopword set: one lowercase word per line, '#' comments.
 
-    Lines end where text-mode reading ends them (``errors.line_ends``), so
-    a ``\\x85`` or ``\\u2028`` inside a line leaves it one word. Without
-    a path, the bundled English list is used.
+    Lines are read by ``ingest.text_lines``, which ends them where text
+    mode does, so a ``\\x85`` or ``\\u2028`` inside a line leaves it one
+    word. Without a path, the bundled English list is used.
     """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("stopwords.txt")
-    with open_text(path) as fh:
-        words = {line.split("#", 1)[0].strip().lower() for line in fh.readlines()}
+    words = {line.split("#", 1)[0].strip().lower() for line in text_lines(path)}
     return frozenset(words - {""})
 
 

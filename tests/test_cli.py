@@ -559,6 +559,8 @@ BOM_INPUTS = {
     "stopwords": ("stopwords.txt", "the\nand\n", {}),
     "replay_scores": ("scores.jsonl", '{"id": "t0", "label": 1, "confidence": 0.5}\n',
                       {"provider": "replay"}),
+    "tweets": ("tweets.jsonl", '{"id": "t0", "ts": "2022-01-05", "text": "gain"}\n', {}),
+    "news": ("news.jsonl", '{"id": "n0", "ts": "2022-01-05", "text": "loss"}\n', {}),
 }
 
 

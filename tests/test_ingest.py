@@ -7,7 +7,7 @@ from datetime import date
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from stockcast.errors import StockcastError, echo, open_text
+from stockcast.errors import StockcastError, echo
 from stockcast.ingest import (
     TradingCalendar,
     assign_posts,
@@ -208,8 +208,9 @@ def test_calendar_matches_price_file(fixtures_dir):
 def line_ranges_oracle(path, size):
     """line_ranges as it was before it skipped decoding all-ASCII blocks and
     counting CRs in blocks without one: every block decoded, every block's
-    CR and CR LF counted. A file that is not UTF-8 raises the error a
-    text-mode read of the whole file raises."""
+    CR and CR LF counted. A file that is not UTF-8 raises the error at the
+    line where Python's text mode, bad bytes replaced, shows the first one,
+    with the reason its strict read gives."""
     ranges = []
     start, first_line = 0, 1
     with open(path, "rb") as fh:
@@ -219,8 +220,12 @@ def line_ranges_oracle(path, size):
             try:
                 block.decode("utf-8")
             except UnicodeDecodeError:
-                with open_text(path) as text:
-                    text.read()
+                with open(path, encoding="utf-8") as text:
+                    with pytest.raises(UnicodeDecodeError) as exc:
+                        text.read()
+                with open(path, encoding="utf-8", errors="replace") as text:
+                    line = next(n for n, got in enumerate(text, 1) if "\ufffd" in got)
+                raise StockcastError(f"{path}:{line}: not UTF-8 text: {exc.value.reason}")
             ranges.append((start, start + len(block), first_line))
             first_line += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
             start += len(block)
@@ -274,7 +279,7 @@ def test_ranges_read_the_lines_of_a_text_mode_read(tmp_path, pieces, size):
     path.write_bytes(b"".join(pieces))
     ranges = line_ranges(path, size)
     in_ranges = first_records(path, ((_post_lines(path, *r[:2]), r[2]) for r in ranges))
-    with open_text(path) as text_mode:
+    with open(path, encoding="utf-8") as text_mode:
         assert in_ranges == first_records(path, [(text_mode, 1)])
 
 

@@ -231,7 +231,8 @@ POST_EDGES = {
     "ts-nul-inside": (lambda data: data + post(ts="2022-01-05\0T12:00:00"), "last", "last",
                       False),
     # datetime.fromisoformat reads a trailing NUL as the string's end
-    "ts-nul-at-end": (lambda data: data + post(ts="2022-01-05T12:00:00\0"), 0, 0, False),
+    "ts-nul-at-end": (lambda data: data + post(ts="2022-01-05T12:00:00\0"), "last", "last",
+                      False),
     "ts-year-0": (lambda data: data + post(ts="0000-01-05T12:00:00Z"), "last", "last", False),
     "ts-full-width-digits": (lambda data: data + post(ts="\uff12\uff10\uff12\uff12-01-05"),
                              "last", "last", False),
@@ -310,6 +311,10 @@ REPLAY_EDGES = {
     "id-7-and-quoted-7": ([replay_line(7), replay_line("7")],
                           "{table}:14: unparsable line 14: duplicate id '7', first on line 13"),
     "no-score-for-a-post": ([], "{tweets}: no replay score for post id 't3'"),
+    # the first bad byte comes first, however far past a bad line
+    "bad-json-then-bad-byte-300-lines-on": (
+        ["not json", *(replay_line(f"x{i}") for i in range(300)), '{"id": "\udcff"}'],
+        "{table}:314: not UTF-8 text: invalid start byte"),
 }
 
 
@@ -319,7 +324,8 @@ def test_replay_table_edge_fails_cleanly(tmp_path, capsys, row):
     lines, expected = REPLAY_EDGES[row]
     ids = [f"t{i}" for i in range(8) if i != 3 or lines] + [f"n{i}" for i in range(4)]
     table = tmp_path / "scores.jsonl"
-    table.write_text("".join(line + "\n" for line in [*map(replay_line, ids), *lines]))
+    table.write_text("".join(line + "\n" for line in [*map(replay_line, ids), *lines]),
+                     errors="surrogateescape")
     config = write_config(tmp_path, provider="replay", replay_scores=table)
     code, err = run_ingest(config, capsys)
     if expected is None:
@@ -351,8 +357,7 @@ def inside_last_line(char):
 #: price file without its header columns).
 LINE_EDGES = {
     "bom-at-start": (lambda data: BOM + data, "first", "first", "first"),
-    "bom-at-start-and-bad-byte": (lambda data: BOM + data + b"\xff\n", "first", "first",
-                                  "first"),
+    "bom-at-start-and-bad-byte": (lambda data: BOM + data + b"\xff\n", "last", "last", "last"),
     "bad-byte-first-line": (lambda data: b"\xff" + data, "first", "first", "first"),
     "bad-byte-unterminated-last-line": (lambda data: data + b"\xff", "last", "last", "last"),
     "cr-line-ends": (lambda data: data.replace(b"\n", b"\r"), 0, 0, 0),

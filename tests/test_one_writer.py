@@ -10,8 +10,8 @@ or ``outputs._write_json`` (the framed outputs). A writer that opens its
 own file, or renames one, fails here.
 
 A second walk, over READ_BACK_MODULES (every module that reads an output
-back), finds every file read: an ``open`` that is not a write, an
-``open_text``, or a ``.read_text`` or ``.read_bytes`` call. Each must sit
+back), finds every file read: an ``open`` that is not a write, a
+``text_lines``, or a ``.read_text`` or ``.read_bytes`` call. Each must sit
 in ``outputs._ReadBack``, the reader that checks daily_sentiment.csv and
 the predictions files, or be ``scoring.scores_digest``'s read of the
 package files. A read-back that opens its own file fails here.
@@ -35,7 +35,7 @@ READ_BACK_MODULES = ("outputs", "pipeline", "scoring")
 #: (module, enclosing function, call) of every allowed read in READ_BACK_MODULES.
 READS_ALLOWED = {
     ("outputs", "_ReadBack.__init__", "open"),
-    ("outputs", "_ReadBack.__init__", "open_text"),
+    ("outputs", "_ReadBack.__init__", "text_lines"),
     ("scoring", "scores_digest", "read_bytes"),
 }
 
@@ -64,7 +64,7 @@ def _writes(call):
 def _reads(call):
     """The call's name if it opens or reads a file and does not write one, else None."""
     func = call.func
-    if isinstance(func, ast.Name) and func.id in ("open", "open_text"):
+    if isinstance(func, ast.Name) and func.id in ("open", "text_lines"):
         return None if _writes(call) else func.id
     if isinstance(func, ast.Attribute) and func.attr in ("read_text", "read_bytes"):
         return func.attr
@@ -132,7 +132,7 @@ def f(p, os):
 
 class C:
     def m(self, p):
-        open_text(p)
+        text_lines(p)
         p.read_bytes()
 
         def inner():
@@ -146,4 +146,4 @@ def test_walk_finds_each_kind():
         "open", "open", "open", "write_text", "write_bytes", "os.replace", "os.rename"]
     assert [site[1:] for site in call_sites(tree, "m", _reads)] == [
         ("f", "open"), ("f", "open"), ("f", "read_text"),
-        ("C.m", "open_text"), ("C.m", "read_bytes"), ("inner", "open")]
+        ("C.m", "text_lines"), ("C.m", "read_bytes"), ("inner", "open")]
