@@ -122,12 +122,14 @@ def test_pickle_round_trip(tmp_path, name):
 
 
 @pytest.mark.parametrize("end", ["\n", "\r", "\r\n"])
-def test_not_utf8_names_the_line_text_mode_reads(tmp_path, end):
+@pytest.mark.parametrize("newline", [None, ""])
+def test_not_utf8_names_the_line_text_mode_reads(tmp_path, end, newline):
     # \xff on the fourth line, with every line end in the file the same
     path = tmp_path / "bad.txt"
     path.write_bytes(end.join(["a", "b", "c", "d\xff"]).encode("latin-1") + end.encode())
     with pytest.raises(StockcastError, match=rf"^{re.escape(str(path))}:4: not UTF-8 text: "):
         next(text_lines(path))
-    # text-mode reading of a decodable copy puts the byte on the same line
-    with open(path, encoding="latin-1") as fh:
+    # text-mode reading of a decodable copy, with either newline mode,
+    # puts the byte on the same line
+    with open(path, encoding="latin-1", newline=newline) as fh:
         assert fh.readlines()[3].startswith("d\xff")
