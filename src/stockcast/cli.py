@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 from . import pipeline, scoring
@@ -61,7 +60,7 @@ def build_parser():
 def _load_config(args):
     """The --config file's config, with each flag given in place of its key."""
     keys = ("feature_sets", "out_dir", "base_seed", "replicates")  # the keys flags set
-    return replace(parse_config(args.config), **{
+    return parse_config(args.config).replace(**{
         key: getattr(args, key) for key in keys if getattr(args, key, None) is not None})
 
 

@@ -1,10 +1,11 @@
 """Experiment configuration: flat `key = value` files, one pair per line.
 
 `#` starts a comment; blank lines are ignored. ExperimentConfig declares
-each key once: a value is parsed by its field's annotation (_parse_value)
-and checked by _check_value, a number against its bound in _BOUNDS, both
-while a file is read, naming the line, and again for a config built in
-code or changed by a flag, naming the key. Relative input paths, and
+each key once, as an annotated class attribute holding its default: a
+value is parsed by the key's annotation (_parse_value) and checked by
+_check_value, a number against its bound in _BOUNDS, both while a file is
+read, naming the line, and again for a config built in code or changed by
+a flag (ExperimentConfig.replace), naming the key. Relative input paths, and
 the default `prices.csv`, `tweets.jsonl` and `news.jsonl` of a path key
 left out, are resolved against the config file's directory, so bundled
 configs work from any working directory; `out_dir` is kept as written, so
@@ -17,12 +18,12 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, fields
+import sys
 from datetime import date
 from functools import cached_property
 from pathlib import Path
 
-from .errors import StockcastError, echo, echo_number
+from .errors import StockcastError, echo, echo_number, past_str_digits
 from .ingest import text_lines
 
 PROVIDERS = ("lexicon", "replay")
@@ -48,12 +49,16 @@ FEATURE_SETS = {
 }
 
 
-@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, a field per config key. The defaults are the reference
-    protocol's: model 256/0.001/128/100, ten replicates, one million starting
-    capital with symmetric 2% thresholds, and the 2018-2022 / 2023 temporal
-    split."""
+    """One experiment, immutable, with an annotated class attribute per
+    config key: the annotation is the type a file's value is parsed by, the
+    value its default. The defaults are the reference protocol's: model
+    256/0.001/128/100, ten replicates, one million starting capital with
+    symmetric 2% thresholds, and the 2018-2022 / 2023 temporal split.
+
+    Keys are given by keyword; every value is checked on construction, so
+    a config built in code, or changed by replace, fails as a file does.
+    """
 
     stock: str = "STOCK"
     prices: str = "prices.csv"
@@ -85,18 +90,31 @@ class ExperimentConfig:
     feature_sets: tuple = tuple(FEATURE_SETS)
     out_dir: str = "out"
 
-    def __post_init__(self):
+    def __init__(self, **values):
+        unknown = [key for key in values if key not in _KEYS]
+        if unknown:
+            raise TypeError(f"ExperimentConfig got an unexpected keyword argument {unknown[0]!r}")
+        self.__dict__.update(values)
         if self.provider not in PROVIDERS:
             raise StockcastError(f"provider must be one of {PROVIDERS}, got {self.provider!r}")
         if self.provider == "replay" and not self.replay_scores:
             raise StockcastError("provider=replay needs a replay_scores path")
-        for f in fields(self):
+        for key in _KEYS:
             try:
-                _check_value(f.name, getattr(self, f.name))
+                _check_value(key, getattr(self, key))
             except ValueError as exc:
-                raise StockcastError(f"{f.name} {exc}") from None
+                raise StockcastError(f"{key} {exc}") from None
         if not self.out_dir:  # "" would write every output into the working directory
             raise StockcastError("out_dir must not be empty")
+
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"ExperimentConfig is immutable: change {name} with replace()")
+
+    __delattr__ = __setattr__
+
+    def replace(self, **changes):
+        """A copy with ``changes`` in place of their keys' values, checked as a new config is."""
+        return ExperimentConfig(**{**{key: getattr(self, key) for key in _KEYS}, **changes})
 
     def canonical(self):
         """Sorted key=value lines; the hashing base.
@@ -107,15 +125,15 @@ class ExperimentConfig:
         content, so the same data hashes alike in every checkout.
         """
         lines = []
-        for f in fields(self):
-            if f.name == "out_dir" or f.name in _PATH_KEYS:
+        for key in _KEYS:
+            if key == "out_dir" or key in _PATH_KEYS:
                 continue
-            value = getattr(self, f.name)
+            value = getattr(self, key)
             if isinstance(value, tuple):
                 value = ",".join(value)
             elif isinstance(value, date):
                 value = value.isoformat()
-            lines.append(f"{f.name}={value}")
+            lines.append(f"{key}={value}")
         return "\n".join(sorted(lines))
 
     @cached_property
@@ -138,6 +156,10 @@ class ExperimentConfig:
         lines = [self.canonical()]
         lines += [f"{key}.sha256={sha}" for key, sha in self.input_sha256.items()]
         return hashlib.sha256("\n".join(lines).encode("utf-8")).hexdigest()[:16]
+
+
+#: {config key: its annotation}, in declaration order.
+_KEYS = ExperimentConfig.__annotations__
 
 
 def _file_sha256(path):
@@ -165,9 +187,10 @@ _BOUNDS = {"learning_rate": (0, False), "initial_capital": (0, False),
 def _check_value(key, value):
     """Raise a ValueError, worded to follow the key, if ``value`` is out of
     ``key``'s range: a path or out_dir holding a NUL byte, which no file
-    name can, or a number that is not finite or not past its _BOUNDS. The
-    value is shown through echo_number, so a 4,300-digit one cannot flood
-    stderr, nor a longer one make str() raise.
+    name can, a number that is not finite or not past its _BOUNDS, or an
+    int with more digits than str() writes. The value is shown through
+    echo_number, so a 4,300-digit one cannot flood stderr, nor a longer
+    one make str() raise.
     A feature_sets naming no set, or a set twice (it would train twice),
     raises a StockcastError."""
     if key == "feature_sets":
@@ -187,10 +210,13 @@ def _check_value(key, value):
         if not (value >= low if inclusive else value > low):
             raise ValueError(f"must be {'>=' if inclusive else '>'} {low}, "
                              f"got {echo_number(value)}")
+        if past_str_digits(value):  # canonical() could not write it
+            raise ValueError(f"must have at most {sys.get_int_max_str_digits()} digits, "
+                             f"got {echo_number(value)}")
 
 
 def _parse_value(key, kind, raw, base_dir):
-    """``raw`` parsed by ``kind``, the annotation of field ``key`` (``int``,
+    """``raw`` parsed by ``kind``, the annotation of key ``key`` (``int``,
     ``float``, ``bool``, ``date``, ``tuple`` or ``str``): a path key's
     resolved against ``base_dir``, and ``none`` (or, for min_likes,
     nothing) as None where the annotation ends in ``| None``."""
@@ -234,7 +260,6 @@ def parse_config(path):
     if not path.is_file():
         raise StockcastError(f"config file not found: {path}")
     base_dir = path.parent.resolve()
-    kinds = {f.name: f.type for f in fields(ExperimentConfig)}
     values = {}
     seen = {}
     for lineno, line in enumerate(text_lines(path), 1):
@@ -245,22 +270,23 @@ def parse_config(path):
             raise StockcastError(
                 f"{path}:{lineno}: expected 'key = value', got {echo(repr(line))}")
         key, raw = (part.strip() for part in line.split("=", 1))
-        if key not in kinds:
+        if key not in _KEYS:
             raise StockcastError(f"{path}:{lineno}: unknown key {echo(repr(key))}")
         if key in seen:
             raise StockcastError(f"{path}:{lineno}: key {key!r} given twice, "
                                  f"first on line {seen[key]}")
         seen[key] = lineno
         try:
-            values[key] = _parse_value(key, kinds[key], raw, base_dir)
+            values[key] = _parse_value(key, _KEYS[key], raw, base_dir)
             _check_value(key, values[key])
         except (ValueError, TypeError, StockcastError) as exc:
             # float() and date.fromisoformat() quote the whole value
             detail = str(exc).replace(repr(raw), echo(repr(raw)))
             raise StockcastError(f"{path}:{lineno}: bad value for {key!r}: {detail}") from exc
-    for f in fields(ExperimentConfig):
-        if f.name in _PATH_KEYS and f.name not in values and f.default is not None:
-            values[f.name] = _parse_value(f.name, f.type, f.default, base_dir)
+    for key in _PATH_KEYS:
+        default = getattr(ExperimentConfig, key)
+        if key not in values and default is not None:
+            values[key] = _parse_value(key, _KEYS[key], default, base_dir)
     return ExperimentConfig(**values)
 
 

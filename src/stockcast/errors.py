@@ -41,14 +41,22 @@ def echo(text):
     return text if len(text) <= ECHO_LIMIT else text[:ECHO_LIMIT] + "..."
 
 
+def past_str_digits(value):
+    """Whether ``value`` is an int with more digits than Python converts to
+    text (sys.get_int_max_str_digits), so that str() of it raises."""
+    limit = sys.get_int_max_str_digits()
+    # below 2 ** (3 * limit) an int has fewer than limit digits: no big power to build
+    return (type(value) is int and limit > 0 and value.bit_length() > 3 * limit
+            and abs(value) >= 10 ** limit)
+
+
 def echo_number(value):
     """``value``, a number, as a message shows it: echo of its decimal
-    text, or, for an int with more digits than Python converts to text
-    (sys.get_int_max_str_digits), a phrase that says so, without the str()
-    that would raise."""
-    limit = sys.get_int_max_str_digits()
-    if type(value) is int and limit and abs(value) >= 10 ** limit:
-        return f"{'a negative' if value < 0 else 'an'} integer of over {limit} digits"
+    text, or, for an int past_str_digits, a phrase that says so, without
+    the str() that would raise."""
+    if past_str_digits(value):
+        return (f"{'a negative' if value < 0 else 'an'} integer of over "
+                f"{sys.get_int_max_str_digits()} digits")
     return echo(str(value))
 
 

@@ -6,13 +6,12 @@ import this one load no numpy until a metric is computed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import StockcastError
 
 
-@dataclass(frozen=True)
-class AggregateReport:
+class AggregateReport(NamedTuple):
     feature_set: str
     scale: str
     r2_mean: float

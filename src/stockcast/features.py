@@ -25,7 +25,7 @@ and are never clipped.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .config import FEATURE_SETS
 from .errors import StockcastError, echo_number
@@ -118,8 +118,7 @@ def rsi(closes, period):
 
 # --- assembly -------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class FeatureMatrix:
+class FeatureMatrix(NamedTuple):
     """Date-indexed raw feature values: the daily table, or one set's columns of it."""
 
     dates: tuple
@@ -174,20 +173,15 @@ def format_columns(table):
 
 # --- windowing ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class WindowedDataset:
+class WindowedDataset(NamedTuple):
     """Supervised samples: lookback rows of features -> next normalized close."""
 
     X: object           # (n_samples, lookback, n_features) float64 ndarray
     y: object           # (n_samples,) float64 ndarray
     dates: tuple        # target date per sample
 
-    def __len__(self):
-        return self.X.shape[0]
 
-
-@dataclass(frozen=True)
-class SplitWindows:
+class SplitWindows(NamedTuple):
     train: WindowedDataset
     test: WindowedDataset
     close_range: tuple  # training (min, max) of close: maps forecasts back to prices

@@ -78,7 +78,6 @@ finite differences.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -432,16 +431,18 @@ def clip_gradients(grads, max_norm):
     return grads
 
 
-@dataclass
 class AdamState:
     """First/second moment vectors (theta's layout, K models' rows for K
     models), a flat scratch buffer of one ADAM_CHUNK column chunk of every
-    row, and the shared timestep."""
+    row, and the shared timestep, 0 before the first step."""
 
     m: np.ndarray
     v: np.ndarray
     scratch: np.ndarray  # K * min(ADAM_CHUNK, theta size) floats
-    t: int = 0
+    t: int
+
+    def __init__(self, m, v, scratch):
+        self.m, self.v, self.scratch, self.t = m, v, scratch, 0
 
     @classmethod
     def for_weights(cls, weights):

@@ -14,7 +14,6 @@ import codecs
 import csv
 import json
 import math
-from dataclasses import dataclass
 from datetime import date, datetime, timezone
 from pathlib import Path
 from typing import NamedTuple
@@ -33,8 +32,7 @@ _NO_COUNTS = (0, 0, 0, 0)
 _RANGE_BYTES = 1 << 20
 
 
-@dataclass(frozen=True)
-class PriceBar:
+class PriceBar(NamedTuple):
     """One day of OHLCV data for one stock."""
 
     date: date

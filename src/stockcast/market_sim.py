@@ -28,7 +28,7 @@ ledger as inf or nan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import RunFailed, StockcastError
 
@@ -39,8 +39,7 @@ DEFERRED_EXIT = "deferred_exit"
 NONE = "none"
 
 
-@dataclass(frozen=True)
-class LedgerEntry:
+class LedgerEntry(NamedTuple):
     date: object
     r: float
     action: str
@@ -49,8 +48,7 @@ class LedgerEntry:
     capital_after: float
 
 
-@dataclass(frozen=True)
-class SimulationResult:
+class SimulationResult(NamedTuple):
     ledger: tuple
     final_capital: float
     percent_gain: float

@@ -23,7 +23,6 @@ from __future__ import annotations
 import math
 import os
 from contextlib import contextmanager, nullcontext
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import market_sim
@@ -67,7 +66,6 @@ def build_matrix(config, dataset):
     return features.assemble(dataset.bars, dataset.daily, indicators)
 
 
-@dataclass
 class FeatureSetResult:
     feature_set: str
     split: object                   # features.SplitWindows
@@ -75,6 +73,15 @@ class FeatureSetResult:
     mean_pred_norm: object          # replicate-mean normalized predictions (ndarray)
     mean_pred_price: object         # same, on the price scale
     true_price: object              # test targets on the price scale
+
+    def __init__(self, feature_set, split, reports, mean_pred_norm, mean_pred_price,
+                 true_price):
+        self.feature_set = feature_set
+        self.split = split
+        self.reports = reports
+        self.mean_pred_norm = mean_pred_norm
+        self.mean_pred_price = mean_pred_price
+        self.true_price = true_price
 
 
 def run_feature_set(feature_set, split, preds):

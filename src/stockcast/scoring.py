@@ -23,18 +23,17 @@ import os
 import re
 from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass
 from functools import partial
 from itertools import islice
 from pathlib import Path
 
 from . import sentiment, textprep
 from .errors import StockcastError, echo
-from .ingest import _RANGE_BYTES, calendar_from_bars, line_ranges, load_price_csv, read_posts
+from .ingest import (_COUNT_FIELDS, _RANGE_BYTES, calendar_from_bars, line_ranges,
+                     load_price_csv, read_posts)
 from .outputs import _ReadBack, _write_csv
 
 
-@dataclass
 class Dataset:
     """Validated inputs plus daily sentiment, aligned to the calendar.
 
@@ -48,6 +47,10 @@ class Dataset:
     tweet_count: int
     news_count: int
     daily: dict
+
+    def __init__(self, bars, tweet_count, news_count, daily):
+        self.bars, self.tweet_count, self.news_count, self.daily = (
+            bars, tweet_count, news_count, daily)
 
 
 def make_provider(config):
@@ -126,6 +129,23 @@ def load_dataset(config, out_dir=None):
 
 
 _TOO_LARGE = ": engagement counts or weights alpha..delta too large"
+
+#: The weight of each engagement count, in _COUNT_FIELDS order.
+_WEIGHTS = ("alpha", "beta", "gamma", "delta")
+
+
+def _too_large(config, counts):
+    """Why a post's weighted value is not finite: the first of alpha..delta
+    whose term (weight times its count) is not, or, when each term is
+    finite, _TOO_LARGE."""
+    for weight, name, count in zip(_WEIGHTS, _COUNT_FIELDS, counts):
+        try:
+            term = getattr(config, weight) * count
+        except OverflowError:  # a count past float range
+            term = math.inf
+        if not math.isfinite(term):
+            return f": {weight} * {name} too large"
+    return _TOO_LARGE
 
 
 def _post_workers(config):
@@ -214,7 +234,8 @@ def _score_range(shared, task):
                 else:
                     errors[row] = StockcastError(
                         f"{path}: post id {echo(repr(post_id))}: weighted sentiment is not "
-                        f"a finite float{_TOO_LARGE}")
+                        f"a finite float"
+                        f"{_too_large(config, (retweets, likes, comments, followers))}")
                     value = 0.0
         days.append(day)
         labels.append(label)

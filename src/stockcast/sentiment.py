@@ -147,7 +147,8 @@ def load_lexicon(path=None):
     other line that is not one word, a tab and +1 or -1, or that gives a
     word again (matched after strip and lowercase, as the map keys it),
     raises a StockcastError at ``<path>:<line>: ``, after the whole file
-    decoded as UTF-8.
+    decoded as UTF-8. A file with no entry raises one at ``<path>: ``: it
+    would score every post 0.
     """
     if path is None:
         path = resources.files("stockcast.resources").joinpath("lexicon.tsv")
@@ -173,6 +174,8 @@ def load_lexicon(path=None):
                                  f"{echo(repr(word))}, first on line {first_line[word]}")
         lexicon[word] = value
         first_line[word] = lineno
+    if not lexicon:
+        raise StockcastError(f"{path}: no lexicon entries, so every post would score 0")
     return lexicon
 
 

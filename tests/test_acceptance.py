@@ -9,7 +9,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -191,8 +190,8 @@ def test_criterion_8_protocol_constants(tmp_path):
     assert template.split_date == date(2022, 12, 31)
 
     # reports echo the effective config
-    config = replace(parse_config(CONFIGS / "fixture.conf"), feature_sets=("Prices",),
-                     replicates=1, epochs=2, out_dir=str(tmp_path))
+    config = parse_config(CONFIGS / "fixture.conf").replace(
+        feature_sets=("Prices",), replicates=1, epochs=2, out_dir=str(tmp_path))
     pipeline.run_train_eval(config, tmp_path)
     report = json.loads((tmp_path / "report.json").read_text())
     echo = report["protocol"]

@@ -7,7 +7,6 @@ import re
 import shutil
 import subprocess
 import sys
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 
@@ -140,8 +139,23 @@ class TestConfig:
     def test_hash_ignores_out_dir_only(self, tmp_path):
         write_tiny_dataset(tmp_path)
         config = parse_config(write_config(tmp_path))
-        assert replace(config, out_dir="elsewhere").config_hash == config.config_hash
-        assert replace(config, base_seed=99).config_hash != config.config_hash
+        assert config.replace(out_dir="elsewhere").config_hash == config.config_hash
+        assert config.replace(base_seed=99).config_hash != config.config_hash
+
+    def test_overrides_are_checked(self, tmp_path, capsys):
+        # a flag, or replace() in code, is checked as a config line is and names its key
+        write_tiny_dataset(tmp_path)
+        path = write_config(tmp_path)
+        assert cli.main(["train-eval", "--config", str(path), "--replicates", "0"]) == 2
+        assert capsys.readouterr().err == "error: replicates must be >= 1, got 0\n"
+        assert not (tmp_path / "out").exists()
+        config = parse_config(path)
+        with pytest.raises(StockcastError, match="^lookback must be >= 1, got 0$"):
+            config.replace(lookback=0)
+        with pytest.raises(TypeError, match="'lookback_days'"):
+            config.replace(lookback_days=2)
+        with pytest.raises(AttributeError):
+            config.lookback = 0
 
     def test_dip_threshold_none_or_bogus(self, tmp_path):
         write_tiny_dataset(tmp_path)
@@ -388,11 +402,14 @@ def test_integer_past_digit_limit_exit_2(tmp_path, capsys, site):
 TOO_LARGE = "is not a finite float: engagement counts or weights alpha..delta too large\n"
 
 
-@pytest.mark.parametrize("counts", [{"likes": 10**400}, {"likes": 10**200, "followers": 10**200}],
-                         ids=["likes-past-float", "product-past-float"])
-def test_overflowing_engagement_exit_2(tmp_path, capsys, counts):
-    # 10**400 likes cannot become a float; 10**200 likes times 10**200
-    # followers overflows to inf. Either must stop before anything is written.
+@pytest.mark.parametrize("counts, too_large", [
+    ({"likes": 10**400}, "is not a finite float: beta * likes too large\n"),
+    ({"likes": 10**200, "followers": 10**200}, TOO_LARGE),
+], ids=["likes-past-float", "product-past-float"])
+def test_overflowing_engagement_exit_2(tmp_path, capsys, counts, too_large):
+    # 10**400 likes cannot become a float, so beta's term is not finite;
+    # 10**200 likes times 10**200 followers overflows to inf, though each
+    # term is finite. Either must stop before anything is written.
     write_tiny_dataset(tmp_path)
     tweets = tmp_path / "tweets.jsonl"
     lines = tweets.read_text().splitlines()
@@ -402,7 +419,7 @@ def test_overflowing_engagement_exit_2(tmp_path, capsys, counts):
         code = cli.main([command, "--config", str(write_config(tmp_path))])
         assert code == 2
         assert capsys.readouterr().err == (
-            f"error: {tweets}: post id 't1': weighted sentiment {TOO_LARGE}")
+            f"error: {tweets}: post id 't1': weighted sentiment {too_large}")
     assert not (tmp_path / "out").exists()
 
 
@@ -1253,7 +1270,7 @@ class TestScoredOnce:
         assert outputs["after-ingest"] == outputs["alone"]
 
     def test_saved_rows_equal_scored_rows(self, tmp_path, fixture_config_path):
-        config = replace(parse_config(fixture_config_path), out_dir=str(tmp_path))
+        config = parse_config(fixture_config_path).replace(out_dir=str(tmp_path))
         scored = scoring.load_dataset(config, tmp_path)  # nothing saved yet
         with publish(tmp_path) as stage:
             scoring.write_daily_sentiment(stage(scoring.DAILY_SENTIMENT_FILE), config, scored)
@@ -1553,7 +1570,9 @@ def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
     (over the daily_sentiment.csv ingest wrote) and simulate commands, and a
     post worker, in ingest or in a featurize that finds no
     daily_sentiment.csv to read, run without it. The first four also leave
-    out multiprocessing: the worker pools import it when they start."""
+    out multiprocessing, which the worker pools import when they start, and
+    dataclasses and inspect, which cost every command's start-up about
+    10 ms: no record in the package is a dataclass."""
     config = str(fixture_config_path)
     ingest = ["ingest", "--config", config, "--out-dir", str(tmp_path / "out")]
     if case.endswith("score_range_worker"):
@@ -1563,7 +1582,8 @@ def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
             "score_range": {"False"}}
         return
     one_model = ["--feature-set", "Prices", "--replicates", "1"]
-    report = "print('numpy' in sys.modules, 'multiprocessing' in sys.modules)"
+    absent = ("numpy", "multiprocessing", "dataclasses", "inspect")
+    report = f"print(*(name in sys.modules for name in {absent!r}))"
     if case == "import":
         code = f"import sys; from stockcast import cli; cli.parse_config({config!r}); {report}"
     else:
@@ -1577,7 +1597,7 @@ def test_start_up_leaves_out_numpy(tmp_path, fixture_config_path, case):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=subprocess_env(), cwd=tmp_path, check=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "False False"
+    assert proc.stdout.splitlines()[-1] == " ".join(["False"] * len(absent))
 
 
 @pytest.mark.parametrize("command, forks, expected", [

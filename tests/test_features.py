@@ -195,7 +195,7 @@ class TestMinmax:
         matrix = FeatureMatrix(tuple(dates), ("close", "volume"),
                                (tuple(map(float, range(8))), (5.0,) * 5 + (7.0,) * 3))
         split = make_windows(matrix, 2, dates[4])
-        assert len(split.train) == 3 and len(split.test) == 3
+        assert len(split.train.y) == 3 and len(split.test.y) == 3
         for part in (split.train, split.test):
             assert part.X[..., 1].tolist() == [[0.0, 0.0]] * 3
         assert split.test.y.tolist() == [1.25, 1.5, 1.75]
@@ -334,7 +334,7 @@ def check_windows_are_views(matrix, lookback, split_date):
             highs.append(high)
     # the windows together span one table's bytes, however many windows there are
     assert max(highs) - min(lows) <= scaled.nbytes
-    if len(split.test):
+    if len(split.test.y):
         assert np.shares_memory(split.train.X, split.test.X)
     return split
 
@@ -348,8 +348,8 @@ class TestMakeWindows:
         expected_train = [t for t in range(3, 10) if dates[t] <= dates[6]]
         expected_test = [t for t in range(3, 10) if dates[t] > dates[6]]
         split = make_windows(matrix_of(values, dates), 3, dates[6])
-        assert len(split.train) == len(expected_train) == 4
-        assert len(split.test) == len(expected_test) == 3
+        assert len(split.train.y) == len(expected_train) == 4
+        assert len(split.test.y) == len(expected_test) == 3
         assert split.train.dates == tuple(dates[t] for t in expected_train)
         assert split.test.dates == tuple(dates[t] for t in expected_test)
 
@@ -357,7 +357,7 @@ class TestMakeWindows:
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(10)]
         values = list(range(1, 11))
         split = make_windows(matrix_of(values, dates), 9, dates[-1])
-        assert len(split.train) == 1 and len(split.test) == 0
+        assert len(split.train.y) == 1 and len(split.test.y) == 0
 
     def test_insufficient_history(self):
         dates = [date(2023, 1, 1) + timedelta(days=i) for i in range(10)]
@@ -396,5 +396,5 @@ class TestMakeWindows:
         matrix = FeatureMatrix(tuple(dates), ("close", "volume"),
                                tuple(map(tuple, values.T.tolist())))
         split = check_windows_are_views(matrix, 4, dates[-1])
-        assert (len(split.train), len(split.test)) == (8, 0)
+        assert (len(split.train.y), len(split.test.y)) == (8, 0)
         assert split.test.X.shape == (0, 4, 2)

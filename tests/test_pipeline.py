@@ -5,7 +5,6 @@ import hashlib
 import json
 import shutil
 import tracemalloc
-from dataclasses import replace
 from datetime import date, timedelta
 from pathlib import Path
 from types import SimpleNamespace
@@ -35,7 +34,7 @@ PACKAGE = Path(scoring.__file__).parent
 @pytest.fixture(scope="module")
 def config(fixture_config_path):
     base = parse_config(fixture_config_path)
-    return replace(base, feature_sets=("Prices-Tweets-News-RSI-SMA",), epochs=4)
+    return base.replace(feature_sets=("Prices-Tweets-News-RSI-SMA",), epochs=4)
 
 
 @pytest.fixture(scope="module")
@@ -94,12 +93,12 @@ def test_fixture_feature_files_match_frozen_digests(fixture_config_path, tmp_pat
 def test_fixture_windows_are_views_of_one_table(config, dataset):
     matrix = select(build_matrix(config, dataset), "Prices-Tweets-News-RSI-SMA")
     split = check_windows_are_views(matrix, config.lookback, config.split_date)
-    assert len(split.train) > 0 and len(split.test) > 0
+    assert len(split.train.y) > 0 and len(split.test.y) > 0
 
 
 def test_run_feature_set_shapes(config, dataset, trained):
     _, result = trained
-    n_test = len(result.split.test)
+    n_test = len(result.split.test.y)
     assert result.mean_pred_norm.shape == (n_test,)
     assert result.mean_pred_price.shape == (n_test,)
     scales = {report.scale for report in result.reports}
@@ -125,7 +124,7 @@ def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf,
                                                              cores, groups):
     monkeypatch.setattr("stockcast.scoring.os.sched_getaffinity",
                         lambda pid: set(range(cores)))
-    config = replace(parse_config(CONFIGS / conf), **overrides)
+    config = parse_config(CONFIGS / conf).replace(**overrides)
     splits = [SimpleNamespace(train=f"{fs} train", test=f"{fs} test")
               for fs in config.feature_sets]
     jobs = pipeline._train_jobs(config, splits)
@@ -141,8 +140,8 @@ def test_replicates_group_while_small_and_jobs_fill_the_cores(monkeypatch, conf,
 def test_replay_provider_covers_fixture_posts(fixture_config_path):
     base = parse_config(fixture_config_path)
     replay_path = str((fixture_config_path.parent / "../fixtures/replay_scores.jsonl").resolve())
-    config = replace(base, provider="replay", replay_scores=replay_path,
-                     feature_sets=("Prices-Tweets",), epochs=2)
+    config = base.replace(provider="replay", replay_scores=replay_path,
+                          feature_sets=("Prices-Tweets",), epochs=2)
     dataset = load_dataset(config)
     assert sum(dataset.daily["tweet_count"]) > 0
     provider = make_provider(config)
@@ -192,8 +191,8 @@ def test_scores_digest_covers_package_files(config, tmp_path, monkeypatch):
         path.write_bytes(original + b"\n")
         assert (scoring.scores_digest(config) != digest) == (name in scored_by), name
         path.write_bytes(original)
-    assert scoring.scores_digest(replace(
-        config, base_seed=1, replicates=3, feature_sets=("Prices",), epochs=1,
+    assert scoring.scores_digest(config.replace(
+        base_seed=1, replicates=3, feature_sets=("Prices",), epochs=1,
         out_dir="elsewhere")) == digest
 
 
@@ -284,7 +283,7 @@ def tweet_counts(dataset):
 @pytest.mark.parametrize("provider", ["lexicon", "replay"])
 def test_pool_matches_in_process(fixture_config_path, monkeypatch, provider):
     base = parse_config(fixture_config_path)
-    config = replace(base, provider=provider, replay_scores=str(FIXTURES / "replay_scores.jsonl"))
+    config = base.replace(provider=provider, replay_scores=str(FIXTURES / "replay_scores.jsonl"))
     here = load_dataset(config)
     force_pool(monkeypatch, range_bytes=4096)
     assert scoring._post_workers(config) == 2

@@ -4,7 +4,8 @@ A name in a ``src/stockcast`` module's ``__all__`` must be read as a
 ``Name`` or an ``Attribute`` somewhere in ``src/``, ``bench/`` or
 ``scripts/``. Its own definition and its ``__all__`` entry do not count,
 and neither do docstrings or other strings. An annotated field of a class
-in ``src/stockcast`` (a dataclass or NamedTuple field) must be read as an
+in ``src/stockcast`` (a NamedTuple field, or an annotated attribute of a
+plain record class or of ExperimentConfig) must be read as an
 ``Attribute`` in the same three directories: a field only tests read, or
 only a constructor sets, is dead weight in every record. Fields are
 matched by name, so one that shares its name with a field read elsewhere

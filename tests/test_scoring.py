@@ -50,9 +50,10 @@ def reference_score_range(shared, task):
                 except OverflowError:
                     triple = (0, 0.0, math.inf)
                 if not math.isfinite(triple[2]):
+                    counts = (post.retweets, post.likes, post.comments, post.followers)
                     raise StockcastError(
                         f"{path}: post id {echo(repr(post.id))}: weighted sentiment is not a "
-                        f"finite float{scoring._TOO_LARGE}")
+                        f"finite float{scoring._too_large(config, counts)}")
                 labels[row], confidences[row], weighted[row] = triple
             except StockcastError as exc:
                 errors[row] = exc
